@@ -10,11 +10,8 @@ from .model import (
     ModelBundle,
     StarModelParams,
     analytic_ground_minimal,
-    build_minimal,
-    build_star,
     compute_theta,
     feedback_angle,
-    minimal_model,
     solve_ground,
     star_model,
 )
@@ -53,7 +50,6 @@ from .sampler import (
 )
 from .teleport import (
     LoccTranscript,
-    RelayPlan,
     extend_with_bell,
     relay_identity_check,
     run_longrange_qet,

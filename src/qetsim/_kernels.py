@@ -1,10 +1,4 @@
-"""Hot statevector kernels with two interchangeable backends.
-
-The numba backend is used when numba imports cleanly unless the environment
-variable ``QETSIM_NUMBA`` is set to ``0``/``false``/``off``, in which case the
-pure-numpy implementations are dispatched instead.  Both backends are always
-importable (``*_numpy`` / ``*_numba``) so tests and benchmarks can compare
-them directly.
+"""Hot statevector kernels, vectorized with numpy.
 
 Pauli words are encoded as index-space bitmasks: ``x_mask`` marks sites with
 an X or Y letter, ``z_mask`` marks Z or Y, and ``phase`` is ``1j**n_Y``.  A
@@ -13,117 +7,27 @@ word maps amplitude ``a[i]`` to ``phase * (-1)**popcount((i^x) & z) * a[i^x]``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
+def _signs(v: np.ndarray) -> np.ndarray:
+    """(-1)**popcount(v) elementwise, as float64."""
+    return 1.0 - 2.0 * (np.bitwise_count(v) & 1)
 
 
-def _env_wants_numba() -> bool:
-    return os.environ.get("QETSIM_NUMBA", "1").strip().lower() not in ("0", "false", "off")
+def apply_word(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> np.ndarray:
+    src = np.arange(amps.shape[0], dtype=np.int64) ^ x_mask
+    return (phase * _signs(src & z_mask)) * amps[src]
 
 
-USE_NUMBA = HAS_NUMBA and _env_wants_numba()
+def expect_word(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> complex:
+    return complex(np.vdot(amps, apply_word(amps, x_mask, z_mask, phase)))
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    # popcount parity by bit folding; masks stay below 2**14 (<= 14 qubits)
-    v = v.copy()
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
-
-
-def apply_word_numpy(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> np.ndarray:
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    src = idx ^ x_mask
-    signs = 1.0 - 2.0 * _parity(src & z_mask)
-    return (phase * signs) * amps[src]
-
-
-def expect_word_numpy(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> complex:
-    return complex(np.vdot(amps, apply_word_numpy(amps, x_mask, z_mask, phase)))
-
-
-def pauli_eigs_numpy(indices: np.ndarray, z_mask: int) -> np.ndarray:
+def pauli_eigs(indices: np.ndarray, z_mask: int) -> np.ndarray:
     """Eigenvalue (+1/-1) of a Z-type word at each computational outcome."""
-    return 1.0 - 2.0 * _parity(indices & z_mask)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _apply_word_jit(amps, x_mask, z_mask, phase, out):  # pragma: no cover - jitted
-        for i in range(amps.shape[0]):
-            src = i ^ x_mask
-            v = src & z_mask
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            if v & 1:
-                out[i] = -phase * amps[src]
-            else:
-                out[i] = phase * amps[src]
-
-    @njit(cache=True)
-    def _expect_word_jit(amps, x_mask, z_mask, phase):  # pragma: no cover - jitted
-        acc = 0.0 + 0.0j
-        for i in range(amps.shape[0]):
-            src = i ^ x_mask
-            v = src & z_mask
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            if v & 1:
-                acc -= np.conj(amps[i]) * amps[src]
-            else:
-                acc += np.conj(amps[i]) * amps[src]
-        return phase * acc
-
-    @njit(cache=True)
-    def _pauli_eigs_jit(indices, z_mask, out):  # pragma: no cover - jitted
-        for i in range(indices.shape[0]):
-            v = indices[i] & z_mask
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            out[i] = 1.0 - 2.0 * (v & 1)
-
-    def apply_word_numba(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> np.ndarray:
-        out = np.empty_like(amps)
-        _apply_word_jit(amps, np.int64(x_mask), np.int64(z_mask), complex(phase), out)
-        return out
-
-    def expect_word_numba(amps: np.ndarray, x_mask: int, z_mask: int, phase: complex) -> complex:
-        return complex(_expect_word_jit(amps, np.int64(x_mask), np.int64(z_mask), complex(phase)))
-
-    def pauli_eigs_numba(indices: np.ndarray, z_mask: int) -> np.ndarray:
-        out = np.empty(indices.shape[0], dtype=np.float64)
-        _pauli_eigs_jit(indices, np.int64(z_mask), out)
-        return out
-
-
-if USE_NUMBA:
-    apply_word = apply_word_numba
-    expect_word = expect_word_numba
-    pauli_eigs = pauli_eigs_numba
-else:
-    apply_word = apply_word_numpy
-    expect_word = expect_word_numpy
-    pauli_eigs = pauli_eigs_numpy
+    return _signs(indices & z_mask)
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import refdata, tiling
-from .model import MinimalModelParams, StarModelParams, minimal_model, star_model
+from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import run_minimal_qet, run_qed, sweep_EB
 from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
@@ -73,6 +73,18 @@ def _load_config(path: str) -> dict:
         except json.JSONDecodeError:
             out[key] = value
     return out
+
+
+def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the command's defaults; reject unknown keys."""
+    config = _load_config(path)
+    options = set(vars(sp.parse_args([]))) - {"func", "config"}
+    unknown = sorted(set(config) - options)
+    if unknown:
+        raise ValueError(
+            f"config key(s) not options of {sp.prog}: " + ", ".join(unknown)
+        )
+    sp.set_defaults(**config)
 
 
 def _record_rows(record) -> list[str]:
@@ -226,7 +238,7 @@ def cmd_qet(args) -> int:
     exact = run_minimal_qet(params) if args.method in ("exact", "both") else None
     sampled = None
     if args.method in ("sampled", "both"):
-        bundle, ground = minimal_model(params)
+        bundle, ground = star_model(params)
         sampled = sampled_record(bundle, ground, (1,), args.shots, args.seed)
     _emit_record(args, exact, sampled)
     return 0
@@ -250,7 +262,7 @@ def cmd_qed(args) -> int:
 def cmd_longrange(args) -> int:
     _require(args, "h", "k")
     params = MinimalModelParams(h=args.h, k=args.k)
-    record, transcript, plan = run_longrange_qet(
+    record, transcript = run_longrange_qet(
         params, args.hops, seed=args.seed if args.sample_transcript else None
     )
     local = run_minimal_qet(params)
@@ -263,7 +275,7 @@ def cmd_longrange(args) -> int:
     }
     worst = max(deltas.values())
     payload = record.as_dict()
-    payload["hops"] = plan.hops
+    payload["hops"] = args.hops
     payload["relay_vs_local_max_delta"] = worst
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.transcript_out:
@@ -360,15 +372,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
-    if "--config" in argv:
-        pos = argv.index("--config")
-        if pos + 1 >= len(argv):
-            parser.error("--config needs a path")
-        defaults = _load_config(argv[pos + 1])
-        for sp in commands.values():
-            sp.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

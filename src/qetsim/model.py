@@ -1,21 +1,24 @@
-"""Model builders: the 2-qubit minimal model, the {3,q} star model with
-zero-point offsets, dense ground-state solving, and the feedback angle.
+"""The {3,q} star model with zero-point offsets, dense ground-state solving,
+and the feedback angle.
 
 Site-count convention for the star family: a {3,q} network cell is modeled
 with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
-the minimal model, whose coupling term is 2k X0X1.
+Hotta's 2-qubit minimal model, so both are built by `star_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar, Union
 
 import numpy as np
 import scipy.linalg
 
+from . import _kernels
 from .ops import (
+    MAX_DENSE_QUBITS,
     DegenerateGroundError,
     ObservableSum,
     PauliString,
@@ -29,17 +32,23 @@ from .ops import (
 )
 
 DEGENERACY_TOL = 1e-9
-MAX_SOLVE_QUBITS = 14
 
 
 @dataclass(frozen=True)
 class MinimalModelParams:
+    """h and k of the minimal model: the q = 2 star, reported as "minimal"."""
+
+    kind: ClassVar[str] = "minimal"
     h: float
     k: float
 
     def __post_init__(self):
         if not (self.h > 0 and self.k > 0):
             raise ValueError("h and k must be positive")
+
+    @property
+    def q(self) -> int:
+        return 2
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,7 @@ class StarModelParams:
     one receiver, which is exactly the minimal model.
     """
 
+    kind: ClassVar[str] = "star"
     h: float
     k: float
     q: int
@@ -59,20 +69,23 @@ class StarModelParams:
             raise ValueError("h and k must be positive")
         if self.q < 2:
             raise ValueError("q must be at least 2")
-        if self.q > MAX_SOLVE_QUBITS:
-            raise ValueError(f"q = {self.q} exceeds the {MAX_SOLVE_QUBITS}-qubit guard")
+        if self.q > MAX_DENSE_QUBITS:
+            raise ValueError(f"q = {self.q} exceeds the {MAX_DENSE_QUBITS}-qubit guard")
+
+
+ModelParams = Union[MinimalModelParams, StarModelParams]
 
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
     """Total Hamiltonian plus its named local terms and the site roles.
 
-    The sum of the locals equals the total (canonical equality), and every
+    The locals are Z{i} (field at site i) and X{j} (coupling of receiver j to
+    the sender).  Their sum equals the total (canonical equality), and every
     local has zero ground-state expectation by construction of the offsets.
     """
 
-    kind: str  # "minimal" | "star"
-    params: object
+    params: ModelParams
     total: ObservableSum
     locals: dict[str, ObservableSum]
     sender_site: int
@@ -81,22 +94,6 @@ class ModelBundle:
     @property
     def n_qubits(self) -> int:
         return self.total.n_qubits
-
-    def local(self, name: str) -> ObservableSum:
-        return self.locals[name]
-
-    def hz_name(self, site: int) -> str:
-        if self.kind == "minimal":
-            return "H0" if site == 0 else "H1"
-        return f"Z{site}"
-
-    def hx_name(self, site: int) -> str:
-        return "V" if self.kind == "minimal" else f"X{site}"
-
-    def receiver_local(self, site: int) -> ObservableSum:
-        if site not in self.receiver_sites:
-            raise ValueError(f"site {site} is not a receiver")
-        return self.locals[self.hz_name(site)] + self.locals[self.hx_name(site)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,26 +118,12 @@ class FeedbackAngle:
     eta: float
 
 
-def build_minimal(params: MinimalModelParams) -> ModelBundle:
-    """H0 = hZ0 + h^2/r, H1 = hZ1 + h^2/r, V = 2k X0X1 + 2k^2/r, r = sqrt(h^2+k^2)."""
-    h, k = params.h, params.k
-    r = np.hypot(h, k)
-    H0 = single_term(h, z_on(2, 0), offset=h * h / r)
-    H1 = single_term(h, z_on(2, 1), offset=h * h / r)
-    V = single_term(2 * k, PauliString(2, "XX"), offset=2 * k * k / r)
-    locals_ = {"H0": H0, "H1": H1, "V": V}
-    return ModelBundle(
-        kind="minimal",
-        params=params,
-        total=H0 + H1 + V,
-        locals=locals_,
-        sender_site=0,
-        receiver_sites=(1,),
-    )
-
-
 def analytic_ground_minimal(params: MinimalModelParams) -> StateVector:
-    """Closed-form minimal-model ground state, supported on |00> and |11>."""
+    """Closed-form minimal-model ground state, supported on |00> and |11>.
+
+    The minimal model's offsets are h^2/r for Z0 and Z1 and 2k^2/r for X1,
+    r = sqrt(h^2 + k^2).
+    """
     h, k = params.h, params.k
     r = np.hypot(h, k)
     amps = np.zeros(4, dtype=np.complex128)
@@ -155,8 +138,6 @@ def solve_ground(obs: ObservableSum) -> GroundSolution:
     Rejects (numerically) degenerate ground spaces: the protocol angles are
     undefined on a degenerate ground space.
     """
-    if obs.n_qubits > MAX_SOLVE_QUBITS:
-        raise ValueError(f"{obs.n_qubits} qubits exceeds the {MAX_SOLVE_QUBITS}-qubit guard")
     M = to_dense(obs)
     if np.abs(M.imag).max() < 1e-14:
         M = np.ascontiguousarray(M.real)
@@ -177,54 +158,38 @@ def solve_ground(obs: ObservableSum) -> GroundSolution:
 
 
 @lru_cache(maxsize=None)
-def minimal_model(params: MinimalModelParams) -> tuple[ModelBundle, GroundSolution]:
-    bundle = build_minimal(params)
-    return bundle, solve_ground(bundle.total)
-
-
-@lru_cache(maxsize=None)
-def star_model(params: StarModelParams) -> tuple[ModelBundle, GroundSolution]:
-    """Build the star bundle and its ground solution (offsets need the ground).
+def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
+    """Build the star bundle and its ground solution (offsets need the ground);
+    MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground state is solved
     on the Pauli parts alone and each local's offset is then set to the
     negative of its Pauli-part ground expectation, making every local and the
     total vanish in the ground state.
     """
-    h, k, q = params.h, params.k, params.q
-    n = q
-    z_words = [z_on(n, i) for i in range(n)]
-    xx_words = {j: PauliString.from_map(n, {0: "X", j: "X"}) for j in range(1, n)}
-    pauli_total = ObservableSum(
-        n,
-        tuple((h, w) for w in z_words) + tuple((2 * k, w) for w in xx_words.values()),
-    )
+    h, k, n = params.h, params.k, params.q
+    parts = {f"Z{i}": (h, z_on(n, i)) for i in range(n)}
+    for j in range(1, n):
+        parts[f"X{j}"] = (2 * k, PauliString.from_map(n, {0: "X", j: "X"}))
+    pauli_total = ObservableSum(n, tuple(parts.values()))
     raw = solve_ground(pauli_total)
-    g = raw.state
+    amps = raw.state.amplitudes
     locals_: dict[str, ObservableSum] = {}
-    for i, w in enumerate(z_words):
-        part = single_term(h, w)
-        locals_[f"Z{i}"] = single_term(h, w, offset=-expectation(g, part))
-    for j, w in xx_words.items():
-        part = single_term(2 * k, w)
-        locals_[f"X{j}"] = single_term(2 * k, w, offset=-expectation(g, part))
-    total = ObservableSum(n)
-    for term in locals_.values():
-        total = total + term
+    offset = 0.0
+    for name, (coeff, word) in parts.items():
+        mean = coeff * _kernels.expect_word(amps, word.x_mask, word.z_mask, word.phase).real
+        locals_[name] = single_term(coeff, word, offset=-mean)
+        offset -= mean
+    total = ObservableSum(n, pauli_total.terms, offset)
     bundle = ModelBundle(
-        kind="star",
         params=params,
         total=total,
         locals=locals_,
         sender_site=0,
         receiver_sites=tuple(range(1, n)),
     )
-    ground = GroundSolution(state=g, energy=raw.energy + total.offset, gap=raw.gap)
+    ground = GroundSolution(state=raw.state, energy=raw.energy + offset, gap=raw.gap)
     return bundle, ground
-
-
-def build_star(params: StarModelParams) -> ModelBundle:
-    return star_model(params)[0]
 
 
 def compute_theta(

@@ -24,7 +24,9 @@ NORM_TOL = 1e-12
 PROB_TOL = 1e-12
 IMAG_TOL = 1e-10
 COEFF_TOL = 1e-15
-MAX_DENSE_QUBITS = 14
+# Largest dense matrix, and so the largest ground solve: on an 8 GB machine
+# 13 qubits take ~44 s and ~3.1 GB, and 14 run out of memory.
+MAX_DENSE_QUBITS = 13
 
 _LETTERS = "IXYZ"
 
@@ -149,7 +151,9 @@ class ObservableSum:
     offset: float = 0.0
 
     def __post_init__(self):
-        merged: dict[str, float] = {}
+        # letters -> [coefficient, word]; the word object is kept, not rebuilt,
+        # so its cached masks carry over to every sum it ends up in
+        merged: dict[str, list] = {}
         offset = float(self.offset)
         for coeff, word in self.terms:
             if abs(complex(coeff).imag) > 0:
@@ -158,11 +162,9 @@ class ObservableSum:
             if word.is_identity:
                 offset += float(coeff)
             else:
-                merged[word.letters] = merged.get(word.letters, 0.0) + float(coeff)
+                merged.setdefault(word.letters, [0.0, word])[0] += float(coeff)
         canon = tuple(
-            (c, PauliString(self.n_qubits, w))
-            for w, c in sorted(merged.items())
-            if abs(c) > COEFF_TOL
+            (c, w) for _, (c, w) in sorted(merged.items()) if abs(c) > COEFF_TOL
         )
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "offset", offset)
@@ -356,7 +358,7 @@ def conditional_rotation(
 
 
 def to_dense(obs: ObservableSum) -> np.ndarray:
-    """Dense Hermitian matrix of the operator; guarded to <= 14 qubits."""
+    """Dense Hermitian matrix of the operator; guarded to MAX_DENSE_QUBITS."""
     if obs.n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
             f"dense matrix for {obs.n_qubits} qubits exceeds the {MAX_DENSE_QUBITS}-qubit guard"
@@ -366,24 +368,13 @@ def to_dense(obs: ObservableSum) -> np.ndarray:
     idx = np.arange(dim, dtype=np.int64)
     for coeff, word in obs.terms:
         # column j holds word|j>: row j ^ x_mask, entry phase * (-1)^par(j & z)
-        vals = coeff * word.phase * (
-            1.0 - 2.0 * _parity_array(idx & np.int64(word.z_mask))
-        )
+        vals = coeff * word.phase * _kernels.pauli_eigs(idx, word.z_mask)
         M[idx ^ np.int64(word.x_mask), idx] += vals
     M[idx, idx] += obs.offset
     herm = np.abs(M - M.conj().T).max()
     if herm > 1e-12:
         raise AssertionError(f"Hermiticity residual {herm:.3e}")
     return M
-
-
-def _parity_array(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
 
 
 # --- statevector utilities used by the teleport and sampler modules ---

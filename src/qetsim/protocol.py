@@ -8,7 +8,7 @@ is the amount a measurement device at the receiver extracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from .model import (
     GroundSolution,
     MinimalModelParams,
     ModelBundle,
+    ModelParams,
     StarModelParams,
     feedback_angle,
-    minimal_model,
     star_model,
 )
 from .ops import (
@@ -42,10 +42,12 @@ class ReceiverEnergy:
 
 @dataclass(frozen=True, eq=False)
 class QetRecord:
-    """Exact or sampled expectation values for one protocol run."""
+    """Exact or sampled expectation values for one protocol run.
 
-    kind: str
-    params: dict
+    The model's parameters supply the record's kind and params fields.
+    """
+
+    model: ModelParams
     e0: float
     theta: dict[int, FeedbackAngle]
     receivers: dict[int, ReceiverEnergy]
@@ -54,8 +56,8 @@ class QetRecord:
 
     def as_dict(self) -> dict:
         out = {
-            "kind": self.kind,
-            "params": self.params,
+            "kind": self.model.kind,
+            "params": asdict(self.model),
             "method": self.method,
             "E0": self.e0,
             "receivers": {
@@ -77,7 +79,7 @@ class SweepGrid:
     h_values: tuple[float, ...]
     k_values: tuple[float, ...]
     e_b: np.ndarray  # shape (len(h_values), len(k_values))
-    e_b_field_term: np.ndarray | None = None  # optional H1-only bookkeeping
+    e_b_field_term: np.ndarray | None = None  # optional Z1-only bookkeeping
 
 
 def alice_measure(bundle: ModelBundle, ground: GroundSolution) -> tuple[Ensemble, float]:
@@ -110,8 +112,8 @@ def apply_feedback(
 def receiver_energy(
     ensemble: Ensemble, bundle: ModelBundle, receiver_site: int
 ) -> ReceiverEnergy:
-    hx = expectation(ensemble, bundle.locals[bundle.hx_name(receiver_site)])
-    hz = expectation(ensemble, bundle.locals[bundle.hz_name(receiver_site)])
+    hx = expectation(ensemble, bundle.locals[f"X{receiver_site}"])
+    hz = expectation(ensemble, bundle.locals[f"Z{receiver_site}"])
     e_j = hx + hz
     return ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
 
@@ -127,13 +129,8 @@ def _run(bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
     for j in receivers:
         ensemble = apply_feedback(ensemble, j, angles[j])
     energies = {j: receiver_energy(ensemble, bundle, j) for j in receivers}
-    if bundle.kind == "minimal":
-        params = {"h": bundle.params.h, "k": bundle.params.k}
-    else:
-        params = {"h": bundle.params.h, "k": bundle.params.k, "q": bundle.params.q}
     return QetRecord(
-        kind=bundle.kind,
-        params=params,
+        model=bundle.params,
         e0=e0,
         theta=angles,
         receivers=energies,
@@ -142,7 +139,7 @@ def _run(bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
 
 
 def run_minimal_qet(params: MinimalModelParams) -> QetRecord:
-    bundle, ground = minimal_model(params)
+    bundle, ground = star_model(params)
     return _run(bundle, ground, (1,))
 
 
@@ -163,8 +160,8 @@ def sweep_EB(
 ) -> SweepGrid:
     """Exact minimal-model E_B over an (h, k) grid.
 
-    The extracted energy is -(<H1> + <V>); with field_term_column=True the
-    -<H1> column is also reported for comparison.
+    The extracted energy is -(<Z1> + <X1>); with field_term_column=True the
+    -<Z1> column is also reported for comparison.
     """
     h_values = tuple(float(h) for h in h_values)
     k_values = tuple(float(k) for k in k_values)

@@ -25,6 +25,9 @@ from .ops import HADAMARD, ObservableSum, apply_gate_1q
 from .protocol import QetRecord, ReceiverEnergy, alice_measure, apply_feedback
 
 _BASIS_CODES = {"Z": 0, "X": 1}
+# The star family's tag in the Philox key; the minimal model keys as the q = 2
+# star.
+_FAMILY_CODE = 2
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,10 @@ def _float_bits(x: float) -> int:
 
 def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -> list[int]:
     p = bundle.params
-    kind_code = 1 if bundle.kind == "minimal" else 2
-    q = getattr(p, "q", 0)
     return [
         plan.master_seed,
-        kind_code,
-        q,
+        _FAMILY_CODE,
+        p.q,
         _float_bits(p.h),
         _float_bits(p.k),
         _BASIS_CODES[plan.basis_run],
@@ -180,26 +181,20 @@ def sampled_record(
     z_tallies = sample_protocol(bundle, ground, receivers, ShotPlan("Z", shots, master_seed))
     x_tallies = sample_protocol(bundle, ground, receivers, ShotPlan("X", shots, master_seed))
 
-    hz0 = bundle.hz_name(bundle.sender_site)
-    e0_row = estimate(z_tallies, bundle.locals[hz0], "E0")
+    e0_row = estimate(z_tallies, bundle.locals[f"Z{bundle.sender_site}"], "E0")
     stderr = {"E0": e0_row.stderr}
     energies = {}
     for j in receivers:
-        hz_row = estimate(z_tallies, bundle.locals[bundle.hz_name(j)], f"HZ{j}")
-        hx_row = estimate(x_tallies, bundle.locals[bundle.hx_name(j)], f"HX{j}")
+        hz_row = estimate(z_tallies, bundle.locals[f"Z{j}"], f"HZ{j}")
+        hx_row = estimate(x_tallies, bundle.locals[f"X{j}"], f"HX{j}")
         e_j = hx_row.mean + hz_row.mean
         energies[j] = ReceiverEnergy(hx=hx_row.mean, hz=hz_row.mean, e_j=e_j, e_b=-e_j)
         stderr[f"HZ{j}"] = hz_row.stderr
         stderr[f"HX{j}"] = hx_row.stderr
         stderr[f"E{j}"] = float(np.hypot(hx_row.stderr, hz_row.stderr))
     angles = {j: feedback_angle(bundle, ground, j) for j in receivers}
-    if bundle.kind == "minimal":
-        params = {"h": bundle.params.h, "k": bundle.params.k}
-    else:
-        params = {"h": bundle.params.h, "k": bundle.params.k, "q": bundle.params.q}
     return QetRecord(
-        kind=bundle.kind,
-        params=params,
+        model=bundle.params,
         e0=e0_row.mean,
         theta=angles,
         receivers=energies,

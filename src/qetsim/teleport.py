@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MinimalModelParams, minimal_model
+from .model import MinimalModelParams, feedback_angle, star_model
 from .ops import (
     Branch,
     Ensemble,
@@ -35,13 +35,7 @@ from .ops import (
     x_on,
     z_on,
 )
-from .protocol import (
-    QetRecord,
-    alice_measure,
-    apply_feedback,
-    receiver_energy,
-    run_minimal_qet,
-)
+from .protocol import QetRecord, alice_measure, apply_feedback, receiver_energy
 
 MAX_QUBITS = 14
 
@@ -74,19 +68,6 @@ class LoccTranscript:
 
     def bit_count(self) -> int:
         return sum(len(m.bits) for m in self.messages)
-
-
-@dataclass(frozen=True)
-class RelayPlan:
-    """Hop bookkeeping: the relayed qubit and the per-hop ancilla indices.
-
-    Ancillas are appended to the register for each hop and dropped again
-    after their measurement, so every hop reuses the same two indices.
-    """
-
-    hops: int
-    logical_qubit: int
-    ancillas_per_hop: tuple[tuple[int, int], ...]
 
 
 def extend_with_bell(state: StateVector) -> StateVector:
@@ -231,7 +212,7 @@ def _drop_measured(state: StateVector, sites: tuple[int, int]) -> StateVector:
 
 def run_longrange_qet(
     params: MinimalModelParams, hops: int, seed: int | None = None
-) -> tuple[QetRecord, LoccTranscript, RelayPlan]:
+) -> tuple[QetRecord, LoccTranscript]:
     """Ground -> X0 measurement -> mu broadcast -> conditional rotation at the
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
@@ -241,12 +222,11 @@ def run_longrange_qet(
     """
     if hops < 1:
         raise ValueError("hops must be at least 1")
-    bundle, ground = minimal_model(params)
+    bundle, ground = star_model(params)
     hop_names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
 
     ensemble, e0 = alice_measure(bundle, ground)
-    reference = run_minimal_qet(params)
-    angle = reference.theta[1]
+    angle = feedback_angle(bundle, ground, 1)
     ensemble = apply_feedback(ensemble, 1, angle)
 
     # exact relay of both mu branches (scratch transcripts: the events are
@@ -278,17 +258,13 @@ def run_longrange_qet(
             )
 
     record = QetRecord(
-        kind="minimal",
-        params={"h": params.h, "k": params.k},
+        model=params,
         e0=e0,
         theta={1: angle},
         receivers={1: receiver_energy(relayed, bundle, 1)},
         method="exact",
     )
-    plan = RelayPlan(
-        hops=hops, logical_qubit=1, ancillas_per_hop=tuple((2, 3) for _ in range(hops)),
-    )
-    return record, transcript, plan
+    return record, transcript
 
 
 def _sample_branch(

@@ -17,7 +17,6 @@ from qetsim.model import (
     StarModelParams,
     analytic_ground_minimal,
     feedback_angle,
-    minimal_model,
     star_model,
 )
 from qetsim.ops import expectation, fidelity
@@ -59,7 +58,7 @@ def test_criterion_01_ground_state_zero_mean_suite():
     t0 = time.perf_counter()
     worst = 0.0
     for h, k in MINIMAL_GRID:
-        bundle, ground = minimal_model(MinimalModelParams(h, k))
+        bundle, ground = star_model(MinimalModelParams(h, k))
         for obs in (bundle.total, *bundle.locals.values()):
             worst = max(worst, abs(expectation(ground.state, obs)))
     for q, h, k in refdata.CONFIGS:
@@ -76,7 +75,7 @@ def test_criterion_02_analytic_ground_oracle():
     worst = 1.0
     for h, k in MINIMAL_GRID:
         params = MinimalModelParams(h, k)
-        _, ground = minimal_model(params)
+        _, ground = star_model(params)
         worst = min(worst, fidelity(ground.state, analytic_ground_minimal(params)))
     ok = worst >= 1 - 1e-10
     _report(2, "closed-form ground-state fidelity", ok,
@@ -86,7 +85,7 @@ def test_criterion_02_analytic_ground_oracle():
 def test_criterion_03_injected_energy_formula():
     worst = 0.0
     for h, k in MINIMAL_GRID:
-        bundle, ground = minimal_model(MinimalModelParams(h, k))
+        bundle, ground = star_model(MinimalModelParams(h, k))
         _, e0 = alice_measure(bundle, ground)
         worst = max(worst, abs(e0 - h * h / np.hypot(h, k)))
     ok = worst < 1e-10
@@ -185,7 +184,7 @@ def test_criterion_07_long_range_equivalence():
             params = MinimalModelParams(h, k)
             local = run_minimal_qet(params)
             for hops in (1, 2, 3):
-                relayed, transcript, _ = run_longrange_qet(params, hops)
+                relayed, transcript = run_longrange_qet(params, hops)
                 deltas = [
                     abs(relayed.e0 - local.e0),
                     abs(relayed.receivers[1].hx - local.receivers[1].hx),
@@ -212,7 +211,7 @@ def test_criterion_08_theta_beats_grid_scan():
     details = []
     ok = True
     for label, (bundle, ground) in (
-        ("minimal(1,1)", minimal_model(MinimalModelParams(1.0, 1.0))),
+        ("minimal(1,1)", star_model(MinimalModelParams(1.0, 1.0))),
         ("star(q=6,9,2)", star_model(StarModelParams(9.0, 2.0, 6))),
     ):
         measured, _ = alice_measure(bundle, ground)

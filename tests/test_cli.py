@@ -120,6 +120,12 @@ def test_qed_invalid_q_usage_error():
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", "99") == 2
 
 
+def test_qed_q14_rejected_by_the_solve_guard(capsys):
+    # parameter validation only: nothing is solved
+    assert run_cli("qed", "--h", "1", "--k", "1", "--q", "14") == 2
+    assert "q = 14 exceeds the 13-qubit guard" in capsys.readouterr().err
+
+
 def test_qed_bad_receiver_usage_error():
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", "6",
                    "--receivers", "1,9") == 2
@@ -162,6 +168,26 @@ def test_config_file_supplies_defaults(tmp_path):
     assert run_cli("qet", "--config", str(cfg), "--out", str(out)) == 0
     payload = json.loads(out.read_text())
     assert payload["params"] == {"h": 1.0, "k": 1.0}
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 1.0\nk = 1.0\n")
+    out = tmp_path / "qet.json"
+    assert run_cli("qet", f"--config={cfg}", "--method", "exact", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["params"] == {"h": 1.0, "k": 1.0}
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 1.0\nk = 1.0\nbogus_key = 3\n")
+    assert run_cli("qet", "--config", str(cfg), "--method", "exact") == 2
+    assert "bogus_key" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    assert run_cli("qet", "--config", str(tmp_path / "missing.cfg")) == 1
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path):

@@ -9,11 +9,8 @@ from qetsim.model import (
     MinimalModelParams,
     StarModelParams,
     analytic_ground_minimal,
-    build_minimal,
-    build_star,
     compute_theta,
     feedback_angle,
-    minimal_model,
     solve_ground,
     star_model,
 )
@@ -34,23 +31,25 @@ HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.
 # --- minimal model -----------------------------------------------------------
 
 def test_minimal_offsets_at_h_k_one():
-    bundle = build_minimal(MinimalModelParams(1.0, 1.0))
-    assert bundle.locals["H0"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
-    assert bundle.locals["H1"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
-    assert bundle.locals["V"].offset == pytest.approx(2 / np.sqrt(2), abs=1e-14)
+    # offsets h^2/r for the fields and 2k^2/r for the coupling, r = sqrt(h^2+k^2)
+    bundle, _ = star_model(MinimalModelParams(1.0, 1.0))
+    assert bundle.locals["Z0"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+    assert bundle.locals["Z1"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+    assert bundle.locals["X1"].offset == pytest.approx(2 / np.sqrt(2), abs=1e-14)
 
 
 def test_minimal_total_is_sum_of_locals():
-    bundle = build_minimal(MinimalModelParams(3.0, 0.5))
-    summed = bundle.locals["H0"] + bundle.locals["H1"] + bundle.locals["V"]
+    bundle, _ = star_model(MinimalModelParams(3.0, 0.5))
+    assert set(bundle.locals) == {"Z0", "Z1", "X1"}
+    summed = bundle.locals["Z0"] + bundle.locals["Z1"] + bundle.locals["X1"]
     assert bundle.total.isclose(summed)
 
 
 def test_minimal_small_k_limit():
-    bundle = build_minimal(MinimalModelParams(2.0, 1e-8))
-    assert bundle.locals["H0"].offset == pytest.approx(2.0, rel=1e-12)
-    assert bundle.locals["V"].offset == pytest.approx(0.0, abs=1e-12)
-    (coeff, _), = bundle.locals["V"].terms
+    bundle, _ = star_model(MinimalModelParams(2.0, 1e-8))
+    assert bundle.locals["Z0"].offset == pytest.approx(2.0, rel=1e-12)
+    assert bundle.locals["X1"].offset == pytest.approx(0.0, abs=1e-12)
+    (coeff, _), = bundle.locals["X1"].terms
     assert coeff == pytest.approx(2e-8)
 
 
@@ -71,13 +70,13 @@ def test_analytic_ground_small_k_limit_and_norm():
 
 def test_minimal_zero_mean_suite():
     for h, k in HK_GRID:
-        bundle, ground = minimal_model(MinimalModelParams(h, k))
+        bundle, ground = star_model(MinimalModelParams(h, k))
         for obs in [bundle.total, *bundle.locals.values()]:
             assert abs(expectation(ground.state, obs)) < 1e-10, (h, k)
 
 
 def test_minimal_ground_energy_zero_for_9_2():
-    _, ground = minimal_model(MinimalModelParams(9.0, 2.0))
+    _, ground = star_model(MinimalModelParams(9.0, 2.0))
     assert abs(ground.energy) < 1e-10
 
 
@@ -93,7 +92,7 @@ def test_single_qubit_field_ground():
 
 def test_numeric_matches_analytic_across_grid():
     for h, k in HK_GRID:
-        bundle, ground = minimal_model(MinimalModelParams(h, k))
+        bundle, ground = star_model(MinimalModelParams(h, k))
         assert fidelity(ground.state, analytic_ground_minimal(MinimalModelParams(h, k))) >= 1 - 1e-10
 
 
@@ -118,7 +117,6 @@ def test_offsets_do_not_change_eigenvectors():
 def test_star_locals_sum_and_zero_mean():
     for q in (3, 6, 7):
         bundle, ground = star_model(StarModelParams(9.0, 2.0, q))
-        assert build_star(StarModelParams(9.0, 2.0, q)) is bundle
         assert bundle.n_qubits == q
         assert bundle.receiver_sites == tuple(range(1, q))
         total = ObservableSum(q)
@@ -132,10 +130,10 @@ def test_star_locals_sum_and_zero_mean():
 
 
 def test_star_q2_is_the_minimal_model():
-    star_b, star_g = star_model(StarModelParams(1.0, 1.0, 2))
-    mini_b, mini_g = minimal_model(MinimalModelParams(1.0, 1.0))
-    assert star_b.total.isclose(mini_b.total, tol=1e-10)
-    assert fidelity(star_g.state, mini_g.state) >= 1 - 1e-12
+    params = MinimalModelParams(1.0, 1.0)
+    assert params.q == 2
+    _, star_g = star_model(StarModelParams(1.0, 1.0, 2))
+    assert fidelity(star_g.state, analytic_ground_minimal(params)) >= 1 - 1e-12
 
 
 def test_star_sender_offset_is_e0_reference_band():
@@ -178,8 +176,9 @@ def test_star_energy_equals_minus_offset_sum():
 def test_star_param_validation():
     with pytest.raises(ValueError):
         StarModelParams(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        StarModelParams(1.0, 1.0, 15)
+    StarModelParams(1.0, 1.0, 13)
+    with pytest.raises(ValueError, match="13-qubit guard"):
+        StarModelParams(1.0, 1.0, 14)
     with pytest.raises(ValueError):
         StarModelParams(-1.0, 1.0, 6)
 
@@ -198,7 +197,7 @@ def _receiver_energy_curve(bundle, ground, site, thetas):
 
 
 @pytest.mark.parametrize("maker", [
-    lambda: minimal_model(MinimalModelParams(1.0, 1.0)),
+    lambda: star_model(MinimalModelParams(1.0, 1.0)),
     lambda: star_model(StarModelParams(6.0, 2.0, 6)),
 ])
 def test_theta_minimizes_receiver_energy_grid_scan(maker):
@@ -213,7 +212,7 @@ def test_theta_minimizes_receiver_energy_grid_scan(maker):
 
 def test_theta_double_angle_identities():
     for params in (MinimalModelParams(1.0, 1.0), MinimalModelParams(9.0, 2.0)):
-        bundle, ground = minimal_model(params)
+        bundle, ground = star_model(params)
         a = feedback_angle(bundle, ground, 1)
         norm = np.hypot(a.xi, a.eta)
         assert np.cos(2 * a.theta) == pytest.approx(a.xi / norm, abs=1e-10)
@@ -223,13 +222,13 @@ def test_theta_double_angle_identities():
 
 
 def test_theta_vanishes_when_decoupled():
-    bundle, ground = minimal_model(MinimalModelParams(1.0, 1e-7))
+    bundle, ground = star_model(MinimalModelParams(1.0, 1e-7))
     angle = feedback_angle(bundle, ground, 1)
     assert abs(angle.theta) < 1e-6
 
 
 def test_theta_known_value_h_k_one():
-    bundle, ground = minimal_model(MinimalModelParams(1.0, 1.0))
+    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
     angle = feedback_angle(bundle, ground, 1)
     assert angle.theta == pytest.approx(0.1608752771983211, abs=1e-12)
     assert angle.xi == pytest.approx(2 * 3 / np.sqrt(2), abs=1e-10)

@@ -8,7 +8,6 @@ from qetsim.model import (
     MinimalModelParams,
     StarModelParams,
     feedback_angle,
-    minimal_model,
     star_model,
 )
 from qetsim.ops import expectation, fidelity, single_term, z_on
@@ -20,6 +19,7 @@ from qetsim.protocol import (
     run_qed,
     sweep_EB,
 )
+from qetsim.sampler import ShotPlan, sample_protocol
 
 
 def closed_form_eb(h, k):
@@ -35,7 +35,7 @@ def closed_form_eb(h, k):
 
 def test_e0_minimal_formula():
     for h, k in ((1.0, 1.0), (9.0, 2.0), (3.0, 5.0)):
-        bundle, ground = minimal_model(MinimalModelParams(h, k))
+        bundle, ground = star_model(MinimalModelParams(h, k))
         ensemble, e0 = alice_measure(bundle, ground)
         assert e0 == pytest.approx(h * h / np.hypot(h, k), abs=1e-10)
         assert sum(b.probability for b in ensemble.branches) == pytest.approx(1.0, abs=1e-12)
@@ -68,7 +68,7 @@ def test_e0_identity_across_observables():
 # --- apply_feedback ----------------------------------------------------------
 
 def test_zero_angle_feedback_is_identity():
-    bundle, ground = minimal_model(MinimalModelParams(1.0, 1.0))
+    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
     ensemble, _ = alice_measure(bundle, ground)
     fed = apply_feedback(ensemble, 1, FeedbackAngle(theta=0.0, xi=1.0, eta=0.0))
     for before, after in zip(ensemble.branches, fed.branches):
@@ -88,7 +88,7 @@ def test_feedback_order_commutes_branchwise():
 
 
 def test_unlabeled_branch_rejected():
-    bundle, ground = minimal_model(MinimalModelParams(1.0, 1.0))
+    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
     ensemble, _ = alice_measure(bundle, ground)
     bad = type(ensemble)(
         tuple(
@@ -178,13 +178,38 @@ def test_untouched_sites_keep_zero_energy():
 
 
 def test_ensemble_matches_dense_density_matrix():
-    bundle, ground = minimal_model(MinimalModelParams(2.0, 1.0))
+    bundle, ground = star_model(MinimalModelParams(2.0, 1.0))
     ensemble, _ = alice_measure(bundle, ground)
     fed = apply_feedback(ensemble, 1, feedback_angle(bundle, ground, 1))
     rho = ensemble_density(fed)
-    H1V = bundle.locals["H1"] + bundle.locals["V"]
-    want = float(np.trace(rho @ dense_observable(H1V)).real)
+    receiver_local = bundle.locals["Z1"] + bundle.locals["X1"]
+    want = float(np.trace(rho @ dense_observable(receiver_local)).real)
     assert receiver_energy(fed, bundle, 1).e_j == pytest.approx(want, abs=1e-12)
+
+
+# --- one model family -----------------------------------------------------------
+
+def test_minimal_model_is_the_q2_star():
+    for h, k in ((1.0, 1.0), (9.0, 2.0), (0.3, 2.5)):
+        mini = run_minimal_qet(MinimalModelParams(h, k))
+        star = run_qed(StarModelParams(h, k, 2), (1,))
+        assert mini.e0 == pytest.approx(star.e0, abs=1e-12)
+        for field in ("theta", "xi", "eta"):
+            assert getattr(mini.theta[1], field) == pytest.approx(
+                getattr(star.theta[1], field), abs=1e-12
+            )
+        for field in ("hx", "hz", "e_j", "e_b"):
+            assert getattr(mini.receivers[1], field) == pytest.approx(
+                getattr(star.receivers[1], field), abs=1e-12
+            )
+        assert mini.as_dict()["kind"] == "minimal"
+        assert mini.as_dict()["params"] == {"h": h, "k": k}
+        for basis in ("Z", "X"):
+            plan = ShotPlan(basis_run=basis, shots=4000, master_seed=17)
+            t_mini = sample_protocol(*star_model(MinimalModelParams(h, k)), (1,), plan)
+            t_star = sample_protocol(*star_model(StarModelParams(h, k, 2)), (1,), plan)
+            assert np.array_equal(t_mini.counts, t_star.counts)
+            assert t_mini.mu_counts == t_star.mu_counts
 
 
 # --- sweep -------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qetsim.model import MinimalModelParams, StarModelParams, minimal_model, star_model
+from qetsim.model import MinimalModelParams, StarModelParams, star_model
 from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
 from qetsim.protocol import run_minimal_qet, run_qed
 from qetsim.sampler import (
@@ -15,7 +15,7 @@ from qetsim.sampler import (
 
 
 def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)):
-    bundle, ground = minimal_model(MinimalModelParams(*hk))
+    bundle, ground = star_model(MinimalModelParams(*hk))
     plan = ShotPlan(basis_run=basis, shots=shots, master_seed=seed)
     return bundle, sample_protocol(bundle, ground, receivers, plan)
 
@@ -111,7 +111,7 @@ def test_plan_validation():
 
 def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
-    bundle, ground = minimal_model(params)
+    bundle, ground = star_model(params)
     sampled = sampled_record(bundle, ground, (1,), shots=100000, master_seed=4)
     exact = run_minimal_qet(params)
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
