@@ -13,6 +13,7 @@ from .model import (
     compute_theta,
     feedback_angle,
     solve_ground,
+    solve_star_ground,
     star_model,
 )
 from .ops import (

@@ -3,7 +3,8 @@ sweep, tiling statistics, and single protocol runs, writing CSV/JSON
 artifacts.
 
 Every command is deterministic given its full configuration (seed included).
-Exit codes: 0 success, 1 check/assertion failure or I/O failure, 2 usage.
+Exit codes: 0 success, 1 failed check, numerical failure (degenerate ground
+space, failed internal assertion) or I/O failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import refdata, tiling
-from .model import MinimalModelParams, StarModelParams, star_model
+from .model import DegenerateGroundError, MinimalModelParams, StarModelParams, star_model
 from .protocol import run_minimal_qet, run_qed, sweep_EB
 from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
@@ -111,7 +112,7 @@ def cmd_table1(args) -> int:
     shots = args.shots
     seed = args.seed
     methods = ("exact", "sampled") if args.method == "both" else (args.method,)
-    cells = estimate_table1(refdata.CONFIGS, shots=shots, master_seed=seed)
+    cells = estimate_table1(refdata.CONFIGS, shots=shots, master_seed=seed, methods=methods)
     exact_by_key = {
         (c.tiling, c.h, c.k, c.observable): c.mean
         for c in cells if c.method == "exact"
@@ -378,6 +379,10 @@ def main(argv=None) -> int:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
+    except (DegenerateGroundError, AssertionError) as exc:
+        # numerical failures, not usage: DegenerateGroundError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

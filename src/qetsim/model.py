@@ -1,24 +1,29 @@
-"""The {3,q} star model with zero-point offsets, dense ground-state solving,
-and the feedback angle.
+"""The {3,q} star model with zero-point offsets, its ground state, and the
+feedback angle.
 
 Site-count convention for the star family: a {3,q} network cell is modeled
 with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
+
+The star's ground state is solved in the receivers' total-spin blocks
+(`solve_star_ground`), never from the 2^q x 2^q matrix; `solve_ground` is
+the dense solver for arbitrary operators, kept as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .ops import (
-    MAX_DENSE_QUBITS,
+    MAX_STATEVECTOR_QUBITS,
     DegenerateGroundError,
     ObservableSum,
     PauliString,
@@ -69,8 +74,10 @@ class StarModelParams:
             raise ValueError("h and k must be positive")
         if self.q < 2:
             raise ValueError("q must be at least 2")
-        if self.q > MAX_DENSE_QUBITS:
-            raise ValueError(f"q = {self.q} exceeds the {MAX_DENSE_QUBITS}-qubit guard")
+        if self.q > MAX_STATEVECTOR_QUBITS:
+            raise ValueError(
+                f"q = {self.q} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector guard"
+            )
 
 
 ModelParams = Union[MinimalModelParams, StarModelParams]
@@ -132,29 +139,77 @@ def analytic_ground_minimal(params: MinimalModelParams) -> StateVector:
     return StateVector(2, amps)
 
 
-def solve_ground(obs: ObservableSum) -> GroundSolution:
-    """Minimal eigenpair of the dense Hermitian matrix, with the spectral gap.
+def _ground_solution(
+    n_qubits: int, vec: np.ndarray, energy: float, gap: float
+) -> GroundSolution:
+    """Reject a (numerically) degenerate ground space, fix the global phase.
 
-    Rejects (numerically) degenerate ground spaces: the protocol angles are
-    undefined on a degenerate ground space.
+    The protocol angles are undefined on a degenerate ground space.
     """
-    M = to_dense(obs)
-    if np.abs(M.imag).max() < 1e-14:
-        M = np.ascontiguousarray(M.real)
-    vals, vecs = scipy.linalg.eigh(M, subset_by_index=(0, 1))
-    gap = float(vals[1] - vals[0])
     if gap < DEGENERACY_TOL:
         raise DegenerateGroundError(
             f"ground space degenerate within tolerance (gap = {gap:.3e})"
         )
-    vec = vecs[:, 0].astype(np.complex128)
+    vec = vec.astype(np.complex128)
     # deterministic global phase: largest-magnitude amplitude real positive
     pivot = int(np.argmax(np.abs(vec)))
     vec *= np.exp(-1j * np.angle(vec[pivot]))
     vec /= np.linalg.norm(vec)
-    return GroundSolution(
-        state=StateVector(obs.n_qubits, vec), energy=float(vals[0]), gap=gap
-    )
+    return GroundSolution(state=StateVector(n_qubits, vec), energy=float(energy), gap=gap)
+
+
+def solve_ground(obs: ObservableSum) -> GroundSolution:
+    """Minimal eigenpair of the dense Hermitian matrix, with the spectral gap."""
+    M = to_dense(obs)
+    if np.abs(M.imag).max() < 1e-14:
+        M = np.ascontiguousarray(M.real)
+    vals, vecs = np.linalg.eigh(M)
+    return _ground_solution(obs.n_qubits, vecs[:, 0], vals[0], float(vals[1] - vals[0]))
+
+
+def _spin_block(h: float, k: float, d: int) -> np.ndarray:
+    """The star's Pauli part on the sender times one receiver spin-J block, d = 2J.
+
+    With J the receivers' total spin, H = h Z0 + 2h J_z + 4k X0 J_x.  Basis
+    |s> (x) |J, J - n> at index s * (d + 1) + n, s the sender bit and
+    n = 0..d: the diagonal is h (1 - 2s) + h (d - 2n), and 4k X0 J_x links
+    (s, n) with (1 - s, n + 1) by 2k sqrt((n + 1)(d - n)).  For d = q - 1,
+    |J, J - n> is the receivers' Dicke state with n ones.
+    """
+    n = np.arange(d + 1)
+    leaves_z = h * (d - 2.0 * n)
+    block = np.diag(np.concatenate([h + leaves_z, -h + leaves_z]))
+    lower, upper = n[:-1], n[:-1] + 1
+    link = 2.0 * k * np.sqrt(upper * (d - lower))
+    for s in (0, 1):
+        a, b = s * (d + 1) + lower, (1 - s) * (d + 1) + upper
+        block[a, b] = block[b, a] = link
+    return block
+
+
+def solve_star_ground(h: float, k: float, q: int) -> GroundSolution:
+    """Ground state of H = h sum_i Z_i + 2k sum_j X_0 X_j on q sites.
+
+    H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
+    stoquastic and each parity sector is connected, so each sector's ground
+    state is unique and symmetric under permuting the receivers.  The ground
+    space therefore lies in the receivers' top total-spin block
+    J = (q - 1)/2, a 2q x 2q problem.  The gap is taken over the whole
+    spectrum: the second level of that block against the lowest level of
+    every lower-J block.  The result is embedded into the 2^q amplitudes,
+    a Dicke state with m ones having amplitude 1/sqrt(C(q - 1, m)) per
+    basis state.
+    """
+    leaves = q - 1
+    vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
+    excited = [vals[1]] + [
+        np.linalg.eigvalsh(_spin_block(h, k, d))[0] for d in range(leaves - 2, -1, -2)
+    ]
+    idx = np.arange(2**q, dtype=np.int64)
+    ones = np.bitwise_count(idx & ((1 << leaves) - 1))
+    dicke = 1.0 / np.sqrt([float(math.comb(leaves, m)) for m in range(q)])
+    vec = vecs[(idx >> leaves) * q + ones, 0] * dicke[ones]
+    return _ground_solution(q, vec, vals[0], float(min(excited) - vals[0]))
 
 
 @lru_cache(maxsize=None)
@@ -163,16 +218,16 @@ def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
     MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground state is solved
-    on the Pauli parts alone and each local's offset is then set to the
-    negative of its Pauli-part ground expectation, making every local and the
-    total vanish in the ground state.
+    on the Pauli parts alone, by `solve_star_ground`, and each local's offset
+    is then set to the negative of its Pauli-part ground expectation, making
+    every local and the total vanish in the ground state.
     """
     h, k, n = params.h, params.k, params.q
     parts = {f"Z{i}": (h, z_on(n, i)) for i in range(n)}
     for j in range(1, n):
         parts[f"X{j}"] = (2 * k, PauliString.from_map(n, {0: "X", j: "X"}))
     pauli_total = ObservableSum(n, tuple(parts.values()))
-    raw = solve_ground(pauli_total)
+    raw = solve_star_ground(h, k, n)
     amps = raw.state.amplitudes
     locals_: dict[str, ObservableSum] = {}
     offset = 0.0

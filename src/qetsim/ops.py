@@ -24,8 +24,14 @@ NORM_TOL = 1e-12
 PROB_TOL = 1e-12
 IMAG_TOL = 1e-10
 COEFF_TOL = 1e-15
-# Largest dense matrix, and so the largest ground solve: on an 8 GB machine
-# 13 qubits take ~44 s and ~3.1 GB, and 14 run out of memory.
+# Largest register the statevector protocol runs on (star models and the
+# teleport relay).  `qed` on a q = 20 star with all 19 receivers and both
+# methods takes ~82 s and ~180 MB on a 2-core machine; every further qubit
+# about doubles both.
+MAX_STATEVECTOR_QUBITS = 20
+# Largest matrix `to_dense` builds; it guards only `to_dense`, which no
+# command calls (the star ground state is solved without it).  On an 8 GB
+# machine 13 qubits take ~3.1 GB, and 14 run out of memory.
 MAX_DENSE_QUBITS = 13
 
 _LETTERS = "IXYZ"

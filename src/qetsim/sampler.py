@@ -240,11 +240,14 @@ def estimate_table1(
     configs,
     shots: int,
     master_seed: int,
+    methods: tuple[str, ...] = ("exact", "sampled"),
 ) -> list[TableCell]:
-    """Exact and sampled values for every (tiling q, h, k) config.
+    """Exact and, if "sampled" is in `methods`, sampled values for every
+    (tiling q, h, k) config.
 
     Row layout per config: E0, HX1, HZ1, E1, HX2, HZ2, E2 with receivers 1
-    and 2 acting simultaneously.
+    and 2 acting simultaneously.  Exact cells are always returned: the
+    sampled cells are checked against them.
     """
     from .model import StarModelParams, star_model
     from .protocol import run_qed
@@ -254,7 +257,6 @@ def estimate_table1(
         params = StarModelParams(h=float(h), k=float(k), q=int(q))
         bundle, ground = star_model(params)
         exact = run_qed(params, (1, 2))
-        sampled = sampled_record(bundle, ground, (1, 2), shots, master_seed)
         tiling = f"{{3,{q}}}"
         for obs in _TABLE_OBSERVABLES:
             cells.append(
@@ -264,6 +266,9 @@ def estimate_table1(
                     mean=_record_value(exact, obs), stderr=None, shots=None, seed=None,
                 )
             )
+        if "sampled" not in methods:
+            continue
+        sampled = sampled_record(bundle, ground, (1, 2), shots, master_seed)
         for obs in _TABLE_OBSERVABLES:
             cells.append(
                 TableCell(

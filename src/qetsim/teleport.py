@@ -25,6 +25,7 @@ from .ops import (
     Branch,
     Ensemble,
     HADAMARD,
+    MAX_STATEVECTOR_QUBITS,
     StateVector,
     apply_cnot,
     apply_gate_1q,
@@ -36,8 +37,6 @@ from .ops import (
     z_on,
 )
 from .protocol import QetRecord, alice_measure, apply_feedback, receiver_energy
-
-MAX_QUBITS = 14
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ class LoccTranscript:
 
 def extend_with_bell(state: StateVector) -> StateVector:
     """Append two fresh ancillas prepared as (|00> + |11>)/sqrt(2)."""
-    if state.n_qubits + 2 > MAX_QUBITS:
-        raise ValueError(f"register would exceed {MAX_QUBITS} qubits")
+    if state.n_qubits + 2 > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
     bell = StateVector(2, np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2))
     return tensor(state, bell)
 

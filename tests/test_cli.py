@@ -1,8 +1,13 @@
+import csv
 import json
 
 import pytest
 
+import qetsim.cli
+import qetsim.model
+import qetsim.sampler
 from qetsim.cli import main
+from qetsim.ops import MAX_STATEVECTOR_QUBITS
 
 
 def run_cli(*argv):
@@ -27,6 +32,28 @@ def test_table1_exact_only_and_deterministic(tmp_path):
     assert run_cli("table1", "--method", "exact", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 1 + 84
+
+
+def test_table1_exact_only_does_not_sample(tmp_path, monkeypatch):
+    both, exact = tmp_path / "both.csv", tmp_path / "exact.csv"
+    assert run_cli("table1", "--shots", "500", "--seed", "7", "--out", str(both)) == 0
+    calls = []
+
+    def sample_protocol(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("an exact-only table must not sample")
+
+    monkeypatch.setattr(qetsim.sampler, "sample_protocol", sample_protocol)
+    assert run_cli("table1", "--method", "exact", "--shots", "500", "--seed", "7",
+                   "--out", str(exact)) == 0
+    assert calls == []
+    lines = both.read_text().splitlines()
+    rows = list(csv.reader(lines))
+    method = rows[0].index("method")
+    exact_lines = [line for line, row in zip(lines[1:], rows[1:]) if row[method] == "exact"]
+    assert len(exact_lines) == 84
+    want = [lines[0]] + exact_lines
+    assert exact.read_text().splitlines() == want
 
 
 def test_table1_wide_layout(tmp_path):
@@ -120,10 +147,41 @@ def test_qed_invalid_q_usage_error():
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", "99") == 2
 
 
-def test_qed_q14_rejected_by_the_solve_guard(capsys):
+def test_qed_beyond_the_statevector_guard_exits_2(capsys, monkeypatch):
     # parameter validation only: nothing is solved
-    assert run_cli("qed", "--h", "1", "--k", "1", "--q", "14") == 2
-    assert "q = 14 exceeds the 13-qubit guard" in capsys.readouterr().err
+    def solve(*args):
+        raise AssertionError("the guard must reject q before any solve")
+
+    monkeypatch.setattr(qetsim.model, "solve_star_ground", solve)
+    q = MAX_STATEVECTOR_QUBITS + 1
+    assert run_cli("qed", "--h", "1", "--k", "1", "--q", str(q)) == 2
+    err = capsys.readouterr().err
+    assert f"q = {q} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector guard" in err
+
+
+def test_qed_degenerate_ground_exits_1(capsys):
+    # h << k: the two X-aligned states split by ~h^q / k^(q-1), far below the
+    # degeneracy tolerance; a numerical failure, not a usage error
+    assert run_cli("qed", "--h", "0.01", "--k", "1", "--q", "6", "--method", "exact") == 1
+    assert "error: ground space degenerate" in capsys.readouterr().err
+
+
+def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
+    def run_qed(*args):
+        raise qetsim.model.DegenerateGroundError("ground space degenerate (patched)")
+
+    monkeypatch.setattr(qetsim.cli, "run_qed", run_qed)
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "exact") == 1
+    assert "error: ground space degenerate (patched)" in capsys.readouterr().err
+
+
+def test_assertion_failure_exits_1(capsys, monkeypatch):
+    def run_longrange_qet(*args, **kwargs):
+        raise AssertionError("teleportation branches disagree after correction")
+
+    monkeypatch.setattr(qetsim.cli, "run_longrange_qet", run_longrange_qet)
+    assert run_cli("longrange", "--h", "1", "--k", "1") == 1
+    assert "error: teleportation branches disagree" in capsys.readouterr().err
 
 
 def test_qed_bad_receiver_usage_error():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import star_reduced_values
+from oracle_utils import dense_observable, star_reduced_values
 
+import qetsim.model
 from qetsim.model import (
     DegenerateGroundError,
     FeedbackAngle,
@@ -12,9 +15,11 @@ from qetsim.model import (
     compute_theta,
     feedback_angle,
     solve_ground,
+    solve_star_ground,
     star_model,
 )
 from qetsim.ops import (
+    MAX_STATEVECTOR_QUBITS,
     ObservableSum,
     PauliString,
     expectation,
@@ -176,11 +181,73 @@ def test_star_energy_equals_minus_offset_sum():
 def test_star_param_validation():
     with pytest.raises(ValueError):
         StarModelParams(1.0, 1.0, 1)
-    StarModelParams(1.0, 1.0, 13)
-    with pytest.raises(ValueError, match="13-qubit guard"):
-        StarModelParams(1.0, 1.0, 14)
+    StarModelParams(1.0, 1.0, MAX_STATEVECTOR_QUBITS)
+    with pytest.raises(ValueError, match=f"{MAX_STATEVECTOR_QUBITS}-qubit statevector guard"):
+        StarModelParams(1.0, 1.0, MAX_STATEVECTOR_QUBITS + 1)
     with pytest.raises(ValueError):
         StarModelParams(-1.0, 1.0, 6)
+
+
+# --- star ground solve in the receivers' total-spin blocks -------------------
+
+def _star_pauli_part(h, k, q):
+    terms = [(h, z_on(q, i)) for i in range(q)]
+    terms += [(2 * k, PauliString.from_map(q, {0: "X", j: "X"})) for j in range(1, q)]
+    return ObservableSum(q, tuple(terms))
+
+
+def _check_against_dense_spectrum(h, k, q):
+    pauli = _star_pauli_part(h, k, q)
+    levels = np.linalg.eigvalsh(dense_observable(pauli))
+    sol = solve_star_ground(h, k, q)
+    assert sol.energy == pytest.approx(levels[0], abs=1e-10)
+    assert sol.gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
+    assert fidelity(sol.state, solve_ground(pauli).state) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_star_sectors_match_dense_spectrum(q):
+    for h, k in ((1.0, 1.0), (9.0, 2.0), (3.0, 0.2), (6.0, 4.0), (2.0, 1.5)):
+        _check_against_dense_spectrum(h, k, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    h=st.floats(1.0, 10.0),
+    k=st.floats(0.1, 2.0),
+    q=st.integers(2, 8),
+)
+def test_star_sectors_match_dense_spectrum_property(h, k, q):
+    # on this box the gap stays above 1e-4, far from the degeneracy tolerance
+    _check_against_dense_spectrum(h, k, q)
+
+
+def test_star_sectors_q16_match_reduced_oracle():
+    oracle = star_reduced_values(16, 7.0, 2.0)
+    bundle, ground = star_model(StarModelParams(7.0, 2.0, 16))
+    assert ground.gap == pytest.approx(oracle["gap"], abs=1e-9)
+    assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
+    angle = feedback_angle(bundle, ground, 5)
+    assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
+    assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
+
+
+def test_star_sectors_zero_field_is_degenerate():
+    # h = 0: X0 = +1 with every receiver X = -1, and its mirror image, tie
+    with pytest.raises(DegenerateGroundError):
+        solve_star_ground(0.0, 1.0, 5)
+
+
+def test_star_model_never_builds_the_dense_matrix(monkeypatch):
+    def dense(*args):
+        raise AssertionError("star_model must not build a dense matrix")
+
+    monkeypatch.setattr(qetsim.model, "to_dense", dense)
+    monkeypatch.setattr(qetsim.model, "solve_ground", dense)
+    # bypass the cache so the model really is built here
+    bundle, ground = star_model.__wrapped__(StarModelParams(8.0, 2.0, 12))
+    assert ground.state.n_qubits == 12
+    assert abs(expectation(ground.state, bundle.total)) < 1e-10
 
 
 # --- feedback angle ----------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 from oracle_utils import partial_trace, trace_distance
 
 from qetsim.model import MinimalModelParams
-from qetsim.ops import StateVector, fidelity, pure_trace_distance, tensor
+from qetsim.ops import (
+    MAX_STATEVECTOR_QUBITS,
+    StateVector,
+    fidelity,
+    pure_trace_distance,
+    tensor,
+)
 from qetsim.protocol import run_minimal_qet
 from qetsim.teleport import (
     LoccTranscript,
@@ -42,7 +48,7 @@ def test_extend_keeps_original_register_reduced_state():
 
 
 def test_extend_capacity_guard():
-    big = StateVector.basis(13, 0)
+    big = StateVector.basis(MAX_STATEVECTOR_QUBITS - 1, 0)
     with pytest.raises(ValueError):
         extend_with_bell(big)
 
