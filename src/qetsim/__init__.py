@@ -38,6 +38,7 @@ from .protocol import (
     apply_feedback,
     receiver_energy,
     run_minimal_qet,
+    run_protocol,
     run_qed,
     sweep_EB,
 )

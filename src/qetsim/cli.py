@@ -18,7 +18,7 @@ import numpy as np
 
 from . import refdata, tiling
 from .model import DegenerateGroundError, MinimalModelParams, StarModelParams, star_model
-from .protocol import run_minimal_qet, run_qed, sweep_EB
+from .protocol import run_minimal_qet, run_protocol, sweep_EB
 from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
 
@@ -233,29 +233,26 @@ def _emit_record(args, exact, sampled) -> None:
         _write_text(args.out, "\n".join(lines) + "\n")
 
 
-def cmd_qet(args) -> int:
-    _require(args, "h", "k")
-    params = MinimalModelParams(h=args.h, k=args.k)
-    exact = run_minimal_qet(params) if args.method in ("exact", "both") else None
+def _run_record(args, params, receivers) -> int:
+    """One exact pass; the sampled record, if asked for, draws from it."""
+    bundle, ground = star_model(params)
+    exact, fed = run_protocol(bundle, ground, receivers)
     sampled = None
     if args.method in ("sampled", "both"):
-        bundle, ground = star_model(params)
-        sampled = sampled_record(bundle, ground, (1,), args.shots, args.seed)
-    _emit_record(args, exact, sampled)
+        sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
+    _emit_record(args, None if args.method == "sampled" else exact, sampled)
     return 0
+
+
+def cmd_qet(args) -> int:
+    _require(args, "h", "k")
+    return _run_record(args, MinimalModelParams(h=args.h, k=args.k), (1,))
 
 
 def cmd_qed(args) -> int:
     _require(args, "h", "k", "q")
     params = StarModelParams(h=args.h, k=args.k, q=args.q)
-    receivers = _parse_receivers(args.receivers)
-    exact = run_qed(params, receivers) if args.method in ("exact", "both") else None
-    sampled = None
-    if args.method in ("sampled", "both"):
-        bundle, ground = star_model(params)
-        sampled = sampled_record(bundle, ground, receivers, args.shots, args.seed)
-    _emit_record(args, exact, sampled)
-    return 0
+    return _run_record(args, params, _parse_receivers(args.receivers))
 
 
 # --- longrange --------------------------------------------------------------

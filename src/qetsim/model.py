@@ -277,14 +277,11 @@ def compute_theta(
 
 
 def feedback_angle(
-    bundle: ModelBundle,
-    ground: GroundSolution,
-    receiver_site: int,
-    sender_axis: str = "X",
-    receiver_axis: str = "Y",
+    bundle: ModelBundle, ground: GroundSolution, receiver_site: int
 ) -> FeedbackAngle:
-    """Angle for one receiver; axes default to the protocol's X0 / Yj."""
+    """Angle for one receiver of the protocol: the sender measures X0, the
+    receiver rotates about Yj."""
     n = bundle.n_qubits
-    sender = PauliString.from_map(n, {bundle.sender_site: sender_axis})
-    receiver = PauliString.from_map(n, {receiver_site: receiver_axis})
+    sender = PauliString.from_map(n, {bundle.sender_site: "X"})
+    receiver = PauliString.from_map(n, {receiver_site: "Y"})
     return compute_theta(ground, bundle.total, sender, receiver)

@@ -4,6 +4,9 @@ Stages: the sender's projective X0 measurement (which injects E0 on
 average), the mu-conditional Y-rotation at each receiver, and the receiver
 energy bookkeeping.  Receiver energies are generally negative; E_B = -E_j
 is the amount a measurement device at the receiver extracts.
+
+`run_protocol` is the one pass that measures and feeds back; the sampler
+and the teleport relay start from the fed ensemble it returns.
 """
 
 from __future__ import annotations
@@ -118,7 +121,14 @@ def receiver_energy(
     return ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
 
 
-def _run(bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]) -> QetRecord:
+def run_protocol(
+    bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
+) -> tuple[QetRecord, Ensemble]:
+    """The one exact pass: X0 measurement, then each receiver's feedback.
+
+    Returns the exact record and the fed (post-feedback) ensemble, from
+    which the sampler reads its readout distributions and the relay starts.
+    """
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver sites")
     for j in receivers:
@@ -129,18 +139,18 @@ def _run(bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
     for j in receivers:
         ensemble = apply_feedback(ensemble, j, angles[j])
     energies = {j: receiver_energy(ensemble, bundle, j) for j in receivers}
-    return QetRecord(
+    record = QetRecord(
         model=bundle.params,
         e0=e0,
         theta=angles,
         receivers=energies,
         method="exact",
     )
+    return record, ensemble
 
 
 def run_minimal_qet(params: MinimalModelParams) -> QetRecord:
-    bundle, ground = star_model(params)
-    return _run(bundle, ground, (1,))
+    return run_protocol(*star_model(params), (1,))[0]
 
 
 def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
@@ -149,8 +159,7 @@ def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
     Feedback unitaries at distinct receivers commute, so each receiver's
     numbers equal its single-receiver run.
     """
-    bundle, ground = star_model(params)
-    return _run(bundle, ground, tuple(receivers))
+    return run_protocol(*star_model(params), tuple(receivers))[0]
 
 
 def sweep_EB(

@@ -2,15 +2,16 @@
 
 A run is either a Z-run (terminal computational readout of every site) or an
 X-run (Hadamard at every site first, so the readout bits are X eigenvalues);
-the two never share shots because X and Z do not commute.  The mid-circuit
-measurement is realized by Born sampling: the two mu-conditional
-post-feedback readout distributions are precomputed once (they do not depend
-on the shot), and each shot draws (mu, outcome) from them by inverse CDF.
+the two never share shots because X and Z do not commute.  The sampler does
+not measure or feed back itself: it reads both runs' mu-conditional readout
+distributions from the fed ensemble of the exact pass (`run_protocol`), and
+each shot draws (mu, outcome) from them by inverse CDF.
 
 Randomness is counter-based (numpy Philox keyed by master seed, model
 parameters, receiver set and basis), so the pair of uniforms consumed by
 shot i is a pure function of (key, i): results are independent of execution
-order, and tallies are plain integer bincounts.
+order and of the chunk size the shots are drawn in, and tallies are plain
+integer bincounts.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import pauli_eigs
-from .model import GroundSolution, ModelBundle, feedback_angle
-from .ops import HADAMARD, ObservableSum, apply_gate_1q
-from .protocol import QetRecord, ReceiverEnergy, alice_measure, apply_feedback
+from .model import ModelBundle, StarModelParams, star_model
+from .ops import HADAMARD, Ensemble, ObservableSum, apply_gate_1q
+from .protocol import QetRecord, ReceiverEnergy, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
 # star.
 _FAMILY_CODE = 2
+# Shots drawn per Philox call, so memory stays bounded as --shots grows.
+SHOT_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -80,45 +83,47 @@ def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -
 
 def sample_protocol(
     bundle: ModelBundle,
-    ground: GroundSolution,
+    fed: Ensemble,
     receivers: tuple[int, ...],
     plan: ShotPlan,
 ) -> SampleTallies:
-    """Run `plan.shots` end-to-end shots and tally the terminal outcomes."""
-    ensemble, _ = alice_measure(bundle, ground)
-    for j in receivers:
-        ensemble = apply_feedback(ensemble, j, feedback_angle(bundle, ground, j))
+    """Draw `plan.shots` shots from the fed ensemble and tally the readouts.
 
+    `fed` is the exact pass's post-feedback ensemble for `receivers`, which
+    also key the Philox stream.  Shots are drawn SHOT_CHUNK at a time;
+    sequential Philox draws continue one stream, so the tallies do not depend
+    on the chunk size.
+    """
     n = bundle.n_qubits
     dim = 2**n
-    probs = {}
-    for branch in ensemble.branches:
+    cdfs = {}
+    p_plus = 0.0
+    for branch in fed.branches:
         state = branch.state
         if plan.basis_run == "X":
             for site in range(n):
                 state = apply_gate_1q(state, site, HADAMARD)
-        probs[branch.label] = (
-            branch.probability,
-            np.abs(state.amplitudes) ** 2,
-        )
-    p_plus = probs.get(+1, (0.0, None))[0]
+        cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+        cdf[-1] = 1.0
+        cdfs[branch.label] = cdf
+        if branch.label == +1:
+            p_plus = branch.probability
 
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(_seed_key(bundle, receivers, plan)))
     )
-    u = rng.random((plan.shots, 2))
-    take_plus = u[:, 0] < p_plus
     counts = np.zeros(dim, dtype=np.int64)
     mu_counts = [0, 0]
-    for mu, selector in ((+1, take_plus), (-1, ~take_plus)):
-        n_mu = int(selector.sum())
-        mu_counts[0 if mu == +1 else 1] = n_mu
-        if n_mu == 0 or mu not in probs:
-            continue
-        cdf = np.cumsum(probs[mu][1])
-        cdf[-1] = 1.0
-        outcomes = np.searchsorted(cdf, u[selector, 1], side="right")
-        counts += np.bincount(outcomes, minlength=dim)
+    for start in range(0, plan.shots, SHOT_CHUNK):
+        u = rng.random((min(SHOT_CHUNK, plan.shots - start), 2))
+        take_plus = u[:, 0] < p_plus
+        for i, (mu, selector) in enumerate(((+1, take_plus), (-1, ~take_plus))):
+            n_mu = int(selector.sum())
+            mu_counts[i] += n_mu
+            if n_mu == 0 or mu not in cdfs:
+                continue
+            outcomes = np.searchsorted(cdfs[mu], u[selector, 1], side="right")
+            counts += np.bincount(outcomes, minlength=dim)
     return SampleTallies(
         basis=plan.basis_run,
         shots=plan.shots,
@@ -166,20 +171,22 @@ def estimate(tallies: SampleTallies, obs: ObservableSum, label: str = "") -> Est
 
 def sampled_record(
     bundle: ModelBundle,
-    ground: GroundSolution,
-    receivers: tuple[int, ...],
+    exact: QetRecord,
+    fed: Ensemble,
     shots: int,
     master_seed: int,
 ) -> QetRecord:
-    """Shot-sampled analogue of the exact protocol record.
+    """Shot-sampled analogue of the exact record, drawn from its pass.
 
-    E0 comes from the Z-run estimator of the sender's field term (its
-    post-measurement mean equals the injected energy); each receiver energy
-    combines its Z-run and X-run terms with quadrature standard errors.
+    `exact` and `fed` are what `run_protocol` returned; the receivers and
+    the angles are the exact record's.  E0 comes from the Z-run estimator
+    of the sender's field term (its post-measurement mean equals the
+    injected energy); each receiver energy combines its Z-run and X-run
+    terms with quadrature standard errors.
     """
-    receivers = tuple(receivers)
-    z_tallies = sample_protocol(bundle, ground, receivers, ShotPlan("Z", shots, master_seed))
-    x_tallies = sample_protocol(bundle, ground, receivers, ShotPlan("X", shots, master_seed))
+    receivers = tuple(exact.receivers)
+    z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
+    x_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("X", shots, master_seed))
 
     e0_row = estimate(z_tallies, bundle.locals[f"Z{bundle.sender_site}"], "E0")
     stderr = {"E0": e0_row.stderr}
@@ -192,11 +199,10 @@ def sampled_record(
         stderr[f"HZ{j}"] = hz_row.stderr
         stderr[f"HX{j}"] = hx_row.stderr
         stderr[f"E{j}"] = float(np.hypot(hx_row.stderr, hz_row.stderr))
-    angles = {j: feedback_angle(bundle, ground, j) for j in receivers}
     return QetRecord(
         model=bundle.params,
         e0=e0_row.mean,
-        theta=angles,
+        theta=exact.theta,
         receivers=energies,
         method="sampled",
         stderr=stderr,
@@ -249,14 +255,10 @@ def estimate_table1(
     and 2 acting simultaneously.  Exact cells are always returned: the
     sampled cells are checked against them.
     """
-    from .model import StarModelParams, star_model
-    from .protocol import run_qed
-
     cells = []
     for (q, h, k) in configs:
-        params = StarModelParams(h=float(h), k=float(k), q=int(q))
-        bundle, ground = star_model(params)
-        exact = run_qed(params, (1, 2))
+        bundle, ground = star_model(StarModelParams(h=float(h), k=float(k), q=int(q)))
+        exact, fed = run_protocol(bundle, ground, (1, 2))
         tiling = f"{{3,{q}}}"
         for obs in _TABLE_OBSERVABLES:
             cells.append(
@@ -268,7 +270,7 @@ def estimate_table1(
             )
         if "sampled" not in methods:
             continue
-        sampled = sampled_record(bundle, ground, (1, 2), shots, master_seed)
+        sampled = sampled_record(bundle, exact, fed, shots, master_seed)
         for obs in _TABLE_OBSERVABLES:
             cells.append(
                 TableCell(

@@ -8,19 +8,21 @@ corrections make all four outcome branches identical on the kept register,
 relaying is an exact identity channel, so a relayed energy-teleportation run
 reproduces the local one field for field.
 
-In exact mode every measurement branch is enumerated and checked to agree,
-and branch-dependent transcript payloads are recorded as ``x`` placeholders;
-in shot mode (an rng is supplied) outcomes are Born-sampled and payloads are
-concrete bits.
+Every teleport enumerates its four measurement branches and checks that they
+agree.  Without an rng the (0, 0) branch is kept and its payloads are logged
+as ``x`` placeholders; with one, (m1, m2) is drawn from the enumerated Born
+probabilities and logged as concrete bits.  The long-range run relays each
+mu branch of the exact protocol pass once; the drawn branch (in exact mode,
+the first) writes the transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import MinimalModelParams, feedback_angle, star_model
+from .model import MinimalModelParams, star_model
 from .ops import (
     Branch,
     Ensemble,
@@ -36,7 +38,7 @@ from .ops import (
     x_on,
     z_on,
 )
-from .protocol import QetRecord, alice_measure, apply_feedback, receiver_energy
+from .protocol import QetRecord, receiver_energy, run_protocol
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,6 @@ def _collapse_bit(state: StateVector, site: int, bit: int) -> tuple[float, State
     return p, StateVector(n, proj / np.sqrt(p))
 
 
-def _sample_bit(
-    state: StateVector, site: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    p0, s0 = _collapse_bit(state, site, 0)
-    if rng.random() < p0:
-        return 0, s0
-    return 1, _collapse_bit(state, site, 1)[1]
-
-
 def _bell_pair_check(state: StateVector, pair: tuple[int, int]) -> None:
     """The pair must be in (|00>+|11>)/sqrt(2) and entangled with nothing else."""
     n = state.n_qubits
@@ -129,13 +122,14 @@ def teleport_qubit(
     rng: np.random.Generator | None = None,
     sender_name: str = "charlie",
     receiver_name: str = "bob",
-) -> StateVector:
+) -> tuple[StateVector, tuple[int, int]]:
     """Teleport `source` onto `pair[1]` via a Bell pair held on `pair`.
 
-    Returns the post-correction register: the logical content sits on
-    pair[1] while source and pair[0] are left in measured computational
-    states.  Without an rng all four outcomes are enumerated, verified to
-    agree on the kept register, and the (0,0) representative is returned.
+    All four outcomes (m1, m2) are enumerated and verified to agree on the
+    kept register.  Without an rng the (0, 0) branch is kept; with one, m1
+    and then m2 are drawn from the enumerated probabilities.  Returns the
+    kept post-correction register, whose logical content sits on pair[1]
+    while source and pair[0] hold m1 and m2, and the bits (m1, m2).
     """
     a, b = pair
     if len({source, a, b}) != 3:
@@ -144,29 +138,29 @@ def teleport_qubit(
     work = apply_cnot(state, source, a)
     work = apply_gate_1q(work, source, HADAMARD)
 
-    if rng is not None:
-        m1, work = _sample_bit(work, source, rng)
-        m2, work = _sample_bit(work, a, rng)
-        out = _correct(work, b, m1, m2)
-        # one classical message per measured bit
-        transcript.record(sender_name, receiver_name, "teleport-corrections", str(m1))
-        transcript.record(sender_name, receiver_name, "teleport-corrections", str(m2))
-        return out
-
-    results = {}
+    p_m1 = {}
+    results = {}  # (m1, m2) -> (P(m2 | m1), corrected state)
     for m1 in (0, 1):
-        p1, s1 = _collapse_bit(work, source, m1)
+        p_m1[m1], s1 = _collapse_bit(work, source, m1)
         for m2 in (0, 1):
             p2, s2 = _collapse_bit(s1, a, m2)
-            results[(m1, m2)] = (p1 * p2, _correct(s2, b, m1, m2))
+            results[(m1, m2)] = (p2, _correct(s2, b, m1, m2))
     reference = drop_qubits(results[(0, 0)][1], {source: 0, a: 0})
-    for (m1, m2), (_prob, st) in results.items():
+    for (m1, m2), (_p2, st) in results.items():
         reduced = drop_qubits(st, {source: m1, a: m2})
         if pure_trace_distance(reference, reduced) > 1e-10:
             raise AssertionError("teleportation branches disagree after correction")
-    transcript.record(sender_name, receiver_name, "teleport-corrections", "x")
-    transcript.record(sender_name, receiver_name, "teleport-corrections", "x")
-    return results[(0, 0)][1]
+
+    if rng is None:
+        bits, payloads = (0, 0), ("x", "x")
+    else:
+        m1 = 0 if rng.random() < p_m1[0] else 1
+        m2 = 0 if rng.random() < results[(m1, 0)][0] else 1
+        bits, payloads = (m1, m2), (str(m1), str(m2))
+    # one classical message per measured bit
+    for payload in payloads:
+        transcript.record(sender_name, receiver_name, "teleport-corrections", payload)
+    return results[bits][1], bits
 
 
 def relay_hop(
@@ -179,34 +173,21 @@ def relay_hop(
 ) -> StateVector:
     """One teleport of `logical` through a fresh Bell pair, ancillas recycled.
 
-    The measured-out qubits are projected away and the relayed content is
-    moved back to the `logical` index, so the register shape is unchanged.
+    The measured-out qubits are projected away at their bits and the relayed
+    content is moved back to the `logical` index, so the register shape is
+    unchanged.
     """
     n = state.n_qubits
     extended = extend_with_bell(state)
-    moved = teleport_qubit(
+    moved, (m1, m2) = teleport_qubit(
         extended, logical, (n, n + 1), transcript, rng=rng,
         sender_name=sender_name, receiver_name=receiver_name,
     )
-    if rng is None:
-        cleaned = drop_qubits(moved, {logical: 0, n: 0})
-    else:
-        cleaned = _drop_measured(moved, (logical, n))
+    cleaned = drop_qubits(moved, {logical: m1, n: m2})
     # the relayed content is the last qubit now; move it home
     t = cleaned.amplitudes.reshape((2,) * cleaned.n_qubits)
     t = np.moveaxis(t, cleaned.n_qubits - 1, logical)
     return StateVector(cleaned.n_qubits, t.reshape(-1))
-
-
-def _drop_measured(state: StateVector, sites: tuple[int, int]) -> StateVector:
-    """Drop measured qubits whose (definite) values are found from marginals."""
-    t = state.amplitudes.reshape((2,) * state.n_qubits)
-    bits = {}
-    for s in sites:
-        marg = np.moveaxis(t, s, 0).reshape(2, -1)
-        w0 = float(np.vdot(marg[0], marg[0]).real)
-        bits[s] = 0 if w0 > 0.5 else 1
-    return drop_qubits(state, bits)
 
 
 def run_longrange_qet(
@@ -215,68 +196,48 @@ def run_longrange_qet(
     """Ground -> X0 measurement -> mu broadcast -> conditional rotation at the
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
-    The record equals run_minimal_qet's field for field (the relay is an
-    identity channel).  With a seed, one sampled trajectory additionally
-    fills the transcript with concrete bits; the record itself stays exact.
+    The measurement and feedback are `run_protocol`'s pass; each mu branch
+    is then relayed once.  The record equals run_minimal_qet's field for
+    field (the relay is an identity channel).  With a seed, mu and every
+    hop's bits are drawn, and the drawn branch fills the transcript with
+    concrete bits; the record itself stays exact.
     """
     if hops < 1:
         raise ValueError("hops must be at least 1")
     bundle, ground = star_model(params)
+    exact, fed = run_protocol(bundle, ground, (1,))
     hop_names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
 
-    ensemble, e0 = alice_measure(bundle, ground)
-    angle = feedback_angle(bundle, ground, 1)
-    ensemble = apply_feedback(ensemble, 1, angle)
+    rng = None if seed is None else np.random.default_rng(seed)
+    drawn = fed.branches[0] if rng is None else _sample_branch(fed, rng)
+    transcript = LoccTranscript()
+    mu_bit = "x" if rng is None else str((1 - drawn.label) // 2)
+    transcript.record("alice", "all", "mu-broadcast", mu_bit)
 
-    # exact relay of both mu branches (scratch transcripts: the events are
-    # identical across branches and logged once below)
     branches = []
-    for br in ensemble.branches:
+    for br in fed.branches:
+        # the other branches relay identically; their events are not logged
+        log, branch_rng = (transcript, rng) if br is drawn else (LoccTranscript(), None)
         state = br.state
         for i in range(hops):
-            state = relay_hop(state, 1, LoccTranscript())
-        branches.append(Branch(br.probability, state, br.label))
-    relayed = Ensemble(tuple(branches))
-
-    transcript = LoccTranscript()
-    if seed is None:
-        transcript.record("alice", "all", "mu-broadcast", "x")
-        for i in range(hops):
-            for _ in range(2):
-                transcript.record(
-                    hop_names[i], hop_names[i + 1], "teleport-corrections", "x"
-                )
-    else:
-        rng = np.random.default_rng(seed)
-        mu, state = _sample_branch(ensemble, rng)
-        transcript.record("alice", "all", "mu-broadcast", str((1 - mu) // 2))
-        for i in range(hops):
             state = relay_hop(
-                state, 1, transcript, rng=rng,
+                state, 1, log, rng=branch_rng,
                 sender_name=hop_names[i], receiver_name=hop_names[i + 1],
             )
-
-    record = QetRecord(
-        model=params,
-        e0=e0,
-        theta={1: angle},
-        receivers={1: receiver_energy(relayed, bundle, 1)},
-        method="exact",
-    )
+        branches.append(Branch(br.probability, state, br.label))
+    relayed = Ensemble(tuple(branches))
+    record = replace(exact, receivers={1: receiver_energy(relayed, bundle, 1)})
     return record, transcript
 
 
-def _sample_branch(
-    ensemble: Ensemble, rng: np.random.Generator
-) -> tuple[int, StateVector]:
+def _sample_branch(ensemble: Ensemble, rng: np.random.Generator) -> Branch:
     u = rng.random()
     acc = 0.0
     for b in ensemble.branches:
         acc += b.probability
         if u < acc:
-            return b.label, b.state
-    last = ensemble.branches[-1]
-    return last.label, last.state
+            return b
+    return ensemble.branches[-1]
 
 
 def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:

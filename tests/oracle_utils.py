@@ -53,6 +53,24 @@ def ensemble_density(ensemble) -> np.ndarray:
     return rho
 
 
+def feedback_energy_curve(ensemble, site: int, local, thetas) -> np.ndarray:
+    """<local> after the feedback rotation at every angle of `thetas`.
+
+    For each branch (p, psi, mu) the rotated states
+    cos(t) psi - i mu sin(t) Y_site psi of the whole grid are stacked into
+    one array, and their dense <local> is weighted by p.
+    """
+    M = dense_observable(local)
+    Y = op_on("Y", site, ensemble.n_qubits)
+    t = np.asarray(thetas, dtype=np.float64)[:, None]
+    out = np.zeros(len(t))
+    for b in ensemble.branches:
+        psi = b.state.amplitudes
+        rotated = np.cos(t) * psi - 1j * b.label * np.sin(t) * (Y @ psi)
+        out += b.probability * np.einsum("gi,gi->g", rotated.conj(), rotated @ M.T).real
+    return out
+
+
 def partial_trace(amps: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix on `keep` (in the given order)."""
     t = amps.reshape((2,) * n)

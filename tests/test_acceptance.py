@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from oracle_utils import ring_counts_recurrence
+from oracle_utils import feedback_energy_curve, ring_counts_recurrence
 
 from qetsim import refdata
 from qetsim.model import (
@@ -216,7 +216,12 @@ def test_criterion_08_theta_beats_grid_scan():
     ):
         measured, _ = alice_measure(bundle, ground)
         angle = feedback_angle(bundle, ground, 1)
-        energies = np.array([_energy_at(bundle, measured, 1, t) for t in grid])
+        local = bundle.locals["Z1"] + bundle.locals["X1"]
+        energies = feedback_energy_curve(measured, 1, local, grid)
+        # the stacked dense curve is the protocol's own at 64 spread grid points
+        probe = np.linspace(0, len(grid) - 1, 64).astype(int)
+        protocol_path = np.array([_energy_at(bundle, measured, 1, t) for t in grid[probe]])
+        ok = ok and np.abs(energies[probe] - protocol_path).max() <= 1e-12
         e_closed = _energy_at(bundle, measured, 1, angle.theta)
         best = energies.min()
         ok = ok and e_closed <= best + 1e-12 and abs(angle.theta - grid[np.argmin(energies)]) <= spacing

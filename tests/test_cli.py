@@ -1,13 +1,18 @@
 import csv
+import hashlib
 import json
+import sys
 
 import pytest
 
 import qetsim.cli
 import qetsim.model
+import qetsim.protocol
 import qetsim.sampler
+import qetsim.teleport
 from qetsim.cli import main
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
+from qetsim.sampler import cells_to_csv, estimate_table1
 
 
 def run_cli(*argv):
@@ -167,10 +172,10 @@ def test_qed_degenerate_ground_exits_1(capsys):
 
 
 def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
-    def run_qed(*args):
+    def run_protocol(*args):
         raise qetsim.model.DegenerateGroundError("ground space degenerate (patched)")
 
-    monkeypatch.setattr(qetsim.cli, "run_qed", run_qed)
+    monkeypatch.setattr(qetsim.cli, "run_protocol", run_protocol)
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "exact") == 1
     assert "error: ground space degenerate (patched)" in capsys.readouterr().err
 
@@ -215,6 +220,73 @@ def test_longrange_sampled_transcript(tmp_path):
     text = tr.read_text()
     assert "x" not in text
     assert len(text.splitlines()) == 1 + 2 * 3
+
+
+# --- one protocol pass per run ------------------------------------------------------
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name, wherever a qetsim module has imported it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "qetsim" or modname.startswith("qetsim."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_qed_both_methods_run_one_pass(monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "both",
+                   "--shots", "2000") == 0
+    assert len(passes) == 1
+
+
+def test_table1_runs_one_pass_per_config(tmp_path, monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    assert run_cli("table1", "--check", "--shots", "2000",
+                   "--out", str(tmp_path / "t.csv")) == 0
+    assert len(passes) == 12
+
+
+def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
+    hops = count_calls(monkeypatch, qetsim.teleport, "relay_hop")
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
+                   "--sample-transcript", "--out", str(tmp_path / "r.json"),
+                   "--transcript-out", str(tmp_path / "t.log")) == 0
+    assert len(hops) == 2 * 3  # two mu branches x three hops
+
+
+# --- pinned sampled bytes ---------------------------------------------------------
+
+# sha256 of sampled output bytes; they change only with an entry in CHANGES.md
+SAMPLED_DIGESTS = {
+    "table1": "85b5517044d5475ead3828b8755b4212f8ef72d3274ea530fff1aa29c1133ef4",
+    "qed": "2bde832703256c1770c012f36f9279f9c147de6d90322dee4984349bba33b303",
+    "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
+}
+
+
+def test_sampled_output_bytes_are_pinned(tmp_path):
+    table = cells_to_csv(estimate_table1([(6, 9, 2)], shots=2000, master_seed=11))
+    qed, log = tmp_path / "qed.json", tmp_path / "t.log"
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "sampled",
+                   "--shots", "2000", "--seed", "5", "--out", str(qed)) == 0
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--seed", "11",
+                   "--sample-transcript", "--out", str(tmp_path / "r.json"),
+                   "--transcript-out", str(log)) == 0
+    got = {
+        "table1": table.encode(),
+        "qed": qed.read_bytes(),
+        "transcript": log.read_bytes(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SAMPLED_DIGESTS
 
 
 # --- config file and usage ----------------------------------------------------------

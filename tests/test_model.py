@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import dense_observable, star_reduced_values
+from oracle_utils import dense_observable, feedback_energy_curve, star_reduced_values
 
 import qetsim.model
 from qetsim.model import (
@@ -29,6 +29,7 @@ from qetsim.ops import (
     y_on,
     z_on,
 )
+from qetsim.protocol import alice_measure, apply_feedback, receiver_energy
 
 HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]
 
@@ -253,8 +254,6 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
 # --- feedback angle ----------------------------------------------------------
 
 def _receiver_energy_curve(bundle, ground, site, thetas):
-    from qetsim.protocol import alice_measure, apply_feedback, receiver_energy
-
     ens, _ = alice_measure(bundle, ground)
     out = []
     for theta in thetas:
@@ -271,7 +270,13 @@ def test_theta_minimizes_receiver_energy_grid_scan(maker):
     bundle, ground = maker()
     angle = feedback_angle(bundle, ground, 1)
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
-    energies = _receiver_energy_curve(bundle, ground, 1, thetas)
+    measured, _ = alice_measure(bundle, ground)
+    local = bundle.locals["Z1"] + bundle.locals["X1"]
+    energies = feedback_energy_curve(measured, 1, local, thetas)
+    # the stacked dense curve is the protocol's own at 64 spread grid points
+    probe = np.linspace(0, len(thetas) - 1, 64).astype(int)
+    protocol_path = _receiver_energy_curve(bundle, ground, 1, thetas[probe])
+    assert np.abs(energies[probe] - protocol_path).max() <= 1e-12
     e_closed = _receiver_energy_curve(bundle, ground, 1, [angle.theta])[0]
     assert e_closed <= energies.min() + 1e-12
     assert abs(angle.theta - thetas[np.argmin(energies)]) <= 1e-4

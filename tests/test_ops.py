@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import PAULI, dense_expectation, dense_observable, word_matrix
 
@@ -285,6 +287,82 @@ def test_sum_of_locals_equals_total():
     b = single_term(2.0, z_on(2, 1), offset=0.75)
     total = a + b
     assert total.isclose(ObservableSum(2, a.terms + b.terms, 1.0))
+
+
+# --- Pauli algebra properties --------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def letters(n):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+@st.composite
+def word_triples(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(PauliString(n, draw(letters(n))) for _ in range(3))
+
+
+# dyadic values, so that merging sums exactly in any order
+dyadic = st.integers(-12, 12).map(lambda c: c / 4)
+
+
+@st.composite
+def term_lists(draw):
+    n = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(dyadic.filter(bool), letters(n)), max_size=8))
+    return n, [(c, PauliString(n, w)) for c, w in terms]
+
+
+@PROPERTY
+@given(word_triples())
+def test_word_product_associative_with_dense_phase(abc):
+    a, b, c = abc
+    p_ab, ab = word_product(a, b)
+    assert p_ab in (1, -1, 1j, -1j)
+    dense_ab = word_matrix(a.letters) @ word_matrix(b.letters)
+    assert np.allclose(p_ab * word_matrix(ab.letters), dense_ab)
+    p_left, left = word_product(ab, c)
+    p_bc, bc = word_product(b, c)
+    p_right, right = word_product(a, bc)
+    assert left == right
+    assert p_ab * p_left == p_bc * p_right
+
+
+@PROPERTY
+@given(term_lists(), dyadic, st.data())
+def test_canonical_sum_ignores_order_merges_and_folds(n_terms, offset, data):
+    n, terms = n_terms
+    obs = ObservableSum(n, tuple(terms), offset)
+    shuffled = ObservableSum(n, tuple(data.draw(st.permutations(terms))), offset)
+    assert [(c, w.letters) for c, w in shuffled.terms] == [(c, w.letters) for c, w in obs.terms]
+    assert shuffled.offset == obs.offset
+    # one term per distinct non-identity word, carrying the summed coefficient
+    want: dict[str, float] = {}
+    for c, w in terms:
+        if not w.is_identity:
+            want[w.letters] = want.get(w.letters, 0.0) + c
+    assert {w.letters: c for c, w in obs.terms} == {k: c for k, c in want.items() if c}
+    identity_sum = sum(c for c, w in terms if w.is_identity)
+    assert obs.offset == offset + identity_sum
+    dense = offset * np.eye(2**n, dtype=complex)
+    for c, w in terms:
+        dense += c * word_matrix(w.letters)
+    assert np.allclose(dense_observable(obs), dense, atol=1e-12)
+
+
+@PROPERTY
+@given(term_lists(), st.floats(-2, 2), st.data())
+def test_heisenberg_derivative_is_the_dense_commutator(n_terms, offset, data):
+    n, terms = n_terms
+    sigma = PauliString(n, data.draw(letters(n).filter(lambda w: set(w) != {"I"})))
+    H = ObservableSum(n, tuple(terms), offset)
+    out = heisenberg_derivative(H, sigma)
+    assert all(type(c) is float for c, _ in out.terms)
+    assert out.offset == 0.0
+    HM, S = dense_observable(H), word_matrix(sigma.letters)
+    assert np.allclose(dense_observable(out), 1j * (HM @ S - S @ HM), atol=1e-12)
 
 
 # --- statevector utilities ---------------------------------------------------

@@ -16,6 +16,7 @@ from qetsim.protocol import (
     apply_feedback,
     receiver_energy,
     run_minimal_qet,
+    run_protocol,
     run_qed,
     sweep_EB,
 )
@@ -206,8 +207,10 @@ def test_minimal_model_is_the_q2_star():
         assert mini.as_dict()["params"] == {"h": h, "k": k}
         for basis in ("Z", "X"):
             plan = ShotPlan(basis_run=basis, shots=4000, master_seed=17)
-            t_mini = sample_protocol(*star_model(MinimalModelParams(h, k)), (1,), plan)
-            t_star = sample_protocol(*star_model(StarModelParams(h, k, 2)), (1,), plan)
+            bundle, ground = star_model(MinimalModelParams(h, k))
+            t_mini = sample_protocol(bundle, run_protocol(bundle, ground, (1,))[1], (1,), plan)
+            bundle, ground = star_model(StarModelParams(h, k, 2))
+            t_star = sample_protocol(bundle, run_protocol(bundle, ground, (1,))[1], (1,), plan)
             assert np.array_equal(t_mini.counts, t_star.counts)
             assert t_mini.mu_counts == t_star.mu_counts
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import qetsim.sampler
 from qetsim.model import MinimalModelParams, StarModelParams, star_model
 from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
-from qetsim.protocol import run_minimal_qet, run_qed
+from qetsim.protocol import run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     ShotPlan,
     cells_to_csv,
@@ -16,8 +17,9 @@ from qetsim.sampler import (
 
 def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)):
     bundle, ground = star_model(MinimalModelParams(*hk))
+    _, fed = run_protocol(bundle, ground, receivers)
     plan = ShotPlan(basis_run=basis, shots=shots, master_seed=seed)
-    return bundle, sample_protocol(bundle, ground, receivers, plan)
+    return bundle, sample_protocol(bundle, fed, receivers, plan)
 
 
 # --- determinism ---------------------------------------------------------------
@@ -46,6 +48,16 @@ def test_single_shot_reproducible():
     _, t2 = minimal_tallies(shots=1, seed=99)
     assert np.array_equal(t1.counts, t2.counts)
     assert t1.counts.sum() == 1
+
+
+@pytest.mark.parametrize("chunk", [1000, 1500])
+def test_chunked_draws_give_the_same_tallies(monkeypatch, chunk):
+    whole = {basis: minimal_tallies(basis=basis, shots=5000, seed=13)[1] for basis in "ZX"}
+    monkeypatch.setattr(qetsim.sampler, "SHOT_CHUNK", chunk)
+    for basis in "ZX":
+        _, chunked = minimal_tallies(basis=basis, shots=5000, seed=13)
+        assert np.array_equal(chunked.counts, whole[basis].counts)
+        assert chunked.mu_counts == whole[basis].mu_counts
 
 
 def test_table_csv_bytes_deterministic():
@@ -112,7 +124,9 @@ def test_plan_validation():
 def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
     bundle, ground = star_model(params)
-    sampled = sampled_record(bundle, ground, (1,), shots=100000, master_seed=4)
+    sampled = sampled_record(
+        bundle, *run_protocol(bundle, ground, (1,)), shots=100000, master_seed=4
+    )
     exact = run_minimal_qet(params)
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
     assert abs(sampled.receivers[1].e_j - exact.receivers[1].e_j) < 5 * sampled.stderr["E1"]
@@ -122,7 +136,9 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
 def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
     bundle, ground = star_model(params)
-    sampled = sampled_record(bundle, ground, (1, 2), shots=100000, master_seed=8)
+    sampled = sampled_record(
+        bundle, *run_protocol(bundle, ground, (1, 2)), shots=100000, master_seed=8
+    )
     exact = run_qed(params, (1, 2))
     for obs, got, want in (
         ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
@@ -140,7 +156,9 @@ def test_multi_seed_statistical_acceptance():
     hits = 0
     total = 0
     for seed in range(10):
-        sampled = sampled_record(bundle, ground, (1, 2), shots=20000, master_seed=seed)
+        sampled = sampled_record(
+            bundle, *run_protocol(bundle, ground, (1, 2)), shots=20000, master_seed=seed
+        )
         for obs, got, want in (
             ("E0", sampled.e0, exact.e0),
             ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),

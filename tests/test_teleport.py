@@ -64,7 +64,7 @@ def test_teleport_axis_and_random_states_exact():
     for state in panel:
         extended = extend_with_bell(state)
         transcript = LoccTranscript()
-        out = teleport_qubit(extended, 0, (1, 2), transcript)
+        out, _ = teleport_qubit(extended, 0, (1, 2), transcript)
         content = out.amplitudes.reshape(2, 2, 2)[0, 0, :]  # measured (0,0) branch
         assert np.allclose(content, state.amplitudes, atol=1e-12)
         assert transcript.messages[0].purpose == "teleport-corrections"
@@ -94,7 +94,7 @@ def test_teleport_outcomes_uniform():
     rng = np.random.default_rng(5)
     for _ in range(n):
         transcript = LoccTranscript()
-        out = teleport_qubit(extend_with_bell(state), 0, (1, 2), transcript, rng=rng)
+        out, _ = teleport_qubit(extend_with_bell(state), 0, (1, 2), transcript, rng=rng)
         pattern = transcript.messages[0].bits + transcript.messages[1].bits
         counts[pattern] += 1
         # the corrected target carries the state in every branch
@@ -112,7 +112,7 @@ def test_teleport_preserves_entanglement():
     a, b = 0.6, 0.8
     pair = StateVector(2, np.array([a, 0, 0, b], dtype=complex))
     extended = extend_with_bell(pair)  # qubits: 0,1 entangled; 2,3 Bell
-    out = teleport_qubit(extended, 1, (2, 3), LoccTranscript())
+    out, _ = teleport_qubit(extended, 1, (2, 3), LoccTranscript())
     rho = partial_trace(out.amplitudes, 4, (0, 3))
     want = np.outer(pair.amplitudes, pair.amplitudes.conj())
     assert trace_distance(rho, want) < 1e-12
