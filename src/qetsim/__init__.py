@@ -5,12 +5,12 @@ state-teleportation relay for long-range runs."""
 from ._kernels import backend_name
 from .model import (
     FeedbackAngle,
+    GroundMoments,
     GroundSolution,
     MinimalModelParams,
     ModelBundle,
     StarModelParams,
     analytic_ground_minimal,
-    compute_theta,
     feedback_angle,
     solve_ground,
     solve_star_ground,
@@ -26,7 +26,6 @@ from .ops import (
     apply_pauli,
     conditional_rotation,
     expectation,
-    heisenberg_derivative,
     projective_measure,
     to_dense,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import refdata, tiling
 from .model import DegenerateGroundError, MinimalModelParams, StarModelParams, star_model
-from .protocol import run_minimal_qet, run_protocol, sweep_EB
+from .protocol import run_protocol, sweep_EB
 from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
 
@@ -260,18 +260,9 @@ def cmd_qed(args) -> int:
 def cmd_longrange(args) -> int:
     _require(args, "h", "k")
     params = MinimalModelParams(h=args.h, k=args.k)
-    record, transcript = run_longrange_qet(
+    record, transcript, worst = run_longrange_qet(
         params, args.hops, seed=args.seed if args.sample_transcript else None
     )
-    local = run_minimal_qet(params)
-    deltas = {
-        "E0": abs(record.e0 - local.e0),
-        "HX1": abs(record.receivers[1].hx - local.receivers[1].hx),
-        "HZ1": abs(record.receivers[1].hz - local.receivers[1].hz),
-        "E1": abs(record.receivers[1].e_j - local.receivers[1].e_j),
-        "theta": abs(record.theta[1].theta - local.theta[1].theta),
-    }
-    worst = max(deltas.values())
     payload = record.as_dict()
     payload["hops"] = args.hops
     payload["relay_vs_local_max_delta"] = worst

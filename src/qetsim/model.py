@@ -9,34 +9,37 @@ Hotta's 2-qubit minimal model, so both are built by `star_model`.
 The star's ground state is solved in the receivers' total-spin blocks
 (`solve_star_ground`), never from the 2^q x 2^q matrix; `solve_ground` is
 the dense solver for arbitrary operators, kept as the reference the tests
-compare against.
+compare against.  The ground state is receiver-symmetric, so three Pauli
+moments, <Z_0>, <Z_j> and <X_0 X_j> (the same for every receiver j), are
+read from the block's ground vector; they set every offset and the
+feedback angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
 
-from . import _kernels
 from .ops import (
     MAX_STATEVECTOR_QUBITS,
     DegenerateGroundError,
     ObservableSum,
     PauliString,
     StateVector,
-    expectation,
-    heisenberg_derivative,
     single_term,
     to_dense,
-    word_product,
     z_on,
 )
 
 DEGENERACY_TOL = 1e-9
+
+
+def _check_hk(h: float, k: float) -> None:
+    if not (0 < h < math.inf and 0 < k < math.inf):
+        raise ValueError("h and k must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,7 @@ class MinimalModelParams:
     k: float
 
     def __post_init__(self):
-        if not (self.h > 0 and self.k > 0):
-            raise ValueError("h and k must be positive")
+        _check_hk(self.h, self.k)
 
     @property
     def q(self) -> int:
@@ -70,8 +72,7 @@ class StarModelParams:
     q: int
 
     def __post_init__(self):
-        if not (self.h > 0 and self.k > 0):
-            raise ValueError("h and k must be positive")
+        _check_hk(self.h, self.k)
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if self.q > MAX_STATEVECTOR_QUBITS:
@@ -83,9 +84,20 @@ class StarModelParams:
 ModelParams = Union[MinimalModelParams, StarModelParams]
 
 
+@dataclass(frozen=True)
+class GroundMoments:
+    """Pauli-part ground moments of the star: <Z_0>, and <Z_j> and <X_0 X_j>,
+    which are the same for every receiver j."""
+
+    z0: float
+    zj: float
+    xx: float
+
+
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Total Hamiltonian plus its named local terms and the site roles.
+    """Total Hamiltonian plus its named local terms, the site roles and the
+    ground moments.
 
     The locals are Z{i} (field at site i) and X{j} (coupling of receiver j to
     the sender).  Their sum equals the total (canonical equality), and every
@@ -97,6 +109,7 @@ class ModelBundle:
     locals: dict[str, ObservableSum]
     sender_site: int
     receiver_sites: tuple[int, ...]
+    moments: GroundMoments
 
     @property
     def n_qubits(self) -> int:
@@ -114,7 +127,7 @@ class GroundSolution:
 class FeedbackAngle:
     """Conditional-rotation angle with the moments that determine it.
 
-    xi = <g| s_j H s_j |g> and eta = <g| s_i (i[H, s_j]) |g>; theta is the
+    xi = <g| Y_j H Y_j |g> and eta = <g| X_0 (i[H, Y_j]) |g>; theta is the
     branch of atan2(eta, xi)/2 that minimizes the receiver energy, i.e.
     cos(2 theta) = xi / sqrt(xi^2 + eta^2) and
     sin(2 theta) = eta / sqrt(xi^2 + eta^2).
@@ -187,8 +200,9 @@ def _spin_block(h: float, k: float, d: int) -> np.ndarray:
     return block
 
 
-def solve_star_ground(h: float, k: float, q: int) -> GroundSolution:
-    """Ground state of H = h sum_i Z_i + 2k sum_j X_0 X_j on q sites.
+def solve_star_ground(h: float, k: float, q: int) -> tuple[GroundSolution, GroundMoments]:
+    """Ground state of H = h sum_i Z_i + 2k sum_j X_0 X_j on q sites, and its
+    moments <Z_0>, <Z_j> and <X_0 X_j>.
 
     H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
     stoquastic and each parity sector is connected, so each sector's ground
@@ -198,7 +212,8 @@ def solve_star_ground(h: float, k: float, q: int) -> GroundSolution:
     spectrum: the second level of that block against the lowest level of
     every lower-J block.  The result is embedded into the 2^q amplitudes,
     a Dicke state with m ones having amplitude 1/sqrt(C(q - 1, m)) per
-    basis state.
+    basis state.  The moments are read from the block vector g: with
+    d = q - 1 receivers, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d.
     """
     leaves = q - 1
     vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
@@ -208,11 +223,24 @@ def solve_star_ground(h: float, k: float, q: int) -> GroundSolution:
     idx = np.arange(2**q, dtype=np.int64)
     ones = np.bitwise_count(idx & ((1 << leaves) - 1))
     dicke = 1.0 / np.sqrt([float(math.comb(leaves, m)) for m in range(q)])
-    vec = vecs[(idx >> leaves) * q + ones, 0] * dicke[ones]
-    return _ground_solution(q, vec, vals[0], float(min(excited) - vals[0]))
+    g = vecs[:, 0]
+    vec = g[(idx >> leaves) * q + ones] * dicke[ones]
+    solution = _ground_solution(q, vec, vals[0], float(min(excited) - vals[0]))
+
+    # g[s * q + n]: sender bit s, n receiver ones; X_0 J_x links (s, n) with
+    # (1 - s, n + 1) by sqrt((n + 1)(d - n)) / 2, as in `_spin_block`
+    n = np.arange(q)
+    up, down = g.reshape(2, q)
+    link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
+    x0_jx2 = 2.0 * link @ (up[:-1] * down[1:] + down[:-1] * up[1:])
+    moments = GroundMoments(
+        z0=float(up @ up - down @ down),
+        zj=float((up * up + down * down) @ (leaves - 2.0 * n) / leaves),
+        xx=float(x0_jx2 / leaves),
+    )
+    return solution, moments
 
 
-@lru_cache(maxsize=None)
 def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
     """Build the star bundle and its ground solution (offsets need the ground);
     MinimalModelParams give the q = 2 star.
@@ -220,68 +248,49 @@ def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
     The offsets cannot change the eigenvectors, so the ground state is solved
     on the Pauli parts alone, by `solve_star_ground`, and each local's offset
     is then set to the negative of its Pauli-part ground expectation, making
-    every local and the total vanish in the ground state.
+    every local and the total vanish in the ground state: -h <Z_0> for Z0,
+    -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.
     """
     h, k, n = params.h, params.k, params.q
-    parts = {f"Z{i}": (h, z_on(n, i)) for i in range(n)}
+    raw, moments = solve_star_ground(h, k, n)
+    parts = {"Z0": (h, z_on(n, 0), h * moments.z0)}
+    for i in range(1, n):
+        parts[f"Z{i}"] = (h, z_on(n, i), h * moments.zj)
     for j in range(1, n):
-        parts[f"X{j}"] = (2 * k, PauliString.from_map(n, {0: "X", j: "X"}))
-    pauli_total = ObservableSum(n, tuple(parts.values()))
-    raw = solve_star_ground(h, k, n)
-    amps = raw.state.amplitudes
+        xx = PauliString.from_map(n, {0: "X", j: "X"})
+        parts[f"X{j}"] = (2 * k, xx, 2 * k * moments.xx)
     locals_: dict[str, ObservableSum] = {}
     offset = 0.0
-    for name, (coeff, word) in parts.items():
-        mean = coeff * _kernels.expect_word(amps, word.x_mask, word.z_mask, word.phase).real
+    for name, (coeff, word, mean) in parts.items():
         locals_[name] = single_term(coeff, word, offset=-mean)
         offset -= mean
-    total = ObservableSum(n, pauli_total.terms, offset)
+    total = ObservableSum(n, tuple((c, w) for c, w, _ in parts.values()), offset)
     bundle = ModelBundle(
         params=params,
         total=total,
         locals=locals_,
         sender_site=0,
         receiver_sites=tuple(range(1, n)),
+        moments=moments,
     )
     ground = GroundSolution(state=raw.state, energy=raw.energy + offset, gap=raw.gap)
     return bundle, ground
 
 
-def compute_theta(
-    ground: GroundSolution,
-    H: ObservableSum,
-    sender_sigma: PauliString,
-    receiver_sigma: PauliString,
-) -> FeedbackAngle:
-    """Feedback angle from xi and eta; theta in (-pi/2, pi/2].
+def feedback_angle(bundle: ModelBundle, receiver_site: int) -> FeedbackAngle:
+    """Angle for one receiver of the protocol: the sender measures X0, the
+    receiver rotates about Yj.
 
-    theta = atan2(eta, xi) / 2 is the global minimizer of the receiver energy
-    E(theta) = xi sin^2(theta) - eta sin(theta) cos(theta); the sign of eta is
-    pinned by the dense-matrix commutator convention of heisenberg_derivative.
+    Conjugating by Y_j flips Z_j and X_0 X_j, and <H> = 0, so
+    xi = -2h <Z_j> - 4k <X_0 X_j>; i[H, Y_j] = 2h X_j - 4k X_0 Z_j, so
+    eta = 2h <X_0 X_j> - 4k <Z_j>.  theta = atan2(eta, xi) / 2 lies in
+    (-pi/2, pi/2] and minimizes E(theta) = xi sin^2(theta) -
+    eta sin(theta) cos(theta).
     """
-    g = ground.state
-    xi = expectation(g, H.conjugated_by(receiver_sigma))
-    sigma_dot = heisenberg_derivative(H, receiver_sigma)
-    cross_terms = []
-    for coeff, word in sigma_dot.terms:
-        phase, prod = word_product(sender_sigma, word)
-        c = coeff * phase
-        if abs(c.imag) > 1e-10:
-            raise ValueError("sender and derivative words do not form a Hermitian product")
-        cross_terms.append((c.real, prod))
-    eta = expectation(g, ObservableSum(H.n_qubits, tuple(cross_terms)))
-    if xi * xi + eta * eta <= 0.0:
-        raise ValueError("xi = eta = 0: receiver decoupled, feedback angle undefined")
+    if receiver_site not in bundle.receiver_sites:
+        raise ValueError(f"site {receiver_site} is not a receiver site of this model")
+    h, k, m = bundle.params.h, bundle.params.k, bundle.moments
+    xi = -2.0 * h * m.zj - 4.0 * k * m.xx
+    eta = 2.0 * h * m.xx - 4.0 * k * m.zj
     theta = 0.5 * np.arctan2(eta, xi)
     return FeedbackAngle(theta=float(theta), xi=float(xi), eta=float(eta))
-
-
-def feedback_angle(
-    bundle: ModelBundle, ground: GroundSolution, receiver_site: int
-) -> FeedbackAngle:
-    """Angle for one receiver of the protocol: the sender measures X0, the
-    receiver rotates about Yj."""
-    n = bundle.n_qubits
-    sender = PauliString.from_map(n, {bundle.sender_site: "X"})
-    receiver = PauliString.from_map(n, {receiver_site: "Y"})
-    return compute_theta(ground, bundle.total, sender, receiver)

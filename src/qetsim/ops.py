@@ -122,27 +122,6 @@ def z_on(n_qubits: int, site: int) -> PauliString:
     return PauliString.from_map(n_qubits, {site: "Z"})
 
 
-def word_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Return (phase, word) with a*b = phase * word, phase in {1,-1,i,-i}.
-
-    Derivation: with w = i**nY * X^x Z^z per site, moving Z^z1 past X^x2
-    contributes (-1)**popcount(z1 & x2).
-    """
-    _check_qubits(a.n_qubits, b.n_qubits)
-    letters = []
-    for la, lb in zip(a.letters, b.letters):
-        xa, za = la in "XY", la in "ZY"
-        xb, zb = lb in "XY", lb in "ZY"
-        x, z = xa ^ xb, za ^ zb
-        letters.append("IZXY"[(x << 1) | z] if (x or z) else "I")
-    word = PauliString(a.n_qubits, "".join(letters))
-    sign = -1.0 if bin(a.z_mask & b.x_mask).count("1") % 2 else 1.0
-    ny_a = a.letters.count("Y")
-    ny_b = b.letters.count("Y")
-    ny_c = word.letters.count("Y")
-    return sign * 1j ** ((ny_a + ny_b - ny_c) % 4), word
-
-
 @dataclass(frozen=True)
 class ObservableSum:
     """Hermitian operator as real-weighted Pauli words plus a scalar offset.
@@ -189,17 +168,6 @@ class ObservableSum:
             self.n_qubits,
             tuple((scalar * c, w) for c, w in self.terms),
             scalar * self.offset,
-        )
-
-    def conjugated_by(self, word: PauliString) -> "ObservableSum":
-        """word * self * word for an involutory Pauli word (word**2 = I)."""
-        _check_qubits(self.n_qubits, word.n_qubits)
-        return ObservableSum(
-            self.n_qubits,
-            tuple(
-                (c if w.commutes_with(word) else -c, w) for c, w in self.terms
-            ),
-            self.offset,
         )
 
     def isclose(self, other: "ObservableSum", tol: float = 1e-12) -> bool:
@@ -308,23 +276,6 @@ def expectation(source: Source, obs: ObservableSum) -> float:
             "operator not Hermitian?"
         )
     return val.real + obs.offset
-
-
-def heisenberg_derivative(H: ObservableSum, sigma: PauliString) -> ObservableSum:
-    """i[H, sigma] as a canonical ObservableSum (H's offset drops out)."""
-    _check_qubits(H.n_qubits, sigma.n_qubits)
-    terms = []
-    for coeff, word in H.terms:
-        if word.commutes_with(sigma):
-            continue
-        phase, prod = word_product(word, sigma)
-        # word and sigma anticommute, so [word, sigma] = 2 * word * sigma and
-        # the product phase is purely imaginary; i * 2 * phase is real.
-        c = 1j * 2.0 * coeff * phase
-        if abs(c.imag) > IMAG_TOL:
-            raise AssertionError("commutator produced non-real coefficient")
-        terms.append((c.real, prod))
-    return ObservableSum(H.n_qubits, tuple(terms))
 
 
 def projective_measure(state: StateVector, sigma: PauliString) -> Ensemble:

@@ -6,7 +6,10 @@ energy bookkeeping.  Receiver energies are generally negative; E_B = -E_j
 is the amount a measurement device at the receiver extracts.
 
 `run_protocol` is the one pass that measures and feeds back; the sampler
-and the teleport relay start from the fed ensemble it returns.
+and the teleport relay start from the fed ensemble it returns.  The
+feedback angles are read from the model's ground moments
+(`feedback_angle`); E0 and the receiver energies are expectations over the
+measured and the fed ensemble.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def run_protocol(
         if j not in bundle.receiver_sites:
             raise ValueError(f"site {j} is not a receiver site of this model")
     ensemble, e0 = alice_measure(bundle, ground)
-    angles = {j: feedback_angle(bundle, ground, j) for j in receivers}
+    angles = {j: feedback_angle(bundle, j) for j in receivers}
     for j in receivers:
         ensemble = apply_feedback(ensemble, j, angles[j])
     energies = {j: receiver_energy(ensemble, bundle, j) for j in receivers}

@@ -192,7 +192,7 @@ def relay_hop(
 
 def run_longrange_qet(
     params: MinimalModelParams, hops: int, seed: int | None = None
-) -> tuple[QetRecord, LoccTranscript]:
+) -> tuple[QetRecord, LoccTranscript, float]:
     """Ground -> X0 measurement -> mu broadcast -> conditional rotation at the
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
@@ -200,7 +200,9 @@ def run_longrange_qet(
     is then relayed once.  The record equals run_minimal_qet's field for
     field (the relay is an identity channel).  With a seed, mu and every
     hop's bits are drawn, and the drawn branch fills the transcript with
-    concrete bits; the record itself stays exact.
+    concrete bits; the record itself stays exact.  The third value is the
+    largest difference of the relayed HX1, HZ1 and E1 from the same pass's
+    unrelayed ones.
     """
     if hops < 1:
         raise ValueError("hops must be at least 1")
@@ -225,9 +227,10 @@ def run_longrange_qet(
                 sender_name=hop_names[i], receiver_name=hop_names[i + 1],
             )
         branches.append(Branch(br.probability, state, br.label))
-    relayed = Ensemble(tuple(branches))
-    record = replace(exact, receivers={1: receiver_energy(relayed, bundle, 1)})
-    return record, transcript
+    relayed = receiver_energy(Ensemble(tuple(branches)), bundle, 1)
+    local = exact.receivers[1]
+    delta = max(abs(getattr(relayed, f) - getattr(local, f)) for f in ("hx", "hz", "e_j"))
+    return replace(exact, receivers={1: relayed}), transcript, delta
 
 
 def _sample_branch(ensemble: Ensemble, rng: np.random.Generator) -> Branch:

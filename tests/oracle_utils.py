@@ -71,6 +71,36 @@ def feedback_energy_curve(ensemble, site: int, local, thetas) -> np.ndarray:
     return out
 
 
+def dense_star_angle(q: int, h: float, k: float, j: int) -> dict[str, float]:
+    """Offsets and receiver j's xi, eta and theta of the {3,q} star, from the
+    dense ground state of the np.kron Hamiltonian.
+
+    The offsets make every local vanish in the ground state; H below carries
+    them, so <H> = 0.  xi = <g| Y_j H Y_j |g>, eta = <g| X_0 i[H, Y_j] |g>
+    and theta = atan2(eta, xi) / 2.
+    """
+    dim = 2**q
+    x0 = op_on("X", 0, q)
+    words = {f"Z{i}": (h, op_on("Z", i, q)) for i in range(q)}
+    words.update({f"X{i}": (2 * k, x0 @ op_on("X", i, q)) for i in range(1, q)})
+    pauli = sum(c * M for c, M in words.values())
+    _, vecs = np.linalg.eigh(pauli)
+    g = vecs[:, 0]
+
+    def mean(M):
+        return complex(np.vdot(g, M @ g))
+
+    out = {name: -c * mean(M).real for name, (c, M) in words.items()}
+    H = pauli + sum(out.values()) * np.eye(dim)
+    Y = op_on("Y", j, q)
+    eta = mean(x0 @ (1j * (H @ Y - Y @ H)))
+    assert abs(eta.imag) < 1e-12
+    out["xi"] = mean(Y @ H @ Y).real
+    out["eta"] = eta.real
+    out["theta"] = 0.5 * float(np.arctan2(out["eta"], out["xi"]))
+    return out
+
+
 def partial_trace(amps: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix on `keep` (in the given order)."""
     t = amps.reshape((2,) * n)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -189,6 +190,14 @@ def test_assertion_failure_exits_1(capsys, monkeypatch):
     assert "error: teleportation branches disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, k", [("inf", "1"), ("1", "inf"), ("nan", "1")])
+def test_qet_non_finite_coupling_exits_2(h, k, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("qet", "--h", h, "--k", k, "--method", "exact") == 2
+    assert "error: h and k must be finite and positive" in capsys.readouterr().err
+
+
 def test_qed_bad_receiver_usage_error():
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", "6",
                    "--receivers", "1,9") == 2
@@ -255,6 +264,14 @@ def test_table1_runs_one_pass_per_config(tmp_path, monkeypatch):
     assert len(passes) == 12
 
 
+def test_longrange_runs_one_pass(tmp_path, monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
+                   "--out", str(tmp_path / "r.json"),
+                   "--transcript-out", str(tmp_path / "t.log")) == 0
+    assert len(passes) == 1
+
+
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
     hops = count_calls(monkeypatch, qetsim.teleport, "relay_hop")
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
@@ -268,7 +285,7 @@ def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
     "table1": "85b5517044d5475ead3828b8755b4212f8ef72d3274ea530fff1aa29c1133ef4",
-    "qed": "2bde832703256c1770c012f36f9279f9c147de6d90322dee4984349bba33b303",
+    "qed": "2f2a8ac3011eb45f20daa8a31ed5bcafb620613f72e7429fa45ecf2162a718db",
     "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
 }
 

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import dense_observable, feedback_energy_curve, star_reduced_values
+from oracle_utils import (
+    dense_observable,
+    dense_star_angle,
+    feedback_energy_curve,
+    star_reduced_values,
+)
 
 import qetsim.model
 from qetsim.model import (
@@ -12,7 +17,6 @@ from qetsim.model import (
     MinimalModelParams,
     StarModelParams,
     analytic_ground_minimal,
-    compute_theta,
     feedback_angle,
     solve_ground,
     solve_star_ground,
@@ -25,8 +29,6 @@ from qetsim.ops import (
     expectation,
     fidelity,
     single_term,
-    x_on,
-    y_on,
     z_on,
 )
 from qetsim.protocol import alice_measure, apply_feedback, receiver_energy
@@ -155,7 +157,7 @@ def test_star_matches_reduced_basis_oracle():
         bundle, ground = star_model(StarModelParams(h, k, q))
         assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
         assert ground.gap == pytest.approx(oracle["gap"], abs=1e-9)
-        angle = feedback_angle(bundle, ground, 1)
+        angle = feedback_angle(bundle, 1)
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
         assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
         assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
@@ -200,7 +202,7 @@ def _star_pauli_part(h, k, q):
 def _check_against_dense_spectrum(h, k, q):
     pauli = _star_pauli_part(h, k, q)
     levels = np.linalg.eigvalsh(dense_observable(pauli))
-    sol = solve_star_ground(h, k, q)
+    sol, _ = solve_star_ground(h, k, q)
     assert sol.energy == pytest.approx(levels[0], abs=1e-10)
     assert sol.gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
     assert fidelity(sol.state, solve_ground(pauli).state) >= 1 - 1e-12
@@ -228,7 +230,7 @@ def test_star_sectors_q16_match_reduced_oracle():
     bundle, ground = star_model(StarModelParams(7.0, 2.0, 16))
     assert ground.gap == pytest.approx(oracle["gap"], abs=1e-9)
     assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
-    angle = feedback_angle(bundle, ground, 5)
+    angle = feedback_angle(bundle, 5)
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
     assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
 
@@ -245,13 +247,32 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(qetsim.model, "to_dense", dense)
     monkeypatch.setattr(qetsim.model, "solve_ground", dense)
-    # bypass the cache so the model really is built here
-    bundle, ground = star_model.__wrapped__(StarModelParams(8.0, 2.0, 12))
+    bundle, ground = star_model(StarModelParams(8.0, 2.0, 12))
     assert ground.state.n_qubits == 12
     assert abs(expectation(ground.state, bundle.total)) < 1e-10
 
 
 # --- feedback angle ----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    h=st.floats(1.0, 10.0),
+    k=st.floats(0.1, 2.0),
+    q=st.integers(2, 8),
+    data=st.data(),
+)
+def test_moments_match_dense_oracle_property(h, k, q, data):
+    # offsets and the angle from the three block moments, against the dense
+    # xi = <Y_j H Y_j> and eta = <X_0 i[H, Y_j]>; this pins the sign of eta
+    j = data.draw(st.integers(1, q - 1), label="receiver")
+    oracle = dense_star_angle(q, h, k, j)
+    bundle, _ = star_model(StarModelParams(h, k, q))
+    for name, local in bundle.locals.items():
+        assert local.offset == pytest.approx(oracle[name], abs=1e-10), name
+    angle = feedback_angle(bundle, j)
+    for field in ("xi", "eta", "theta"):
+        assert getattr(angle, field) == pytest.approx(oracle[field], abs=1e-10), field
+
 
 def _receiver_energy_curve(bundle, ground, site, thetas):
     ens, _ = alice_measure(bundle, ground)
@@ -268,7 +289,7 @@ def _receiver_energy_curve(bundle, ground, site, thetas):
 ])
 def test_theta_minimizes_receiver_energy_grid_scan(maker):
     bundle, ground = maker()
-    angle = feedback_angle(bundle, ground, 1)
+    angle = feedback_angle(bundle, 1)
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
     measured, _ = alice_measure(bundle, ground)
     local = bundle.locals["Z1"] + bundle.locals["X1"]
@@ -285,7 +306,7 @@ def test_theta_minimizes_receiver_energy_grid_scan(maker):
 def test_theta_double_angle_identities():
     for params in (MinimalModelParams(1.0, 1.0), MinimalModelParams(9.0, 2.0)):
         bundle, ground = star_model(params)
-        a = feedback_angle(bundle, ground, 1)
+        a = feedback_angle(bundle, 1)
         norm = np.hypot(a.xi, a.eta)
         assert np.cos(2 * a.theta) == pytest.approx(a.xi / norm, abs=1e-10)
         assert np.sin(2 * a.theta) == pytest.approx(a.eta / norm, abs=1e-10)
@@ -295,21 +316,14 @@ def test_theta_double_angle_identities():
 
 def test_theta_vanishes_when_decoupled():
     bundle, ground = star_model(MinimalModelParams(1.0, 1e-7))
-    angle = feedback_angle(bundle, ground, 1)
+    angle = feedback_angle(bundle, 1)
     assert abs(angle.theta) < 1e-6
 
 
 def test_theta_known_value_h_k_one():
     bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
-    angle = feedback_angle(bundle, ground, 1)
+    angle = feedback_angle(bundle, 1)
     assert angle.theta == pytest.approx(0.1608752771983211, abs=1e-12)
     assert angle.xi == pytest.approx(2 * 3 / np.sqrt(2), abs=1e-10)
     assert angle.eta == pytest.approx(2 / np.sqrt(2), abs=1e-10)
 
-
-def test_compute_theta_rejects_fully_decoupled_receiver():
-    # a zero operator leaves xi = eta = 0, so the angle is undefined
-    obs = ObservableSum(2, ((1.0, z_on(2, 0)), (0.5, z_on(2, 1))))
-    ground = solve_ground(obs)
-    with pytest.raises(ValueError):
-        compute_theta(ground, ObservableSum(2), x_on(2, 0), y_on(2, 1))

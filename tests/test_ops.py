@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import PAULI, dense_expectation, dense_observable, word_matrix
+from oracle_utils import dense_expectation, dense_observable, word_matrix
 
 from qetsim.ops import (
     Branch,
@@ -18,13 +18,11 @@ from qetsim.ops import (
     drop_qubits,
     expectation,
     HADAMARD,
-    heisenberg_derivative,
     projective_measure,
     pure_trace_distance,
     single_term,
     tensor,
     to_dense,
-    word_product,
     x_on,
     y_on,
     z_on,
@@ -53,24 +51,6 @@ def test_letters_length_enforced():
         PauliString(3, "XY")
     with pytest.raises(ValueError):
         PauliString(2, "XQ")
-
-
-def test_word_product_against_dense_single_qubit():
-    for la in "IXYZ":
-        for lb in "IXYZ":
-            phase, word = word_product(PauliString(1, la), PauliString(1, lb))
-            dense = PAULI[la] @ PAULI[lb]
-            assert np.allclose(phase * word_matrix(word.letters), dense), (la, lb)
-
-
-def test_word_product_multi_qubit_random():
-    n = 3
-    for _ in range(20):
-        a = PauliString(n, "".join(RNG.choice(list("IXYZ"), size=n)))
-        b = PauliString(n, "".join(RNG.choice(list("IXYZ"), size=n)))
-        phase, word = word_product(a, b)
-        dense = word_matrix(a.letters) @ word_matrix(b.letters)
-        assert np.allclose(phase * word_matrix(word.letters), dense)
 
 
 # --- apply_pauli -------------------------------------------------------------
@@ -130,48 +110,6 @@ def test_symmetric_mixture_expectation():
         )
     )
     assert expectation(ens, single_term(1.0, z_on(1, 0))) == pytest.approx(0.0, abs=1e-14)
-
-
-# --- heisenberg_derivative ---------------------------------------------------
-
-def test_heisenberg_hz_y_fixed_by_dense_oracle():
-    # dense oracle: i[hZ, Y] = 2h X
-    h = 1.7
-    dense = 1j * (h * PAULI["Z"] @ PAULI["Y"] - PAULI["Y"] @ (h * PAULI["Z"]))
-    assert np.allclose(dense, 2 * h * PAULI["X"])
-    out = heisenberg_derivative(single_term(h, z_on(1, 0)), y_on(1, 0))
-    assert out.isclose(single_term(2 * h, x_on(1, 0)))
-
-
-def test_heisenberg_kxx_y_fixed_by_dense_oracle():
-    k = 0.8
-    xx = word_matrix("XX")
-    y1 = word_matrix("IY")
-    dense = 1j * (k * xx @ y1 - y1 @ (k * xx))
-    xz = word_matrix("XZ")
-    assert np.allclose(dense, -2 * k * xz)
-    out = heisenberg_derivative(single_term(k, PauliString(2, "XX")), y_on(2, 1))
-    assert out.isclose(single_term(-2 * k, PauliString(2, "XZ")))
-
-
-def test_heisenberg_matches_dense_commutator_random():
-    for n in (2, 3):
-        for _ in range(8):
-            H = random_observable(n)
-            sigma = PauliString(n, "".join(RNG.choice(list("IXYZ"), size=n)))
-            if sigma.is_identity:
-                continue
-            out = heisenberg_derivative(H, sigma)
-            HM = dense_observable(H)
-            S = word_matrix(sigma.letters)
-            want = 1j * (HM @ S - S @ HM)
-            assert np.allclose(dense_observable(out), want, atol=1e-10)
-
-
-def test_commuting_sigma_gives_zero():
-    H = single_term(2.0, z_on(2, 0), offset=3.0)
-    out = heisenberg_derivative(H, z_on(2, 1))
-    assert out.terms == () and out.offset == 0.0
 
 
 # --- projective_measure ------------------------------------------------------
@@ -298,12 +236,6 @@ def letters(n):
     return st.text(alphabet="IXYZ", min_size=n, max_size=n)
 
 
-@st.composite
-def word_triples(draw):
-    n = draw(st.integers(1, 4))
-    return tuple(PauliString(n, draw(letters(n))) for _ in range(3))
-
-
 # dyadic values, so that merging sums exactly in any order
 dyadic = st.integers(-12, 12).map(lambda c: c / 4)
 
@@ -313,21 +245,6 @@ def term_lists(draw):
     n = draw(st.integers(1, 4))
     terms = draw(st.lists(st.tuples(dyadic.filter(bool), letters(n)), max_size=8))
     return n, [(c, PauliString(n, w)) for c, w in terms]
-
-
-@PROPERTY
-@given(word_triples())
-def test_word_product_associative_with_dense_phase(abc):
-    a, b, c = abc
-    p_ab, ab = word_product(a, b)
-    assert p_ab in (1, -1, 1j, -1j)
-    dense_ab = word_matrix(a.letters) @ word_matrix(b.letters)
-    assert np.allclose(p_ab * word_matrix(ab.letters), dense_ab)
-    p_left, left = word_product(ab, c)
-    p_bc, bc = word_product(b, c)
-    p_right, right = word_product(a, bc)
-    assert left == right
-    assert p_ab * p_left == p_bc * p_right
 
 
 @PROPERTY
@@ -350,19 +267,6 @@ def test_canonical_sum_ignores_order_merges_and_folds(n_terms, offset, data):
     for c, w in terms:
         dense += c * word_matrix(w.letters)
     assert np.allclose(dense_observable(obs), dense, atol=1e-12)
-
-
-@PROPERTY
-@given(term_lists(), st.floats(-2, 2), st.data())
-def test_heisenberg_derivative_is_the_dense_commutator(n_terms, offset, data):
-    n, terms = n_terms
-    sigma = PauliString(n, data.draw(letters(n).filter(lambda w: set(w) != {"I"})))
-    H = ObservableSum(n, tuple(terms), offset)
-    out = heisenberg_derivative(H, sigma)
-    assert all(type(c) is float for c, _ in out.terms)
-    assert out.offset == 0.0
-    HM, S = dense_observable(H), word_matrix(sigma.letters)
-    assert np.allclose(dense_observable(out), 1j * (HM @ S - S @ HM), atol=1e-12)
 
 
 # --- statevector utilities ---------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import dense_observable, ensemble_density, star_reduced_values
 
@@ -60,7 +62,7 @@ def test_e0_identity_across_observables():
     assert expectation(ensemble, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
     # feedback extracts the receiver energy from the total but cannot move
     # the sender term (the rotation commutes with it)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, ground, 1))
+    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
     e_1 = receiver_energy(fed, bundle, 1).e_j
     assert expectation(fed, bundle.total) == pytest.approx(e0 + e_1, abs=1e-10)
     assert expectation(fed, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
@@ -80,8 +82,8 @@ def test_zero_angle_feedback_is_identity():
 def test_feedback_order_commutes_branchwise():
     bundle, ground = star_model(StarModelParams(6.0, 2.0, 6))
     ensemble, _ = alice_measure(bundle, ground)
-    a1 = feedback_angle(bundle, ground, 1)
-    a2 = feedback_angle(bundle, ground, 2)
+    a1 = feedback_angle(bundle, 1)
+    a2 = feedback_angle(bundle, 2)
     order12 = apply_feedback(apply_feedback(ensemble, 1, a1), 2, a2)
     order21 = apply_feedback(apply_feedback(ensemble, 2, a2), 1, a1)
     for b12, b21 in zip(order12.branches, order21.branches):
@@ -122,7 +124,7 @@ def test_bookkeeping_closure_every_stage():
     stage_states = []
     ensemble, e0 = alice_measure(bundle, ground)
     stage_states.append(ensemble)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, ground, 1))
+    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
     stage_states.append(fed)
     for stage in stage_states:
         total = expectation(stage, bundle.total)
@@ -173,7 +175,7 @@ def test_all_receivers_extract_at_most_e0():
 def test_untouched_sites_keep_zero_energy():
     bundle, ground = star_model(StarModelParams(7.0, 2.0, 6))
     ensemble, _ = alice_measure(bundle, ground)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, ground, 1))
+    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
     for name in ("Z3", "X3", "Z4", "X4"):
         assert expectation(fed, bundle.locals[name]) == pytest.approx(0.0, abs=1e-10)
 
@@ -181,11 +183,40 @@ def test_untouched_sites_keep_zero_energy():
 def test_ensemble_matches_dense_density_matrix():
     bundle, ground = star_model(MinimalModelParams(2.0, 1.0))
     ensemble, _ = alice_measure(bundle, ground)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, ground, 1))
+    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
     rho = ensemble_density(fed)
     receiver_local = bundle.locals["Z1"] + bundle.locals["X1"]
     want = float(np.trace(rho @ dense_observable(receiver_local)).real)
     assert receiver_energy(fed, bundle, 1).e_j == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    h=st.floats(1.0, 10.0),
+    k=st.floats(0.1, 2.0),
+    q=st.integers(3, 8),
+    data=st.data(),
+)
+def test_receiver_independence_property(h, k, q, data):
+    # feedback at distinct receivers commutes: each receiver of a joint run
+    # reads what it reads alone
+    receivers = tuple(data.draw(
+        st.lists(st.integers(1, q - 1), min_size=1, max_size=q - 1, unique=True),
+        label="receivers",
+    ))
+    params = StarModelParams(h, k, q)
+    joint = run_qed(params, receivers)
+    for j in receivers:
+        alone = run_qed(params, (j,))
+        assert joint.e0 == pytest.approx(alone.e0, abs=1e-10)
+        for field in ("theta", "xi", "eta"):
+            assert getattr(joint.theta[j], field) == pytest.approx(
+                getattr(alone.theta[j], field), abs=1e-10
+            )
+        for field in ("hx", "hz", "e_j", "e_b"):
+            assert getattr(joint.receivers[j], field) == pytest.approx(
+                getattr(alone.receivers[j], field), abs=1e-10
+            )
 
 
 # --- one model family -----------------------------------------------------------

@@ -145,8 +145,9 @@ def test_relay_hop_register_shape():
 @pytest.mark.parametrize("hops", [1, 3])
 def test_longrange_equals_local(hops):
     params = MinimalModelParams(1.0, 1.0)
-    relayed, transcript = run_longrange_qet(params, hops)
+    relayed, transcript, delta = run_longrange_qet(params, hops)
     local = run_minimal_qet(params)
+    assert delta <= 1e-10
     assert relayed.e0 == pytest.approx(local.e0, abs=1e-10)
     assert relayed.theta[1].theta == pytest.approx(local.theta[1].theta, abs=1e-12)
     for field in ("hx", "hz", "e_j", "e_b"):
@@ -160,15 +161,15 @@ def test_longrange_equals_local(hops):
 
 def test_longrange_seeded_transcript_is_concrete_and_deterministic():
     params = MinimalModelParams(2.0, 1.0)
-    _, t1 = run_longrange_qet(params, 2, seed=9)
-    _, t2 = run_longrange_qet(params, 2, seed=9)
+    _, t1, _ = run_longrange_qet(params, 2, seed=9)
+    _, t2, _ = run_longrange_qet(params, 2, seed=9)
     assert t1.serialize() == t2.serialize()
     assert "x" not in t1.serialize()
     assert t1.bit_count() == 1 + 2 * 2
 
 
 def test_transcript_serialization_format():
-    _, transcript = run_longrange_qet(MinimalModelParams(1.0, 1.0), 2)
+    _, transcript, _ = run_longrange_qet(MinimalModelParams(1.0, 1.0), 2)
     lines = transcript.serialize().splitlines()
     assert lines[0] == "0 alice all mu-broadcast x"
     assert lines[1].startswith("1 charlie ")
