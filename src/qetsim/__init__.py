@@ -10,10 +10,11 @@ from .model import (
     MinimalModelParams,
     ModelBundle,
     StarModelParams,
-    analytic_ground_minimal,
+    ReceiverEnergy,
+    exact_energies,
     feedback_angle,
-    solve_ground,
     solve_star_ground,
+    star_block_ground,
     star_model,
 )
 from .ops import (
@@ -27,14 +28,13 @@ from .ops import (
     conditional_rotation,
     expectation,
     projective_measure,
-    to_dense,
 )
 from .protocol import (
     QetRecord,
-    ReceiverEnergy,
     SweepGrid,
     alice_measure,
     apply_feedback,
+    exact_record,
     receiver_energy,
     run_minimal_qet,
     run_protocol,

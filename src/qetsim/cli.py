@@ -4,7 +4,8 @@ artifacts.
 
 Every command is deterministic given its full configuration (seed included).
 Exit codes: 0 success, 1 failed check, numerical failure (degenerate ground
-space, failed internal assertion) or I/O failure, 2 usage.
+space, floating-point overflow, failed internal assertion) or I/O failure,
+2 usage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import refdata, tiling
 from .model import DegenerateGroundError, MinimalModelParams, StarModelParams, star_model
-from .protocol import run_protocol, sweep_EB
+from .protocol import exact_record, run_protocol, sweep_EB
 from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
 
@@ -90,19 +91,11 @@ def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
 
 def _record_rows(record) -> list[str]:
     rows = ["observable,site,method,mean,stderr"]
-    err = record.stderr or {}
-
-    def put(obs, site, value):
+    for obs, site, value in record.observables():
+        err = record.stderr.get(obs)
         rows.append(
-            f"{obs},{site},{record.method},{_fmt(value)},"
-            f"{_fmt(err[obs]) if obs in err else ''}"
+            f"{obs},{site},{record.method},{_fmt(value)},{'' if err is None else _fmt(err)}"
         )
-
-    put("E0", 0, record.e0)
-    for j, r in sorted(record.receivers.items()):
-        put(f"HX{j}", j, r.hx)
-        put(f"HZ{j}", j, r.hz)
-        put(f"E{j}", j, r.e_j)
     return rows
 
 
@@ -234,11 +227,12 @@ def _emit_record(args, exact, sampled) -> None:
 
 
 def _run_record(args, params, receivers) -> int:
-    """One exact pass; the sampled record, if asked for, draws from it."""
+    """The exact record, and the sampled one drawn from the statevector pass."""
     bundle, ground = star_model(params)
-    exact, fed = run_protocol(bundle, ground, receivers)
+    exact = exact_record(bundle, receivers)
     sampled = None
     if args.method in ("sampled", "both"):
+        fed = run_protocol(bundle, ground, receivers)
         sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
     _emit_record(args, None if args.method == "sampled" else exact, sampled)
     return 0
@@ -366,10 +360,15 @@ def main(argv=None) -> int:
         if args.config is not None:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (DegenerateGroundError, AssertionError) as exc:
         # numerical failures, not usage: DegenerateGroundError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        # raised by the errstate above, e.g. "overflow encountered in add"
+        print(f"error: floating-point failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,11 @@ coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
 The star's ground state is solved in the receivers' total-spin blocks
-(`solve_star_ground`), never from the 2^q x 2^q matrix; `solve_ground` is
-the dense solver for arbitrary operators, kept as the reference the tests
-compare against.  The ground state is receiver-symmetric, so three Pauli
-moments, <Z_0>, <Z_j> and <X_0 X_j> (the same for every receiver j), are
-read from the block's ground vector; they set every offset and the
-feedback angle.
+(`star_block_ground`), never from the 2^q x 2^q matrix.  It is
+receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>, set
+every offset, and `exact_energies` turns them into every exact number of
+the protocol.  Both broadcast over arrays of (h, k): a grid is one stacked
+eigensolve.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .ops import (
     PauliString,
     StateVector,
     single_term,
-    to_dense,
     z_on,
 )
 
@@ -87,7 +85,7 @@ ModelParams = Union[MinimalModelParams, StarModelParams]
 @dataclass(frozen=True)
 class GroundMoments:
     """Pauli-part ground moments of the star: <Z_0>, and <Z_j> and <X_0 X_j>,
-    which are the same for every receiver j."""
+    which are the same for every receiver j (arrays over a grid of (h, k))."""
 
     z0: float
     zj: float
@@ -124,6 +122,14 @@ class GroundSolution:
 
 
 @dataclass(frozen=True)
+class ReceiverEnergy:
+    hx: float
+    hz: float
+    e_j: float
+    e_b: float
+
+
+@dataclass(frozen=True)
 class FeedbackAngle:
     """Conditional-rotation angle with the moments that determine it.
 
@@ -138,107 +144,85 @@ class FeedbackAngle:
     eta: float
 
 
-def analytic_ground_minimal(params: MinimalModelParams) -> StateVector:
-    """Closed-form minimal-model ground state, supported on |00> and |11>.
-
-    The minimal model's offsets are h^2/r for Z0 and Z1 and 2k^2/r for X1,
-    r = sqrt(h^2 + k^2).
-    """
-    h, k = params.h, params.k
-    r = np.hypot(h, k)
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0b00] = np.sqrt((1.0 - h / r) / 2.0)
-    amps[0b11] = -np.sqrt((1.0 + h / r) / 2.0)
-    return StateVector(2, amps)
-
-
-def _ground_solution(
-    n_qubits: int, vec: np.ndarray, energy: float, gap: float
-) -> GroundSolution:
-    """Reject a (numerically) degenerate ground space, fix the global phase.
-
-    The protocol angles are undefined on a degenerate ground space.
-    """
-    if gap < DEGENERACY_TOL:
-        raise DegenerateGroundError(
-            f"ground space degenerate within tolerance (gap = {gap:.3e})"
-        )
-    vec = vec.astype(np.complex128)
-    # deterministic global phase: largest-magnitude amplitude real positive
-    pivot = int(np.argmax(np.abs(vec)))
-    vec *= np.exp(-1j * np.angle(vec[pivot]))
-    vec /= np.linalg.norm(vec)
-    return GroundSolution(state=StateVector(n_qubits, vec), energy=float(energy), gap=gap)
-
-
-def solve_ground(obs: ObservableSum) -> GroundSolution:
-    """Minimal eigenpair of the dense Hermitian matrix, with the spectral gap."""
-    M = to_dense(obs)
-    if np.abs(M.imag).max() < 1e-14:
-        M = np.ascontiguousarray(M.real)
-    vals, vecs = np.linalg.eigh(M)
-    return _ground_solution(obs.n_qubits, vecs[:, 0], vals[0], float(vals[1] - vals[0]))
-
-
-def _spin_block(h: float, k: float, d: int) -> np.ndarray:
+def _spin_block(h, k, d: int) -> np.ndarray:
     """The star's Pauli part on the sender times one receiver spin-J block, d = 2J.
 
     With J the receivers' total spin, H = h Z0 + 2h J_z + 4k X0 J_x.  Basis
     |s> (x) |J, J - n> at index s * (d + 1) + n, s the sender bit and
     n = 0..d: the diagonal is h (1 - 2s) + h (d - 2n), and 4k X0 J_x links
     (s, n) with (1 - s, n + 1) by 2k sqrt((n + 1)(d - n)).  For d = q - 1,
-    |J, J - n> is the receivers' Dicke state with n ones.
+    |J, J - n> is the receivers' Dicke state with n ones.  h and k
+    broadcast; the block is stacked over their shape.
     """
+    h, k = (np.asarray(a, float)[..., None] for a in np.broadcast_arrays(h, k))
     n = np.arange(d + 1)
     leaves_z = h * (d - 2.0 * n)
-    block = np.diag(np.concatenate([h + leaves_z, -h + leaves_z]))
+    size = 2 * (d + 1)
+    block = np.zeros(leaves_z.shape[:-1] + (size, size))
+    diag = np.arange(size)
+    block[..., diag, diag] = np.concatenate([h + leaves_z, -h + leaves_z], axis=-1)
     lower, upper = n[:-1], n[:-1] + 1
     link = 2.0 * k * np.sqrt(upper * (d - lower))
     for s in (0, 1):
         a, b = s * (d + 1) + lower, (1 - s) * (d + 1) + upper
-        block[a, b] = block[b, a] = link
+        block[..., a, b] = block[..., b, a] = link
     return block
 
 
-def solve_star_ground(h: float, k: float, q: int) -> tuple[GroundSolution, GroundMoments]:
-    """Ground state of H = h sum_i Z_i + 2k sum_j X_0 X_j on q sites, and its
-    moments <Z_0>, <Z_j> and <X_0 X_j>.
+def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
+    """Ground level, gap, block vector g and moments of H = h sum_i Z_i +
+    2k sum_j X_0 X_j on q sites, at every (h, k) of the broadcast arrays.
 
     H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
     stoquastic and each parity sector is connected, so each sector's ground
-    state is unique and symmetric under permuting the receivers.  The ground
-    space therefore lies in the receivers' top total-spin block
-    J = (q - 1)/2, a 2q x 2q problem.  The gap is taken over the whole
-    spectrum: the second level of that block against the lowest level of
-    every lower-J block.  The result is embedded into the 2^q amplitudes,
-    a Dicke state with m ones having amplitude 1/sqrt(C(q - 1, m)) per
-    basis state.  The moments are read from the block vector g: with
-    d = q - 1 receivers, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d.
+    state is unique and receiver-symmetric: it lies in the top total-spin
+    block J = (q - 1)/2, solved for the whole grid by one stacked `eigh`.
+    The gap is taken against the lowest level of every lower-J block too; a
+    gap below DEGENERACY_TOL anywhere raises DegenerateGroundError, as the
+    protocol angles are undefined on a degenerate ground space.  With d = q - 1,
+    <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
+    g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
     leaves = q - 1
     vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
-    excited = [vals[1]] + [
-        np.linalg.eigvalsh(_spin_block(h, k, d))[0] for d in range(leaves - 2, -1, -2)
-    ]
+    excited = vals[..., 1]
+    for d in range(leaves - 2, -1, -2):
+        excited = np.minimum(excited, np.linalg.eigvalsh(_spin_block(h, k, d))[..., 0])
+    gap = excited - vals[..., 0]
+    if not np.all(gap >= DEGENERACY_TOL):
+        raise DegenerateGroundError(
+            f"ground space degenerate within tolerance (gap = {np.min(gap):.3e})"
+        )
+    g = vecs[..., 0]
+    n = np.arange(q)
+    up, down = g[..., :q], g[..., q:]
+    link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
+    x0_jx2 = 2.0 * (up[..., :-1] * down[..., 1:] + down[..., :-1] * up[..., 1:]) @ link
+    moments = GroundMoments(
+        z0=(up * up - down * down).sum(axis=-1),
+        zj=(up * up + down * down) @ (leaves - 2.0 * n) / leaves,
+        xx=x0_jx2 / leaves,
+    )
+    return vals[..., 0], gap, g, moments
+
+
+def solve_star_ground(h: float, k: float, q: int) -> tuple[GroundSolution, GroundMoments]:
+    """`star_block_ground` at one (h, k), its vector embedded into the 2^q
+    amplitudes (a Dicke state with m ones has 1/sqrt(C(q - 1, m)) on each
+    basis state) with the largest-magnitude amplitude real positive."""
+    energy, gap, g, moments = star_block_ground(h, k, q)
+    leaves = q - 1
     idx = np.arange(2**q, dtype=np.int64)
     ones = np.bitwise_count(idx & ((1 << leaves) - 1))
     dicke = 1.0 / np.sqrt([float(math.comb(leaves, m)) for m in range(q)])
-    g = vecs[:, 0]
-    vec = g[(idx >> leaves) * q + ones] * dicke[ones]
-    solution = _ground_solution(q, vec, vals[0], float(min(excited) - vals[0]))
-
-    # g[s * q + n]: sender bit s, n receiver ones; X_0 J_x links (s, n) with
-    # (1 - s, n + 1) by sqrt((n + 1)(d - n)) / 2, as in `_spin_block`
-    n = np.arange(q)
-    up, down = g.reshape(2, q)
-    link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
-    x0_jx2 = 2.0 * link @ (up[:-1] * down[1:] + down[:-1] * up[1:])
-    moments = GroundMoments(
-        z0=float(up @ up - down @ down),
-        zj=float((up * up + down * down) @ (leaves - 2.0 * n) / leaves),
-        xx=float(x0_jx2 / leaves),
+    vec = (g[(idx >> leaves) * q + ones] * dicke[ones]).astype(np.complex128)
+    pivot = int(np.argmax(np.abs(vec)))
+    vec *= np.exp(-1j * np.angle(vec[pivot]))
+    vec /= np.linalg.norm(vec)
+    solution = GroundSolution(state=StateVector(q, vec), energy=float(energy), gap=float(gap))
+    return solution, GroundMoments(
+        z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx)
     )
-    return solution, moments
 
 
 def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
@@ -277,20 +261,44 @@ def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
     return bundle, ground
 
 
-def feedback_angle(bundle: ModelBundle, receiver_site: int) -> FeedbackAngle:
-    """Angle for one receiver of the protocol: the sender measures X0, the
-    receiver rotates about Yj.
+def _angle(h, k, moments: GroundMoments) -> FeedbackAngle:
+    """xi, eta and theta from the ground moments (derived in
+    `exact_energies`); broadcasts like it."""
+    xi = -2.0 * h * moments.zj - 4.0 * k * moments.xx
+    eta = 2.0 * h * moments.xx - 4.0 * k * moments.zj
+    return FeedbackAngle(theta=0.5 * np.arctan2(eta, xi), xi=xi, eta=eta)
 
-    Conjugating by Y_j flips Z_j and X_0 X_j, and <H> = 0, so
-    xi = -2h <Z_j> - 4k <X_0 X_j>; i[H, Y_j] = 2h X_j - 4k X_0 Z_j, so
-    eta = 2h <X_0 X_j> - 4k <Z_j>.  theta = atan2(eta, xi) / 2 lies in
-    (-pi/2, pi/2] and minimizes E(theta) = xi sin^2(theta) -
-    eta sin(theta) cos(theta).
+
+def exact_energies(h, k, moments: GroundMoments) -> tuple[float, ReceiverEnergy]:
+    """(E0, ReceiverEnergy) of the protocol in closed form from the three
+    ground moments; h, k and the moments broadcast over arrays.
+
+    The sender measures X0 (projectors P_mu), the receiver applies
+    U_mu = cos t - i mu sin t Y_j.  A receiver local O commutes with X0, as
+    do Y_j O Y_j and i[Y_j, O], and <O> = 0 by its offset, so
+    sum_mu <P_mu U_mu^+ O U_mu P_mu> = sin^2 t <Y_j O Y_j> + sin t cos t <i[Y_j, O] X0>.
+    The two rotations: Y_j Z_j Y_j = -Z_j and i[Y_j, Z_j] X0 = -2 X0 X_j give
+    HZ_j = -2h sin t (sin t <Z_j> + cos t <X0 X_j>); Y_j X_j Y_j = -X_j and
+    i[Y_j, X0 X_j] X0 = 2 Z_j give HX_j = -4k sin t (sin t <X0 X_j> - cos t <Z_j>).
+    Their sum is xi sin^2 t - eta sin t cos t, xi = <Y_j H Y_j> = -2h <Z_j> -
+    4k <X0 X_j>, eta = <X0 i[H, Y_j]> = 2h <X0 X_j> - 4k <Z_j>, minimized by
+    t = atan2(eta, xi) / 2 in (-pi/2, pi/2] at (xi - hypot(xi, eta)) / 2.
+    That form cancels when eta << xi; -eta^2 / (2 (xi + hypot(xi, eta)))
+    does not, as xi >= 0 (Y_j|g> lies above the zero ground energy).  The
+    measurement zeroes <Z0>, so E0 = -h <Z_0>.
     """
+    a = _angle(h, k, moments)
+    s, c = np.sin(a.theta), np.cos(a.theta)
+    hz = -2.0 * h * s * (s * moments.zj + c * moments.xx)
+    hx = -4.0 * k * s * (s * moments.xx - c * moments.zj)
+    e_j = -0.5 * a.eta * (a.eta / (a.xi + np.hypot(a.xi, a.eta)))
+    return -h * moments.z0, ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
+
+
+def feedback_angle(bundle: ModelBundle, receiver_site: int) -> FeedbackAngle:
+    """Angle for one receiver of the protocol, the sender measuring X0 and
+    the receiver rotating about Yj, as derived in `exact_energies`."""
     if receiver_site not in bundle.receiver_sites:
         raise ValueError(f"site {receiver_site} is not a receiver site of this model")
-    h, k, m = bundle.params.h, bundle.params.k, bundle.moments
-    xi = -2.0 * h * m.zj - 4.0 * k * m.xx
-    eta = 2.0 * h * m.xx - 4.0 * k * m.zj
-    theta = 0.5 * np.arctan2(eta, xi)
-    return FeedbackAngle(theta=float(theta), xi=float(xi), eta=float(eta))
+    a = _angle(bundle.params.h, bundle.params.k, bundle.moments)
+    return FeedbackAngle(theta=float(a.theta), xi=float(a.xi), eta=float(a.eta))

@@ -29,10 +29,6 @@ COEFF_TOL = 1e-15
 # methods takes ~82 s and ~180 MB on a 2-core machine; every further qubit
 # about doubles both.
 MAX_STATEVECTOR_QUBITS = 20
-# Largest matrix `to_dense` builds; it guards only `to_dense`, which no
-# command calls (the star ground state is solved without it).  On an 8 GB
-# machine 13 qubits take ~3.1 GB, and 14 run out of memory.
-MAX_DENSE_QUBITS = 13
 
 _LETTERS = "IXYZ"
 
@@ -158,16 +154,6 @@ class ObservableSum:
         _check_qubits(self.n_qubits, other.n_qubits)
         return ObservableSum(
             self.n_qubits, self.terms + other.terms, self.offset + other.offset
-        )
-
-    def __sub__(self, other: "ObservableSum") -> "ObservableSum":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: float) -> "ObservableSum":
-        return ObservableSum(
-            self.n_qubits,
-            tuple((scalar * c, w) for c, w in self.terms),
-            scalar * self.offset,
         )
 
     def isclose(self, other: "ObservableSum", tol: float = 1e-12) -> bool:
@@ -312,26 +298,6 @@ def conditional_rotation(
     )
     out = np.cos(theta) * state.amplitudes - 1j * mu * np.sin(theta) * rotated
     return StateVector(state.n_qubits, out)
-
-
-def to_dense(obs: ObservableSum) -> np.ndarray:
-    """Dense Hermitian matrix of the operator; guarded to MAX_DENSE_QUBITS."""
-    if obs.n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense matrix for {obs.n_qubits} qubits exceeds the {MAX_DENSE_QUBITS}-qubit guard"
-        )
-    dim = 2**obs.n_qubits
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim, dtype=np.int64)
-    for coeff, word in obs.terms:
-        # column j holds word|j>: row j ^ x_mask, entry phase * (-1)^par(j & z)
-        vals = coeff * word.phase * _kernels.pauli_eigs(idx, word.z_mask)
-        M[idx ^ np.int64(word.x_mask), idx] += vals
-    M[idx, idx] += obs.offset
-    herm = np.abs(M - M.conj().T).max()
-    if herm > 1e-12:
-        raise AssertionError(f"Hermiticity residual {herm:.3e}")
-    return M
 
 
 # --- statevector utilities used by the teleport and sampler modules ---

@@ -1,15 +1,14 @@
-"""The energy-teleportation pipeline run exactly on ensembles.
+"""The energy-teleportation protocol: exact records and the statevector pass.
 
 Stages: the sender's projective X0 measurement (which injects E0 on
 average), the mu-conditional Y-rotation at each receiver, and the receiver
 energy bookkeeping.  Receiver energies are generally negative; E_B = -E_j
 is the amount a measurement device at the receiver extracts.
 
-`run_protocol` is the one pass that measures and feeds back; the sampler
-and the teleport relay start from the fed ensemble it returns.  The
-feedback angles are read from the model's ground moments
-(`feedback_angle`); E0 and the receiver energies are expectations over the
-measured and the fed ensemble.
+Every exact number is a closed form in the ground moments
+(`model.exact_energies`), for one model (`exact_record`) or a whole (h, k)
+grid (`sweep_EB`).  The statevector pass, `run_protocol`, runs only for the
+sampler and the teleport relay, which start from its fed ensemble.
 """
 
 from __future__ import annotations
@@ -24,8 +23,11 @@ from .model import (
     MinimalModelParams,
     ModelBundle,
     ModelParams,
+    ReceiverEnergy,
     StarModelParams,
+    exact_energies,
     feedback_angle,
+    star_block_ground,
     star_model,
 )
 from .ops import (
@@ -36,14 +38,6 @@ from .ops import (
     conditional_rotation,
     projective_measure,
 )
-
-
-@dataclass(frozen=True)
-class ReceiverEnergy:
-    hx: float
-    hz: float
-    e_j: float
-    e_b: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +53,13 @@ class QetRecord:
     receivers: dict[int, ReceiverEnergy]
     method: str = "exact"
     stderr: dict[str, float] = field(default_factory=dict)
+
+    def observables(self) -> list[tuple[str, int, float]]:
+        """(observable, site, mean): E0, then HX, HZ and E of each receiver."""
+        out = [("E0", 0, self.e0)]
+        for j, r in sorted(self.receivers.items()):
+            out += [(f"HX{j}", j, r.hx), (f"HZ{j}", j, r.hz), (f"E{j}", j, r.e_j)]
+        return out
 
     def as_dict(self) -> dict:
         out = {
@@ -124,36 +125,47 @@ def receiver_energy(
     return ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
 
 
-def run_protocol(
-    bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
-) -> tuple[QetRecord, Ensemble]:
-    """The one exact pass: X0 measurement, then each receiver's feedback.
-
-    Returns the exact record and the fed (post-feedback) ensemble, from
-    which the sampler reads its readout distributions and the relay starts.
-    """
+def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver sites")
     for j in receivers:
         if j not in bundle.receiver_sites:
             raise ValueError(f"site {j} is not a receiver site of this model")
-    ensemble, e0 = alice_measure(bundle, ground)
-    angles = {j: feedback_angle(bundle, j) for j in receivers}
-    for j in receivers:
-        ensemble = apply_feedback(ensemble, j, angles[j])
-    energies = {j: receiver_energy(ensemble, bundle, j) for j in receivers}
-    record = QetRecord(
-        model=bundle.params,
-        e0=e0,
-        theta=angles,
-        receivers=energies,
+
+
+def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
+    """E0 and each receiver's angle and energies from the ground moments;
+    every receiver reads the same numbers (see `run_qed`)."""
+    _check_receivers(bundle, receivers)
+    p = bundle.params
+    e0, r = exact_energies(p.h, p.k, bundle.moments)
+    energy = ReceiverEnergy(hx=float(r.hx), hz=float(r.hz), e_j=float(r.e_j), e_b=float(r.e_b))
+    return QetRecord(
+        model=p,
+        e0=float(e0),
+        theta={j: feedback_angle(bundle, j) for j in receivers},
+        receivers={j: energy for j in receivers},
         method="exact",
     )
-    return record, ensemble
+
+
+def run_protocol(
+    bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
+) -> Ensemble:
+    """The statevector pass: X0 measurement, then each receiver's feedback.
+
+    Returns the fed (post-feedback) ensemble, from which the sampler reads
+    its readout distributions and the relay starts.
+    """
+    _check_receivers(bundle, receivers)
+    ensemble, _ = alice_measure(bundle, ground)
+    for j in receivers:
+        ensemble = apply_feedback(ensemble, j, feedback_angle(bundle, j))
+    return ensemble
 
 
 def run_minimal_qet(params: MinimalModelParams) -> QetRecord:
-    return run_protocol(*star_model(params), (1,))[0]
+    return exact_record(star_model(params)[0], (1,))
 
 
 def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
@@ -162,7 +174,7 @@ def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
     Feedback unitaries at distinct receivers commute, so each receiver's
     numbers equal its single-receiver run.
     """
-    return run_protocol(*star_model(params), tuple(receivers))[0]
+    return exact_record(star_model(params)[0], tuple(receivers))
 
 
 def sweep_EB(
@@ -173,18 +185,20 @@ def sweep_EB(
     """Exact minimal-model E_B over an (h, k) grid.
 
     The extracted energy is -(<Z1> + <X1>); with field_term_column=True the
-    -<Z1> column is also reported for comparison.
+    -<Z1> column is also reported for comparison.  Each point is validated
+    as MinimalModelParams, then the grid is one stacked q = 2 block solve.
     """
     h_values = tuple(float(h) for h in h_values)
     k_values = tuple(float(k) for k in k_values)
-    eb = np.zeros((len(h_values), len(k_values)))
-    eb_field = np.zeros_like(eb) if field_term_column else None
-    for i, h in enumerate(h_values):
-        for j, k in enumerate(k_values):
-            record = run_minimal_qet(MinimalModelParams(h=h, k=k))
-            eb[i, j] = record.receivers[1].e_b
-            if eb_field is not None:
-                eb_field[i, j] = -record.receivers[1].hz
+    for h in h_values:
+        for k in k_values:
+            MinimalModelParams(h=h, k=k)
+    h_grid, k_grid = np.meshgrid(h_values, k_values, indexing="ij")
+    *_, moments = star_block_ground(h_grid, k_grid, 2)
+    _, energy = exact_energies(h_grid, k_grid, moments)
     return SweepGrid(
-        h_values=h_values, k_values=k_values, e_b=eb, e_b_field_term=eb_field
+        h_values=h_values,
+        k_values=k_values,
+        e_b=energy.e_b,
+        e_b_field_term=-energy.hz if field_term_column else None,
     )

@@ -4,8 +4,9 @@ A run is either a Z-run (terminal computational readout of every site) or an
 X-run (Hadamard at every site first, so the readout bits are X eigenvalues);
 the two never share shots because X and Z do not commute.  The sampler does
 not measure or feed back itself: it reads both runs' mu-conditional readout
-distributions from the fed ensemble of the exact pass (`run_protocol`), and
-each shot draws (mu, outcome) from them by inverse CDF.
+distributions from the fed ensemble of the statevector pass
+(`run_protocol`), and each shot draws (mu, outcome) from them by inverse
+CDF.  The exact cells are `exact_record`'s closed forms.
 
 Randomness is counter-based (numpy Philox keyed by master seed, model
 parameters, receiver set and basis), so the pair of uniforms consumed by
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import pauli_eigs
-from .model import ModelBundle, StarModelParams, star_model
+from .model import ModelBundle, ReceiverEnergy, StarModelParams, star_model
 from .ops import HADAMARD, Ensemble, ObservableSum, apply_gate_1q
-from .protocol import QetRecord, ReceiverEnergy, run_protocol
+from .protocol import QetRecord, exact_record, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
@@ -178,11 +179,11 @@ def sampled_record(
 ) -> QetRecord:
     """Shot-sampled analogue of the exact record, drawn from its pass.
 
-    `exact` and `fed` are what `run_protocol` returned; the receivers and
-    the angles are the exact record's.  E0 comes from the Z-run estimator
-    of the sender's field term (its post-measurement mean equals the
-    injected energy); each receiver energy combines its Z-run and X-run
-    terms with quadrature standard errors.
+    `exact` and `fed` are `exact_record`'s record and `run_protocol`'s
+    ensemble; the receivers and the angles are the exact record's.  E0
+    comes from the Z-run estimator of the sender's field term (its
+    post-measurement mean equals the injected energy); each receiver energy
+    combines its Z-run and X-run terms with quadrature standard errors.
     """
     receivers = tuple(exact.receivers)
     z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
@@ -223,23 +224,16 @@ class TableCell:
     seed: int | None
 
 
-_TABLE_OBSERVABLES = ("E0", "HX1", "HZ1", "E1", "HX2", "HZ2", "E2")
-
-
-def _record_value(record: QetRecord, observable: str) -> float:
-    if observable == "E0":
-        return record.e0
-    site = int(observable[-1])
-    r = record.receivers[site]
-    if observable.startswith("HX"):
-        return r.hx
-    if observable.startswith("HZ"):
-        return r.hz
-    return r.e_j
-
-
-def _site_of(observable: str) -> int:
-    return 0 if observable == "E0" else int(observable[-1])
+def _record_cells(record: QetRecord, tiling: str, shots, seed) -> list[TableCell]:
+    p = record.model
+    return [
+        TableCell(
+            tiling=tiling, h=p.h, k=p.k, observable=obs, site=site,
+            method=record.method, mean=mean, stderr=record.stderr.get(obs),
+            shots=shots, seed=seed,
+        )
+        for obs, site, mean in record.observables()
+    ]
 
 
 def estimate_table1(
@@ -258,28 +252,13 @@ def estimate_table1(
     cells = []
     for (q, h, k) in configs:
         bundle, ground = star_model(StarModelParams(h=float(h), k=float(k), q=int(q)))
-        exact, fed = run_protocol(bundle, ground, (1, 2))
+        exact = exact_record(bundle, (1, 2))
         tiling = f"{{3,{q}}}"
-        for obs in _TABLE_OBSERVABLES:
-            cells.append(
-                TableCell(
-                    tiling=tiling, h=float(h), k=float(k), observable=obs,
-                    site=_site_of(obs), method="exact",
-                    mean=_record_value(exact, obs), stderr=None, shots=None, seed=None,
-                )
-            )
-        if "sampled" not in methods:
-            continue
-        sampled = sampled_record(bundle, exact, fed, shots, master_seed)
-        for obs in _TABLE_OBSERVABLES:
-            cells.append(
-                TableCell(
-                    tiling=tiling, h=float(h), k=float(k), observable=obs,
-                    site=_site_of(obs), method="sampled",
-                    mean=_record_value(sampled, obs),
-                    stderr=sampled.stderr[obs], shots=shots, seed=master_seed,
-                )
-            )
+        cells += _record_cells(exact, tiling, None, None)
+        if "sampled" in methods:
+            fed = run_protocol(bundle, ground, (1, 2))
+            sampled = sampled_record(bundle, exact, fed, shots, master_seed)
+            cells += _record_cells(sampled, tiling, shots, master_seed)
     return cells
 
 

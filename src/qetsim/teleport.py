@@ -12,13 +12,14 @@ Every teleport enumerates its four measurement branches and checks that they
 agree.  Without an rng the (0, 0) branch is kept and its payloads are logged
 as ``x`` placeholders; with one, (m1, m2) is drawn from the enumerated Born
 probabilities and logged as concrete bits.  The long-range run relays each
-mu branch of the exact protocol pass once; the drawn branch (in exact mode,
-the first) writes the transcript.
+mu branch of the statevector pass once, the drawn branch (in exact mode, the
+first) writing the transcript, and checks the relayed energies against the
+closed-form exact record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .ops import (
     x_on,
     z_on,
 )
-from .protocol import QetRecord, receiver_energy, run_protocol
+from .protocol import QetRecord, exact_record, receiver_energy, run_protocol
 
 
 @dataclass(frozen=True)
@@ -197,17 +198,17 @@ def run_longrange_qet(
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
     The measurement and feedback are `run_protocol`'s pass; each mu branch
-    is then relayed once.  The record equals run_minimal_qet's field for
-    field (the relay is an identity channel).  With a seed, mu and every
-    hop's bits are drawn, and the drawn branch fills the transcript with
-    concrete bits; the record itself stays exact.  The third value is the
-    largest difference of the relayed HX1, HZ1 and E1 from the same pass's
-    unrelayed ones.
+    is then relayed once.  The record is run_minimal_qet's.  With a seed, mu
+    and every hop's bits are drawn, and the drawn branch fills the
+    transcript with concrete bits.  The third value is the largest
+    difference of the relayed HX1, HZ1 and E1 from the record's closed forms
+    (the relay is an identity channel, so it checks relay and pass alike).
     """
     if hops < 1:
         raise ValueError("hops must be at least 1")
     bundle, ground = star_model(params)
-    exact, fed = run_protocol(bundle, ground, (1,))
+    exact = exact_record(bundle, (1,))
+    fed = run_protocol(bundle, ground, (1,))
     hop_names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
 
     rng = None if seed is None else np.random.default_rng(seed)
@@ -230,7 +231,7 @@ def run_longrange_qet(
     relayed = receiver_energy(Ensemble(tuple(branches)), bundle, 1)
     local = exact.receivers[1]
     delta = max(abs(getattr(relayed, f) - getattr(local, f)) for f in ("hx", "hz", "e_j"))
-    return replace(exact, receivers={1: relayed}), transcript, delta
+    return exact, transcript, delta
 
 
 def _sample_branch(ensemble: Ensemble, rng: np.random.Generator) -> Branch:

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from qetsim.model import DEGENERACY_TOL, GroundSolution
+from qetsim.ops import DegenerateGroundError, StateVector
+
 I2 = np.eye(2, dtype=complex)
 PAULI = {
     "I": I2,
@@ -38,6 +41,31 @@ def dense_observable(obs) -> np.ndarray:
     for coeff, word in obs.terms:
         M += coeff * word_matrix(word.letters)
     return M
+
+
+def analytic_ground_minimal(params) -> StateVector:
+    """Closed-form minimal-model ground state, supported on |00> and |11>.
+
+    The minimal model's offsets are h^2/r for Z0 and Z1 and 2k^2/r for X1,
+    r = sqrt(h^2 + k^2).
+    """
+    h, k = params.h, params.k
+    r = np.hypot(h, k)
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[0b00] = np.sqrt((1.0 - h / r) / 2.0)
+    amps[0b11] = -np.sqrt((1.0 + h / r) / 2.0)
+    return StateVector(2, amps)
+
+
+def solve_ground(obs) -> GroundSolution:
+    """Reference ground solve of any ObservableSum: the lowest eigenpair of
+    its dense np.kron matrix, with the spectral gap; a gap below the
+    package's DEGENERACY_TOL raises its DegenerateGroundError."""
+    vals, vecs = np.linalg.eigh(dense_observable(obs))
+    gap = float(vals[1] - vals[0])
+    if gap < DEGENERACY_TOL:
+        raise DegenerateGroundError(f"ground space degenerate (gap = {gap:.3e})")
+    return GroundSolution(StateVector(obs.n_qubits, vecs[:, 0]), float(vals[0]), gap)
 
 
 def dense_expectation(amps: np.ndarray, M: np.ndarray) -> complex:

@@ -8,14 +8,13 @@ import time
 
 import numpy as np
 
-from oracle_utils import feedback_energy_curve, ring_counts_recurrence
+from oracle_utils import analytic_ground_minimal, feedback_energy_curve, ring_counts_recurrence
 
 from qetsim import refdata
 from qetsim.model import (
     FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
-    analytic_ground_minimal,
     feedback_angle,
     star_model,
 )
@@ -181,14 +180,11 @@ def test_criterion_07_long_range_equivalence():
             params = MinimalModelParams(h, k)
             local = run_minimal_qet(params)
             for hops in (1, 2, 3):
-                relayed, transcript, _ = run_longrange_qet(params, hops)
-                deltas = [
-                    abs(relayed.e0 - local.e0),
-                    abs(relayed.receivers[1].hx - local.receivers[1].hx),
-                    abs(relayed.receivers[1].hz - local.receivers[1].hz),
-                    abs(relayed.receivers[1].e_j - local.receivers[1].e_j),
-                ]
-                worst_field = max(worst_field, max(deltas))
+                # the record is the closed form; delta compares the relayed
+                # statevector's HX1, HZ1 and E1 with it
+                record, transcript, delta = run_longrange_qet(params, hops)
+                assert record.as_dict() == local.as_dict()
+                worst_field = max(worst_field, delta)
                 assert transcript.bit_count() == 1 + 2 * hops
     panel_td = max(relay_identity_check(1), relay_identity_check(5, panel_size=100))
     ok = worst_field < 1e-10 and panel_td <= 1e-12

@@ -173,10 +173,10 @@ def test_qed_degenerate_ground_exits_1(capsys):
 
 
 def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
-    def run_protocol(*args):
+    def exact_record(*args):
         raise qetsim.model.DegenerateGroundError("ground space degenerate (patched)")
 
-    monkeypatch.setattr(qetsim.cli, "run_protocol", run_protocol)
+    monkeypatch.setattr(qetsim.cli, "exact_record", exact_record)
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "exact") == 1
     assert "error: ground space degenerate (patched)" in capsys.readouterr().err
 
@@ -195,6 +195,24 @@ def test_qet_non_finite_coupling_exits_2(h, k, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli("qet", "--h", h, "--k", k, "--method", "exact") == 2
+    assert "error: h and k must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, k", [("1e308", "1"), ("1", "1e308")])
+def test_qet_overflow_exits_1(h, k, capsys):
+    # finite but huge: the spin block overflows; a numerical failure, with
+    # no NaN or Infinity printed, no warning and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("qet", "--h", h, "--k", k) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: floating-point failure: overflow encountered")
+    assert "Traceback" not in err
+
+
+def test_sweep_non_finite_grid_exits_2(capsys):
+    assert run_cli("sweep", "--h", "nan:1:3", "--k", "1") == 2
     assert "error: h and k must be finite and positive" in capsys.readouterr().err
 
 
@@ -270,6 +288,18 @@ def test_longrange_runs_one_pass(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--h", "0.5:2:4", "--k", "0.5:2:4"),
+    ("table1", "--method", "exact"),
+    ("qet", "--h", "1", "--k", "1", "--method", "exact"),
+    ("qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--method", "exact"),
+])
+def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
+    assert passes == []
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):

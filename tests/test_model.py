@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    analytic_ground_minimal,
     dense_observable,
     dense_star_angle,
     feedback_energy_curve,
+    solve_ground,
     star_reduced_values,
 )
 
@@ -16,9 +18,7 @@ from qetsim.model import (
     FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
-    analytic_ground_minimal,
     feedback_angle,
-    solve_ground,
     solve_star_ground,
     star_model,
 )
@@ -242,12 +242,18 @@ def test_star_sectors_zero_field_is_degenerate():
 
 
 def test_star_model_never_builds_the_dense_matrix(monkeypatch):
-    def dense(*args):
-        raise AssertionError("star_model must not build a dense matrix")
+    # every eigensolve is of a spin block, at most 2q x 2q, never 2^q x 2^q
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(qetsim.model, "to_dense", dense)
-    monkeypatch.setattr(qetsim.model, "solve_ground", dense)
+        def recorded(a, *args, _solver=solver, **kwargs):
+            sizes.append(a.shape[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(qetsim.model.np.linalg, name, recorded)
     bundle, ground = star_model(StarModelParams(8.0, 2.0, 12))
+    assert sizes and max(sizes) <= 2 * 12
     assert ground.state.n_qubits == 12
     assert abs(expectation(ground.state, bundle.total)) < 1e-10
 

@@ -22,7 +22,6 @@ from qetsim.ops import (
     pure_trace_distance,
     single_term,
     tensor,
-    to_dense,
     x_on,
     y_on,
     z_on,
@@ -183,26 +182,6 @@ def test_rotation_composes_and_preserves_norm():
 def test_rotation_bad_mu_rejected():
     with pytest.raises(ValueError):
         conditional_rotation(random_state(1), x_on(1, 0), 0.3, 2)
-
-
-# --- to_dense ----------------------------------------------------------------
-
-def test_to_dense_diag_examples():
-    assert np.allclose(to_dense(single_term(1.0, z_on(1, 0))), np.diag([1, -1]))
-    assert np.allclose(
-        to_dense(single_term(2.0, z_on(1, 0), offset=0.5)), np.diag([2.5, -1.5])
-    )
-
-
-def test_to_dense_matches_kron_oracle():
-    for _ in range(5):
-        obs = random_observable(3)
-        assert np.allclose(to_dense(obs), dense_observable(obs), atol=1e-12)
-
-
-def test_to_dense_guard():
-    with pytest.raises(ValueError):
-        to_dense(ObservableSum(15))
 
 
 # --- canonicalization --------------------------------------------------------

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracle_utils import dense_observable, ensemble_density, star_reduced_values
 
+from qetsim import refdata
 from qetsim.model import (
+    DegenerateGroundError,
     FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
@@ -16,6 +20,7 @@ from qetsim.ops import expectation, fidelity, single_term, z_on
 from qetsim.protocol import (
     alice_measure,
     apply_feedback,
+    exact_record,
     receiver_energy,
     run_minimal_qet,
     run_protocol,
@@ -239,9 +244,9 @@ def test_minimal_model_is_the_q2_star():
         for basis in ("Z", "X"):
             plan = ShotPlan(basis_run=basis, shots=4000, master_seed=17)
             bundle, ground = star_model(MinimalModelParams(h, k))
-            t_mini = sample_protocol(bundle, run_protocol(bundle, ground, (1,))[1], (1,), plan)
+            t_mini = sample_protocol(bundle, run_protocol(bundle, ground, (1,)), (1,), plan)
             bundle, ground = star_model(StarModelParams(h, k, 2))
-            t_star = sample_protocol(bundle, run_protocol(bundle, ground, (1,))[1], (1,), plan)
+            t_star = sample_protocol(bundle, run_protocol(bundle, ground, (1,)), (1,), plan)
             assert np.array_equal(t_mini.counts, t_star.counts)
             assert t_mini.mu_counts == t_star.mu_counts
 
@@ -263,3 +268,92 @@ def test_sweep_small_k_column_vanishes_and_grows():
     row = grid.e_b[0]
     assert row[0] < 1e-7
     assert np.all(np.diff(row) > 0)  # monotone increase in k near 0
+
+
+def test_sweep_is_the_pointwise_record():
+    # the stacked grid solve gives each point's own exact record
+    h_values, k_values = [0.3, 1.0, 2.5], [0.2, 0.9, 3.0]
+    grid = sweep_EB(h_values, k_values, field_term_column=True)
+    for i, h in enumerate(h_values):
+        for j, k in enumerate(k_values):
+            r = run_minimal_qet(MinimalModelParams(h, k)).receivers[1]
+            assert grid.e_b[i, j] == pytest.approx(r.e_b, abs=1e-15)
+            assert grid.e_b_field_term[i, j] == pytest.approx(-r.hz, abs=1e-15)
+
+
+def test_sweep_validates_and_rejects_degenerate_points():
+    with pytest.raises(ValueError, match="finite and positive"):
+        sweep_EB([1.0, float("nan")], [1.0])
+    # the q = 2 gap is 2 (sqrt(h^2 + k^2) - k) ~ h^2 / k, 1e-10 at h = 1e-5
+    with pytest.raises(DegenerateGroundError):
+        run_minimal_qet(MinimalModelParams(1e-5, 1.0))
+    with pytest.raises(DegenerateGroundError):
+        sweep_EB([1.0, 1e-5], [0.5, 1.0])
+
+
+# --- closed forms against the statevector pass ---------------------------------
+
+def _statevector_values(params, receivers):
+    """E0 and each receiver's energies read from the statevector pass."""
+    bundle, ground = star_model(params)
+    measured, _ = alice_measure(bundle, ground)
+    fed = run_protocol(bundle, ground, receivers)
+    e0 = expectation(measured, bundle.total)
+    return e0, {j: receiver_energy(fed, bundle, j) for j in receivers}
+
+
+def _check_closed_form(params, receivers):
+    e0, energies = _statevector_values(params, receivers)
+    record = exact_record(star_model(params)[0], receivers)
+    assert record.e0 == pytest.approx(e0, abs=1e-12)
+    for j in receivers:
+        for field in ("hx", "hz", "e_j", "e_b"):
+            assert getattr(record.receivers[j], field) == pytest.approx(
+                getattr(energies[j], field), abs=1e-12
+            ), (j, field)
+
+
+@pytest.mark.parametrize("q, h, k", refdata.CONFIGS)
+def test_closed_form_matches_statevector_on_table_configs(q, h, k):
+    _check_closed_form(StarModelParams(float(h), float(k), q), (1, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    h=st.floats(1.0, 10.0),
+    k=st.floats(0.1, 2.0),
+    q=st.integers(2, 8),
+    data=st.data(),
+)
+def test_closed_form_matches_statevector_property(h, k, q, data):
+    receivers = tuple(data.draw(
+        st.lists(st.integers(1, q - 1), min_size=1, max_size=q - 1, unique=True),
+        label="receivers",
+    ))
+    _check_closed_form(StarModelParams(h, k, q), receivers)
+
+
+def _decimal_eb(h: float, k: float) -> Decimal:
+    """Hotta's minimal-model E_B at 50 digits, in the form that does not
+    cancel: (hk)^2 / ((sqrt((hk)^2 + a^2) + a) r), a = h^2 + 2k^2,
+    r = sqrt(h^2 + k^2)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        h, k = Decimal(h), Decimal(k)
+        a = h * h + 2 * k * k
+        hk2 = (h * k) ** 2
+        return hk2 / (((hk2 + a * a).sqrt() + a) * (h * h + k * k).sqrt())
+
+
+def test_minimal_eb_accuracy_against_decimal_oracle():
+    # worst relative error measured 5.5e-13 (at h/k = 1e-3, read from the
+    # cancelling <Z_j> = g_00^2 - g_11^2); past h/k ~ 1e16 the block solve
+    # itself loses E_B (a factor ~4), which needs a conditioning guard
+    worst = 0.0
+    for ratio in np.logspace(-3, 10, 27):
+        for k in (1.0, 3.7):
+            h = float(ratio * k)
+            got = run_minimal_qet(MinimalModelParams(h, k)).receivers[1].e_b
+            want = _decimal_eb(h, k)
+            worst = max(worst, float(abs((Decimal(got) - want) / want)))
+    assert worst <= 1e-12

@@ -4,7 +4,7 @@ import pytest
 import qetsim.sampler
 from qetsim.model import MinimalModelParams, StarModelParams, star_model
 from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
-from qetsim.protocol import run_minimal_qet, run_protocol, run_qed
+from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     ShotPlan,
     cells_to_csv,
@@ -17,7 +17,7 @@ from qetsim.sampler import (
 
 def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)):
     bundle, ground = star_model(MinimalModelParams(*hk))
-    _, fed = run_protocol(bundle, ground, receivers)
+    fed = run_protocol(bundle, ground, receivers)
     plan = ShotPlan(basis_run=basis, shots=shots, master_seed=seed)
     return bundle, sample_protocol(bundle, fed, receivers, plan)
 
@@ -125,7 +125,8 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
     bundle, ground = star_model(params)
     sampled = sampled_record(
-        bundle, *run_protocol(bundle, ground, (1,)), shots=100000, master_seed=4
+        bundle, exact_record(bundle, (1,)), run_protocol(bundle, ground, (1,)),
+        shots=100000, master_seed=4,
     )
     exact = run_minimal_qet(params)
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
@@ -137,7 +138,8 @@ def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
     bundle, ground = star_model(params)
     sampled = sampled_record(
-        bundle, *run_protocol(bundle, ground, (1, 2)), shots=100000, master_seed=8
+        bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, ground, (1, 2)),
+        shots=100000, master_seed=8,
     )
     exact = run_qed(params, (1, 2))
     for obs, got, want in (
@@ -157,7 +159,8 @@ def test_multi_seed_statistical_acceptance():
     total = 0
     for seed in range(10):
         sampled = sampled_record(
-            bundle, *run_protocol(bundle, ground, (1, 2)), shots=20000, master_seed=seed
+            bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, ground, (1, 2)),
+            shots=20000, master_seed=seed,
         )
         for obs, got, want in (
             ("E0", sampled.e0, exact.e0),

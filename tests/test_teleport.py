@@ -145,15 +145,11 @@ def test_relay_hop_register_shape():
 @pytest.mark.parametrize("hops", [1, 3])
 def test_longrange_equals_local(hops):
     params = MinimalModelParams(1.0, 1.0)
-    relayed, transcript, delta = run_longrange_qet(params, hops)
-    local = run_minimal_qet(params)
+    record, transcript, delta = run_longrange_qet(params, hops)
+    # the record is run_minimal_qet's closed form; delta is the relayed
+    # statevector's largest distance from it
+    assert record.as_dict() == run_minimal_qet(params).as_dict()
     assert delta <= 1e-10
-    assert relayed.e0 == pytest.approx(local.e0, abs=1e-10)
-    assert relayed.theta[1].theta == pytest.approx(local.theta[1].theta, abs=1e-12)
-    for field in ("hx", "hz", "e_j", "e_b"):
-        assert getattr(relayed.receivers[1], field) == pytest.approx(
-            getattr(local.receivers[1], field), abs=1e-10
-        )
     assert len(transcript.messages) == 1 + 2 * hops
     assert transcript.bit_count() == 1 + 2 * hops
     assert transcript.messages[0].purpose == "mu-broadcast"
