@@ -7,6 +7,7 @@ from .model import (
     FeedbackAngle,
     GroundMoments,
     GroundSolution,
+    IllConditionedError,
     MinimalModelParams,
     ModelBundle,
     StarModelParams,

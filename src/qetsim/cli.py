@@ -4,8 +4,8 @@ artifacts.
 
 Every command is deterministic given its full configuration (seed included).
 Exit codes: 0 success, 1 failed check, numerical failure (degenerate ground
-space, floating-point overflow, failed internal assertion) or I/O failure,
-2 usage.
+space, ill-conditioned h/k, floating-point overflow, failed internal
+assertion) or I/O failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import refdata, tiling
-from .model import DegenerateGroundError, MinimalModelParams, StarModelParams, star_model
+from . import model, refdata, tiling
+from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import exact_record, run_protocol, sweep_EB
-from .sampler import TableCell, cells_to_csv, estimate_table1, sampled_record
+from .sampler import TableCell, cells_to_csv, check_shots, estimate_table1, sampled_record
 from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
@@ -102,10 +102,8 @@ def _record_rows(record) -> list[str]:
 # --- table1 -----------------------------------------------------------------
 
 def cmd_table1(args) -> int:
-    shots = args.shots
-    seed = args.seed
     methods = ("exact", "sampled") if args.method == "both" else (args.method,)
-    cells = estimate_table1(refdata.CONFIGS, shots=shots, master_seed=seed, methods=methods)
+    cells = estimate_table1(refdata.CONFIGS, args.shots, args.seed, methods=methods)
     exact_by_key = {
         (c.tiling, c.h, c.k, c.observable): c.mean
         for c in cells if c.method == "exact"
@@ -360,10 +358,12 @@ def main(argv=None) -> int:
         if args.config is not None:
             _apply_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
+        if "shots" in args:
+            check_shots(args.shots)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (DegenerateGroundError, AssertionError) as exc:
-        # numerical failures, not usage: DegenerateGroundError is a ValueError
+    except (model.DegenerateGroundError, model.IllConditionedError, AssertionError) as exc:
+        # numerical failures, not usage, though both errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:

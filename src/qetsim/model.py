@@ -33,6 +33,13 @@ from .ops import (
 )
 
 DEGENERACY_TOL = 1e-9
+# E_B is within 1e-15 of a 50-digit oracle up to h/k = 1e15 and off by a
+# factor 4 from 1e16, where the block no longer resolves <X_0 X_j> ~ k/h.
+MAX_FIELD_RATIO = 1e12
+
+
+class IllConditionedError(ValueError):
+    """Raised when (h, k) lie outside the range the ground solve resolves."""
 
 
 def _check_hk(h: float, k: float) -> None:
@@ -179,7 +186,8 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     block J = (q - 1)/2, solved for the whole grid by one stacked `eigh`.
     The gap is taken against the lowest level of every lower-J block too; a
     gap below DEGENERACY_TOL anywhere raises DegenerateGroundError, as the
-    protocol angles are undefined on a degenerate ground space.  With d = q - 1,
+    protocol angles are undefined on a degenerate ground space, and h/k above
+    MAX_FIELD_RATIO anywhere raises IllConditionedError.  With d = q - 1,
     <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
     g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
@@ -189,6 +197,10 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for d in range(leaves - 2, -1, -2):
         excited = np.minimum(excited, np.linalg.eigvalsh(_spin_block(h, k, d))[..., 0])
     gap = excited - vals[..., 0]
+    with np.errstate(over="ignore"):
+        ratio = np.max(np.divide(h, k))
+    if ratio > MAX_FIELD_RATIO:
+        raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
     if not np.all(gap >= DEGENERACY_TOL):
         raise DegenerateGroundError(
             f"ground space degenerate within tolerance (gap = {np.min(gap):.3e})"

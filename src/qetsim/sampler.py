@@ -3,16 +3,14 @@
 A run is either a Z-run (terminal computational readout of every site) or an
 X-run (Hadamard at every site first, so the readout bits are X eigenvalues);
 the two never share shots because X and Z do not commute.  The sampler does
-not measure or feed back itself: it reads both runs' mu-conditional readout
-distributions from the fed ensemble of the statevector pass
-(`run_protocol`), and each shot draws (mu, outcome) from them by inverse
-CDF.  The exact cells are `exact_record`'s closed forms.
+not measure or feed back itself: it reads both runs' joint law of (mu,
+readout) from the fed ensemble of the statevector pass (`run_protocol`).
+The tallies of N shots follow Multinomial(N, p) over that law, so a run is
+one multinomial draw.  The exact cells are `exact_record`'s closed forms.
 
 Randomness is counter-based (numpy Philox keyed by master seed, model
-parameters, receiver set and basis), so the pair of uniforms consumed by
-shot i is a pure function of (key, i): results are independent of execution
-order and of the chunk size the shots are drawn in, and tallies are plain
-integer bincounts.
+parameters, receiver set and basis), so a run's tallies are a pure function
+of that key.
 """
 
 from __future__ import annotations
@@ -30,8 +28,13 @@ _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
 # star.
 _FAMILY_CODE = 2
-# Shots drawn per Philox call, so memory stays bounded as --shots grows.
-SHOT_CHUNK = 2**20
+# Tallies are int64, so a basis run counts at most this many shots.
+MAX_SHOTS = 2**63 - 1
+
+
+def check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,7 @@ class ShotPlan:
     def __post_init__(self):
         if self.basis_run not in _BASIS_CODES:
             raise ValueError(f"basis_run must be 'Z' or 'X', got {self.basis_run!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
+        check_shots(self.shots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +54,15 @@ class SampleTallies:
     basis: str
     shots: int
     n_qubits: int
-    counts: np.ndarray  # int64 occurrences per computational outcome
-    mu_counts: tuple[int, int]  # occurrences of mu = +1, -1
-    master_seed: int
+    joint: np.ndarray  # int64 occurrences of (mu, outcome); row 0 mu = +1, row 1 mu = -1
+
+    @property
+    def counts(self) -> np.ndarray:  # occurrences per computational outcome
+        return self.joint.sum(axis=0)
+
+    @property
+    def mu_counts(self) -> tuple[int, int]:
+        return tuple(int(c) for c in self.joint.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -88,51 +96,27 @@ def sample_protocol(
     receivers: tuple[int, ...],
     plan: ShotPlan,
 ) -> SampleTallies:
-    """Draw `plan.shots` shots from the fed ensemble and tally the readouts.
+    """Tally `plan.shots` shots of one basis run of the fed ensemble.
 
     `fed` is the exact pass's post-feedback ensemble for `receivers`, which
-    also key the Philox stream.  Shots are drawn SHOT_CHUNK at a time;
-    sequential Philox draws continue one stream, so the tallies do not depend
-    on the chunk size.
+    also key the Philox stream.  The tallies are one multinomial draw over
+    the 2 * 2^n probabilities p_mu |<outcome|psi_mu>|^2 (every site
+    Hadamard-rotated first in an X-run), so they are a pure function of the
+    key, and time and memory do not grow with the shots.
     """
     n = bundle.n_qubits
-    dim = 2**n
-    cdfs = {}
-    p_plus = 0.0
+    joint = np.zeros((2, 2**n))
     for branch in fed.branches:
         state = branch.state
         if plan.basis_run == "X":
             for site in range(n):
                 state = apply_gate_1q(state, site, HADAMARD)
-        cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
-        cdf[-1] = 1.0
-        cdfs[branch.label] = cdf
-        if branch.label == +1:
-            p_plus = branch.probability
-
+        joint[0 if branch.label == +1 else 1] = branch.probability * np.abs(state.amplitudes) ** 2
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(_seed_key(bundle, receivers, plan)))
     )
-    counts = np.zeros(dim, dtype=np.int64)
-    mu_counts = [0, 0]
-    for start in range(0, plan.shots, SHOT_CHUNK):
-        u = rng.random((min(SHOT_CHUNK, plan.shots - start), 2))
-        take_plus = u[:, 0] < p_plus
-        for i, (mu, selector) in enumerate(((+1, take_plus), (-1, ~take_plus))):
-            n_mu = int(selector.sum())
-            mu_counts[i] += n_mu
-            if n_mu == 0 or mu not in cdfs:
-                continue
-            outcomes = np.searchsorted(cdfs[mu], u[selector, 1], side="right")
-            counts += np.bincount(outcomes, minlength=dim)
-    return SampleTallies(
-        basis=plan.basis_run,
-        shots=plan.shots,
-        n_qubits=n,
-        counts=counts,
-        mu_counts=(mu_counts[0], mu_counts[1]),
-        master_seed=plan.master_seed,
-    )
+    draws = rng.multinomial(plan.shots, joint.ravel() / joint.sum()).reshape(joint.shape)
+    return SampleTallies(basis=plan.basis_run, shots=plan.shots, n_qubits=n, joint=draws)
 
 
 def _readout_mask(word, basis: str) -> int:

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import sys
+import time
 import warnings
 
 import pytest
@@ -30,6 +32,12 @@ def test_table1_row_counts_and_check(tmp_path):
     assert len(lines) == 1 + 84 + 84  # header + exact + sampled
     assert lines[0].endswith("ref_mean,ref_stderr,tolerance,status")
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_table1_check_at_the_default_shots(tmp_path, capsys):
+    # the paper's reference check at 10^6 shots per basis run
+    assert run_cli("table1", "--check", "--out", str(tmp_path / "t.csv")) == 0
+    assert "check: 168/168 cells within tolerance" in capsys.readouterr().err
 
 
 def test_table1_exact_only_and_deterministic(tmp_path):
@@ -211,6 +219,63 @@ def test_qet_overflow_exits_1(h, k, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qet", "--h", "1e20", "--k", "1"),
+    ("qed", "--h", "1e13", "--k", "1", "--q", "6"),
+    ("sweep", "--h", "1:1e13:3", "--k", "1"),
+])
+def test_ill_conditioned_ratio_exits_1(argv, capsys):
+    # past h/k = 1e12 the ground solve no longer resolves E_B: no number is
+    # printed, with no warning and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ill-conditioned: h/k = 1e+")
+    assert "Traceback" not in err
+
+
+def sampled_qet(tmp_path, shots):
+    out = tmp_path / "qet.json"
+    code = run_cli("qet", "--h", "1", "--k", "1", "--method", "sampled",
+                   "--shots", str(shots), "--out", str(out))
+    return code, out
+
+
+def finite_json(path):
+    def numbers(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in numbers(v)]
+        return [node] if isinstance(node, float) else []
+
+    values = numbers(json.loads(path.read_text()))
+    return bool(values) and all(math.isfinite(x) for x in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ("qet", "--h", "1", "--k", "1", "--method", "sampled"),
+    ("table1", "--method", "exact"),
+])
+def test_shots_beyond_int64_exit_2(argv, capsys):
+    assert run_cli(*argv, "--shots", str(2**63)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: shots must be in 1..9223372036854775807\n"
+
+
+def test_shots_at_two_to_the_62_give_finite_json(tmp_path):
+    code, out = sampled_qet(tmp_path, 2**62)
+    assert code == 0 and finite_json(out)
+
+
+def test_four_billion_shots_take_under_a_second(tmp_path):
+    # one multinomial draw per basis run: the cost does not grow with shots
+    start = time.perf_counter()
+    code, out = sampled_qet(tmp_path, 4_000_000_000)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and finite_json(out)
+
+
 def test_sweep_non_finite_grid_exits_2(capsys):
     assert run_cli("sweep", "--h", "nan:1:3", "--k", "1") == 2
     assert "error: h and k must be finite and positive" in capsys.readouterr().err
@@ -314,8 +379,8 @@ def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
 
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
-    "table1": "85b5517044d5475ead3828b8755b4212f8ef72d3274ea530fff1aa29c1133ef4",
-    "qed": "2f2a8ac3011eb45f20daa8a31ed5bcafb620613f72e7429fa45ecf2162a718db",
+    "table1": "23dd2741401f4394319c1fb608e0093a4a1884047b14afc93bbbd0329f82294d",
+    "qed": "5ca084285053e576336792e725a39fb98b2ee730f6d69f2c5be513d65c246084",
     "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
 }
 

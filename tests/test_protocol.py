@@ -347,10 +347,10 @@ def _decimal_eb(h: float, k: float) -> Decimal:
 
 def test_minimal_eb_accuracy_against_decimal_oracle():
     # worst relative error measured 5.5e-13 (at h/k = 1e-3, read from the
-    # cancelling <Z_j> = g_00^2 - g_11^2); past h/k ~ 1e16 the block solve
-    # itself loses E_B (a factor ~4), which needs a conditioning guard
+    # cancelling <Z_j> = g_00^2 - g_11^2); up to the conditioning guard at
+    # h/k = 1e12; past h/k ~ 1e16 the block solve loses E_B by a factor ~4
     worst = 0.0
-    for ratio in np.logspace(-3, 10, 27):
+    for ratio in np.logspace(-3, 12, 31):
         for k in (1.0, 3.7):
             h = float(ratio * k)
             got = run_minimal_qet(MinimalModelParams(h, k)).receivers[1].e_b

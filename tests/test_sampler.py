@@ -1,9 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
-import qetsim.sampler
 from qetsim.model import MinimalModelParams, StarModelParams, star_model
-from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
+from qetsim.ops import Branch, Ensemble, ObservableSum, PauliString, single_term, x_on, z_on
 from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     ShotPlan,
@@ -50,20 +51,89 @@ def test_single_shot_reproducible():
     assert t1.counts.sum() == 1
 
 
-@pytest.mark.parametrize("chunk", [1000, 1500])
-def test_chunked_draws_give_the_same_tallies(monkeypatch, chunk):
-    whole = {basis: minimal_tallies(basis=basis, shots=5000, seed=13)[1] for basis in "ZX"}
-    monkeypatch.setattr(qetsim.sampler, "SHOT_CHUNK", chunk)
-    for basis in "ZX":
-        _, chunked = minimal_tallies(basis=basis, shots=5000, seed=13)
-        assert np.array_equal(chunked.counts, whole[basis].counts)
-        assert chunked.mu_counts == whole[basis].mu_counts
-
-
 def test_table_csv_bytes_deterministic():
     cells1 = estimate_table1([(6, 9, 2)], shots=2000, master_seed=11)
     cells2 = estimate_table1([(6, 9, 2)], shots=2000, master_seed=11)
     assert cells_to_csv(cells1) == cells_to_csv(cells2)
+
+
+# --- tally law -----------------------------------------------------------------
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+LAW_MODELS = {
+    "minimal": (MinimalModelParams(1.0, 1.0), (1,)),
+    "star6": (StarModelParams(9.0, 2.0, 6), (1, 2)),
+}
+
+
+def fed_run(model):
+    params, receivers = LAW_MODELS[model]
+    bundle, ground = star_model(params)
+    return bundle, run_protocol(bundle, ground, receivers), receivers
+
+
+def readout_law(fed, basis):
+    """(mu, outcome) probabilities p_mu |<o|psi_mu>|^2 of the fed ensemble,
+    the X-run's Hadamards applied as one dense H^(x)n."""
+    n = fed.n_qubits
+    rotate = functools.reduce(np.kron, [HADAMARD] * n) if basis == "X" else np.eye(2**n)
+    law = np.zeros((2, 2**n))
+    for branch in fed.branches:
+        row = 0 if branch.label == +1 else 1
+        law[row] = branch.probability * np.abs(rotate @ branch.state.amplitudes) ** 2
+    return law
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("shots", [1, 7, 5000, 2**40])
+def test_tallies_add_up_to_the_shots(basis, shots):
+    bundle, fed, receivers = fed_run("star6")
+    t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, 3))
+    assert t.counts.sum() == shots == sum(t.mu_counts) == t.joint.sum()
+    assert t.joint.dtype == np.int64 and t.joint.min() >= 0
+
+
+def test_tallies_are_a_function_of_the_key():
+    def tallies(basis, seed):
+        bundle, fed, receivers = fed_run("star6")  # rebuilt on every call
+        return sample_protocol(bundle, fed, receivers, ShotPlan(basis, 20000, seed)).joint
+
+    assert np.array_equal(tallies("Z", 4), tallies("Z", 4))
+    assert np.array_equal(tallies("X", 4), tallies("X", 4))
+    assert not np.array_equal(tallies("Z", 4), tallies("X", 4))
+    assert not np.array_equal(tallies("Z", 4), tallies("Z", 5))
+
+
+@pytest.mark.parametrize("model, weights", [
+    ("minimal", None),
+    ("star6", None),
+    # X0 has zero ground mean in this model family, so p_mu is 1/2; reweigh
+    # the branches to check that p_mu enters the law
+    ("star6", (0.9, 0.1)),
+])
+def test_cell_frequencies_follow_the_readout_law(model, weights):
+    # every (mu, outcome) cell within 5 sigma of shots * p, 20 seeds, both
+    # runs; 1e9 shots put N p >= 30 on every cell above 1e-30 (the star's
+    # rarest Z-run cells have p ~ 3e-8), where the normal bound holds
+    shots = 10**9
+    bundle, fed, receivers = fed_run(model)
+    if weights is not None:
+        fed = Ensemble(tuple(Branch(w, b.state, b.label) for w, b in zip(weights, fed.branches)))
+    for basis in "ZX":
+        p = readout_law(fed, basis)
+        sigma = np.sqrt(shots * p * (1.0 - p))
+        for seed in range(20):
+            t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, seed))
+            assert np.all(np.abs(t.joint - shots * p) <= 5.0 * sigma), (basis, seed)
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_single_shot_is_one_hot(basis):
+    bundle, fed, receivers = fed_run("star6")
+    for seed in range(10):
+        t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, 1, seed))
+        assert np.count_nonzero(t.joint) == 1 and t.joint.sum() == 1
+        assert t.counts.sum() == 1 and t.mu_counts in ((1, 0), (0, 1))
 
 
 # --- estimator ----------------------------------------------------------------
@@ -117,6 +187,12 @@ def test_plan_validation():
         ShotPlan(basis_run="Q", shots=10, master_seed=0)
     with pytest.raises(ValueError):
         ShotPlan(basis_run="Z", shots=0, master_seed=0)
+
+
+def test_plan_rejects_shots_beyond_int64():
+    assert ShotPlan(basis_run="Z", shots=2**63 - 1, master_seed=0).shots == 2**63 - 1
+    with pytest.raises(ValueError, match=r"shots must be in 1\.\.9223372036854775807"):
+        ShotPlan(basis_run="Z", shots=2**63, master_seed=0)
 
 
 # --- sampled records ------------------------------------------------------------
