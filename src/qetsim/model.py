@@ -202,9 +202,7 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     if ratio > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
     if not np.all(gap >= DEGENERACY_TOL):
-        raise DegenerateGroundError(
-            f"ground space degenerate within tolerance (gap = {np.min(gap):.3e})"
-        )
+        raise DegenerateGroundError(_degenerate_message(h, k, gap, vals))
     g = vecs[..., 0]
     n = np.arange(q)
     up, down = g[..., :q], g[..., q:]
@@ -216,6 +214,19 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         xx=x0_jx2 / leaves,
     )
     return vals[..., 0], gap, g, moments
+
+
+def _degenerate_message(h, k, gap, levels) -> str:
+    """The smallest gap, also relative to max(h, k), and whether it is within
+    the block solve's roundoff, 16 eps |H|."""
+    i = np.unravel_index(np.argmin(gap), np.shape(gap))
+    scale = np.broadcast_to(np.maximum(h, k), np.shape(gap))[i]
+    unresolved = gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i]))
+    return (
+        f"ground space degenerate within tolerance (gap = {gap[i]:.3e}, "
+        f"{gap[i] / scale:.3e} relative to max(h, k) = {scale:.3g}"
+        + ("; below double precision, so the solve cannot resolve it)" if unresolved else ")")
+    )
 
 
 def solve_star_ground(h: float, k: float, q: int) -> tuple[GroundSolution, GroundMoments]:

@@ -300,7 +300,7 @@ def conditional_rotation(
     return StateVector(state.n_qubits, out)
 
 
-# --- statevector utilities used by the teleport and sampler modules ---
+# --- statevector utilities ---
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -315,46 +315,6 @@ def apply_gate_1q(state: StateVector, site: int, gate: np.ndarray) -> StateVecto
     t = gate @ t
     t = np.moveaxis(t.reshape((2,) + (2,) * (n - 1)), 0, site)
     return StateVector(n, t.reshape(-1))
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    n = state.n_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    pc = n - 1 - control
-    pt = n - 1 - target
-    idx = np.arange(2**n, dtype=np.int64)
-    src = np.where((idx >> pc) & 1 == 1, idx ^ (1 << pt), idx)
-    return StateVector(n, state.amplitudes[src])
-
-
-def tensor(state: StateVector, other: StateVector) -> StateVector:
-    """state (x) other, with other's qubits appended after state's."""
-    return StateVector(
-        state.n_qubits + other.n_qubits,
-        np.kron(state.amplitudes, other.amplitudes),
-    )
-
-
-def drop_qubits(state: StateVector, sites_bits: dict[int, int]) -> StateVector:
-    """Remove qubits known to be in product computational states.
-
-    Raises if any amplitude outside the asserted bit values exceeds 1e-12.
-    """
-    n = state.n_qubits
-    t = state.amplitudes.reshape((2,) * n)
-    index: list[Any] = [slice(None)] * n
-    for site, bit in sites_bits.items():
-        index[site] = bit
-    kept = t[tuple(index)]
-    residual = np.linalg.norm(t) ** 2 - np.linalg.norm(kept) ** 2
-    if residual > 1e-12:
-        raise ValueError(
-            f"dropped qubits are not in the asserted computational states "
-            f"(residual weight {residual:.3e})"
-        )
-    out = kept.reshape(-1)
-    return StateVector(n - len(sites_bits), out / np.linalg.norm(out))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

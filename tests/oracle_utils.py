@@ -6,10 +6,21 @@ checks do not share code paths with the package's Pauli-word kernels.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from qetsim.model import DEGENERACY_TOL, GroundSolution
-from qetsim.ops import DegenerateGroundError, StateVector
+from qetsim.ops import (
+    HADAMARD,
+    DegenerateGroundError,
+    StateVector,
+    apply_gate_1q,
+    apply_pauli,
+    pure_trace_distance,
+    x_on,
+    z_on,
+)
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -206,3 +217,93 @@ def star_reduced_values(q: int, h: float, k: float) -> dict[str, float]:
         "eta": float(eta),
         "gap": float(w[1] - w[0]),
     }
+
+
+# --- the per-branch teleport, oracle of the package's stacked hop kernel ------
+# One branch at a time on single StateVectors, through the package's one-state
+# gate and Pauli kernels, none of which the stacked hop kernel calls.
+
+def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+    n = state.n_qubits
+    if control == target:
+        raise ValueError("control and target must differ")
+    pc = n - 1 - control
+    pt = n - 1 - target
+    idx = np.arange(2**n, dtype=np.int64)
+    src = np.where((idx >> pc) & 1 == 1, idx ^ (1 << pt), idx)
+    return StateVector(n, state.amplitudes[src])
+
+
+def tensor(state: StateVector, other: StateVector) -> StateVector:
+    """state (x) other, with other's qubits appended after state's."""
+    return StateVector(
+        state.n_qubits + other.n_qubits,
+        np.kron(state.amplitudes, other.amplitudes),
+    )
+
+
+def drop_qubits(state: StateVector, sites_bits: dict[int, int]) -> StateVector:
+    """Remove qubits known to be in product computational states.
+
+    Raises if any amplitude outside the asserted bit values exceeds 1e-12.
+    """
+    n = state.n_qubits
+    t = state.amplitudes.reshape((2,) * n)
+    index: list[Any] = [slice(None)] * n
+    for site, bit in sites_bits.items():
+        index[site] = bit
+    kept = t[tuple(index)]
+    residual = np.linalg.norm(t) ** 2 - np.linalg.norm(kept) ** 2
+    if residual > 1e-12:
+        raise ValueError(
+            f"dropped qubits are not in the asserted computational states "
+            f"(residual weight {residual:.3e})"
+        )
+    out = kept.reshape(-1)
+    return StateVector(n - len(sites_bits), out / np.linalg.norm(out))
+
+
+def _collapse_bit(state: StateVector, site: int, bit: int) -> tuple[float, StateVector]:
+    """Probability and collapsed state of reading `bit` at `site` (Z basis)."""
+    n = state.n_qubits
+    t = state.amplitudes.reshape((2,) * n)
+    index: list = [slice(None)] * n
+    index[site] = 1 - bit
+    kept = t.copy()
+    kept[tuple(index)] = 0.0
+    proj = kept.reshape(-1)
+    p = float(np.vdot(proj, proj).real)
+    if p <= 0.0:
+        return 0.0, state
+    return p, StateVector(n, proj / np.sqrt(p))
+
+
+def _correct(state: StateVector, target: int, m1: int, m2: int) -> StateVector:
+    out = state
+    if m2:
+        out = apply_pauli(out, x_on(out.n_qubits, target))
+    if m1:
+        out = apply_pauli(out, z_on(out.n_qubits, target))
+    return out
+
+
+def teleport_branches(
+    state: StateVector, source: int, pair: tuple[int, int]
+) -> dict[tuple[int, int], tuple[float, StateVector]]:
+    """(m1, m2) -> (joint probability, corrected register without source
+    and pair[0]) of teleporting `source` onto `pair[1]`, one branch at a
+    time: CNOT(source -> pair[0]), H(source), collapse each bit, correct
+    pair[1], then drop the measured qubits.  Raises AssertionError if the
+    branches disagree."""
+    a, b = pair
+    work = apply_gate_1q(apply_cnot(state, source, a), source, HADAMARD)
+    out = {}
+    for m1 in (0, 1):
+        p1, s1 = _collapse_bit(work, source, m1)
+        for m2 in (0, 1):
+            p2, s2 = _collapse_bit(s1, a, m2)
+            out[(m1, m2)] = (p1 * p2, drop_qubits(_correct(s2, b, m1, m2), {source: m1, a: m2}))
+    for _, reduced in out.values():
+        if pure_trace_distance(out[(0, 0)][1], reduced) > 1e-10:
+            raise AssertionError("teleportation branches disagree after correction")
+    return out

@@ -180,6 +180,17 @@ def test_qed_degenerate_ground_exits_1(capsys):
     assert "error: ground space degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, k, unresolved", [
+    ("1e-12", "1", True), ("1", "1e300", True), ("1e-5", "1", False),
+])
+def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, capsys):
+    assert run_cli("qet", "--h", h, "--k", k, "--method", "exact") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ground space degenerate within tolerance (gap = ")
+    assert f"relative to max(h, k) = {max(float(h), float(k)):.3g}" in err
+    assert ("below double precision" in err) == unresolved
+
+
 def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
     def exact_record(*args):
         raise qetsim.model.DegenerateGroundError("ground space degenerate (patched)")
@@ -314,6 +325,24 @@ def test_longrange_sampled_transcript(tmp_path):
     assert len(text.splitlines()) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("h, k", [("1e8", "1"), ("1", "1e6"), ("10001", "1")])
+def test_longrange_ill_conditioned_exits_1_before_any_pass(h, k, tmp_path, capsys, monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    out = tmp_path / "r.json"
+    assert run_cli("longrange", "--h", h, "--k", k, "--hops", "1000", "--out", str(out),
+                   "--transcript-out", str(tmp_path / "t.log")) == 1
+    assert capsys.readouterr().err.startswith("error: ill-conditioned: max(h/k, k/h) = ")
+    assert passes == [] and not out.exists()
+
+
+@pytest.mark.parametrize("h, k", [("10000", "1"), ("1", "10000"), ("37000", "3.7")])
+def test_longrange_just_inside_the_field_ratio_bound(h, k, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("longrange", "--h", h, "--k", k, "--hops", "3", "--out", str(out),
+                   "--transcript-out", str(tmp_path / "t.log")) == 0
+    assert json.loads(out.read_text())["relay_vs_local_max_delta"] <= 1e-10
+
+
 # --- one protocol pass per run ------------------------------------------------------
 
 def count_calls(monkeypatch, module, name):
@@ -368,11 +397,18 @@ def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
-    hops = count_calls(monkeypatch, qetsim.teleport, "relay_hop")
+    rows = []
+    relay_hop = qetsim.teleport.relay_hop
+
+    def counted(state, *args, **kwargs):
+        rows.append(len(state))
+        return relay_hop(state, *args, **kwargs)
+
+    monkeypatch.setattr(qetsim.teleport, "relay_hop", counted)
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
                    "--sample-transcript", "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert len(hops) == 2 * 3  # two mu branches x three hops
+    assert rows == [2, 2, 2]  # three hops, each relaying both mu branches as rows
 
 
 # --- pinned sampled bytes ---------------------------------------------------------

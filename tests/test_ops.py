@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import dense_expectation, dense_observable, word_matrix
+from oracle_utils import (
+    apply_cnot,
+    dense_expectation,
+    dense_observable,
+    drop_qubits,
+    tensor,
+    word_matrix,
+)
 
 from qetsim.ops import (
     Branch,
@@ -11,17 +18,14 @@ from qetsim.ops import (
     ObservableSum,
     PauliString,
     StateVector,
-    apply_cnot,
     apply_gate_1q,
     apply_pauli,
     conditional_rotation,
-    drop_qubits,
     expectation,
     HADAMARD,
     projective_measure,
     pure_trace_distance,
     single_term,
-    tensor,
     x_on,
     y_on,
     z_on,

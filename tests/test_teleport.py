@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import partial_trace, trace_distance
+from oracle_utils import partial_trace, teleport_branches, tensor, trace_distance
 
-from qetsim.model import MinimalModelParams
+from qetsim.model import IllConditionedError, MinimalModelParams
 from qetsim.ops import (
     MAX_STATEVECTOR_QUBITS,
     StateVector,
     fidelity,
     pure_trace_distance,
-    tensor,
 )
 from qetsim.protocol import run_minimal_qet
 from qetsim.teleport import (
+    BELL,
+    MAX_RELAY_FIELD_RATIO,
     LoccTranscript,
+    _teleport_rows,
     extend_with_bell,
     relay_hop,
     relay_identity_check,
@@ -126,7 +130,89 @@ def test_teleport_rejects_malformed_pair():
         teleport_qubit(extend_with_bell(random_qubit()), 0, (0, 2), LoccTranscript())
 
 
+# --- the stacked hop kernel against the per-branch oracle -----------------------
+
+def random_amplitudes(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+def scattered_stack(rng, m, batch, pair_amps=BELL):
+    """`batch` random m-qubit registers, each with a pair appended, and the
+    m + 2 qubits put at random sites: returns the stack, the source and the
+    pair's sites."""
+    n = m + 2
+    rows = np.array([np.kron(random_amplitudes(rng, m), pair_amps) for _ in range(batch)])
+    site = rng.permutation(n)  # qubit i of the built register goes to site[i]
+    t = np.moveaxis(rows.reshape((batch,) + (2,) * n), range(1, n + 1), site + 1)
+    return t.reshape(batch, -1), int(site[rng.integers(m)]), (int(site[m]), int(site[m + 1]))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kernel_matches_per_branch_oracle(m, batch):
+    rng = np.random.default_rng(100 * m + batch)
+    for _ in range(5):
+        rows, source, pair = scattered_stack(rng, m, batch)
+        probs, branches = _teleport_rows(rows, source, pair)
+        assert probs.shape == (batch, 4) and branches.shape == (batch, 4, 2**m)
+        for row in range(batch):
+            oracle = teleport_branches(StateVector(m + 2, rows[row]), source, pair)
+            for (m1, m2), (p, reduced) in oracle.items():
+                assert abs(probs[row, 2 * m1 + m2] - p) <= 1e-12
+                assert np.max(np.abs(branches[row, 2 * m1 + m2] - reduced.amplitudes)) <= 1e-12
+
+
+def test_kernel_rejects_a_malformed_pair_in_any_row():
+    rng = np.random.default_rng(3)
+    rows, source, pair = scattered_stack(rng, 2, 3)
+    product, *_ = scattered_stack(rng, 2, 1, pair_amps=np.array([1, 0, 0, 0], dtype=complex))
+    rows[1] = product[0]
+    with pytest.raises(ValueError, match="malformed Bell pair"):
+        _teleport_rows(rows, source, pair)
+
+
+def test_kernel_rejects_branches_that_disagree():
+    # a pair 1e-6 off (|00>+|11>)/sqrt(2) passes the 1e-10 Bell-pair check
+    # (its weight is off by ~5e-13) but leaves the branches ~1e-6 apart
+    rng = np.random.default_rng(4)
+    skewed = np.array([1, 1e-6, 0, 1], dtype=complex)
+    rows, source, pair = scattered_stack(rng, 2, 3, pair_amps=skewed / np.linalg.norm(skewed))
+    with pytest.raises(AssertionError, match="branches disagree"):
+        _teleport_rows(rows, source, pair)
+
+
 # --- relays -------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 3]),
+    site=st.integers(0, 2),
+    hops=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    sampled=st.booleans(),
+)
+def test_relay_identity_property(n, site, hops, seed, sampled):
+    # any register comes back from `hops` relays of any of its qubits,
+    # whichever branch each hop keeps
+    rng = np.random.default_rng(seed)
+    logical = site % n
+    original = StateVector(n, random_amplitudes(rng, n))
+    state, transcript = original, LoccTranscript()
+    for _ in range(hops):
+        state = relay_hop(state, logical, transcript, rng=rng if sampled else None)
+    assert pure_trace_distance(original, state) <= 1e-10
+    assert transcript.bit_count() == 2 * hops
+
+
+def test_relay_hop_keeps_each_row():
+    rng = np.random.default_rng(8)
+    rows = np.array([random_amplitudes(rng, 3) for _ in range(4)])
+    out = relay_hop(rows, 1, LoccTranscript(), rng=rng, drawn=2)
+    assert out.shape == rows.shape
+    for before, after in zip(rows, out):
+        assert pure_trace_distance(StateVector(3, before), StateVector(3, after)) < 1e-12
+
 
 @pytest.mark.parametrize("hops", [1, 5])
 def test_relay_identity_panel(hops):
@@ -170,6 +256,18 @@ def test_transcript_serialization_format():
     assert lines[0] == "0 alice all mu-broadcast x"
     assert lines[1].startswith("1 charlie ")
     assert all(len(line.split()) == 5 for line in lines)
+
+
+@pytest.mark.parametrize("h, k", [(MAX_RELAY_FIELD_RATIO, 1.0), (1.0, MAX_RELAY_FIELD_RATIO)])
+def test_longrange_at_the_field_ratio_bound(h, k):
+    _, _, delta = run_longrange_qet(MinimalModelParams(h, k), 3, seed=1)
+    assert delta <= 1e-10
+
+
+@pytest.mark.parametrize("h, k", [(1.001 * MAX_RELAY_FIELD_RATIO, 1.0), (1.0, 1e6)])
+def test_longrange_beyond_the_field_ratio_bound(h, k):
+    with pytest.raises(IllConditionedError, match="ill-conditioned"):
+        run_longrange_qet(MinimalModelParams(h, k), 1)
 
 
 def test_longrange_bad_hops():
