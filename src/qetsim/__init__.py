@@ -6,7 +6,6 @@ from ._kernels import backend_name
 from .model import (
     FeedbackAngle,
     GroundMoments,
-    GroundSolution,
     IllConditionedError,
     MinimalModelParams,
     ModelBundle,
@@ -14,29 +13,14 @@ from .model import (
     ReceiverEnergy,
     exact_energies,
     feedback_angle,
-    solve_star_ground,
     star_block_ground,
     star_model,
 )
-from .ops import (
-    Branch,
-    DegenerateGroundError,
-    Ensemble,
-    ObservableSum,
-    PauliString,
-    StateVector,
-    apply_pauli,
-    conditional_rotation,
-    expectation,
-    projective_measure,
-)
+from .ops import DegenerateGroundError, ObservableSum, PauliString, StateVector
 from .protocol import (
     QetRecord,
     SweepGrid,
-    alice_measure,
-    apply_feedback,
     exact_record,
-    receiver_energy,
     run_minimal_qet,
     run_protocol,
     run_qed,

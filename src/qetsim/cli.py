@@ -31,13 +31,21 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _parse_range(text: str) -> list[float]:
+def _parse_range(option: str, text: str) -> list[float]:
     """'a:b:n' -> n evenly spaced values in [a, b]; plain number -> [x]."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(text)]
         lo, hi, steps = text.split(":")
-        values = np.linspace(float(lo), float(hi), int(steps))
-        return [float(v) for v in values]
-    return [float(text)]
+        lo, hi, steps = float(lo), float(hi), int(steps)
+        if steps < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"--{option} expects a value or min:max:steps with a positive integer "
+            f"steps, got {text!r}"
+        ) from None
+    return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
 def _parse_receivers(text: str) -> tuple[int, ...]:
@@ -168,8 +176,8 @@ def _wide_table(cells: list[TableCell]) -> str:
 # --- sweep ------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    h_values = _parse_range(args.h)
-    k_values = _parse_range(args.k)
+    h_values = _parse_range("h", args.h)
+    k_values = _parse_range("k", args.k)
     if min(h_values) <= 0 or min(k_values) <= 0:
         raise ValueError("sweep grids must be strictly positive")
     grid = sweep_EB(h_values, k_values, field_term_column=args.field_term_column)
@@ -225,12 +233,12 @@ def _emit_record(args, exact, sampled) -> None:
 
 
 def _run_record(args, params, receivers) -> int:
-    """The exact record, and the sampled one drawn from the statevector pass."""
-    bundle, ground = star_model(params)
+    """The exact record, and the sampled one drawn from the protocol pass."""
+    bundle = star_model(params)
     exact = exact_record(bundle, receivers)
     sampled = None
     if args.method in ("sampled", "both"):
-        fed = run_protocol(bundle, ground, receivers)
+        fed = run_protocol(bundle, receivers)
         sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
     _emit_record(args, None if args.method == "sampled" else exact, sampled)
     return 0
@@ -263,8 +271,11 @@ def cmd_longrange(args) -> int:
         Path(args.transcript_out).write_text(transcript.serialize())
     else:
         sys.stdout.write(transcript.serialize())
-    if worst > 1e-10:
-        print(f"relay/non-relay mismatch: {worst:.3e} > 1e-10", file=sys.stderr)
+    # the pass's roundoff grows with the field scale, so the check is relative
+    scale = max(args.h, args.k)
+    if worst > 1e-10 * scale:
+        print(f"relay/non-relay mismatch: {worst:.3e} > 1e-10 * max(h, k) = {1e-10 * scale:.3e}",
+              file=sys.stderr)
         return 1
     return 0
 

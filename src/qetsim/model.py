@@ -27,7 +27,6 @@ from .ops import (
     DegenerateGroundError,
     ObservableSum,
     PauliString,
-    StateVector,
     single_term,
     z_on,
 )
@@ -101,12 +100,14 @@ class GroundMoments:
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Total Hamiltonian plus its named local terms, the site roles and the
-    ground moments.
+    """Total Hamiltonian plus its named local terms, the site roles, the
+    ground moments and the ground state's block vector.
 
     The locals are Z{i} (field at site i) and X{j} (coupling of receiver j to
     the sender).  Their sum equals the total (canonical equality), and every
     local has zero ground-state expectation by construction of the offsets.
+    The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
+    receivers' normalized Dicke state with n ones (`star_block_ground`).
     """
 
     params: ModelParams
@@ -115,17 +116,11 @@ class ModelBundle:
     sender_site: int
     receiver_sites: tuple[int, ...]
     moments: GroundMoments
+    g: np.ndarray  # shape (2, q)
 
     @property
     def n_qubits(self) -> int:
         return self.total.n_qubits
-
-
-@dataclass(frozen=True, eq=False)
-class GroundSolution:
-    state: StateVector
-    energy: float
-    gap: float
 
 
 @dataclass(frozen=True)
@@ -229,37 +224,18 @@ def _degenerate_message(h, k, gap, levels) -> str:
     )
 
 
-def solve_star_ground(h: float, k: float, q: int) -> tuple[GroundSolution, GroundMoments]:
-    """`star_block_ground` at one (h, k), its vector embedded into the 2^q
-    amplitudes (a Dicke state with m ones has 1/sqrt(C(q - 1, m)) on each
-    basis state) with the largest-magnitude amplitude real positive."""
-    energy, gap, g, moments = star_block_ground(h, k, q)
-    leaves = q - 1
-    idx = np.arange(2**q, dtype=np.int64)
-    ones = np.bitwise_count(idx & ((1 << leaves) - 1))
-    dicke = 1.0 / np.sqrt([float(math.comb(leaves, m)) for m in range(q)])
-    vec = (g[(idx >> leaves) * q + ones] * dicke[ones]).astype(np.complex128)
-    pivot = int(np.argmax(np.abs(vec)))
-    vec *= np.exp(-1j * np.angle(vec[pivot]))
-    vec /= np.linalg.norm(vec)
-    solution = GroundSolution(state=StateVector(q, vec), energy=float(energy), gap=float(gap))
-    return solution, GroundMoments(
-        z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx)
-    )
-
-
-def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
-    """Build the star bundle and its ground solution (offsets need the ground);
-    MinimalModelParams give the q = 2 star.
+def star_model(params: ModelParams) -> ModelBundle:
+    """Build the star bundle; MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground state is solved
-    on the Pauli parts alone, by `solve_star_ground`, and each local's offset
+    on the Pauli parts alone, by `star_block_ground`, and each local's offset
     is then set to the negative of its Pauli-part ground expectation, making
     every local and the total vanish in the ground state: -h <Z_0> for Z0,
     -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.
     """
     h, k, n = params.h, params.k, params.q
-    raw, moments = solve_star_ground(h, k, n)
+    _, _, g, moments = star_block_ground(h, k, n)
+    moments = GroundMoments(z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx))
     parts = {"Z0": (h, z_on(n, 0), h * moments.z0)}
     for i in range(1, n):
         parts[f"Z{i}"] = (h, z_on(n, i), h * moments.zj)
@@ -272,16 +248,15 @@ def star_model(params: ModelParams) -> tuple[ModelBundle, GroundSolution]:
         locals_[name] = single_term(coeff, word, offset=-mean)
         offset -= mean
     total = ObservableSum(n, tuple((c, w) for c, w, _ in parts.values()), offset)
-    bundle = ModelBundle(
+    return ModelBundle(
         params=params,
         total=total,
         locals=locals_,
         sender_site=0,
         receiver_sites=tuple(range(1, n)),
         moments=moments,
+        g=g.reshape(2, n),
     )
-    ground = GroundSolution(state=raw.state, energy=raw.energy + offset, gap=raw.gap)
-    return bundle, ground
 
 
 def _angle(h, k, moments: GroundMoments) -> FeedbackAngle:

@@ -1,4 +1,4 @@
-"""Pauli-word operator algebra and the exact statevector/ensemble kernel.
+"""Pauli-word operator algebra and the statevector type of the relay.
 
 Bit-ordering convention, fixed here and used by every module: qubit 0 is the
 most significant bit of the amplitude index, so a ket label ``|b0 b1 ...>``
@@ -6,28 +6,22 @@ read left to right is the binary amplitude index (``|10>`` of two qubits is
 index 2).  Fresh ancillas are appended after the existing qubits, i.e. as
 less significant bits, which is exactly ``np.kron(state, ancilla)``.
 
-All values are immutable after construction and all operations are pure
-functions returning new values.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Union
+from typing import Union
 
 import numpy as np
 
-from . import _kernels
-
 NORM_TOL = 1e-12
-PROB_TOL = 1e-12
-IMAG_TOL = 1e-10
 COEFF_TOL = 1e-15
-# Largest register the statevector protocol runs on (star models and the
-# teleport relay).  `qed` on a q = 20 star with all 19 receivers and both
-# methods takes ~82 s and ~180 MB on a 2-core machine; every further qubit
-# about doubles both.
+# Largest star (and teleport register).  The protocol pass reaches 2^q cells
+# only with every receiver in R: `qed` on a q = 20 star with all 19 receivers
+# and both methods takes ~2 s and ~135 MB in-process on a 2-core machine;
+# every further qubit about doubles both.
 MAX_STATEVECTOR_QUBITS = 20
 
 _LETTERS = "IXYZ"
@@ -68,39 +62,9 @@ class PauliString:
     def identity(cls, n_qubits: int) -> "PauliString":
         return cls(n_qubits, "I" * n_qubits)
 
-    def _bitpos(self, site: int) -> int:
-        return self.n_qubits - 1 - site
-
-    @cached_property
-    def x_mask(self) -> int:
-        m = 0
-        for site, letter in enumerate(self.letters):
-            if letter in "XY":
-                m |= 1 << self._bitpos(site)
-        return m
-
-    @cached_property
-    def z_mask(self) -> int:
-        m = 0
-        for site, letter in enumerate(self.letters):
-            if letter in "ZY":
-                m |= 1 << self._bitpos(site)
-        return m
-
-    @cached_property
-    def phase(self) -> complex:
-        return 1j ** (self.letters.count("Y") % 4)
-
     @property
     def is_identity(self) -> bool:
         return set(self.letters) <= {"I"}
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        _check_qubits(self.n_qubits, other.n_qubits)
-        anti = bin(self.x_mask & other.z_mask).count("1") + bin(
-            self.z_mask & other.x_mask
-        ).count("1")
-        return anti % 2 == 0
 
     def __str__(self) -> str:
         return self.letters
@@ -108,10 +72,6 @@ class PauliString:
 
 def x_on(n_qubits: int, site: int) -> PauliString:
     return PauliString.from_map(n_qubits, {site: "X"})
-
-
-def y_on(n_qubits: int, site: int) -> PauliString:
-    return PauliString.from_map(n_qubits, {site: "Y"})
 
 
 def z_on(n_qubits: int, site: int) -> PauliString:
@@ -132,8 +92,7 @@ class ObservableSum:
     offset: float = 0.0
 
     def __post_init__(self):
-        # letters -> [coefficient, word]; the word object is kept, not rebuilt,
-        # so its cached masks carry over to every sum it ends up in
+        # letters -> [coefficient, word]
         merged: dict[str, list] = {}
         offset = float(self.offset)
         for coeff, word in self.terms:
@@ -197,141 +156,6 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
-    probability: float
-    state: StateVector
-    label: Any
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """Probabilistic mixture of statevectors with outcome labels."""
-
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self):
-        if not self.branches:
-            raise ValueError("ensemble needs at least one branch")
-        total = sum(b.probability for b in self.branches)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"branch probabilities sum to {total}, not 1")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.branches[0].state.n_qubits
-
-
-Source = Union[StateVector, Ensemble]
-
-
 def _check_qubits(expected: int, got: int) -> None:
     if expected != got:
         raise ValueError(f"qubit count mismatch: {expected} != {got}")
-
-
-def apply_pauli(state: StateVector, word: PauliString) -> StateVector:
-    """word . state; norm preserved."""
-    _check_qubits(state.n_qubits, word.n_qubits)
-    out = _kernels.apply_word(state.amplitudes, word.x_mask, word.z_mask, word.phase)
-    return StateVector(state.n_qubits, out)
-
-
-def _state_expectation(state: StateVector, obs: ObservableSum) -> complex:
-    acc = 0.0 + 0.0j
-    for coeff, word in obs.terms:
-        acc += coeff * _kernels.expect_word(
-            state.amplitudes, word.x_mask, word.z_mask, word.phase
-        )
-    return acc
-
-
-def expectation(source: Source, obs: ObservableSum) -> float:
-    """<obs> of a state or an ensemble; the offset contributes additively."""
-    if isinstance(source, StateVector):
-        _check_qubits(source.n_qubits, obs.n_qubits)
-        val = _state_expectation(source, obs)
-    else:
-        _check_qubits(source.n_qubits, obs.n_qubits)
-        val = sum(
-            b.probability * _state_expectation(b.state, obs) for b in source.branches
-        )
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(
-            f"expectation has non-negligible imaginary part {val.imag:.3e}; "
-            "operator not Hermitian?"
-        )
-    return val.real + obs.offset
-
-
-def projective_measure(state: StateVector, sigma: PauliString) -> Ensemble:
-    """Measure a +-1 Pauli word: branches labeled mu with P(mu) = (1 + mu w)/2.
-
-    Zero-probability branches are dropped.
-    """
-    _check_qubits(state.n_qubits, sigma.n_qubits)
-    if sigma.is_identity:
-        raise ValueError("cannot measure the identity word")
-    rotated = _kernels.apply_word(
-        state.amplitudes, sigma.x_mask, sigma.z_mask, sigma.phase
-    )
-    branches = []
-    for mu in (+1, -1):
-        proj = 0.5 * (state.amplitudes + mu * rotated)
-        p = float(np.vdot(proj, proj).real)
-        if p > PROB_TOL:
-            branches.append(Branch(p, StateVector(state.n_qubits, proj / np.sqrt(p)), mu))
-    if len(branches) == 1:
-        branches = [Branch(1.0, branches[0].state, branches[0].label)]
-    return Ensemble(tuple(branches))
-
-
-def conditional_rotation(
-    state: StateVector, sigma: PauliString, theta: float, mu: int
-) -> StateVector:
-    """(cos theta) I - i mu (sin theta) sigma applied to the state."""
-    if mu not in (-1, +1):
-        raise ValueError("mu must be +1 or -1")
-    _check_qubits(state.n_qubits, sigma.n_qubits)
-    rotated = _kernels.apply_word(
-        state.amplitudes, sigma.x_mask, sigma.z_mask, sigma.phase
-    )
-    out = np.cos(theta) * state.amplitudes - 1j * mu * np.sin(theta) * rotated
-    return StateVector(state.n_qubits, out)
-
-
-# --- statevector utilities ---
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def apply_gate_1q(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary at one site (reshape trick along the site axis)."""
-    n = state.n_qubits
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range")
-    t = state.amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, site, 0).reshape(2, -1)
-    t = gate @ t
-    t = np.moveaxis(t.reshape((2,) + (2,) * (n - 1)), 0, site)
-    return StateVector(n, t.reshape(-1))
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    _check_qubits(a.n_qubits, b.n_qubits)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    return abs(inner(a, b))
-
-
-def pure_trace_distance(a: StateVector, b: StateVector) -> float:
-    """Trace distance of two pure states, sqrt(1 - |<a|b>|^2).
-
-    Computed as the norm of b's component orthogonal to a, which avoids
-    the catastrophic cancellation of evaluating 1 - |<a|b>|^2 directly for
-    nearly identical states.
-    """
-    c = inner(a, b)
-    return float(np.linalg.norm(b.amplitudes - c * a.amplitudes))

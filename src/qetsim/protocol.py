@@ -1,4 +1,4 @@
-"""The energy-teleportation protocol: exact records and the statevector pass.
+"""The energy-teleportation protocol: exact records and the protocol pass.
 
 Stages: the sender's projective X0 measurement (which injects E0 on
 average), the mu-conditional Y-rotation at each receiver, and the receiver
@@ -7,19 +7,21 @@ is the amount a measurement device at the receiver extracts.
 
 Every exact number is a closed form in the ground moments
 (`model.exact_energies`), for one model (`exact_record`) or a whole (h, k)
-grid (`sweep_EB`).  The statevector pass, `run_protocol`, runs only for the
-sampler and the teleport relay, which start from its fed ensemble.
+grid (`sweep_EB`).  The protocol pass, `run_protocol`, runs only for the
+sampler and the teleport relay.  It acts on the only sites the protocol
+touches, the sender and the receivers, through a purification of their
+reduced state built from the block vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .model import (
     FeedbackAngle,
-    GroundSolution,
     MinimalModelParams,
     ModelBundle,
     ModelParams,
@@ -29,14 +31,6 @@ from .model import (
     feedback_angle,
     star_block_ground,
     star_model,
-)
-from .ops import (
-    Branch,
-    Ensemble,
-    PauliString,
-    expectation,
-    conditional_rotation,
-    projective_measure,
 )
 
 
@@ -89,42 +83,6 @@ class SweepGrid:
     e_b_field_term: np.ndarray | None = None  # optional Z1-only bookkeeping
 
 
-def alice_measure(bundle: ModelBundle, ground: GroundSolution) -> tuple[Ensemble, float]:
-    """Project the ground state on X0 = +-1; E0 is the mean injected energy."""
-    sender = PauliString.from_map(bundle.n_qubits, {bundle.sender_site: "X"})
-    ensemble = projective_measure(ground.state, sender)
-    e0 = expectation(ensemble, bundle.total)
-    return ensemble, e0
-
-
-def apply_feedback(
-    ensemble: Ensemble, receiver_site: int, angle: FeedbackAngle
-) -> Ensemble:
-    """Rotate each branch by U(mu) = cos(theta) I - i mu sin(theta) Y_j."""
-    sigma = PauliString.from_map(ensemble.n_qubits, {receiver_site: "Y"})
-    branches = []
-    for b in ensemble.branches:
-        if b.label not in (-1, +1):
-            raise ValueError(f"branch label {b.label!r} is not a mu outcome")
-        branches.append(
-            Branch(
-                b.probability,
-                conditional_rotation(b.state, sigma, angle.theta, b.label),
-                b.label,
-            )
-        )
-    return Ensemble(tuple(branches))
-
-
-def receiver_energy(
-    ensemble: Ensemble, bundle: ModelBundle, receiver_site: int
-) -> ReceiverEnergy:
-    hx = expectation(ensemble, bundle.locals[f"X{receiver_site}"])
-    hz = expectation(ensemble, bundle.locals[f"Z{receiver_site}"])
-    e_j = hx + hz
-    return ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
-
-
 def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver sites")
@@ -149,23 +107,48 @@ def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
     )
 
 
-def run_protocol(
-    bundle: ModelBundle, ground: GroundSolution, receivers: tuple[int, ...]
-) -> Ensemble:
-    """The statevector pass: X0 measurement, then each receiver's feedback.
+def pass_sites(bundle: ModelBundle, receivers: tuple[int, ...]) -> tuple[int, ...]:
+    """The sites of `run_protocol`'s cells in bit order, most significant
+    first: the sender, then the receivers in ascending order."""
+    return (bundle.sender_site, *sorted(receivers))
 
-    Returns the fed (post-feedback) ensemble, from which the sampler reads
-    its readout distributions and the relay starts.
+
+def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
+    """The protocol pass on the sender plus the receivers R: X0 measurement,
+    then each receiver's feedback.
+
+    Returns the real array fed[mu, m, c] of shape (2, q - |R|, 2^(|R|+1)),
+    a purification of the fed state of those sites: row mu (+1, then -1) is
+    the unnormalized post-measurement branch, whose squared norm is p_mu.
+    Cell c holds the bits of `pass_sites`; m, the number of ones among the
+    other receivers, is a spectator that probabilities sum over.  The ground
+    state's Dicke state with n ones splits into receiver bits b of weight
+    |b| times the others' Dicke state with m = n - |b| ones, at
+    sqrt(C(q - 1 - |R|, m) / C(q - 1, n)); then the projector
+    (I + mu X0) / 2 and, at each receiver, the real rotation
+    cos(theta) I - i mu sin(theta) Y = [[c, -mu s], [mu s, c]].
     """
     _check_receivers(bundle, receivers)
-    ensemble, _ = alice_measure(bundle, ground)
-    for j in receivers:
-        ensemble = apply_feedback(ensemble, j, feedback_angle(bundle, j))
-    return ensemble
+    q, r = bundle.n_qubits, len(receivers)
+    others = q - 1 - r
+    dicke = np.array([float(math.comb(q - 1, n)) for n in range(q)])
+    rest = np.array([float(math.comb(others, m)) for m in range(others + 1)])
+    w, m = np.ogrid[: r + 1, : others + 1]  # |b| and the others' ones
+    by_weight = bundle.g[:, w + m] * np.sqrt(rest[m] / dicke[w + m])  # [s, |b|, m]
+    ones = np.bitwise_count(np.arange(2**r))
+    amp = by_weight[:, ones].transpose(2, 0, 1)  # [m, s, b]
+    mu = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+    fed = 0.5 * (amp + mu * amp[:, ::-1])  # X0 swaps s
+    for i, j in enumerate(pass_sites(bundle, receivers)[1:], start=1):
+        theta = feedback_angle(bundle, j).theta
+        c, s = np.cos(theta), mu[..., 0] * np.sin(theta)
+        x = fed.reshape(2, -1, 2, 2 ** (r - i))  # receiver j's bit on axis 2
+        fed = np.stack([c * x[:, :, 0] - s * x[:, :, 1], s * x[:, :, 0] + c * x[:, :, 1]], axis=2)
+    return fed.reshape(2, others + 1, 2 ** (r + 1))
 
 
 def run_minimal_qet(params: MinimalModelParams) -> QetRecord:
-    return exact_record(star_model(params)[0], (1,))
+    return exact_record(star_model(params), (1,))
 
 
 def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
@@ -174,7 +157,7 @@ def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
     Feedback unitaries at distinct receivers commute, so each receiver's
     numbers equal its single-receiver run.
     """
-    return exact_record(star_model(params)[0], tuple(receivers))
+    return exact_record(star_model(params), tuple(receivers))
 
 
 def sweep_EB(

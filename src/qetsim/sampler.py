@@ -1,12 +1,13 @@
 """Shot-based Monte Carlo estimation of the protocol observables.
 
-A run is either a Z-run (terminal computational readout of every site) or an
-X-run (Hadamard at every site first, so the readout bits are X eigenvalues);
-the two never share shots because X and Z do not commute.  The sampler does
-not measure or feed back itself: it reads both runs' joint law of (mu,
-readout) from the fed ensemble of the statevector pass (`run_protocol`).
-The tallies of N shots follow Multinomial(N, p) over that law, so a run is
-one multinomial draw.  The exact cells are `exact_record`'s closed forms.
+A run is either a Z-run (terminal computational readout of the sender and
+the receivers) or an X-run (a Hadamard on each of those sites first, so the
+readout bits are X eigenvalues); the two never share shots because X and Z
+do not commute.  The sampler does not measure or feed back itself: it reads
+both runs' joint law of (mu, readout) from the pass array of the protocol
+pass (`run_protocol`).  The tallies of N shots follow Multinomial(N, p)
+over that law, so a run is one multinomial draw.  The exact cells are
+`exact_record`'s closed forms.
 
 Randomness is counter-based (numpy Philox keyed by master seed, model
 parameters, receiver set and basis), so a run's tallies are a pure function
@@ -21,8 +22,8 @@ import numpy as np
 
 from ._kernels import pauli_eigs
 from .model import ModelBundle, ReceiverEnergy, StarModelParams, star_model
-from .ops import HADAMARD, Ensemble, ObservableSum, apply_gate_1q
-from .protocol import QetRecord, exact_record, run_protocol
+from .ops import ObservableSum
+from .protocol import QetRecord, exact_record, pass_sites, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
@@ -53,7 +54,8 @@ class ShotPlan:
 class SampleTallies:
     basis: str
     shots: int
-    n_qubits: int
+    n_qubits: int  # of the model
+    sites: tuple[int, ...]  # read out, sender first; outcome bits in this order
     joint: np.ndarray  # int64 occurrences of (mu, outcome); row 0 mu = +1, row 1 mu = -1
 
     @property
@@ -90,43 +92,44 @@ def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -
     ]
 
 
+def readout_law(fed: np.ndarray, basis: str) -> np.ndarray:
+    """Joint (mu, outcome) probabilities, shape (2, 2^n), of one basis run of
+    a pass array fed[mu, m, outcome] over n read-out sites: the sum over the
+    spectator m of fed^2, after one Hadamard on each site's axis in an
+    X-run."""
+    n = fed.shape[-1].bit_length() - 1
+    if basis == "X":
+        for i in range(n):
+            x = fed.reshape(2, -1, 2, 2 ** (n - 1 - i))  # site i's bit on axis 2
+            fed = np.stack([x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]], axis=2)
+        fed = fed.reshape(2, -1, 2**n) * 2.0 ** (-n / 2)
+    return np.sum(fed**2, axis=1)
+
+
 def sample_protocol(
     bundle: ModelBundle,
-    fed: Ensemble,
+    fed: np.ndarray,
     receivers: tuple[int, ...],
     plan: ShotPlan,
 ) -> SampleTallies:
-    """Tally `plan.shots` shots of one basis run of the fed ensemble.
+    """Tally `plan.shots` shots of one basis run of the pass array.
 
-    `fed` is the exact pass's post-feedback ensemble for `receivers`, which
-    also key the Philox stream.  The tallies are one multinomial draw over
-    the 2 * 2^n probabilities p_mu |<outcome|psi_mu>|^2 (every site
-    Hadamard-rotated first in an X-run), so they are a pure function of the
+    `fed` is `run_protocol`'s array for `receivers`, which also key the
+    Philox stream.  The tallies are one multinomial draw over the
+    2 * 2^(|R|+1) cells of `readout_law`, so they are a pure function of the
     key, and time and memory do not grow with the shots.
     """
-    n = bundle.n_qubits
-    joint = np.zeros((2, 2**n))
-    for branch in fed.branches:
-        state = branch.state
-        if plan.basis_run == "X":
-            for site in range(n):
-                state = apply_gate_1q(state, site, HADAMARD)
-        joint[0 if branch.label == +1 else 1] = branch.probability * np.abs(state.amplitudes) ** 2
+    sites = pass_sites(bundle, receivers)
+    if fed.shape[::2] != (2, 2 ** len(sites)):
+        raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
+    joint = readout_law(fed, plan.basis_run)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(_seed_key(bundle, receivers, plan)))
     )
     draws = rng.multinomial(plan.shots, joint.ravel() / joint.sum()).reshape(joint.shape)
-    return SampleTallies(basis=plan.basis_run, shots=plan.shots, n_qubits=n, joint=draws)
-
-
-def _readout_mask(word, basis: str) -> int:
-    letters = set(word.letters) - {"I"}
-    if basis == "Z" and letters <= {"Z"}:
-        return word.z_mask
-    if basis == "X" and letters <= {"X"}:
-        return word.x_mask
-    raise ValueError(
-        f"observable word {word.letters} is not measurable from a {basis}-run"
+    return SampleTallies(
+        basis=plan.basis_run, shots=plan.shots, n_qubits=bundle.n_qubits, sites=sites,
+        joint=draws,
     )
 
 
@@ -134,22 +137,33 @@ def estimate(tallies: SampleTallies, obs: ObservableSum, label: str = "") -> Est
     """Mean and standard error of an observable from one basis run.
 
     The per-shot value is offset + sum_t c_t * (+-1 parity of the outcome
-    bits on t's support); stderr is the sample standard deviation over shots
-    divided by sqrt(shots).
+    bits on t's support), each of t's letters the run's basis on a read-out
+    site; stderr is the sample standard deviation over shots divided by
+    sqrt(shots).
     """
     if obs.n_qubits != tallies.n_qubits:
         raise ValueError("qubit count mismatch")
-    dim = 2**tallies.n_qubits
-    values = np.full(dim, obs.offset, dtype=np.float64)
-    idx = np.arange(dim, dtype=np.int64)
+    sites = tallies.sites
+    values = np.full(2 ** len(sites), obs.offset, dtype=np.float64)
+    idx = np.arange(2 ** len(sites), dtype=np.int64)
     for coeff, word in obs.terms:
-        values += coeff * pauli_eigs(idx, _readout_mask(word, tallies.basis))
-    n = tallies.shots
-    mean = float(np.dot(tallies.counts, values)) / n
+        mask = 0
+        for site, letter in enumerate(word.letters):
+            if letter == "I":
+                continue
+            if letter != tallies.basis or site not in sites:
+                raise ValueError(
+                    f"observable word {word.letters} is not measurable from a "
+                    f"{tallies.basis}-run of sites {sites}"
+                )
+            mask |= 1 << (len(sites) - 1 - sites.index(site))
+        values += coeff * pauli_eigs(idx, mask)
+    n, counts = tallies.shots, tallies.counts
+    mean = float(np.dot(counts, values)) / n
     if n < 2:
         stderr = 0.0
     else:
-        var = float(np.dot(tallies.counts, (values - mean) ** 2)) / (n - 1)
+        var = float(np.dot(counts, (values - mean) ** 2)) / (n - 1)
         stderr = float(np.sqrt(var / n))
     return EstimateRow(observable=label, mean=mean, stderr=stderr, shots=n)
 
@@ -157,14 +171,14 @@ def estimate(tallies: SampleTallies, obs: ObservableSum, label: str = "") -> Est
 def sampled_record(
     bundle: ModelBundle,
     exact: QetRecord,
-    fed: Ensemble,
+    fed: np.ndarray,
     shots: int,
     master_seed: int,
 ) -> QetRecord:
     """Shot-sampled analogue of the exact record, drawn from its pass.
 
     `exact` and `fed` are `exact_record`'s record and `run_protocol`'s
-    ensemble; the receivers and the angles are the exact record's.  E0
+    array; the receivers and the angles are the exact record's.  E0
     comes from the Z-run estimator of the sender's field term (its
     post-measurement mean equals the injected energy); each receiver energy
     combines its Z-run and X-run terms with quadrature standard errors.
@@ -235,12 +249,12 @@ def estimate_table1(
     """
     cells = []
     for (q, h, k) in configs:
-        bundle, ground = star_model(StarModelParams(h=float(h), k=float(k), q=int(q)))
+        bundle = star_model(StarModelParams(h=float(h), k=float(k), q=int(q)))
         exact = exact_record(bundle, (1, 2))
         tiling = f"{{3,{q}}}"
         cells += _record_cells(exact, tiling, None, None)
         if "sampled" in methods:
-            fed = run_protocol(bundle, ground, (1, 2))
+            fed = run_protocol(bundle, (1, 2))
             sampled = sampled_record(bundle, exact, fed, shots, master_seed)
             cells += _record_cells(sampled, tiling, shots, master_seed)
     return cells

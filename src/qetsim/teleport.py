@@ -14,7 +14,7 @@ agree.  Without an rng the (0, 0) branch is kept and its payloads are logged
 as ``x`` placeholders; with one, the drawn row's (m1, m2) is drawn from the
 branches' Born probabilities and logged as concrete bits.  A relay step is
 one `relay_hop` of the whole stack: the long-range run relays both mu
-branches of the statevector pass as two rows, the drawn one (in exact mode,
+branches of the protocol pass as two rows, the drawn one (in exact mode,
 the first) writing the transcript, and checks the relayed energies against
 the closed-form exact record.
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import IllConditionedError, MinimalModelParams, star_model
-from .ops import MAX_STATEVECTOR_QUBITS, Branch, Ensemble, StateVector
-from .protocol import QetRecord, exact_record, receiver_energy, run_protocol
+from .ops import MAX_STATEVECTOR_QUBITS, StateVector
+from .protocol import QetRecord, exact_record, run_protocol
 
 
 @dataclass(frozen=True)
@@ -184,23 +184,22 @@ def teleport_qubit(
 
 
 def relay_hop(
-    state: StateVector | np.ndarray,
+    rows: np.ndarray,
     logical: int,
     transcript: LoccTranscript,
     rng: np.random.Generator | None = None,
     sender_name: str = "charlie",
     receiver_name: str = "bob",
     drawn: int = 0,
-) -> StateVector | np.ndarray:
+) -> np.ndarray:
     """One teleport of `logical` through a fresh Bell pair, ancillas recycled.
 
-    `state` is one register or a (B, 2**n) stack of them, relayed as one
-    batch by the hop kernel; with an rng, row `drawn` draws the logged bits.
-    The measured-out qubits are projected away at their bits and the relayed
-    content is moved back to the `logical` index, so the register shape is
+    `rows` is a (B, 2**n) stack of registers, relayed as one batch by the
+    hop kernel; with an rng, row `drawn` draws the logged bits.  The
+    measured-out qubits are projected away at their bits and the relayed
+    content is moved back to the `logical` index, so the stack's shape is
     unchanged.
     """
-    rows = state.amplitudes[None] if isinstance(state, StateVector) else state
     n = _qubits(rows)
     kept, _ = _keep(
         *_teleport_rows(_with_bell(rows), logical, (n, n + 1)),
@@ -208,8 +207,7 @@ def relay_hop(
     )
     # the relayed content is the last qubit now; move it home
     home = [*range(logical + 1), n, *range(logical + 1, n)]
-    kept = kept.reshape((len(kept),) + (2,) * n).transpose(home).reshape(len(kept), -1)
-    return StateVector(n, kept[0]) if isinstance(state, StateVector) else kept
+    return kept.reshape((len(kept),) + (2,) * n).transpose(home).reshape(len(kept), -1)
 
 
 def run_longrange_qet(
@@ -218,13 +216,14 @@ def run_longrange_qet(
     """Ground -> X0 measurement -> mu broadcast -> conditional rotation at the
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
-    The measurement and feedback are `run_protocol`'s pass; the mu branches
-    are then relayed as one stack, one `relay_hop` per hop.  The record is
-    run_minimal_qet's.  With a seed, mu and every hop's bits are drawn, and
-    the drawn branch fills the transcript with concrete bits.  The third
-    value is the largest difference of the relayed HX1, HZ1 and E1 from the
-    record's closed forms (the relay is an identity channel, so it checks
-    relay and pass alike).
+    The measurement and feedback are `run_protocol`'s pass, on both sites of
+    the q = 2 star, so its one spectator row holds the mu branches; they are
+    then relayed as one stack of two normalized rows, one `relay_hop` per
+    hop.  The record is run_minimal_qet's.  With a seed, mu and every hop's
+    bits are drawn, and the drawn branch fills the transcript with concrete
+    bits.  The third value is the largest difference of the relayed HX1,
+    HZ1 and E1 from the record's closed forms (the relay is an identity
+    channel, so it checks relay and pass alike).
 
     The pass loses those energies as the fields part, at any hop count: with
     the smaller field 1, by 1.8e-12 at h/k = 1e4 and 1.5e-8 at 1e8, and by
@@ -237,37 +236,37 @@ def run_longrange_qet(
     if ratio > MAX_RELAY_FIELD_RATIO:
         raise IllConditionedError(
             f"ill-conditioned: max(h/k, k/h) = {ratio:.3g} > {MAX_RELAY_FIELD_RATIO:.0e} "
-            "for the relayed statevector pass"
+            "for the relayed protocol pass"
         )
-    bundle, ground = star_model(params)
+    bundle = star_model(params)
     exact = exact_record(bundle, (1,))
-    fed = run_protocol(bundle, ground, (1,))
+    fed = run_protocol(bundle, (1,))[:, 0]
+    probs = np.sum(fed**2, axis=-1)  # p_mu, mu = +1 then -1
     hop_names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
 
     rng = None if seed is None else np.random.default_rng(seed)
     drawn = 0
     if rng is not None:
-        cumulative = np.cumsum([br.probability for br in fed.branches])
-        drawn = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        drawn = min(drawn, len(cumulative) - 1)
+        drawn = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        drawn = min(drawn, len(probs) - 1)
     transcript = LoccTranscript()
-    mu_bit = "x" if rng is None else str((1 - fed.branches[drawn].label) // 2)
-    transcript.record("alice", "all", "mu-broadcast", mu_bit)
+    transcript.record("alice", "all", "mu-broadcast", "x" if rng is None else str(drawn))
 
-    # the other rows relay identically; only the drawn row's events are logged
-    rows = np.stack([br.state.amplitudes for br in fed.branches])
+    # the other row relays identically; only the drawn row's events are logged
+    rows = fed / np.sqrt(probs)[:, None]
     for i in range(hops):
         rows = relay_hop(
             rows, 1, transcript, rng=rng,
             sender_name=hop_names[i], receiver_name=hop_names[i + 1], drawn=drawn,
         )
-    relayed = receiver_energy(Ensemble(tuple(
-        Branch(br.probability, StateVector(fed.n_qubits, row), br.label)
-        for br, row in zip(fed.branches, rows)
-    )), bundle, 1)
+    # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
+    z1 = probs @ (np.abs(rows) ** 2 @ np.array([1.0, -1.0, 1.0, -1.0]))
+    xx = probs @ np.sum(rows.conj() * rows[:, ::-1], axis=-1).real
+    hz = bundle.params.h * z1 + bundle.locals["Z1"].offset
+    hx = 2.0 * bundle.params.k * xx + bundle.locals["X1"].offset
     local = exact.receivers[1]
-    delta = max(abs(getattr(relayed, f) - getattr(local, f)) for f in ("hx", "hz", "e_j"))
-    return exact, transcript, delta
+    delta = max(abs(hx - local.hx), abs(hz - local.hz), abs(hx + hz - local.e_j))
+    return exact, transcript, float(delta)
 
 
 def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:
@@ -288,6 +287,6 @@ def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> flo
     rows = original
     for _ in range(hops):
         rows = relay_hop(rows, 0, LoccTranscript())
-    # pure-state trace distance, as `ops.pure_trace_distance`, row by row
+    # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
     overlap = np.sum(original.conj() * rows, axis=-1)
     return float(np.max(np.linalg.norm(rows - overlap[:, None] * original, axis=-1)))

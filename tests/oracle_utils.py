@@ -1,26 +1,22 @@
-"""Independent dense-matrix oracles used by the tests.
+"""Independent dense oracles used by the tests.
 
-Everything here is built directly from 2x2 numpy arrays and np.kron so the
-checks do not share code paths with the package's Pauli-word kernels.
+Everything here is built from 2x2 numpy arrays, np.kron and per-site
+np.tensordot on full 2^q amplitude vectors, so the checks share no code path
+with the package's reduced-state protocol pass, its readout kernel or its
+stacked teleport hop kernel.  States are plain complex arrays; an ensemble
+is a list of (probability, state, mu) branches.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from qetsim.model import DEGENERACY_TOL, GroundSolution
-from qetsim.ops import (
-    HADAMARD,
-    DegenerateGroundError,
-    StateVector,
-    apply_gate_1q,
-    apply_pauli,
-    pure_trace_distance,
-    x_on,
-    z_on,
-)
+from qetsim.model import DEGENERACY_TOL, feedback_angle
+from qetsim.ops import DegenerateGroundError, StateVector
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -29,6 +25,7 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def op_on(letter: str, site: int, n: int) -> np.ndarray:
@@ -54,7 +51,100 @@ def dense_observable(obs) -> np.ndarray:
     return M
 
 
-def analytic_ground_minimal(params) -> StateVector:
+def reduced_observable(obs, sites: tuple[int, ...]) -> np.ndarray:
+    """Dense matrix of an ObservableSum on `sites` only (in that order); every
+    word must act as the identity elsewhere."""
+    M = obs.offset * np.eye(2 ** len(sites), dtype=complex)
+    for coeff, word in obs.terms:
+        assert all(word.letters[i] == "I" for i in range(obs.n_qubits) if i not in sites)
+        M += coeff * word_matrix("".join(word.letters[i] for i in sites))
+    return M
+
+
+# --- states ---------------------------------------------------------------------
+
+def _qubits(amps: np.ndarray) -> int:
+    return len(amps).bit_length() - 1
+
+
+def on_site(amps: np.ndarray, site: int, gate: np.ndarray) -> np.ndarray:
+    """A 2x2 gate applied at one site, by np.tensordot on the site's axis."""
+    n = _qubits(amps)
+    t = np.tensordot(gate, amps.reshape((2,) * n), axes=([1], [site]))
+    return np.moveaxis(t, 0, site).reshape(-1)
+
+
+def apply_word(amps: np.ndarray, letters: str) -> np.ndarray:
+    if len(letters) != _qubits(amps):
+        raise ValueError(f"word {letters} does not fit {len(amps)} amplitudes")
+    for site, letter in enumerate(letters):
+        if letter != "I":
+            amps = on_site(amps, site, PAULI[letter])
+    return amps
+
+
+def expectation(amps: np.ndarray, obs) -> float:
+    """<obs> of one state, word by word; the offset adds."""
+    val = sum(coeff * np.vdot(amps, apply_word(amps, w.letters)) for coeff, w in obs.terms)
+    assert abs(complex(val).imag) < 1e-10
+    return complex(val).real + obs.offset
+
+
+def ensemble_expectation(branches, obs) -> float:
+    return sum(p * expectation(psi, obs) for p, psi, _ in branches)
+
+
+def measure(amps: np.ndarray, letters: str) -> list[tuple[float, np.ndarray, int]]:
+    """Projective measurement of a +-1 Pauli word: branches (p, state, mu),
+    projector (I + mu W) / 2, zero-probability branches dropped."""
+    rotated = apply_word(amps, letters)
+    out = []
+    for mu in (+1, -1):
+        proj = 0.5 * (amps + mu * rotated)
+        p = float(np.vdot(proj, proj).real)
+        if p > 1e-12:
+            out.append((p, proj / np.sqrt(p), mu))
+    return out
+
+
+def rotate(amps: np.ndarray, letters: str, theta: float, mu: int) -> np.ndarray:
+    """(cos theta) I - i mu (sin theta) W applied to the state."""
+    if mu not in (-1, +1):
+        raise ValueError("mu must be +1 or -1")
+    return np.cos(theta) * amps - 1j * mu * np.sin(theta) * apply_word(amps, letters)
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    return abs(complex(np.vdot(a, b)))
+
+
+def pure_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(1 - |<a|b>|^2), as the norm of b's component orthogonal to a,
+    which does not cancel for nearly identical states."""
+    return float(np.linalg.norm(b - np.vdot(a, b) * a))
+
+
+# --- ground states ----------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class DenseGround:
+    state: np.ndarray
+    energy: float
+    gap: float
+
+
+def solve_ground(obs) -> DenseGround:
+    """Reference ground solve of any ObservableSum: the lowest eigenpair of
+    its dense np.kron matrix, with the spectral gap; a gap below the
+    package's DEGENERACY_TOL raises its DegenerateGroundError."""
+    vals, vecs = np.linalg.eigh(dense_observable(obs))
+    gap = float(vals[1] - vals[0])
+    if gap < DEGENERACY_TOL:
+        raise DegenerateGroundError(f"ground space degenerate (gap = {gap:.3e})")
+    return DenseGround(vecs[:, 0], float(vals[0]), gap)
+
+
+def analytic_ground_minimal(params) -> np.ndarray:
     """Closed-form minimal-model ground state, supported on |00> and |11>.
 
     The minimal model's offsets are h^2/r for Z0 and Z1 and 2k^2/r for X1,
@@ -65,48 +155,120 @@ def analytic_ground_minimal(params) -> StateVector:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0b00] = np.sqrt((1.0 - h / r) / 2.0)
     amps[0b11] = -np.sqrt((1.0 + h / r) / 2.0)
-    return StateVector(2, amps)
+    return amps
 
 
-def solve_ground(obs) -> GroundSolution:
-    """Reference ground solve of any ObservableSum: the lowest eigenpair of
-    its dense np.kron matrix, with the spectral gap; a gap below the
-    package's DEGENERACY_TOL raises its DegenerateGroundError."""
-    vals, vecs = np.linalg.eigh(dense_observable(obs))
-    gap = float(vals[1] - vals[0])
-    if gap < DEGENERACY_TOL:
-        raise DegenerateGroundError(f"ground space degenerate (gap = {gap:.3e})")
-    return GroundSolution(StateVector(obs.n_qubits, vecs[:, 0]), float(vals[0]), gap)
+def dicke_embed(g) -> np.ndarray:
+    """The 2^q amplitudes of sum_{s, n} g[s, n] |s> (x) |D_n>: a receiver
+    Dicke state with n ones has 1/sqrt(C(q - 1, n)) on each basis state."""
+    g = np.reshape(g, (2, -1))
+    q = g.shape[1]
+    amps = np.zeros((2,) + (2,) * (q - 1), dtype=complex)
+    for bits in np.ndindex(*(2,) * (q - 1)):
+        n = sum(bits)
+        for s in (0, 1):
+            amps[(s,) + bits] = g[s, n] / math.sqrt(math.comb(q - 1, n))
+    return amps.reshape(-1)
+
+
+def star_ground(bundle) -> np.ndarray:
+    return dicke_embed(bundle.g)
 
 
 def dense_expectation(amps: np.ndarray, M: np.ndarray) -> complex:
     return complex(np.vdot(amps, M @ amps))
 
 
-def ensemble_density(ensemble) -> np.ndarray:
-    dim = 2**ensemble.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    for b in ensemble.branches:
-        a = b.state.amplitudes
-        rho += b.probability * np.outer(a, a.conj())
-    return rho
+# --- the protocol on full states -------------------------------------------------
+
+def fed_ensemble(bundle, receivers, thetas=None):
+    """The protocol on the 2^q ground state: X0 measured, then each receiver
+    j rotated by cos t - i mu sin t Y_j, in the given order, t =
+    thetas[j] or the package's feedback angle."""
+    q = bundle.n_qubits
+    branches = measure(star_ground(bundle), "X" + "I" * (q - 1))
+    for j in receivers:
+        t = feedback_angle(bundle, j).theta if thetas is None else thetas[j]
+        y = "".join("Y" if i == j else "I" for i in range(q))
+        branches = [(p, rotate(psi, y, t, mu), mu) for p, psi, mu in branches]
+    return branches
 
 
-def feedback_energy_curve(ensemble, site: int, local, thetas) -> np.ndarray:
+def receiver_energy(branches, bundle, j) -> dict[str, float]:
+    hx = ensemble_expectation(branches, bundle.locals[f"X{j}"])
+    hz = ensemble_expectation(branches, bundle.locals[f"Z{j}"])
+    return {"hx": hx, "hz": hz, "e_j": hx + hz, "e_b": -(hx + hz)}
+
+
+def ensemble_density(branches) -> np.ndarray:
+    return sum(p * np.outer(psi, psi.conj()) for p, psi, _ in branches)
+
+
+def readout_law(branches, sites: tuple[int, ...], basis: str) -> np.ndarray:
+    """(mu, outcome) law of reading `sites` (outcome bits in that order):
+    p_mu times the diagonal of each branch's partial trace on `sites`,
+    after a Hadamard at each of them in an X-run."""
+    law = np.zeros((2, 2 ** len(sites)))
+    for p, psi, mu in branches:
+        if basis == "X":
+            for site in sites:
+                psi = on_site(psi, site, HADAMARD)
+        rho = partial_trace(psi, _qubits(psi), sites)
+        law[0 if mu == +1 else 1] = p * np.diag(rho).real
+    return law
+
+
+def oracle_pass(branches, sites: tuple[int, ...]) -> np.ndarray:
+    """A pass array for the package's sampler from full branches: row mu
+    holds sqrt(p_mu) psi_mu with `sites` as the cell bits and every other
+    site on the spectator axis, a purification of the same reduced state."""
+    rows = []
+    for p, psi, mu in sorted(branches, key=lambda b: -b[2]):
+        n = _qubits(psi)
+        rest = [s for s in range(n) if s not in sites]
+        t = np.transpose(psi.reshape((2,) * n), rest + list(sites))
+        rows.append(np.sqrt(p) * t.reshape(2 ** len(rest), -1))
+    out = np.array(rows)
+    assert out.shape[0] == 2 and np.abs(out.imag).max() < 1e-14
+    return out.real
+
+
+def pass_density(fed: np.ndarray) -> np.ndarray:
+    """Reduced density matrix of the read-out sites from a pass array
+    fed[mu, m, c], summed over mu and the spectator m."""
+    rows = fed.reshape(-1, fed.shape[-1])
+    return rows.T @ rows.conj()
+
+
+def pass_energy_curve(fed: np.ndarray, shifts, local: np.ndarray) -> np.ndarray:
+    """<local> of a one-receiver pass array (cells: sender bit, receiver bit)
+    after turning the receiver on by each angle of `shifts` with
+    cos t - i mu sin t Y, mu = +1 on row 0; `local` is 4 x 4."""
+    out = []
+    for t in shifts:
+        rho = 0
+        for mu, rows in zip((+1, -1), fed):
+            turned = rows @ np.kron(I2, np.cos(t) * I2 - 1j * mu * np.sin(t) * PAULI["Y"]).T
+            rho = rho + turned.T @ turned.conj()
+        out.append(np.trace(rho @ local).real)
+    return np.array(out)
+
+
+def feedback_energy_curve(branches, site: int, local, thetas) -> np.ndarray:
     """<local> after the feedback rotation at every angle of `thetas`.
 
     For each branch (p, psi, mu) the rotated states
     cos(t) psi - i mu sin(t) Y_site psi of the whole grid are stacked into
     one array, and their dense <local> is weighted by p.
     """
+    n = _qubits(branches[0][1])
     M = dense_observable(local)
-    Y = op_on("Y", site, ensemble.n_qubits)
+    Y = op_on("Y", site, n)
     t = np.asarray(thetas, dtype=np.float64)[:, None]
     out = np.zeros(len(t))
-    for b in ensemble.branches:
-        psi = b.state.amplitudes
-        rotated = np.cos(t) * psi - 1j * b.label * np.sin(t) * (Y @ psi)
-        out += b.probability * np.einsum("gi,gi->g", rotated.conj(), rotated @ M.T).real
+    for p, psi, mu in branches:
+        rotated = np.cos(t) * psi - 1j * mu * np.sin(t) * (Y @ psi)
+        out += p * np.einsum("gi,gi->g", rotated.conj(), rotated @ M.T).real
     return out
 
 
@@ -220,8 +382,8 @@ def star_reduced_values(q: int, h: float, k: float) -> dict[str, float]:
 
 
 # --- the per-branch teleport, oracle of the package's stacked hop kernel ------
-# One branch at a time on single StateVectors, through the package's one-state
-# gate and Pauli kernels, none of which the stacked hop kernel calls.
+# One branch at a time on single StateVectors, through the gates above, none
+# of which the stacked hop kernel calls.
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     n = state.n_qubits
@@ -279,12 +441,12 @@ def _collapse_bit(state: StateVector, site: int, bit: int) -> tuple[float, State
 
 
 def _correct(state: StateVector, target: int, m1: int, m2: int) -> StateVector:
-    out = state
+    out = state.amplitudes
     if m2:
-        out = apply_pauli(out, x_on(out.n_qubits, target))
+        out = on_site(out, target, PAULI["X"])
     if m1:
-        out = apply_pauli(out, z_on(out.n_qubits, target))
-    return out
+        out = on_site(out, target, PAULI["Z"])
+    return StateVector(state.n_qubits, out)
 
 
 def teleport_branches(
@@ -296,7 +458,8 @@ def teleport_branches(
     pair[1], then drop the measured qubits.  Raises AssertionError if the
     branches disagree."""
     a, b = pair
-    work = apply_gate_1q(apply_cnot(state, source, a), source, HADAMARD)
+    cnot = apply_cnot(state, source, a)
+    work = StateVector(state.n_qubits, on_site(cnot.amplitudes, source, HADAMARD))
     out = {}
     for m1 in (0, 1):
         p1, s1 = _collapse_bit(work, source, m1)
@@ -304,6 +467,6 @@ def teleport_branches(
             p2, s2 = _collapse_bit(s1, a, m2)
             out[(m1, m2)] = (p1 * p2, drop_qubits(_correct(s2, b, m1, m2), {source: m1, a: m2}))
     for _, reduced in out.values():
-        if pure_trace_distance(out[(0, 0)][1], reduced) > 1e-10:
+        if pure_trace_distance(out[(0, 0)][1].amplitudes, reduced.amplitudes) > 1e-10:
             raise AssertionError("teleportation branches disagree after correction")
     return out

@@ -8,22 +8,29 @@ import time
 
 import numpy as np
 
-from oracle_utils import analytic_ground_minimal, feedback_energy_curve, ring_counts_recurrence
+from oracle_utils import (
+    analytic_ground_minimal,
+    ensemble_expectation,
+    expectation,
+    fed_ensemble,
+    feedback_energy_curve,
+    fidelity,
+    pass_energy_curve,
+    reduced_observable,
+    ring_counts_recurrence,
+    star_ground,
+)
 
 from qetsim import refdata
 from qetsim.model import (
-    FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
     feedback_angle,
     star_model,
 )
-from qetsim.ops import expectation, fidelity
 from qetsim.protocol import (
-    alice_measure,
-    apply_feedback,
-    receiver_energy,
     run_minimal_qet,
+    run_protocol,
     run_qed,
     sweep_EB,
 )
@@ -57,13 +64,14 @@ def test_criterion_01_ground_state_zero_mean_suite():
     t0 = time.perf_counter()
     worst = 0.0
     for h, k in MINIMAL_GRID:
-        bundle, ground = star_model(MinimalModelParams(h, k))
+        bundle = star_model(MinimalModelParams(h, k))
         for obs in (bundle.total, *bundle.locals.values()):
-            worst = max(worst, abs(expectation(ground.state, obs)))
+            worst = max(worst, abs(expectation(star_ground(bundle), obs)))
     for q, h, k in refdata.CONFIGS:
-        bundle, ground = star_model(StarModelParams(float(h), float(k), q))
+        bundle = star_model(StarModelParams(float(h), float(k), q))
+        ground = star_ground(bundle)
         for obs in (bundle.total, *bundle.locals.values()):
-            worst = max(worst, abs(expectation(ground.state, obs)))
+            worst = max(worst, abs(expectation(ground, obs)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
     _report(1, "ground-state zero-mean suite", ok,
@@ -74,8 +82,8 @@ def test_criterion_02_analytic_ground_oracle():
     worst = 1.0
     for h, k in MINIMAL_GRID:
         params = MinimalModelParams(h, k)
-        _, ground = star_model(params)
-        worst = min(worst, fidelity(ground.state, analytic_ground_minimal(params)))
+        ground = star_ground(star_model(params))
+        worst = min(worst, fidelity(ground, analytic_ground_minimal(params)))
     ok = worst >= 1 - 1e-10
     _report(2, "closed-form ground-state fidelity", ok,
             f"min fidelity = 1 - {1 - worst:.2e} (>= 1 - 1e-10)")
@@ -84,9 +92,12 @@ def test_criterion_02_analytic_ground_oracle():
 def test_criterion_03_injected_energy_formula():
     worst = 0.0
     for h, k in MINIMAL_GRID:
-        bundle, ground = star_model(MinimalModelParams(h, k))
-        _, e0 = alice_measure(bundle, ground)
-        worst = max(worst, abs(e0 - h * h / np.hypot(h, k)))
+        params = MinimalModelParams(h, k)
+        bundle = star_model(params)
+        # the dense oracle's measured ensemble and the closed-form record
+        for e0 in (ensemble_expectation(fed_ensemble(bundle, ()), bundle.total),
+                   run_minimal_qet(params).e0):
+            worst = max(worst, abs(e0 - h * h / np.hypot(h, k)))
     ok = worst < 1e-10
     _report(3, "sender energy h^2/sqrt(h^2+k^2)", ok,
             f"worst |E0 - formula| = {worst:.2e} (< 1e-10)")
@@ -181,7 +192,7 @@ def test_criterion_07_long_range_equivalence():
             local = run_minimal_qet(params)
             for hops in (1, 2, 3):
                 # the record is the closed form; delta compares the relayed
-                # statevector's HX1, HZ1 and E1 with it
+                # pass rows' HX1, HZ1 and E1 with it
                 record, transcript, delta = run_longrange_qet(params, hops)
                 assert record.as_dict() == local.as_dict()
                 worst_field = max(worst_field, delta)
@@ -193,9 +204,12 @@ def test_criterion_07_long_range_equivalence():
             f"identity-panel trace distance = {panel_td:.2e} (<= 1e-12)")
 
 
-def _energy_at(bundle, measured, site, theta):
-    fed = apply_feedback(measured, site, FeedbackAngle(theta=float(theta), xi=0.0, eta=0.0))
-    return receiver_energy(fed, bundle, site).e_j
+def _pass_energies(bundle, site, thetas):
+    """Receiver `site`'s energy read off the package's pass for R = {site},
+    turned from theta* to each angle (rotations about Y_site compose)."""
+    local = reduced_observable(bundle.locals[f"Z{site}"] + bundle.locals[f"X{site}"], (0, site))
+    shifts = np.asarray(thetas) - feedback_angle(bundle, site).theta
+    return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
 
 def test_criterion_08_theta_beats_grid_scan():
@@ -203,19 +217,19 @@ def test_criterion_08_theta_beats_grid_scan():
     grid = np.arange(-np.pi / 2 + spacing, np.pi / 2 + 1e-12, spacing)
     details = []
     ok = True
-    for label, (bundle, ground) in (
+    for label, bundle in (
         ("minimal(1,1)", star_model(MinimalModelParams(1.0, 1.0))),
         ("star(q=6,9,2)", star_model(StarModelParams(9.0, 2.0, 6))),
     ):
-        measured, _ = alice_measure(bundle, ground)
+        measured = fed_ensemble(bundle, ())
         angle = feedback_angle(bundle, 1)
         local = bundle.locals["Z1"] + bundle.locals["X1"]
         energies = feedback_energy_curve(measured, 1, local, grid)
         # the stacked dense curve is the protocol's own at 64 spread grid points
         probe = np.linspace(0, len(grid) - 1, 64).astype(int)
-        protocol_path = np.array([_energy_at(bundle, measured, 1, t) for t in grid[probe]])
+        protocol_path = _pass_energies(bundle, 1, grid[probe])
         ok = ok and np.abs(energies[probe] - protocol_path).max() <= 1e-12
-        e_closed = _energy_at(bundle, measured, 1, angle.theta)
+        e_closed = _pass_energies(bundle, 1, [angle.theta])[0]
         best = energies.min()
         ok = ok and e_closed <= best + 1e-12 and abs(angle.theta - grid[np.argmin(energies)]) <= spacing
         details.append(

@@ -6,6 +6,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import qetsim.cli
@@ -94,6 +95,15 @@ def test_sweep_rejects_nonpositive_grid():
     assert run_cli("sweep", "--h", "0:1:5", "--k", "1") == 2
 
 
+@pytest.mark.parametrize("text", ["1:2:0", "1:2:1.5", "1:2"])
+def test_sweep_bad_range_names_the_option_and_form(text, capsys):
+    assert run_cli("sweep", "--h", text, "--k", "1") == 2
+    assert capsys.readouterr().err == (
+        "error: --h expects a value or min:max:steps with a positive integer steps, "
+        f"got '{text}'\n"
+    )
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("sweep", "--h", "0.5:1.5:4", "--k", "0.5:1.5:4", "--out", str(a))
@@ -166,7 +176,7 @@ def test_qed_beyond_the_statevector_guard_exits_2(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("the guard must reject q before any solve")
 
-    monkeypatch.setattr(qetsim.model, "solve_star_ground", solve)
+    monkeypatch.setattr(qetsim.model, "star_block_ground", solve)
     q = MAX_STATEVECTOR_QUBITS + 1
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", str(q)) == 2
     err = capsys.readouterr().err
@@ -327,7 +337,7 @@ def test_longrange_sampled_transcript(tmp_path):
 
 @pytest.mark.parametrize("h, k", [("1e8", "1"), ("1", "1e6"), ("10001", "1")])
 def test_longrange_ill_conditioned_exits_1_before_any_pass(h, k, tmp_path, capsys, monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     out = tmp_path / "r.json"
     assert run_cli("longrange", "--h", h, "--k", k, "--hops", "1000", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 1
@@ -341,6 +351,31 @@ def test_longrange_just_inside_the_field_ratio_bound(h, k, tmp_path):
     assert run_cli("longrange", "--h", h, "--k", k, "--hops", "3", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
     assert json.loads(out.read_text())["relay_vs_local_max_delta"] <= 1e-10
+
+
+@pytest.mark.parametrize("scale", ["1e6", "1e-6"])
+def test_longrange_check_is_relative_to_the_field_scale(scale, tmp_path):
+    # the pass's roundoff grows with max(h, k); the JSON field stays absolute
+    out = tmp_path / "r.json"
+    assert run_cli("longrange", "--h", scale, "--k", scale, "--hops", "2", "--out", str(out),
+                   "--transcript-out", str(tmp_path / "t.log")) == 0
+    assert json.loads(out.read_text())["relay_vs_local_max_delta"] <= 1e-10 * float(scale)
+
+
+def test_longrange_perturbed_relay_exits_1(tmp_path, capsys, monkeypatch):
+    relay_hop = qetsim.teleport.relay_hop
+
+    def perturbed(rows, *args, **kwargs):
+        out = relay_hop(rows, *args, **kwargs)
+        out = out + 1e-6 * out[:, ::-1]
+        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+    monkeypatch.setattr(qetsim.teleport, "relay_hop", perturbed)
+    out = tmp_path / "r.json"
+    assert run_cli("longrange", "--h", "1e6", "--k", "1e6", "--hops", "2", "--out", str(out),
+                   "--transcript-out", str(tmp_path / "t.log")) == 1
+    assert capsys.readouterr().err.startswith("relay/non-relay mismatch: ")
+    assert json.loads(out.read_text())["relay_vs_local_max_delta"] > 1e-10 * 1e6
 
 
 # --- one protocol pass per run ------------------------------------------------------
@@ -363,21 +398,21 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_qed_both_methods_run_one_pass(monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "both",
                    "--shots", "2000") == 0
     assert len(passes) == 1
 
 
 def test_table1_runs_one_pass_per_config(tmp_path, monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     assert run_cli("table1", "--check", "--shots", "2000",
                    "--out", str(tmp_path / "t.csv")) == 0
     assert len(passes) == 12
 
 
 def test_longrange_runs_one_pass(tmp_path, monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
                    "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
@@ -391,7 +426,7 @@ def test_longrange_runs_one_pass(tmp_path, monkeypatch):
     ("qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--method", "exact"),
 ])
 def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "alice_measure")
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
     assert passes == []
 
@@ -411,12 +446,34 @@ def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
     assert rows == [2, 2, 2]  # three hops, each relaying both mu branches as rows
 
 
+@pytest.mark.parametrize("receivers", ["1,2", "19,3,11"])
+def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, monkeypatch):
+    # q = 20 with a few receivers: the pass and the tallies cover only the
+    # sender and the receivers, never the 2^20 amplitudes of the register
+    shapes = []
+    run_protocol, readout_law = qetsim.protocol.run_protocol, qetsim.sampler.readout_law
+
+    def recorded(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            shapes.append(out.shape)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(qetsim.cli, "run_protocol", recorded(run_protocol))
+    monkeypatch.setattr(qetsim.sampler, "readout_law", recorded(readout_law))
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", receivers,
+                   "--shots", "1000", "--out", str(tmp_path / "qed.json")) == 0
+    r = len(receivers.split(","))
+    assert shapes == [(2, 20 - r, 2 ** (r + 1))] + [(2, 2 ** (r + 1))] * 2
+
+
 # --- pinned sampled bytes ---------------------------------------------------------
 
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
-    "table1": "23dd2741401f4394319c1fb608e0093a4a1884047b14afc93bbbd0329f82294d",
-    "qed": "5ca084285053e576336792e725a39fb98b2ee730f6d69f2c5be513d65c246084",
+    "table1": "94f2509672eba55be952cf80bbd9992cf8920eca97b66a98839d60e4dfdb46c1",
+    "qed": "63f9a60cfbec5554bcebea16f03bbb6f895fbef96e79f5bc6e02abc41b3022f1",
     "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
 }
 

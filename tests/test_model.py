@@ -7,31 +7,35 @@ from oracle_utils import (
     analytic_ground_minimal,
     dense_observable,
     dense_star_angle,
+    dicke_embed,
+    expectation,
+    fed_ensemble,
     feedback_energy_curve,
+    fidelity,
+    pass_energy_curve,
+    reduced_observable,
     solve_ground,
+    star_ground,
     star_reduced_values,
 )
 
 import qetsim.model
 from qetsim.model import (
     DegenerateGroundError,
-    FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
     feedback_angle,
-    solve_star_ground,
+    star_block_ground,
     star_model,
 )
 from qetsim.ops import (
     MAX_STATEVECTOR_QUBITS,
     ObservableSum,
     PauliString,
-    expectation,
-    fidelity,
     single_term,
     z_on,
 )
-from qetsim.protocol import alice_measure, apply_feedback, receiver_energy
+from qetsim.protocol import run_protocol
 
 HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]
 
@@ -40,21 +44,21 @@ HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.
 
 def test_minimal_offsets_at_h_k_one():
     # offsets h^2/r for the fields and 2k^2/r for the coupling, r = sqrt(h^2+k^2)
-    bundle, _ = star_model(MinimalModelParams(1.0, 1.0))
+    bundle = star_model(MinimalModelParams(1.0, 1.0))
     assert bundle.locals["Z0"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
     assert bundle.locals["Z1"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
     assert bundle.locals["X1"].offset == pytest.approx(2 / np.sqrt(2), abs=1e-14)
 
 
 def test_minimal_total_is_sum_of_locals():
-    bundle, _ = star_model(MinimalModelParams(3.0, 0.5))
+    bundle = star_model(MinimalModelParams(3.0, 0.5))
     assert set(bundle.locals) == {"Z0", "Z1", "X1"}
     summed = bundle.locals["Z0"] + bundle.locals["Z1"] + bundle.locals["X1"]
     assert bundle.total.isclose(summed)
 
 
 def test_minimal_small_k_limit():
-    bundle, _ = star_model(MinimalModelParams(2.0, 1e-8))
+    bundle = star_model(MinimalModelParams(2.0, 1e-8))
     assert bundle.locals["Z0"].offset == pytest.approx(2.0, rel=1e-12)
     assert bundle.locals["X1"].offset == pytest.approx(0.0, abs=1e-12)
     (coeff, _), = bundle.locals["X1"].terms
@@ -63,29 +67,30 @@ def test_minimal_small_k_limit():
 
 def test_analytic_ground_amplitudes():
     g = analytic_ground_minimal(MinimalModelParams(1.0, 1.0))
-    assert g.amplitudes[0b00].real == pytest.approx(0.3826834323650898, abs=1e-12)
-    assert g.amplitudes[0b11].real == pytest.approx(-0.9238795325112867, abs=1e-12)
-    assert g.amplitudes[0b01] == 0 and g.amplitudes[0b10] == 0
+    assert g[0b00].real == pytest.approx(0.3826834323650898, abs=1e-12)
+    assert g[0b11].real == pytest.approx(-0.9238795325112867, abs=1e-12)
+    assert g[0b01] == 0 and g[0b10] == 0
 
 
 def test_analytic_ground_small_k_limit_and_norm():
     g = analytic_ground_minimal(MinimalModelParams(1.0, 1e-9))
-    assert abs(g.amplitudes[0b11] + 1.0) < 1e-9
+    assert abs(g[0b11] + 1.0) < 1e-9
     for h, k in HK_GRID:
         g = analytic_ground_minimal(MinimalModelParams(h, k))
-        assert np.linalg.norm(g.amplitudes) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_minimal_zero_mean_suite():
     for h, k in HK_GRID:
-        bundle, ground = star_model(MinimalModelParams(h, k))
+        bundle = star_model(MinimalModelParams(h, k))
         for obs in [bundle.total, *bundle.locals.values()]:
-            assert abs(expectation(ground.state, obs)) < 1e-10, (h, k)
+            assert abs(expectation(star_ground(bundle), obs)) < 1e-10, (h, k)
 
 
 def test_minimal_ground_energy_zero_for_9_2():
-    _, ground = star_model(MinimalModelParams(9.0, 2.0))
-    assert abs(ground.energy) < 1e-10
+    # the Pauli part's ground level plus the offsets
+    bundle = star_model(MinimalModelParams(9.0, 2.0))
+    assert abs(star_block_ground(9.0, 2.0, 2)[0] + bundle.total.offset) < 1e-10
 
 
 # --- solve_ground ------------------------------------------------------------
@@ -95,13 +100,13 @@ def test_single_qubit_field_ground():
     sol = solve_ground(single_term(h, z_on(1, 0)))
     assert sol.energy == pytest.approx(-h, abs=1e-12)
     assert sol.gap == pytest.approx(2 * h, abs=1e-12)
-    assert abs(sol.state.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(sol.state[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_numeric_matches_analytic_across_grid():
     for h, k in HK_GRID:
-        bundle, ground = star_model(MinimalModelParams(h, k))
-        assert fidelity(ground.state, analytic_ground_minimal(MinimalModelParams(h, k))) >= 1 - 1e-10
+        bundle = star_model(MinimalModelParams(h, k))
+        assert fidelity(star_ground(bundle), analytic_ground_minimal(MinimalModelParams(h, k))) >= 1 - 1e-10
 
 
 def test_degenerate_ground_rejected():
@@ -124,28 +129,29 @@ def test_offsets_do_not_change_eigenvectors():
 
 def test_star_locals_sum_and_zero_mean():
     for q in (3, 6, 7):
-        bundle, ground = star_model(StarModelParams(9.0, 2.0, q))
+        bundle = star_model(StarModelParams(9.0, 2.0, q))
         assert bundle.n_qubits == q
         assert bundle.receiver_sites == tuple(range(1, q))
         total = ObservableSum(q)
         for local in bundle.locals.values():
             total = total + local
         assert bundle.total.isclose(total)
+        ground = star_ground(bundle)
         for name, local in bundle.locals.items():
-            assert abs(expectation(ground.state, local)) < 1e-10, name
-        assert abs(expectation(ground.state, bundle.total)) < 1e-10
-        assert abs(ground.energy) < 1e-10
+            assert abs(expectation(ground, local)) < 1e-10, name
+        assert abs(expectation(ground, bundle.total)) < 1e-10
+        assert abs(star_block_ground(9.0, 2.0, q)[0] + bundle.total.offset) < 1e-10
 
 
 def test_star_q2_is_the_minimal_model():
     params = MinimalModelParams(1.0, 1.0)
     assert params.q == 2
-    _, star_g = star_model(StarModelParams(1.0, 1.0, 2))
-    assert fidelity(star_g.state, analytic_ground_minimal(params)) >= 1 - 1e-12
+    star = star_model(StarModelParams(1.0, 1.0, 2))
+    assert fidelity(star_ground(star), analytic_ground_minimal(params)) >= 1 - 1e-12
 
 
 def test_star_sender_offset_is_e0_reference_band():
-    bundle, _ = star_model(StarModelParams(9.0, 2.0, 6))
+    bundle = star_model(StarModelParams(9.0, 2.0, 6))
     e0 = bundle.locals["Z0"].offset
     assert e0 > 0
     assert e0 == pytest.approx(7.8897, abs=0.036)  # sampled reference +-4 stderr
@@ -154,9 +160,9 @@ def test_star_sender_offset_is_e0_reference_band():
 def test_star_matches_reduced_basis_oracle():
     for q, h, k in ((6, 9.0, 2.0), (7, 7.0, 2.0)):
         oracle = star_reduced_values(q, h, k)
-        bundle, ground = star_model(StarModelParams(h, k, q))
+        bundle = star_model(StarModelParams(h, k, q))
         assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
-        assert ground.gap == pytest.approx(oracle["gap"], abs=1e-9)
+        assert star_block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
         angle = feedback_angle(bundle, 1)
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
         assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
@@ -164,9 +170,9 @@ def test_star_matches_reduced_basis_oracle():
 
 
 def test_star_small_k_limit_all_down():
-    bundle, ground = star_model(StarModelParams(2.0, 1e-6, 5))
+    bundle = star_model(StarModelParams(2.0, 1e-6, 5))
     n = bundle.n_qubits
-    assert abs(abs(ground.state.amplitudes[2**n - 1]) - 1.0) < 1e-6
+    assert abs(abs(star_ground(bundle)[2**n - 1]) - 1.0) < 1e-6
     for i in range(n):
         assert bundle.locals[f"Z{i}"].offset == pytest.approx(2.0, abs=1e-6)
     for j in range(1, n):
@@ -175,7 +181,7 @@ def test_star_small_k_limit_all_down():
 
 def test_star_energy_equals_minus_offset_sum():
     params = StarModelParams(8.0, 2.0, 7)
-    bundle, _ = star_model(params)
+    bundle = star_model(params)
     pauli_only = ObservableSum(bundle.n_qubits, bundle.total.terms)
     raw = solve_ground(pauli_only)
     assert raw.energy == pytest.approx(-bundle.total.offset, abs=1e-9)
@@ -202,10 +208,10 @@ def _star_pauli_part(h, k, q):
 def _check_against_dense_spectrum(h, k, q):
     pauli = _star_pauli_part(h, k, q)
     levels = np.linalg.eigvalsh(dense_observable(pauli))
-    sol, _ = solve_star_ground(h, k, q)
-    assert sol.energy == pytest.approx(levels[0], abs=1e-10)
-    assert sol.gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
-    assert fidelity(sol.state, solve_ground(pauli).state) >= 1 - 1e-12
+    energy, gap, g, _ = star_block_ground(h, k, q)
+    assert energy == pytest.approx(levels[0], abs=1e-10)
+    assert gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
+    assert fidelity(dicke_embed(g), solve_ground(pauli).state) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("q", range(2, 10))
@@ -227,8 +233,8 @@ def test_star_sectors_match_dense_spectrum_property(h, k, q):
 
 def test_star_sectors_q16_match_reduced_oracle():
     oracle = star_reduced_values(16, 7.0, 2.0)
-    bundle, ground = star_model(StarModelParams(7.0, 2.0, 16))
-    assert ground.gap == pytest.approx(oracle["gap"], abs=1e-9)
+    bundle = star_model(StarModelParams(7.0, 2.0, 16))
+    assert star_block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
     assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
     angle = feedback_angle(bundle, 5)
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
@@ -238,7 +244,7 @@ def test_star_sectors_q16_match_reduced_oracle():
 def test_star_sectors_zero_field_is_degenerate():
     # h = 0: X0 = +1 with every receiver X = -1, and its mirror image, tie
     with pytest.raises(DegenerateGroundError):
-        solve_star_ground(0.0, 1.0, 5)
+        star_block_ground(0.0, 1.0, 5)
 
 
 def test_star_model_never_builds_the_dense_matrix(monkeypatch):
@@ -252,10 +258,10 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(qetsim.model.np.linalg, name, recorded)
-    bundle, ground = star_model(StarModelParams(8.0, 2.0, 12))
+    bundle = star_model(StarModelParams(8.0, 2.0, 12))
     assert sizes and max(sizes) <= 2 * 12
-    assert ground.state.n_qubits == 12
-    assert abs(expectation(ground.state, bundle.total)) < 1e-10
+    assert bundle.g.shape == (2, 12)
+    assert abs(expectation(star_ground(bundle), bundle.total)) < 1e-10
 
 
 # --- feedback angle ----------------------------------------------------------
@@ -272,7 +278,7 @@ def test_moments_match_dense_oracle_property(h, k, q, data):
     # xi = <Y_j H Y_j> and eta = <X_0 i[H, Y_j]>; this pins the sign of eta
     j = data.draw(st.integers(1, q - 1), label="receiver")
     oracle = dense_star_angle(q, h, k, j)
-    bundle, _ = star_model(StarModelParams(h, k, q))
+    bundle = star_model(StarModelParams(h, k, q))
     for name, local in bundle.locals.items():
         assert local.offset == pytest.approx(oracle[name], abs=1e-10), name
     angle = feedback_angle(bundle, j)
@@ -280,13 +286,13 @@ def test_moments_match_dense_oracle_property(h, k, q, data):
         assert getattr(angle, field) == pytest.approx(oracle[field], abs=1e-10), field
 
 
-def _receiver_energy_curve(bundle, ground, site, thetas):
-    ens, _ = alice_measure(bundle, ground)
-    out = []
-    for theta in thetas:
-        fb = apply_feedback(ens, site, FeedbackAngle(theta=float(theta), xi=0.0, eta=0.0))
-        out.append(receiver_energy(fb, bundle, site).e_j)
-    return np.array(out)
+def pass_curve(bundle, site, thetas):
+    """Receiver `site`'s energy read off the package's pass for R = {site},
+    each angle reached by turning the pass's feedback on by theta - theta*
+    (rotations about Y_site compose)."""
+    local = reduced_observable(bundle.locals[f"Z{site}"] + bundle.locals[f"X{site}"], (0, site))
+    shifts = np.asarray(thetas) - feedback_angle(bundle, site).theta
+    return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
 
 @pytest.mark.parametrize("maker", [
@@ -294,24 +300,24 @@ def _receiver_energy_curve(bundle, ground, site, thetas):
     lambda: star_model(StarModelParams(6.0, 2.0, 6)),
 ])
 def test_theta_minimizes_receiver_energy_grid_scan(maker):
-    bundle, ground = maker()
+    bundle = maker()
     angle = feedback_angle(bundle, 1)
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
-    measured, _ = alice_measure(bundle, ground)
+    measured = fed_ensemble(bundle, ())
     local = bundle.locals["Z1"] + bundle.locals["X1"]
     energies = feedback_energy_curve(measured, 1, local, thetas)
     # the stacked dense curve is the protocol's own at 64 spread grid points
     probe = np.linspace(0, len(thetas) - 1, 64).astype(int)
-    protocol_path = _receiver_energy_curve(bundle, ground, 1, thetas[probe])
+    protocol_path = pass_curve(bundle, 1, thetas[probe])
     assert np.abs(energies[probe] - protocol_path).max() <= 1e-12
-    e_closed = _receiver_energy_curve(bundle, ground, 1, [angle.theta])[0]
+    e_closed = pass_curve(bundle, 1, [angle.theta])[0]
     assert e_closed <= energies.min() + 1e-12
     assert abs(angle.theta - thetas[np.argmin(energies)]) <= 1e-4
 
 
 def test_theta_double_angle_identities():
     for params in (MinimalModelParams(1.0, 1.0), MinimalModelParams(9.0, 2.0)):
-        bundle, ground = star_model(params)
+        bundle = star_model(params)
         a = feedback_angle(bundle, 1)
         norm = np.hypot(a.xi, a.eta)
         assert np.cos(2 * a.theta) == pytest.approx(a.xi / norm, abs=1e-10)
@@ -321,13 +327,13 @@ def test_theta_double_angle_identities():
 
 
 def test_theta_vanishes_when_decoupled():
-    bundle, ground = star_model(MinimalModelParams(1.0, 1e-7))
+    bundle = star_model(MinimalModelParams(1.0, 1e-7))
     angle = feedback_angle(bundle, 1)
     assert abs(angle.theta) < 1e-6
 
 
 def test_theta_known_value_h_k_one():
-    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
+    bundle = star_model(MinimalModelParams(1.0, 1.0))
     angle = feedback_angle(bundle, 1)
     assert angle.theta == pytest.approx(0.1608752771983211, abs=1e-12)
     assert angle.xi == pytest.approx(2 * 3 / np.sqrt(2), abs=1e-10)

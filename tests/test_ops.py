@@ -1,33 +1,35 @@
+"""The Pauli-word algebra of qetsim.ops, and the dense oracle's state
+operations (tests/oracle_utils.py) that the protocol tests measure the
+package against: word application, expectations, projective measurement,
+conditional rotations and the teleport oracle's gates."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    HADAMARD,
     apply_cnot,
+    apply_word,
     dense_expectation,
     dense_observable,
     drop_qubits,
+    ensemble_expectation,
+    expectation,
+    measure,
+    on_site,
+    pure_trace_distance,
+    rotate,
     tensor,
     word_matrix,
 )
 
 from qetsim.ops import (
-    Branch,
-    Ensemble,
     ObservableSum,
     PauliString,
     StateVector,
-    apply_gate_1q,
-    apply_pauli,
-    conditional_rotation,
-    expectation,
-    HADAMARD,
-    projective_measure,
-    pure_trace_distance,
     single_term,
-    x_on,
-    y_on,
     z_on,
 )
 
@@ -36,7 +38,11 @@ RNG = np.random.default_rng(23)
 
 def random_state(n):
     amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def basis(n, label):
+    return StateVector.basis(n, label).amplitudes
 
 
 def random_observable(n, n_terms=4):
@@ -56,44 +62,42 @@ def test_letters_length_enforced():
         PauliString(2, "XQ")
 
 
-# --- apply_pauli -------------------------------------------------------------
+# --- word application (the oracle's per-site gates against np.kron) ---------------
 
 def test_apply_x_flips_qubit0():
-    out = apply_pauli(StateVector.basis(2, "00"), x_on(2, 0))
-    assert np.allclose(out.amplitudes, StateVector.basis(2, "10").amplitudes)
+    assert np.allclose(apply_word(basis(2, "00"), "XI"), basis(2, "10"))
 
 
 def test_apply_z_on_plus_gives_minus():
-    plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    minus = StateVector(1, np.array([1, -1]) / np.sqrt(2))
-    out = apply_pauli(plus, z_on(1, 0))
-    assert np.allclose(out.amplitudes, minus.amplitudes)
+    plus = np.array([1, 1]) / np.sqrt(2)
+    minus = np.array([1, -1]) / np.sqrt(2)
+    assert np.allclose(apply_word(plus, "Z"), minus)
 
 
 def test_apply_y_on_zero():
-    out = apply_pauli(StateVector.basis(1, 0), y_on(1, 0))
-    assert np.allclose(out.amplitudes, [0, 1j])
+    assert np.allclose(apply_word(basis(1, 0), "Y"), [0, 1j])
 
 
 def test_apply_twice_is_identity():
     for n in (1, 2, 4):
         state = random_state(n)
         for _ in range(5):
-            word = PauliString(n, "".join(RNG.choice(list("IXYZ"), size=n)))
-            back = apply_pauli(apply_pauli(state, word), word)
-            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-14
+            word = "".join(RNG.choice(list("IXYZ"), size=n))
+            once = apply_word(state, word)
+            assert np.max(np.abs(once - word_matrix(word) @ state)) < 1e-14
+            assert np.max(np.abs(apply_word(once, word) - state)) < 1e-14
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        apply_pauli(random_state(2), x_on(3, 0))
+        apply_word(random_state(2), "XII")
 
 
 # --- expectation -------------------------------------------------------------
 
 def test_basis_eigenstate_expectation():
     obs = single_term(9.0, z_on(2, 0))
-    assert expectation(StateVector.basis(2, "00"), obs) == pytest.approx(9.0, abs=1e-12)
+    assert expectation(basis(2, "00"), obs) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_expectation_matches_dense_quadratic_form():
@@ -101,28 +105,26 @@ def test_expectation_matches_dense_quadratic_form():
         for _ in range(10):
             state = random_state(n)
             obs = random_observable(n)
-            want = dense_expectation(state.amplitudes, dense_observable(obs)).real
+            want = dense_expectation(state, dense_observable(obs)).real
             assert expectation(state, obs) == pytest.approx(want, abs=1e-10)
 
 
 def test_symmetric_mixture_expectation():
-    ens = Ensemble(
-        (
-            Branch(0.5, StateVector.basis(1, 0), +1),
-            Branch(0.5, StateVector.basis(1, 1), -1),
-        )
+    branches = [(0.5, basis(1, 0), +1), (0.5, basis(1, 1), -1)]
+    assert ensemble_expectation(branches, single_term(1.0, z_on(1, 0))) == pytest.approx(
+        0.0, abs=1e-14
     )
-    assert expectation(ens, single_term(1.0, z_on(1, 0))) == pytest.approx(0.0, abs=1e-14)
 
 
-# --- projective_measure ------------------------------------------------------
+# --- projective measurement ----------------------------------------------------
 
 def test_measure_eigenstate_single_branch():
-    plus = StateVector(2, np.kron([1, 1] / np.sqrt(2), [1, 0]))
-    ens = projective_measure(plus, x_on(2, 0))
-    assert len(ens.branches) == 1
-    assert ens.branches[0].label == +1
-    assert ens.branches[0].probability == pytest.approx(1.0, abs=1e-12)
+    plus = np.kron([1, 1] / np.sqrt(2), [1, 0])
+    branches = measure(plus, "XI")
+    assert len(branches) == 1
+    p, _, mu = branches[0]
+    assert mu == +1
+    assert p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_ground_state_half_half():
@@ -132,60 +134,58 @@ def test_measure_ground_state_half_half():
     amps = np.zeros(4, dtype=complex)
     amps[0b00] = a
     amps[0b11] = b
-    ens = projective_measure(StateVector(2, amps), x_on(2, 0))
-    probs = sorted(br.probability for br in ens.branches)
+    probs = sorted(p for p, _, _ in measure(amps, "XI"))
     assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_branch_probabilities_sum_to_one():
     for _ in range(10):
-        state = random_state(3)
-        ens = projective_measure(state, PauliString(3, "XZY"))
-        assert sum(b.probability for b in ens.branches) == pytest.approx(1.0, abs=1e-12)
+        branches = measure(random_state(3), "XZY")
+        assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_commuting_observable_preserved_by_measurement():
     for _ in range(5):
         state = random_state(3)
-        sigma = x_on(3, 0)
+        sigma = PauliString(3, "XII")
         obs = ObservableSum(
             3, ((1.3, z_on(3, 1)), (0.7, PauliString(3, "XXI"))), offset=0.2
         )
         for _, word in obs.terms:
-            assert word.commutes_with(sigma)
-        ens = projective_measure(state, sigma)
-        assert expectation(ens, obs) == pytest.approx(expectation(state, obs), abs=1e-10)
+            M, S = word_matrix(word.letters), word_matrix(sigma.letters)
+            assert np.allclose(M @ S, S @ M)
+        branches = measure(state, sigma.letters)
+        assert ensemble_expectation(branches, obs) == pytest.approx(
+            expectation(state, obs), abs=1e-10
+        )
 
 
-# --- conditional_rotation ----------------------------------------------------
+# --- conditional rotation ----------------------------------------------------
 
 def test_rotation_theta_zero_is_identity():
     state = random_state(2)
-    out = conditional_rotation(state, y_on(2, 1), 0.0, +1)
-    assert np.allclose(out.amplitudes, state.amplitudes)
+    assert np.allclose(rotate(state, "IY", 0.0, +1), state)
 
 
 def test_rotation_half_pi_is_pauli_up_to_phase():
-    out = conditional_rotation(StateVector.basis(2, "00"), y_on(2, 1), np.pi / 2, +1)
-    want = -1j * apply_pauli(StateVector.basis(2, "00"), y_on(2, 1)).amplitudes
-    assert np.allclose(out.amplitudes, want)
+    out = rotate(basis(2, "00"), "IY", np.pi / 2, +1)
+    assert np.allclose(out, -1j * apply_word(basis(2, "00"), "IY"))
 
 
 def test_rotation_composes_and_preserves_norm():
     state = random_state(2)
-    sigma = y_on(2, 0)
     for _ in range(5):
         t1, t2 = RNG.uniform(-2, 2, size=2)
         mu = int(RNG.choice([-1, 1]))
-        once = conditional_rotation(conditional_rotation(state, sigma, t1, mu), sigma, t2, mu)
-        combined = conditional_rotation(state, sigma, t1 + t2, mu)
-        assert np.max(np.abs(once.amplitudes - combined.amplitudes)) < 1e-12
-        assert np.linalg.norm(once.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        once = rotate(rotate(state, "YI", t1, mu), "YI", t2, mu)
+        combined = rotate(state, "YI", t1 + t2, mu)
+        assert np.max(np.abs(once - combined)) < 1e-12
+        assert np.linalg.norm(once) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotation_bad_mu_rejected():
     with pytest.raises(ValueError):
-        conditional_rotation(random_state(1), x_on(1, 0), 0.3, 2)
+        rotate(random_state(1), "X", 0.3, 2)
 
 
 # --- canonicalization --------------------------------------------------------
@@ -252,12 +252,11 @@ def test_canonical_sum_ignores_order_merges_and_folds(n_terms, offset, data):
     assert np.allclose(dense_observable(obs), dense, atol=1e-12)
 
 
-# --- statevector utilities ---------------------------------------------------
+# --- the teleport oracle's gates -------------------------------------------------
 
 def test_tensor_and_gate_and_cnot_roundtrip():
     # H on qubit 0 then CNOT(0 -> 1) builds a Bell state from |00>
-    state = StateVector.basis(2, "00")
-    state = apply_gate_1q(state, 0, HADAMARD)
+    state = StateVector(2, on_site(basis(2, "00"), 0, HADAMARD))
     state = apply_cnot(state, 0, 1)
     assert np.allclose(state.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -276,6 +275,6 @@ def test_drop_qubits_checks_support():
 def test_pure_trace_distance_resolves_tiny_differences():
     state = random_state(2)
     assert pure_trace_distance(state, state) < 1e-15
-    bumped = StateVector(2, state.amplitudes * np.exp(1j * 0.3))
+    bumped = state * np.exp(1j * 0.3)
     # global phase is not a physical difference but the overlap handles it
     assert pure_trace_distance(state, bumped) < 1e-12

@@ -5,29 +5,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import dense_observable, ensemble_density, star_reduced_values
+from oracle_utils import (
+    dense_observable,
+    ensemble_density,
+    ensemble_expectation,
+    expectation,
+    fed_ensemble,
+    partial_trace,
+    pass_density,
+    pass_energy_curve,
+    readout_law,
+    receiver_energy,
+    reduced_observable,
+    star_ground,
+    star_reduced_values,
+)
 
 from qetsim import refdata
 from qetsim.model import (
     DegenerateGroundError,
-    FeedbackAngle,
     MinimalModelParams,
     StarModelParams,
     feedback_angle,
     star_model,
 )
-from qetsim.ops import expectation, fidelity, single_term, z_on
+from qetsim.ops import single_term, z_on
 from qetsim.protocol import (
-    alice_measure,
-    apply_feedback,
     exact_record,
-    receiver_energy,
     run_minimal_qet,
     run_protocol,
     run_qed,
     sweep_EB,
 )
-from qetsim.sampler import ShotPlan, sample_protocol
+from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
 
 
 def closed_form_eb(h, k):
@@ -39,72 +49,112 @@ def closed_form_eb(h, k):
     return (np.hypot(xi, eta) - xi) / 2
 
 
-# --- alice_measure -----------------------------------------------------------
+# --- the sender's measurement (dense oracle against the closed forms) -------------
 
 def test_e0_minimal_formula():
     for h, k in ((1.0, 1.0), (9.0, 2.0), (3.0, 5.0)):
-        bundle, ground = star_model(MinimalModelParams(h, k))
-        ensemble, e0 = alice_measure(bundle, ground)
+        bundle = star_model(MinimalModelParams(h, k))
+        measured = fed_ensemble(bundle, ())
+        e0 = ensemble_expectation(measured, bundle.total)
         assert e0 == pytest.approx(h * h / np.hypot(h, k), abs=1e-10)
-        assert sum(b.probability for b in ensemble.branches) == pytest.approx(1.0, abs=1e-12)
+        assert exact_record(bundle, (1,)).e0 == pytest.approx(e0, abs=1e-10)
+        assert sum(p for p, _, _ in measured) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_e0_star_reference_band():
-    bundle, ground = star_model(StarModelParams(9.0, 2.0, 6))
-    _, e0 = alice_measure(bundle, ground)
+    bundle = star_model(StarModelParams(9.0, 2.0, 6))
+    e0 = ensemble_expectation(fed_ensemble(bundle, ()), bundle.total)
     assert e0 == pytest.approx(7.8897, abs=0.036)
 
 
 def test_e0_identity_across_observables():
     # post-measurement, the total and the sender field term agree, and both
     # equal -h <g|Z0|g>; receiver feedback does not move them
-    bundle, ground = star_model(StarModelParams(7.0, 2.0, 6))
-    ensemble, e0 = alice_measure(bundle, ground)
+    bundle = star_model(StarModelParams(7.0, 2.0, 6))
+    measured = fed_ensemble(bundle, ())
+    e0 = ensemble_expectation(measured, bundle.total)
     h = bundle.params.h
-    minus_h_z0 = -h * expectation(ground.state, single_term(1.0, z_on(bundle.n_qubits, 0)))
+    minus_h_z0 = -h * expectation(star_ground(bundle), single_term(1.0, z_on(bundle.n_qubits, 0)))
     assert e0 == pytest.approx(minus_h_z0, abs=1e-10)
-    assert expectation(ensemble, bundle.total) == pytest.approx(e0, abs=1e-10)
-    assert expectation(ensemble, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
+    assert ensemble_expectation(measured, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
     # feedback extracts the receiver energy from the total but cannot move
     # the sender term (the rotation commutes with it)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
-    e_1 = receiver_energy(fed, bundle, 1).e_j
-    assert expectation(fed, bundle.total) == pytest.approx(e0 + e_1, abs=1e-10)
-    assert expectation(fed, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
+    fed = fed_ensemble(bundle, (1,))
+    e_1 = receiver_energy(fed, bundle, 1)["e_j"]
+    assert ensemble_expectation(fed, bundle.total) == pytest.approx(e0 + e_1, abs=1e-10)
+    assert ensemble_expectation(fed, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
 
 
-# --- apply_feedback ----------------------------------------------------------
+# --- the protocol pass on the sender-plus-receivers marginal -------------------------
 
 def test_zero_angle_feedback_is_identity():
-    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
-    ensemble, _ = alice_measure(bundle, ground)
-    fed = apply_feedback(ensemble, 1, FeedbackAngle(theta=0.0, xi=1.0, eta=0.0))
-    for before, after in zip(ensemble.branches, fed.branches):
-        assert fidelity(before.state, after.state) == pytest.approx(1.0, abs=1e-12)
-    assert receiver_energy(fed, bundle, 1).e_j == pytest.approx(0.0, abs=1e-10)
+    # the pass turned back by -theta* is the measured state's marginal, which
+    # holds no receiver energy
+    bundle = star_model(MinimalModelParams(1.0, 1.0))
+    fed = run_protocol(bundle, (1,))
+    theta = feedback_angle(bundle, 1).theta
+    local = reduced_observable(bundle.locals["Z1"] + bundle.locals["X1"], (0, 1))
+    assert pass_energy_curve(fed, [-theta], local)[0] == pytest.approx(0.0, abs=1e-10)
+    measured = ensemble_density(fed_ensemble(bundle, ()))
+    mu = np.array([1.0, -1.0])[:, None, None]
+    c, s = np.cos(theta), np.sin(theta)
+    back = np.stack([c * fed[..., ::2] + mu * s * fed[..., 1::2],
+                     -mu * s * fed[..., ::2] + c * fed[..., 1::2]], axis=-1)
+    assert np.abs(pass_density(back.reshape(fed.shape)) - measured).max() <= 1e-12
 
 
 def test_feedback_order_commutes_branchwise():
-    bundle, ground = star_model(StarModelParams(6.0, 2.0, 6))
-    ensemble, _ = alice_measure(bundle, ground)
-    a1 = feedback_angle(bundle, 1)
-    a2 = feedback_angle(bundle, 2)
-    order12 = apply_feedback(apply_feedback(ensemble, 1, a1), 2, a2)
-    order21 = apply_feedback(apply_feedback(ensemble, 2, a2), 1, a1)
-    for b12, b21 in zip(order12.branches, order21.branches):
-        assert np.max(np.abs(b12.state.amplitudes - b21.state.amplitudes)) < 1e-12
+    bundle = star_model(StarModelParams(6.0, 2.0, 6))
+    order12 = fed_ensemble(bundle, (1, 2))
+    order21 = fed_ensemble(bundle, (2, 1))
+    for (_, b12, _), (_, b21, _) in zip(order12, order21):
+        assert np.max(np.abs(b12 - b21)) < 1e-12
+    # the pass takes the receivers in site order, whatever order it is given
+    assert np.array_equal(run_protocol(bundle, (1, 2)), run_protocol(bundle, (2, 1)))
+    rho = sum(p * partial_trace(psi, 6, (0, 1, 2)) for p, psi, _ in order21)
+    assert np.abs(pass_density(run_protocol(bundle, (2, 1))) - rho).max() <= 1e-12
 
 
-def test_unlabeled_branch_rejected():
-    bundle, ground = star_model(MinimalModelParams(1.0, 1.0))
-    ensemble, _ = alice_measure(bundle, ground)
-    bad = type(ensemble)(
-        tuple(
-            type(b)(b.probability, b.state, "no-mu") for b in ensemble.branches
-        )
-    )
-    with pytest.raises(ValueError):
-        apply_feedback(bad, 1, FeedbackAngle(0.1, 1.0, 0.0))
+def test_pass_shapes():
+    for q, receivers in ((2, (1,)), (6, (1, 2)), (9, (7, 3, 5)), (7, ()), (7, (1, 2, 3, 4, 5, 6))):
+        fed = run_protocol(star_model(StarModelParams(9.0, 2.0, q)), receivers)
+        r = len(receivers)
+        assert fed.shape == (2, q - r, 2 ** (r + 1)) and fed.dtype == np.float64
+        assert np.sum(fed**2) == pytest.approx(1.0, abs=1e-12)
+
+
+PASS_LAW = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _check_pass_law(params, receivers):
+    bundle = star_model(params)
+    fed = run_protocol(bundle, receivers)
+    branches = fed_ensemble(bundle, receivers)
+    sites = (0, *sorted(receivers))
+    for basis in "ZX":
+        law = pass_law(fed, basis)
+        assert law.shape == (2, 2 ** len(sites))
+        assert np.abs(law - readout_law(branches, sites, basis)).max() <= 1e-12, basis
+
+
+@PASS_LAW
+@given(
+    h=st.floats(0.5, 10.0),
+    k=st.floats(0.1, 3.0),
+    q=st.integers(2, 8),
+    data=st.data(),
+)
+def test_pass_law_matches_dense_partial_trace_property(h, k, q, data):
+    # both basis runs' (mu, outcome) law from the pass equals the dense
+    # oracle's partial trace of the fed ensemble, for any receiver set
+    receivers = tuple(data.draw(
+        st.lists(st.integers(1, q - 1), max_size=q - 1, unique=True), label="receivers",
+    ))
+    _check_pass_law(StarModelParams(h, k, q), receivers)
+
+
+def test_pass_law_matches_dense_partial_trace_q12_all_receivers():
+    _check_pass_law(StarModelParams(7.5, 2.0, 12), tuple(range(1, 12)))
 
 
 # --- receiver energies and records --------------------------------------------
@@ -125,17 +175,15 @@ def test_minimal_decoupled_limit_no_energy():
 
 
 def test_bookkeeping_closure_every_stage():
-    bundle, ground = star_model(StarModelParams(8.0, 2.0, 6))
-    stage_states = []
-    ensemble, e0 = alice_measure(bundle, ground)
-    stage_states.append(ensemble)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
-    stage_states.append(fed)
-    for stage in stage_states:
-        total = expectation(stage, bundle.total)
-        by_parts = sum(expectation(stage, local) for local in bundle.locals.values())
+    bundle = star_model(StarModelParams(8.0, 2.0, 6))
+    measured = fed_ensemble(bundle, ())
+    for stage in (measured, fed_ensemble(bundle, (1,))):
+        total = ensemble_expectation(stage, bundle.total)
+        by_parts = sum(ensemble_expectation(stage, local) for local in bundle.locals.values())
         assert total == pytest.approx(by_parts, abs=1e-10)
-    assert expectation(stage_states[0], bundle.total) == pytest.approx(e0, abs=1e-12)
+    assert ensemble_expectation(measured, bundle.total) == pytest.approx(
+        exact_record(bundle, ()).e0, abs=1e-12
+    )
 
 
 def test_star_receiver_values_match_reduced_oracle():
@@ -178,21 +226,23 @@ def test_all_receivers_extract_at_most_e0():
 
 
 def test_untouched_sites_keep_zero_energy():
-    bundle, ground = star_model(StarModelParams(7.0, 2.0, 6))
-    ensemble, _ = alice_measure(bundle, ground)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
+    bundle = star_model(StarModelParams(7.0, 2.0, 6))
+    fed = fed_ensemble(bundle, (1,))
     for name in ("Z3", "X3", "Z4", "X4"):
-        assert expectation(fed, bundle.locals[name]) == pytest.approx(0.0, abs=1e-10)
+        assert ensemble_expectation(fed, bundle.locals[name]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ensemble_matches_dense_density_matrix():
-    bundle, ground = star_model(MinimalModelParams(2.0, 1.0))
-    ensemble, _ = alice_measure(bundle, ground)
-    fed = apply_feedback(ensemble, 1, feedback_angle(bundle, 1))
-    rho = ensemble_density(fed)
+    # the receiver energy read off the pass's reduced state equals the dense
+    # fed ensemble's, and the closed form
+    bundle = star_model(MinimalModelParams(2.0, 1.0))
     receiver_local = bundle.locals["Z1"] + bundle.locals["X1"]
+    rho = ensemble_density(fed_ensemble(bundle, (1,)))
     want = float(np.trace(rho @ dense_observable(receiver_local)).real)
-    assert receiver_energy(fed, bundle, 1).e_j == pytest.approx(want, abs=1e-12)
+    reduced = pass_density(run_protocol(bundle, (1,)))
+    got = float(np.trace(reduced @ reduced_observable(receiver_local, (0, 1))).real)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert exact_record(bundle, (1,)).receivers[1].e_j == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -243,10 +293,10 @@ def test_minimal_model_is_the_q2_star():
         assert mini.as_dict()["params"] == {"h": h, "k": k}
         for basis in ("Z", "X"):
             plan = ShotPlan(basis_run=basis, shots=4000, master_seed=17)
-            bundle, ground = star_model(MinimalModelParams(h, k))
-            t_mini = sample_protocol(bundle, run_protocol(bundle, ground, (1,)), (1,), plan)
-            bundle, ground = star_model(StarModelParams(h, k, 2))
-            t_star = sample_protocol(bundle, run_protocol(bundle, ground, (1,)), (1,), plan)
+            bundle = star_model(MinimalModelParams(h, k))
+            t_mini = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
+            bundle = star_model(StarModelParams(h, k, 2))
+            t_star = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
             assert np.array_equal(t_mini.counts, t_star.counts)
             assert t_mini.mu_counts == t_star.mu_counts
 
@@ -291,26 +341,28 @@ def test_sweep_validates_and_rejects_degenerate_points():
         sweep_EB([1.0, 1e-5], [0.5, 1.0])
 
 
-# --- closed forms against the statevector pass ---------------------------------
-
-def _statevector_values(params, receivers):
-    """E0 and each receiver's energies read from the statevector pass."""
-    bundle, ground = star_model(params)
-    measured, _ = alice_measure(bundle, ground)
-    fed = run_protocol(bundle, ground, receivers)
-    e0 = expectation(measured, bundle.total)
-    return e0, {j: receiver_energy(fed, bundle, j) for j in receivers}
-
+# --- closed forms against the dense statevector oracle and the pass -----------------
 
 def _check_closed_form(params, receivers):
-    e0, energies = _statevector_values(params, receivers)
-    record = exact_record(star_model(params)[0], receivers)
-    assert record.e0 == pytest.approx(e0, abs=1e-12)
+    # E0 and each receiver's energies of the dense fed ensemble, and each
+    # receiver's energies read off the pass's reduced state
+    bundle = star_model(params)
+    fed = fed_ensemble(bundle, receivers)
+    record = exact_record(bundle, receivers)
+    assert record.e0 == pytest.approx(
+        ensemble_expectation(fed_ensemble(bundle, ()), bundle.total), abs=1e-12
+    )
+    sites = (0, *sorted(receivers))
+    rho = pass_density(run_protocol(bundle, receivers))
     for j in receivers:
+        dense = receiver_energy(fed, bundle, j)
         for field in ("hx", "hz", "e_j", "e_b"):
             assert getattr(record.receivers[j], field) == pytest.approx(
-                getattr(energies[j], field), abs=1e-12
+                dense[field], abs=1e-12
             ), (j, field)
+        for field, local in (("hx", f"X{j}"), ("hz", f"Z{j}")):
+            from_pass = np.trace(rho @ reduced_observable(bundle.locals[local], sites)).real
+            assert from_pass == pytest.approx(dense[field], abs=1e-12), (j, field)
 
 
 @pytest.mark.parametrize("q, h, k", refdata.CONFIGS)

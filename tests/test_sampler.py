@@ -1,10 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 
+from oracle_utils import fed_ensemble, oracle_pass, readout_law
+
 from qetsim.model import MinimalModelParams, StarModelParams, star_model
-from qetsim.ops import Branch, Ensemble, ObservableSum, PauliString, single_term, x_on, z_on
+from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
 from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     ShotPlan,
@@ -17,8 +17,8 @@ from qetsim.sampler import (
 
 
 def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)):
-    bundle, ground = star_model(MinimalModelParams(*hk))
-    fed = run_protocol(bundle, ground, receivers)
+    bundle = star_model(MinimalModelParams(*hk))
+    fed = run_protocol(bundle, receivers)
     plan = ShotPlan(basis_run=basis, shots=shots, master_seed=seed)
     return bundle, sample_protocol(bundle, fed, receivers, plan)
 
@@ -59,7 +59,6 @@ def test_table_csv_bytes_deterministic():
 
 # --- tally law -----------------------------------------------------------------
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 LAW_MODELS = {
     "minimal": (MinimalModelParams(1.0, 1.0), (1,)),
     "star6": (StarModelParams(9.0, 2.0, 6), (1, 2)),
@@ -68,20 +67,8 @@ LAW_MODELS = {
 
 def fed_run(model):
     params, receivers = LAW_MODELS[model]
-    bundle, ground = star_model(params)
-    return bundle, run_protocol(bundle, ground, receivers), receivers
-
-
-def readout_law(fed, basis):
-    """(mu, outcome) probabilities p_mu |<o|psi_mu>|^2 of the fed ensemble,
-    the X-run's Hadamards applied as one dense H^(x)n."""
-    n = fed.n_qubits
-    rotate = functools.reduce(np.kron, [HADAMARD] * n) if basis == "X" else np.eye(2**n)
-    law = np.zeros((2, 2**n))
-    for branch in fed.branches:
-        row = 0 if branch.label == +1 else 1
-        law[row] = branch.probability * np.abs(rotate @ branch.state.amplitudes) ** 2
-    return law
+    bundle = star_model(params)
+    return bundle, run_protocol(bundle, receivers), receivers
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -113,18 +100,30 @@ def test_tallies_are_a_function_of_the_key():
 ])
 def test_cell_frequencies_follow_the_readout_law(model, weights):
     # every (mu, outcome) cell within 5 sigma of shots * p, 20 seeds, both
-    # runs; 1e9 shots put N p >= 30 on every cell above 1e-30 (the star's
-    # rarest Z-run cells have p ~ 3e-8), where the normal bound holds
+    # runs, p the dense oracle's partial trace of the fed ensemble; 1e9
+    # shots put N p >= 30 on every cell above 1e-30 (the star's rarest Z-run
+    # cells have p ~ 3e-8), where the normal bound holds
     shots = 10**9
     bundle, fed, receivers = fed_run(model)
+    sites = (0, *receivers)
+    scale = np.ones(2)
     if weights is not None:
-        fed = Ensemble(tuple(Branch(w, b.state, b.label) for w, b in zip(weights, fed.branches)))
+        scale = np.array(weights) / np.sum(fed**2, axis=(1, 2))
+        fed = fed * np.sqrt(scale)[:, None, None]
+    branches = fed_ensemble(bundle, receivers)
     for basis in "ZX":
-        p = readout_law(fed, basis)
+        p = readout_law(branches, sites, basis) * scale[:, None]
         sigma = np.sqrt(shots * p * (1.0 - p))
         for seed in range(20):
             t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, seed))
+            assert t.joint.shape == p.shape == (2, 2 ** len(sites))
             assert np.all(np.abs(t.joint - shots * p) <= 5.0 * sigma), (basis, seed)
+
+
+def test_pass_of_the_wrong_sites_rejected():
+    bundle, fed, _ = fed_run("star6")
+    with pytest.raises(ValueError, match="does not read out sites"):
+        sample_protocol(bundle, fed, (1,), ShotPlan("Z", 10, 0))
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -140,9 +139,12 @@ def test_single_shot_is_one_hot(basis):
 
 def test_no_feedback_z1_converges_to_ground_value():
     # without feedback the receiver field statistics are untouched by the
-    # sender's measurement: <Z1> -> -h/sqrt(h^2+k^2)
+    # sender's measurement: <Z1> -> -h/sqrt(h^2+k^2); the unfed marginal is
+    # the dense oracle's measured ensemble
     h, k = 1.0, 1.0
-    bundle, tallies = minimal_tallies(shots=40000, seed=5, receivers=(), hk=(h, k))
+    bundle = star_model(MinimalModelParams(h, k))
+    unfed = oracle_pass(fed_ensemble(bundle, ()), (0, 1))
+    tallies = sample_protocol(bundle, unfed, (1,), ShotPlan("Z", 40000, 5))
     row = estimate(tallies, single_term(1.0, z_on(2, 1)), "Z1")
     want = -h / np.hypot(h, k)
     assert abs(row.mean - want) < 5 * row.stderr
@@ -199,9 +201,9 @@ def test_plan_rejects_shots_beyond_int64():
 
 def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
-    bundle, ground = star_model(params)
+    bundle = star_model(params)
     sampled = sampled_record(
-        bundle, exact_record(bundle, (1,)), run_protocol(bundle, ground, (1,)),
+        bundle, exact_record(bundle, (1,)), run_protocol(bundle, (1,)),
         shots=100000, master_seed=4,
     )
     exact = run_minimal_qet(params)
@@ -212,9 +214,9 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
 
 def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
-    bundle, ground = star_model(params)
+    bundle = star_model(params)
     sampled = sampled_record(
-        bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, ground, (1, 2)),
+        bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, (1, 2)),
         shots=100000, master_seed=8,
     )
     exact = run_qed(params, (1, 2))
@@ -229,13 +231,13 @@ def test_sampled_record_star_hx_within_five_sigma():
 def test_multi_seed_statistical_acceptance():
     # repeated seeded runs stay within 5 stderr of the exact trace
     params = StarModelParams(9.0, 2.0, 6)
-    bundle, ground = star_model(params)
+    bundle = star_model(params)
     exact = run_qed(params, (1, 2))
     hits = 0
     total = 0
     for seed in range(10):
         sampled = sampled_record(
-            bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, ground, (1, 2)),
+            bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, (1, 2)),
             shots=20000, master_seed=seed,
         )
         for obs, got, want in (
