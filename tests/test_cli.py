@@ -363,14 +363,14 @@ def test_longrange_check_is_relative_to_the_field_scale(scale, tmp_path):
 
 
 def test_longrange_perturbed_relay_exits_1(tmp_path, capsys, monkeypatch):
-    relay_hop = qetsim.teleport.relay_hop
+    relay = qetsim.teleport.relay
 
     def perturbed(rows, *args, **kwargs):
-        out = relay_hop(rows, *args, **kwargs)
+        out = relay(rows, *args, **kwargs)
         out = out + 1e-6 * out[:, ::-1]
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
-    monkeypatch.setattr(qetsim.teleport, "relay_hop", perturbed)
+    monkeypatch.setattr(qetsim.teleport, "relay", perturbed)
     out = tmp_path / "r.json"
     assert run_cli("longrange", "--h", "1e6", "--k", "1e6", "--hops", "2", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 1
@@ -432,18 +432,28 @@ def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
-    rows = []
-    relay_hop = qetsim.teleport.relay_hop
+    calls = []
+    relay = qetsim.teleport.relay
 
-    def counted(state, *args, **kwargs):
-        rows.append(len(state))
-        return relay_hop(state, *args, **kwargs)
+    def counted(rows, logical, hops, *args, **kwargs):
+        calls.append((len(rows), hops))
+        return relay(rows, logical, hops, *args, **kwargs)
 
-    monkeypatch.setattr(qetsim.teleport, "relay_hop", counted)
+    monkeypatch.setattr(qetsim.teleport, "relay", counted)
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
                    "--sample-transcript", "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert rows == [2, 2, 2]  # three hops, each relaying both mu branches as rows
+    assert calls == [(2, 3)]  # one call relays both mu branches as rows over three hops
+
+
+def test_longrange_hops_beyond_the_bound_exit_2_before_any_pass(tmp_path, capsys, monkeypatch):
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
+    assert run_cli("longrange", "--h", "1", "--k", "1",
+                   "--hops", str(qetsim.teleport.MAX_HOPS + 1),
+                   "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: hops must be in 1..")
+    assert passes == []
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("receivers", ["1,2", "19,3,11"])

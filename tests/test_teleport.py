@@ -17,11 +17,15 @@ from qetsim.ops import MAX_STATEVECTOR_QUBITS, StateVector
 from qetsim.protocol import run_minimal_qet
 from qetsim.teleport import (
     BELL,
+    HOP_BLOCK,
     MAX_RELAY_FIELD_RATIO,
     LoccTranscript,
+    _check_hops,
+    _hop,
+    _hop_tables,
     _teleport_rows,
     extend_with_bell,
-    relay_hop,
+    relay,
     relay_identity_check,
     run_longrange_qet,
     teleport_qubit,
@@ -200,9 +204,8 @@ def test_relay_identity_property(n, site, hops, seed, sampled):
     rng = np.random.default_rng(seed)
     logical = site % n
     original = random_amplitudes(rng, n)
-    rows, transcript = original[None], LoccTranscript()
-    for _ in range(hops):
-        rows = relay_hop(rows, logical, transcript, rng=rng if sampled else None)
+    transcript = LoccTranscript()
+    rows = relay(original[None], logical, hops, transcript, rng=rng if sampled else None)
     assert pure_trace_distance(original, rows[0]) <= 1e-10
     assert transcript.bit_count() == 2 * hops
 
@@ -210,7 +213,7 @@ def test_relay_identity_property(n, site, hops, seed, sampled):
 def test_relay_hop_keeps_each_row():
     rng = np.random.default_rng(8)
     rows = np.array([random_amplitudes(rng, 3) for _ in range(4)])
-    out = relay_hop(rows, 1, LoccTranscript(), rng=rng, drawn=2)
+    out = relay(rows, 1, 1, LoccTranscript(), rng=rng, drawn=2)
     assert out.shape == rows.shape
     for before, after in zip(rows, out):
         assert pure_trace_distance(before, after) < 1e-12
@@ -223,9 +226,91 @@ def test_relay_identity_panel(hops):
 
 def test_relay_hop_register_shape():
     state = random_qubit().amplitudes
-    out = relay_hop(state[None], 0, LoccTranscript())
+    out = relay(state[None], 0, 1, LoccTranscript())
     assert out.shape == (1, 2)
     assert pure_trace_distance(out[0], state) < 1e-12
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("hops", [1, HOP_BLOCK - 1, HOP_BLOCK, HOP_BLOCK + 1, 2 * HOP_BLOCK + 1])
+def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
+    # blocks, batched draws and deferred checks leave every bit as one hop at a time
+    rng = np.random.default_rng(hops)
+    rows = rng.normal(size=(3, 8)).astype(dtype)
+    if dtype is np.complex128:
+        rows += 1j * rng.normal(size=rows.shape)
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    streams = [np.random.default_rng(5) if sampled else None for _ in range(2)]
+    batched, one_by_one = LoccTranscript(), LoccTranscript()
+    got = relay(rows, 1, hops, batched, rng=streams[0], drawn=2)
+    want = rows
+    for _ in range(hops):
+        want = relay(want, 1, 1, one_by_one, rng=streams[1], drawn=2)
+    assert got.tobytes() == want.tobytes()
+    assert [m.bits for m in batched.messages] == [m.bits for m in one_by_one.messages]
+    assert len(batched.messages) == 2 * hops
+    nodes = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
+    assert [(m.sender, m.receiver) for m in batched.messages[::2]] == list(zip(nodes, nodes[1:]))
+
+
+def relayed_block(rng, hops, batch=2, n=2):
+    """`hops` stacked hops of a relay of qubit 0 of `batch` random n-qubit
+    registers: their Bell-extended registers, branches and tables."""
+    tables = _hop_tables(n + 2, 0, n, n + 1)
+    registers = np.empty((hops, batch, 2 ** (n + 2)), dtype=np.complex128)
+    branches = np.empty((hops, batch, 4, 2**n), dtype=np.complex128)
+    rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
+    for i in range(hops):
+        registers[i] = (rows[:, :, None] * BELL).reshape(batch, -1)
+        _hop(registers[i], tables, branches[i])
+        rows = branches[i, :, 0].take(tables.home, axis=-1)
+    return registers, branches, tables
+
+
+def test_block_check_rejects_a_malformed_pair_at_any_hop():
+    rng = np.random.default_rng(37)
+    registers, branches, tables = relayed_block(rng, HOP_BLOCK)
+    _check_hops(registers, branches, tables)
+    branches[40, 0, 3, 0] += 1e-6
+    with pytest.raises(AssertionError, match="branches disagree"):
+        _check_hops(registers, branches, tables)
+    # the first failing hop names the error
+    registers[37, 1] = np.kron(random_amplitudes(rng, 2), [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="malformed Bell pair"):
+        _check_hops(registers, branches, tables)
+
+
+def test_relay_checks_the_partial_last_block(monkeypatch):
+    # the next-to-last hop, in a last block of five, leaves its branches ~1e-6 apart
+    hops, calls = 2 * HOP_BLOCK + 5, []
+
+    def skewed(register, tables, out):
+        probs = _hop(register, tables, out)
+        calls.append(len(calls))
+        if len(calls) == hops - 1:
+            out[:, 3, 0] += 1e-6
+        return probs
+
+    monkeypatch.setattr("qetsim.teleport._hop", skewed)
+    rows = np.array([random_amplitudes(np.random.default_rng(2), 2)])
+    transcript = LoccTranscript()
+    with pytest.raises(AssertionError, match="branches disagree"):
+        relay(rows, 1, hops, transcript)
+    assert len(calls) == hops
+    # the two checked blocks are logged, the failing one is not
+    assert len(transcript.messages) == 4 * HOP_BLOCK
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("norm", [2.0, 0.0])
+def test_relay_rejects_unnormalized_rows(norm, sampled):
+    rows = norm * np.array([random_amplitudes(np.random.default_rng(6), 2)] * 2)
+    rng = np.random.default_rng(1) if sampled else None
+    transcript = LoccTranscript()
+    with pytest.raises(ValueError, match="malformed Bell pair"):
+        relay(rows, 0, 3, transcript, rng=rng)
+    assert transcript.messages == []
 
 
 # --- long-range runs ----------------------------------------------------------
