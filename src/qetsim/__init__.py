@@ -7,6 +7,7 @@ from .model import (
     FeedbackAngle,
     GroundMoments,
     IllConditionedError,
+    Local,
     MinimalModelParams,
     ModelBundle,
     StarModelParams,
@@ -16,7 +17,7 @@ from .model import (
     star_block_ground,
     star_model,
 )
-from .ops import DegenerateGroundError, ObservableSum, PauliString, StateVector
+from .ops import DegenerateGroundError, StateVector
 from .protocol import (
     QetRecord,
     SweepGrid,

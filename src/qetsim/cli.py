@@ -25,17 +25,22 @@ from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
+# Largest `sweep` grid, h steps times k steps.  A grid point peaks at
+# ~300 B in-process (1000 x 1000 at 320 MB, 1500 x 1500 at 680 MB), so a
+# grid at the bound peaks at ~1.3 GB.
+MAX_SWEEP_POINTS = 4_000_000
 
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _parse_range(option: str, text: str) -> list[float]:
-    """'a:b:n' -> n evenly spaced values in [a, b]; plain number -> [x]."""
+def _parse_range(option: str, text: str) -> tuple[float, float, int]:
+    """'a:b:n' -> (a, b, n), n evenly spaced values in [a, b]; plain
+    number -> (x, x, 1)."""
     try:
         if ":" not in text:
-            return [float(text)]
+            return float(text), float(text), 1
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
         if steps < 1:
@@ -45,7 +50,7 @@ def _parse_range(option: str, text: str) -> list[float]:
             f"--{option} expects a value or min:max:steps with a positive integer "
             f"steps, got {text!r}"
         ) from None
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    return lo, hi, steps
 
 
 def _parse_receivers(text: str) -> tuple[int, ...]:
@@ -176,8 +181,11 @@ def _wide_table(cells: list[TableCell]) -> str:
 # --- sweep ------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    h_values = _parse_range("h", args.h)
-    k_values = _parse_range("k", args.k)
+    h_range, k_range = _parse_range("h", args.h), _parse_range("k", args.k)
+    points = h_range[2] * k_range[2]
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid has {points} points, more than {MAX_SWEEP_POINTS}")
+    h_values, k_values = ([float(v) for v in np.linspace(*r)] for r in (h_range, k_range))
     if min(h_values) <= 0 or min(k_values) <= 0:
         raise ValueError("sweep grids must be strictly positive")
     grid = sweep_EB(h_values, k_values, field_term_column=args.field_term_column)

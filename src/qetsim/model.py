@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .ops import (
-    MAX_STATEVECTOR_QUBITS,
-    DegenerateGroundError,
-    ObservableSum,
-    PauliString,
-    single_term,
-    z_on,
-)
+from .ops import MAX_STATEVECTOR_QUBITS, DegenerateGroundError
 
 DEGENERACY_TOL = 1e-9
 # E_B is within 1e-15 of a 50-digit oracle up to h/k = 1e15 and off by a
@@ -98,21 +91,30 @@ class GroundMoments:
     xx: float
 
 
+class Local(NamedTuple):
+    """One local term, coeff * P + offset, P the product of the `basis`
+    Pauli ("Z" or "X") on each of `sites`."""
+
+    coeff: float
+    basis: str
+    sites: tuple[int, ...]
+    offset: float
+
+
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """Total Hamiltonian plus its named local terms, the site roles, the
-    ground moments and the ground state's block vector.
+    """The named local terms, the site roles, the ground moments and the
+    ground state's block vector of one star.
 
-    The locals are Z{i} (field at site i) and X{j} (coupling of receiver j to
-    the sender).  Their sum equals the total (canonical equality), and every
-    local has zero ground-state expectation by construction of the offsets.
-    The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
-    receivers' normalized Dicke state with n ones (`star_block_ground`).
+    The locals are Z{i} = h Z_i (field at site i) and X{j} = 2k X_0 X_j
+    (coupling of receiver j to the sender), each with the offset that makes
+    its ground-state expectation vanish; H is their sum.  The ground state
+    is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the receivers' normalized
+    Dicke state with n ones (`star_block_ground`).
     """
 
     params: ModelParams
-    total: ObservableSum
-    locals: dict[str, ObservableSum]
+    locals: dict[str, Local]
     sender_site: int
     receiver_sites: tuple[int, ...]
     moments: GroundMoments
@@ -120,7 +122,7 @@ class ModelBundle:
 
     @property
     def n_qubits(self) -> int:
-        return self.total.n_qubits
+        return self.params.q
 
 
 @dataclass(frozen=True)
@@ -230,27 +232,19 @@ def star_model(params: ModelParams) -> ModelBundle:
     The offsets cannot change the eigenvectors, so the ground state is solved
     on the Pauli parts alone, by `star_block_ground`, and each local's offset
     is then set to the negative of its Pauli-part ground expectation, making
-    every local and the total vanish in the ground state: -h <Z_0> for Z0,
+    every local, and so H, vanish in the ground state: -h <Z_0> for Z0,
     -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.
     """
     h, k, n = params.h, params.k, params.q
     _, _, g, moments = star_block_ground(h, k, n)
     moments = GroundMoments(z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx))
-    parts = {"Z0": (h, z_on(n, 0), h * moments.z0)}
+    locals_ = {"Z0": Local(h, "Z", (0,), -(h * moments.z0))}
     for i in range(1, n):
-        parts[f"Z{i}"] = (h, z_on(n, i), h * moments.zj)
+        locals_[f"Z{i}"] = Local(h, "Z", (i,), -(h * moments.zj))
     for j in range(1, n):
-        xx = PauliString.from_map(n, {0: "X", j: "X"})
-        parts[f"X{j}"] = (2 * k, xx, 2 * k * moments.xx)
-    locals_: dict[str, ObservableSum] = {}
-    offset = 0.0
-    for name, (coeff, word, mean) in parts.items():
-        locals_[name] = single_term(coeff, word, offset=-mean)
-        offset -= mean
-    total = ObservableSum(n, tuple((c, w) for c, w, _ in parts.values()), offset)
+        locals_[f"X{j}"] = Local(2 * k, "X", (0, j), -(2 * k * moments.xx))
     return ModelBundle(
         params=params,
-        total=total,
         locals=locals_,
         sender_site=0,
         receiver_sites=tuple(range(1, n)),

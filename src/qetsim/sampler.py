@@ -16,13 +16,12 @@ of that key.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pauli_eigs
-from .model import ModelBundle, ReceiverEnergy, StarModelParams, star_model
-from .ops import ObservableSum
+from .model import Local, ModelBundle, ReceiverEnergy, StarModelParams, star_model
 from .protocol import QetRecord, exact_record, pass_sites, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
@@ -54,17 +53,12 @@ class ShotPlan:
 class SampleTallies:
     basis: str
     shots: int
-    n_qubits: int  # of the model
     sites: tuple[int, ...]  # read out, sender first; outcome bits in this order
     joint: np.ndarray  # int64 occurrences of (mu, outcome); row 0 mu = +1, row 1 mu = -1
 
     @property
     def counts(self) -> np.ndarray:  # occurrences per computational outcome
         return self.joint.sum(axis=0)
-
-    @property
-    def mu_counts(self) -> tuple[int, int]:
-        return tuple(int(c) for c in self.joint.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -128,44 +122,54 @@ def sample_protocol(
     )
     draws = rng.multinomial(plan.shots, joint.ravel() / joint.sum()).reshape(joint.shape)
     return SampleTallies(
-        basis=plan.basis_run, shots=plan.shots, n_qubits=bundle.n_qubits, sites=sites,
-        joint=draws,
+        basis=plan.basis_run, shots=plan.shots, sites=sites, joint=draws,
     )
 
 
-def estimate(tallies: SampleTallies, obs: ObservableSum, label: str = "") -> EstimateRow:
-    """Mean and standard error of an observable from one basis run.
+def estimate(tallies: SampleTallies, local: Local, label: str = "") -> EstimateRow:
+    """Mean and standard error of a local term from one basis run.
 
-    The per-shot value is offset + sum_t c_t * (+-1 parity of the outcome
-    bits on t's support), each of t's letters the run's basis on a read-out
-    site; stderr is the sample standard deviation over shots divided by
-    sqrt(shots).
+    A shot reads offset + coeff when its bits on `local.sites` have even
+    parity and offset - coeff when odd, so the mean is
+    offset + coeff (N - 2 odd) / N.  The odd shots are counted on one
+    reshape of the run's tallies that puts each site's bit on its own axis,
+    summed over the other axes and over mu.  The mean is taken as the
+    shot-weighted average of the two per-shot values, which does not cancel
+    when the offset nearly balances the coefficient; stderr is their sample
+    standard deviation divided by sqrt(N).
     """
-    if obs.n_qubits != tallies.n_qubits:
-        raise ValueError("qubit count mismatch")
     sites = tallies.sites
-    values = np.full(2 ** len(sites), obs.offset, dtype=np.float64)
-    idx = np.arange(2 ** len(sites), dtype=np.int64)
-    for coeff, word in obs.terms:
-        mask = 0
-        for site, letter in enumerate(word.letters):
-            if letter == "I":
-                continue
-            if letter != tallies.basis or site not in sites:
-                raise ValueError(
-                    f"observable word {word.letters} is not measurable from a "
-                    f"{tallies.basis}-run of sites {sites}"
-                )
-            mask |= 1 << (len(sites) - 1 - sites.index(site))
-        values += coeff * pauli_eigs(idx, mask)
-    n, counts = tallies.shots, tallies.counts
-    mean = float(np.dot(counts, values)) / n
+    if local.basis != tallies.basis or not set(local.sites) <= set(sites):
+        raise ValueError(
+            f"local {local.basis} on sites {local.sites} is not measurable from a "
+            f"{tallies.basis}-run of sites {sites}"
+        )
+    # (rest, bit, rest, ..., bit, rest), sites in readout order; the joint
+    # tallies' mu axis folds into the first rest
+    shape, done = [2], 0
+    for axis in sorted(sites.index(site) for site in local.sites):
+        shape[-1] *= 2 ** (axis - done)
+        shape += [2, 1]
+        done = axis + 1
+    shape[-1] *= 2 ** (len(sites) - done)
+    view = tallies.joint.reshape(shape)
+    # one slice sum per odd-parity setting of the bits: numpy reduces a slice
+    # far faster than several strided axes at once
+    odd = 0
+    for bits in itertools.product((0, 1), repeat=len(local.sites)):
+        if sum(bits) % 2:
+            index = [slice(None)] * len(shape)
+            index[1::2] = bits
+            odd += int(view[tuple(index)].sum())
+    n = tallies.shots
+    even_value, odd_value = local.offset + local.coeff, local.offset - local.coeff
+    mean = ((n - odd) * even_value + odd * odd_value) / n
     if n < 2:
         stderr = 0.0
     else:
-        var = float(np.dot(counts, (values - mean) ** 2)) / (n - 1)
+        var = ((n - odd) * (even_value - mean) ** 2 + odd * (odd_value - mean) ** 2) / (n - 1)
         stderr = float(np.sqrt(var / n))
-    return EstimateRow(observable=label, mean=mean, stderr=stderr, shots=n)
+    return EstimateRow(observable=label, mean=float(mean), stderr=stderr, shots=n)
 
 
 def sampled_record(

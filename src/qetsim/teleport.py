@@ -36,8 +36,7 @@ from .ops import MAX_STATEVECTOR_QUBITS, StateVector
 from .protocol import QetRecord, exact_record, run_protocol
 
 
-@dataclass(frozen=True)
-class LoccMessage:
+class LoccMessage(NamedTuple):
     seq: int
     sender: str
     receiver: str
@@ -71,8 +70,8 @@ BELL = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
 _H_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 # Largest h/k or k/h `run_longrange_qet` accepts; see there.
 MAX_RELAY_FIELD_RATIO = 1e4
-# Largest hop count `run_longrange_qet` accepts: the transcript keeps ~1 KB
-# per hop (10^5 hops peak at ~120 MB), so 10^6 hops take ~1 GB.
+# Largest hop count `run_longrange_qet` accepts: the transcript keeps
+# ~0.8 KB per hop (10^5 hops peak at ~115 MB), so 10^6 hops would take ~0.8 GB.
 MAX_HOPS = 10**6
 # `relay` checks its hops in blocks of this many, kept in buffers of at most
 # _BLOCK_BYTES so that a large register's block stays small.

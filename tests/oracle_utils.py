@@ -42,23 +42,48 @@ def word_matrix(letters: str) -> np.ndarray:
     return M
 
 
-def dense_observable(obs) -> np.ndarray:
-    """Dense matrix of a package ObservableSum, built via np.kron."""
-    dim = 2**obs.n_qubits
-    M = obs.offset * np.eye(dim, dtype=complex)
-    for coeff, word in obs.terms:
-        M += coeff * word_matrix(word.letters)
+def local_word(local, n: int) -> str:
+    """The n-letter Pauli word of a package Local: its basis on its sites."""
+    return "".join(local.basis if i in local.sites else "I" for i in range(n))
+
+
+def local_matrix(n: int, *locals_) -> np.ndarray:
+    """Dense n-qubit matrix of a sum of package Locals, via np.kron; the
+    bundle's H is the sum of all its locals."""
+    M = np.zeros((2**n, 2**n), dtype=complex)
+    for local in locals_:
+        M += local.offset * np.eye(2**n) + local.coeff * word_matrix(local_word(local, n))
     return M
 
 
-def reduced_observable(obs, sites: tuple[int, ...]) -> np.ndarray:
-    """Dense matrix of an ObservableSum on `sites` only (in that order); every
-    word must act as the identity elsewhere."""
-    M = obs.offset * np.eye(2 ** len(sites), dtype=complex)
-    for coeff, word in obs.terms:
-        assert all(word.letters[i] == "I" for i in range(obs.n_qubits) if i not in sites)
-        M += coeff * word_matrix("".join(word.letters[i] for i in sites))
+def reduced_observable(sites: tuple[int, ...], *locals_) -> np.ndarray:
+    """Dense matrix of a sum of Locals on `sites` only (in that order); every
+    local must act on those sites alone."""
+    M = np.zeros((2 ** len(sites),) * 2, dtype=complex)
+    for local in locals_:
+        assert set(local.sites) <= set(sites)
+        M += local.offset * np.eye(len(M)) + local.coeff * word_matrix(
+            "".join(local.basis if s in local.sites else "I" for s in sites)
+        )
     return M
+
+
+def parity_estimate(counts: np.ndarray, sites: tuple[int, ...], local) -> tuple[float, float]:
+    """Brute-force (mean, stderr) of a Local from a run's per-outcome counts,
+    outcome bits in the order of `sites`: the full parity
+    (-1)**popcount(i & mask) of each occupied cell i, then the sample mean
+    and variance over shots."""
+    n = len(sites)
+    mask = sum(1 << (n - 1 - sites.index(site)) for site in local.sites)
+    cells = np.flatnonzero(counts)
+    counts = counts[cells]
+    values = np.array(
+        [local.offset + local.coeff * (-1) ** bin(i & mask).count("1") for i in cells.tolist()]
+    )
+    shots = int(counts.sum())
+    mean = float(counts @ values) / shots
+    var = float(counts @ (values - mean) ** 2) / (shots - 1)
+    return mean, float(np.sqrt(var / shots))
 
 
 # --- states ---------------------------------------------------------------------
@@ -83,15 +108,19 @@ def apply_word(amps: np.ndarray, letters: str) -> np.ndarray:
     return amps
 
 
-def expectation(amps: np.ndarray, obs) -> float:
-    """<obs> of one state, word by word; the offset adds."""
-    val = sum(coeff * np.vdot(amps, apply_word(amps, w.letters)) for coeff, w in obs.terms)
+def expectation(amps: np.ndarray, *locals_) -> float:
+    """<sum of the Locals> of one state, word by word; the offsets add."""
+    n = _qubits(amps)
+    val = sum(
+        local.offset + local.coeff * np.vdot(amps, apply_word(amps, local_word(local, n)))
+        for local in locals_
+    )
     assert abs(complex(val).imag) < 1e-10
-    return complex(val).real + obs.offset
+    return complex(val).real
 
 
-def ensemble_expectation(branches, obs) -> float:
-    return sum(p * expectation(psi, obs) for p, psi, _ in branches)
+def ensemble_expectation(branches, *locals_) -> float:
+    return sum(p * expectation(psi, *locals_) for p, psi, _ in branches)
 
 
 def measure(amps: np.ndarray, letters: str) -> list[tuple[float, np.ndarray, int]]:
@@ -133,11 +162,11 @@ class DenseGround:
     gap: float
 
 
-def solve_ground(obs) -> DenseGround:
-    """Reference ground solve of any ObservableSum: the lowest eigenpair of
-    its dense np.kron matrix, with the spectral gap; a gap below the
-    package's DEGENERACY_TOL raises its DegenerateGroundError."""
-    vals, vecs = np.linalg.eigh(dense_observable(obs))
+def solve_ground(M: np.ndarray) -> DenseGround:
+    """Reference ground solve of a dense Hermitian matrix: its lowest
+    eigenpair, with the spectral gap; a gap below the package's
+    DEGENERACY_TOL raises its DegenerateGroundError."""
+    vals, vecs = np.linalg.eigh(M)
     gap = float(vals[1] - vals[0])
     if gap < DEGENERACY_TOL:
         raise DegenerateGroundError(f"ground space degenerate (gap = {gap:.3e})")
@@ -254,15 +283,15 @@ def pass_energy_curve(fed: np.ndarray, shifts, local: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def feedback_energy_curve(branches, site: int, local, thetas) -> np.ndarray:
-    """<local> after the feedback rotation at every angle of `thetas`.
+def feedback_energy_curve(branches, site: int, M: np.ndarray, thetas) -> np.ndarray:
+    """<M> after the feedback rotation at every angle of `thetas`, M a dense
+    matrix on the branches' qubits.
 
     For each branch (p, psi, mu) the rotated states
     cos(t) psi - i mu sin(t) Y_site psi of the whole grid are stacked into
-    one array, and their dense <local> is weighted by p.
+    one array, and their dense <M> is weighted by p.
     """
     n = _qubits(branches[0][1])
-    M = dense_observable(local)
     Y = op_on("Y", site, n)
     t = np.asarray(thetas, dtype=np.float64)[:, None]
     out = np.zeros(len(t))

@@ -104,6 +104,18 @@ def test_sweep_bad_range_names_the_option_and_form(text, capsys):
     )
 
 
+def test_sweep_grid_beyond_the_bound_exits_2_before_any_solve(capsys, monkeypatch):
+    # 10^12 points: rejected from the step counts, before any grid is built
+    def solve(*args):
+        raise AssertionError("the bound must reject the grid before any solve")
+
+    monkeypatch.setattr(qetsim.protocol, "star_block_ground", solve)
+    assert run_cli("sweep", "--h", "0.2:3:1000000", "--k", "0.2:3:1000000") == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep grid has 1000000000000 points, more than {qetsim.cli.MAX_SWEEP_POINTS}\n"
+    )
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("sweep", "--h", "0.5:1.5:4", "--k", "0.5:1.5:4", "--out", str(a))
@@ -483,7 +495,7 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
     "table1": "94f2509672eba55be952cf80bbd9992cf8920eca97b66a98839d60e4dfdb46c1",
-    "qed": "63f9a60cfbec5554bcebea16f03bbb6f895fbef96e79f5bc6e02abc41b3022f1",
+    "qed": "c809f2949dc0097ae149076d7ffcf18a85af112ecb7c51afc1b90a3fb3550c4d",
     "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
 }
 

@@ -5,18 +5,21 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     analytic_ground_minimal,
-    dense_observable,
     dense_star_angle,
     dicke_embed,
     expectation,
     fed_ensemble,
     feedback_energy_curve,
     fidelity,
+    local_matrix,
+    local_word,
+    op_on,
     pass_energy_curve,
     reduced_observable,
     solve_ground,
     star_ground,
     star_reduced_values,
+    word_matrix,
 )
 
 import qetsim.model
@@ -28,13 +31,7 @@ from qetsim.model import (
     star_block_ground,
     star_model,
 )
-from qetsim.ops import (
-    MAX_STATEVECTOR_QUBITS,
-    ObservableSum,
-    PauliString,
-    single_term,
-    z_on,
-)
+from qetsim.ops import MAX_STATEVECTOR_QUBITS
 from qetsim.protocol import run_protocol
 
 HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]
@@ -53,16 +50,19 @@ def test_minimal_offsets_at_h_k_one():
 def test_minimal_total_is_sum_of_locals():
     bundle = star_model(MinimalModelParams(3.0, 0.5))
     assert set(bundle.locals) == {"Z0", "Z1", "X1"}
-    summed = bundle.locals["Z0"] + bundle.locals["Z1"] + bundle.locals["X1"]
-    assert bundle.total.isclose(summed)
+    assert bundle.locals["Z0"][:3] == (3.0, "Z", (0,))
+    assert bundle.locals["Z1"][:3] == (3.0, "Z", (1,))
+    assert bundle.locals["X1"][:3] == (1.0, "X", (0, 1))
+    offset = sum(local.offset for local in bundle.locals.values())
+    H = 3.0 * (word_matrix("ZI") + word_matrix("IZ")) + 1.0 * word_matrix("XX")
+    assert np.abs(local_matrix(2, *bundle.locals.values()) - H - offset * np.eye(4)).max() < 1e-12
 
 
 def test_minimal_small_k_limit():
     bundle = star_model(MinimalModelParams(2.0, 1e-8))
     assert bundle.locals["Z0"].offset == pytest.approx(2.0, rel=1e-12)
     assert bundle.locals["X1"].offset == pytest.approx(0.0, abs=1e-12)
-    (coeff, _), = bundle.locals["X1"].terms
-    assert coeff == pytest.approx(2e-8)
+    assert bundle.locals["X1"].coeff == pytest.approx(2e-8)
 
 
 def test_analytic_ground_amplitudes():
@@ -83,21 +83,24 @@ def test_analytic_ground_small_k_limit_and_norm():
 def test_minimal_zero_mean_suite():
     for h, k in HK_GRID:
         bundle = star_model(MinimalModelParams(h, k))
-        for obs in [bundle.total, *bundle.locals.values()]:
-            assert abs(expectation(star_ground(bundle), obs)) < 1e-10, (h, k)
+        ground = star_ground(bundle)
+        assert abs(expectation(ground, *bundle.locals.values())) < 1e-10, (h, k)
+        for local in bundle.locals.values():
+            assert abs(expectation(ground, local)) < 1e-10, (h, k)
 
 
 def test_minimal_ground_energy_zero_for_9_2():
     # the Pauli part's ground level plus the offsets
     bundle = star_model(MinimalModelParams(9.0, 2.0))
-    assert abs(star_block_ground(9.0, 2.0, 2)[0] + bundle.total.offset) < 1e-10
+    offset = sum(local.offset for local in bundle.locals.values())
+    assert abs(star_block_ground(9.0, 2.0, 2)[0] + offset) < 1e-10
 
 
 # --- solve_ground ------------------------------------------------------------
 
 def test_single_qubit_field_ground():
     h = 1.3
-    sol = solve_ground(single_term(h, z_on(1, 0)))
+    sol = solve_ground(h * op_on("Z", 0, 1))
     assert sol.energy == pytest.approx(-h, abs=1e-12)
     assert sol.gap == pytest.approx(2 * h, abs=1e-12)
     assert abs(sol.state[1]) == pytest.approx(1.0, abs=1e-12)
@@ -111,16 +114,13 @@ def test_numeric_matches_analytic_across_grid():
 
 def test_degenerate_ground_rejected():
     with pytest.raises(DegenerateGroundError):
-        solve_ground(single_term(1.0, PauliString(2, "ZZ")))
+        solve_ground(word_matrix("ZZ"))
 
 
 def test_offsets_do_not_change_eigenvectors():
-    base = ObservableSum(
-        2, ((1.0, z_on(2, 0)), (0.5, z_on(2, 1)), (0.7, PauliString(2, "XX")))
-    )
-    shifted = ObservableSum(2, base.terms, offset=5.5)
+    base = word_matrix("ZI") + 0.5 * word_matrix("IZ") + 0.7 * word_matrix("XX")
     a = solve_ground(base)
-    b = solve_ground(shifted)
+    b = solve_ground(base + 5.5 * np.eye(4))
     assert fidelity(a.state, b.state) >= 1 - 1e-12
     assert b.energy == pytest.approx(a.energy + 5.5, abs=1e-10)
 
@@ -132,15 +132,13 @@ def test_star_locals_sum_and_zero_mean():
         bundle = star_model(StarModelParams(9.0, 2.0, q))
         assert bundle.n_qubits == q
         assert bundle.receiver_sites == tuple(range(1, q))
-        total = ObservableSum(q)
-        for local in bundle.locals.values():
-            total = total + local
-        assert bundle.total.isclose(total)
+        assert set(bundle.locals) == {f"Z{i}" for i in range(q)} | {f"X{j}" for j in range(1, q)}
         ground = star_ground(bundle)
         for name, local in bundle.locals.items():
             assert abs(expectation(ground, local)) < 1e-10, name
-        assert abs(expectation(ground, bundle.total)) < 1e-10
-        assert abs(star_block_ground(9.0, 2.0, q)[0] + bundle.total.offset) < 1e-10
+        assert abs(expectation(ground, *bundle.locals.values())) < 1e-10
+        offset = sum(local.offset for local in bundle.locals.values())
+        assert abs(star_block_ground(9.0, 2.0, q)[0] + offset) < 1e-10
 
 
 def test_star_q2_is_the_minimal_model():
@@ -182,9 +180,11 @@ def test_star_small_k_limit_all_down():
 def test_star_energy_equals_minus_offset_sum():
     params = StarModelParams(8.0, 2.0, 7)
     bundle = star_model(params)
-    pauli_only = ObservableSum(bundle.n_qubits, bundle.total.terms)
+    n = bundle.n_qubits
+    pauli_only = sum(local.coeff * word_matrix(local_word(local, n)) for local in bundle.locals.values())
     raw = solve_ground(pauli_only)
-    assert raw.energy == pytest.approx(-bundle.total.offset, abs=1e-9)
+    offset = sum(local.offset for local in bundle.locals.values())
+    assert raw.energy == pytest.approx(-offset, abs=1e-9)
 
 
 def test_star_param_validation():
@@ -200,14 +200,14 @@ def test_star_param_validation():
 # --- star ground solve in the receivers' total-spin blocks -------------------
 
 def _star_pauli_part(h, k, q):
-    terms = [(h, z_on(q, i)) for i in range(q)]
-    terms += [(2 * k, PauliString.from_map(q, {0: "X", j: "X"})) for j in range(1, q)]
-    return ObservableSum(q, tuple(terms))
+    x0 = op_on("X", 0, q)
+    pauli = sum(h * op_on("Z", i, q) for i in range(q))
+    return pauli + sum(2 * k * x0 @ op_on("X", j, q) for j in range(1, q))
 
 
 def _check_against_dense_spectrum(h, k, q):
     pauli = _star_pauli_part(h, k, q)
-    levels = np.linalg.eigvalsh(dense_observable(pauli))
+    levels = np.linalg.eigvalsh(pauli)
     energy, gap, g, _ = star_block_ground(h, k, q)
     assert energy == pytest.approx(levels[0], abs=1e-10)
     assert gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
@@ -261,7 +261,7 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
     bundle = star_model(StarModelParams(8.0, 2.0, 12))
     assert sizes and max(sizes) <= 2 * 12
     assert bundle.g.shape == (2, 12)
-    assert abs(expectation(star_ground(bundle), bundle.total)) < 1e-10
+    assert abs(expectation(star_ground(bundle), *bundle.locals.values())) < 1e-10
 
 
 # --- feedback angle ----------------------------------------------------------
@@ -290,7 +290,7 @@ def pass_curve(bundle, site, thetas):
     """Receiver `site`'s energy read off the package's pass for R = {site},
     each angle reached by turning the pass's feedback on by theta - theta*
     (rotations about Y_site compose)."""
-    local = reduced_observable(bundle.locals[f"Z{site}"] + bundle.locals[f"X{site}"], (0, site))
+    local = reduced_observable((0, site), bundle.locals[f"Z{site}"], bundle.locals[f"X{site}"])
     shifts = np.asarray(thetas) - feedback_angle(bundle, site).theta
     return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
@@ -304,7 +304,7 @@ def test_theta_minimizes_receiver_energy_grid_scan(maker):
     angle = feedback_angle(bundle, 1)
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
     measured = fed_ensemble(bundle, ())
-    local = bundle.locals["Z1"] + bundle.locals["X1"]
+    local = local_matrix(bundle.n_qubits, bundle.locals["Z1"], bundle.locals["X1"])
     energies = feedback_energy_curve(measured, 1, local, thetas)
     # the stacked dense curve is the protocol's own at 64 spread grid points
     probe = np.linspace(0, len(thetas) - 1, 64).astype(int)

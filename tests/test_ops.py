@@ -1,37 +1,33 @@
-"""The Pauli-word algebra of qetsim.ops, and the dense oracle's state
-operations (tests/oracle_utils.py) that the protocol tests measure the
-package against: word application, expectations, projective measurement,
-conditional rotations and the teleport oracle's gates."""
+"""The dense oracle's state operations (tests/oracle_utils.py) that the
+protocol tests measure the package against: word application, expectations
+of the package's local terms, projective measurement, conditional rotations
+and the teleport oracle's gates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracle_utils import (
     HADAMARD,
     apply_cnot,
     apply_word,
     dense_expectation,
-    dense_observable,
     drop_qubits,
     ensemble_expectation,
     expectation,
+    local_matrix,
     measure,
     on_site,
+    op_on,
     pure_trace_distance,
     rotate,
+    solve_ground,
+    star_ground,
     tensor,
     word_matrix,
 )
 
-from qetsim.ops import (
-    ObservableSum,
-    PauliString,
-    StateVector,
-    single_term,
-    z_on,
-)
+from qetsim.model import Local, StarModelParams, star_model
+from qetsim.ops import StateVector
 
 RNG = np.random.default_rng(23)
 
@@ -45,21 +41,13 @@ def basis(n, label):
     return StateVector.basis(n, label).amplitudes
 
 
-def random_observable(n, n_terms=4):
-    terms = []
+def random_locals(n, n_terms=4):
+    out = []
     for _ in range(n_terms):
-        letters = "".join(RNG.choice(list("IXYZ"), size=n))
-        terms.append((float(RNG.normal()), PauliString(n, letters)))
-    return ObservableSum(n, tuple(terms), offset=float(RNG.normal()))
-
-
-# --- PauliString -------------------------------------------------------------
-
-def test_letters_length_enforced():
-    with pytest.raises(ValueError):
-        PauliString(3, "XY")
-    with pytest.raises(ValueError):
-        PauliString(2, "XQ")
+        sites = tuple(sorted(RNG.choice(n, size=RNG.integers(1, n + 1), replace=False).tolist()))
+        out.append(Local(float(RNG.normal()), str(RNG.choice(["X", "Z"])), sites,
+                         float(RNG.normal())))
+    return out
 
 
 # --- word application (the oracle's per-site gates against np.kron) ---------------
@@ -96,22 +84,23 @@ def test_dimension_mismatch_raises():
 # --- expectation -------------------------------------------------------------
 
 def test_basis_eigenstate_expectation():
-    obs = single_term(9.0, z_on(2, 0))
-    assert expectation(basis(2, "00"), obs) == pytest.approx(9.0, abs=1e-12)
+    local = Local(9.0, "Z", (0,), 0.0)
+    assert expectation(basis(2, "00"), local) == pytest.approx(9.0, abs=1e-12)
+    assert expectation(basis(2, "10"), local, local) == pytest.approx(-18.0, abs=1e-12)
 
 
 def test_expectation_matches_dense_quadratic_form():
     for n in (2, 3):
         for _ in range(10):
             state = random_state(n)
-            obs = random_observable(n)
-            want = dense_expectation(state, dense_observable(obs)).real
-            assert expectation(state, obs) == pytest.approx(want, abs=1e-10)
+            locals_ = random_locals(n)
+            want = dense_expectation(state, local_matrix(n, *locals_)).real
+            assert expectation(state, *locals_) == pytest.approx(want, abs=1e-10)
 
 
 def test_symmetric_mixture_expectation():
     branches = [(0.5, basis(1, 0), +1), (0.5, basis(1, 1), -1)]
-    assert ensemble_expectation(branches, single_term(1.0, z_on(1, 0))) == pytest.approx(
+    assert ensemble_expectation(branches, Local(1.0, "Z", (0,), 0.0)) == pytest.approx(
         0.0, abs=1e-14
     )
 
@@ -147,16 +136,12 @@ def test_branch_probabilities_sum_to_one():
 def test_commuting_observable_preserved_by_measurement():
     for _ in range(5):
         state = random_state(3)
-        sigma = PauliString(3, "XII")
-        obs = ObservableSum(
-            3, ((1.3, z_on(3, 1)), (0.7, PauliString(3, "XXI"))), offset=0.2
-        )
-        for _, word in obs.terms:
-            M, S = word_matrix(word.letters), word_matrix(sigma.letters)
-            assert np.allclose(M @ S, S @ M)
-        branches = measure(state, sigma.letters)
-        assert ensemble_expectation(branches, obs) == pytest.approx(
-            expectation(state, obs), abs=1e-10
+        locals_ = (Local(1.3, "Z", (1,), 0.2), Local(0.7, "X", (0, 1), 0.0))
+        M, S = local_matrix(3, *locals_), word_matrix("XII")
+        assert np.allclose(M @ S, S @ M)
+        branches = measure(state, "XII")
+        assert ensemble_expectation(branches, *locals_) == pytest.approx(
+            expectation(state, *locals_), abs=1e-10
         )
 
 
@@ -188,68 +173,23 @@ def test_rotation_bad_mu_rejected():
         rotate(random_state(1), "X", 0.3, 2)
 
 
-# --- canonicalization --------------------------------------------------------
-
-def test_duplicate_words_merge_and_tiny_terms_drop():
-    w = PauliString(2, "XZ")
-    obs = ObservableSum(2, ((1.0, w), (2.0, w), (1e-20, PauliString(2, "YY"))), 0.1)
-    assert obs.terms == ((3.0, w),)
-    assert obs.offset == pytest.approx(0.1)
-
-
-def test_identity_word_folds_into_offset():
-    obs = ObservableSum(2, ((2.5, PauliString.identity(2)),), offset=0.5)
-    assert obs.terms == ()
-    assert obs.offset == pytest.approx(3.0)
-
+# --- the oracle's Hamiltonian: the sum of the package's locals ------------------
 
 def test_sum_of_locals_equals_total():
-    a = single_term(1.0, z_on(2, 0), offset=0.25)
-    b = single_term(2.0, z_on(2, 1), offset=0.75)
-    total = a + b
-    assert total.isclose(ObservableSum(2, a.terms + b.terms, 1.0))
-
-
-# --- Pauli algebra properties --------------------------------------------------
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
-
-
-def letters(n):
-    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
-
-
-# dyadic values, so that merging sums exactly in any order
-dyadic = st.integers(-12, 12).map(lambda c: c / 4)
-
-
-@st.composite
-def term_lists(draw):
-    n = draw(st.integers(1, 4))
-    terms = draw(st.lists(st.tuples(dyadic.filter(bool), letters(n)), max_size=8))
-    return n, [(c, PauliString(n, w)) for c, w in terms]
-
-
-@PROPERTY
-@given(term_lists(), dyadic, st.data())
-def test_canonical_sum_ignores_order_merges_and_folds(n_terms, offset, data):
-    n, terms = n_terms
-    obs = ObservableSum(n, tuple(terms), offset)
-    shuffled = ObservableSum(n, tuple(data.draw(st.permutations(terms))), offset)
-    assert [(c, w.letters) for c, w in shuffled.terms] == [(c, w.letters) for c, w in obs.terms]
-    assert shuffled.offset == obs.offset
-    # one term per distinct non-identity word, carrying the summed coefficient
-    want: dict[str, float] = {}
-    for c, w in terms:
-        if not w.is_identity:
-            want[w.letters] = want.get(w.letters, 0.0) + c
-    assert {w.letters: c for c, w in obs.terms} == {k: c for k, c in want.items() if c}
-    identity_sum = sum(c for c, w in terms if w.is_identity)
-    assert obs.offset == offset + identity_sum
-    dense = offset * np.eye(2**n, dtype=complex)
-    for c, w in terms:
-        dense += c * word_matrix(w.letters)
-    assert np.allclose(dense_observable(obs), dense, atol=1e-12)
+    # the star's np.kron Hamiltonian plus the locals' summed offsets, whose
+    # dense ground level is 0
+    for q, h, k in ((2, 1.0, 1.0), (4, 9.0, 2.0), (5, 3.0, 0.7)):
+        bundle = star_model(StarModelParams(h, k, q))
+        x0 = op_on("X", 0, q)
+        H = sum(h * op_on("Z", i, q) for i in range(q))
+        H = H + sum(2 * k * x0 @ op_on("X", j, q) for j in range(1, q))
+        offset = sum(local.offset for local in bundle.locals.values())
+        total = local_matrix(q, *bundle.locals.values())
+        assert np.abs(total - H - offset * np.eye(2**q)).max() < 1e-12
+        assert solve_ground(total).energy == pytest.approx(0.0, abs=1e-10)
+        assert expectation(star_ground(bundle), *bundle.locals.values()) == pytest.approx(
+            0.0, abs=1e-10
+        )
 
 
 # --- the teleport oracle's gates -------------------------------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import fed_ensemble, oracle_pass, readout_law
+from oracle_utils import fed_ensemble, oracle_pass, parity_estimate, readout_law
 
-from qetsim.model import MinimalModelParams, StarModelParams, star_model
-from qetsim.ops import ObservableSum, PauliString, single_term, x_on, z_on
+from qetsim.model import Local, MinimalModelParams, StarModelParams, star_model
 from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
+    SampleTallies,
     ShotPlan,
     cells_to_csv,
     estimate,
@@ -28,8 +30,7 @@ def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)
 def test_identical_plans_identical_tallies():
     _, t1 = minimal_tallies(shots=5000, seed=123)
     _, t2 = minimal_tallies(shots=5000, seed=123)
-    assert np.array_equal(t1.counts, t2.counts)
-    assert t1.mu_counts == t2.mu_counts
+    assert np.array_equal(t1.joint, t2.joint)
 
 
 def test_different_seeds_differ():
@@ -76,7 +77,7 @@ def fed_run(model):
 def test_tallies_add_up_to_the_shots(basis, shots):
     bundle, fed, receivers = fed_run("star6")
     t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, 3))
-    assert t.counts.sum() == shots == sum(t.mu_counts) == t.joint.sum()
+    assert t.counts.sum() == shots == t.joint.sum(axis=1).sum() == t.joint.sum()
     assert t.joint.dtype == np.int64 and t.joint.min() >= 0
 
 
@@ -132,7 +133,7 @@ def test_single_shot_is_one_hot(basis):
     for seed in range(10):
         t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, 1, seed))
         assert np.count_nonzero(t.joint) == 1 and t.joint.sum() == 1
-        assert t.counts.sum() == 1 and t.mu_counts in ((1, 0), (0, 1))
+        assert t.counts.sum() == 1 and tuple(t.joint.sum(axis=1)) in ((1, 0), (0, 1))
 
 
 # --- estimator ----------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_no_feedback_z1_converges_to_ground_value():
     bundle = star_model(MinimalModelParams(h, k))
     unfed = oracle_pass(fed_ensemble(bundle, ()), (0, 1))
     tallies = sample_protocol(bundle, unfed, (1,), ShotPlan("Z", 40000, 5))
-    row = estimate(tallies, single_term(1.0, z_on(2, 1)), "Z1")
+    row = estimate(tallies, Local(1.0, "Z", (1,), 0.0), "Z1")
     want = -h / np.hypot(h, k)
     assert abs(row.mean - want) < 5 * row.stderr
     assert row.stderr > 0
@@ -153,7 +154,7 @@ def test_no_feedback_z1_converges_to_ground_value():
 
 def test_offset_only_observable_has_zero_stderr():
     _, tallies = minimal_tallies(shots=100, seed=3)
-    row = estimate(tallies, ObservableSum(2, (), offset=2.5), "const")
+    row = estimate(tallies, Local(0.0, "Z", (), 2.5), "const")
     assert row.mean == pytest.approx(2.5, abs=1e-14)
     assert row.stderr == 0.0
 
@@ -163,25 +164,82 @@ def test_zero_mean_pauli_stderr_scale():
     # standard error is h/sqrt(N) up to O(1/N)
     h, n = 2.0, 40000
     _, tallies = minimal_tallies(shots=n, seed=17, hk=(h, 1.0))
-    row = estimate(tallies, single_term(h, z_on(2, 0)), "hZ0")
+    row = estimate(tallies, Local(h, "Z", (0,), 0.0), "hZ0")
     assert row.stderr == pytest.approx(h / np.sqrt(n), rel=0.02)
 
 
 def test_estimator_linearity():
     _, tallies = minimal_tallies(shots=3000, seed=21)
     eps = 0.7071
-    plain = estimate(tallies, single_term(1.0, z_on(2, 1)), "Z1")
-    scaled = estimate(tallies, single_term(2.0, z_on(2, 1), offset=eps), "H")
+    plain = estimate(tallies, Local(1.0, "Z", (1,), 0.0), "Z1")
+    scaled = estimate(tallies, Local(2.0, "Z", (1,), eps), "H")
     assert scaled.mean == pytest.approx(2.0 * plain.mean + eps, abs=1e-12)
     assert scaled.stderr == pytest.approx(2.0 * plain.stderr, abs=1e-12)
 
 
 def test_incompatible_basis_rejected():
-    _, tallies = minimal_tallies(basis="Z", shots=10, seed=1)
-    with pytest.raises(ValueError):
-        estimate(tallies, single_term(1.0, x_on(2, 0)), "X0")
-    with pytest.raises(ValueError):
-        estimate(tallies, single_term(1.0, PauliString(2, "ZY")), "ZY")
+    bundle, tallies = minimal_tallies(basis="Z", shots=10, seed=1)
+    with pytest.raises(ValueError, match="not measurable from a Z-run"):
+        estimate(tallies, bundle.locals["X1"], "HX1")
+    # a star's receiver 3 is not read out in a run of receivers 1 and 2
+    bundle, fed, receivers = fed_run("star6")
+    tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", 10, 1))
+    with pytest.raises(ValueError, match=r"sites \(0, 1, 2\)"):
+        estimate(tallies, bundle.locals["Z3"], "HZ3")
+
+
+def random_tallies(basis, n_sites, seed, density):
+    """Tallies of a run reading sites 0..n_sites-1, drawn uniformly with a
+    fraction `density` of the (mu, outcome) cells occupied."""
+    rng = np.random.default_rng(seed)
+    joint = rng.integers(0, 1000, size=(2, 2**n_sites)) * (rng.random((2, 2**n_sites)) < density)
+    joint[0, rng.integers(2**n_sites)] += 1  # at least 2 shots
+    joint[1, rng.integers(2**n_sites)] += 1
+    return SampleTallies(basis, int(joint.sum()), tuple(range(n_sites)), joint.astype(np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    receivers=st.integers(1, 11),
+    basis=st.sampled_from("ZX"),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.002, 0.1, 1.0]),
+    data=st.data(),
+)
+def test_estimate_equals_full_cell_parity_oracle(receivers, basis, seed, density, data):
+    # the parity count of one reshape-and-sum against the full-cell parity
+    # (-1)**popcount(i & mask) and the sample variance over shots
+    tallies = random_tallies(basis, receivers + 1, seed, density)
+    j = data.draw(st.integers(1, receivers), label="receiver")
+    coeff = data.draw(st.floats(-10, 10).filter(bool), label="coeff")
+    offset = data.draw(st.floats(-10, 10), label="offset")
+    sites = (j,) if basis == "Z" else (0, j)
+    if data.draw(st.booleans(), label="sender field") and basis == "Z":
+        sites = (0,)
+    local = Local(coeff, basis, sites, offset)
+    row = estimate(tallies, local, "L")
+    mean, stderr = parity_estimate(tallies.counts, tallies.sites, local)
+    # relative, with a floor at the per-shot values' scale where they cancel
+    floor = 1e-12 * (abs(coeff) + abs(offset))
+    assert row.mean == pytest.approx(mean, rel=1e-12, abs=floor)
+    assert row.stderr == pytest.approx(stderr, rel=1e-12, abs=floor)
+    assert row.shots == tallies.shots
+
+
+def test_estimate_reads_sites_above_16_bits():
+    # 20 read-out sites: site 0 is bit 19 of the outcome index, site 19 bit 0
+    cells = [0, 1 << 19, (1 << 19) | 1, (1 << 16) | (1 << 3), (1 << 20) - 1, 1 << 17]
+    for basis in "ZX":
+        joint = np.zeros((2, 2**20), dtype=np.int64)
+        joint[0, cells] = [1, 2, 3, 4, 5, 6]
+        joint[1, cells[::2]] += 7
+        tallies = SampleTallies(basis, int(joint.sum()), tuple(range(20)), joint)
+        for sites in ((0,), (3,), (2,), (19,)) if basis == "Z" else ((0, 3), (0, 2), (0, 19)):
+            local = Local(1.5, basis, sites, 0.25)
+            row = estimate(tallies, local)
+            mean, stderr = parity_estimate(tallies.counts, tallies.sites, local)
+            assert row.mean == pytest.approx(mean, rel=1e-12, abs=1e-15), (basis, sites)
+            assert row.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-15), (basis, sites)
 
 
 def test_plan_validation():
