@@ -17,7 +17,7 @@ from .model import (
     star_block_ground,
     star_model,
 )
-from .ops import DegenerateGroundError, StateVector
+from .ops import DegenerateGroundError
 from .protocol import (
     QetRecord,
     SweepGrid,
@@ -35,13 +35,7 @@ from .sampler import (
     sample_protocol,
     sampled_record,
 )
-from .teleport import (
-    LoccTranscript,
-    extend_with_bell,
-    relay_identity_check,
-    run_longrange_qet,
-    teleport_qubit,
-)
+from .teleport import LoccTranscript, relay_identity_check, run_longrange_qet
 from .tiling import TilingGraph, TilingSpec, classify, generate, ring_sizes, unit_star
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     ReceiverEnergy,
     StarModelParams,
+    _check_hk,
     exact_energies,
     feedback_angle,
     star_block_ground,
@@ -168,14 +169,15 @@ def sweep_EB(
     """Exact minimal-model E_B over an (h, k) grid.
 
     The extracted energy is -(<Z1> + <X1>); with field_term_column=True the
-    -<Z1> column is also reported for comparison.  Each point is validated
-    as MinimalModelParams, then the grid is one stacked q = 2 block solve.
+    -<Z1> column is also reported for comparison.  A point is valid as
+    MinimalModelParams exactly when its h and its k are each finite and
+    positive, so each axis value is checked once; then the grid is one
+    stacked q = 2 block solve.
     """
     h_values = tuple(float(h) for h in h_values)
     k_values = tuple(float(k) for k in k_values)
-    for h in h_values:
-        for k in k_values:
-            MinimalModelParams(h=h, k=k)
+    for v in h_values + k_values:
+        _check_hk(v, v)
     h_grid, k_grid = np.meshgrid(h_values, k_values, indexing="ij")
     *_, moments = star_block_ground(h_grid, k_grid, 2)
     _, energy = exact_energies(h_grid, k_grid, moments)

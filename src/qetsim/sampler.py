@@ -56,10 +56,6 @@ class SampleTallies:
     sites: tuple[int, ...]  # read out, sender first; outcome bits in this order
     joint: np.ndarray  # int64 occurrences of (mu, outcome); row 0 mu = +1, row 1 mu = -1
 
-    @property
-    def counts(self) -> np.ndarray:  # occurrences per computational outcome
-        return self.joint.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class EstimateRow:

@@ -1,4 +1,4 @@
-"""Single-qubit state teleportation, relay chains, and the long-range run.
+"""State-teleportation relay chains and the long-range run.
 
 Teleportation moves the source qubit's logical content onto the second half
 of a shared Bell pair using an entangling basis change, two projective
@@ -7,8 +7,9 @@ two classical bits in a LOCC transcript, one message per measured bit.  The
 corrections make all four outcome branches identical on the kept register,
 so relaying is an exact identity channel.
 
-One hop kernel (`_hop`) serves every teleport: on a (B, 2**n) stack of
-registers it builds all four corrected (m1, m2) branches of every row as
+`relay` is the package's one teleport, and the hop kernel `_hop` serves it:
+on a (B, 2**(n+2)) stack of registers, each with a Bell pair appended after
+its n qubits, it builds all four corrected (m1, m2) branches of every row as
 one array, by two gathers through flat index tables that `_hop_tables`
 builds once per call.  `_check_hops` then checks, on every row, the Bell
 pair and the branches' agreement.  Without an rng the (0, 0) branch is kept
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import IllConditionedError, MinimalModelParams, star_model
-from .ops import MAX_STATEVECTOR_QUBITS, StateVector
+from .ops import MAX_STATEVECTOR_QUBITS
 from .protocol import QetRecord, exact_record, run_protocol
 
 
@@ -91,61 +92,46 @@ def _check_capacity(n: int) -> None:
         raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
 
 
-def extend_with_bell(state: StateVector) -> StateVector:
-    """Append two fresh ancillas prepared as (|00> + |11>)/sqrt(2)."""
-    _check_capacity(state.n_qubits)
-    return StateVector(state.n_qubits + 2, (state.amplitudes[:, None] * BELL).reshape(-1))
-
-
-def _to_front(t: np.ndarray, *sites: int) -> np.ndarray:
-    """Move the axes of `sites` of a (B, 2, ..., 2) stack to just after the
-    row axis, keeping the other qubits in register order."""
-    rest = [i for i in range(1, t.ndim) if i - 1 not in sites]
-    return t.transpose([0] + [s + 1 for s in sites] + rest)
-
-
 class _HopTables(NamedTuple):
-    bell00: np.ndarray  # (2**(n-2),) cells of the pair in 00, other qubits in order
+    bell00: np.ndarray  # (2**n,) cells of the pair in 00, register qubits in order
     bell11: np.ndarray
-    gather0: np.ndarray  # (4, 2**(n-2)): branch (m1, m2) = (x + sign * y) * scale
+    gather0: np.ndarray  # (4, 2**n): branch (m1, m2) = (x + sign * y) * scale
     gather1: np.ndarray
     scale: np.ndarray
     home: np.ndarray  # kept branch -> register with pair[1] at the source's site
 
 
-def _hop_tables(n: int, source: int, a: int, b: int) -> _HopTables:
-    """Flat index tables of teleporting `source` onto `b` through a Bell
-    pair on (a, b) in an n-qubit register.
+def _hop_tables(n: int, source: int) -> _HopTables:
+    """Flat index tables of teleporting qubit `source` of an n-qubit
+    register onto the second qubit b of a Bell pair (a, b) appended after it.
 
     After CNOT(source -> a) and H(source), the (m1, m2) branch, X^m2 then
-    Z^m1 applied to b, over the other qubits in register order, is
-    (x + sign[m1] * y) * scale with x = register[gather0[2 m1 + m2]] (source
-    0, a = m2) and y = register[gather1[2 m1 + m2]] (source 1, a = 1 - m2),
-    both read with b flipped where m2 = 1; scale is sqrt(1/2), negated where
-    m1 = 1 and b = 1.
+    Z^m1 applied to b, over the other register qubits in order and then b,
+    is (x + sign[m1] * y) * scale with x = register[gather0[2 m1 + m2]]
+    (source 0, a = m2) and y = register[gather1[2 m1 + m2]] (source 1,
+    a = 1 - m2), both read with b flipped where m2 = 1; scale is sqrt(1/2),
+    negated where m1 = 1 and b = 1.
     """
-    t = np.arange(2**n).reshape((1,) + (2,) * n)
-    on_pair = _to_front(t, a, b).reshape(4, -1)
-    # axes (source, a, qubits before b, b, qubits after b)
-    w = _to_front(t, source, a).reshape(2, 2, 2 ** (b - (source < b) - (a < b)), 2, -1)
+    bell00 = 4 * np.arange(2**n)
+    # axes (source, other register qubits, a, b)
+    w = np.moveaxis(np.arange(2 ** (n + 2)).reshape((2,) * (n + 2)), source, 0)
+    w = w.reshape(2, -1, 2, 2)
 
-    def x_on_b(v):  # (m2, before, b, after), b flipped where m2 = 1
-        return np.tile(np.stack([v[0], v[1, :, ::-1]]).reshape(2, -1), (2, 1))
+    def x_on_b(v):  # (other qubits, m2, b), b flipped where m2 = 1
+        return np.tile(np.stack([v[:, 0], v[:, 1, ::-1]]).reshape(2, -1), (2, 1))
 
-    scale = np.full((2,) + w.shape[1:], np.sqrt(0.5))
-    scale[1, :, :, 1] *= -1.0
-    rest = [s for s in range(n) if s not in (source, a)]
-    home_sites = [b if s == source else s for s in range(n) if s not in (a, b)]
-    home = np.arange(2 ** (n - 2)).reshape((2,) * (n - 2))
+    scale = np.full((4, 2 ** (n - 1), 2), np.sqrt(0.5))
+    scale[2:, :, 1] *= -1.0
+    home = np.arange(2**n).reshape((2,) * n)
     return _HopTables(
-        on_pair[0], on_pair[3], x_on_b(w[0]), x_on_b(w[1, ::-1]), scale.reshape(4, -1),
-        home.transpose([rest.index(s) for s in home_sites]).reshape(-1),
+        bell00, bell00 + 3, x_on_b(w[0]), x_on_b(w[1, :, ::-1]),
+        scale.reshape(4, -1), np.moveaxis(home, -1, source).reshape(-1),
     )
 
 
 def _hop(register: np.ndarray, tables: _HopTables, out: np.ndarray) -> np.ndarray:
     """The hop kernel, forward only: the four corrected branches of every row
-    of a (B, 2**n) stack, normalized into `out` (B, 4, 2**(n-2)).  Returns
+    of a (B, 2**(n+2)) stack, normalized into `out` (B, 4, 2**n).  Returns
     the joint Born probabilities (B, 4).  Call it under an errstate that lets
     a malformed row's zero probabilities pass: `_check_hops` rejects it."""
     y = register.take(tables.gather1, axis=-1) * _H_SIGNS
@@ -157,7 +143,7 @@ def _hop(register: np.ndarray, tables: _HopTables, out: np.ndarray) -> np.ndarra
 
 
 def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables) -> None:
-    """Check a stack of hops, (H, B, 2**n) registers with their (H, B, 4, .)
+    """Check a stack of hops, (H, B, 2**(n+2)) registers with their (H, B, 4, .)
     branches: on every row the pair must be in (|00>+|11>)/sqrt(2) and
     entangled with nothing else, and every branch must equal branch (0, 0).
     Raises for the first hop that fails."""
@@ -175,26 +161,6 @@ def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables)
         raise AssertionError("teleportation branches disagree after correction")
 
 
-def _teleport_rows(
-    rows: np.ndarray, source: int, pair: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Teleport `source` onto `pair[1]` in every row of a (B, 2**n) stack:
-    the hop kernel, then the check.  Returns the joint Born probabilities
-    (B, 4) and the normalized (m1, m2) branches, row [:, 2 m1 + m2] of a
-    (B, 4, 2**(n-2)) array over the other qubits in register order.
-    """
-    n = _qubits(rows)
-    a, b = pair
-    if len({source, a, b}) != 3 or not all(0 <= s < n for s in (source, a, b)):
-        raise ValueError("source and pair qubits must be distinct sites of the register")
-    tables = _hop_tables(n, source, a, b)
-    branches = np.empty((len(rows), 4, 2 ** (n - 2)), dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = _hop(rows, tables, branches)
-        _check_hops(rows[None], branches[None], tables)
-    return probs, branches
-
-
 def _draw(p: list[float], u1: float, u2: float) -> tuple[int, int]:
     """(m1, m2) from the branches' probabilities p: m1 by the uniform u1,
     then m2 given m1 by u2."""
@@ -203,36 +169,6 @@ def _draw(p: list[float], u1: float, u2: float) -> tuple[int, int]:
     # a zero weight comes only from a malformed pair, which the check rejects
     m2 = 0 if weight and u2 < p[2 * m1] / weight else 1
     return m1, m2
-
-
-def teleport_qubit(
-    state: StateVector,
-    source: int,
-    pair: tuple[int, int],
-    transcript: LoccTranscript,
-    rng: np.random.Generator | None = None,
-    sender_name: str = "charlie",
-    receiver_name: str = "bob",
-) -> tuple[StateVector, tuple[int, int]]:
-    """Teleport `source` onto `pair[1]` via a Bell pair held on `pair`: the
-    hop kernel on a one-row stack.  Without an rng the (0, 0) branch is kept
-    and its bits are logged as ``x``; with one, (m1, m2) is drawn from the
-    Born probabilities.  Returns the kept post-correction register, whose
-    logical content sits on pair[1] while source and pair[0] hold m1 and m2,
-    and the bits (m1, m2).
-    """
-    n = state.n_qubits
-    probs, branches = _teleport_rows(state.amplitudes[None], source, pair)
-    m1 = m2 = 0
-    payloads = ("x", "x")
-    if rng is not None:
-        m1, m2 = _draw(probs[0].tolist(), *rng.random(2).tolist())
-        payloads = (str(m1), str(m2))
-    for payload in payloads:
-        transcript.record(sender_name, receiver_name, "teleport-corrections", payload)
-    full = np.zeros((2, 2) + (2,) * (n - 2), dtype=np.complex128)
-    full[m1, m2] = branches[0, 2 * m1 + m2].reshape((2,) * (n - 2))
-    return StateVector(n, np.moveaxis(full, (0, 1), (source, pair[0])).reshape(-1)), (m1, m2)
 
 
 def relay(
@@ -265,7 +201,7 @@ def relay(
     if not 0 <= logical < n:
         raise ValueError(f"logical qubit {logical} is not a site of the {n}-qubit register")
     names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
-    tables = _hop_tables(n + 2, logical, n, n + 1)
+    tables = _hop_tables(n, logical)
     batch, size = rows.shape
     # a hop keeps 4 * 16 bytes of register and 4 * 16 of branches per amplitude
     block = max(1, min(HOP_BLOCK, hops, _BLOCK_BYTES // (128 * batch * size)))

@@ -37,14 +37,6 @@ class TilingGraph:
     rings: tuple[int, ...]  # ring index per vertex, vertex ids 0..n-1
     edges: tuple[tuple[int, int], ...]  # u < v, sorted
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.rings)
-
-    @property
-    def center(self) -> int:
-        return 0
-
     def neighbors(self, vertex: int) -> list[int]:
         out = []
         for u, v in self.edges:
@@ -168,14 +160,3 @@ def unit_star(graph: TilingGraph, center_vertex: int) -> tuple[int, list[int]]:
 def export_edges(graph: TilingGraph) -> str:
     """One 'u v' line per edge, u < v, sorted; stable across runs."""
     return "\n".join(f"{u} {v}" for u, v in graph.edges) + ("\n" if graph.edges else "")
-
-
-def parse_edges(text: str) -> list[tuple[int, int]]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        u, v = line.split()
-        out.append((int(u), int(v)))
-    return out

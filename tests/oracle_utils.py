@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from qetsim.model import DEGENERACY_TOL, feedback_angle
-from qetsim.ops import DegenerateGroundError, StateVector
+from qetsim.ops import DegenerateGroundError
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -339,10 +339,6 @@ def partial_trace(amps: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray
     return t @ t.conj().T
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
-
-
 def ring_counts_recurrence(q: int, depth: int) -> list[int]:
     """Layer recurrence for {3,q} ring sizes, written independently of the
     package: a_d one-parent and b_d two-parent vertices per ring."""
@@ -411,35 +407,26 @@ def star_reduced_values(q: int, h: float, k: float) -> dict[str, float]:
 
 
 # --- the per-branch teleport, oracle of the package's stacked hop kernel ------
-# One branch at a time on single StateVectors, through the gates above, none
-# of which the stacked hop kernel calls.
+# One branch at a time on single states, through the gates above, none of
+# which the stacked hop kernel calls.
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    n = state.n_qubits
+def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    n = _qubits(amps)
     if control == target:
         raise ValueError("control and target must differ")
     pc = n - 1 - control
     pt = n - 1 - target
     idx = np.arange(2**n, dtype=np.int64)
-    src = np.where((idx >> pc) & 1 == 1, idx ^ (1 << pt), idx)
-    return StateVector(n, state.amplitudes[src])
+    return amps[np.where((idx >> pc) & 1 == 1, idx ^ (1 << pt), idx)]
 
 
-def tensor(state: StateVector, other: StateVector) -> StateVector:
-    """state (x) other, with other's qubits appended after state's."""
-    return StateVector(
-        state.n_qubits + other.n_qubits,
-        np.kron(state.amplitudes, other.amplitudes),
-    )
-
-
-def drop_qubits(state: StateVector, sites_bits: dict[int, int]) -> StateVector:
+def drop_qubits(amps: np.ndarray, sites_bits: dict[int, int]) -> np.ndarray:
     """Remove qubits known to be in product computational states.
 
     Raises if any amplitude outside the asserted bit values exceeds 1e-12.
     """
-    n = state.n_qubits
-    t = state.amplitudes.reshape((2,) * n)
+    n = _qubits(amps)
+    t = amps.reshape((2,) * n)
     index: list[Any] = [slice(None)] * n
     for site, bit in sites_bits.items():
         index[site] = bit
@@ -451,44 +438,41 @@ def drop_qubits(state: StateVector, sites_bits: dict[int, int]) -> StateVector:
             f"(residual weight {residual:.3e})"
         )
     out = kept.reshape(-1)
-    return StateVector(n - len(sites_bits), out / np.linalg.norm(out))
+    return out / np.linalg.norm(out)
 
 
-def _collapse_bit(state: StateVector, site: int, bit: int) -> tuple[float, StateVector]:
+def _collapse_bit(amps: np.ndarray, site: int, bit: int) -> tuple[float, np.ndarray]:
     """Probability and collapsed state of reading `bit` at `site` (Z basis)."""
-    n = state.n_qubits
-    t = state.amplitudes.reshape((2,) * n)
+    n = _qubits(amps)
     index: list = [slice(None)] * n
     index[site] = 1 - bit
-    kept = t.copy()
+    kept = amps.reshape((2,) * n).copy()
     kept[tuple(index)] = 0.0
     proj = kept.reshape(-1)
     p = float(np.vdot(proj, proj).real)
     if p <= 0.0:
-        return 0.0, state
-    return p, StateVector(n, proj / np.sqrt(p))
+        return 0.0, amps
+    return p, proj / np.sqrt(p)
 
 
-def _correct(state: StateVector, target: int, m1: int, m2: int) -> StateVector:
-    out = state.amplitudes
+def _correct(amps: np.ndarray, target: int, m1: int, m2: int) -> np.ndarray:
     if m2:
-        out = on_site(out, target, PAULI["X"])
+        amps = on_site(amps, target, PAULI["X"])
     if m1:
-        out = on_site(out, target, PAULI["Z"])
-    return StateVector(state.n_qubits, out)
+        amps = on_site(amps, target, PAULI["Z"])
+    return amps
 
 
 def teleport_branches(
-    state: StateVector, source: int, pair: tuple[int, int]
-) -> dict[tuple[int, int], tuple[float, StateVector]]:
+    amps: np.ndarray, source: int, pair: tuple[int, int]
+) -> dict[tuple[int, int], tuple[float, np.ndarray]]:
     """(m1, m2) -> (joint probability, corrected register without source
     and pair[0]) of teleporting `source` onto `pair[1]`, one branch at a
     time: CNOT(source -> pair[0]), H(source), collapse each bit, correct
     pair[1], then drop the measured qubits.  Raises AssertionError if the
     branches disagree."""
     a, b = pair
-    cnot = apply_cnot(state, source, a)
-    work = StateVector(state.n_qubits, on_site(cnot.amplitudes, source, HADAMARD))
+    work = on_site(apply_cnot(amps, source, a), source, HADAMARD)
     out = {}
     for m1 in (0, 1):
         p1, s1 = _collapse_bit(work, source, m1)
@@ -496,6 +480,6 @@ def teleport_branches(
             p2, s2 = _collapse_bit(s1, a, m2)
             out[(m1, m2)] = (p1 * p2, drop_qubits(_correct(s2, b, m1, m2), {source: m1, a: m2}))
     for _, reduced in out.values():
-        if pure_trace_distance(out[(0, 0)][1].amplitudes, reduced.amplitudes) > 1e-10:
+        if pure_trace_distance(out[(0, 0)][1], reduced) > 1e-10:
             raise AssertionError("teleportation branches disagree after correction")
     return out

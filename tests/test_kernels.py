@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +27,10 @@ def test_benchmark_entry_points_exist():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert loaded.stdout.strip() == "True"
+
+
+def test_hypothesis_can_report_a_falsifying_example():
+    # a failing property prints its example through this module; under the
+    # suite's warnings-as-errors filters its import must not raise, or the
+    # run ends in an INTERNALERROR instead of the example
+    importlib.import_module("hypothesis.extra._patching")

@@ -297,7 +297,7 @@ def test_minimal_model_is_the_q2_star():
             t_mini = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
             bundle = star_model(StarModelParams(h, k, 2))
             t_star = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
-            assert np.array_equal(t_mini.counts, t_star.counts)
+            assert np.array_equal(t_mini.joint.sum(axis=0), t_star.joint.sum(axis=0))
             assert np.array_equal(t_mini.joint.sum(axis=1), t_star.joint.sum(axis=1))
 
 
@@ -332,8 +332,11 @@ def test_sweep_is_the_pointwise_record():
 
 
 def test_sweep_validates_and_rejects_degenerate_points():
-    with pytest.raises(ValueError, match="finite and positive"):
-        sweep_EB([1.0, float("nan")], [1.0])
+    # a NaN or a 0 anywhere in either axis invalidates the grid
+    for h_values, k_values in (([1.0, float("nan")], [1.0]), ([1.0, 2.0], [0.5, 0.0]),
+                               ([2.0], [1.0, float("nan")])):
+        with pytest.raises(ValueError, match="h and k must be finite and positive"):
+            sweep_EB(h_values, k_values)
     # the q = 2 gap is 2 (sqrt(h^2 + k^2) - k) ~ h^2 / k, 1e-10 at h = 1e-5
     with pytest.raises(DegenerateGroundError):
         run_minimal_qet(MinimalModelParams(1e-5, 1.0))

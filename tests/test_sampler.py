@@ -36,20 +36,20 @@ def test_identical_plans_identical_tallies():
 def test_different_seeds_differ():
     _, t1 = minimal_tallies(shots=5000, seed=1)
     _, t2 = minimal_tallies(shots=5000, seed=2)
-    assert not np.array_equal(t1.counts, t2.counts)
+    assert not np.array_equal(t1.joint.sum(axis=0), t2.joint.sum(axis=0))
 
 
 def test_basis_runs_do_not_share_shots():
     _, tz = minimal_tallies(basis="Z", shots=5000, seed=7)
     _, tx = minimal_tallies(basis="X", shots=5000, seed=7)
-    assert not np.array_equal(tz.counts, tx.counts)
+    assert not np.array_equal(tz.joint.sum(axis=0), tx.joint.sum(axis=0))
 
 
 def test_single_shot_reproducible():
     _, t1 = minimal_tallies(shots=1, seed=99)
     _, t2 = minimal_tallies(shots=1, seed=99)
-    assert np.array_equal(t1.counts, t2.counts)
-    assert t1.counts.sum() == 1
+    assert np.array_equal(t1.joint.sum(axis=0), t2.joint.sum(axis=0))
+    assert t1.joint.sum() == 1
 
 
 def test_table_csv_bytes_deterministic():
@@ -77,7 +77,7 @@ def fed_run(model):
 def test_tallies_add_up_to_the_shots(basis, shots):
     bundle, fed, receivers = fed_run("star6")
     t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, 3))
-    assert t.counts.sum() == shots == t.joint.sum(axis=1).sum() == t.joint.sum()
+    assert shots == t.joint.sum(axis=1).sum() == t.joint.sum(axis=0).sum()
     assert t.joint.dtype == np.int64 and t.joint.min() >= 0
 
 
@@ -133,7 +133,7 @@ def test_single_shot_is_one_hot(basis):
     for seed in range(10):
         t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, 1, seed))
         assert np.count_nonzero(t.joint) == 1 and t.joint.sum() == 1
-        assert t.counts.sum() == 1 and tuple(t.joint.sum(axis=1)) in ((1, 0), (0, 1))
+        assert t.joint.sum() == 1 and tuple(t.joint.sum(axis=1)) in ((1, 0), (0, 1))
 
 
 # --- estimator ----------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_estimate_equals_full_cell_parity_oracle(receivers, basis, seed, density
         sites = (0,)
     local = Local(coeff, basis, sites, offset)
     row = estimate(tallies, local, "L")
-    mean, stderr = parity_estimate(tallies.counts, tallies.sites, local)
+    mean, stderr = parity_estimate(tallies.joint.sum(axis=0), tallies.sites, local)
     # relative, with a floor at the per-shot values' scale where they cancel
     floor = 1e-12 * (abs(coeff) + abs(offset))
     assert row.mean == pytest.approx(mean, rel=1e-12, abs=floor)
@@ -237,7 +237,7 @@ def test_estimate_reads_sites_above_16_bits():
         for sites in ((0,), (3,), (2,), (19,)) if basis == "Z" else ((0, 3), (0, 2), (0, 19)):
             local = Local(1.5, basis, sites, 0.25)
             row = estimate(tallies, local)
-            mean, stderr = parity_estimate(tallies.counts, tallies.sites, local)
+            mean, stderr = parity_estimate(tallies.joint.sum(axis=0), tallies.sites, local)
             assert row.mean == pytest.approx(mean, rel=1e-12, abs=1e-15), (basis, sites)
             assert row.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-15), (basis, sites)
 

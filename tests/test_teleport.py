@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import (
-    fidelity,
-    partial_trace,
-    pure_trace_distance,
-    teleport_branches,
-    tensor,
-    trace_distance,
-)
+from oracle_utils import pure_trace_distance, teleport_branches
 
 from qetsim.model import IllConditionedError, MinimalModelParams
-from qetsim.ops import MAX_STATEVECTOR_QUBITS, StateVector
+from qetsim.ops import MAX_STATEVECTOR_QUBITS
 from qetsim.protocol import run_minimal_qet
 from qetsim.teleport import (
     BELL,
@@ -23,135 +16,90 @@ from qetsim.teleport import (
     _check_hops,
     _hop,
     _hop_tables,
-    _teleport_rows,
-    extend_with_bell,
     relay,
     relay_identity_check,
     run_longrange_qet,
-    teleport_qubit,
 )
 
 RNG = np.random.default_rng(31)
 
-
-def random_qubit():
-    amps = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    return StateVector(1, amps / np.linalg.norm(amps))
-
-
-# --- extend_with_bell ---------------------------------------------------------
-
-def test_extend_zero_state():
-    out = extend_with_bell(StateVector.basis(1, 0))
-    want = np.zeros(8)
-    want[0b000] = want[0b011] = 1 / np.sqrt(2)
-    assert np.allclose(out.amplitudes, want)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_extend_keeps_original_register_reduced_state():
-    state = random_qubit()
-    out = extend_with_bell(state)
-    rho = partial_trace(out.amplitudes, 3, (0,))
-    want = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert trace_distance(rho, want) < 1e-12
-
-
-def test_extend_capacity_guard():
-    big = StateVector.basis(MAX_STATEVECTOR_QUBITS - 1, 0)
-    with pytest.raises(ValueError):
-        extend_with_bell(big)
-
-
-# --- teleport_qubit -----------------------------------------------------------
-
-def test_teleport_axis_and_random_states_exact():
-    s = 1 / np.sqrt(2)
-    panel = [
-        StateVector(1, np.array(a, dtype=complex))
-        for a in ([1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s])
-    ] + [random_qubit() for _ in range(20)]
-    for state in panel:
-        extended = extend_with_bell(state)
-        transcript = LoccTranscript()
-        out, _ = teleport_qubit(extended, 0, (1, 2), transcript)
-        content = out.amplitudes.reshape(2, 2, 2)[0, 0, :]  # measured (0,0) branch
-        assert np.allclose(content, state.amplitudes, atol=1e-12)
-        assert transcript.messages[0].purpose == "teleport-corrections"
-        assert transcript.bit_count() == 2
-
-
-def test_teleport_outcome_probabilities_quarter_exact():
-    # dense Born-rule evaluation: after CNOT(0->1) and H(0) on psi (x) Bell,
-    # every (m1, m2) readout pattern has probability exactly 1/4
-    perm = [0b000, 0b001, 0b010, 0b011, 0b110, 0b111, 0b100, 0b101]
-    cnot = np.eye(8, dtype=complex)[perm]  # flips bit 1 where bit 0 is set
-    h0 = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(4))
-    for state in (random_qubit(), StateVector.basis(1, 0)):
-        amps = extend_with_bell(state).amplitudes
-        rotated = h0 @ (cnot @ amps)
-        probs = np.abs(rotated.reshape(2, 2, 2)) ** 2
-        for m1 in (0, 1):
-            for m2 in (0, 1):
-                assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
-
-
-def test_teleport_outcomes_uniform():
-    # Born rule: each correction pattern appears with probability 1/4
-    state = random_qubit()
-    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
-    n = 800
-    rng = np.random.default_rng(5)
-    for _ in range(n):
-        transcript = LoccTranscript()
-        out, _ = teleport_qubit(extend_with_bell(state), 0, (1, 2), transcript, rng=rng)
-        pattern = transcript.messages[0].bits + transcript.messages[1].bits
-        counts[pattern] += 1
-        # the corrected target carries the state in every branch
-        m1, m2 = (int(b) for b in pattern)
-        content = out.amplitudes.reshape(2, 2, 2)[m1, m2, :]
-        got = content / np.linalg.norm(content)
-        assert fidelity(got, state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    sigma = np.sqrt(n * 0.25 * 0.75)
-    for pattern, c in counts.items():
-        assert abs(c - n / 4) < 5 * sigma, counts
-
-
-def test_teleport_preserves_entanglement():
-    # teleport half of an entangled pair; the 2-qubit reduced state survives
-    a, b = 0.6, 0.8
-    pair = StateVector(2, np.array([a, 0, 0, b], dtype=complex))
-    extended = extend_with_bell(pair)  # qubits: 0,1 entangled; 2,3 Bell
-    out, _ = teleport_qubit(extended, 1, (2, 3), LoccTranscript())
-    rho = partial_trace(out.amplitudes, 4, (0, 3))
-    want = np.outer(pair.amplitudes, pair.amplitudes.conj())
-    assert trace_distance(rho, want) < 1e-12
-
-
-def test_teleport_rejects_malformed_pair():
-    product = tensor(random_qubit(), StateVector.basis(2, "00"))
-    with pytest.raises(ValueError):
-        teleport_qubit(product, 0, (1, 2), LoccTranscript())
-    with pytest.raises(ValueError):
-        teleport_qubit(extend_with_bell(random_qubit()), 0, (0, 2), LoccTranscript())
-
-
-# --- the stacked hop kernel against the per-branch oracle -----------------------
 
 def random_amplitudes(rng, n):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
 
 
-def scattered_stack(rng, m, batch, pair_amps=BELL):
-    """`batch` random m-qubit registers, each with a pair appended, and the
-    m + 2 qubits put at random sites: returns the stack, the source and the
-    pair's sites."""
-    n = m + 2
-    rows = np.array([np.kron(random_amplitudes(rng, m), pair_amps) for _ in range(batch)])
-    site = rng.permutation(n)  # qubit i of the built register goes to site[i]
-    t = np.moveaxis(rows.reshape((batch,) + (2,) * n), range(1, n + 1), site + 1)
-    return t.reshape(batch, -1), int(site[rng.integers(m)]), (int(site[m]), int(site[m + 1]))
+def random_qubit():
+    return random_amplitudes(RNG, 1)
+
+
+# --- one teleport ---------------------------------------------------------------
+
+def test_teleport_axis_and_random_states_exact():
+    s = 1 / np.sqrt(2)
+    axis = [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
+    panel = np.array(axis + [random_qubit() for _ in range(20)], dtype=complex)
+    transcript = LoccTranscript()
+    out = relay(panel, 0, 1, transcript)
+    assert np.max(np.abs(out - panel)) <= 1e-12
+    assert [m.purpose for m in transcript.messages] == ["teleport-corrections"] * 2
+    assert transcript.bit_count() == 2
+
+
+def test_teleport_outcome_probabilities_quarter_exact():
+    # dense Born-rule evaluation: after CNOT(0->1) and H(0) on psi (x) Bell,
+    # every (m1, m2) readout pattern has probability exactly 1/4, as the
+    # hop kernel's probabilities say
+    perm = [0b000, 0b001, 0b010, 0b011, 0b110, 0b111, 0b100, 0b101]
+    cnot = np.eye(8, dtype=complex)[perm]  # flips bit 1 where bit 0 is set
+    h0 = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(4))
+    for state in (random_qubit(), np.array([1, 0], dtype=complex)):
+        amps = np.kron(state, BELL)
+        rotated = h0 @ (cnot @ amps)
+        probs = np.abs(rotated.reshape(2, 2, 2)) ** 2
+        for m1 in (0, 1):
+            for m2 in (0, 1):
+                assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
+        kernel = _hop(amps[None], _hop_tables(1, 0), np.empty((1, 4, 2), dtype=complex))
+        assert np.max(np.abs(kernel - 0.25)) <= 1e-12
+
+
+def test_teleport_outcomes_uniform():
+    # Born rule: over 800 sampled hops of one qubit, each correction pattern
+    # appears with probability 1/4, and the qubit comes back unchanged
+    state = random_qubit()
+    n = 800
+    transcript = LoccTranscript()
+    out = relay(state[None], 0, n, transcript, rng=np.random.default_rng(5))
+    bits = [m.bits for m in transcript.messages]
+    patterns = [m1 + m2 for m1, m2 in zip(bits[::2], bits[1::2])]
+    assert len(patterns) == n
+    sigma = np.sqrt(n * 0.25 * 0.75)
+    for pattern in ("00", "01", "10", "11"):
+        assert abs(patterns.count(pattern) - n / 4) < 5 * sigma, pattern
+    assert pure_trace_distance(state, out[0]) <= 1e-10
+
+
+def test_teleport_preserves_entanglement():
+    # teleport half of an entangled pair; the 2-qubit state survives
+    pair = np.array([0.6, 0, 0, 0.8], dtype=complex)
+    out = relay(pair[None], 1, 1, LoccTranscript())
+    assert pure_trace_distance(pair, out[0]) < 1e-12
+
+
+def test_relay_capacity_guard():
+    # a register whose Bell-extended form would pass the statevector guard
+    big = np.zeros((1, 2 ** (MAX_STATEVECTOR_QUBITS - 1)))
+    with pytest.raises(ValueError, match="register would exceed"):
+        relay(big, 0, 1, LoccTranscript())
+
+
+# --- the stacked hop kernel against the per-branch oracle -----------------------
+
+def relay_stack(rng, m, batch, pair_amps=BELL):
+    """`batch` random m-qubit registers, each with a pair appended: relay's
+    layout."""
+    return np.array([np.kron(random_amplitudes(rng, m), pair_amps) for _ in range(batch)])
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
@@ -159,23 +107,28 @@ def scattered_stack(rng, m, batch, pair_amps=BELL):
 def test_kernel_matches_per_branch_oracle(m, batch):
     rng = np.random.default_rng(100 * m + batch)
     for _ in range(5):
-        rows, source, pair = scattered_stack(rng, m, batch)
-        probs, branches = _teleport_rows(rows, source, pair)
-        assert probs.shape == (batch, 4) and branches.shape == (batch, 4, 2**m)
+        rows, source = relay_stack(rng, m, batch), int(rng.integers(m))
+        tables = _hop_tables(m, source)
+        branches = np.empty((batch, 4, 2**m), dtype=complex)
+        probs = _hop(rows, tables, branches)
+        _check_hops(rows[None], branches[None], tables)
         for row in range(batch):
-            oracle = teleport_branches(StateVector(m + 2, rows[row]), source, pair)
+            oracle = teleport_branches(rows[row], source, (m, m + 1))
             for (m1, m2), (p, reduced) in oracle.items():
                 assert abs(probs[row, 2 * m1 + m2] - p) <= 1e-12
-                assert np.max(np.abs(branches[row, 2 * m1 + m2] - reduced.amplitudes)) <= 1e-12
+                assert np.max(np.abs(branches[row, 2 * m1 + m2] - reduced)) <= 1e-12
 
 
 def test_kernel_rejects_a_malformed_pair_in_any_row():
     rng = np.random.default_rng(3)
-    rows, source, pair = scattered_stack(rng, 2, 3)
-    product, *_ = scattered_stack(rng, 2, 1, pair_amps=np.array([1, 0, 0, 0], dtype=complex))
-    rows[1] = product[0]
+    rows = relay_stack(rng, 2, 3)
+    rows[1] = relay_stack(rng, 2, 1, pair_amps=np.array([1, 0, 0, 0], dtype=complex))[0]
+    tables = _hop_tables(2, 1)
+    branches = np.empty((3, 4, 4), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _hop(rows, tables, branches)
     with pytest.raises(ValueError, match="malformed Bell pair"):
-        _teleport_rows(rows, source, pair)
+        _check_hops(rows[None], branches[None], tables)
 
 
 def test_kernel_rejects_branches_that_disagree():
@@ -183,9 +136,12 @@ def test_kernel_rejects_branches_that_disagree():
     # (its weight is off by ~5e-13) but leaves the branches ~1e-6 apart
     rng = np.random.default_rng(4)
     skewed = np.array([1, 1e-6, 0, 1], dtype=complex)
-    rows, source, pair = scattered_stack(rng, 2, 3, pair_amps=skewed / np.linalg.norm(skewed))
+    rows = relay_stack(rng, 2, 3, pair_amps=skewed / np.linalg.norm(skewed))
+    tables = _hop_tables(2, 0)
+    branches = np.empty((3, 4, 4), dtype=complex)
+    _hop(rows, tables, branches)
     with pytest.raises(AssertionError, match="branches disagree"):
-        _teleport_rows(rows, source, pair)
+        _check_hops(rows[None], branches[None], tables)
 
 
 # --- relays -------------------------------------------------------------------
@@ -225,7 +181,7 @@ def test_relay_identity_panel(hops):
 
 
 def test_relay_hop_register_shape():
-    state = random_qubit().amplitudes
+    state = random_qubit()
     out = relay(state[None], 0, 1, LoccTranscript())
     assert out.shape == (1, 2)
     assert pure_trace_distance(out[0], state) < 1e-12
@@ -257,7 +213,7 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
 def relayed_block(rng, hops, batch=2, n=2):
     """`hops` stacked hops of a relay of qubit 0 of `batch` random n-qubit
     registers: their Bell-extended registers, branches and tables."""
-    tables = _hop_tables(n + 2, 0, n, n + 1)
+    tables = _hop_tables(n, 0)
     registers = np.empty((hops, batch, 2 ** (n + 2)), dtype=np.complex128)
     branches = np.empty((hops, batch, 4, 2**n), dtype=np.complex128)
     rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
