@@ -35,7 +35,7 @@ from .sampler import (
     sample_protocol,
     sampled_record,
 )
-from .teleport import LoccTranscript, relay_identity_check, run_longrange_qet
-from .tiling import TilingGraph, TilingSpec, classify, generate, ring_sizes, unit_star
+from .teleport import LoccTranscript, run_longrange_qet
+from .tiling import TilingGraph, TilingSpec, classify, generate, ring_sizes
 
 __version__ = "0.1.0"

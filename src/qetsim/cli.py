@@ -185,9 +185,10 @@ def cmd_sweep(args) -> int:
     points = h_range[2] * k_range[2]
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid has {points} points, more than {MAX_SWEEP_POINTS}")
+    # endpoints first: np.linspace fails on a non-finite one under main's errstate
+    for h, k in zip(h_range[:2], k_range[:2]):
+        model._check_hk(h, k)
     h_values, k_values = ([float(v) for v in np.linspace(*r)] for r in (h_range, k_range))
-    if min(h_values) <= 0 or min(k_values) <= 0:
-        raise ValueError("sweep grids must be strictly positive")
     grid = sweep_EB(h_values, k_values, field_term_column=args.field_term_column)
     lines = ["h,k,E_B" + (",E_B_field_term" if args.field_term_column else "")]
     for i, h in enumerate(grid.h_values):

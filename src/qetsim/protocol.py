@@ -176,6 +176,9 @@ def sweep_EB(
     """
     h_values = tuple(float(h) for h in h_values)
     k_values = tuple(float(k) for k in k_values)
+    for name, axis in (("h_values", h_values), ("k_values", k_values)):
+        if not axis:
+            raise ValueError(f"sweep_EB: {name} is empty")
     for v in h_values + k_values:
         _check_hk(v, v)
     h_grid, k_grid = np.meshgrid(h_values, k_values, indexing="ij")

@@ -2,10 +2,9 @@
 
 Teleportation moves the source qubit's logical content onto the second half
 of a shared Bell pair using an entangling basis change, two projective
-measurements and outcome-conditioned Pauli corrections; every event logs its
-two classical bits in a LOCC transcript, one message per measured bit.  The
-corrections make all four outcome branches identical on the kept register,
-so relaying is an exact identity channel.
+measurements and outcome-conditioned Pauli corrections, which send two
+classical bits.  The corrections make all four outcome branches identical on
+the kept register, so relaying is an exact identity channel.
 
 `relay` is the package's one teleport, and the hop kernel `_hop` serves it:
 on a (B, 2**(n+2)) stack of registers, each with a Bell pair appended after
@@ -13,21 +12,22 @@ its n qubits, it builds all four corrected (m1, m2) branches of every row as
 one array, by two gathers through flat index tables that `_hop_tables`
 builds once per call.  `_check_hops` then checks, on every row, the Bell
 pair and the branches' agreement.  Without an rng the (0, 0) branch is kept
-and its payloads are logged as ``x`` placeholders; with one, the drawn
-row's (m1, m2) is drawn from the branches' Born probabilities and logged as
-concrete bits.  `relay` runs every hop of a chain in one call: each hop
-only extends, gathers, normalizes and keeps a branch, and the checks run
-per block of HOP_BLOCK (64) hops, before the block's bits are logged, so
-every hop is checked before `relay` returns.  A hop of the long-range run's
-two-row stack costs ~30 us (2 vCPU, numpy 2.4).  The long-range run relays
-both mu branches of the protocol pass as two rows, the drawn one (in exact
-mode, the first) writing the transcript, and checks the relayed energies
-against the closed-form exact record.
+and no bits are returned; with one, the drawn row's (m1, m2) is drawn from
+the branches' Born probabilities and returned as 2 * m1 + m2 per hop.
+`relay` runs every hop of a chain in one call: each hop only extends,
+gathers, normalizes and keeps a branch, and the checks run per block of
+HOP_BLOCK (64) hops, so every hop is checked before `relay` returns its
+rows and bits.  A hop of the long-range run's two-row stack costs ~30 us
+(2 vCPU, numpy 2.4).  The long-range run relays both mu branches of the
+protocol pass as two rows, the drawn one (in exact mode, the first) giving
+the transcript's bits, and checks the relayed energies against the
+closed-form exact record.  `LoccTranscript` holds only the hop count and the
+drawn bits; its `serialize` alone names the nodes and lays out the lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,33 +37,32 @@ from .ops import MAX_STATEVECTOR_QUBITS
 from .protocol import QetRecord, exact_record, run_protocol
 
 
-class LoccMessage(NamedTuple):
-    seq: int
-    sender: str
-    receiver: str
-    purpose: str  # "mu-broadcast" | "teleport-corrections"
-    bits: str
-
-    def line(self) -> str:
-        return f"{self.seq} {self.sender} {self.receiver} {self.purpose} {self.bits}"
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LoccTranscript:
-    messages: list[LoccMessage] = field(default_factory=list)
+    """The long-range run's LOCC messages: alice's mu broadcast, then each
+    hop's two correction bits.  `mu` and `branches` (each hop's 2 * m1 + m2)
+    are None for an unsampled run, whose bits serialize as ``x``."""
 
-    def record(self, sender: str, receiver: str, purpose: str, bits: str) -> None:
-        self.messages.append(
-            LoccMessage(len(self.messages), sender, receiver, purpose, bits)
-        )
+    hops: int
+    mu: int | None
+    branches: np.ndarray | None
 
     def serialize(self) -> str:
-        return "\n".join(m.line() for m in self.messages) + (
-            "\n" if self.messages else ""
-        )
+        """One ``seq sender receiver purpose bit`` line per measured bit."""
+        names = ["charlie"] + [f"relay{i}" for i in range(1, self.hops)] + ["bob"]
+        if self.branches is None:
+            bits = ["x"] * (2 * self.hops)
+        else:
+            bits = (self.branches[:, None] >> np.array([1, 0]) & 1).ravel().tolist()
+        lines = [f"0 alice all mu-broadcast {'x' if self.mu is None else self.mu}"]
+        lines += [
+            f"{seq} {names[(seq - 1) // 2]} {names[(seq + 1) // 2]} teleport-corrections {bit}"
+            for seq, bit in enumerate(bits, 1)
+        ]
+        return "\n".join(lines) + "\n"
 
     def bit_count(self) -> int:
-        return sum(len(m.bits) for m in self.messages)
+        return 1 + 2 * self.hops
 
 
 BELL = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
@@ -71,8 +70,9 @@ BELL = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
 _H_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 # Largest h/k or k/h `run_longrange_qet` accepts; see there.
 MAX_RELAY_FIELD_RATIO = 1e4
-# Largest hop count `run_longrange_qet` accepts: the transcript keeps
-# ~0.8 KB per hop (10^5 hops peak at ~115 MB), so 10^6 hops would take ~0.8 GB.
+# Largest hop count `run_longrange_qet` accepts: rendering the transcript
+# takes ~0.55 KB per hop, so `longrange --sample-transcript` peaks in-process
+# at ~90 MB at 10^5 hops and ~575 MB at 10^6 (2 vCPU, numpy 2.4).
 MAX_HOPS = 10**6
 # `relay` checks its hops in blocks of this many, kept in buffers of at most
 # _BLOCK_BYTES so that a large register's block stays small.
@@ -175,32 +175,29 @@ def relay(
     rows: np.ndarray,
     logical: int,
     hops: int,
-    transcript: LoccTranscript,
     rng: np.random.Generator | None = None,
     drawn: int = 0,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """`hops` teleports of qubit `logical` of every row of a (B, 2**n) stack,
     each through a fresh Bell pair, ancillas recycled.
 
-    Hop i goes from charlie (i = 0) or relay i to relay i + 1 (bob after the
-    last hop) and logs its two bits: ``x x`` without an rng, where every row
-    keeps branch (0, 0); with one, row `drawn` draws its (m1, m2) and every
-    other row keeps (0, 0).  The measured-out qubits are projected away and
-    the relayed content is moved back to the `logical` index, so the stack's
-    shape is unchanged.
+    Returns the relayed rows and the bits the hops kept.  Without an rng
+    every row keeps branch (0, 0) and the bits are None; with one, row
+    `drawn` draws its (m1, m2) and every other row keeps (0, 0), and the
+    bits are a (hops,) uint8 array of the drawn 2 * m1 + m2.  The
+    measured-out qubits are projected away and the relayed content is moved
+    back to the `logical` index, so the stack's shape is unchanged.
 
     Each hop runs forward only, into block buffers of up to HOP_BLOCK hops.
     When a block ends, the Bell-pair and branch checks run on all of its
-    hops, and only then are its bits logged: a malformed hop raises before
-    `relay` returns and before any bit of its block reaches the transcript.
-    The uniforms are drawn once per block, two per hop, which is the stream
-    of two draws per hop.
+    hops: a malformed hop raises, and no bit leaves `relay`, unless every
+    block has passed.  The uniforms are drawn once per block, two per hop,
+    which is the stream of two draws per hop.
     """
     n = _qubits(rows)
     _check_capacity(n)
     if not 0 <= logical < n:
         raise ValueError(f"logical qubit {logical} is not a site of the {n}-qubit register")
-    names = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
     tables = _hop_tables(n, logical)
     batch, size = rows.shape
     # a hop keeps 4 * 16 bytes of register and 4 * 16 of branches per amplitude
@@ -210,7 +207,7 @@ def relay(
     branches = np.empty((block, batch, 4, size), dtype=np.complex128)
     keep = np.zeros(batch, dtype=np.intp)
     every_row = np.arange(batch)
-    bits = ["x"] * (2 * block)
+    kept = None if rng is None else np.empty(hops, dtype=np.uint8)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, hops, block):
             count = min(block, hops - start)
@@ -220,14 +217,10 @@ def relay(
                 probs = _hop(registers[j], tables, branches[j])
                 if draws is not None:
                     m1, m2 = _draw(probs[drawn].tolist(), *draws[j])
-                    keep[drawn] = 2 * m1 + m2
-                    bits[2 * j:2 * j + 2] = str(m1), str(m2)
+                    keep[drawn] = kept[start + j] = 2 * m1 + m2
                 rows = branches[j][every_row, keep].take(tables.home, axis=-1)
             _check_hops(registers[:count], branches[:count], tables)
-            for j in range(2 * count):
-                hop = start + j // 2
-                transcript.record(names[hop], names[hop + 1], "teleport-corrections", bits[j])
-    return rows
+    return rows, kept
 
 
 def run_longrange_qet(
@@ -268,11 +261,8 @@ def run_longrange_qet(
     if rng is not None:
         drawn = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
         drawn = min(drawn, len(probs) - 1)
-    transcript = LoccTranscript()
-    transcript.record("alice", "all", "mu-broadcast", "x" if rng is None else str(drawn))
-
-    # the other row relays identically; only the drawn row's events are logged
-    rows = relay(fed / np.sqrt(probs)[:, None], 1, hops, transcript, rng=rng, drawn=drawn)
+    # the other row relays identically; only the drawn row's bits are kept
+    rows, kept = relay(fed / np.sqrt(probs)[:, None], 1, hops, rng=rng, drawn=drawn)
     # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
     z1 = probs @ (np.abs(rows) ** 2 @ np.array([1.0, -1.0, 1.0, -1.0]))
     xx = probs @ np.sum(rows.conj() * rows[:, ::-1], axis=-1).real
@@ -280,25 +270,6 @@ def run_longrange_qet(
     hx = 2.0 * bundle.params.k * xx + bundle.locals["X1"].offset
     local = exact.receivers[1]
     delta = max(abs(hx - local.hx), abs(hz - local.hz), abs(hx + hz - local.e_j))
+    transcript = LoccTranscript(hops, None if rng is None else drawn, kept)
     return exact, transcript, float(delta)
 
-
-def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:
-    """Max trace distance after `hops` relays over a random single-qubit panel
-    plus the six axis states, relayed as one stack; exact corrections make
-    this machine-zero."""
-    if hops < 1:
-        raise ValueError("hops must be at least 1")
-    rng = np.random.default_rng(seed)
-    panel = []
-    for _ in range(panel_size):
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        panel.append(amps / np.linalg.norm(amps))
-    s = 1 / np.sqrt(2)
-    panel += [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
-    original = np.array(panel, dtype=np.complex128)
-
-    rows = relay(original, 0, hops, LoccTranscript())
-    # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
-    overlap = np.sum(original.conj() * rows, axis=-1)
-    return float(np.max(np.linalg.norm(rows - overlap[:, None] * original, axis=-1)))

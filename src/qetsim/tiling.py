@@ -37,15 +37,6 @@ class TilingGraph:
     rings: tuple[int, ...]  # ring index per vertex, vertex ids 0..n-1
     edges: tuple[tuple[int, int], ...]  # u < v, sorted
 
-    def neighbors(self, vertex: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == vertex:
-                out.append(v)
-            elif v == vertex:
-                out.append(u)
-        return sorted(out)
-
 
 def classify(p: int, q: int) -> str:
     """Euclidean, Hyperbolic or Spherical by the sign of (p-2)(q-2) - 4."""
@@ -141,20 +132,6 @@ def ring_sizes(graph: TilingGraph) -> list[int]:
     for r in graph.rings:
         counts[r] += 1
     return counts
-
-
-def unit_star(graph: TilingGraph, center_vertex: int) -> tuple[int, list[int]]:
-    """Degree and neighbor list of a full-degree vertex (the model's cell).
-
-    Boundary vertices (incomplete degree) are rejected.
-    """
-    nbrs = graph.neighbors(center_vertex)
-    if len(nbrs) != graph.spec.q:
-        raise ValueError(
-            f"vertex {center_vertex} has degree {len(nbrs)} < q = {graph.spec.q} "
-            "(boundary vertex)"
-        )
-    return graph.spec.q, nbrs
 
 
 def export_edges(graph: TilingGraph) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 
 from qetsim.model import DEGENERACY_TOL, feedback_angle
 from qetsim.ops import DegenerateGroundError
+from qetsim.teleport import relay
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -483,3 +484,24 @@ def teleport_branches(
         if pure_trace_distance(out[(0, 0)][1], reduced) > 1e-10:
             raise AssertionError("teleportation branches disagree after correction")
     return out
+
+
+# --- a check run through the package's relay, not an oracle ---------------------
+
+def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:
+    """Max trace distance after `hops` of the package's relays over a random
+    single-qubit panel plus the six axis states, relayed as one stack; exact
+    corrections make this machine-zero."""
+    rng = np.random.default_rng(seed)
+    panel = []
+    for _ in range(panel_size):
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        panel.append(amps / np.linalg.norm(amps))
+    s = 1 / np.sqrt(2)
+    panel += [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
+    original = np.array(panel, dtype=np.complex128)
+
+    rows, _ = relay(original, 0, hops)
+    # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
+    overlap = np.sum(original.conj() * rows, axis=-1)
+    return float(np.max(np.linalg.norm(rows - overlap[:, None] * original, axis=-1)))

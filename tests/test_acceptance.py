@@ -18,6 +18,7 @@ from oracle_utils import (
     local_matrix,
     pass_energy_curve,
     reduced_observable,
+    relay_identity_check,
     ring_counts_recurrence,
     star_ground,
 )
@@ -36,7 +37,7 @@ from qetsim.protocol import (
     sweep_EB,
 )
 from qetsim.sampler import estimate_table1
-from qetsim.teleport import relay_identity_check, run_longrange_qet
+from qetsim.teleport import run_longrange_qet
 from qetsim.tiling import TilingSpec, generate, ring_sizes
 
 MINIMAL_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]

@@ -309,8 +309,10 @@ def test_four_billion_shots_take_under_a_second(tmp_path):
     assert code == 0 and finite_json(out)
 
 
-def test_sweep_non_finite_grid_exits_2(capsys):
-    assert run_cli("sweep", "--h", "nan:1:3", "--k", "1") == 2
+@pytest.mark.parametrize("h", ["nan:1:3", "inf", "1:inf:3", "-inf:1:3"])
+def test_sweep_non_finite_grid_exits_2(h, capsys):
+    # checked before np.linspace, which would fail on the endpoint under main's errstate
+    assert run_cli("sweep", f"--h={h}", "--k", "1") == 2
     assert "error: h and k must be finite and positive" in capsys.readouterr().err
 
 
@@ -378,9 +380,9 @@ def test_longrange_perturbed_relay_exits_1(tmp_path, capsys, monkeypatch):
     relay = qetsim.teleport.relay
 
     def perturbed(rows, *args, **kwargs):
-        out = relay(rows, *args, **kwargs)
+        out, kept = relay(rows, *args, **kwargs)
         out = out + 1e-6 * out[:, ::-1]
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+        return out / np.linalg.norm(out, axis=-1, keepdims=True), kept
 
     monkeypatch.setattr(qetsim.teleport, "relay", perturbed)
     out = tmp_path / "r.json"

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import qetsim
-from qetsim import _kernels
+from qetsim import LoccTranscript, MinimalModelParams, _kernels, run_longrange_qet
 
 
 def test_benchmark_entry_points_exist():
@@ -19,6 +19,10 @@ def test_benchmark_entry_points_exist():
     parser, commands = qetsim.cli.build_parser()
     assert set(commands) == {"table1", "sweep", "tiling", "qet", "qed", "longrange"}
     assert parser.parse_args(["qet", "--h", "1", "--k", "1"]).func is qetsim.cli.cmd_qet
+    # perfbench wraps LoccTranscript.serialize from the class body and
+    # counts the transcript's bits from run_longrange_qet's second value
+    assert "serialize" in vars(LoccTranscript)
+    assert run_longrange_qet(MinimalModelParams(1, 1), 3)[1].bit_count() == 7
     # in a fresh interpreter, `import qetsim` alone loads both modules
     src = os.path.dirname(os.path.dirname(qetsim.__file__))
     loaded = subprocess.run(

@@ -337,6 +337,9 @@ def test_sweep_validates_and_rejects_degenerate_points():
                                ([2.0], [1.0, float("nan")])):
         with pytest.raises(ValueError, match="h and k must be finite and positive"):
             sweep_EB(h_values, k_values)
+    for h_values, k_values, empty in (([], [1.0], "h_values"), ([1.0], [], "k_values")):
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            sweep_EB(h_values, k_values)
     # the q = 2 gap is 2 (sqrt(h^2 + k^2) - k) ~ h^2 / k, 1e-10 at h = 1e-5
     with pytest.raises(DegenerateGroundError):
         run_minimal_qet(MinimalModelParams(1e-5, 1.0))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import pure_trace_distance, teleport_branches
+from oracle_utils import pure_trace_distance, relay_identity_check, teleport_branches
 
 from qetsim.model import IllConditionedError, MinimalModelParams
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
@@ -17,7 +17,6 @@ from qetsim.teleport import (
     _hop,
     _hop_tables,
     relay,
-    relay_identity_check,
     run_longrange_qet,
 )
 
@@ -39,11 +38,9 @@ def test_teleport_axis_and_random_states_exact():
     s = 1 / np.sqrt(2)
     axis = [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
     panel = np.array(axis + [random_qubit() for _ in range(20)], dtype=complex)
-    transcript = LoccTranscript()
-    out = relay(panel, 0, 1, transcript)
+    out, kept = relay(panel, 0, 1)
     assert np.max(np.abs(out - panel)) <= 1e-12
-    assert [m.purpose for m in transcript.messages] == ["teleport-corrections"] * 2
-    assert transcript.bit_count() == 2
+    assert kept is None
 
 
 def test_teleport_outcome_probabilities_quarter_exact():
@@ -69,21 +66,18 @@ def test_teleport_outcomes_uniform():
     # appears with probability 1/4, and the qubit comes back unchanged
     state = random_qubit()
     n = 800
-    transcript = LoccTranscript()
-    out = relay(state[None], 0, n, transcript, rng=np.random.default_rng(5))
-    bits = [m.bits for m in transcript.messages]
-    patterns = [m1 + m2 for m1, m2 in zip(bits[::2], bits[1::2])]
-    assert len(patterns) == n
+    out, kept = relay(state[None], 0, n, rng=np.random.default_rng(5))
+    assert kept.shape == (n,)
     sigma = np.sqrt(n * 0.25 * 0.75)
-    for pattern in ("00", "01", "10", "11"):
-        assert abs(patterns.count(pattern) - n / 4) < 5 * sigma, pattern
+    for pattern in range(4):  # 2 * m1 + m2
+        assert abs(np.count_nonzero(kept == pattern) - n / 4) < 5 * sigma, pattern
     assert pure_trace_distance(state, out[0]) <= 1e-10
 
 
 def test_teleport_preserves_entanglement():
     # teleport half of an entangled pair; the 2-qubit state survives
     pair = np.array([0.6, 0, 0, 0.8], dtype=complex)
-    out = relay(pair[None], 1, 1, LoccTranscript())
+    out, _ = relay(pair[None], 1, 1)
     assert pure_trace_distance(pair, out[0]) < 1e-12
 
 
@@ -91,7 +85,7 @@ def test_relay_capacity_guard():
     # a register whose Bell-extended form would pass the statevector guard
     big = np.zeros((1, 2 ** (MAX_STATEVECTOR_QUBITS - 1)))
     with pytest.raises(ValueError, match="register would exceed"):
-        relay(big, 0, 1, LoccTranscript())
+        relay(big, 0, 1)
 
 
 # --- the stacked hop kernel against the per-branch oracle -----------------------
@@ -160,16 +154,15 @@ def test_relay_identity_property(n, site, hops, seed, sampled):
     rng = np.random.default_rng(seed)
     logical = site % n
     original = random_amplitudes(rng, n)
-    transcript = LoccTranscript()
-    rows = relay(original[None], logical, hops, transcript, rng=rng if sampled else None)
+    rows, kept = relay(original[None], logical, hops, rng=rng if sampled else None)
     assert pure_trace_distance(original, rows[0]) <= 1e-10
-    assert transcript.bit_count() == 2 * hops
+    assert kept.shape == (hops,) if sampled else kept is None
 
 
 def test_relay_hop_keeps_each_row():
     rng = np.random.default_rng(8)
     rows = np.array([random_amplitudes(rng, 3) for _ in range(4)])
-    out = relay(rows, 1, 1, LoccTranscript(), rng=rng, drawn=2)
+    out, _ = relay(rows, 1, 1, rng=rng, drawn=2)
     assert out.shape == rows.shape
     for before, after in zip(rows, out):
         assert pure_trace_distance(before, after) < 1e-12
@@ -182,7 +175,7 @@ def test_relay_identity_panel(hops):
 
 def test_relay_hop_register_shape():
     state = random_qubit()
-    out = relay(state[None], 0, 1, LoccTranscript())
+    out, _ = relay(state[None], 0, 1)
     assert out.shape == (1, 2)
     assert pure_trace_distance(out[0], state) < 1e-12
 
@@ -198,16 +191,16 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
         rows += 1j * rng.normal(size=rows.shape)
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     streams = [np.random.default_rng(5) if sampled else None for _ in range(2)]
-    batched, one_by_one = LoccTranscript(), LoccTranscript()
-    got = relay(rows, 1, hops, batched, rng=streams[0], drawn=2)
-    want = rows
+    got, kept = relay(rows, 1, hops, rng=streams[0], drawn=2)
+    want, one_by_one = rows, []
     for _ in range(hops):
-        want = relay(want, 1, 1, one_by_one, rng=streams[1], drawn=2)
+        want, bits = relay(want, 1, 1, rng=streams[1], drawn=2)
+        one_by_one.append(bits)
     assert got.tobytes() == want.tobytes()
-    assert [m.bits for m in batched.messages] == [m.bits for m in one_by_one.messages]
-    assert len(batched.messages) == 2 * hops
-    nodes = ["charlie"] + [f"relay{i}" for i in range(1, hops)] + ["bob"]
-    assert [(m.sender, m.receiver) for m in batched.messages[::2]] == list(zip(nodes, nodes[1:]))
+    if sampled:
+        assert kept.dtype == np.uint8 and kept.tobytes() == np.concatenate(one_by_one).tobytes()
+    else:
+        assert kept is None and one_by_one == [None] * hops
 
 
 def relayed_block(rng, hops, batch=2, n=2):
@@ -250,12 +243,9 @@ def test_relay_checks_the_partial_last_block(monkeypatch):
 
     monkeypatch.setattr("qetsim.teleport._hop", skewed)
     rows = np.array([random_amplitudes(np.random.default_rng(2), 2)])
-    transcript = LoccTranscript()
     with pytest.raises(AssertionError, match="branches disagree"):
-        relay(rows, 1, hops, transcript)
+        relay(rows, 1, hops)
     assert len(calls) == hops
-    # the two checked blocks are logged, the failing one is not
-    assert len(transcript.messages) == 4 * HOP_BLOCK
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -263,10 +253,8 @@ def test_relay_checks_the_partial_last_block(monkeypatch):
 def test_relay_rejects_unnormalized_rows(norm, sampled):
     rows = norm * np.array([random_amplitudes(np.random.default_rng(6), 2)] * 2)
     rng = np.random.default_rng(1) if sampled else None
-    transcript = LoccTranscript()
     with pytest.raises(ValueError, match="malformed Bell pair"):
-        relay(rows, 0, 3, transcript, rng=rng)
-    assert transcript.messages == []
+        relay(rows, 0, 3, rng=rng)
 
 
 # --- long-range runs ----------------------------------------------------------
@@ -279,9 +267,10 @@ def test_longrange_equals_local(hops):
     # pass rows' largest distance from it
     assert record.as_dict() == run_minimal_qet(params).as_dict()
     assert delta <= 1e-10
-    assert len(transcript.messages) == 1 + 2 * hops
+    lines = transcript.serialize().splitlines()
+    assert len(lines) == 1 + 2 * hops
     assert transcript.bit_count() == 1 + 2 * hops
-    assert transcript.messages[0].purpose == "mu-broadcast"
+    assert lines[0].split()[3] == "mu-broadcast"
 
 
 def test_longrange_seeded_transcript_is_concrete_and_deterministic():
@@ -299,6 +288,24 @@ def test_transcript_serialization_format():
     assert lines[0] == "0 alice all mu-broadcast x"
     assert lines[1].startswith("1 charlie ")
     assert all(len(line.split()) == 5 for line in lines)
+
+
+def test_transcript_names_every_hop_and_bit():
+    sampled = LoccTranscript(3, 1, np.array([0, 3, 2], dtype=np.uint8))
+    assert sampled.serialize() == (
+        "0 alice all mu-broadcast 1\n"
+        "1 charlie relay1 teleport-corrections 0\n"
+        "2 charlie relay1 teleport-corrections 0\n"
+        "3 relay1 relay2 teleport-corrections 1\n"
+        "4 relay1 relay2 teleport-corrections 1\n"
+        "5 relay2 bob teleport-corrections 1\n"
+        "6 relay2 bob teleport-corrections 0\n"
+    )
+    assert LoccTranscript(1, None, None).serialize() == (
+        "0 alice all mu-broadcast x\n"
+        "1 charlie bob teleport-corrections x\n"
+        "2 charlie bob teleport-corrections x\n"
+    )
 
 
 @pytest.mark.parametrize("h, k", [(MAX_RELAY_FIELD_RATIO, 1.0), (1.0, MAX_RELAY_FIELD_RATIO)])

@@ -9,7 +9,6 @@ from qetsim.tiling import (
     generate,
     ring_size_recurrence,
     ring_sizes,
-    unit_star,
 )
 
 
@@ -137,13 +136,11 @@ def test_deterministic_bytes_and_roundtrip():
 
 
 def test_unit_star():
-    g = generate(TilingSpec(3, 6, 2))
-    q, nbrs = unit_star(g, 0)
-    assert q == 6 and nbrs == [1, 2, 3, 4, 5, 6]
-    g10 = generate(TilingSpec(3, 10, 1))
-    assert unit_star(g10, 0)[0] == 10
-    with pytest.raises(ValueError):
-        unit_star(g10, 3)  # outermost ring vertex is incomplete
+    # the model's cell: a full-degree vertex and its q neighbours
+    assert sorted(adjacency(generate(TilingSpec(3, 6, 2)))[0]) == [1, 2, 3, 4, 5, 6]
+    g10 = adjacency(generate(TilingSpec(3, 10, 1)))
+    assert len(g10[0]) == 10
+    assert len(g10[3]) < 10  # outermost ring vertex is incomplete
 
 
 def test_guards():
