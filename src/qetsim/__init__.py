@@ -31,7 +31,6 @@ from .sampler import (
     EstimateRow,
     ShotPlan,
     estimate,
-    estimate_table1,
     sample_protocol,
     sampled_record,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from . import model, refdata, tiling
 from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import exact_record, run_protocol, sweep_EB
-from .sampler import TableCell, cells_to_csv, check_shots, estimate_table1, sampled_record
+from .sampler import check_shots, sampled_record
 from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
@@ -112,70 +112,67 @@ def _record_rows(record) -> list[str]:
     return rows
 
 
+def _shown(args, exact, sampled) -> list:
+    """The records `--method` asks for."""
+    return {"exact": [exact], "sampled": [sampled], "both": [exact, sampled]}[args.method]
+
+
+def _records(args, params, receivers):
+    """The exact record, and unless `--method exact` the sampled one drawn
+    from the protocol pass."""
+    bundle = star_model(params)
+    exact = exact_record(bundle, receivers)
+    sampled = None
+    if args.method != "exact":
+        fed = run_protocol(bundle, receivers)
+        sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
+    return exact, sampled
+
+
 # --- table1 -----------------------------------------------------------------
 
 def cmd_table1(args) -> int:
-    methods = ("exact", "sampled") if args.method == "both" else (args.method,)
-    cells = estimate_table1(refdata.CONFIGS, args.shots, args.seed, methods=methods)
-    exact_by_key = {
-        (c.tiling, c.h, c.k, c.observable): c.mean
-        for c in cells if c.method == "exact"
-    }
-    kept: list[TableCell] = [c for c in cells if c.method in methods]
-
-    ref_means, ref_errs, tols, statuses = [], [], [], []
-    failures = 0
-    for c in kept:
-        q = int(c.tiling.strip("{}").split(",")[1])
-        ref_mean, ref_err = refdata.REFERENCE_TABLE[(q, int(c.h), int(c.k))][c.observable]
-        ref_means.append(ref_mean)
-        ref_errs.append(ref_err)
-        if c.method == "exact":
-            tol = refdata.exact_tolerance(ref_err)
-            ok = abs(c.mean - ref_mean) <= tol
-        else:
-            exact = exact_by_key[(c.tiling, c.h, c.k, c.observable)]
-            tol = 5.0 * c.stderr
-            ok = abs(c.mean - exact) <= tol
-        tols.append(tol)
-        statuses.append("pass" if ok else "fail")
-        failures += 0 if ok else 1
-
+    """Each config's exact and sampled records, as long rows or in the wide
+    layout, with every cell checked: the exact value against the reference
+    within `refdata.exact_tolerance`, the sampled one within 5 stderr of the
+    exact one."""
+    lines = ["tiling,h,k,observable,site,method,mean,stderr,shots,seed,"
+             "ref_mean,ref_stderr,tolerance,status"]
+    wide: dict[tuple, list[str]] = {}
+    total = failures = 0
+    for q, h, k in refdata.CONFIGS:
+        exact, sampled = _records(args, StarModelParams(h=float(h), k=float(k), q=q), (1, 2))
+        reference = refdata.REFERENCE_TABLE[(q, h, k)]
+        for record in _shown(args, exact, sampled):
+            rows = zip(record.observables(), exact.observables())
+            for (obs, site, mean), (_, _, exact_mean) in rows:
+                ref_mean, ref_err = reference[obs]
+                if record is exact:
+                    tol = refdata.exact_tolerance(ref_err)
+                    ok = abs(mean - ref_mean) <= tol
+                    run, cell = ",,", f"{mean:.4f}"
+                else:
+                    err = record.stderr[obs]
+                    tol = 5.0 * err
+                    ok = abs(mean - exact_mean) <= tol
+                    run, cell = f"{_fmt(err)},{args.shots},{args.seed}", f"{mean:.4f}+-{err:.4f}"
+                total += 1
+                failures += not ok
+                lines.append(
+                    f'"{{3,{q}}}",{h},{k},{obs},{site},{record.method},{_fmt(mean)},{run},'
+                    f"{_fmt(ref_mean)},{_fmt(ref_err)},{_fmt(tol)},{'pass' if ok else 'fail'}"
+                )
+                wide.setdefault((q, obs, record.method), []).append(cell)
     if args.wide:
-        text = _wide_table(kept)
-    else:
-        text = cells_to_csv(
-            kept,
-            extra_columns={
-                "ref_mean": ref_means, "ref_stderr": ref_errs,
-                "tolerance": tols, "status": statuses,
-            },
-        )
-    _write_text(args.out, text)
+        pairs = ",".join(f"(h={h};k={k})" for h, k in refdata.HK_PAIRS)
+        lines = [f"tiling,observable,method,{pairs}"]
+        lines += [f'"{{3,{q}}}",{obs},{method},' + ",".join(cells)
+                  for (q, obs, method), cells in wide.items()]
+    _write_text(args.out, "\n".join(lines) + "\n")
     if args.check:
-        total = len(kept)
         print(f"check: {total - failures}/{total} cells within tolerance", file=sys.stderr)
         return 0 if failures == 0 else 1
     return 0
-
-
-def _wide_table(cells: list[TableCell]) -> str:
-    pairs = [(9, 2), (8, 2), (7, 2), (6, 2)]
-    header = ["tiling", "observable", "method"] + [f"(h={h};k={k})" for h, k in pairs]
-    lines = [",".join(header)]
-    seen = {}
-    for c in cells:
-        seen.setdefault((c.tiling, c.observable, c.method), {})[(int(c.h), int(c.k))] = c
-    for (tiling_label, obs, method), row in seen.items():
-        out = [f'"{tiling_label}"', obs, method]
-        for pair in pairs:
-            c = row[pair]
-            if c.stderr is None:
-                out.append(f"{c.mean:.4f}")
-            else:
-                out.append(f"{c.mean:.4f}+-{c.stderr:.4f}")
-        lines.append(",".join(out))
-    return "\n".join(lines) + "\n"
 
 
 # --- sweep ------------------------------------------------------------------
@@ -226,8 +223,8 @@ def cmd_tiling(args) -> int:
 
 # --- qet / qed --------------------------------------------------------------
 
-def _emit_record(args, exact, sampled) -> None:
-    records = [r for r in (exact, sampled) if r is not None]
+def _emit_record(args, exact, sampled) -> int:
+    records = _shown(args, exact, sampled)
     if args.format == "json":
         payload = records[0].as_dict() if len(records) == 1 else {
             "exact": records[0].as_dict(), "sampled": records[1].as_dict()
@@ -239,29 +236,18 @@ def _emit_record(args, exact, sampled) -> None:
             rows = _record_rows(r)
             lines.extend(rows if not lines else rows[1:])
         _write_text(args.out, "\n".join(lines) + "\n")
-
-
-def _run_record(args, params, receivers) -> int:
-    """The exact record, and the sampled one drawn from the protocol pass."""
-    bundle = star_model(params)
-    exact = exact_record(bundle, receivers)
-    sampled = None
-    if args.method in ("sampled", "both"):
-        fed = run_protocol(bundle, receivers)
-        sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
-    _emit_record(args, None if args.method == "sampled" else exact, sampled)
     return 0
 
 
 def cmd_qet(args) -> int:
     _require(args, "h", "k")
-    return _run_record(args, MinimalModelParams(h=args.h, k=args.k), (1,))
+    return _emit_record(args, *_records(args, MinimalModelParams(h=args.h, k=args.k), (1,)))
 
 
 def cmd_qed(args) -> int:
     _require(args, "h", "k", "q")
     params = StarModelParams(h=args.h, k=args.k, q=args.q)
-    return _run_record(args, params, _parse_receivers(args.receivers))
+    return _emit_record(args, *_records(args, params, _parse_receivers(args.receivers)))
 
 
 # --- longrange --------------------------------------------------------------
@@ -277,9 +263,10 @@ def cmd_longrange(args) -> int:
     payload["relay_vs_local_max_delta"] = worst
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.transcript_out:
-        Path(args.transcript_out).write_text(transcript.serialize())
+        with Path(args.transcript_out).open("w") as f:
+            f.writelines(transcript.serialize())
     else:
-        sys.stdout.write(transcript.serialize())
+        sys.stdout.writelines(transcript.serialize())
     # the pass's roundoff grows with the field scale, so the check is relative
     scale = max(args.h, args.k)
     if worst > 1e-10 * scale:

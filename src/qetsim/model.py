@@ -182,11 +182,12 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     state is unique and receiver-symmetric: it lies in the top total-spin
     block J = (q - 1)/2, solved for the whole grid by one stacked `eigh`.
     The gap is taken against the lowest level of every lower-J block too; a
-    gap below DEGENERACY_TOL anywhere raises DegenerateGroundError, as the
-    protocol angles are undefined on a degenerate ground space, and h/k above
-    MAX_FIELD_RATIO anywhere raises IllConditionedError.  With d = q - 1,
-    <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
-    g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
+    gap below DEGENERACY_TOL * max(h, k) anywhere raises
+    DegenerateGroundError, as the protocol angles are undefined on a
+    degenerate ground space, and h/k above MAX_FIELD_RATIO anywhere raises
+    IllConditionedError.  With d = q - 1, <Z_j> = <2 J_z>/d and
+    <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking g[s * q + n] with
+    g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
     leaves = q - 1
     vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
@@ -198,7 +199,7 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         ratio = np.max(np.divide(h, k))
     if ratio > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
-    if not np.all(gap >= DEGENERACY_TOL):
+    if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
         raise DegenerateGroundError(_degenerate_message(h, k, gap, vals))
     g = vecs[..., 0]
     n = np.arange(q)

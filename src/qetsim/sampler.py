@@ -6,8 +6,9 @@ readout bits are X eigenvalues); the two never share shots because X and Z
 do not commute.  The sampler does not measure or feed back itself: it reads
 both runs' joint law of (mu, readout) from the pass array of the protocol
 pass (`run_protocol`).  The tallies of N shots follow Multinomial(N, p)
-over that law, so a run is one multinomial draw.  The exact cells are
-`exact_record`'s closed forms.
+over that law, so a run is one multinomial draw.  The module only draws
+and estimates: `sampled_record` gives the sampled twin of an exact record,
+and the CLI lays records out as table rows.
 
 Randomness is counter-based (numpy Philox keyed by master seed, model
 parameters, receiver set and basis), so a run's tallies are a pure function
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Local, ModelBundle, ReceiverEnergy, StarModelParams, star_model
-from .protocol import QetRecord, exact_record, pass_sites, run_protocol
+from .model import Local, ModelBundle, ReceiverEnergy
+from .protocol import QetRecord, pass_sites
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
@@ -206,81 +207,3 @@ def sampled_record(
         method="sampled",
         stderr=stderr,
     )
-
-
-@dataclass(frozen=True)
-class TableCell:
-    tiling: str
-    h: float
-    k: float
-    observable: str
-    site: int
-    method: str  # "exact" | "sampled"
-    mean: float
-    stderr: float | None
-    shots: int | None
-    seed: int | None
-
-
-def _record_cells(record: QetRecord, tiling: str, shots, seed) -> list[TableCell]:
-    p = record.model
-    return [
-        TableCell(
-            tiling=tiling, h=p.h, k=p.k, observable=obs, site=site,
-            method=record.method, mean=mean, stderr=record.stderr.get(obs),
-            shots=shots, seed=seed,
-        )
-        for obs, site, mean in record.observables()
-    ]
-
-
-def estimate_table1(
-    configs,
-    shots: int,
-    master_seed: int,
-    methods: tuple[str, ...] = ("exact", "sampled"),
-) -> list[TableCell]:
-    """Exact and, if "sampled" is in `methods`, sampled values for every
-    (tiling q, h, k) config.
-
-    Row layout per config: E0, HX1, HZ1, E1, HX2, HZ2, E2 with receivers 1
-    and 2 acting simultaneously.  Exact cells are always returned: the
-    sampled cells are checked against them.
-    """
-    cells = []
-    for (q, h, k) in configs:
-        bundle = star_model(StarModelParams(h=float(h), k=float(k), q=int(q)))
-        exact = exact_record(bundle, (1, 2))
-        tiling = f"{{3,{q}}}"
-        cells += _record_cells(exact, tiling, None, None)
-        if "sampled" in methods:
-            fed = run_protocol(bundle, (1, 2))
-            sampled = sampled_record(bundle, exact, fed, shots, master_seed)
-            cells += _record_cells(sampled, tiling, shots, master_seed)
-    return cells
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".12g")
-    value = str(x)
-    if "," in value:
-        value = f'"{value}"'
-    return value
-
-
-def cells_to_csv(cells: list[TableCell], extra_columns: dict[str, list] | None = None) -> str:
-    """Long-format CSV: tiling,h,k,observable,site,method,mean,stderr,shots,seed."""
-    header = ["tiling", "h", "k", "observable", "site", "method",
-              "mean", "stderr", "shots", "seed"]
-    extras = extra_columns or {}
-    header += list(extras)
-    lines = [",".join(header)]
-    for i, c in enumerate(cells):
-        row = [_fmt(c.tiling), _fmt(c.h), _fmt(c.k), c.observable, str(c.site),
-               c.method, _fmt(c.mean), _fmt(c.stderr), _fmt(c.shots), _fmt(c.seed)]
-        row += [_fmt(extras[name][i]) for name in extras]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

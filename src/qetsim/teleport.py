@@ -22,11 +22,14 @@ rows and bits.  A hop of the long-range run's two-row stack costs ~30 us
 protocol pass as two rows, the drawn one (in exact mode, the first) giving
 the transcript's bits, and checks the relayed energies against the
 closed-form exact record.  `LoccTranscript` holds only the hop count and the
-drawn bits; its `serialize` alone names the nodes and lays out the lines.
+drawn bits; its `serialize` alone names the nodes and lays out the lines,
+yielding the text a chunk of hops at a time so that a long transcript is
+never held whole.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,19 +50,25 @@ class LoccTranscript:
     mu: int | None
     branches: np.ndarray | None
 
-    def serialize(self) -> str:
-        """One ``seq sender receiver purpose bit`` line per measured bit."""
-        names = ["charlie"] + [f"relay{i}" for i in range(1, self.hops)] + ["bob"]
-        if self.branches is None:
-            bits = ["x"] * (2 * self.hops)
-        else:
-            bits = (self.branches[:, None] >> np.array([1, 0]) & 1).ravel().tolist()
-        lines = [f"0 alice all mu-broadcast {'x' if self.mu is None else self.mu}"]
-        lines += [
-            f"{seq} {names[(seq - 1) // 2]} {names[(seq + 1) // 2]} teleport-corrections {bit}"
-            for seq, bit in enumerate(bits, 1)
-        ]
-        return "\n".join(lines) + "\n"
+    def serialize(self) -> Iterator[str]:
+        """One ``seq sender receiver purpose bit`` line per measured bit, as
+        text chunks of at most TRANSCRIPT_CHUNK_HOPS hops each."""
+        yield f"0 alice all mu-broadcast {'x' if self.mu is None else self.mu}\n"
+        for start in range(0, self.hops, TRANSCRIPT_CHUNK_HOPS):
+            stop = min(start + TRANSCRIPT_CHUNK_HOPS, self.hops)
+            names = ["charlie" if i == 0 else "bob" if i == self.hops else f"relay{i}"
+                     for i in range(start, stop + 1)]
+            if self.branches is None:
+                bits = [("x", "x")] * (stop - start)
+            else:
+                chunk = self.branches[start:stop]
+                bits = zip((chunk >> 1).tolist(), (chunk & 1).tolist())
+            yield "".join(
+                f"{2 * i + 1} {sender} {receiver} teleport-corrections {m1}\n"
+                f"{2 * i + 2} {sender} {receiver} teleport-corrections {m2}\n"
+                for i, sender, receiver, (m1, m2)
+                in zip(range(start, stop), names, names[1:], bits)
+            )
 
     def bit_count(self) -> int:
         return 1 + 2 * self.hops
@@ -70,10 +79,12 @@ BELL = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
 _H_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
 # Largest h/k or k/h `run_longrange_qet` accepts; see there.
 MAX_RELAY_FIELD_RATIO = 1e4
-# Largest hop count `run_longrange_qet` accepts: rendering the transcript
-# takes ~0.55 KB per hop, so `longrange --sample-transcript` peaks in-process
-# at ~90 MB at 10^5 hops and ~575 MB at 10^6 (2 vCPU, numpy 2.4).
+# Largest hop count `run_longrange_qet` accepts: the relay keeps one byte per
+# hop and the transcript is written a chunk of TRANSCRIPT_CHUNK_HOPS hops at a
+# time, so `longrange --sample-transcript` peaks in-process at ~39 MB at 10^5
+# hops and ~40 MB at 10^6, where it takes ~14 s (2 vCPU, numpy 2.4).
 MAX_HOPS = 10**6
+TRANSCRIPT_CHUNK_HOPS = 4096
 # `relay` checks its hops in blocks of this many, kept in buffers of at most
 # _BLOCK_BYTES so that a large register's block stays small.
 HOP_BLOCK = 64

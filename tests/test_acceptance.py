@@ -31,12 +31,13 @@ from qetsim.model import (
     star_model,
 )
 from qetsim.protocol import (
+    exact_record,
     run_minimal_qet,
     run_protocol,
     run_qed,
     sweep_EB,
 )
-from qetsim.sampler import estimate_table1
+from qetsim.sampler import sampled_record
 from qetsim.teleport import run_longrange_qet
 from qetsim.tiling import TilingSpec, generate, ring_sizes
 
@@ -48,11 +49,17 @@ _cache: dict = {}
 
 
 def table_cells():
+    """(q, h, k) -> (exact, sampled) records of the reference table's
+    configs, receivers 1 and 2, at TABLE_SHOTS and TABLE_SEED."""
     if "cells" not in _cache:
         t0 = time.perf_counter()
-        _cache["cells"] = estimate_table1(
-            refdata.CONFIGS, shots=TABLE_SHOTS, master_seed=TABLE_SEED
-        )
+        cells = {}
+        for q, h, k in refdata.CONFIGS:
+            bundle = star_model(StarModelParams(float(h), float(k), q))
+            exact = exact_record(bundle, (1, 2))
+            fed = run_protocol(bundle, (1, 2))
+            cells[(q, h, k)] = exact, sampled_record(bundle, exact, fed, TABLE_SHOTS, TABLE_SEED)
+        _cache["cells"] = cells
         _cache["elapsed"] = time.perf_counter() - t0
     return _cache["cells"]
 
@@ -133,23 +140,18 @@ def test_criterion_04_reference_table_exact():
 
 
 def test_criterion_05_reference_table_sampled():
-    cells = table_cells()
-    exact = {
-        (c.tiling, c.h, c.k, c.observable): c.mean
-        for c in cells if c.method == "exact"
-    }
     failures = []
     worst = 0.0
     n = 0
-    for c in cells:
-        if c.method != "sampled":
-            continue
-        n += 1
-        delta = abs(c.mean - exact[(c.tiling, c.h, c.k, c.observable)])
-        sigma_ratio = delta / c.stderr if c.stderr > 0 else 0.0
-        worst = max(worst, sigma_ratio)
-        if delta > 5 * c.stderr:
-            failures.append((c.tiling, c.h, c.k, c.observable, sigma_ratio))
+    for (q, h, k), (exact, sampled) in table_cells().items():
+        for (obs, _, mean), (_, _, want) in zip(sampled.observables(), exact.observables()):
+            n += 1
+            stderr = sampled.stderr[obs]
+            delta = abs(mean - want)
+            sigma_ratio = delta / stderr if stderr > 0 else 0.0
+            worst = max(worst, sigma_ratio)
+            if delta > 5 * stderr:
+                failures.append((q, h, k, obs, sigma_ratio))
     elapsed = _cache["elapsed"]
     ok = not failures and n == 84 and elapsed < 600.0
     _report(5, f"reference-table sampled at {TABLE_SHOTS} shots", ok,
@@ -166,18 +168,12 @@ def test_criterion_06_receiver_independence():
         both = run_qed(params, (1, 2)).receivers[1]
         for field in ("hx", "hz", "e_j"):
             worst_exact = max(worst_exact, abs(getattr(solo, field) - getattr(both, field)))
-    cells = table_cells()
-    sampled = {
-        (c.tiling, c.h, c.k, c.observable): c
-        for c in cells if c.method == "sampled"
-    }
     worst_sigma = 0.0
-    for q, h, k in refdata.CONFIGS:
-        key = (f"{{3,{q}}}", float(h), float(k))
+    for _, sampled in table_cells().values():
+        mean = {obs: value for obs, _, value in sampled.observables()}
         for a, b in (("HX1", "HX2"), ("HZ1", "HZ2"), ("E1", "E2")):
-            ca, cb = sampled[key + (a,)], sampled[key + (b,)]
-            sigma = np.hypot(ca.stderr, cb.stderr)
-            worst_sigma = max(worst_sigma, abs(ca.mean - cb.mean) / sigma)
+            sigma = np.hypot(sampled.stderr[a], sampled.stderr[b])
+            worst_sigma = max(worst_sigma, abs(mean[a] - mean[b]) / sigma)
     ok = worst_exact < 1e-10 and worst_sigma < 5.0
     _report(6, "receiver independence", ok,
             f"exact site-1 shift with/without site 2: {worst_exact:.2e} (< 1e-10); "
@@ -240,17 +236,12 @@ def test_criterion_08_theta_beats_grid_scan():
 
 
 def test_criterion_09_energy_splits_consistently():
-    cells = table_cells()
-    exact = {
-        (c.tiling, c.h, c.k, c.observable): c.mean
-        for c in cells if c.method == "exact"
-    }
     worst_exact = 0.0
-    for q, h, k in refdata.CONFIGS:
-        key = (f"{{3,{q}}}", float(h), float(k))
+    for exact, _ in table_cells().values():
+        mean = {obs: value for obs, _, value in exact.observables()}
         for site in (1, 2):
-            split = exact[key + (f"HX{site}",)] + exact[key + (f"HZ{site}",)]
-            worst_exact = max(worst_exact, abs(exact[key + (f"E{site}",)] - split))
+            split = mean[f"HX{site}"] + mean[f"HZ{site}"]
+            worst_exact = max(worst_exact, abs(mean[f"E{site}"] - split))
     # the reference rows were rounded to 1e-4, so their split holds to ~2e-4
     worst_ref = max(
         abs(row[f"E{site}"][0] - (row[f"HX{site}"][0] + row[f"HZ{site}"][0]))

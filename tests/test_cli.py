@@ -16,7 +16,6 @@ import qetsim.sampler
 import qetsim.teleport
 from qetsim.cli import main
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
-from qetsim.sampler import cells_to_csv, estimate_table1
 
 
 def run_cli(*argv):
@@ -77,6 +76,49 @@ def test_table1_wide_layout(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("tiling,observable,method,")
     assert len(lines) == 1 + 3 * 7  # 3 tilings x 7 observables, exact only
+
+
+def test_table1_failing_check_exits_1(tmp_path, capsys):
+    # one shot per basis run: every sampled stderr is 0, so every sampled
+    # cell misses its exact value, while every exact cell still passes
+    out = tmp_path / "t.csv"
+    assert run_cli("table1", "--check", "--shots", "1", "--seed", "4", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "check: 84/168 cells within tolerance\n"
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {row["status"] for row in rows if row["method"] == "sampled"} == {"fail"}
+    assert {row["status"] for row in rows if row["method"] == "exact"} == {"pass"}
+
+
+def test_table_csv_bytes_deterministic(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert run_cli("table1", "--shots", "2000", "--seed", "11", "--out", str(out)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_table_layout_and_sites(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli("table1", "--shots", "500", "--seed", "1", "--out", str(out)) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    # per config, its 7 exact cells and then its 7 sampled cells
+    assert len(rows) == 12 * 2 * 7
+    assert [row["method"] for row in rows[:14]] == ["exact"] * 7 + ["sampled"] * 7
+    first = rows[:7]
+    assert [row["observable"] for row in first] == ["E0", "HX1", "HZ1", "E1", "HX2", "HZ2", "E2"]
+    assert [row["site"] for row in first] == ["0", "1", "1", "1", "2", "2", "2"]
+    sampled = [row for row in rows if row["method"] == "sampled"]
+    assert all(row["stderr"] and row["shots"] == "500" and row["seed"] == "1" for row in sampled)
+    exact = [row for row in rows if row["method"] == "exact"]
+    assert all(row["stderr"] == row["shots"] == row["seed"] == "" for row in exact)
+
+
+def test_csv_header_and_quoting(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli("table1", "--shots", "100", "--seed", "1", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("tiling,h,k,observable,site,method,mean,stderr,shots,seed,"
+                        "ref_mean,ref_stderr,tolerance,status")
+    assert lines[1].startswith('"{3,6}",9,2,E0,0,exact,')
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -204,6 +246,8 @@ def test_qed_degenerate_ground_exits_1(capsys):
 
 @pytest.mark.parametrize("h, k, unresolved", [
     ("1e-12", "1", True), ("1", "1e300", True), ("1e-5", "1", False),
+    # k/h above ~3.2e4: the gap, ~h^2 / k, falls below 1e-9 * k
+    ("1", "1e5", False), ("1", "1e6", False),
 ])
 def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, capsys):
     assert run_cli("qet", "--h", h, "--k", k, "--method", "exact") == 1
@@ -211,6 +255,20 @@ def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, caps
     assert err.startswith("error: ground space degenerate within tolerance (gap = ")
     assert f"relative to max(h, k) = {max(float(h), float(k)):.3g}" in err
     assert ("below double precision" in err) == unresolved
+
+
+def test_tiny_fields_run_as_a_scaled_copy(tmp_path):
+    # the degeneracy test is relative to max(h, k), so h = k = 1e-300 is
+    # h = k = 1 scaled by 1e-300
+    tiny, unit = tmp_path / "tiny.json", tmp_path / "unit.json"
+    assert run_cli("qet", "--h", "1e-300", "--k", "1e-300", "--method", "exact",
+                   "--out", str(tiny)) == 0
+    assert run_cli("qet", "--h", "1", "--k", "1", "--method", "exact", "--out", str(unit)) == 0
+    tiny, unit = json.loads(tiny.read_text()), json.loads(unit.read_text())
+    assert tiny["E0"] / 1e-300 == pytest.approx(unit["E0"], rel=1e-15)
+    for field, value in unit["receivers"]["1"].items():
+        assert tiny["receivers"]["1"][field] / 1e-300 == pytest.approx(value, rel=1e-15)
+    assert tiny["theta"]["1"]["theta"] == pytest.approx(unit["theta"]["1"]["theta"], rel=1e-15)
 
 
 def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
@@ -496,22 +554,22 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
-    "table1": "94f2509672eba55be952cf80bbd9992cf8920eca97b66a98839d60e4dfdb46c1",
+    "table1": "0db7e9f702db3c799fd9adaccb733abbdc67091e03fa17ddabb44f52ea2eb0b6",
     "qed": "c809f2949dc0097ae149076d7ffcf18a85af112ecb7c51afc1b90a3fb3550c4d",
     "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
 }
 
 
 def test_sampled_output_bytes_are_pinned(tmp_path):
-    table = cells_to_csv(estimate_table1([(6, 9, 2)], shots=2000, master_seed=11))
-    qed, log = tmp_path / "qed.json", tmp_path / "t.log"
+    table, qed, log = tmp_path / "t.csv", tmp_path / "qed.json", tmp_path / "t.log"
+    assert run_cli("table1", "--shots", "2000", "--seed", "11", "--out", str(table)) == 0
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "sampled",
                    "--shots", "2000", "--seed", "5", "--out", str(qed)) == 0
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--seed", "11",
                    "--sample-transcript", "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(log)) == 0
     got = {
-        "table1": table.encode(),
+        "table1": table.read_bytes(),
         "qed": qed.read_bytes(),
         "transcript": log.read_bytes(),
     }

@@ -10,9 +10,7 @@ from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     SampleTallies,
     ShotPlan,
-    cells_to_csv,
     estimate,
-    estimate_table1,
     sample_protocol,
     sampled_record,
 )
@@ -50,12 +48,6 @@ def test_single_shot_reproducible():
     _, t2 = minimal_tallies(shots=1, seed=99)
     assert np.array_equal(t1.joint.sum(axis=0), t2.joint.sum(axis=0))
     assert t1.joint.sum() == 1
-
-
-def test_table_csv_bytes_deterministic():
-    cells1 = estimate_table1([(6, 9, 2)], shots=2000, master_seed=11)
-    cells2 = estimate_table1([(6, 9, 2)], shots=2000, master_seed=11)
-    assert cells_to_csv(cells1) == cells_to_csv(cells2)
 
 
 # --- tally law -----------------------------------------------------------------
@@ -307,20 +299,3 @@ def test_multi_seed_statistical_acceptance():
             hits += abs(got - want) <= 5 * sampled.stderr[obs]
     assert hits == total, f"{hits}/{total} cells within 5 stderr"
 
-
-def test_table_layout_and_sites():
-    cells = estimate_table1([(6, 9, 2), (7, 8, 2)], shots=500, master_seed=1)
-    assert len(cells) == 2 * 2 * 7
-    first = [c for c in cells if c.method == "exact"][:7]
-    assert [c.observable for c in first] == ["E0", "HX1", "HZ1", "E1", "HX2", "HZ2", "E2"]
-    assert [c.site for c in first] == [0, 1, 1, 1, 2, 2, 2]
-    sampled = [c for c in cells if c.method == "sampled"]
-    assert all(c.stderr is not None and c.shots == 500 for c in sampled)
-
-
-def test_csv_header_and_quoting():
-    cells = estimate_table1([(6, 9, 2)], shots=100, master_seed=1)
-    text = cells_to_csv(cells)
-    lines = text.splitlines()
-    assert lines[0] == "tiling,h,k,observable,site,method,mean,stderr,shots,seed"
-    assert lines[1].startswith('"{3,6}",9,2,E0,0,exact,')

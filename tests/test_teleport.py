@@ -12,6 +12,7 @@ from qetsim.teleport import (
     BELL,
     HOP_BLOCK,
     MAX_RELAY_FIELD_RATIO,
+    TRANSCRIPT_CHUNK_HOPS,
     LoccTranscript,
     _check_hops,
     _hop,
@@ -267,7 +268,7 @@ def test_longrange_equals_local(hops):
     # pass rows' largest distance from it
     assert record.as_dict() == run_minimal_qet(params).as_dict()
     assert delta <= 1e-10
-    lines = transcript.serialize().splitlines()
+    lines = "".join(transcript.serialize()).splitlines()
     assert len(lines) == 1 + 2 * hops
     assert transcript.bit_count() == 1 + 2 * hops
     assert lines[0].split()[3] == "mu-broadcast"
@@ -277,14 +278,15 @@ def test_longrange_seeded_transcript_is_concrete_and_deterministic():
     params = MinimalModelParams(2.0, 1.0)
     _, t1, _ = run_longrange_qet(params, 2, seed=9)
     _, t2, _ = run_longrange_qet(params, 2, seed=9)
-    assert t1.serialize() == t2.serialize()
-    assert "x" not in t1.serialize()
+    text = "".join(t1.serialize())
+    assert text == "".join(t2.serialize())
+    assert "x" not in text
     assert t1.bit_count() == 1 + 2 * 2
 
 
 def test_transcript_serialization_format():
     _, transcript, _ = run_longrange_qet(MinimalModelParams(1.0, 1.0), 2)
-    lines = transcript.serialize().splitlines()
+    lines = "".join(transcript.serialize()).splitlines()
     assert lines[0] == "0 alice all mu-broadcast x"
     assert lines[1].startswith("1 charlie ")
     assert all(len(line.split()) == 5 for line in lines)
@@ -292,7 +294,7 @@ def test_transcript_serialization_format():
 
 def test_transcript_names_every_hop_and_bit():
     sampled = LoccTranscript(3, 1, np.array([0, 3, 2], dtype=np.uint8))
-    assert sampled.serialize() == (
+    assert "".join(sampled.serialize()) == (
         "0 alice all mu-broadcast 1\n"
         "1 charlie relay1 teleport-corrections 0\n"
         "2 charlie relay1 teleport-corrections 0\n"
@@ -301,10 +303,26 @@ def test_transcript_names_every_hop_and_bit():
         "5 relay2 bob teleport-corrections 1\n"
         "6 relay2 bob teleport-corrections 0\n"
     )
-    assert LoccTranscript(1, None, None).serialize() == (
+    assert "".join(LoccTranscript(1, None, None).serialize()) == (
         "0 alice all mu-broadcast x\n"
         "1 charlie bob teleport-corrections x\n"
         "2 charlie bob teleport-corrections x\n"
+    )
+
+
+def test_transcript_renders_in_chunks_of_hops():
+    hops = TRANSCRIPT_CHUNK_HOPS + 1
+    branches = (np.arange(hops) % 4).astype(np.uint8)
+    chunks = list(LoccTranscript(hops, 0, branches).serialize())
+    # the mu line, one full chunk of hops, then the last hop
+    assert [chunk.count("\n") for chunk in chunks] == [1, 2 * TRANSCRIPT_CHUNK_HOPS, 2]
+    last = TRANSCRIPT_CHUNK_HOPS
+    assert chunks[1].splitlines()[-1] == (
+        f"{2 * last} relay{last - 1} relay{last} teleport-corrections {(last - 1) % 4 & 1}"
+    )
+    assert chunks[2] == (
+        f"{2 * last + 1} relay{last} bob teleport-corrections {last % 4 >> 1}\n"
+        f"{2 * last + 2} relay{last} bob teleport-corrections {last % 4 & 1}\n"
     )
 
 
