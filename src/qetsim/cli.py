@@ -64,17 +64,27 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _require(args, *names) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(
-            "missing required option(s): " + ", ".join(f"--{m}" for m in missing)
-        )
+def _seed(text: str) -> int:
+    """A `--seed` value: any integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
 
 
-def _load_config(path: str) -> dict:
-    """key = value lines; '#' starts a comment; values parsed as JSON when possible."""
-    out = {}
+def _config_flags(argv: list[str]) -> list[str]:
+    """The `--config` file's `key = value` lines as `--key=value` flags; '#'
+    starts a comment, a quoted JSON string loses its quotes, `true` gives the
+    bare switch `--key` and `false` no flag."""
+    prescan = argparse.ArgumentParser(prog="qetsim", add_help=False)
+    prescan.add_argument("--config")
+    path = prescan.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,24 +92,17 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
-def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the command's defaults; reject unknown keys."""
-    config = _load_config(path)
-    options = set(vars(sp.parse_args([]))) - {"func", "config"}
-    unknown = sorted(set(config) - options)
-    if unknown:
-        raise ValueError(
-            f"config key(s) not options of {sp.prog}: " + ", ".join(unknown)
-        )
-    sp.set_defaults(**config)
+        key = key.replace("_", "-")
+        # argparse takes any prefix of an option's name as that option
+        if key and "config".startswith(key):
+            raise ValueError(f"config key {key!r} names --config, which a config cannot set")
+        if value == "true":
+            flags.append(f"--{key}")
+        elif value != "false":
+            if value.startswith('"'):
+                value = json.loads(value)
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def _record_rows(record) -> list[str]:
@@ -201,7 +204,6 @@ def cmd_sweep(args) -> int:
 # --- tiling -----------------------------------------------------------------
 
 def cmd_tiling(args) -> int:
-    _require(args, "q")
     kind = tiling.classify(3, args.q)
     print(f"classification: {{3,{args.q}}} is {kind}", file=sys.stderr)
     if args.q < 6:
@@ -240,12 +242,10 @@ def _emit_record(args, exact, sampled) -> int:
 
 
 def cmd_qet(args) -> int:
-    _require(args, "h", "k")
     return _emit_record(args, *_records(args, MinimalModelParams(h=args.h, k=args.k), (1,)))
 
 
 def cmd_qed(args) -> int:
-    _require(args, "h", "k", "q")
     params = StarModelParams(h=args.h, k=args.k, q=args.q)
     return _emit_record(args, *_records(args, params, _parse_receivers(args.receivers)))
 
@@ -253,7 +253,6 @@ def cmd_qed(args) -> int:
 # --- longrange --------------------------------------------------------------
 
 def cmd_longrange(args) -> int:
-    _require(args, "h", "k")
     params = MinimalModelParams(h=args.h, k=args.k)
     record, transcript, worst = run_longrange_qet(
         params, args.hops, seed=args.seed if args.sample_transcript else None
@@ -279,21 +278,21 @@ def cmd_longrange(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def _add_common(sp, shots=True):
-    sp.add_argument("--config", help="key = value file applied as defaults")
+    sp.add_argument("--config", help="file of key = value lines, each read as the flag "
+                    "--key=value before the command line's flags")
     sp.add_argument("--out", help="output path (stdout if omitted)")
     if shots:
         sp.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qetsim",
         description="Exact and shot-sampled energy-teleportation simulations "
         "on the minimal 2-qubit model and {3,q} star networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     sp = sub.add_parser("table1", help="all 12 star configs x 7 observables")
     _add_common(sp)
@@ -303,7 +302,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--wide", action="store_true",
                     help="reference-style wide layout instead of tidy rows")
     sp.set_defaults(func=cmd_table1)
-    commands["table1"] = sp
 
     sp = sub.add_parser("sweep", help="minimal-model E_B over an (h,k) grid")
     _add_common(sp, shots=False)
@@ -312,59 +310,52 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--field-term-column", action="store_true",
                     help="also emit the receiver field-term-only column")
     sp.set_defaults(func=cmd_sweep)
-    commands["sweep"] = sp
 
     sp = sub.add_parser("tiling", help="ring sizes and edges of a {3,q} tiling")
     _add_common(sp, shots=False)
-    sp.add_argument("--q", type=int)
+    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--edges-out", help="also write the edge list here")
     sp.set_defaults(func=cmd_tiling)
-    commands["tiling"] = sp
 
     sp = sub.add_parser("qet", help="one minimal-model run")
     _add_common(sp)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--k", type=float)
+    sp.add_argument("--h", type=float, required=True)
+    sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--method", choices=("exact", "sampled", "both"), default="both")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_qet)
-    commands["qet"] = sp
 
     sp = sub.add_parser("qed", help="one star-model multi-receiver run")
     _add_common(sp)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--q", type=int)
+    sp.add_argument("--h", type=float, required=True)
+    sp.add_argument("--k", type=float, required=True)
+    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--receivers", default="1,2", help="comma list, e.g. 1,2")
     sp.add_argument("--method", choices=("exact", "sampled", "both"), default="both")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_qed)
-    commands["qed"] = sp
 
     sp = sub.add_parser("longrange", help="relayed minimal-model run + transcript")
     _add_common(sp, shots=False)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--k", type=float)
+    sp.add_argument("--h", type=float, required=True)
+    sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--hops", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--sample-transcript", action="store_true",
                     help="fill the transcript from one sampled trajectory")
     sp.add_argument("--transcript-out", help="transcript path (stdout if omitted)")
     sp.set_defaults(func=cmd_longrange)
-    commands["longrange"] = sp
 
-    return parser, commands
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            _apply_config(commands[args.command], args.config)
-            args = parser.parse_args(argv)
+        # config flags go right after the command name, so later flags win
+        argv[1:1] = _config_flags(argv)
+        args = build_parser().parse_args(argv)
         if "shots" in args:
             check_shots(args.shots)
         with np.errstate(over="raise", invalid="raise", divide="raise"):

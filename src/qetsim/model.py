@@ -37,6 +37,8 @@ class IllConditionedError(ValueError):
 def _check_hk(h: float, k: float) -> None:
     if not (0 < h < math.inf and 0 < k < math.inf):
         raise ValueError("h and k must be finite and positive")
+    if min(h, k) < np.finfo(float).tiny:
+        raise ValueError(f"h and k must be at least {np.finfo(float).tiny} (smallest normal float)")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ this open-disk construction cannot represent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 MAX_VERTICES = 10**6
 
@@ -50,23 +51,22 @@ def classify(p: int, q: int) -> str:
     return "Spherical"
 
 
-def ring_size_recurrence(q: int, depth: int) -> list[int]:
+def _ring_sizes(q: int, depth: int):
     """Ring sizes by the parent-count recurrence (no graph construction).
 
     With a_d one-parent and b_d two-parent vertices on ring d:
       n_{d+1} = a_d (q-3) + b_d (q-4) - n_d,   b_{d+1} = n_d.
     """
-    counts = [1]
-    if depth == 0:
-        return counts
+    yield 1
     a, b = q, 0
-    counts.append(q)
-    for _ in range(2, depth + 1):
+    for _ in range(depth):
         n = a + b
-        n_next = a * (q - 3) + b * (q - 4) - n
-        a, b = n_next - n, n
-        counts.append(n_next)
-    return counts
+        yield n
+        a, b = a * (q - 3) + b * (q - 4) - 2 * n, n
+
+
+def ring_size_recurrence(q: int, depth: int) -> list[int]:
+    return list(_ring_sizes(q, depth))
 
 
 def generate(spec: TilingSpec) -> TilingGraph:
@@ -75,12 +75,9 @@ def generate(spec: TilingSpec) -> TilingGraph:
         raise ValueError(
             f"{{3,{spec.q}}} is spherical and closes up; generation requires q >= 6"
         )
-    expected = sum(ring_size_recurrence(spec.q, spec.depth))
-    if expected > MAX_VERTICES:
-        raise ValueError(
-            f"depth {spec.depth} would create {expected} vertices "
-            f"(guard is {MAX_VERTICES})"
-        )
+    # `any` stops at the first running total past the bound
+    if any(n > MAX_VERTICES for n in accumulate(_ring_sizes(spec.q, spec.depth))):
+        raise ValueError(f"depth {spec.depth} would create more than {MAX_VERTICES} vertices")
     q = spec.q
     rings = [0]
     edges: list[tuple[int, int]] = []

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -257,17 +259,18 @@ def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, caps
     assert ("below double precision" in err) == unresolved
 
 
-def test_tiny_fields_run_as_a_scaled_copy(tmp_path):
+@pytest.mark.parametrize("scale", ["1e-300", "3e-308"])
+def test_tiny_fields_run_as_a_scaled_copy(scale, tmp_path):
     # the degeneracy test is relative to max(h, k), so h = k = 1e-300 is
     # h = k = 1 scaled by 1e-300
     tiny, unit = tmp_path / "tiny.json", tmp_path / "unit.json"
-    assert run_cli("qet", "--h", "1e-300", "--k", "1e-300", "--method", "exact",
+    assert run_cli("qet", "--h", scale, "--k", scale, "--method", "exact",
                    "--out", str(tiny)) == 0
     assert run_cli("qet", "--h", "1", "--k", "1", "--method", "exact", "--out", str(unit)) == 0
     tiny, unit = json.loads(tiny.read_text()), json.loads(unit.read_text())
-    assert tiny["E0"] / 1e-300 == pytest.approx(unit["E0"], rel=1e-15)
+    assert tiny["E0"] / float(scale) == pytest.approx(unit["E0"], rel=1e-15)
     for field, value in unit["receivers"]["1"].items():
-        assert tiny["receivers"]["1"][field] / 1e-300 == pytest.approx(value, rel=1e-15)
+        assert tiny["receivers"]["1"][field] / float(scale) == pytest.approx(value, rel=1e-15)
     assert tiny["theta"]["1"]["theta"] == pytest.approx(unit["theta"]["1"]["theta"], rel=1e-15)
 
 
@@ -287,6 +290,21 @@ def test_assertion_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(qetsim.cli, "run_longrange_qet", run_longrange_qet)
     assert run_cli("longrange", "--h", "1", "--k", "1") == 1
     assert "error: teleportation branches disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "qet --h {f} --k {f} --method exact",
+    "qed --h {f} --k {f} --q 4 --method exact",
+    "longrange --h {f} --k {f} --hops 3",
+    "sweep --h {f} --k {f}",
+])
+def test_subnormal_fields_exit_2(argv, tmp_path, capsys):
+    # below the smallest normal float the fields lose digits: at h = k =
+    # 1e-320, qet's E1 was off by 1.1e-3
+    out = ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv.format(f="1e-320").split(), *out) == 2
+    assert "error: h and k must be at least 2.2250738585072014e-308" in capsys.readouterr().err
+    assert run_cli(*argv.format(f="3e-308").split(), *out) == 0
 
 
 @pytest.mark.parametrize("h, k", [("inf", "1"), ("1", "inf"), ("nan", "1")])
@@ -598,8 +616,10 @@ def test_config_equals_form_is_read(tmp_path):
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("h = 1.0\nk = 1.0\nbogus_key = 3\n")
-    assert run_cli("qet", "--config", str(cfg), "--method", "exact") == 2
-    assert "bogus_key" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("qet", "--config", str(cfg), "--method", "exact")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus-key=3" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -617,8 +637,10 @@ def test_cli_flag_overrides_config(tmp_path):
 
 
 def test_missing_required_flag_exits_2(capsys):
-    assert run_cli("qet", "--h", "1") == 2
-    assert "--k" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("qet", "--h", "1")
+    assert exc.value.code == 2
+    assert "the following arguments are required: --k" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -626,3 +648,103 @@ def test_unknown_flag_exits_2(capsys):
         run_cli("qet", "--h", "1", "--k", "1", "--bogus")
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Each config line once took its own parse path: a JSON value installed as a
+# default, past the flag's type, choices and switch handling.  Each must now
+# fail as the flag would, or run exactly as the flag does.
+CONFIG_LINES = [
+    (["qet", "--k", "1"], "h = [1, 2]", "argument --h:"),
+    (["qet", "--h", "1", "--k", "1"], 'method = "foo"', "argument --method:"),
+    (["longrange", "--h", "1", "--k", "1"], "hops = 2.5", "argument --hops:"),
+    (["tiling"], "q = 7.5", "argument --q:"),
+    (["qed", "--h", "9", "--k", "2", "--q", "6", "--method", "exact"], "receivers = 1",
+     ["--receivers", "1"]),
+    (["qet", "--h", "1", "--k", "1", "--method", "exact"], "out = 5", ["--out", "5"]),
+    (["qet", "--h", "1", "--k", "1"], 'format = "xml"', "argument --format:"),
+    (["longrange", "--h", "1", "--k", "1"], 'sample_transcript = "no"',
+     "argument --sample-transcript:"),
+    (["table1", "--method", "exact"], 'check = "false"', "argument --check:"),
+    (["qet", "--h", "1", "--k", "1"], "shots = 1.5", "argument --shots:"),
+    (["qet", "--h", "1", "--k", "1"], "shots = true", "argument --shots:"),
+    (["table1", "--method", "exact"], "shots = 2000.7", "argument --shots:"),
+    (["qet", "--k", "1", "--method", "exact"], "h = 1", ["--h", "1"]),
+]
+
+
+def _run_captured(capsys, workdir, *argv):
+    """Exit code, stdout, stderr and the bytes of a file named "5"."""
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    written = workdir / "5"
+    data = written.read_bytes() if written.exists() else None
+    written.unlink(missing_ok=True)
+    return (code, *capsys.readouterr(), data)
+
+
+@pytest.mark.parametrize("argv, line, expected", CONFIG_LINES)
+def test_config_values_parse_as_flags(argv, line, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    got = _run_captured(capsys, tmp_path, *argv, "--config", str(cfg))
+    if isinstance(expected, str):
+        assert got[0] == 2
+        assert expected in got[2]
+    else:
+        assert got[0] == 0
+        assert got == _run_captured(capsys, tmp_path, *argv, *expected)
+
+
+@pytest.mark.parametrize("argv, lines, flags", [
+    (["qed", "--k", "2", "--q", "6"], 'h = 1.0\nmethod = exact\nreceivers = "1, 2"\n',
+     ["--h", "1.0", "--method", "exact", "--receivers", "1, 2"]),
+    (["table1", "--method", "exact"], "check = true\nwide = false\n", ["--check"]),
+])
+def test_valid_config_runs_as_the_same_flags(argv, lines, flags, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    got = _run_captured(capsys, tmp_path, *argv, "--config", str(cfg))
+    assert got[0] == 0
+    assert got == _run_captured(capsys, tmp_path, *argv, *flags)
+
+
+@pytest.mark.parametrize("key", ["config", "conf"])
+def test_config_key_naming_config_exits_2(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 1.0\nk = 1.0\n{key} = other.cfg\n")
+    assert run_cli("qet", "--config", str(cfg)) == 2
+    assert f"config key '{key}' names --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["qet", "--k", "1"], "h = [1, 2]"),
+    (["table1", "--method", "exact"], 'check = "false"'),
+    (["qet", "--h", "1", "--k", "1"], "bogus_key = 3"),
+])
+def test_bad_config_exits_2_in_a_process(argv, line, tmp_path):
+    # in-process tests see SystemExit; a user sees the process's exit code
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    src = os.path.dirname(os.path.dirname(qetsim.cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "qetsim.cli", *argv, "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10"],
+    ["longrange", "--h", "1", "--k", "1"],
+])
+def test_negative_seed_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    # seeds of any size are accepted
+    assert run_cli(*argv, "--seed", str(2**80)) == 0

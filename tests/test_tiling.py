@@ -150,3 +150,7 @@ def test_guards():
         TilingSpec(4, 6, 2)  # only p=3
     with pytest.raises(ValueError):
         generate(TilingSpec(3, 10, 12))  # vertex-count guard
+    # the guard stops counting at its bound: a ring count past 10^4300
+    # cannot even be printed
+    with pytest.raises(ValueError, match="would create more than 1000000 vertices"):
+        generate(TilingSpec(3, 7, 30000))
