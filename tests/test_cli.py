@@ -259,10 +259,7 @@ def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, caps
     assert ("below double precision" in err) == unresolved
 
 
-@pytest.mark.parametrize("scale", ["1e-300", "3e-308"])
-def test_tiny_fields_run_as_a_scaled_copy(scale, tmp_path):
-    # the degeneracy test is relative to max(h, k), so h = k = 1e-300 is
-    # h = k = 1 scaled by 1e-300
+def assert_scaled_copy(scale, tmp_path):
     tiny, unit = tmp_path / "tiny.json", tmp_path / "unit.json"
     assert run_cli("qet", "--h", scale, "--k", scale, "--method", "exact",
                    "--out", str(tiny)) == 0
@@ -272,6 +269,16 @@ def test_tiny_fields_run_as_a_scaled_copy(scale, tmp_path):
     for field, value in unit["receivers"]["1"].items():
         assert tiny["receivers"]["1"][field] / float(scale) == pytest.approx(value, rel=1e-15)
     assert tiny["theta"]["1"]["theta"] == pytest.approx(unit["theta"]["1"]["theta"], rel=1e-15)
+
+
+def test_tiny_fields_run_as_a_scaled_copy(tmp_path):
+    # the degeneracy test is relative to max(h, k), so h = k = 1e-300 is
+    # h = k = 1 scaled by 1e-300
+    assert_scaled_copy("1e-300", tmp_path)
+
+
+def test_fields_just_above_the_smallest_normal_run_as_a_scaled_copy(tmp_path):
+    assert_scaled_copy("3e-308", tmp_path)
 
 
 def test_degenerate_ground_raised_inside_a_command_exits_1(capsys, monkeypatch):
