@@ -13,7 +13,6 @@ from .model import (
     StarModelParams,
     ReceiverEnergy,
     exact_energies,
-    feedback_angle,
     star_block_ground,
     star_model,
 )
@@ -28,7 +27,6 @@ from .protocol import (
     sweep_EB,
 )
 from .sampler import (
-    EstimateRow,
     ShotPlan,
     estimate,
     sample_protocol,

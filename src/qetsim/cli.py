@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model, refdata, tiling
 from .model import MinimalModelParams, StarModelParams, star_model
-from .protocol import exact_record, run_protocol, sweep_EB
+from .protocol import exact_record, sweep_EB
 from .sampler import check_shots, sampled_record
 from .teleport import run_longrange_qet
 
@@ -53,8 +53,13 @@ def _parse_range(option: str, text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def _parse_receivers(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+def _receivers(text: str) -> tuple[int, ...]:
+    """A `--receivers` value: one or more comma-separated integers."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -84,6 +89,8 @@ def _config_flags(argv: list[str]) -> list[str]:
     path = prescan.parse_known_args(argv)[0].config
     if path is None:
         return []
+    if argv[0].startswith("-"):
+        raise ValueError("--config goes after the command name: qetsim COMMAND --config FILE")
     flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -91,8 +98,8 @@ def _config_flags(argv: list[str]) -> list[str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("_", "-")
+        name, value = (part.strip() for part in line.split("=", 1))
+        key = name.replace("_", "-")
         # argparse takes any prefix of an option's name as that option
         if key and "config".startswith(key):
             raise ValueError(f"config key {key!r} names --config, which a config cannot set")
@@ -100,7 +107,10 @@ def _config_flags(argv: list[str]) -> list[str]:
             flags.append(f"--{key}")
         elif value != "false":
             if value.startswith('"'):
-                value = json.loads(value)
+                try:
+                    value = json.loads(value)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"config {path}, key {name!r}: {exc}") from None
             flags.append(f"--{key}={value}")
     return flags
 
@@ -121,15 +131,12 @@ def _shown(args, exact, sampled) -> list:
 
 
 def _records(args, params, receivers):
-    """The exact record, and unless `--method exact` the sampled one drawn
-    from the protocol pass."""
+    """The exact record, and unless `--method exact` the sampled one."""
     bundle = star_model(params)
     exact = exact_record(bundle, receivers)
-    sampled = None
-    if args.method != "exact":
-        fed = run_protocol(bundle, receivers)
-        sampled = sampled_record(bundle, exact, fed, args.shots, args.seed)
-    return exact, sampled
+    if args.method == "exact":
+        return exact, None
+    return exact, sampled_record(bundle, receivers, args.shots, args.seed)
 
 
 # --- table1 -----------------------------------------------------------------
@@ -247,7 +254,7 @@ def cmd_qet(args) -> int:
 
 def cmd_qed(args) -> int:
     params = StarModelParams(h=args.h, k=args.k, q=args.q)
-    return _emit_record(args, *_records(args, params, _parse_receivers(args.receivers)))
+    return _emit_record(args, *_records(args, params, args.receivers))
 
 
 # --- longrange --------------------------------------------------------------
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--receivers", default="1,2", help="comma list, e.g. 1,2")
+    sp.add_argument("--receivers", type=_receivers, default="1,2", help="comma list, e.g. 1,2")
     sp.add_argument("--method", choices=("exact", "sampled", "both"), default="both")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_qed)

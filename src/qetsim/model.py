@@ -9,9 +9,9 @@ Hotta's 2-qubit minimal model, so both are built by `star_model`.
 The star's ground state is solved in the receivers' total-spin blocks
 (`star_block_ground`), never from the 2^q x 2^q matrix.  It is
 receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>, set
-every offset, and `exact_energies` turns them into every exact number of
-the protocol.  Both broadcast over arrays of (h, k): a grid is one stacked
-eigensolve.
+every offset and the one feedback angle all receivers share, and
+`exact_energies` turns them into every exact number of the protocol.  Both
+broadcast over arrays of (h, k): a grid is one stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Local(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """The named local terms, the site roles, the ground moments and the
-    ground state's block vector of one star.
+    """The named local terms, the ground moments, the feedback angle every
+    receiver uses and the ground state's block vector of one star.
 
     The locals are Z{i} = h Z_i (field at site i) and X{j} = 2k X_0 X_j
     (coupling of receiver j to the sender), each with the offset that makes
@@ -117,9 +117,8 @@ class ModelBundle:
 
     params: ModelParams
     locals: dict[str, Local]
-    sender_site: int
-    receiver_sites: tuple[int, ...]
     moments: GroundMoments
+    angle: FeedbackAngle
     g: np.ndarray  # shape (2, q)
 
     @property
@@ -236,7 +235,7 @@ def star_model(params: ModelParams) -> ModelBundle:
     on the Pauli parts alone, by `star_block_ground`, and each local's offset
     is then set to the negative of its Pauli-part ground expectation, making
     every local, and so H, vanish in the ground state: -h <Z_0> for Z0,
-    -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.
+    -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.  The moments set the angle too.
     """
     h, k, n = params.h, params.k, params.q
     _, _, g, moments = star_block_ground(h, k, n)
@@ -246,12 +245,12 @@ def star_model(params: ModelParams) -> ModelBundle:
         locals_[f"Z{i}"] = Local(h, "Z", (i,), -(h * moments.zj))
     for j in range(1, n):
         locals_[f"X{j}"] = Local(2 * k, "X", (0, j), -(2 * k * moments.xx))
+    a = _angle(h, k, moments)
     return ModelBundle(
         params=params,
         locals=locals_,
-        sender_site=0,
-        receiver_sites=tuple(range(1, n)),
         moments=moments,
+        angle=FeedbackAngle(theta=float(a.theta), xi=float(a.xi), eta=float(a.eta)),
         g=g.reshape(2, n),
     )
 
@@ -288,12 +287,3 @@ def exact_energies(h, k, moments: GroundMoments) -> tuple[float, ReceiverEnergy]
     hx = -4.0 * k * s * (s * moments.xx - c * moments.zj)
     e_j = -0.5 * a.eta * (a.eta / (a.xi + np.hypot(a.xi, a.eta)))
     return -h * moments.z0, ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
-
-
-def feedback_angle(bundle: ModelBundle, receiver_site: int) -> FeedbackAngle:
-    """Angle for one receiver of the protocol, the sender measuring X0 and
-    the receiver rotating about Yj, as derived in `exact_energies`."""
-    if receiver_site not in bundle.receiver_sites:
-        raise ValueError(f"site {receiver_site} is not a receiver site of this model")
-    a = _angle(bundle.params.h, bundle.params.k, bundle.moments)
-    return FeedbackAngle(theta=float(a.theta), xi=float(a.xi), eta=float(a.eta))

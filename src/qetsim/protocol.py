@@ -29,7 +29,6 @@ from .model import (
     StarModelParams,
     _check_hk,
     exact_energies,
-    feedback_angle,
     star_block_ground,
     star_model,
 )
@@ -39,12 +38,13 @@ from .model import (
 class QetRecord:
     """Exact or sampled expectation values for one protocol run.
 
-    The model's parameters supply the record's kind and params fields.
+    The model's parameters supply the record's kind and params fields; the
+    one feedback angle is every receiver's.
     """
 
     model: ModelParams
     e0: float
-    theta: dict[int, FeedbackAngle]
+    angle: FeedbackAngle
     receivers: dict[int, ReceiverEnergy]
     method: str = "exact"
     stderr: dict[str, float] = field(default_factory=dict)
@@ -66,10 +66,7 @@ class QetRecord:
                 str(j): {"HX": r.hx, "HZ": r.hz, "E_j": r.e_j, "E_B": r.e_b}
                 for j, r in self.receivers.items()
             },
-            "theta": {
-                str(j): {"theta": a.theta, "xi": a.xi, "eta": a.eta}
-                for j, a in self.theta.items()
-            },
+            "theta": {str(j): asdict(self.angle) for j in self.receivers},
         }
         if self.stderr:
             out["stderr"] = dict(self.stderr)
@@ -88,7 +85,7 @@ def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver sites")
     for j in receivers:
-        if j not in bundle.receiver_sites:
+        if not 1 <= j < bundle.n_qubits:
             raise ValueError(f"site {j} is not a receiver site of this model")
 
 
@@ -102,16 +99,16 @@ def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
     return QetRecord(
         model=p,
         e0=float(e0),
-        theta={j: feedback_angle(bundle, j) for j in receivers},
+        angle=bundle.angle,
         receivers={j: energy for j in receivers},
         method="exact",
     )
 
 
-def pass_sites(bundle: ModelBundle, receivers: tuple[int, ...]) -> tuple[int, ...]:
+def pass_sites(receivers: tuple[int, ...]) -> tuple[int, ...]:
     """The sites of `run_protocol`'s cells in bit order, most significant
     first: the sender, then the receivers in ascending order."""
-    return (bundle.sender_site, *sorted(receivers))
+    return (0, *sorted(receivers))
 
 
 def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
@@ -140,10 +137,10 @@ def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
     amp = by_weight[:, ones].transpose(2, 0, 1)  # [m, s, b]
     mu = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
     fed = 0.5 * (amp + mu * amp[:, ::-1])  # X0 swaps s
-    for i, j in enumerate(pass_sites(bundle, receivers)[1:], start=1):
-        theta = feedback_angle(bundle, j).theta
-        c, s = np.cos(theta), mu[..., 0] * np.sin(theta)
-        x = fed.reshape(2, -1, 2, 2 ** (r - i))  # receiver j's bit on axis 2
+    theta = bundle.angle.theta
+    c, s = np.cos(theta), mu[..., 0] * np.sin(theta)
+    for i in range(1, r + 1):
+        x = fed.reshape(2, -1, 2, 2 ** (r - i))  # the i-th receiver's bit on axis 2
         fed = np.stack([c * x[:, :, 0] - s * x[:, :, 1], s * x[:, :, 0] + c * x[:, :, 1]], axis=2)
     return fed.reshape(2, others + 1, 2 ** (r + 1))
 

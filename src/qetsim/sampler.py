@@ -18,12 +18,13 @@ of that key.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Local, ModelBundle, ReceiverEnergy
-from .protocol import QetRecord, pass_sites
+from .protocol import QetRecord, pass_sites, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 # The star family's tag in the Philox key; the minimal model keys as the q = 2
@@ -56,14 +57,6 @@ class SampleTallies:
     shots: int
     sites: tuple[int, ...]  # read out, sender first; outcome bits in this order
     joint: np.ndarray  # int64 occurrences of (mu, outcome); row 0 mu = +1, row 1 mu = -1
-
-
-@dataclass(frozen=True)
-class EstimateRow:
-    observable: str
-    mean: float
-    stderr: float
-    shots: int
 
 
 def _float_bits(x: float) -> int:
@@ -110,7 +103,7 @@ def sample_protocol(
     2 * 2^(|R|+1) cells of `readout_law`, so they are a pure function of the
     key, and time and memory do not grow with the shots.
     """
-    sites = pass_sites(bundle, receivers)
+    sites = pass_sites(receivers)
     if fed.shape[::2] != (2, 2 ** len(sites)):
         raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
     joint = readout_law(fed, plan.basis_run)
@@ -123,7 +116,7 @@ def sample_protocol(
     )
 
 
-def estimate(tallies: SampleTallies, local: Local, label: str = "") -> EstimateRow:
+def estimate(tallies: SampleTallies, local: Local) -> tuple[float, float]:
     """Mean and standard error of a local term from one basis run.
 
     A shot reads offset + coeff when its bits on `local.sites` have even
@@ -133,7 +126,9 @@ def estimate(tallies: SampleTallies, local: Local, label: str = "") -> EstimateR
     summed over the other axes and over mu.  The mean is taken as the
     shot-weighted average of the two per-shot values, which does not cancel
     when the offset nearly balances the coefficient; stderr is their sample
-    standard deviation divided by sqrt(N).
+    standard deviation divided by sqrt(N).  The squares are products, which
+    give inf where `**` raises OverflowError; a mean or stderr that is not
+    finite raises FloatingPointError.
     """
     sites = tallies.sites
     if local.basis != tallies.basis or not set(local.sites) <= set(sites):
@@ -161,48 +156,47 @@ def estimate(tallies: SampleTallies, local: Local, label: str = "") -> EstimateR
     n = tallies.shots
     even_value, odd_value = local.offset + local.coeff, local.offset - local.coeff
     mean = ((n - odd) * even_value + odd * odd_value) / n
-    if n < 2:
-        stderr = 0.0
-    else:
-        var = ((n - odd) * (even_value - mean) ** 2 + odd * (odd_value - mean) ** 2) / (n - 1)
+    stderr = 0.0
+    if n >= 2:
+        even_dev, odd_dev = even_value - mean, odd_value - mean
+        var = ((n - odd) * (even_dev * even_dev) + odd * (odd_dev * odd_dev)) / (n - 1)
         stderr = float(np.sqrt(var / n))
-    return EstimateRow(observable=label, mean=float(mean), stderr=stderr, shots=n)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise FloatingPointError(f"overflow in the estimate of {local.basis} on {local.sites}")
+    return float(mean), stderr
 
 
 def sampled_record(
     bundle: ModelBundle,
-    exact: QetRecord,
-    fed: np.ndarray,
+    receivers: tuple[int, ...],
     shots: int,
     master_seed: int,
 ) -> QetRecord:
-    """Shot-sampled analogue of the exact record, drawn from its pass.
+    """Shot-sampled analogue of `exact_record`, drawn from one
+    `run_protocol` pass for `receivers`.
 
-    `exact` and `fed` are `exact_record`'s record and `run_protocol`'s
-    array; the receivers and the angles are the exact record's.  E0
-    comes from the Z-run estimator of the sender's field term (its
+    E0 comes from the Z-run estimator of the sender's field term (its
     post-measurement mean equals the injected energy); each receiver energy
     combines its Z-run and X-run terms with quadrature standard errors.
     """
-    receivers = tuple(exact.receivers)
+    fed = run_protocol(bundle, receivers)
     z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
     x_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("X", shots, master_seed))
 
-    e0_row = estimate(z_tallies, bundle.locals[f"Z{bundle.sender_site}"], "E0")
-    stderr = {"E0": e0_row.stderr}
+    e0, e0_err = estimate(z_tallies, bundle.locals["Z0"])
+    stderr = {"E0": e0_err}
     energies = {}
     for j in receivers:
-        hz_row = estimate(z_tallies, bundle.locals[f"Z{j}"], f"HZ{j}")
-        hx_row = estimate(x_tallies, bundle.locals[f"X{j}"], f"HX{j}")
-        e_j = hx_row.mean + hz_row.mean
-        energies[j] = ReceiverEnergy(hx=hx_row.mean, hz=hz_row.mean, e_j=e_j, e_b=-e_j)
-        stderr[f"HZ{j}"] = hz_row.stderr
-        stderr[f"HX{j}"] = hx_row.stderr
-        stderr[f"E{j}"] = float(np.hypot(hx_row.stderr, hz_row.stderr))
+        hz, hz_err = estimate(z_tallies, bundle.locals[f"Z{j}"])
+        hx, hx_err = estimate(x_tallies, bundle.locals[f"X{j}"])
+        energies[j] = ReceiverEnergy(hx=hx, hz=hz, e_j=hx + hz, e_b=-(hx + hz))
+        stderr[f"HZ{j}"] = hz_err
+        stderr[f"HX{j}"] = hx_err
+        stderr[f"E{j}"] = float(np.hypot(hx_err, hz_err))
     return QetRecord(
         model=bundle.params,
-        e0=e0_row.mean,
-        theta=exact.theta,
+        e0=e0,
+        angle=bundle.angle,
         receivers=energies,
         method="sampled",
         stderr=stderr,

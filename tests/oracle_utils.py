@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from qetsim.model import DEGENERACY_TOL, feedback_angle
+from qetsim.model import DEGENERACY_TOL
 from qetsim.ops import DegenerateGroundError
 from qetsim.teleport import relay
 
@@ -218,7 +218,7 @@ def fed_ensemble(bundle, receivers, thetas=None):
     q = bundle.n_qubits
     branches = measure(star_ground(bundle), "X" + "I" * (q - 1))
     for j in receivers:
-        t = feedback_angle(bundle, j).theta if thetas is None else thetas[j]
+        t = bundle.angle.theta if thetas is None else thetas[j]
         y = "".join("Y" if i == j else "I" for i in range(q))
         branches = [(p, rotate(psi, y, t, mu), mu) for p, psi, mu in branches]
     return branches

@@ -27,7 +27,6 @@ from qetsim import refdata
 from qetsim.model import (
     MinimalModelParams,
     StarModelParams,
-    feedback_angle,
     star_model,
 )
 from qetsim.protocol import (
@@ -56,9 +55,10 @@ def table_cells():
         cells = {}
         for q, h, k in refdata.CONFIGS:
             bundle = star_model(StarModelParams(float(h), float(k), q))
-            exact = exact_record(bundle, (1, 2))
-            fed = run_protocol(bundle, (1, 2))
-            cells[(q, h, k)] = exact, sampled_record(bundle, exact, fed, TABLE_SHOTS, TABLE_SEED)
+            cells[(q, h, k)] = (
+                exact_record(bundle, (1, 2)),
+                sampled_record(bundle, (1, 2), TABLE_SHOTS, TABLE_SEED),
+            )
         _cache["cells"] = cells
         _cache["elapsed"] = time.perf_counter() - t0
     return _cache["cells"]
@@ -204,7 +204,7 @@ def _pass_energies(bundle, site, thetas):
     """Receiver `site`'s energy read off the package's pass for R = {site},
     turned from theta* to each angle (rotations about Y_site compose)."""
     local = reduced_observable((0, site), bundle.locals[f"Z{site}"], bundle.locals[f"X{site}"])
-    shifts = np.asarray(thetas) - feedback_angle(bundle, site).theta
+    shifts = np.asarray(thetas) - bundle.angle.theta
     return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
 
@@ -218,7 +218,7 @@ def test_criterion_08_theta_beats_grid_scan():
         ("star(q=6,9,2)", star_model(StarModelParams(9.0, 2.0, 6))),
     ):
         measured = fed_ensemble(bundle, ())
-        angle = feedback_angle(bundle, 1)
+        angle = bundle.angle
         local = local_matrix(bundle.n_qubits, bundle.locals["Z1"], bundle.locals["X1"])
         energies = feedback_energy_curve(measured, 1, local, grid)
         # the stacked dense curve is the protocol's own at 64 spread grid points

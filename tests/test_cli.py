@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qetsim.cli
 import qetsim.model
@@ -404,6 +409,35 @@ def test_qed_bad_receiver_usage_error():
                    "--receivers", "1,9") == 2
 
 
+@pytest.mark.parametrize("receivers", ["a", "1,,2", "", "1,", "1 2"])
+def test_receivers_value_is_checked_by_the_parser(receivers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("qed", "--h", "9", "--k", "2", "--q", "6", f"--receivers={receivers}")
+    assert exc.value.code == 2
+    assert "argument --receivers: expected comma-separated integers" in capsys.readouterr().err
+
+
+def test_receivers_value_may_hold_spaces(capsys):
+    argv = ("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "exact")
+    assert run_cli(*argv, "--receivers", " 2 , 1") == 0
+    spaced = capsys.readouterr()
+    assert run_cli(*argv, "--receivers", "2,1") == 0
+    assert spaced == capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("qet", "--h", "1e200", "--k", "1e200"),
+    ("qed", "--h", "1e150", "--k", "1e150", "--q", "2", "--receivers", "1",
+     "--shots", str(2**62), "--method", "sampled"),
+])
+def test_sampled_estimate_overflow_exits_1(argv, capsys):
+    # the per-shot values' squared deviations, summed over the shots, overflow
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: floating-point failure: overflow in the estimate of Z on (0,)")
+
+
 # --- longrange --------------------------------------------------------------------
 
 def test_longrange_artifacts(tmp_path):
@@ -567,7 +601,7 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
             return out
         return wrapper
 
-    monkeypatch.setattr(qetsim.cli, "run_protocol", recorded(run_protocol))
+    monkeypatch.setattr(qetsim.sampler, "run_protocol", recorded(run_protocol))
     monkeypatch.setattr(qetsim.sampler, "readout_law", recorded(readout_law))
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", receivers,
                    "--shots", "1000", "--out", str(tmp_path / "qed.json")) == 0
@@ -627,6 +661,26 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
         run_cli("qet", "--config", str(cfg), "--method", "exact")
     assert exc.value.code == 2
     assert "unrecognized arguments: --bogus-key=3" in capsys.readouterr().err
+
+
+def test_config_malformed_quoted_value_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('out = "abc\n')
+    assert run_cli("qet", "--h", "1", "--k", "1", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {cfg}, key 'out': Unterminated string starting at: line 1 column 1 "
+        "(char 0)\n"
+    )
+
+
+@pytest.mark.parametrize("config", [["--config", "a.cfg"], ["--config=a.cfg"]])
+def test_config_before_the_command_exits_2(config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("h = 1\n")
+    assert run_cli(*config, "qet", "--k", "1") == 2
+    assert capsys.readouterr().err == (
+        "error: --config goes after the command name: qetsim COMMAND --config FILE\n"
+    )
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -755,3 +809,65 @@ def test_negative_seed_exits_2(argv, capsys):
     assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
     # seeds of any size are accepted
     assert run_cli(*argv, "--seed", str(2**80)) == 0
+
+
+# --- every accepted input: clean exit ---------------------------------------------
+
+SMALLEST_NORMAL, LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
+# log-uniform over the normal floats, plus both ends
+FIELDS = st.one_of(
+    st.sampled_from([SMALLEST_NORMAL, LARGEST]),
+    st.floats(-1022.0, 1023.99).map(lambda e: 2.0**e),
+).map(repr)
+SHOTS = st.sampled_from(["1", "2", "1000", str(2**62)])
+SEEDS = st.integers(0, 2**64).map(str)
+
+
+@st.composite
+def cli_runs(draw):
+    h, k = draw(FIELDS), draw(FIELDS)
+    command = draw(st.sampled_from(["qet", "qed", "longrange", "sweep"]))
+    if command == "longrange":
+        return ["longrange", "--h", h, "--k", k, "--hops", str(draw(st.integers(1, 3))),
+                "--seed", draw(SEEDS), "--sample-transcript"]
+    if command == "sweep":
+        steps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return ["sweep", f"--h={h}:{draw(FIELDS)}:{steps[0]}",
+                f"--k={k}:{draw(FIELDS)}:{steps[1]}", "--field-term-column"]
+    argv = [command, "--h", h, "--k", k, "--shots", draw(SHOTS), "--seed", draw(SEEDS),
+            "--method", draw(st.sampled_from(["exact", "sampled", "both"])),
+            "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "qed":
+        q = draw(st.integers(2, 7))
+        receivers = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=q - 1,
+                                  unique=True))
+        argv += ["--q", str(q), "--receivers", ",".join(map(str, receivers))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=cli_runs())
+@example(argv=["qet", "--h", "1e200", "--k", "1e200"])
+@example(argv=["qed", "--h", "1e150", "--k", "1e150", "--q", "2", "--receivers", "1",
+               "--shots", str(2**62), "--method", "sampled"])
+def test_accepted_runs_exit_cleanly_property(argv):
+    # exit 0 with only finite numbers out, or exit 1 or 2 with a message; a
+    # traceback or a warning escapes as an exception and fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        numbers = []
+        for token in re.split(r'[\s,:{}\[\]"]+', out):
+            with contextlib.suppress(ValueError):
+                numbers.append(float(token))
+        assert numbers and all(map(math.isfinite, numbers)), out
+    else:
+        assert code in (1, 2), (code, err)
+        assert err.startswith("error: ") or (code == 2 and err.startswith("usage: ")), err

@@ -27,7 +27,6 @@ from qetsim.model import (
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
-    feedback_angle,
     star_block_ground,
     star_model,
 )
@@ -131,7 +130,6 @@ def test_star_locals_sum_and_zero_mean():
     for q in (3, 6, 7):
         bundle = star_model(StarModelParams(9.0, 2.0, q))
         assert bundle.n_qubits == q
-        assert bundle.receiver_sites == tuple(range(1, q))
         assert set(bundle.locals) == {f"Z{i}" for i in range(q)} | {f"X{j}" for j in range(1, q)}
         ground = star_ground(bundle)
         for name, local in bundle.locals.items():
@@ -161,7 +159,7 @@ def test_star_matches_reduced_basis_oracle():
         bundle = star_model(StarModelParams(h, k, q))
         assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
         assert star_block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
-        angle = feedback_angle(bundle, 1)
+        angle = bundle.angle
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
         assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
         assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
@@ -236,7 +234,7 @@ def test_star_sectors_q16_match_reduced_oracle():
     bundle = star_model(StarModelParams(7.0, 2.0, 16))
     assert star_block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
     assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
-    angle = feedback_angle(bundle, 5)
+    angle = bundle.angle
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
     assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
 
@@ -281,7 +279,7 @@ def test_moments_match_dense_oracle_property(h, k, q, data):
     bundle = star_model(StarModelParams(h, k, q))
     for name, local in bundle.locals.items():
         assert local.offset == pytest.approx(oracle[name], abs=1e-10), name
-    angle = feedback_angle(bundle, j)
+    angle = bundle.angle
     for field in ("xi", "eta", "theta"):
         assert getattr(angle, field) == pytest.approx(oracle[field], abs=1e-10), field
 
@@ -291,7 +289,7 @@ def pass_curve(bundle, site, thetas):
     each angle reached by turning the pass's feedback on by theta - theta*
     (rotations about Y_site compose)."""
     local = reduced_observable((0, site), bundle.locals[f"Z{site}"], bundle.locals[f"X{site}"])
-    shifts = np.asarray(thetas) - feedback_angle(bundle, site).theta
+    shifts = np.asarray(thetas) - bundle.angle.theta
     return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
 
@@ -301,7 +299,7 @@ def pass_curve(bundle, site, thetas):
 ])
 def test_theta_minimizes_receiver_energy_grid_scan(maker):
     bundle = maker()
-    angle = feedback_angle(bundle, 1)
+    angle = bundle.angle
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
     measured = fed_ensemble(bundle, ())
     local = local_matrix(bundle.n_qubits, bundle.locals["Z1"], bundle.locals["X1"])
@@ -318,7 +316,7 @@ def test_theta_minimizes_receiver_energy_grid_scan(maker):
 def test_theta_double_angle_identities():
     for params in (MinimalModelParams(1.0, 1.0), MinimalModelParams(9.0, 2.0)):
         bundle = star_model(params)
-        a = feedback_angle(bundle, 1)
+        a = bundle.angle
         norm = np.hypot(a.xi, a.eta)
         assert np.cos(2 * a.theta) == pytest.approx(a.xi / norm, abs=1e-10)
         assert np.sin(2 * a.theta) == pytest.approx(a.eta / norm, abs=1e-10)
@@ -328,13 +326,13 @@ def test_theta_double_angle_identities():
 
 def test_theta_vanishes_when_decoupled():
     bundle = star_model(MinimalModelParams(1.0, 1e-7))
-    angle = feedback_angle(bundle, 1)
+    angle = bundle.angle
     assert abs(angle.theta) < 1e-6
 
 
 def test_theta_known_value_h_k_one():
     bundle = star_model(MinimalModelParams(1.0, 1.0))
-    angle = feedback_angle(bundle, 1)
+    angle = bundle.angle
     assert angle.theta == pytest.approx(0.1608752771983211, abs=1e-12)
     assert angle.xi == pytest.approx(2 * 3 / np.sqrt(2), abs=1e-10)
     assert angle.eta == pytest.approx(2 / np.sqrt(2), abs=1e-10)

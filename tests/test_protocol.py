@@ -26,7 +26,6 @@ from qetsim.model import (
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
-    feedback_angle,
     star_model,
 )
 from qetsim.model import Local
@@ -92,7 +91,7 @@ def test_zero_angle_feedback_is_identity():
     # holds no receiver energy
     bundle = star_model(MinimalModelParams(1.0, 1.0))
     fed = run_protocol(bundle, (1,))
-    theta = feedback_angle(bundle, 1).theta
+    theta = bundle.angle.theta
     local = reduced_observable((0, 1), bundle.locals["Z1"], bundle.locals["X1"])
     assert pass_energy_curve(fed, [-theta], local)[0] == pytest.approx(0.0, abs=1e-10)
     measured = ensemble_density(fed_ensemble(bundle, ()))
@@ -265,8 +264,8 @@ def test_receiver_independence_property(h, k, q, data):
         alone = run_qed(params, (j,))
         assert joint.e0 == pytest.approx(alone.e0, abs=1e-10)
         for field in ("theta", "xi", "eta"):
-            assert getattr(joint.theta[j], field) == pytest.approx(
-                getattr(alone.theta[j], field), abs=1e-10
+            assert getattr(joint.angle, field) == pytest.approx(
+                getattr(alone.angle, field), abs=1e-10
             )
         for field in ("hx", "hz", "e_j", "e_b"):
             assert getattr(joint.receivers[j], field) == pytest.approx(
@@ -282,8 +281,8 @@ def test_minimal_model_is_the_q2_star():
         star = run_qed(StarModelParams(h, k, 2), (1,))
         assert mini.e0 == pytest.approx(star.e0, abs=1e-12)
         for field in ("theta", "xi", "eta"):
-            assert getattr(mini.theta[1], field) == pytest.approx(
-                getattr(star.theta[1], field), abs=1e-12
+            assert getattr(mini.angle, field) == pytest.approx(
+                getattr(star.angle, field), abs=1e-12
             )
         for field in ("hx", "hz", "e_j", "e_b"):
             assert getattr(mini.receivers[1], field) == pytest.approx(

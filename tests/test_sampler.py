@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracle_utils import fed_ensemble, oracle_pass, parity_estimate, readout_law
 
 from qetsim.model import Local, MinimalModelParams, StarModelParams, star_model
-from qetsim.protocol import exact_record, run_minimal_qet, run_protocol, run_qed
+from qetsim.protocol import run_minimal_qet, run_protocol, run_qed
 from qetsim.sampler import (
     SampleTallies,
     ShotPlan,
@@ -138,17 +138,17 @@ def test_no_feedback_z1_converges_to_ground_value():
     bundle = star_model(MinimalModelParams(h, k))
     unfed = oracle_pass(fed_ensemble(bundle, ()), (0, 1))
     tallies = sample_protocol(bundle, unfed, (1,), ShotPlan("Z", 40000, 5))
-    row = estimate(tallies, Local(1.0, "Z", (1,), 0.0), "Z1")
+    row_mean, row_err = estimate(tallies, Local(1.0, "Z", (1,), 0.0))
     want = -h / np.hypot(h, k)
-    assert abs(row.mean - want) < 5 * row.stderr
-    assert row.stderr > 0
+    assert abs(row_mean - want) < 5 * row_err
+    assert row_err > 0
 
 
 def test_offset_only_observable_has_zero_stderr():
     _, tallies = minimal_tallies(shots=100, seed=3)
-    row = estimate(tallies, Local(0.0, "Z", (), 2.5), "const")
-    assert row.mean == pytest.approx(2.5, abs=1e-14)
-    assert row.stderr == 0.0
+    row_mean, row_err = estimate(tallies, Local(0.0, "Z", (), 2.5))
+    assert row_mean == pytest.approx(2.5, abs=1e-14)
+    assert row_err == 0.0
 
 
 def test_zero_mean_pauli_stderr_scale():
@@ -156,28 +156,28 @@ def test_zero_mean_pauli_stderr_scale():
     # standard error is h/sqrt(N) up to O(1/N)
     h, n = 2.0, 40000
     _, tallies = minimal_tallies(shots=n, seed=17, hk=(h, 1.0))
-    row = estimate(tallies, Local(h, "Z", (0,), 0.0), "hZ0")
-    assert row.stderr == pytest.approx(h / np.sqrt(n), rel=0.02)
+    _, row_err = estimate(tallies, Local(h, "Z", (0,), 0.0))
+    assert row_err == pytest.approx(h / np.sqrt(n), rel=0.02)
 
 
 def test_estimator_linearity():
     _, tallies = minimal_tallies(shots=3000, seed=21)
     eps = 0.7071
-    plain = estimate(tallies, Local(1.0, "Z", (1,), 0.0), "Z1")
-    scaled = estimate(tallies, Local(2.0, "Z", (1,), eps), "H")
-    assert scaled.mean == pytest.approx(2.0 * plain.mean + eps, abs=1e-12)
-    assert scaled.stderr == pytest.approx(2.0 * plain.stderr, abs=1e-12)
+    plain_mean, plain_err = estimate(tallies, Local(1.0, "Z", (1,), 0.0))
+    scaled_mean, scaled_err = estimate(tallies, Local(2.0, "Z", (1,), eps))
+    assert scaled_mean == pytest.approx(2.0 * plain_mean + eps, abs=1e-12)
+    assert scaled_err == pytest.approx(2.0 * plain_err, abs=1e-12)
 
 
 def test_incompatible_basis_rejected():
     bundle, tallies = minimal_tallies(basis="Z", shots=10, seed=1)
     with pytest.raises(ValueError, match="not measurable from a Z-run"):
-        estimate(tallies, bundle.locals["X1"], "HX1")
+        estimate(tallies, bundle.locals["X1"])
     # a star's receiver 3 is not read out in a run of receivers 1 and 2
     bundle, fed, receivers = fed_run("star6")
     tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", 10, 1))
     with pytest.raises(ValueError, match=r"sites \(0, 1, 2\)"):
-        estimate(tallies, bundle.locals["Z3"], "HZ3")
+        estimate(tallies, bundle.locals["Z3"])
 
 
 def random_tallies(basis, n_sites, seed, density):
@@ -209,13 +209,12 @@ def test_estimate_equals_full_cell_parity_oracle(receivers, basis, seed, density
     if data.draw(st.booleans(), label="sender field") and basis == "Z":
         sites = (0,)
     local = Local(coeff, basis, sites, offset)
-    row = estimate(tallies, local, "L")
+    row_mean, row_err = estimate(tallies, local)
     mean, stderr = parity_estimate(tallies.joint.sum(axis=0), tallies.sites, local)
     # relative, with a floor at the per-shot values' scale where they cancel
     floor = 1e-12 * (abs(coeff) + abs(offset))
-    assert row.mean == pytest.approx(mean, rel=1e-12, abs=floor)
-    assert row.stderr == pytest.approx(stderr, rel=1e-12, abs=floor)
-    assert row.shots == tallies.shots
+    assert row_mean == pytest.approx(mean, rel=1e-12, abs=floor)
+    assert row_err == pytest.approx(stderr, rel=1e-12, abs=floor)
 
 
 def test_estimate_reads_sites_above_16_bits():
@@ -228,10 +227,10 @@ def test_estimate_reads_sites_above_16_bits():
         tallies = SampleTallies(basis, int(joint.sum()), tuple(range(20)), joint)
         for sites in ((0,), (3,), (2,), (19,)) if basis == "Z" else ((0, 3), (0, 2), (0, 19)):
             local = Local(1.5, basis, sites, 0.25)
-            row = estimate(tallies, local)
+            row_mean, row_err = estimate(tallies, local)
             mean, stderr = parity_estimate(tallies.joint.sum(axis=0), tallies.sites, local)
-            assert row.mean == pytest.approx(mean, rel=1e-12, abs=1e-15), (basis, sites)
-            assert row.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-15), (basis, sites)
+            assert row_mean == pytest.approx(mean, rel=1e-12, abs=1e-15), (basis, sites)
+            assert row_err == pytest.approx(stderr, rel=1e-12, abs=1e-15), (basis, sites)
 
 
 def test_plan_validation():
@@ -252,10 +251,7 @@ def test_plan_rejects_shots_beyond_int64():
 def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
     bundle = star_model(params)
-    sampled = sampled_record(
-        bundle, exact_record(bundle, (1,)), run_protocol(bundle, (1,)),
-        shots=100000, master_seed=4,
-    )
+    sampled = sampled_record(bundle, (1,), shots=100000, master_seed=4)
     exact = run_minimal_qet(params)
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
     assert abs(sampled.receivers[1].e_j - exact.receivers[1].e_j) < 5 * sampled.stderr["E1"]
@@ -265,10 +261,7 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
 def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
     bundle = star_model(params)
-    sampled = sampled_record(
-        bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, (1, 2)),
-        shots=100000, master_seed=8,
-    )
+    sampled = sampled_record(bundle, (1, 2), shots=100000, master_seed=8)
     exact = run_qed(params, (1, 2))
     for obs, got, want in (
         ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
@@ -286,10 +279,7 @@ def test_multi_seed_statistical_acceptance():
     hits = 0
     total = 0
     for seed in range(10):
-        sampled = sampled_record(
-            bundle, exact_record(bundle, (1, 2)), run_protocol(bundle, (1, 2)),
-            shots=20000, master_seed=seed,
-        )
+        sampled = sampled_record(bundle, (1, 2), shots=20000, master_seed=seed)
         for obs, got, want in (
             ("E0", sampled.e0, exact.e0),
             ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
