@@ -17,15 +17,7 @@ from .model import (
     star_model,
 )
 from .ops import DegenerateGroundError
-from .protocol import (
-    QetRecord,
-    SweepGrid,
-    exact_record,
-    run_minimal_qet,
-    run_protocol,
-    run_qed,
-    sweep_EB,
-)
+from .protocol import QetRecord, exact_record, run_protocol, sweep_EB
 from .sampler import (
     ShotPlan,
     estimate,

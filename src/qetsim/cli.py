@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,14 +21,14 @@ import numpy as np
 from . import model, refdata, tiling
 from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import exact_record, sweep_EB
-from .sampler import check_shots, sampled_record
+from .sampler import MAX_SHOTS, sampled_record
 from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
-# Largest `sweep` grid, h steps times k steps.  A grid point peaks at
-# ~300 B in-process (1000 x 1000 at 320 MB, 1500 x 1500 at 680 MB), so a
-# grid at the bound peaks at ~1.3 GB.
+# Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
+# 2000, --field-term-column --out FILE) took 25 s at a 199 MB in-process peak
+# on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -62,22 +63,31 @@ def _receivers(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(message) from None
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse type: an integer in lo..hi."""
+    expected = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _write_text(path: str | None, chunks) -> None:
+    """Write an iterable of text chunks to the file at `path`, or to stdout.
+    A single string goes in a one-element list: `writelines` would write a
+    bare str one character at a time."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
-
-
-def _seed(text: str) -> int:
-    """A `--seed` value: any integer >= 0."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return seed
+        with open(path, "w") as f:
+            f.writelines(chunks)
 
 
 def _config_flags(argv: list[str]) -> list[str]:
@@ -178,7 +188,7 @@ def cmd_table1(args) -> int:
         lines = [f"tiling,observable,method,{pairs}"]
         lines += [f'"{{3,{q}}}",{obs},{method},' + ",".join(cells)
                   for (q, obs, method), cells in wide.items()]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     if args.check:
         print(f"check: {total - failures}/{total} cells within tolerance", file=sys.stderr)
         return 0 if failures == 0 else 1
@@ -196,15 +206,21 @@ def cmd_sweep(args) -> int:
     for h, k in zip(h_range[:2], k_range[:2]):
         model._check_hk(h, k)
     h_values, k_values = ([float(v) for v in np.linspace(*r)] for r in (h_range, k_range))
-    grid = sweep_EB(h_values, k_values, field_term_column=args.field_term_column)
-    lines = ["h,k,E_B" + (",E_B_field_term" if args.field_term_column else "")]
-    for i, h in enumerate(grid.h_values):
-        for j, k in enumerate(grid.k_values):
-            row = f"{_fmt(h)},{_fmt(k)},{_fmt(grid.e_b[i, j])}"
-            if args.field_term_column:
-                row += f",{_fmt(grid.e_b_field_term[i, j])}"
-            lines.append(row)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # the whole grid is solved before the first byte is written
+    energy = sweep_EB(h_values, k_values)
+
+    def rows():
+        yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
+        for i, h in enumerate(h_values):
+            lines = []
+            for j, k in enumerate(k_values):
+                row = f"{_fmt(h)},{_fmt(k)},{_fmt(energy.e_b[i, j])}"
+                if args.field_term_column:
+                    row += f",{_fmt(-energy.hz[i, j])}"
+                lines.append(row + "\n")
+            yield "".join(lines)
+
+    _write_text(args.out, rows())
     return 0
 
 
@@ -220,13 +236,13 @@ def cmd_tiling(args) -> int:
             file=sys.stderr,
         )
         return 0
-    spec = tiling.TilingSpec(p=3, q=args.q, depth=args.depth)
+    spec = tiling.TilingSpec(q=args.q, depth=args.depth)
     graph = tiling.generate(spec)
     counts = tiling.ring_sizes(graph)
     lines = ["ring,count"] + [f"{d},{c}" for d, c in enumerate(counts)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     if args.edges_out:
-        Path(args.edges_out).write_text(tiling.export_edges(graph))
+        _write_text(args.edges_out, [tiling.export_edges(graph)])
     return 0
 
 
@@ -238,13 +254,14 @@ def _emit_record(args, exact, sampled) -> int:
         payload = records[0].as_dict() if len(records) == 1 else {
             "exact": records[0].as_dict(), "sampled": records[1].as_dict()
         }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = []
         for r in records:
             rows = _record_rows(r)
             lines.extend(rows if not lines else rows[1:])
-        _write_text(args.out, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+    _write_text(args.out, [text])
     return 0
 
 
@@ -267,12 +284,8 @@ def cmd_longrange(args) -> int:
     payload = record.as_dict()
     payload["hops"] = args.hops
     payload["relay_vs_local_max_delta"] = worst
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.transcript_out:
-        with Path(args.transcript_out).open("w") as f:
-            f.writelines(transcript.serialize())
-    else:
-        sys.stdout.writelines(transcript.serialize())
+    _write_text(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _write_text(args.transcript_out, transcript.serialize())
     # the pass's roundoff grows with the field scale, so the check is relative
     scale = max(args.h, args.k)
     if worst > 1e-10 * scale:
@@ -289,8 +302,8 @@ def _add_common(sp, shots=True):
                     "--key=value before the command line's flags")
     sp.add_argument("--out", help="output path (stdout if omitted)")
     if shots:
-        sp.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        sp.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=DEFAULT_SHOTS)
+        sp.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--hops", type=int, default=1)
-    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     sp.add_argument("--sample-transcript", action="store_true",
                     help="fill the transcript from one sampled trajectory")
     sp.add_argument("--transcript-out", help="transcript path (stdout if omitted)")
@@ -363,8 +376,6 @@ def main(argv=None) -> int:
         # config flags go right after the command name, so later flags win
         argv[1:1] = _config_flags(argv)
         args = build_parser().parse_args(argv)
-        if "shots" in args:
-            check_shots(args.shots)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (model.DegenerateGroundError, model.IllConditionedError, AssertionError) as exc:

@@ -22,16 +22,16 @@ import numpy as np
 
 from .model import (
     FeedbackAngle,
-    MinimalModelParams,
     ModelBundle,
     ModelParams,
     ReceiverEnergy,
-    StarModelParams,
     _check_hk,
     exact_energies,
     star_block_ground,
-    star_model,
 )
+
+# Grid points per stacked block solve in `sweep_EB`
+SWEEP_CHUNK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +73,6 @@ class QetRecord:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
-    h_values: tuple[float, ...]
-    k_values: tuple[float, ...]
-    e_b: np.ndarray  # shape (len(h_values), len(k_values))
-    e_b_field_term: np.ndarray | None = None  # optional Z1-only bookkeeping
-
-
 def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver sites")
@@ -90,8 +82,11 @@ def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
 
 
 def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
-    """E0 and each receiver's angle and energies from the ground moments;
-    every receiver reads the same numbers (see `run_qed`)."""
+    """E0 and each receiver's angle and energies from the ground moments.
+
+    Feedback unitaries at distinct receivers commute, so every receiver
+    reads the same numbers as its single-receiver run.
+    """
     _check_receivers(bundle, receivers)
     p = bundle.params
     e0, r = exact_energies(p.h, p.k, bundle.moments)
@@ -145,45 +140,30 @@ def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
     return fed.reshape(2, others + 1, 2 ** (r + 1))
 
 
-def run_minimal_qet(params: MinimalModelParams) -> QetRecord:
-    return exact_record(star_model(params), (1,))
+def sweep_EB(h_values, k_values) -> ReceiverEnergy:
+    """Exact minimal-model receiver energies over an (h, k) grid, each field
+    an array of shape (len(h_values), len(k_values)); E_B = -(<Z1> + <X1>).
 
-
-def run_qed(params: StarModelParams, receivers: tuple[int, ...]) -> QetRecord:
-    """Distribute energy to several receivers at once.
-
-    Feedback unitaries at distinct receivers commute, so each receiver's
-    numbers equal its single-receiver run.
+    A point is valid as MinimalModelParams exactly when its h and its k are
+    each finite and positive, so each axis value is checked once.  The
+    flattened grid is then solved as stacked q = 2 block solves of at most
+    SWEEP_CHUNK_POINTS points each, so the working memory stays bounded as
+    the grid grows; a failing chunk's error names that chunk's points.
     """
-    return exact_record(star_model(params), tuple(receivers))
-
-
-def sweep_EB(
-    h_values,
-    k_values,
-    field_term_column: bool = False,
-) -> SweepGrid:
-    """Exact minimal-model E_B over an (h, k) grid.
-
-    The extracted energy is -(<Z1> + <X1>); with field_term_column=True the
-    -<Z1> column is also reported for comparison.  A point is valid as
-    MinimalModelParams exactly when its h and its k are each finite and
-    positive, so each axis value is checked once; then the grid is one
-    stacked q = 2 block solve.
-    """
-    h_values = tuple(float(h) for h in h_values)
-    k_values = tuple(float(k) for k in k_values)
+    h_values = np.array([float(h) for h in h_values])
+    k_values = np.array([float(k) for k in k_values])
     for name, axis in (("h_values", h_values), ("k_values", k_values)):
-        if not axis:
+        if not axis.size:
             raise ValueError(f"sweep_EB: {name} is empty")
-    for v in h_values + k_values:
+    for v in (*h_values, *k_values):
         _check_hk(v, v)
-    h_grid, k_grid = np.meshgrid(h_values, k_values, indexing="ij")
-    *_, moments = star_block_ground(h_grid, k_grid, 2)
-    _, energy = exact_energies(h_grid, k_grid, moments)
-    return SweepGrid(
-        h_values=h_values,
-        k_values=k_values,
-        e_b=energy.e_b,
-        e_b_field_term=-energy.hz if field_term_column else None,
-    )
+    shape = (h_values.size, k_values.size)
+    out = np.empty((4, shape[0] * shape[1]))
+    for start in range(0, out.shape[1], SWEEP_CHUNK_POINTS):
+        stop = min(start + SWEEP_CHUNK_POINTS, out.shape[1])
+        i, j = np.divmod(np.arange(start, stop), shape[1])
+        h, k = h_values[i], k_values[j]
+        *_, moments = star_block_ground(h, k, 2)
+        e = exact_energies(h, k, moments)[1]
+        out[:, start:stop] = e.hx, e.hz, e.e_j, e.e_b
+    return ReceiverEnergy(*out.reshape(4, *shape))

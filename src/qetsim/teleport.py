@@ -243,7 +243,7 @@ def run_longrange_qet(
     The measurement and feedback are `run_protocol`'s pass, on both sites of
     the q = 2 star, so its one spectator row holds the mu branches; they are
     then relayed as one stack of two normalized rows by one `relay` call.
-    The record is run_minimal_qet's.  With a seed, mu and every hop's bits
+    The record is `exact_record`'s.  With a seed, mu and every hop's bits
     are drawn, and the drawn branch fills the transcript with concrete
     bits.  The third value is the largest difference of the relayed HX1,
     HZ1 and E1 from the record's closed forms (the relay is an identity

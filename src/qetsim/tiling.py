@@ -11,6 +11,7 @@ this open-disk construction cannot represent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -19,13 +20,12 @@ MAX_VERTICES = 10**6
 
 @dataclass(frozen=True)
 class TilingSpec:
-    p: int
+    """A {3,q} tiling grown to `depth` rings around one vertex."""
+
     q: int
     depth: int
 
     def __post_init__(self):
-        if self.p != 3:
-            raise ValueError("only p = 3 tilings are supported")
         if self.q < 3:
             raise ValueError("q must be at least 3")
         if self.depth < 0:
@@ -51,7 +51,7 @@ def classify(p: int, q: int) -> str:
     return "Spherical"
 
 
-def _ring_sizes(q: int, depth: int):
+def ring_size_recurrence(q: int, depth: int) -> Iterator[int]:
     """Ring sizes by the parent-count recurrence (no graph construction).
 
     With a_d one-parent and b_d two-parent vertices on ring d:
@@ -65,10 +65,6 @@ def _ring_sizes(q: int, depth: int):
         a, b = a * (q - 3) + b * (q - 4) - 2 * n, n
 
 
-def ring_size_recurrence(q: int, depth: int) -> list[int]:
-    return list(_ring_sizes(q, depth))
-
-
 def generate(spec: TilingSpec) -> TilingGraph:
     """Grow the tessellation to the requested depth with deterministic ids."""
     if spec.q < 6:
@@ -76,7 +72,7 @@ def generate(spec: TilingSpec) -> TilingGraph:
             f"{{3,{spec.q}}} is spherical and closes up; generation requires q >= 6"
         )
     # `any` stops at the first running total past the bound
-    if any(n > MAX_VERTICES for n in accumulate(_ring_sizes(spec.q, spec.depth))):
+    if any(n > MAX_VERTICES for n in accumulate(ring_size_recurrence(spec.q, spec.depth))):
         raise ValueError(f"depth {spec.depth} would create more than {MAX_VERTICES} vertices")
     q = spec.q
     rings = [0]

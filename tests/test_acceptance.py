@@ -29,13 +29,7 @@ from qetsim.model import (
     StarModelParams,
     star_model,
 )
-from qetsim.protocol import (
-    exact_record,
-    run_minimal_qet,
-    run_protocol,
-    run_qed,
-    sweep_EB,
-)
+from qetsim.protocol import exact_record, run_protocol, sweep_EB
 from qetsim.sampler import sampled_record
 from qetsim.teleport import run_longrange_qet
 from qetsim.tiling import TilingSpec, generate, ring_sizes
@@ -103,7 +97,7 @@ def test_criterion_03_injected_energy_formula():
         bundle = star_model(params)
         # the dense oracle's measured ensemble and the closed-form record
         for e0 in (ensemble_expectation(fed_ensemble(bundle, ()), *bundle.locals.values()),
-                   run_minimal_qet(params).e0):
+                   exact_record(star_model(params), (1,)).e0):
             worst = max(worst, abs(e0 - h * h / np.hypot(h, k)))
     ok = worst < 1e-10
     _report(3, "sender energy h^2/sqrt(h^2+k^2)", ok,
@@ -116,7 +110,7 @@ def test_criterion_04_reference_table_exact():
     worst_ratio = 0.0
     n_cells = 0
     for (q, h, k), row in refdata.REFERENCE_TABLE.items():
-        record = run_qed(StarModelParams(float(h), float(k), q), (1, 2))
+        record = exact_record(star_model(StarModelParams(float(h), float(k), q)), (1, 2))
         values = {
             "E0": record.e0,
             "HX1": record.receivers[1].hx, "HZ1": record.receivers[1].hz,
@@ -164,8 +158,8 @@ def test_criterion_06_receiver_independence():
     worst_exact = 0.0
     for q, h, k in refdata.CONFIGS:
         params = StarModelParams(float(h), float(k), q)
-        solo = run_qed(params, (1,)).receivers[1]
-        both = run_qed(params, (1, 2)).receivers[1]
+        solo = exact_record(star_model(params), (1,)).receivers[1]
+        both = exact_record(star_model(params), (1, 2)).receivers[1]
         for field in ("hx", "hz", "e_j"):
             worst_exact = max(worst_exact, abs(getattr(solo, field) - getattr(both, field)))
     worst_sigma = 0.0
@@ -185,7 +179,7 @@ def test_criterion_07_long_range_equivalence():
     for h in (1.0, 2.0, 4.0):
         for k in (0.5, 1.0, 2.0):
             params = MinimalModelParams(h, k)
-            local = run_minimal_qet(params)
+            local = exact_record(star_model(params), (1,))
             for hops in (1, 2, 3):
                 # the record is the closed form; delta compares the relayed
                 # pass rows' HX1, HZ1 and E1 with it
@@ -255,11 +249,11 @@ def test_criterion_09_energy_splits_consistently():
 
 
 def test_criterion_10_tiling_growth_and_sweep_properties():
-    hexagonal = ring_sizes(generate(TilingSpec(3, 6, 6)))
+    hexagonal = ring_sizes(generate(TilingSpec(6, 6)))
     ok = hexagonal == [1] + [6 * d for d in range(1, 7)]
     detail = [f"{{3,6}} rings = 6d exactly: {ok}"]
     for q in (7, 10):
-        got = ring_sizes(generate(TilingSpec(3, q, 6)))
+        got = ring_sizes(generate(TilingSpec(q, 6)))
         want = ring_counts_recurrence(q, 6)
         match = got == want
         ratios = [got[d + 1] / got[d] for d in range(2, 6)]

@@ -165,6 +165,26 @@ def test_sweep_grid_beyond_the_bound_exits_2_before_any_solve(capsys, monkeypatc
     )
 
 
+def test_sweep_failing_in_its_last_chunk_writes_nothing(tmp_path, capsys, monkeypatch):
+    # chunks of 2 points: h = 1.2e12 alone, in the third chunk, is ill-conditioned;
+    # the whole grid is solved before the first byte is written
+    solves, solve = [], qetsim.protocol.star_block_ground
+
+    def counted(h, k, q):
+        solves.append(h.size)
+        return solve(h, k, q)
+
+    monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 2)
+    monkeypatch.setattr(qetsim.protocol, "star_block_ground", counted)
+    argv = ("sweep", "--h", "1:1.2e12:5", "--k", "1")
+    assert run_cli(*argv) == 1
+    assert solves == [2, 2, 1]
+    assert capsys.readouterr() == ("", "error: ill-conditioned: h/k = 1.2e+12 > 1e+12\n")
+    out = tmp_path / "sweep.csv"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert not out.exists()
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("sweep", "--h", "0.5:1.5:4", "--k", "0.5:1.5:4", "--out", str(a))
@@ -379,9 +399,12 @@ def finite_json(path):
     ("table1", "--method", "exact"),
 ])
 def test_shots_beyond_int64_exit_2(argv, capsys):
-    assert run_cli(*argv, "--shots", str(2**63)) == 2
-    err = capsys.readouterr().err
-    assert err == "error: shots must be in 1..9223372036854775807\n"
+    for shots in (str(2**63), "0"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--shots", shots)
+        assert exc.value.code == 2
+        assert (f"argument --shots: expected an integer in 1..9223372036854775807, got '{shots}'"
+                in capsys.readouterr().err)
 
 
 def test_shots_at_two_to_the_62_give_finite_json(tmp_path):

@@ -24,6 +24,9 @@ def test_benchmark_entry_points_exist():
     # perfbench wraps LoccTranscript.serialize from the class body and
     # counts the transcript's bits from run_longrange_qet's second value
     assert "serialize" in vars(LoccTranscript)
+    # perfbench times output by wrapping these by name; every command's
+    # output goes through _write_text
+    assert callable(qetsim.cli._write_text) and callable(qetsim.cli._emit_record)
     assert run_longrange_qet(MinimalModelParams(1, 1), 3)[1].bit_count() == 7
     # in a fresh interpreter, `import qetsim` alone loads both modules
     src = os.path.dirname(os.path.dirname(qetsim.__file__))

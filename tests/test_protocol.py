@@ -21,6 +21,7 @@ from oracle_utils import (
     star_reduced_values,
 )
 
+import qetsim.protocol
 from qetsim import refdata
 from qetsim.model import (
     DegenerateGroundError,
@@ -29,13 +30,7 @@ from qetsim.model import (
     star_model,
 )
 from qetsim.model import Local
-from qetsim.protocol import (
-    exact_record,
-    run_minimal_qet,
-    run_protocol,
-    run_qed,
-    sweep_EB,
-)
+from qetsim.protocol import exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
 
 
@@ -159,7 +154,7 @@ def test_pass_law_matches_dense_partial_trace_q12_all_receivers():
 # --- receiver energies and records --------------------------------------------
 
 def test_minimal_record_extracts_positive_energy():
-    record = run_minimal_qet(MinimalModelParams(1.0, 1.0))
+    record = exact_record(star_model(MinimalModelParams(1.0, 1.0)), (1,))
     r = record.receivers[1]
     assert r.e_b > 0
     assert r.e_b == pytest.approx(closed_form_eb(1.0, 1.0), abs=1e-10)
@@ -169,7 +164,7 @@ def test_minimal_record_extracts_positive_energy():
 
 
 def test_minimal_decoupled_limit_no_energy():
-    record = run_minimal_qet(MinimalModelParams(1.0, 1e-6))
+    record = exact_record(star_model(MinimalModelParams(1.0, 1e-6)), (1,))
     assert abs(record.receivers[1].e_b) < 1e-11
 
 
@@ -187,7 +182,7 @@ def test_bookkeeping_closure_every_stage():
 
 def test_star_receiver_values_match_reduced_oracle():
     oracle = star_reduced_values(6, 9.0, 2.0)
-    record = run_qed(StarModelParams(9.0, 2.0, 6), (1,))
+    record = exact_record(star_model(StarModelParams(9.0, 2.0, 6)), (1,))
     r = record.receivers[1]
     assert record.e0 == pytest.approx(oracle["E0"], abs=1e-9)
     assert r.hx == pytest.approx(oracle["HX"], abs=1e-9)
@@ -197,8 +192,8 @@ def test_star_receiver_values_match_reduced_oracle():
 
 def test_receiver_independence_exact():
     params = StarModelParams(7.0, 2.0, 7)
-    single = run_qed(params, (1,))
-    both = run_qed(params, (1, 2))
+    single = exact_record(star_model(params), (1,))
+    both = exact_record(star_model(params), (1, 2))
     assert both.receivers[1].e_j == pytest.approx(single.receivers[1].e_j, abs=1e-10)
     assert both.receivers[1].hx == pytest.approx(single.receivers[1].hx, abs=1e-10)
     assert both.receivers[1].hz == pytest.approx(single.receivers[1].hz, abs=1e-10)
@@ -209,16 +204,16 @@ def test_receiver_independence_exact():
 def test_run_qed_rejects_duplicates_and_bad_sites():
     params = StarModelParams(6.0, 2.0, 6)
     with pytest.raises(ValueError):
-        run_qed(params, (1, 1))
+        exact_record(star_model(params), (1, 1))
     with pytest.raises(ValueError):
-        run_qed(params, (0,))
+        exact_record(star_model(params), (0,))
     with pytest.raises(ValueError):
-        run_qed(params, (6,))  # sites run 1..q-1
+        exact_record(star_model(params), (6,))  # sites run 1..q-1
 
 
 def test_all_receivers_extract_at_most_e0():
     params = StarModelParams(6.0, 2.0, 6)
-    record = run_qed(params, tuple(range(1, 6)))
+    record = exact_record(star_model(params), tuple(range(1, 6)))
     total_extracted = sum(r.e_b for r in record.receivers.values())
     assert total_extracted > 0
     assert total_extracted <= record.e0 + 1e-10
@@ -259,9 +254,9 @@ def test_receiver_independence_property(h, k, q, data):
         label="receivers",
     ))
     params = StarModelParams(h, k, q)
-    joint = run_qed(params, receivers)
+    joint = exact_record(star_model(params), receivers)
     for j in receivers:
-        alone = run_qed(params, (j,))
+        alone = exact_record(star_model(params), (j,))
         assert joint.e0 == pytest.approx(alone.e0, abs=1e-10)
         for field in ("theta", "xi", "eta"):
             assert getattr(joint.angle, field) == pytest.approx(
@@ -277,8 +272,8 @@ def test_receiver_independence_property(h, k, q, data):
 
 def test_minimal_model_is_the_q2_star():
     for h, k in ((1.0, 1.0), (9.0, 2.0), (0.3, 2.5)):
-        mini = run_minimal_qet(MinimalModelParams(h, k))
-        star = run_qed(StarModelParams(h, k, 2), (1,))
+        mini = exact_record(star_model(MinimalModelParams(h, k)), (1,))
+        star = exact_record(star_model(StarModelParams(h, k, 2)), (1,))
         assert mini.e0 == pytest.approx(star.e0, abs=1e-12)
         for field in ("theta", "xi", "eta"):
             assert getattr(mini.angle, field) == pytest.approx(
@@ -303,12 +298,13 @@ def test_minimal_model_is_the_q2_star():
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_shape_and_optimal_feedback_never_injects():
-    grid = sweep_EB([0.5, 1.0, 1.5], [0.25, 0.5, 1.0, 2.0], field_term_column=True)
+    h_values, k_values = [0.5, 1.0, 1.5], [0.25, 0.5, 1.0, 2.0]
+    grid = sweep_EB(h_values, k_values)
     assert grid.e_b.shape == (3, 4)
-    assert grid.e_b_field_term.shape == (3, 4)
+    assert grid.hz.shape == (3, 4)
     assert (grid.e_b >= -1e-10).all()
-    for i, h in enumerate(grid.h_values):
-        for j, k in enumerate(grid.k_values):
+    for i, h in enumerate(h_values):
+        for j, k in enumerate(k_values):
             assert grid.e_b[i, j] == pytest.approx(closed_form_eb(h, k), abs=1e-10)
 
 
@@ -322,12 +318,29 @@ def test_sweep_small_k_column_vanishes_and_grows():
 def test_sweep_is_the_pointwise_record():
     # the stacked grid solve gives each point's own exact record
     h_values, k_values = [0.3, 1.0, 2.5], [0.2, 0.9, 3.0]
-    grid = sweep_EB(h_values, k_values, field_term_column=True)
+    grid = sweep_EB(h_values, k_values)
     for i, h in enumerate(h_values):
         for j, k in enumerate(k_values):
-            r = run_minimal_qet(MinimalModelParams(h, k)).receivers[1]
+            r = exact_record(star_model(MinimalModelParams(h, k)), (1,)).receivers[1]
             assert grid.e_b[i, j] == pytest.approx(r.e_b, abs=1e-15)
-            assert grid.e_b_field_term[i, j] == pytest.approx(-r.hz, abs=1e-15)
+            assert grid.hz[i, j] == pytest.approx(r.hz, abs=1e-15)
+
+
+def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
+    h_values, k_values = [0.3, 1.0, 2.5, 4.0], [0.2, 0.9, 3.0]
+    whole = sweep_EB(h_values, k_values)
+    sizes, solve = [], qetsim.protocol.star_block_ground
+
+    def counted(h, k, q):
+        sizes.append(h.size)
+        return solve(h, k, q)
+
+    monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 5)
+    monkeypatch.setattr(qetsim.protocol, "star_block_ground", counted)
+    chunked = sweep_EB(h_values, k_values)
+    assert sizes == [5, 5, 2]
+    for field in ("hx", "hz", "e_j", "e_b"):
+        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
 
 
 def test_sweep_validates_and_rejects_degenerate_points():
@@ -341,7 +354,7 @@ def test_sweep_validates_and_rejects_degenerate_points():
             sweep_EB(h_values, k_values)
     # the q = 2 gap is 2 (sqrt(h^2 + k^2) - k) ~ h^2 / k, 1e-10 at h = 1e-5
     with pytest.raises(DegenerateGroundError):
-        run_minimal_qet(MinimalModelParams(1e-5, 1.0))
+        exact_record(star_model(MinimalModelParams(1e-5, 1.0)), (1,))
     with pytest.raises(DegenerateGroundError):
         sweep_EB([1.0, 1e-5], [0.5, 1.0])
 
@@ -410,7 +423,7 @@ def test_minimal_eb_accuracy_against_decimal_oracle():
     for ratio in np.logspace(-3, 12, 31):
         for k in (1.0, 3.7):
             h = float(ratio * k)
-            got = run_minimal_qet(MinimalModelParams(h, k)).receivers[1].e_b
+            got = exact_record(star_model(MinimalModelParams(h, k)), (1,)).receivers[1].e_b
             want = _decimal_eb(h, k)
             worst = max(worst, float(abs((Decimal(got) - want) / want)))
     assert worst <= 1e-12

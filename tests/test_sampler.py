@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracle_utils import fed_ensemble, oracle_pass, parity_estimate, readout_law
 
 from qetsim.model import Local, MinimalModelParams, StarModelParams, star_model
-from qetsim.protocol import run_minimal_qet, run_protocol, run_qed
+from qetsim.protocol import exact_record, run_protocol
 from qetsim.sampler import (
     SampleTallies,
     ShotPlan,
@@ -252,7 +252,7 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
     bundle = star_model(params)
     sampled = sampled_record(bundle, (1,), shots=100000, master_seed=4)
-    exact = run_minimal_qet(params)
+    exact = exact_record(star_model(params), (1,))
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
     assert abs(sampled.receivers[1].e_j - exact.receivers[1].e_j) < 5 * sampled.stderr["E1"]
     assert sampled.method == "sampled"
@@ -262,7 +262,7 @@ def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
     bundle = star_model(params)
     sampled = sampled_record(bundle, (1, 2), shots=100000, master_seed=8)
-    exact = run_qed(params, (1, 2))
+    exact = exact_record(star_model(params), (1, 2))
     for obs, got, want in (
         ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
         ("HZ1", sampled.receivers[1].hz, exact.receivers[1].hz),
@@ -275,7 +275,7 @@ def test_multi_seed_statistical_acceptance():
     # repeated seeded runs stay within 5 stderr of the exact trace
     params = StarModelParams(9.0, 2.0, 6)
     bundle = star_model(params)
-    exact = run_qed(params, (1, 2))
+    exact = exact_record(star_model(params), (1, 2))
     hits = 0
     total = 0
     for seed in range(10):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from oracle_utils import pure_trace_distance, relay_identity_check, teleport_branches
 
-from qetsim.model import IllConditionedError, MinimalModelParams
+from qetsim.model import IllConditionedError, MinimalModelParams, star_model
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
-from qetsim.protocol import run_minimal_qet
+from qetsim.protocol import exact_record
 from qetsim.teleport import (
     BELL,
     HOP_BLOCK,
@@ -264,9 +264,9 @@ def test_relay_rejects_unnormalized_rows(norm, sampled):
 def test_longrange_equals_local(hops):
     params = MinimalModelParams(1.0, 1.0)
     record, transcript, delta = run_longrange_qet(params, hops)
-    # the record is run_minimal_qet's closed form; delta is the relayed
+    # the record is exact_record's closed form; delta is the relayed
     # pass rows' largest distance from it
-    assert record.as_dict() == run_minimal_qet(params).as_dict()
+    assert record.as_dict() == exact_record(star_model(params), (1,)).as_dict()
     assert delta <= 1e-10
     lines = "".join(transcript.serialize()).splitlines()
     assert len(lines) == 1 + 2 * hops
