@@ -25,6 +25,6 @@ from .sampler import (
     sampled_record,
 )
 from .teleport import LoccTranscript, run_longrange_qet
-from .tiling import TilingGraph, TilingSpec, classify, generate, ring_sizes
+from .tiling import classify, generate, ring_sizes
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model, refdata, tiling
 from .model import MinimalModelParams, StarModelParams, star_model
-from .protocol import exact_record, sweep_EB
+from .protocol import SWEEP_CHUNK_POINTS, exact_record, sweep_EB
 from .sampler import MAX_SHOTS, sampled_record
 from .teleport import run_longrange_qet
 
@@ -29,6 +29,8 @@ DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
 # 2000, --field-term-column --out FILE) took 25 s at a 199 MB in-process peak
 # on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
+# Rows are written SWEEP_CHUNK_POINTS at a time, so a 1 x 2,000,000 grid
+# peaks at 225 MB (576 MB when rows were chunked by h value).
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -36,9 +38,9 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _parse_range(option: str, text: str) -> tuple[float, float, int]:
-    """'a:b:n' -> (a, b, n), n evenly spaced values in [a, b]; plain
-    number -> (x, x, 1)."""
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """An argparse type: 'a:b:n' -> (a, b, n), n evenly spaced values in
+    [a, b]; plain number -> (x, x, 1)."""
     try:
         if ":" not in text:
             return float(text), float(text), 1
@@ -47,9 +49,8 @@ def _parse_range(option: str, text: str) -> tuple[float, float, int]:
         if steps < 1:
             raise ValueError
     except ValueError:
-        raise ValueError(
-            f"--{option} expects a value or min:max:steps with a positive integer "
-            f"steps, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"expected a value or min:max:steps with a positive integer steps, got {text!r}"
         ) from None
     return lo, hi, steps
 
@@ -198,7 +199,7 @@ def cmd_table1(args) -> int:
 # --- sweep ------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    h_range, k_range = _parse_range("h", args.h), _parse_range("k", args.k)
+    h_range, k_range = args.h, args.k
     points = h_range[2] * k_range[2]
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid has {points} points, more than {MAX_SWEEP_POINTS}")
@@ -211,12 +212,18 @@ def cmd_sweep(args) -> int:
 
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
-        for i, h in enumerate(h_values):
+        e_b, hz = energy.e_b.ravel(), energy.hz.ravel()
+        for start in range(0, points, SWEEP_CHUNK_POINTS):
+            chunk = slice(start, start + SWEEP_CHUNK_POINTS)
+            values = e_b[chunk].tolist()
+            # without the column, `field` is never read
+            field = (-hz[chunk]).tolist() if args.field_term_column else values
             lines = []
-            for j, k in enumerate(k_values):
-                row = f"{_fmt(h)},{_fmt(k)},{_fmt(energy.e_b[i, j])}"
+            for n, (e, f) in enumerate(zip(values, field), start):
+                i, j = divmod(n, len(k_values))
+                row = f"{_fmt(h_values[i])},{_fmt(k_values[j])},{_fmt(e)}"
                 if args.field_term_column:
-                    row += f",{_fmt(-energy.hz[i, j])}"
+                    row += f",{_fmt(f)}"
                 lines.append(row + "\n")
             yield "".join(lines)
 
@@ -236,13 +243,13 @@ def cmd_tiling(args) -> int:
             file=sys.stderr,
         )
         return 0
-    spec = tiling.TilingSpec(q=args.q, depth=args.depth)
-    graph = tiling.generate(spec)
-    counts = tiling.ring_sizes(graph)
+    counts = tiling.ring_sizes(args.q, args.depth)
     lines = ["ring,count"] + [f"{d},{c}" for d, c in enumerate(counts)]
     _write_text(args.out, ["\n".join(lines) + "\n"])
+    # the counts need no graph; it is built only for its edge list
     if args.edges_out:
-        _write_text(args.edges_out, [tiling.export_edges(graph)])
+        edges = tiling.generate(args.q, args.depth)
+        _write_text(args.edges_out, [tiling.export_edges(edges)])
     return 0
 
 
@@ -325,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="minimal-model E_B over an (h,k) grid")
     _add_common(sp, shots=False)
-    sp.add_argument("--h", default="0.2:3.0:50", help="value or min:max:steps")
-    sp.add_argument("--k", default="0.2:3.0:50", help="value or min:max:steps")
+    sp.add_argument("--h", type=_parse_range, default="0.2:3.0:50", help="value or min:max:steps")
+    sp.add_argument("--k", type=_parse_range, default="0.2:3.0:50", help="value or min:max:steps")
     sp.add_argument("--field-term-column", action="store_true",
                     help="also emit the receiver field-term-only column")
     sp.set_defaults(func=cmd_sweep)

@@ -11,32 +11,7 @@ this open-disk construction cannot represent.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import accumulate
-
 MAX_VERTICES = 10**6
-
-
-@dataclass(frozen=True)
-class TilingSpec:
-    """A {3,q} tiling grown to `depth` rings around one vertex."""
-
-    q: int
-    depth: int
-
-    def __post_init__(self):
-        if self.q < 3:
-            raise ValueError("q must be at least 3")
-        if self.depth < 0:
-            raise ValueError("depth must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class TilingGraph:
-    spec: TilingSpec
-    rings: tuple[int, ...]  # ring index per vertex, vertex ids 0..n-1
-    edges: tuple[tuple[int, int], ...]  # u < v, sorted
 
 
 def classify(p: int, q: int) -> str:
@@ -51,82 +26,61 @@ def classify(p: int, q: int) -> str:
     return "Spherical"
 
 
-def ring_size_recurrence(q: int, depth: int) -> Iterator[int]:
-    """Ring sizes by the parent-count recurrence (no graph construction).
+def ring_sizes(q: int, depth: int) -> list[int]:
+    """Ring sizes 0..depth by the parent-count recurrence, without a graph.
 
     With a_d one-parent and b_d two-parent vertices on ring d:
       n_{d+1} = a_d (q-3) + b_d (q-4) - n_d,   b_{d+1} = n_d.
     """
-    yield 1
+    if q < 3:
+        raise ValueError("q must be at least 3")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if q < 6:
+        raise ValueError(f"{{3,{q}}} is spherical and closes up; generation requires q >= 6")
+    sizes, total = [1], 1
     a, b = q, 0
     for _ in range(depth):
         n = a + b
-        yield n
+        total += n
+        # stop at the first running total past the bound
+        if total > MAX_VERTICES:
+            raise ValueError(f"depth {depth} would create more than {MAX_VERTICES} vertices")
+        sizes.append(n)
         a, b = a * (q - 3) + b * (q - 4) - 2 * n, n
+    return sizes
 
 
-def generate(spec: TilingSpec) -> TilingGraph:
-    """Grow the tessellation to the requested depth with deterministic ids."""
-    if spec.q < 6:
-        raise ValueError(
-            f"{{3,{spec.q}}} is spherical and closes up; generation requires q >= 6"
-        )
-    # `any` stops at the first running total past the bound
-    if any(n > MAX_VERTICES for n in accumulate(ring_size_recurrence(spec.q, spec.depth))):
-        raise ValueError(f"depth {spec.depth} would create more than {MAX_VERTICES} vertices")
-    q = spec.q
-    rings = [0]
-    edges: list[tuple[int, int]] = []
+def generate(q: int, depth: int) -> tuple[tuple[int, int], ...]:
+    """The tiling's edges (u, v), u < v, sorted.
 
-    def add_edge(u: int, v: int) -> None:
-        edges.append((u, v) if u < v else (v, u))
-
-    if spec.depth == 0:
-        return TilingGraph(spec=spec, rings=(0,), edges=())
-
-    prev = list(range(1, q + 1))
-    parents = {v: 1 for v in prev}
-    rings.extend([1] * q)
-    for v in prev:
-        add_edge(0, v)
-    for i in range(q):
-        add_edge(prev[i], prev[(i + 1) % q])
-
-    nxt = q + 1
-    for d in range(2, spec.depth + 1):
-        m = len(prev)
-        new_ring: list[int] = []
-        new_parents: dict[int, int] = {}
-        for i, v in enumerate(prev):
-            c = q - 2 - parents[v]
-            for s in range(c):
-                if s == 0 and i > 0:
-                    w = new_ring[-1]  # shared with the previous parent
-                    new_parents[w] += 1
-                elif i == m - 1 and s == c - 1:
-                    w = new_ring[0]  # wrap-around share closing the ring
-                    new_parents[w] += 1
-                else:
-                    w = nxt
-                    nxt += 1
-                    new_ring.append(w)
-                    new_parents[w] = 1
-                    rings.append(d)
-                add_edge(v, w)
-        for i in range(len(new_ring)):
-            add_edge(new_ring[i], new_ring[(i + 1) % len(new_ring)])
-        prev, parents = new_ring, new_parents
-
-    return TilingGraph(spec=spec, rings=tuple(rings), edges=tuple(sorted(edges)))
+    Vertex 0 is the centre, and ring d holds the next ring_sizes(q, depth)[d]
+    ids, in cycle order.  Each parent's children are a contiguous run of the
+    next ring; consecutive parents share the end of a run, and the last run
+    wraps to the ring's first child.  A run's first child has two parents.
+    """
+    sizes = ring_sizes(q, depth)
+    ring = list(range(1, q + 1)) if depth else []
+    kids = [q - 3] * len(ring)  # children per ring vertex; ring 1's parent is 0
+    edges = [(0, v) for v in ring]
+    for d in range(1, depth + 1):
+        edges += zip(ring, ring[1:])
+        edges.append((ring[0], ring[-1]))
+        if d == depth:
+            break
+        nxt = list(range(ring[-1] + 1, ring[-1] + 1 + sizes[d + 1]))
+        nxt.append(nxt[0])
+        next_kids = [q - 3] * sizes[d + 1]
+        start = 0
+        for v, c in zip(ring, kids):
+            edges += [(v, w) for w in nxt[start:start + c]]
+            next_kids[start] = q - 4
+            start += c - 1
+        ring, kids = nxt[:-1], next_kids
+    edges.sort()
+    return tuple(edges)
 
 
-def ring_sizes(graph: TilingGraph) -> list[int]:
-    counts = [0] * (graph.spec.depth + 1)
-    for r in graph.rings:
-        counts[r] += 1
-    return counts
-
-
-def export_edges(graph: TilingGraph) -> str:
+def export_edges(edges: tuple[tuple[int, int], ...]) -> str:
     """One 'u v' line per edge, u < v, sorted; stable across runs."""
-    return "\n".join(f"{u} {v}" for u, v in graph.edges) + ("\n" if graph.edges else "")
+    return "\n".join(f"{u} {v}" for u, v in edges) + ("\n" if edges else "")

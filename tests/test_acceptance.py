@@ -22,6 +22,7 @@ from oracle_utils import (
     ring_counts_recurrence,
     star_ground,
 )
+from test_tiling import bfs_layer_sizes
 
 from qetsim import refdata
 from qetsim.model import (
@@ -32,7 +33,7 @@ from qetsim.model import (
 from qetsim.protocol import exact_record, run_protocol, sweep_EB
 from qetsim.sampler import sampled_record
 from qetsim.teleport import run_longrange_qet
-from qetsim.tiling import TilingSpec, generate, ring_sizes
+from qetsim.tiling import generate
 
 MINIMAL_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]
 TABLE_SHOTS = 1_000_000
@@ -249,11 +250,11 @@ def test_criterion_09_energy_splits_consistently():
 
 
 def test_criterion_10_tiling_growth_and_sweep_properties():
-    hexagonal = ring_sizes(generate(TilingSpec(6, 6)))
+    hexagonal = bfs_layer_sizes(generate(6, 6))
     ok = hexagonal == [1] + [6 * d for d in range(1, 7)]
     detail = [f"{{3,6}} rings = 6d exactly: {ok}"]
     for q in (7, 10):
-        got = ring_sizes(generate(TilingSpec(q, 6)))
+        got = bfs_layer_sizes(generate(q, 6))
         want = ring_counts_recurrence(q, 6)
         match = got == want
         ratios = [got[d + 1] / got[d] for d in range(2, 6)]

@@ -21,6 +21,7 @@ import qetsim.model
 import qetsim.protocol
 import qetsim.sampler
 import qetsim.teleport
+import qetsim.tiling
 from qetsim.cli import main
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
 
@@ -146,9 +147,11 @@ def test_sweep_rejects_nonpositive_grid():
 
 @pytest.mark.parametrize("text", ["1:2:0", "1:2:1.5", "1:2"])
 def test_sweep_bad_range_names_the_option_and_form(text, capsys):
-    assert run_cli("sweep", "--h", text, "--k", "1") == 2
-    assert capsys.readouterr().err == (
-        "error: --h expects a value or min:max:steps with a positive integer steps, "
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--h", text, "--k", "1")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --h: expected a value or min:max:steps with a positive integer steps, "
         f"got '{text}'\n"
     )
 
@@ -215,6 +218,49 @@ def test_tiling_spherical_warns_without_generating(capsys):
 
 def test_tiling_bad_q_usage_error():
     assert run_cli("tiling", "--q", "2", "--depth", "1") == 2
+
+
+# sha256 of the ring counts and the edge list; the tiling's bytes do not change
+TILING_DIGESTS = {
+    (6, 7): ("11241c34c1f9f4237fc88e105650b1595283673c03044120ed63908a1fdd7cc3",
+             "7fc1d20bf4abb2819f96f714e5939c81f6e9e15c609b5412e604c707dadcbe3a"),
+    (7, 6): ("a0a0100b9c679d524dffce302dcfda771660c706713cefd433713d08552338d7",
+             "f39abf0fb686bce2a563925a41e9097d015d05ca36b64b09d9be41594bc96ffd"),
+    (10, 4): ("1fd9fdfd6ec3f282d6bc106506d4ba36a7c0d395af91ede1a3c851f8fbf650b3",
+              "b9d0afc128827f5da5e36c61ba9abdc86e834d22ca240cba4b61c23b66881fa4"),
+}
+
+
+@pytest.mark.parametrize("q,depth", TILING_DIGESTS)
+def test_tiling_bytes_are_pinned(q, depth, tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    assert run_cli("tiling", "--q", str(q), "--depth", str(depth),
+                   "--edges-out", str(edges)) == 0
+    got = (capsys.readouterr().out.encode(), edges.read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == TILING_DIGESTS[q, depth]
+
+
+def test_tiling_counts_build_no_graph(tmp_path, capsys, monkeypatch):
+    calls = []
+    generate = qetsim.tiling.generate
+
+    def refuse(q, depth):
+        raise AssertionError("the ring counts must not build the graph")
+
+    monkeypatch.setattr(qetsim.tiling, "generate", refuse)
+    assert run_cli("tiling", "--q", "7", "--depth", "12") == 0
+    counts = [1, 7, 21, 56, 147, 385, 1008, 2639, 6909, 18088, 47355, 123977, 324576]
+    want = "ring,count\n" + "".join(f"{d},{c}\n" for d, c in enumerate(counts))
+    assert capsys.readouterr().out == want
+
+    def counted(q, depth):
+        calls.append((q, depth))
+        return generate(q, depth)
+
+    monkeypatch.setattr(qetsim.tiling, "generate", counted)
+    assert run_cli("tiling", "--q", "7", "--depth", "3",
+                   "--edges-out", str(tmp_path / "edges.txt")) == 0
+    assert calls == [(7, 3)]
 
 
 # --- qet / qed -------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import qetsim
 from qetsim import LoccTranscript, MinimalModelParams, _kernels, run_longrange_qet
@@ -43,3 +45,15 @@ def test_hypothesis_can_report_a_falsifying_example():
     # suite's warnings-as-errors filters its import must not raise, or the
     # run ends in an INTERNALERROR instead of the example
     importlib.import_module("hypothesis.extra._patching")
+
+
+def test_readme_python_examples_run(capsys):
+    # the README's library examples, in order and in one namespace, so an
+    # API change that leaves them stale fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "[1, 7, 21, 56, 147]" in capsys.readouterr().out
