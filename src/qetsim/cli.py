@@ -11,6 +11,7 @@ assertion) or I/O failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -213,19 +214,17 @@ def cmd_sweep(args) -> int:
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
         e_b, hz = energy.e_b.ravel(), energy.hz.ravel()
+        # each axis value is formatted once; zip draws a chunk's value before
+        # its grid point, so it stops without taking the next chunk's point
+        grid = itertools.product([_fmt(h) for h in h_values], [_fmt(k) for k in k_values])
         for start in range(0, points, SWEEP_CHUNK_POINTS):
             chunk = slice(start, start + SWEEP_CHUNK_POINTS)
             values = e_b[chunk].tolist()
-            # without the column, `field` is never read
-            field = (-hz[chunk]).tolist() if args.field_term_column else values
-            lines = []
-            for n, (e, f) in enumerate(zip(values, field), start):
-                i, j = divmod(n, len(k_values))
-                row = f"{_fmt(h_values[i])},{_fmt(k_values[j])},{_fmt(e)}"
-                if args.field_term_column:
-                    row += f",{_fmt(f)}"
-                lines.append(row + "\n")
-            yield "".join(lines)
+            if args.field_term_column:
+                cells = [f"{_fmt(e)},{_fmt(f)}" for e, f in zip(values, (-hz[chunk]).tolist())]
+            else:
+                cells = [_fmt(e) for e in values]
+            yield "".join(f"{h},{k},{cell}\n" for cell, (h, k) in zip(cells, grid))
 
     _write_text(args.out, rows())
     return 0
@@ -249,7 +248,7 @@ def cmd_tiling(args) -> int:
     # the counts need no graph; it is built only for its edge list
     if args.edges_out:
         edges = tiling.generate(args.q, args.depth)
-        _write_text(args.edges_out, [tiling.export_edges(edges)])
+        _write_text(args.edges_out, tiling.export_edges(edges))
     return 0
 
 
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tiling", help="ring sizes and edges of a {3,q} tiling")
     _add_common(sp, shots=False)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=_int_in(0), default=4)
     sp.add_argument("--edges-out", help="also write the edge list here")
     sp.set_defaults(func=cmd_tiling)
 

@@ -11,7 +11,10 @@ this open-disk construction cannot represent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 MAX_VERTICES = 10**6
+EXPORT_CHUNK_EDGES = 1 << 16
 
 
 def classify(p: int, q: int) -> str:
@@ -81,6 +84,8 @@ def generate(q: int, depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def export_edges(edges: tuple[tuple[int, int], ...]) -> str:
-    """One 'u v' line per edge, u < v, sorted; stable across runs."""
-    return "\n".join(f"{u} {v}" for u, v in edges) + ("\n" if edges else "")
+def export_edges(edges: tuple[tuple[int, int], ...]) -> Iterator[str]:
+    """One 'u v' line per edge, u < v, sorted; stable across runs.  Yields
+    the text EXPORT_CHUNK_EDGES lines at a time, so it is never held whole."""
+    for start in range(0, len(edges), EXPORT_CHUNK_EDGES):
+        yield "".join(f"{u} {v}\n" for u, v in edges[start:start + EXPORT_CHUNK_EDGES])

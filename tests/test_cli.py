@@ -188,6 +188,19 @@ def test_sweep_failing_in_its_last_chunk_writes_nothing(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_sweep_rows_do_not_depend_on_the_chunking(tmp_path, monkeypatch):
+    # chunks of 3 rows over a 4 x 5 grid: every row keeps its own (h, k)
+    argv = ("sweep", "--h", "0.5:1.5:4", "--k", "0.5:2:5", "--field-term-column")
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert run_cli(*argv, "--out", str(whole)) == 0
+    monkeypatch.setattr(qetsim.cli, "SWEEP_CHUNK_POINTS", 3)
+    assert run_cli(*argv, "--out", str(chunked)) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+    rows = [line.split(",")[:2] for line in whole.read_text().splitlines()[1:]]
+    assert rows == [[format(h, ".12g"), format(k, ".12g")]
+                    for h in np.linspace(0.5, 1.5, 4) for k in np.linspace(0.5, 2, 5)]
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("sweep", "--h", "0.5:1.5:4", "--k", "0.5:1.5:4", "--out", str(a))
@@ -218,6 +231,15 @@ def test_tiling_spherical_warns_without_generating(capsys):
 
 def test_tiling_bad_q_usage_error():
     assert run_cli("tiling", "--q", "2", "--depth", "1") == 2
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_tiling_negative_depth_exits_2_for_any_q(q, capsys):
+    # q = 5 stops at the spherical warning, before any tiling code reads the depth
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tiling", "--q", str(q), "--depth", "-1")
+    assert exc.value.code == 2
+    assert "argument --depth: expected an integer >= 0, got '-1'" in capsys.readouterr().err
 
 
 # sha256 of the ring counts and the edge list; the tiling's bytes do not change
@@ -631,6 +653,29 @@ def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
     assert passes == []
 
 
+def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
+    # importing numpy.random costs a fresh process ~15 ms; only the shot
+    # sampler's Philox draws need it, and the relay draws from `random`
+    script = f"""
+import sys
+from qetsim.cli import main
+out = {str(tmp_path / "out")!r}
+assert main(["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
+             "--out", out, "--transcript-out", out]) == 0
+assert main(["sweep", "--out", out]) == 0
+assert main(["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out]) == 0
+print("numpy.random" in sys.modules)
+assert main(["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10",
+             "--out", out]) == 0
+print("numpy.random" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(qetsim.cli.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
+
+
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
     calls = []
     relay = qetsim.teleport.relay
@@ -684,7 +729,7 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 SAMPLED_DIGESTS = {
     "table1": "0db7e9f702db3c799fd9adaccb733abbdc67091e03fa17ddabb44f52ea2eb0b6",
     "qed": "c809f2949dc0097ae149076d7ffcf18a85af112ecb7c51afc1b90a3fb3550c4d",
-    "transcript": "f16805b2f42e608d15cd238ab9d9d9e908f40408d4510bac34481829cc29f4c3",
+    "transcript": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
 }
 
 

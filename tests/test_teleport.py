@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from oracle_utils import pure_trace_distance, relay_identity_check, teleport_bra
 
 from qetsim.model import IllConditionedError, MinimalModelParams, star_model
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
-from qetsim.protocol import exact_record
+from qetsim.protocol import exact_record, run_protocol
 from qetsim.teleport import (
     BELL,
     HOP_BLOCK,
@@ -58,7 +60,7 @@ def test_teleport_outcome_probabilities_quarter_exact():
         for m1 in (0, 1):
             for m2 in (0, 1):
                 assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
-        kernel = _hop(amps[None], _hop_tables(1, 0), np.empty((1, 4, 2), dtype=complex))
+        kernel = _hop(amps[None], _hop_tables(1, 0, 1), np.empty((1, 4, 2), dtype=complex))
         assert np.max(np.abs(kernel - 0.25)) <= 1e-12
 
 
@@ -103,22 +105,25 @@ def test_kernel_matches_per_branch_oracle(m, batch):
     rng = np.random.default_rng(100 * m + batch)
     for _ in range(5):
         rows, source = relay_stack(rng, m, batch), int(rng.integers(m))
-        tables = _hop_tables(m, source)
+        tables = _hop_tables(m, source, batch)
         branches = np.empty((batch, 4, 2**m), dtype=complex)
         probs = _hop(rows, tables, branches)
         _check_hops(rows[None], branches[None], tables)
+        unit = branches / np.sqrt(probs)[..., None]
         for row in range(batch):
             oracle = teleport_branches(rows[row], source, (m, m + 1))
             for (m1, m2), (p, reduced) in oracle.items():
+                # the kernel puts pair[1], last in the oracle's order, at the source's site
+                home = np.moveaxis(reduced.reshape((2,) * m), -1, source).reshape(-1)
                 assert abs(probs[row, 2 * m1 + m2] - p) <= 1e-12
-                assert np.max(np.abs(branches[row, 2 * m1 + m2] - reduced)) <= 1e-12
+                assert np.max(np.abs(unit[row, 2 * m1 + m2] - home)) <= 1e-12
 
 
 def test_kernel_rejects_a_malformed_pair_in_any_row():
     rng = np.random.default_rng(3)
     rows = relay_stack(rng, 2, 3)
     rows[1] = relay_stack(rng, 2, 1, pair_amps=np.array([1, 0, 0, 0], dtype=complex))[0]
-    tables = _hop_tables(2, 1)
+    tables = _hop_tables(2, 1, 3)
     branches = np.empty((3, 4, 4), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         _hop(rows, tables, branches)
@@ -132,7 +137,7 @@ def test_kernel_rejects_branches_that_disagree():
     rng = np.random.default_rng(4)
     skewed = np.array([1, 1e-6, 0, 1], dtype=complex)
     rows = relay_stack(rng, 2, 3, pair_amps=skewed / np.linalg.norm(skewed))
-    tables = _hop_tables(2, 0)
+    tables = _hop_tables(2, 0, 3)
     branches = np.empty((3, 4, 4), dtype=complex)
     _hop(rows, tables, branches)
     with pytest.raises(AssertionError, match="branches disagree"):
@@ -207,14 +212,14 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
 def relayed_block(rng, hops, batch=2, n=2):
     """`hops` stacked hops of a relay of qubit 0 of `batch` random n-qubit
     registers: their Bell-extended registers, branches and tables."""
-    tables = _hop_tables(n, 0)
+    tables = _hop_tables(n, 0, batch)
     registers = np.empty((hops, batch, 2 ** (n + 2)), dtype=np.complex128)
     branches = np.empty((hops, batch, 4, 2**n), dtype=np.complex128)
     rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
     for i in range(hops):
         registers[i] = (rows[:, :, None] * BELL).reshape(batch, -1)
-        _hop(registers[i], tables, branches[i])
-        rows = branches[i, :, 0].take(tables.home, axis=-1)
+        probs = _hop(registers[i], tables, branches[i])
+        rows = branches[i, :, 0] / np.sqrt(probs[:, :1])
     return registers, branches, tables
 
 
@@ -282,6 +287,19 @@ def test_longrange_seeded_transcript_is_concrete_and_deterministic():
     assert text == "".join(t2.serialize())
     assert "x" not in text
     assert t1.bit_count() == 1 + 2 * 2
+
+
+def test_seeded_transcript_draws_from_the_stdlib_stream():
+    # mu by the first uniform of random.Random(seed), then each hop's m1 and
+    # m2 by the next two; every teleport branch has probability 1/4
+    params = MinimalModelParams(1.0, 1.0)
+    fed = run_protocol(star_model(params), (1,))[:, 0]
+    stream = random.Random(11)
+    mu = int(stream.random() >= np.sum(fed[0] ** 2))
+    bits = [int(stream.random() >= 0.5) for _ in range(2 * 40)]
+    _, transcript, _ = run_longrange_qet(params, 40, seed=11)
+    assert transcript.mu == mu
+    assert transcript.branches.tolist() == [2 * m1 + m2 for m1, m2 in zip(bits[::2], bits[1::2])]
 
 
 def test_transcript_serialization_format():

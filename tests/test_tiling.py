@@ -4,6 +4,7 @@ import pytest
 
 from oracle_utils import ring_counts_recurrence
 
+import qetsim.tiling
 from qetsim.tiling import classify, export_edges, generate, ring_sizes
 
 
@@ -137,14 +138,25 @@ def test_connected():
 
 
 def test_deterministic_bytes_and_roundtrip():
-    a = export_edges(generate(7, 3))
-    b = export_edges(generate(7, 3))
+    a = "".join(export_edges(generate(7, 3)))
+    b = "".join(export_edges(generate(7, 3)))
     assert a == b
     lines = a.strip().splitlines()
     edges = tuple(tuple(int(v) for v in line.split()) for line in lines)
     assert edges == generate(7, 3)
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split())))
     assert all(int(u) < int(v) for u, v in (line.split() for line in lines))
+
+
+def test_edges_export_in_chunks(monkeypatch):
+    edges = generate(7, 3)
+    monkeypatch.setattr(qetsim.tiling, "EXPORT_CHUNK_EDGES", 5)
+    chunks = list(export_edges(edges))
+    assert [chunk.count("\n") for chunk in chunks] == [
+        min(5, len(edges) - start) for start in range(0, len(edges), 5)
+    ]
+    assert "".join(chunks) == "\n".join(f"{u} {v}" for u, v in edges) + "\n"
+    assert list(export_edges(())) == []
 
 
 def test_unit_star():
