@@ -28,10 +28,11 @@ from .teleport import run_longrange_qet
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
-# 2000, --field-term-column --out FILE) took 25 s at a 199 MB in-process peak
+# 2000, --field-term-column --out FILE) took 7.3 s at a 179 MB in-process peak
 # on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
-# Rows are written SWEEP_CHUNK_POINTS at a time, so a 1 x 2,000,000 grid
-# peaks at 225 MB (576 MB when rows were chunked by h value).
+# Rows are written SWEEP_CHUNK_POINTS at a time, but each axis value is held
+# as a float and a formatted string, so a 1 x 4,000,000 grid peaks at 627 MB
+# (15 s) and a 1 x 2,000,000 grid at 337 MB.
 MAX_SWEEP_POINTS = 4_000_000
 
 

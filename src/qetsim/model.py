@@ -7,11 +7,12 @@ coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
 The star's ground state is solved in the receivers' total-spin blocks
-(`star_block_ground`), never from the 2^q x 2^q matrix.  It is
-receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>, set
-every offset and the one feedback angle all receivers share, and
+(`star_block_ground`), never from the 2^q x 2^q matrix; at q = 2 both parity
+sectors are 2 x 2 and it is solved in closed form, with no eigensolver.  It
+is receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
+set every offset and the one feedback angle all receivers share, and
 `exact_energies` turns them into every exact number of the protocol.  Both
-broadcast over arrays of (h, k): a grid is one stacked eigensolve.
+broadcast over arrays of (h, k): a grid is one vectorized solve.
 """
 
 from __future__ import annotations
@@ -181,27 +182,64 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
     stoquastic and each parity sector is connected, so each sector's ground
     state is unique and receiver-symmetric: it lies in the top total-spin
-    block J = (q - 1)/2, solved for the whole grid by one stacked `eigh`.
-    The gap is taken against the lowest level of every lower-J block too; a
+    block J = (q - 1)/2.  At q = 2 that block is the whole space and
+    `_minimal_ground` gives everything in closed form; for q >= 3
+    `_block_ground` solves it for the whole grid by one stacked `eigh`.  A
     gap below DEGENERACY_TOL * max(h, k) anywhere raises
     DegenerateGroundError, as the protocol angles are undefined on a
     degenerate ground space, and h/k above MAX_FIELD_RATIO anywhere raises
-    IllConditionedError.  With d = q - 1, <Z_j> = <2 J_z>/d and
-    <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking g[s * q + n] with
-    g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
+    IllConditionedError.
+    """
+    if q == 2:
+        levels = None
+        ground, gap, g, moments = _minimal_ground(h, k)
+    else:
+        levels, gap, g, moments = _block_ground(h, k, q)
+        ground = levels[..., 0]
+    with np.errstate(over="ignore"):
+        ratio = np.max(np.divide(h, k))
+    if ratio > MAX_FIELD_RATIO:
+        raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
+    if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
+        raise DegenerateGroundError(_degenerate_message(h, k, gap, levels))
+    return ground, gap, g, moments
+
+
+def _minimal_ground(h, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
+    """`star_block_ground` at q = 2, Hotta's minimal model, in closed form.
+
+    H = h (Z_0 + Z_1) + 2k X_0 X_1 is [[2h, 2k], [2k, -2h]] on {|00>, |11>}
+    and [[0, 2k], [2k, 0]] on {|01>, |10>}, so with r = hypot(h, k) the
+    levels are -2r, -2k, 2k, 2r and the gap 2r - 2k = 2h^2 / (r + k), taken
+    in that form, which does not cancel.  With t = 1 + h/r the ground state
+    is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither factor under- nor
+    overflowing at any accepted (h, k), and <Z_0> = <Z_1> = -h/r,
+    <X_0 X_1> = -k/r, read directly rather than from its amplitudes.
+    """
+    h, k = np.broadcast_arrays(np.asarray(h, float), np.asarray(k, float))
+    r = np.hypot(h, k)
+    t = 1.0 + h / r
+    g = np.zeros(h.shape + (4,))
+    g[..., 0] = (k / r) / np.sqrt(2.0 * t)
+    g[..., 3] = -np.sqrt(0.5 * t)
+    z = -h / r
+    return -2.0 * r, 2.0 * h * (h / (r + k)), g, GroundMoments(z0=z, zj=z, xx=-k / r)
+
+
+def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
+    """`star_block_ground` for q >= 3 by a stacked `eigh` of the top
+    spin block, returning its levels in place of the ground level.
+
+    The gap is taken against the lowest level of every lower-J block too.
+    With d = q - 1, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d,
+    X_0 J_x linking g[s * q + n] with g[(1 - s) * q + n + 1] by
+    sqrt((n + 1)(d - n)) / 2.
     """
     leaves = q - 1
     vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
     excited = vals[..., 1]
     for d in range(leaves - 2, -1, -2):
         excited = np.minimum(excited, np.linalg.eigvalsh(_spin_block(h, k, d))[..., 0])
-    gap = excited - vals[..., 0]
-    with np.errstate(over="ignore"):
-        ratio = np.max(np.divide(h, k))
-    if ratio > MAX_FIELD_RATIO:
-        raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
-    if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
-        raise DegenerateGroundError(_degenerate_message(h, k, gap, vals))
     g = vecs[..., 0]
     n = np.arange(q)
     up, down = g[..., :q], g[..., q:]
@@ -212,15 +250,19 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         zj=(up * up + down * down) @ (leaves - 2.0 * n) / leaves,
         xx=x0_jx2 / leaves,
     )
-    return vals[..., 0], gap, g, moments
+    return vals, excited - vals[..., 0], g, moments
 
 
 def _degenerate_message(h, k, gap, levels) -> str:
-    """The smallest gap, also relative to max(h, k), and whether it is within
-    the block solve's roundoff, 16 eps |H|."""
+    """The smallest gap, also relative to max(h, k), and, for a gap taken
+    from an eigensolve's `levels`, whether it is within that solve's
+    roundoff, 16 eps |H|.  The closed-form q = 2 gap (`levels` None) has no
+    such roundoff."""
     i = np.unravel_index(np.argmin(gap), np.shape(gap))
     scale = np.broadcast_to(np.maximum(h, k), np.shape(gap))[i]
-    unresolved = gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i]))
+    unresolved = levels is not None and (
+        gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i]))
+    )
     return (
         f"ground space degenerate within tolerance (gap = {gap[i]:.3e}, "
         f"{gap[i] / scale:.3e} relative to max(h, k) = {scale:.3g}"

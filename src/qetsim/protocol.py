@@ -30,7 +30,7 @@ from .model import (
     star_block_ground,
 )
 
-# Grid points per stacked block solve in `sweep_EB`
+# Grid points per vectorized ground solve in `sweep_EB`
 SWEEP_CHUNK_POINTS = 1 << 16
 
 
@@ -146,9 +146,10 @@ def sweep_EB(h_values, k_values) -> ReceiverEnergy:
 
     A point is valid as MinimalModelParams exactly when its h and its k are
     each finite and positive, so each axis value is checked once.  The
-    flattened grid is then solved as stacked q = 2 block solves of at most
-    SWEEP_CHUNK_POINTS points each, so the working memory stays bounded as
-    the grid grows; a failing chunk's error names that chunk's points.
+    flattened grid is then solved by the closed-form q = 2 ground state,
+    vectorized over chunks of at most SWEEP_CHUNK_POINTS points, so the
+    working memory stays bounded as the grid grows; a failing chunk's error
+    names that chunk's points.
     """
     h_values = np.array([float(h) for h in h_values])
     k_values = np.array([float(k) for k in k_values])

@@ -169,14 +169,14 @@ def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables)
     branch (0, 0).  Raises for the first hop that fails."""
     on_pair = registers.take(tables.bell00, axis=-1) + registers.take(tables.bell11, axis=-1)
     bell_weight = 0.5 * np.add.reduce(np.abs(on_pair) ** 2, axis=-1)
-    bad_pair = np.any(np.abs(bell_weight - 1.0) > 1e-10, axis=-1)
+    bad_pair = np.any(~(np.abs(bell_weight - 1.0) <= 1e-10), axis=-1)
     # a malformed pair's zero branches turn to nan here; bad_pair names that hop
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = branches / np.sqrt(np.add.reduce(np.abs(branches) ** 2, axis=-1))[..., None]
     overlap = np.add.reduce(unit[..., :1, :].conj() * unit, axis=-1)
     residual = unit - overlap[..., None] * unit[..., :1, :]
-    # distances above 1e-10
-    bad_branches = np.any(np.add.reduce(np.abs(residual) ** 2, axis=-1) > 1e-20, axis=(-2, -1))
+    # distances above 1e-10; written as "not within" so that a nan fails too
+    bad_branches = np.any(~(np.add.reduce(np.abs(residual) ** 2, axis=-1) <= 1e-20), axis=(-2, -1))
     first = np.argmax(bad_pair | bad_branches)
     if bad_pair[first]:
         raise ValueError("malformed Bell pair: reduced state is not (|00>+|11>)/sqrt(2)")

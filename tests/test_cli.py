@@ -340,7 +340,9 @@ def test_qed_degenerate_ground_exits_1(capsys):
 
 
 @pytest.mark.parametrize("h, k, unresolved", [
-    ("1e-12", "1", True), ("1", "1e300", True), ("1e-5", "1", False),
+    # the q = 2 gap is the closed form 2h^2 / (r + k), which keeps every
+    # digit; only an eigensolve's gap can drown in roundoff
+    ("1e-12", "1", False), ("1", "1e300", False), ("1e-5", "1", False),
     # k/h above ~3.2e4: the gap, ~h^2 / k, falls below 1e-9 * k
     ("1", "1e5", False), ("1", "1e6", False),
 ])
@@ -350,6 +352,26 @@ def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, caps
     assert err.startswith("error: ground space degenerate within tolerance (gap = ")
     assert f"relative to max(h, k) = {max(float(h), float(k)):.3g}" in err
     assert ("below double precision" in err) == unresolved
+
+
+@pytest.mark.parametrize("h, k", [("1e-12", "1"), ("1", "1e300"), ("1", "1e8")])
+def test_block_solve_notes_a_gap_below_its_roundoff(h, k, capsys):
+    # at q = 3 the gap comes from `eigh`, whose levels carry ~16 eps |H|
+    assert run_cli("qed", "--h", h, "--k", k, "--q", "3", "--receivers", "1",
+                   "--method", "exact") == 1
+    assert "; below double precision, so the solve cannot resolve it)" in capsys.readouterr().err
+
+
+def test_minimal_degeneracy_guard_bound_and_message(tmp_path, capsys):
+    # gap / k = 2 (h/k)^2 / (1 + sqrt(1 + (h/k)^2)) ~ (h/k)^2 crosses 1e-9 near k/h = 3.16e4
+    out = str(tmp_path / "qet.json")
+    assert run_cli("qet", "--h", "1", "--k", "31000", "--method", "exact", "--out", out) == 0
+    for k in ("31700", "4e4", "1e8"):
+        assert run_cli("qet", "--h", "1", "--k", k, "--method", "exact", "--out", out) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: ground space degenerate within tolerance "
+        "(gap = 1.000e-08, 1.000e-16 relative to max(h, k) = 1e+08)"
+    )
 
 
 def assert_scaled_copy(scale, tmp_path):
@@ -651,6 +673,22 @@ def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
     passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
     assert passes == []
+
+
+def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
+    # the q = 2 star is solved in closed form; a q >= 3 star still calls `eigh`
+    def no_eigensolver(*args, **kwargs):
+        raise RuntimeError("eigensolver called")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolver)
+    out = str(tmp_path / "out")
+    assert run_cli("sweep", "--out", out) == 0
+    assert run_cli("qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out) == 0
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
+                   "--out", out, "--transcript-out", out) == 0
+    with pytest.raises(RuntimeError, match="eigensolver called"):
+        run_cli("qed", "--h", "9", "--k", "2", "--q", "3", "--method", "exact", "--out", out)
 
 
 def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):

@@ -245,6 +245,32 @@ def test_star_sectors_zero_field_is_degenerate():
         star_block_ground(0.0, 1.0, 5)
 
 
+# (h, k) with h >> k, k >> h up to the degeneracy guard, and fields near the
+# smallest normal float and near the largest the levels can hold
+CLOSED_FORM_HK = [
+    (1.0, 1.0), (9.0, 2.0), (2.0, 9.0), (1e6, 1.0), (1e12, 1.0), (1.0, 1e3), (1.0, 2e4),
+    (3e-308, 3e-308), (3e-308, 6e-304), (3e-296, 3e-308),
+    (1e300, 1e300), (1e300, 1e296), (1e296, 1e300), (1e300, 1e290),
+]
+
+
+def test_minimal_closed_form_matches_the_block_eigh():
+    h, k = np.array(CLOSED_FORM_HK).T
+    ground, gap, g, moments = star_block_ground(h, k, 2)
+    levels, vecs = np.linalg.eigh(qetsim.model._spin_block(h, k, 1))
+    scale = 1e-12 * np.maximum(h, k)
+    assert np.all(np.abs(ground - levels[:, 0]) <= scale)
+    assert np.all(np.abs(gap - (levels[:, 1] - levels[:, 0])) <= scale)
+    # the same moments read from the eigenvector, weighted as in the offsets
+    v = vecs[..., 0]
+    z = v[:, 0] ** 2 - v[:, 3] ** 2
+    xx = 2.0 * v[:, 0] * v[:, 3]
+    for got, want in ((h * moments.z0, h * z), (h * moments.zj, h * z), (k * moments.xx, k * xx)):
+        assert np.all(np.abs(got - want) <= scale)
+    sign = np.sign(np.sum(g * v, axis=-1))[:, None]
+    assert np.abs(g - sign * v).max() <= 1e-12
+
+
 def test_star_model_never_builds_the_dense_matrix(monkeypatch):
     # every eigensolve is of a spin block, at most 2q x 2q, never 2^q x 2^q
     sizes = []

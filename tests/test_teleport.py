@@ -263,6 +263,22 @@ def test_relay_rejects_unnormalized_rows(norm, sampled):
         relay(rows, 0, 3, rng=rng)
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_relay_rejects_a_nan_row(sampled):
+    # every comparison with nan is False, so both checks test "not within"
+    rows = np.array([[np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
+    rng = random.Random(1) if sampled else None
+    with pytest.raises(ValueError, match="malformed Bell pair"):
+        relay(rows, 1, 3, rng=rng)
+
+
+def test_block_check_rejects_a_nan_branch():
+    registers, branches, tables = relayed_block(np.random.default_rng(38), HOP_BLOCK)
+    branches[40, 0, 3, 0] = np.nan
+    with pytest.raises(AssertionError, match="branches disagree"):
+        _check_hops(registers, branches, tables)
+
+
 # --- long-range runs ----------------------------------------------------------
 
 @pytest.mark.parametrize("hops", [1, 3])
