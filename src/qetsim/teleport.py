@@ -12,16 +12,17 @@ its n qubits, it builds all four corrected (m1, m2) branches of every row as
 one array, the relayed qubit already back at the source's site, by one
 gather through a flat index table of the stack, one product with a
 coefficient table and one sum; `_hop_tables` builds both tables once per
-call.  `_check_hops` then checks, on every row, the Bell pair and the
-branches' agreement.  Without an rng the (0, 0) branch is kept and no bits
-are returned; with one, the drawn row's (m1, m2) is drawn from the branches'
-Born probabilities, two uniforms per hop, and returned as 2 * m1 + m2 per
-hop.  `relay` runs every hop of a chain in one call: each hop only extends,
-gathers, keeps a branch and normalizes it, and the checks run per block of
-HOP_BLOCK (64) hops, so every hop is checked before `relay` returns its rows
-and bits.  A hop of the long-range run's two-row stack costs ~18 us
-(2 vCPU, numpy 2.4).  The long-range run draws mu and every hop's uniforms
-from the standard library's `random.Random(seed)`, so it never imports
+call.  `_check_hops` then checks, on every row, that each amplitude is
+finite, the Bell pair and the branches' agreement.  Without an rng the
+(0, 0) branch is kept and no bits are returned; with one, the drawn row's
+(m1, m2) is drawn from the branches' Born probabilities, two uniforms per
+hop, and returned as 2 * m1 + m2 per hop.  `relay` runs every hop of a
+chain in one call: each hop only extends, gathers, keeps a branch and
+normalizes it, and the checks run per block of HOP_BLOCK (64) hops, so
+every hop is checked before `relay` returns its rows and bits.  A hop of
+the long-range run's two-row stack costs ~18 us (2 vCPU, numpy 2.4).  The
+long-range run draws mu and every hop's uniforms from the standard
+library's `random.Random(seed)`, so it never imports
 `numpy.random`; it relays both mu branches of the protocol pass as two rows,
 the drawn one (in exact mode, the first) giving the transcript's bits, and
 checks the relayed energies against the closed-form exact record.
@@ -164,9 +165,12 @@ def _hop(register: np.ndarray, tables: _HopTables, out: np.ndarray) -> np.ndarra
 
 def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables) -> None:
     """Check a stack of hops, (H, B, 2**(n+2)) registers with their (H, B, 4, .)
-    branches: on every row the pair must be in (|00>+|11>)/sqrt(2) and
-    entangled with nothing else, and every branch, normalized, must equal
-    branch (0, 0).  Raises for the first hop that fails."""
+    branches: every amplitude must be finite, on every row the pair must be
+    in (|00>+|11>)/sqrt(2) and entangled with nothing else, and every branch,
+    normalized, must equal branch (0, 0).  Raises for the first hop that
+    fails, naming its first failed check in that order."""
+    bad_value = ~np.isfinite(registers)
+    bad_amp = np.any(bad_value, axis=(-2, -1))
     on_pair = registers.take(tables.bell00, axis=-1) + registers.take(tables.bell11, axis=-1)
     bell_weight = 0.5 * np.add.reduce(np.abs(on_pair) ** 2, axis=-1)
     bad_pair = np.any(~(np.abs(bell_weight - 1.0) <= 1e-10), axis=-1)
@@ -177,7 +181,11 @@ def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables)
     residual = unit - overlap[..., None] * unit[..., :1, :]
     # distances above 1e-10; written as "not within" so that a nan fails too
     bad_branches = np.any(~(np.add.reduce(np.abs(residual) ** 2, axis=-1) <= 1e-20), axis=(-2, -1))
-    first = np.argmax(bad_pair | bad_branches)
+    first = np.argmax(bad_amp | bad_pair | bad_branches)
+    if bad_amp[first]:
+        row, cell = np.argwhere(bad_value[first])[0]
+        amp = registers[first, row, cell]
+        raise ValueError(f"non-finite amplitude {amp} in register row {row}")
     if bad_pair[first]:
         raise ValueError("malformed Bell pair: reduced state is not (|00>+|11>)/sqrt(2)")
     if bad_branches[first]:

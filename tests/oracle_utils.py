@@ -87,6 +87,25 @@ def parity_estimate(counts: np.ndarray, sites: tuple[int, ...], local) -> tuple[
     return mean, float(np.sqrt(var / shots))
 
 
+def site_counts(joint: np.ndarray) -> np.ndarray:
+    """Per-site marginals, in the sampler's tally layout, of (..., mu, outcome)
+    counts or probabilities over n read-out sites (outcome bits in site
+    order, the sender first): entry [..., i, 4 mu + 2 b0 + b] sums the cells
+    with that mu, sender bit b0 and bit b at site i (for the sender, b is
+    b0).  Each site's bit gets its own axis by one reshape, so this shares no
+    code with the sampler's weight classes."""
+    n = joint.shape[-1].bit_length() - 1
+    lead = joint.shape[:-2]
+    x = joint.reshape(*lead, 2, 2, 2 ** (n - 1))  # mu, b0, the other bits
+    out = np.zeros((*lead, n, 2, 2, 2), dtype=joint.dtype)
+    out[..., 0, :, 0, 0] = x[..., 0, :].sum(axis=-1)
+    out[..., 0, :, 1, 1] = x[..., 1, :].sum(axis=-1)
+    for i in range(1, n):
+        bits = x.reshape(*lead, 2, 2, 2 ** (i - 1), 2, 2 ** (n - 1 - i))
+        out[..., i, :, :, :] = bits.sum(axis=(-3, -1))
+    return out.reshape(*lead, n, 8)
+
+
 # --- states ---------------------------------------------------------------------
 
 def _qubits(amps: np.ndarray) -> int:

@@ -503,7 +503,7 @@ def test_shots_at_two_to_the_62_give_finite_json(tmp_path):
 
 
 def test_four_billion_shots_take_under_a_second(tmp_path):
-    # one multinomial draw per basis run: the cost does not grow with shots
+    # O(|R|^2) binomial draws per basis run: the cost does not grow with shots
     start = time.perf_counter()
     code, out = sampled_qet(tmp_path, 4_000_000_000)
     assert time.perf_counter() - start < 1.0
@@ -692,26 +692,31 @@ def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
 
 
 def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
-    # importing numpy.random costs a fresh process ~15 ms; only the shot
-    # sampler's Philox draws need it, and the relay draws from `random`
+    # importing numpy.random costs a fresh process ~15 ms; the relay and the
+    # shot sampler both draw from `random`, so no command imports it
     script = f"""
 import sys
 from qetsim.cli import main
 out = {str(tmp_path / "out")!r}
-assert main(["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
-             "--out", out, "--transcript-out", out]) == 0
-assert main(["sweep", "--out", out]) == 0
-assert main(["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out]) == 0
-print("numpy.random" in sys.modules)
-assert main(["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10",
-             "--out", out]) == 0
-print("numpy.random" in sys.modules)
+runs = [
+    ["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
+     "--out", out, "--transcript-out", out],
+    ["sweep", "--out", out],
+    ["tiling", "--q", "7", "--depth", "2", "--out", out, "--edges-out", out],
+    ["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out],
+    ["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10", "--out", out],
+    ["qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--out", out],
+    ["table1", "--shots", "1000", "--check", "--out", out],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+    print("numpy.random" in sys.modules)
 """
     src = os.path.dirname(os.path.dirname(qetsim.cli.__file__))
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["False"] * 7
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
@@ -765,8 +770,8 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
-    "table1": "0db7e9f702db3c799fd9adaccb733abbdc67091e03fa17ddabb44f52ea2eb0b6",
-    "qed": "c809f2949dc0097ae149076d7ffcf18a85af112ecb7c51afc1b90a3fb3550c4d",
+    "table1": "30e746ffea9dde7f913e7f274cce7bf64a3f72eafe821f824d45852240d363f6",
+    "qed": "eb19b46b964767fab8cbdf817e36557d36f9fdd3386d6891e17a68a13e50ae29",
     "transcript": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
 }
 

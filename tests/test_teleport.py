@@ -265,11 +265,17 @@ def test_relay_rejects_unnormalized_rows(norm, sampled):
 
 @pytest.mark.parametrize("sampled", [False, True])
 def test_relay_rejects_a_nan_row(sampled):
-    # every comparison with nan is False, so both checks test "not within"
-    rows = np.array([[np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
-    rng = random.Random(1) if sampled else None
+    # a non-finite amplitude is named before the Bell-pair check, which it
+    # would fail too: every comparison with nan is False
+    for bad, shown in ((np.nan, "nan"), (complex(0.5, np.inf), "inf"), (-np.inf, "inf")):
+        rows = np.array([[bad, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
+        rng = random.Random(1) if sampled else None
+        with pytest.raises(ValueError, match=f"non-finite amplitude .*{shown}.* in register row 0"):
+            relay(rows, 1, 3, rng=rng)
+    # a finite malformed row still fails the pair check
+    rows = np.array([[1.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="malformed Bell pair"):
-        relay(rows, 1, 3, rng=rng)
+        relay(rows, 1, 3, rng=random.Random(1) if sampled else None)
 
 
 def test_block_check_rejects_a_nan_branch():
