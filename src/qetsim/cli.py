@@ -28,11 +28,11 @@ from .teleport import run_longrange_qet
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
-# 2000, --field-term-column --out FILE) took 7.3 s at a 179 MB in-process peak
+# 2000, --field-term-column --out FILE) took 6.2 s at a 178 MB in-process peak
 # on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
-# Rows are written SWEEP_CHUNK_POINTS at a time, but each axis value is held
-# as a float and a formatted string, so a 1 x 4,000,000 grid peaks at 627 MB
-# (15 s) and a 1 x 2,000,000 grid at 337 MB.
+# Rows are written SWEEP_CHUNK_POINTS at a time, each chunk formatting its own
+# axis values, so an axis costs only its 8 B floats: a 1 x 4,000,000 grid
+# peaks at 212 MB (7.0 s) and a 1 x 2,000,000 grid at 136 MB.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -208,16 +208,13 @@ def cmd_sweep(args) -> int:
     # endpoints first: np.linspace fails on a non-finite one under main's errstate
     for h, k in zip(h_range[:2], k_range[:2]):
         model._check_hk(h, k)
-    h_values, k_values = ([float(v) for v in np.linspace(*r)] for r in (h_range, k_range))
+    h_values, k_values = (np.linspace(*r) for r in (h_range, k_range))
     # the whole grid is solved before the first byte is written
     energy = sweep_EB(h_values, k_values)
 
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
-        e_b, hz = energy.e_b.ravel(), energy.hz.ravel()
-        # each axis value is formatted once; zip draws a chunk's value before
-        # its grid point, so it stops without taking the next chunk's point
-        grid = itertools.product([_fmt(h) for h in h_values], [_fmt(k) for k in k_values])
+        e_b, hz, nk = energy.e_b.ravel(), energy.hz.ravel(), k_range[2]
         for start in range(0, points, SWEEP_CHUNK_POINTS):
             chunk = slice(start, start + SWEEP_CHUNK_POINTS)
             values = e_b[chunk].tolist()
@@ -225,7 +222,15 @@ def cmd_sweep(args) -> int:
                 cells = [f"{_fmt(e)},{_fmt(f)}" for e, f in zip(values, (-hz[chunk]).tolist())]
             else:
                 cells = [_fmt(e) for e in values]
-            yield "".join(f"{h},{k},{cell}\n" for cell, (h, k) in zip(cells, grid))
+            # the chunk's axis values, each formatted once: its rows' h, and
+            # its k in grid order from the first point's, cycling over a row
+            i, j = divmod(start, nk)
+            hs = [_fmt(h) for h in h_values[i:(start + len(cells) - 1) // nk + 1].tolist()]
+            ks = [_fmt(k) for k in k_values[(j + np.arange(min(len(cells), nk))) % nk].tolist()]
+            h_run = itertools.chain(itertools.repeat(hs[0], nk - j),
+                                    *(itertools.repeat(h, nk) for h in hs[1:]))
+            yield "".join(f"{h},{k},{cell}\n"
+                          for cell, h, k in zip(cells, h_run, itertools.cycle(ks)))
 
     _write_text(args.out, rows())
     return 0

@@ -9,10 +9,10 @@ less significant bits, which is exactly ``np.kron(state, ancilla)``.
 
 from __future__ import annotations
 
-# Largest star (and teleport register).  The protocol pass reaches 2^q cells
-# only with every receiver in R: `qed` on a q = 20 star with all 19 receivers
-# and both methods takes ~1.1 s and ~135 MB in-process on a 2-core machine;
-# every further qubit about doubles both.
+# Largest star (and teleport register).  The protocol pass holds the
+# receivers as their |R| + 1 Dicke states: `qed` at q = 20 with all 19
+# receivers and both methods takes 12-18 ms in-process at a 32 MB peak (the
+# import baseline) on 2 cores; the bound stands for the block solve and relay.
 MAX_STATEVECTOR_QUBITS = 20
 
 

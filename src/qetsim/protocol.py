@@ -10,7 +10,7 @@ Every exact number is a closed form in the ground moments
 grid (`sweep_EB`).  The protocol pass, `run_protocol`, runs only for the
 sampler and the teleport relay.  It acts on the only sites the protocol
 touches, the sender and the receivers, through a purification of their
-reduced state built from the block vector.
+reduced state built from the block vector, the receivers as Dicke states.
 """
 
 from __future__ import annotations
@@ -100,44 +100,48 @@ def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
     )
 
 
-def pass_sites(receivers: tuple[int, ...]) -> tuple[int, ...]:
-    """The sites of `run_protocol`'s cells in bit order, most significant
-    first: the sender, then the receivers in ascending order."""
-    return (0, *sorted(receivers))
+def dicke_rotation(r: int, c, s) -> np.ndarray:
+    """<D_v| U^(x r) |D_w>, U = [[c, -s], [s, c]], on the r-qubit Dicke states,
+    stacked over the broadcast shape of c and s, built one qubit n at a time
+    from |D_w> = a_w |D_w>|0> + b_w |D_{w-1}>|1>, a_w = sqrt((n - w)/n), b_w = sqrt(w/n)."""
+    c, s = (np.asarray(x, float)[..., None, None] for x in np.broadcast_arrays(c, s))
+    root = np.sqrt(np.arange(r + 1) / np.arange(1, r + 1)[:, None])  # [n - 1, w]: sqrt(w/n)
+    m = np.ones(c.shape)
+    for n in range(1, r + 1):
+        a, b = root[n - 1, n::-1], root[n - 1, : n + 1]
+        pad = np.zeros(c.shape[:-2] + (n + 2, n + 2))
+        pad[..., 1:-1, 1:-1] = m  # M[v - 1, w - 1] at [v, w]
+        m = (a[:, None] * (c * a * pad[..., 1:, 1:] - s * b * pad[..., 1:, :-1])
+             + b[:, None] * (c * b * pad[..., :-1, :-1] + s * a * pad[..., :-1, 1:]))
+    return m
 
 
 def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
     """The protocol pass on the sender plus the receivers R: X0 measurement,
     then each receiver's feedback.
 
-    Returns the real array fed[mu, m, c] of shape (2, q - |R|, 2^(|R|+1)),
+    Returns the real array fed[mu, m, s, w] of shape (2, q - |R|, 2, |R| + 1),
     a purification of the fed state of those sites: row mu (+1, then -1) is
-    the unnormalized post-measurement branch, whose squared norm is p_mu.
-    Cell c holds the bits of `pass_sites`; m, the number of ones among the
-    other receivers, is a spectator that probabilities sum over.  The ground
-    state's Dicke state with n ones splits into receiver bits b of weight
-    |b| times the others' Dicke state with m = n - |b| ones, at
-    sqrt(C(q - 1 - |R|, m) / C(q - 1, n)); then the projector
-    (I + mu X0) / 2 and, at each receiver, the real rotation
+    the unnormalized post-measurement branch, whose squared norm is p_mu; s
+    is the sender bit, w the receivers' Dicke state with w ones (each string
+    of weight w has amplitude fed / sqrt(C(|R|, w))), and m, the other
+    receivers' ones, a spectator that probabilities sum over.  The ground
+    state's Dicke state with n ones splits into |D_w> |D_m>, m = n - w, at
+    sqrt(C(|R|, w) C(q - 1 - |R|, m) / C(q - 1, n)), a ratio of integers;
+    then the projector (I + mu X0) / 2 and, at each receiver, the rotation
     cos(theta) I - i mu sin(theta) Y = [[c, -mu s], [mu s, c]].
     """
     _check_receivers(bundle, receivers)
     q, r = bundle.n_qubits, len(receivers)
     others = q - 1 - r
-    dicke = np.array([float(math.comb(q - 1, n)) for n in range(q)])
-    rest = np.array([float(math.comb(others, m)) for m in range(others + 1)])
-    w, m = np.ogrid[: r + 1, : others + 1]  # |b| and the others' ones
-    by_weight = bundle.g[:, w + m] * np.sqrt(rest[m] / dicke[w + m])  # [s, |b|, m]
-    ones = np.bitwise_count(np.arange(2**r))
-    amp = by_weight[:, ones].transpose(2, 0, 1)  # [m, s, b]
+    split = [[math.comb(r, w) * math.comb(others, m) / math.comb(q - 1, w + m)
+              for m in range(others + 1)] for w in range(r + 1)]
+    w, m = np.ogrid[: r + 1, : others + 1]
+    amp = (bundle.g[:, w + m] * np.sqrt(split)).transpose(2, 0, 1)  # [m, s, w]
     mu = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
     fed = 0.5 * (amp + mu * amp[:, ::-1])  # X0 swaps s
-    theta = bundle.angle.theta
-    c, s = np.cos(theta), mu[..., 0] * np.sin(theta)
-    for i in range(1, r + 1):
-        x = fed.reshape(2, -1, 2, 2 ** (r - i))  # the i-th receiver's bit on axis 2
-        fed = np.stack([c * x[:, :, 0] - s * x[:, :, 1], s * x[:, :, 0] + c * x[:, :, 1]], axis=2)
-    return fed.reshape(2, others + 1, 2 ** (r + 1))
+    c, s = np.cos(bundle.angle.theta), np.sin(bundle.angle.theta)
+    return fed @ dicke_rotation(r, c, [s, -s]).swapaxes(1, 2)[:, None]
 
 
 def sweep_EB(h_values, k_values) -> ReceiverEnergy:
@@ -145,19 +149,18 @@ def sweep_EB(h_values, k_values) -> ReceiverEnergy:
     an array of shape (len(h_values), len(k_values)); E_B = -(<Z1> + <X1>).
 
     A point is valid as MinimalModelParams exactly when its h and its k are
-    each finite and positive, so each axis value is checked once.  The
+    each finite and positive, so the grid is checked once, at the smallest
+    and the largest of its axis values (a NaN anywhere is both).  The
     flattened grid is then solved by the closed-form q = 2 ground state,
     vectorized over chunks of at most SWEEP_CHUNK_POINTS points, so the
     working memory stays bounded as the grid grows; a failing chunk's error
     names that chunk's points.
     """
-    h_values = np.array([float(h) for h in h_values])
-    k_values = np.array([float(k) for k in k_values])
+    h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)
     for name, axis in (("h_values", h_values), ("k_values", k_values)):
         if not axis.size:
             raise ValueError(f"sweep_EB: {name} is empty")
-    for v in (*h_values, *k_values):
-        _check_hk(v, v)
+    _check_hk(*(f([f(h_values), f(k_values)]) for f in (np.min, np.max)))
     shape = (h_values.size, k_values.size)
     out = np.empty((4, shape[0] * shape[1]))
     for start in range(0, out.shape[1], SWEEP_CHUNK_POINTS):

@@ -2,9 +2,9 @@
 
 A Z-run reads the sender and the receivers out in the Z basis, an X-run in
 the X basis; they never share shots.  The star is symmetric under any
-permutation of its receivers, so a run's law of (mu, readout), taken from
-the protocol pass, depends on the receiver bits only through their Hamming
-weight, and the per-receiver tallies of (mu, sender bit, receiver bit), all
+permutation of its receivers, so a run's law of (mu, readout), read from
+the protocol pass's Dicke classes, is a law of (mu, sender bit, receiver
+weight), and the per-receiver tallies of (mu, sender bit, receiver bit), all
 the estimators read, are drawn exactly from O(|R|^2) binomials at any shot
 count.  Randomness comes from the standard library's `random.Random`, keyed
 by master seed, model parameters, receiver set and basis.
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Local, ModelBundle, ReceiverEnergy
-from .protocol import QetRecord, pass_sites, run_protocol
+from .protocol import QetRecord, dicke_rotation, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 _FAMILY_CODE = 2  # the star family's tag in the seed key; the minimal model is the q = 2 star
@@ -49,15 +49,15 @@ def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -
 
 
 def readout_law(fed: np.ndarray, basis: str) -> np.ndarray:
-    """Joint (mu, outcome) probabilities, shape (2, 2^n), of one basis run of
-    a pass array fed[mu, m, outcome] over n read-out sites: the sum over m of
-    fed^2, after one Hadamard on each site's axis in an X-run."""
-    n = fed.shape[-1].bit_length() - 1
+    """Class probabilities law[mu, b0, w] of one basis run of a pass array
+    fed[mu, m, s, w], summed over m; an X-run's Hadamards act on the
+    receivers as the Dicke matrix of R(pi/4) Z, on the sender as the sum and
+    difference of its rows, which keeps the classes b0 != mu exactly 0."""
     if basis == "X":
-        for i in range(n):
-            x = fed.reshape(2, -1, 2, 2 ** (n - 1 - i))  # site i's bit on axis 2
-            fed = np.stack([x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]], axis=2)
-        fed = fed.reshape(2, -1, 2**n) * 2.0 ** (-n / 2)
+        r, root_half = fed.shape[-1] - 1, math.sqrt(0.5)
+        fed = fed @ (dicke_rotation(r, root_half, root_half) * (-1.0) ** np.arange(r + 1)).T
+        fed = np.stack([fed[:, :, 0] + fed[:, :, 1], fed[:, :, 0] - fed[:, :, 1]], axis=2)
+        return 0.5 * np.sum(fed**2, axis=1)
     return np.sum(fed**2, axis=1)
 
 
@@ -118,22 +118,18 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
                     plan: ShotPlan) -> SampleTallies:
     """Tally `plan.shots` shots of one basis run of `fed`, `run_protocol`'s
     array for `receivers`: the counts of the classes (mu, b0, receiver
-    weight w) by conditional binomials; then, in `pass_sites` order, a group
-    of shots with u ones among the L receivers not yet visited gives
+    weight w) by conditional binomials; then, in site order, a group of
+    shots with u ones among the L receivers not yet visited gives
     Binomial(count, u / L) ones to the next, since a shot's receiver bits
     are uniform among the strings of its weight."""
     if plan.basis_run not in _BASIS_CODES:
         raise ValueError(f"basis_run must be 'Z' or 'X', got {plan.basis_run!r}")
     if not 1 <= plan.shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
-    sites = pass_sites(receivers)
-    if fed.shape[::2] != (2, 2 ** len(sites)):
+    sites, r = (0, *sorted(receivers)), len(receivers)
+    if fed.shape[:1] + fed.shape[2:] != (2, 2, r + 1):
         raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
-    r = len(receivers)
-    cell = np.arange(2 ** (r + 1))
-    cls = (cell >> r) * (r + 1) + np.bitwise_count(cell & (2**r - 1))  # b0 (r + 1) + w
-    law = readout_law(fed, plan.basis_run)
-    p = np.concatenate([np.bincount(cls, row, 2 * r + 2) for row in law]).tolist()
+    p = readout_law(fed, plan.basis_run).ravel().tolist()
     rng = random.Random(" ".join(map(str, _seed_key(bundle, receivers, plan))))
     left, draws = plan.shots, []
     for i, pi in enumerate(p):
@@ -158,9 +154,10 @@ def estimate(tallies: SampleTallies, local: Local) -> tuple[float, float]:
     counted on the tallies of the local's last site).  The mean is the
     shot-weighted average of the two, which does not cancel when the offset
     nearly balances the coefficient; stderr is their sample standard
-    deviation over sqrt(N).  The squares are products, which give inf where
-    `**` raises OverflowError; a result that is not finite raises
-    FloatingPointError."""
+    deviation over sqrt(N).  The deviations from the mean are scaled by 2^-e,
+    e the larger one's exponent, before they are squared and the root scaled
+    back, so stderr neither under- nor overflows where they do not; a result
+    that is not finite raises FloatingPointError."""
     sites, on = tallies.sites, local.sites
     pair = len(on) == 2 and on[0] == 0  # X0 X_j reads the sender's bit too
     if local.basis != tallies.basis or not set(on) <= set(sites) or len(on) > 1 + pair:
@@ -173,9 +170,10 @@ def estimate(tallies: SampleTallies, local: Local) -> tuple[float, float]:
     mean = ((n - odd) * even_value + odd * odd_value) / n
     stderr = 0.0
     if n >= 2:
-        even_dev, odd_dev = even_value - mean, odd_value - mean
+        e = math.frexp(max(abs(even_value - mean), abs(odd_value - mean)))[1]
+        even_dev, odd_dev = math.ldexp(even_value - mean, -e), math.ldexp(odd_value - mean, -e)
         var = ((n - odd) * (even_dev * even_dev) + odd * (odd_dev * odd_dev)) / (n - 1)
-        stderr = math.sqrt(var / n)
+        stderr = math.ldexp(math.sqrt(var / n), e)
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise FloatingPointError(f"overflow in the estimate of {local.basis} on {on}")
     return float(mean), stderr

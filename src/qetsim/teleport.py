@@ -296,7 +296,7 @@ def run_longrange_qet(
         )
     bundle = star_model(params)
     exact = exact_record(bundle, (1,))
-    fed = run_protocol(bundle, (1,))[:, 0]
+    fed = run_protocol(bundle, (1,))[:, 0].reshape(2, 4)  # one receiver's classes are |s b>
     probs = np.sum(fed**2, axis=-1)  # p_mu, mu = +1 then -1
 
     rng = None if seed is None else random.Random(seed)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -73,18 +75,25 @@ def parity_estimate(counts: np.ndarray, sites: tuple[int, ...], local) -> tuple[
     """Brute-force (mean, stderr) of a Local from a run's per-outcome counts,
     outcome bits in the order of `sites`: the full parity
     (-1)**popcount(i & mask) of each occupied cell i, then the sample mean
-    and variance over shots."""
+    and variance over shots in exact rational arithmetic, and the standard
+    error's root at 40 digits, so that neither underflows nor overflows."""
     n = len(sites)
     mask = sum(1 << (n - 1 - sites.index(site)) for site in local.sites)
     cells = np.flatnonzero(counts)
-    counts = counts[cells]
-    values = np.array(
-        [local.offset + local.coeff * (-1) ** bin(i & mask).count("1") for i in cells.tolist()]
-    )
-    shots = int(counts.sum())
-    mean = float(counts @ values) / shots
-    var = float(counts @ (values - mean) ** 2) / (shots - 1)
-    return mean, float(np.sqrt(var / shots))
+    counts = [int(c) for c in counts[cells]]
+    offset, coeff = Fraction(local.offset), Fraction(local.coeff)
+    values = [offset + coeff * (-1) ** bin(i & mask).count("1") for i in cells.tolist()]
+    shots = sum(counts)
+    mean = sum(c * v for c, v in zip(counts, values)) / shots
+    var = sum(c * (v - mean) ** 2 for c, v in zip(counts, values)) / (shots - 1)
+    return float(mean), exact_root(var / shots)
+
+
+def exact_root(x: Fraction) -> float:
+    """sqrt(x) of a non-negative rational, correctly rounded from 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
 
 
 def site_counts(joint: np.ndarray) -> np.ndarray:
@@ -220,6 +229,16 @@ def dicke_embed(g) -> np.ndarray:
     return amps.reshape(-1)
 
 
+def dicke_vectors(r: int) -> np.ndarray:
+    """The r-qubit Dicke states as the columns of a (2^r, r + 1) array:
+    column w holds 1/sqrt(C(r, w)) on every basis state with w ones."""
+    out = np.zeros((2**r, r + 1))
+    for b in range(2**r):
+        w = bin(b).count("1")
+        out[b, w] = 1.0 / math.sqrt(math.comb(r, w))
+    return out
+
+
 def star_ground(bundle) -> np.ndarray:
     return dicke_embed(bundle.g)
 
@@ -267,10 +286,27 @@ def readout_law(branches, sites: tuple[int, ...], basis: str) -> np.ndarray:
     return law
 
 
+def class_cells(x: np.ndarray, probabilities: bool = False) -> np.ndarray:
+    """The 2^(|R|+1) cells |s b> (sender bit most significant, then the
+    receivers' bits) of class values x[..., s, w] over |R| = x.shape[-1] - 1
+    receivers, w a receiver weight: every string b of weight w shares the
+    class equally, with x / sqrt(C(|R|, w)) as amplitudes and
+    x / C(|R|, w) as probabilities.  The weight is counted per string with
+    `bin`, so this shares no code with the package's Dicke classes."""
+    r = x.shape[-1] - 1
+    weight = [bin(b).count("1") for b in range(2**r)]
+    share = np.array([math.comb(r, w) for w in weight], dtype=float)
+    cells = x[..., weight] / (share if probabilities else np.sqrt(share))
+    return cells.reshape(*x.shape[:-2], 2 ** (r + 1))
+
+
 def oracle_pass(branches, sites: tuple[int, ...]) -> np.ndarray:
-    """A pass array for the package's sampler from full branches: row mu
-    holds sqrt(p_mu) psi_mu with `sites` as the cell bits and every other
-    site on the spectator axis, a purification of the same reduced state."""
+    """A pass array for the package's sampler from full branches, `sites`
+    the sender and one receiver, whose classes are its cells: row mu holds
+    sqrt(p_mu) psi_mu with the sender's and the receiver's bits on the last
+    two axes and every other site on the spectator axis, a purification of
+    the same reduced state."""
+    assert len(sites) == 2
     rows = []
     for p, psi, mu in sorted(branches, key=lambda b: -b[2]):
         n = _qubits(psi)
@@ -279,20 +315,22 @@ def oracle_pass(branches, sites: tuple[int, ...]) -> np.ndarray:
         rows.append(np.sqrt(p) * t.reshape(2 ** len(rest), -1))
     out = np.array(rows)
     assert out.shape[0] == 2 and np.abs(out.imag).max() < 1e-14
-    return out.real
+    return out.real.reshape(2, -1, 2, 2)
 
 
 def pass_density(fed: np.ndarray) -> np.ndarray:
-    """Reduced density matrix of the read-out sites from a pass array
-    fed[mu, m, c], summed over mu and the spectator m."""
+    """Reduced density matrix of the read-out sites from a pass array in
+    cells, fed[mu, m, c] (`class_cells`), summed over mu and the spectator m."""
     rows = fed.reshape(-1, fed.shape[-1])
     return rows.T @ rows.conj()
 
 
 def pass_energy_curve(fed: np.ndarray, shifts, local: np.ndarray) -> np.ndarray:
-    """<local> of a one-receiver pass array (cells: sender bit, receiver bit)
-    after turning the receiver on by each angle of `shifts` with
-    cos t - i mu sin t Y, mu = +1 on row 0; `local` is 4 x 4."""
+    """<local> of a one-receiver pass array, whose classes (sender bit,
+    receiver bit) are its cells, after turning the receiver on by each
+    angle of `shifts` with cos t - i mu sin t Y, mu = +1 on row 0; `local`
+    is 4 x 4."""
+    fed = fed.reshape(2, -1, 4)
     out = []
     for t in shifts:
         rho = 0

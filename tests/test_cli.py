@@ -10,11 +10,14 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracle_utils import exact_root
 
 import qetsim.cli
 import qetsim.model
@@ -539,16 +542,59 @@ def test_receivers_value_may_hold_spaces(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("qet", "--h", "1e200", "--k", "1e200"),
-    ("qed", "--h", "1e150", "--k", "1e150", "--q", "2", "--receivers", "1",
+    ("qet", "--h", "1e300", "--k", "1e300", "--shots", str(2**62)),
+    ("qed", "--h", "1e300", "--k", "1e300", "--q", "2", "--receivers", "1",
      "--shots", str(2**62), "--method", "sampled"),
 ])
 def test_sampled_estimate_overflow_exits_1(argv, capsys):
-    # the per-shot values' squared deviations, summed over the shots, overflow
+    # the shot-weighted sum of the per-shot values overflows, so the mean does
     assert run_cli(*argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: floating-point failure: overflow in the estimate of Z on (0,)")
+
+
+def fraction_estimate(tallies, local) -> float:
+    """The standard error of a local's estimate from its tallies in exact
+    rational arithmetic: the odd-parity shots counted from the local's last
+    site's (mu, b0, b) tallies, then the sample variance over the shots."""
+    c = tallies.counts[tallies.sites.index(local.sites[-1])]
+    odd = sum(c[4 * mu + 2 * b0 + b] for mu in (0, 1) for b0 in (0, 1) for b in (0, 1)
+              if (b0 + b if len(local.sites) == 2 else b) % 2)
+    n = tallies.shots
+    even_value = Fraction(local.offset) + Fraction(local.coeff)
+    odd_value = Fraction(local.offset) - Fraction(local.coeff)
+    mean = ((n - odd) * even_value + odd * odd_value) / n
+    var = ((n - odd) * (even_value - mean) ** 2 + odd * (odd_value - mean) ** 2) / (n - 1)
+    return exact_root(var / n)
+
+
+@pytest.mark.parametrize("argv", [
+    ("qet", "--h", "1e200", "--k", "1e200"),
+    ("qed", "--h", "1e150", "--k", "1e150", "--q", "2", "--receivers", "1",
+     "--shots", str(2**62), "--method", "sampled"),
+    ("qet", "--h", "1e-300", "--k", "1e-300", "--method", "sampled", "--shots", "1000"),
+])
+def test_sampled_stderr_at_extreme_field_scales_matches_a_fraction_oracle(argv, monkeypatch,
+                                                                           capsys):
+    # the deviations are scaled by a power of two before they are squared,
+    # so the standard error neither overflows nor underflows to 0
+    seen, estimate = [], qetsim.sampler.estimate
+
+    def recorded(tallies, local):
+        out = estimate(tallies, local)
+        seen.append((tallies, local, out[1]))
+        return out
+
+    monkeypatch.setattr(qetsim.sampler, "estimate", recorded)
+    assert run_cli(*argv, "--format", "csv") == 0
+    assert len(seen) == 3  # E0, then HZ1 and HX1
+    for tallies, local, stderr in seen:
+        want = fraction_estimate(tallies, local)
+        assert 0 < stderr < math.inf and want > 0
+        assert stderr == pytest.approx(want, rel=1e-13), local
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert all(0 < float(r["stderr"]) < math.inf for r in rows if r["method"] == "sampled")
 
 
 # --- longrange --------------------------------------------------------------------
@@ -744,10 +790,11 @@ def test_longrange_hops_beyond_the_bound_exit_2_before_any_pass(tmp_path, capsys
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("receivers", ["1,2", "19,3,11"])
+@pytest.mark.parametrize("receivers", ["1,2", "19,3,11", ",".join(map(str, range(1, 20)))])
 def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, monkeypatch):
-    # q = 20 with a few receivers: the pass and the tallies cover only the
-    # sender and the receivers, never the 2^20 amplitudes of the register
+    # q = 20: the pass and the readout law hold the sender and the
+    # receivers' Dicke classes, never 2^|R| strings, even with all 19
+    # receivers, and never the 2^20 amplitudes of the register
     shapes = []
     run_protocol, readout_law = qetsim.protocol.run_protocol, qetsim.sampler.readout_law
 
@@ -763,7 +810,7 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", receivers,
                    "--shots", "1000", "--out", str(tmp_path / "qed.json")) == 0
     r = len(receivers.split(","))
-    assert shapes == [(2, 20 - r, 2 ** (r + 1))] + [(2, 2 ** (r + 1))] * 2
+    assert shapes == [(2, 20 - r, 2, r + 1)] + [(2, 2, r + 1)] * 2
 
 
 # --- pinned sampled bytes ---------------------------------------------------------

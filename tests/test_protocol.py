@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    class_cells,
+    dicke_vectors,
     ensemble_density,
     ensemble_expectation,
     expectation,
@@ -30,7 +32,7 @@ from qetsim.model import (
     star_model,
 )
 from qetsim.model import Local
-from qetsim.protocol import exact_record, run_protocol, sweep_EB
+from qetsim.protocol import dicke_rotation, exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
 
 
@@ -85,7 +87,7 @@ def test_zero_angle_feedback_is_identity():
     # the pass turned back by -theta* is the measured state's marginal, which
     # holds no receiver energy
     bundle = star_model(MinimalModelParams(1.0, 1.0))
-    fed = run_protocol(bundle, (1,))
+    fed = class_cells(run_protocol(bundle, (1,)))
     theta = bundle.angle.theta
     local = reduced_observable((0, 1), bundle.locals["Z1"], bundle.locals["X1"])
     assert pass_energy_curve(fed, [-theta], local)[0] == pytest.approx(0.0, abs=1e-10)
@@ -106,15 +108,45 @@ def test_feedback_order_commutes_branchwise():
     # the pass takes the receivers in site order, whatever order it is given
     assert np.array_equal(run_protocol(bundle, (1, 2)), run_protocol(bundle, (2, 1)))
     rho = sum(p * partial_trace(psi, 6, (0, 1, 2)) for p, psi, _ in order21)
-    assert np.abs(pass_density(run_protocol(bundle, (2, 1))) - rho).max() <= 1e-12
+    assert np.abs(pass_density(class_cells(run_protocol(bundle, (2, 1)))) - rho).max() <= 1e-12
 
 
 def test_pass_shapes():
     for q, receivers in ((2, (1,)), (6, (1, 2)), (9, (7, 3, 5)), (7, ()), (7, (1, 2, 3, 4, 5, 6))):
-        fed = run_protocol(star_model(StarModelParams(9.0, 2.0, q)), receivers)
+        classes = run_protocol(star_model(StarModelParams(9.0, 2.0, q)), receivers)
         r = len(receivers)
+        assert classes.shape == (2, q - r, 2, r + 1)
+        fed = class_cells(classes)
         assert fed.shape == (2, q - r, 2 ** (r + 1)) and fed.dtype == np.float64
         assert np.sum(fed**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dicke_rotation_matches_the_projected_kron_product():
+    # <D_v| U^(x r) |D_w> from np.kron of r 2 x 2 rotations and the Dicke
+    # vectors, r = 0..8; the Hadamard is R(pi/4) Z
+    for r in range(9):
+        dicke = dicke_vectors(r)
+        for theta in (0.0, 0.3, -1.1, np.pi / 4, 2.5, -np.pi):
+            c, s = np.cos(theta), np.sin(theta)
+            product = np.eye(1)
+            for _ in range(r):
+                product = np.kron(product, np.array([[c, -s], [s, c]]))
+            want = dicke.T @ product @ dicke
+            assert np.abs(dicke_rotation(r, c, s) - want).max() <= 1e-14, (r, theta)
+        both = dicke_rotation(r, np.cos(0.3), [np.sin(0.3), -np.sin(0.3)])
+        assert both.shape == (2, r + 1, r + 1)
+        assert np.array_equal(both[1], dicke_rotation(r, np.cos(0.3), -np.sin(0.3)))
+
+
+def test_x_run_keeps_the_classes_off_the_measured_x0_exactly_zero():
+    # after X0 reads mu, the X-run's sender bit is 0 for mu = +1 and 1 for
+    # mu = -1: the other classes hold exactly 0, so no binomial is drawn for them
+    for q in (2, 6, 12, 20):
+        bundle = star_model(StarModelParams(9.0, 2.0, q))
+        for receivers in ((1,), (q - 1,), tuple(range(1, q))):
+            law = pass_law(run_protocol(bundle, receivers), "X")
+            assert np.all(law[0, 1] == 0.0) and np.all(law[1, 0] == 0.0), (q, receivers)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 PASS_LAW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -126,7 +158,7 @@ def _check_pass_law(params, receivers):
     branches = fed_ensemble(bundle, receivers)
     sites = (0, *sorted(receivers))
     for basis in "ZX":
-        law = pass_law(fed, basis)
+        law = class_cells(pass_law(fed, basis), probabilities=True)
         assert law.shape == (2, 2 ** len(sites))
         assert np.abs(law - readout_law(branches, sites, basis)).max() <= 1e-12, basis
 
@@ -233,7 +265,7 @@ def test_ensemble_matches_dense_density_matrix():
     receiver_locals = (bundle.locals["Z1"], bundle.locals["X1"])
     rho = ensemble_density(fed_ensemble(bundle, (1,)))
     want = float(np.trace(rho @ local_matrix(2, *receiver_locals)).real)
-    reduced = pass_density(run_protocol(bundle, (1,)))
+    reduced = pass_density(class_cells(run_protocol(bundle, (1,))))
     got = float(np.trace(reduced @ reduced_observable((0, 1), *receiver_locals)).real)
     assert got == pytest.approx(want, abs=1e-12)
     assert exact_record(bundle, (1,)).receivers[1].e_j == pytest.approx(want, abs=1e-12)
@@ -372,7 +404,7 @@ def _check_closed_form(params, receivers):
         ensemble_expectation(fed_ensemble(bundle, ()), *bundle.locals.values()), abs=1e-12
     )
     sites = (0, *sorted(receivers))
-    rho = pass_density(run_protocol(bundle, receivers))
+    rho = pass_density(class_cells(run_protocol(bundle, receivers)))
     for j in receivers:
         dense = receiver_energy(fed, bundle, j)
         for field in ("hx", "hz", "e_j", "e_b"):

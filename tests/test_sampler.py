@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import fed_ensemble, oracle_pass, parity_estimate, readout_law, site_counts
+from oracle_utils import (
+    class_cells,
+    fed_ensemble,
+    oracle_pass,
+    parity_estimate,
+    readout_law,
+    site_counts,
+)
 
 import qetsim.sampler
 from qetsim.model import Local, MinimalModelParams, StarModelParams, star_model
@@ -127,8 +134,8 @@ def test_cell_frequencies_follow_the_readout_law(model, weights):
     sites = (0, *receivers)
     scale = np.ones(2)
     if weights is not None:
-        scale = np.array(weights) / np.sum(fed**2, axis=(1, 2))
-        fed = fed * np.sqrt(scale)[:, None, None]
+        scale = np.array(weights) / np.sum(fed**2, axis=(1, 2, 3))
+        fed = fed * np.sqrt(scale).reshape(2, 1, 1, 1)
     branches = fed_ensemble(bundle, receivers)
     for basis in "ZX":
         p = site_counts(readout_law(branches, sites, basis) * scale[:, None])
@@ -171,7 +178,7 @@ def test_per_receiver_counts_match_a_joint_multinomial_oracle(receivers, basis):
         sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, seed)).counts
         for seed in range(runs)
     ], dtype=float).reshape(runs, -1)
-    law = pass_law(fed, basis)
+    law = class_cells(pass_law(fed, basis), probabilities=True)
     joint = np.random.default_rng(11).multinomial(shots, (law / law.sum()).ravel(), size=runs)
     oracle = site_counts(joint.reshape(runs, *law.shape)).reshape(runs, -1).astype(float)
 
