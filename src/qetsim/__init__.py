@@ -7,7 +7,6 @@ from .model import (
     FeedbackAngle,
     GroundMoments,
     IllConditionedError,
-    Local,
     MinimalModelParams,
     ModelBundle,
     StarModelParams,

@@ -13,13 +13,18 @@ is receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
 set every offset and the one feedback angle all receivers share, and
 `exact_energies` turns them into every exact number of the protocol.  Both
 broadcast over arrays of (h, k): a grid is one vectorized solve.
+
+H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
+(coupling of receiver j to the sender), each with the offset that makes its
+ground expectation vanish: -h <Z_0>, -h <Z_j> and -2k <X_0 X_j>.  Only the
+moments are kept; a term is formed where it is read, at the site read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -94,30 +99,17 @@ class GroundMoments:
     xx: float
 
 
-class Local(NamedTuple):
-    """One local term, coeff * P + offset, P the product of the `basis`
-    Pauli ("Z" or "X") on each of `sites`."""
-
-    coeff: float
-    basis: str
-    sites: tuple[int, ...]
-    offset: float
-
-
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """The named local terms, the ground moments, the feedback angle every
-    receiver uses and the ground state's block vector of one star.
+    """The parameters, the ground moments, the feedback angle every receiver
+    uses and the ground state's block vector of one star.
 
-    The locals are Z{i} = h Z_i (field at site i) and X{j} = 2k X_0 X_j
-    (coupling of receiver j to the sender), each with the offset that makes
-    its ground-state expectation vanish; H is their sum.  The ground state
-    is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the receivers' normalized
-    Dicke state with n ones (`star_block_ground`).
+    The moments set every local term's offset (see the module docstring).
+    The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
+    receivers' normalized Dicke state with n ones (`star_block_ground`).
     """
 
     params: ModelParams
-    locals: dict[str, Local]
     moments: GroundMoments
     angle: FeedbackAngle
     g: np.ndarray  # shape (2, q)
@@ -274,23 +266,15 @@ def star_model(params: ModelParams) -> ModelBundle:
     """Build the star bundle; MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground state is solved
-    on the Pauli parts alone, by `star_block_ground`, and each local's offset
-    is then set to the negative of its Pauli-part ground expectation, making
-    every local, and so H, vanish in the ground state: -h <Z_0> for Z0,
-    -h <Z_j> for Zj and -2k <X_0 X_j> for Xj.  The moments set the angle too.
+    on the Pauli parts alone, by `star_block_ground`; its moments set every
+    offset and the angle.
     """
     h, k, n = params.h, params.k, params.q
     _, _, g, moments = star_block_ground(h, k, n)
     moments = GroundMoments(z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx))
-    locals_ = {"Z0": Local(h, "Z", (0,), -(h * moments.z0))}
-    for i in range(1, n):
-        locals_[f"Z{i}"] = Local(h, "Z", (i,), -(h * moments.zj))
-    for j in range(1, n):
-        locals_[f"X{j}"] = Local(2 * k, "X", (0, j), -(2 * k * moments.xx))
     a = _angle(h, k, moments)
     return ModelBundle(
         params=params,
-        locals=locals_,
         moments=moments,
         angle=FeedbackAngle(theta=float(a.theta), xi=float(a.xi), eta=float(a.eta)),
         g=g.reshape(2, n),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Local, ModelBundle, ReceiverEnergy
+from .model import ModelBundle, ReceiverEnergy
 from .protocol import QetRecord, dicke_rotation, run_protocol
 
 _BASIS_CODES = {"Z": 0, "X": 1}
@@ -147,26 +147,25 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     return SampleTallies(plan.basis_run, plan.shots, sites, tuple(counts))
 
 
-def estimate(tallies: SampleTallies, local: Local) -> tuple[float, float]:
-    """Mean and standard error of a local term, a Z on one read-out site or
-    an X-run's X0 X_j, from one basis run.  A shot reads offset + coeff when
-    its bits on `local.sites` have even parity, offset - coeff when odd (as
-    counted on the tallies of the local's last site).  The mean is the
-    shot-weighted average of the two, which does not cancel when the offset
-    nearly balances the coefficient; stderr is their sample standard
-    deviation over sqrt(N).  The deviations from the mean are scaled by 2^-e,
-    e the larger one's exponent, before they are squared and the root scaled
-    back, so stderr neither under- nor overflows where they do not; a result
-    that is not finite raises FloatingPointError."""
-    sites, on = tallies.sites, local.sites
-    pair = len(on) == 2 and on[0] == 0  # X0 X_j reads the sender's bit too
-    if local.basis != tallies.basis or not set(on) <= set(sites) or len(on) > 1 + pair:
-        raise ValueError(f"local {local.basis} on sites {on} is not measurable from a "
-                         f"{tallies.basis}-run of sites {sites}")
-    c = tallies.counts[sites.index(on[-1])] if on else [0] * 8
+def estimate(tallies: SampleTallies, site: int, coeff: float, offset: float) -> tuple[float, float]:
+    """Mean and standard error of the local term coeff * P + offset from one
+    basis run, P being Z_site in a Z-run and X_0 X_site in an X-run.  A shot
+    reads offset + coeff when P is +1 on it, offset - coeff when -1 (as
+    counted on the site's tallies).  The mean is the shot-weighted average
+    of the two, which does not cancel when the offset nearly balances the
+    coefficient; stderr is their sample standard deviation over sqrt(N).
+    The deviations from the mean are scaled by 2^-e, e the larger one's
+    exponent, before they are squared and the root scaled back, so stderr
+    neither under- nor overflows where they do not; a result that is not
+    finite raises FloatingPointError."""
+    basis, sites = tallies.basis, tallies.sites
+    if site not in sites:
+        raise ValueError(f"site {site} is not read out by the {basis}-run of sites {sites}")
+    pair = basis == "X"  # X0 X_j reads the sender's bit too
+    c = tallies.counts[sites.index(site)]
     odd = sum(c[2 * g + (1 ^ (g & pair))] for g in range(4))  # g = 2 mu + b0
     n = tallies.shots
-    even_value, odd_value = local.offset + local.coeff, local.offset - local.coeff
+    even_value, odd_value = offset + coeff, offset - coeff
     mean = ((n - odd) * even_value + odd * odd_value) / n
     stderr = 0.0
     if n >= 2:
@@ -175,7 +174,8 @@ def estimate(tallies: SampleTallies, local: Local) -> tuple[float, float]:
         var = ((n - odd) * (even_dev * even_dev) + odd * (odd_dev * odd_dev)) / (n - 1)
         stderr = math.ldexp(math.sqrt(var / n), e)
     if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise FloatingPointError(f"overflow in the estimate of {local.basis} on {on}")
+        on = (0, site) if pair else (site,)
+        raise FloatingPointError(f"overflow in the estimate of {basis} on {on}")
     return float(mean), stderr
 
 
@@ -188,11 +188,12 @@ def sampled_record(bundle: ModelBundle, receivers: tuple[int, ...], shots: int,
     fed = run_protocol(bundle, receivers)
     z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
     x_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("X", shots, master_seed))
-    e0, e0_err = estimate(z_tallies, bundle.locals["Z0"])
+    h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments
+    e0, e0_err = estimate(z_tallies, 0, h, -(h * m.z0))
     stderr, energies = {"E0": e0_err}, {}
     for j in receivers:
-        hz, hz_err = estimate(z_tallies, bundle.locals[f"Z{j}"])
-        hx, hx_err = estimate(x_tallies, bundle.locals[f"X{j}"])
+        hz, hz_err = estimate(z_tallies, j, h, -(h * m.zj))
+        hx, hx_err = estimate(x_tallies, j, k2, -(k2 * m.xx))
         energies[j] = ReceiverEnergy(hx=hx, hz=hz, e_j=hx + hz, e_b=-(hx + hz))
         stderr.update({f"HZ{j}": hz_err, f"HX{j}": hx_err,
                        f"E{j}": float(np.hypot(hx_err, hz_err))})

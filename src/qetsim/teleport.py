@@ -16,10 +16,11 @@ call.  `_check_hops` then checks, on every row, that each amplitude is
 finite, the Bell pair and the branches' agreement.  Without an rng the
 (0, 0) branch is kept and no bits are returned; with one, the drawn row's
 (m1, m2) is drawn from the branches' Born probabilities, two uniforms per
-hop, and returned as 2 * m1 + m2 per hop.  `relay` runs every hop of a
-chain in one call: each hop only extends, gathers, keeps a branch and
-normalizes it, and the checks run per block of HOP_BLOCK (64) hops, so
-every hop is checked before `relay` returns its rows and bits.  A hop of
+hop, kept by every row, as all corrected branches are the same state, and
+returned as 2 * m1 + m2 per hop.  `relay` runs every hop of a chain in one
+call: each hop only extends, gathers, keeps a branch and normalizes it, and
+the checks run per block of HOP_BLOCK (64) hops, so every hop is checked
+before `relay` returns its rows and bits.  A hop of
 the long-range run's two-row stack costs ~18 us (2 vCPU, numpy 2.4).  The
 long-range run draws mu and every hop's uniforms from the standard
 library's `random.Random(seed)`, so it never imports
@@ -214,17 +215,17 @@ def relay(
 
     Returns the relayed rows and the bits the hops kept.  Without an rng
     every row keeps branch (0, 0) and the bits are None; with one, any
-    object with a `.random()` method, row `drawn` draws its (m1, m2) and
-    every other row keeps (0, 0), and the bits are a (hops,) uint8 array of
-    the drawn 2 * m1 + m2.  The measured-out qubits are projected away and
-    the relayed content lands back at the `logical` index, so the stack's
-    shape is unchanged.
+    object with a `.random()` method, row `drawn`'s probabilities draw
+    (m1, m2), every row keeps that branch, and the bits are a (hops,) uint8
+    array of the drawn 2 * m1 + m2.  The measured-out qubits are projected
+    away and the relayed content lands back at the `logical` index, so the
+    stack's shape is unchanged.
 
     Each hop runs forward only, into block buffers of up to HOP_BLOCK hops,
-    and normalizes only the row it keeps.  When a block ends, the Bell-pair
-    and branch checks run on all of its hops: a malformed hop raises, and no
-    bit leaves `relay`, unless every block has passed.  Each hop draws two
-    uniforms, u1 then u2.
+    and normalizes only the branch it keeps.  When a block ends, the
+    Bell-pair and branch checks run on all of its hops: a malformed hop
+    raises, and no bit leaves `relay`, unless every block has passed.  Each
+    hop draws two uniforms, u1 then u2.
     """
     n = _qubits(rows)
     _check_capacity(n)
@@ -237,15 +238,7 @@ def relay(
     extended = np.empty((block, batch, size, 4), dtype=np.complex128)
     registers = extended.reshape(block, batch, 4 * size)
     branches = np.empty((block, batch, 4, size), dtype=np.complex128)
-    # flat cells of each row's kept branch, and of its probability, when the
-    # drawn row keeps branch b and every other row branch 0
-    cells = 4 * size * np.arange(batch)[:, None, None] + np.arange(size)[:, None]
-    picks = []
-    for b in range(4):
-        cell = cells.copy()
-        cell[drawn] += b * size
-        picks.append((cell, cell // size))
-    pick = picks[0]
+    b = 0  # the kept branch; without an rng it stays (0, 0)
     kept = None if rng is None else np.empty(hops, dtype=np.uint8)
     hop_buffers = list(zip(extended, registers, branches))
     rows = rows[:, :, None]
@@ -258,9 +251,7 @@ def relay(
                 if rng is not None:
                     b = _draw(probs[drawn].tolist(), rng.random(), rng.random())
                     kept[j] = b
-                    pick = picks[b]
-                rows = out.ravel()[pick[0]]
-                rows /= np.sqrt(probs.ravel()[pick[1]])
+                rows = out[:, b, :, None] / np.sqrt(probs[:, b, None, None])
             _check_hops(registers[:count], branches[:count], tables)
     return rows[:, :, 0], kept
 
@@ -309,8 +300,9 @@ def run_longrange_qet(
     # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
     z1 = probs @ (np.abs(rows) ** 2 @ np.array([1.0, -1.0, 1.0, -1.0]))
     xx = probs @ np.sum(rows.conj() * rows[:, ::-1], axis=-1).real
-    hz = bundle.params.h * z1 + bundle.locals["Z1"].offset
-    hx = 2.0 * bundle.params.k * xx + bundle.locals["X1"].offset
+    h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments
+    hz = h * z1 - h * m.zj
+    hx = k2 * xx - k2 * m.xx
     local = exact.receivers[1]
     delta = max(abs(hx - local.hx), abs(hz - local.hz), abs(hx + hz - local.e_j))
     transcript = LoccTranscript(hops, None if rng is None else drawn, kept)

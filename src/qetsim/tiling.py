@@ -11,7 +11,8 @@ this open-disk construction cannot represent.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 MAX_VERTICES = 10**6
 EXPORT_CHUNK_EDGES = 1 << 16
@@ -54,38 +55,48 @@ def ring_sizes(q: int, depth: int) -> list[int]:
     return sizes
 
 
-def generate(q: int, depth: int) -> tuple[tuple[int, int], ...]:
-    """The tiling's edges (u, v), u < v, sorted.
+def generate(q: int, depth: int) -> Iterator[tuple[int, int]]:
+    """The tiling's edges (u, v), u < v, in sorted order, as an iterator.
 
     Vertex 0 is the centre, and ring d holds the next ring_sizes(q, depth)[d]
     ids, in cycle order.  Each parent's children are a contiguous run of the
     next ring; consecutive parents share the end of a run, and the last run
     wraps to the ring's first child.  A run's first child has two parents.
+    The arguments are checked at the call; the edges are then yielded ring
+    by ring, holding the child counts of two rings at a time.
     """
-    sizes = ring_sizes(q, depth)
-    ring = list(range(1, q + 1)) if depth else []
-    kids = [q - 3] * len(ring)  # children per ring vertex; ring 1's parent is 0
-    edges = [(0, v) for v in ring]
-    for d in range(1, depth + 1):
-        edges += zip(ring, ring[1:])
-        edges.append((ring[0], ring[-1]))
-        if d == depth:
-            break
-        nxt = list(range(ring[-1] + 1, ring[-1] + 1 + sizes[d + 1]))
-        nxt.append(nxt[0])
-        next_kids = [q - 3] * sizes[d + 1]
-        start = 0
-        for v, c in zip(ring, kids):
-            edges += [(v, w) for w in nxt[start:start + c]]
-            next_kids[start] = q - 4
-            start += c - 1
-        ring, kids = nxt[:-1], next_kids
-    edges.sort()
-    return tuple(edges)
+    return _sorted_edges(q, ring_sizes(q, depth))
 
 
-def export_edges(edges: tuple[tuple[int, int], ...]) -> Iterator[str]:
-    """One 'u v' line per edge, u < v, sorted; stable across runs.  Yields
-    the text EXPORT_CHUNK_EDGES lines at a time, so it is never held whole."""
-    for start in range(0, len(edges), EXPORT_CHUNK_EDGES):
-        yield "".join(f"{u} {v}\n" for u, v in edges[start:start + EXPORT_CHUNK_EDGES])
+def _sorted_edges(q: int, sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """Every vertex's larger neighbours, in id order: ring d's ids are
+    contiguous and below every child id, so they are its ring successor, the
+    ring's last vertex (for the ring's first vertex only), then its children,
+    the first child of the next ring first where the last run wraps to it."""
+    if len(sizes) > 1:
+        yield from ((0, v) for v in range(1, q + 1))
+    first, kids = 1, [q - 3] * q  # children per ring vertex; ring 1's parent is 0
+    for size, nxt in zip(sizes[1:], sizes[2:] + [0]):
+        child = first + size  # the next ring's first id
+        next_kids, start = [q - 3] * nxt, 0
+        for v, c in zip(range(first, child), kids):
+            if v < child - 1:
+                yield v, v + 1
+            if v == first:
+                yield v, child - 1
+            if nxt:
+                if start + c > nxt:  # the last run wraps to the next ring's first child
+                    yield v, child
+                yield from ((v, w) for w in range(child + start, child + min(start + c, nxt)))
+                next_kids[start] = q - 4
+                start += c - 1
+        first, kids = child, next_kids
+
+
+def export_edges(edges: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """One 'u v' line per edge, in the order given; stable across runs.
+    Yields the text EXPORT_CHUNK_EDGES lines at a time, so it is never held
+    whole."""
+    edges = iter(edges)
+    while chunk := "".join(f"{u} {v}\n" for u, v in islice(edges, EXPORT_CHUNK_EDGES)):
+        yield chunk

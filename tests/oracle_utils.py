@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -45,14 +45,37 @@ def word_matrix(letters: str) -> np.ndarray:
     return M
 
 
+class Term(NamedTuple):
+    """One local term, coeff * P + offset, P the product of the `basis`
+    Pauli ("Z" or "X") on each of `sites`."""
+
+    coeff: float
+    basis: str
+    sites: tuple[int, ...]
+    offset: float
+
+
+def star_terms(bundle) -> dict[str, Term]:
+    """The star's 2q - 1 named local terms, built from the bundle's params
+    and moments: Z{i} = h Z_i (field at site i) and X{j} = 2k X_0 X_j
+    (coupling of receiver j to the sender), each offset the negative of its
+    Pauli part's ground expectation, so that H, their sum, vanishes in the
+    ground state."""
+    h, k, q, m = bundle.params.h, bundle.params.k, bundle.params.q, bundle.moments
+    terms = {"Z0": Term(h, "Z", (0,), -(h * m.z0))}
+    terms.update({f"Z{i}": Term(h, "Z", (i,), -(h * m.zj)) for i in range(1, q)})
+    terms.update({f"X{j}": Term(2 * k, "X", (0, j), -(2 * k * m.xx)) for j in range(1, q)})
+    return terms
+
+
 def local_word(local, n: int) -> str:
-    """The n-letter Pauli word of a package Local: its basis on its sites."""
+    """The n-letter Pauli word of a Term: its basis on its sites."""
     return "".join(local.basis if i in local.sites else "I" for i in range(n))
 
 
 def local_matrix(n: int, *locals_) -> np.ndarray:
-    """Dense n-qubit matrix of a sum of package Locals, via np.kron; the
-    bundle's H is the sum of all its locals."""
+    """Dense n-qubit matrix of a sum of Terms, via np.kron; the star's H is
+    the sum of all its `star_terms`."""
     M = np.zeros((2**n, 2**n), dtype=complex)
     for local in locals_:
         M += local.offset * np.eye(2**n) + local.coeff * word_matrix(local_word(local, n))
@@ -60,8 +83,8 @@ def local_matrix(n: int, *locals_) -> np.ndarray:
 
 
 def reduced_observable(sites: tuple[int, ...], *locals_) -> np.ndarray:
-    """Dense matrix of a sum of Locals on `sites` only (in that order); every
-    local must act on those sites alone."""
+    """Dense matrix of a sum of Terms on `sites` only (in that order); every
+    term must act on those sites alone."""
     M = np.zeros((2 ** len(sites),) * 2, dtype=complex)
     for local in locals_:
         assert set(local.sites) <= set(sites)
@@ -72,7 +95,7 @@ def reduced_observable(sites: tuple[int, ...], *locals_) -> np.ndarray:
 
 
 def parity_estimate(counts: np.ndarray, sites: tuple[int, ...], local) -> tuple[float, float]:
-    """Brute-force (mean, stderr) of a Local from a run's per-outcome counts,
+    """Brute-force (mean, stderr) of a Term from a run's per-outcome counts,
     outcome bits in the order of `sites`: the full parity
     (-1)**popcount(i & mask) of each occupied cell i, then the sample mean
     and variance over shots in exact rational arithmetic, and the standard
@@ -138,7 +161,7 @@ def apply_word(amps: np.ndarray, letters: str) -> np.ndarray:
 
 
 def expectation(amps: np.ndarray, *locals_) -> float:
-    """<sum of the Locals> of one state, word by word; the offsets add."""
+    """<sum of the Terms> of one state, word by word; the offsets add."""
     n = _qubits(amps)
     val = sum(
         local.offset + local.coeff * np.vdot(amps, apply_word(amps, local_word(local, n)))
@@ -263,8 +286,9 @@ def fed_ensemble(bundle, receivers, thetas=None):
 
 
 def receiver_energy(branches, bundle, j) -> dict[str, float]:
-    hx = ensemble_expectation(branches, bundle.locals[f"X{j}"])
-    hz = ensemble_expectation(branches, bundle.locals[f"Z{j}"])
+    terms = star_terms(bundle)
+    hx = ensemble_expectation(branches, terms[f"X{j}"])
+    hz = ensemble_expectation(branches, terms[f"Z{j}"])
     return {"hx": hx, "hz": hz, "e_j": hx + hz, "e_b": -(hx + hz)}
 
 

@@ -21,6 +21,7 @@ from oracle_utils import (
     relay_identity_check,
     ring_counts_recurrence,
     star_ground,
+    star_terms,
 )
 from test_tiling import bfs_layer_sizes
 
@@ -72,7 +73,7 @@ def test_criterion_01_ground_state_zero_mean_suite():
     for bundle in bundles:
         ground = star_ground(bundle)
         # each local, and the total: their sum
-        means = [expectation(ground, local) for local in bundle.locals.values()]
+        means = [expectation(ground, local) for local in star_terms(bundle).values()]
         worst = max(worst, abs(sum(means)), *map(abs, means))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
@@ -97,7 +98,7 @@ def test_criterion_03_injected_energy_formula():
         params = MinimalModelParams(h, k)
         bundle = star_model(params)
         # the dense oracle's measured ensemble and the closed-form record
-        for e0 in (ensemble_expectation(fed_ensemble(bundle, ()), *bundle.locals.values()),
+        for e0 in (ensemble_expectation(fed_ensemble(bundle, ()), *star_terms(bundle).values()),
                    exact_record(star_model(params), (1,)).e0):
             worst = max(worst, abs(e0 - h * h / np.hypot(h, k)))
     ok = worst < 1e-10
@@ -198,7 +199,8 @@ def test_criterion_07_long_range_equivalence():
 def _pass_energies(bundle, site, thetas):
     """Receiver `site`'s energy read off the package's pass for R = {site},
     turned from theta* to each angle (rotations about Y_site compose)."""
-    local = reduced_observable((0, site), bundle.locals[f"Z{site}"], bundle.locals[f"X{site}"])
+    terms = star_terms(bundle)
+    local = reduced_observable((0, site), terms[f"Z{site}"], terms[f"X{site}"])
     shifts = np.asarray(thetas) - bundle.angle.theta
     return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
@@ -214,7 +216,8 @@ def test_criterion_08_theta_beats_grid_scan():
     ):
         measured = fed_ensemble(bundle, ())
         angle = bundle.angle
-        local = local_matrix(bundle.n_qubits, bundle.locals["Z1"], bundle.locals["X1"])
+        terms = star_terms(bundle)
+        local = local_matrix(bundle.n_qubits, terms["Z1"], terms["X1"])
         energies = feedback_energy_curve(measured, 1, local, grid)
         # the stacked dense curve is the protocol's own at 64 spread grid points
         probe = np.linspace(0, len(grid) - 1, 64).astype(int)

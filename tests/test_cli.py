@@ -554,16 +554,16 @@ def test_sampled_estimate_overflow_exits_1(argv, capsys):
     assert err.startswith("error: floating-point failure: overflow in the estimate of Z on (0,)")
 
 
-def fraction_estimate(tallies, local) -> float:
-    """The standard error of a local's estimate from its tallies in exact
-    rational arithmetic: the odd-parity shots counted from the local's last
-    site's (mu, b0, b) tallies, then the sample variance over the shots."""
-    c = tallies.counts[tallies.sites.index(local.sites[-1])]
+def fraction_estimate(tallies, site, coeff, offset) -> float:
+    """The standard error of a local term's estimate from its tallies in
+    exact rational arithmetic: the odd-parity shots counted from the site's
+    (mu, b0, b) tallies, then the sample variance over the shots."""
+    c = tallies.counts[tallies.sites.index(site)]
     odd = sum(c[4 * mu + 2 * b0 + b] for mu in (0, 1) for b0 in (0, 1) for b in (0, 1)
-              if (b0 + b if len(local.sites) == 2 else b) % 2)
+              if (b0 + b if tallies.basis == "X" else b) % 2)
     n = tallies.shots
-    even_value = Fraction(local.offset) + Fraction(local.coeff)
-    odd_value = Fraction(local.offset) - Fraction(local.coeff)
+    even_value = Fraction(offset) + Fraction(coeff)
+    odd_value = Fraction(offset) - Fraction(coeff)
     mean = ((n - odd) * even_value + odd * odd_value) / n
     var = ((n - odd) * (even_value - mean) ** 2 + odd * (odd_value - mean) ** 2) / (n - 1)
     return exact_root(var / n)
@@ -581,18 +581,18 @@ def test_sampled_stderr_at_extreme_field_scales_matches_a_fraction_oracle(argv, 
     # so the standard error neither overflows nor underflows to 0
     seen, estimate = [], qetsim.sampler.estimate
 
-    def recorded(tallies, local):
-        out = estimate(tallies, local)
-        seen.append((tallies, local, out[1]))
+    def recorded(tallies, *term):
+        out = estimate(tallies, *term)
+        seen.append((tallies, term, out[1]))
         return out
 
     monkeypatch.setattr(qetsim.sampler, "estimate", recorded)
     assert run_cli(*argv, "--format", "csv") == 0
     assert len(seen) == 3  # E0, then HZ1 and HX1
-    for tallies, local, stderr in seen:
-        want = fraction_estimate(tallies, local)
+    for tallies, term, stderr in seen:
+        want = fraction_estimate(tallies, *term)
         assert 0 < stderr < math.inf and want > 0
-        assert stderr == pytest.approx(want, rel=1e-13), local
+        assert stderr == pytest.approx(want, rel=1e-13), term
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert all(0 < float(r["stderr"]) < math.inf for r in rows if r["method"] == "sampled")
 

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +75,19 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert "[1, 7, 21, 56, 147]" in capsys.readouterr().out
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every `qetsim ...` line of the README's shell blocks, comments dropped,
+    # through cli.main in a scratch directory, so a renamed command or flag
+    # that leaves them stale fails here
+    import qetsim.cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["qetsim"]]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert qetsim.cli.main(argv) == 0, argv

@@ -19,6 +19,7 @@ from oracle_utils import (
     solve_ground,
     star_ground,
     star_reduced_values,
+    star_terms,
     word_matrix,
 )
 
@@ -41,27 +42,30 @@ HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.
 def test_minimal_offsets_at_h_k_one():
     # offsets h^2/r for the fields and 2k^2/r for the coupling, r = sqrt(h^2+k^2)
     bundle = star_model(MinimalModelParams(1.0, 1.0))
-    assert bundle.locals["Z0"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
-    assert bundle.locals["Z1"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
-    assert bundle.locals["X1"].offset == pytest.approx(2 / np.sqrt(2), abs=1e-14)
+    terms = star_terms(bundle)
+    assert terms["Z0"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+    assert terms["Z1"].offset == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+    assert terms["X1"].offset == pytest.approx(2 / np.sqrt(2), abs=1e-14)
 
 
 def test_minimal_total_is_sum_of_locals():
     bundle = star_model(MinimalModelParams(3.0, 0.5))
-    assert set(bundle.locals) == {"Z0", "Z1", "X1"}
-    assert bundle.locals["Z0"][:3] == (3.0, "Z", (0,))
-    assert bundle.locals["Z1"][:3] == (3.0, "Z", (1,))
-    assert bundle.locals["X1"][:3] == (1.0, "X", (0, 1))
-    offset = sum(local.offset for local in bundle.locals.values())
+    terms = star_terms(bundle)
+    assert set(terms) == {"Z0", "Z1", "X1"}
+    assert terms["Z0"][:3] == (3.0, "Z", (0,))
+    assert terms["Z1"][:3] == (3.0, "Z", (1,))
+    assert terms["X1"][:3] == (1.0, "X", (0, 1))
+    offset = sum(local.offset for local in terms.values())
     H = 3.0 * (word_matrix("ZI") + word_matrix("IZ")) + 1.0 * word_matrix("XX")
-    assert np.abs(local_matrix(2, *bundle.locals.values()) - H - offset * np.eye(4)).max() < 1e-12
+    assert np.abs(local_matrix(2, *terms.values()) - H - offset * np.eye(4)).max() < 1e-12
 
 
 def test_minimal_small_k_limit():
     bundle = star_model(MinimalModelParams(2.0, 1e-8))
-    assert bundle.locals["Z0"].offset == pytest.approx(2.0, rel=1e-12)
-    assert bundle.locals["X1"].offset == pytest.approx(0.0, abs=1e-12)
-    assert bundle.locals["X1"].coeff == pytest.approx(2e-8)
+    terms = star_terms(bundle)
+    assert terms["Z0"].offset == pytest.approx(2.0, rel=1e-12)
+    assert terms["X1"].offset == pytest.approx(0.0, abs=1e-12)
+    assert terms["X1"].coeff == pytest.approx(2e-8)
 
 
 def test_analytic_ground_amplitudes():
@@ -82,16 +86,17 @@ def test_analytic_ground_small_k_limit_and_norm():
 def test_minimal_zero_mean_suite():
     for h, k in HK_GRID:
         bundle = star_model(MinimalModelParams(h, k))
+        terms = star_terms(bundle)
         ground = star_ground(bundle)
-        assert abs(expectation(ground, *bundle.locals.values())) < 1e-10, (h, k)
-        for local in bundle.locals.values():
+        assert abs(expectation(ground, *terms.values())) < 1e-10, (h, k)
+        for local in terms.values():
             assert abs(expectation(ground, local)) < 1e-10, (h, k)
 
 
 def test_minimal_ground_energy_zero_for_9_2():
     # the Pauli part's ground level plus the offsets
     bundle = star_model(MinimalModelParams(9.0, 2.0))
-    offset = sum(local.offset for local in bundle.locals.values())
+    offset = sum(local.offset for local in star_terms(bundle).values())
     assert abs(star_block_ground(9.0, 2.0, 2)[0] + offset) < 1e-10
 
 
@@ -129,13 +134,14 @@ def test_offsets_do_not_change_eigenvectors():
 def test_star_locals_sum_and_zero_mean():
     for q in (3, 6, 7):
         bundle = star_model(StarModelParams(9.0, 2.0, q))
+        terms = star_terms(bundle)
         assert bundle.n_qubits == q
-        assert set(bundle.locals) == {f"Z{i}" for i in range(q)} | {f"X{j}" for j in range(1, q)}
+        assert set(terms) == {f"Z{i}" for i in range(q)} | {f"X{j}" for j in range(1, q)}
         ground = star_ground(bundle)
-        for name, local in bundle.locals.items():
+        for name, local in terms.items():
             assert abs(expectation(ground, local)) < 1e-10, name
-        assert abs(expectation(ground, *bundle.locals.values())) < 1e-10
-        offset = sum(local.offset for local in bundle.locals.values())
+        assert abs(expectation(ground, *terms.values())) < 1e-10
+        offset = sum(local.offset for local in terms.values())
         assert abs(star_block_ground(9.0, 2.0, q)[0] + offset) < 1e-10
 
 
@@ -148,7 +154,7 @@ def test_star_q2_is_the_minimal_model():
 
 def test_star_sender_offset_is_e0_reference_band():
     bundle = star_model(StarModelParams(9.0, 2.0, 6))
-    e0 = bundle.locals["Z0"].offset
+    e0 = star_terms(bundle)["Z0"].offset
     assert e0 > 0
     assert e0 == pytest.approx(7.8897, abs=0.036)  # sampled reference +-4 stderr
 
@@ -157,7 +163,7 @@ def test_star_matches_reduced_basis_oracle():
     for q, h, k in ((6, 9.0, 2.0), (7, 7.0, 2.0)):
         oracle = star_reduced_values(q, h, k)
         bundle = star_model(StarModelParams(h, k, q))
-        assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
+        assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
         assert star_block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
         angle = bundle.angle
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
@@ -167,21 +173,23 @@ def test_star_matches_reduced_basis_oracle():
 
 def test_star_small_k_limit_all_down():
     bundle = star_model(StarModelParams(2.0, 1e-6, 5))
+    terms = star_terms(bundle)
     n = bundle.n_qubits
     assert abs(abs(star_ground(bundle)[2**n - 1]) - 1.0) < 1e-6
     for i in range(n):
-        assert bundle.locals[f"Z{i}"].offset == pytest.approx(2.0, abs=1e-6)
+        assert terms[f"Z{i}"].offset == pytest.approx(2.0, abs=1e-6)
     for j in range(1, n):
-        assert bundle.locals[f"X{j}"].offset == pytest.approx(0.0, abs=1e-6)
+        assert terms[f"X{j}"].offset == pytest.approx(0.0, abs=1e-6)
 
 
 def test_star_energy_equals_minus_offset_sum():
     params = StarModelParams(8.0, 2.0, 7)
     bundle = star_model(params)
+    terms = star_terms(bundle)
     n = bundle.n_qubits
-    pauli_only = sum(local.coeff * word_matrix(local_word(local, n)) for local in bundle.locals.values())
+    pauli_only = sum(local.coeff * word_matrix(local_word(local, n)) for local in terms.values())
     raw = solve_ground(pauli_only)
-    offset = sum(local.offset for local in bundle.locals.values())
+    offset = sum(local.offset for local in terms.values())
     assert raw.energy == pytest.approx(-offset, abs=1e-9)
 
 
@@ -233,7 +241,7 @@ def test_star_sectors_q16_match_reduced_oracle():
     oracle = star_reduced_values(16, 7.0, 2.0)
     bundle = star_model(StarModelParams(7.0, 2.0, 16))
     assert star_block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
-    assert bundle.locals["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
+    assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
     angle = bundle.angle
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
     assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
@@ -285,7 +293,7 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
     bundle = star_model(StarModelParams(8.0, 2.0, 12))
     assert sizes and max(sizes) <= 2 * 12
     assert bundle.g.shape == (2, 12)
-    assert abs(expectation(star_ground(bundle), *bundle.locals.values())) < 1e-10
+    assert abs(expectation(star_ground(bundle), *star_terms(bundle).values())) < 1e-10
 
 
 # --- feedback angle ----------------------------------------------------------
@@ -303,7 +311,7 @@ def test_moments_match_dense_oracle_property(h, k, q, data):
     j = data.draw(st.integers(1, q - 1), label="receiver")
     oracle = dense_star_angle(q, h, k, j)
     bundle = star_model(StarModelParams(h, k, q))
-    for name, local in bundle.locals.items():
+    for name, local in star_terms(bundle).items():
         assert local.offset == pytest.approx(oracle[name], abs=1e-10), name
     angle = bundle.angle
     for field in ("xi", "eta", "theta"):
@@ -314,7 +322,8 @@ def pass_curve(bundle, site, thetas):
     """Receiver `site`'s energy read off the package's pass for R = {site},
     each angle reached by turning the pass's feedback on by theta - theta*
     (rotations about Y_site compose)."""
-    local = reduced_observable((0, site), bundle.locals[f"Z{site}"], bundle.locals[f"X{site}"])
+    terms = star_terms(bundle)
+    local = reduced_observable((0, site), terms[f"Z{site}"], terms[f"X{site}"])
     shifts = np.asarray(thetas) - bundle.angle.theta
     return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
 
@@ -325,10 +334,11 @@ def pass_curve(bundle, site, thetas):
 ])
 def test_theta_minimizes_receiver_energy_grid_scan(maker):
     bundle = maker()
+    terms = star_terms(bundle)
     angle = bundle.angle
     thetas = np.arange(-np.pi / 2 + 1e-4, np.pi / 2 + 1e-9, 1e-4)
     measured = fed_ensemble(bundle, ())
-    local = local_matrix(bundle.n_qubits, bundle.locals["Z1"], bundle.locals["X1"])
+    local = local_matrix(bundle.n_qubits, terms["Z1"], terms["X1"])
     energies = feedback_energy_curve(measured, 1, local, thetas)
     # the stacked dense curve is the protocol's own at 64 spread grid points
     probe = np.linspace(0, len(thetas) - 1, 64).astype(int)

@@ -8,6 +8,7 @@ import pytest
 
 from oracle_utils import (
     HADAMARD,
+    Term,
     apply_cnot,
     apply_word,
     dense_expectation,
@@ -22,10 +23,11 @@ from oracle_utils import (
     rotate,
     solve_ground,
     star_ground,
+    star_terms,
     word_matrix,
 )
 
-from qetsim.model import Local, StarModelParams, star_model
+from qetsim.model import StarModelParams, star_model
 
 RNG = np.random.default_rng(23)
 
@@ -45,7 +47,7 @@ def random_locals(n, n_terms=4):
     out = []
     for _ in range(n_terms):
         sites = tuple(sorted(RNG.choice(n, size=RNG.integers(1, n + 1), replace=False).tolist()))
-        out.append(Local(float(RNG.normal()), str(RNG.choice(["X", "Z"])), sites,
+        out.append(Term(float(RNG.normal()), str(RNG.choice(["X", "Z"])), sites,
                          float(RNG.normal())))
     return out
 
@@ -84,7 +86,7 @@ def test_dimension_mismatch_raises():
 # --- expectation -------------------------------------------------------------
 
 def test_basis_eigenstate_expectation():
-    local = Local(9.0, "Z", (0,), 0.0)
+    local = Term(9.0, "Z", (0,), 0.0)
     assert expectation(basis(2, "00"), local) == pytest.approx(9.0, abs=1e-12)
     assert expectation(basis(2, "10"), local, local) == pytest.approx(-18.0, abs=1e-12)
 
@@ -100,7 +102,7 @@ def test_expectation_matches_dense_quadratic_form():
 
 def test_symmetric_mixture_expectation():
     branches = [(0.5, basis(1, 0), +1), (0.5, basis(1, 1), -1)]
-    assert ensemble_expectation(branches, Local(1.0, "Z", (0,), 0.0)) == pytest.approx(
+    assert ensemble_expectation(branches, Term(1.0, "Z", (0,), 0.0)) == pytest.approx(
         0.0, abs=1e-14
     )
 
@@ -136,7 +138,7 @@ def test_branch_probabilities_sum_to_one():
 def test_commuting_observable_preserved_by_measurement():
     for _ in range(5):
         state = random_state(3)
-        locals_ = (Local(1.3, "Z", (1,), 0.2), Local(0.7, "X", (0, 1), 0.0))
+        locals_ = (Term(1.3, "Z", (1,), 0.2), Term(0.7, "X", (0, 1), 0.0))
         M, S = local_matrix(3, *locals_), word_matrix("XII")
         assert np.allclose(M @ S, S @ M)
         branches = measure(state, "XII")
@@ -173,21 +175,22 @@ def test_rotation_bad_mu_rejected():
         rotate(random_state(1), "X", 0.3, 2)
 
 
-# --- the oracle's Hamiltonian: the sum of the package's locals ------------------
+# --- the oracle's Hamiltonian: the sum of the star's terms --------------------
 
 def test_sum_of_locals_equals_total():
-    # the star's np.kron Hamiltonian plus the locals' summed offsets, whose
+    # the star's np.kron Hamiltonian plus the terms' summed offsets, whose
     # dense ground level is 0
     for q, h, k in ((2, 1.0, 1.0), (4, 9.0, 2.0), (5, 3.0, 0.7)):
         bundle = star_model(StarModelParams(h, k, q))
+        terms = star_terms(bundle)
         x0 = op_on("X", 0, q)
         H = sum(h * op_on("Z", i, q) for i in range(q))
         H = H + sum(2 * k * x0 @ op_on("X", j, q) for j in range(1, q))
-        offset = sum(local.offset for local in bundle.locals.values())
-        total = local_matrix(q, *bundle.locals.values())
+        offset = sum(local.offset for local in terms.values())
+        total = local_matrix(q, *terms.values())
         assert np.abs(total - H - offset * np.eye(2**q)).max() < 1e-12
         assert solve_ground(total).energy == pytest.approx(0.0, abs=1e-10)
-        assert expectation(star_ground(bundle), *bundle.locals.values()) == pytest.approx(
+        assert expectation(star_ground(bundle), *terms.values()) == pytest.approx(
             0.0, abs=1e-10
         )
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    Term,
     class_cells,
     dicke_vectors,
     ensemble_density,
@@ -21,6 +22,7 @@ from oracle_utils import (
     reduced_observable,
     star_ground,
     star_reduced_values,
+    star_terms,
 )
 
 import qetsim.protocol
@@ -31,7 +33,6 @@ from qetsim.model import (
     StarModelParams,
     star_model,
 )
-from qetsim.model import Local
 from qetsim.protocol import dicke_rotation, exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
 
@@ -51,7 +52,7 @@ def test_e0_minimal_formula():
     for h, k in ((1.0, 1.0), (9.0, 2.0), (3.0, 5.0)):
         bundle = star_model(MinimalModelParams(h, k))
         measured = fed_ensemble(bundle, ())
-        e0 = ensemble_expectation(measured, *bundle.locals.values())
+        e0 = ensemble_expectation(measured, *star_terms(bundle).values())
         assert e0 == pytest.approx(h * h / np.hypot(h, k), abs=1e-10)
         assert exact_record(bundle, (1,)).e0 == pytest.approx(e0, abs=1e-10)
         assert sum(p for p, _, _ in measured) == pytest.approx(1.0, abs=1e-12)
@@ -59,7 +60,7 @@ def test_e0_minimal_formula():
 
 def test_e0_star_reference_band():
     bundle = star_model(StarModelParams(9.0, 2.0, 6))
-    e0 = ensemble_expectation(fed_ensemble(bundle, ()), *bundle.locals.values())
+    e0 = ensemble_expectation(fed_ensemble(bundle, ()), *star_terms(bundle).values())
     assert e0 == pytest.approx(7.8897, abs=0.036)
 
 
@@ -67,18 +68,19 @@ def test_e0_identity_across_observables():
     # post-measurement, the total and the sender field term agree, and both
     # equal -h <g|Z0|g>; receiver feedback does not move them
     bundle = star_model(StarModelParams(7.0, 2.0, 6))
+    terms = star_terms(bundle)
     measured = fed_ensemble(bundle, ())
-    e0 = ensemble_expectation(measured, *bundle.locals.values())
+    e0 = ensemble_expectation(measured, *terms.values())
     h = bundle.params.h
-    minus_h_z0 = -h * expectation(star_ground(bundle), Local(1.0, "Z", (0,), 0.0))
+    minus_h_z0 = -h * expectation(star_ground(bundle), Term(1.0, "Z", (0,), 0.0))
     assert e0 == pytest.approx(minus_h_z0, abs=1e-10)
-    assert ensemble_expectation(measured, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
+    assert ensemble_expectation(measured, terms["Z0"]) == pytest.approx(e0, abs=1e-10)
     # feedback extracts the receiver energy from the total but cannot move
     # the sender term (the rotation commutes with it)
     fed = fed_ensemble(bundle, (1,))
     e_1 = receiver_energy(fed, bundle, 1)["e_j"]
-    assert ensemble_expectation(fed, *bundle.locals.values()) == pytest.approx(e0 + e_1, abs=1e-10)
-    assert ensemble_expectation(fed, bundle.locals["Z0"]) == pytest.approx(e0, abs=1e-10)
+    assert ensemble_expectation(fed, *terms.values()) == pytest.approx(e0 + e_1, abs=1e-10)
+    assert ensemble_expectation(fed, terms["Z0"]) == pytest.approx(e0, abs=1e-10)
 
 
 # --- the protocol pass on the sender-plus-receivers marginal -------------------------
@@ -87,9 +89,10 @@ def test_zero_angle_feedback_is_identity():
     # the pass turned back by -theta* is the measured state's marginal, which
     # holds no receiver energy
     bundle = star_model(MinimalModelParams(1.0, 1.0))
+    terms = star_terms(bundle)
     fed = class_cells(run_protocol(bundle, (1,)))
     theta = bundle.angle.theta
-    local = reduced_observable((0, 1), bundle.locals["Z1"], bundle.locals["X1"])
+    local = reduced_observable((0, 1), terms["Z1"], terms["X1"])
     assert pass_energy_curve(fed, [-theta], local)[0] == pytest.approx(0.0, abs=1e-10)
     measured = ensemble_density(fed_ensemble(bundle, ()))
     mu = np.array([1.0, -1.0])[:, None, None]
@@ -202,12 +205,13 @@ def test_minimal_decoupled_limit_no_energy():
 
 def test_bookkeeping_closure_every_stage():
     bundle = star_model(StarModelParams(8.0, 2.0, 6))
+    terms = star_terms(bundle)
     measured = fed_ensemble(bundle, ())
     for stage in (measured, fed_ensemble(bundle, (1,))):
-        total = ensemble_expectation(stage, *bundle.locals.values())
-        by_parts = sum(ensemble_expectation(stage, local) for local in bundle.locals.values())
+        total = ensemble_expectation(stage, *terms.values())
+        by_parts = sum(ensemble_expectation(stage, local) for local in terms.values())
         assert total == pytest.approx(by_parts, abs=1e-10)
-    assert ensemble_expectation(measured, *bundle.locals.values()) == pytest.approx(
+    assert ensemble_expectation(measured, *terms.values()) == pytest.approx(
         exact_record(bundle, ()).e0, abs=1e-12
     )
 
@@ -255,14 +259,15 @@ def test_untouched_sites_keep_zero_energy():
     bundle = star_model(StarModelParams(7.0, 2.0, 6))
     fed = fed_ensemble(bundle, (1,))
     for name in ("Z3", "X3", "Z4", "X4"):
-        assert ensemble_expectation(fed, bundle.locals[name]) == pytest.approx(0.0, abs=1e-10)
+        assert ensemble_expectation(fed, star_terms(bundle)[name]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ensemble_matches_dense_density_matrix():
     # the receiver energy read off the pass's reduced state equals the dense
     # fed ensemble's, and the closed form
     bundle = star_model(MinimalModelParams(2.0, 1.0))
-    receiver_locals = (bundle.locals["Z1"], bundle.locals["X1"])
+    terms = star_terms(bundle)
+    receiver_locals = (terms["Z1"], terms["X1"])
     rho = ensemble_density(fed_ensemble(bundle, (1,)))
     want = float(np.trace(rho @ local_matrix(2, *receiver_locals)).real)
     reduced = pass_density(class_cells(run_protocol(bundle, (1,))))
@@ -398,10 +403,11 @@ def _check_closed_form(params, receivers):
     # E0 and each receiver's energies of the dense fed ensemble, and each
     # receiver's energies read off the pass's reduced state
     bundle = star_model(params)
+    terms = star_terms(bundle)
     fed = fed_ensemble(bundle, receivers)
     record = exact_record(bundle, receivers)
     assert record.e0 == pytest.approx(
-        ensemble_expectation(fed_ensemble(bundle, ()), *bundle.locals.values()), abs=1e-12
+        ensemble_expectation(fed_ensemble(bundle, ()), *terms.values()), abs=1e-12
     )
     sites = (0, *sorted(receivers))
     rho = pass_density(class_cells(run_protocol(bundle, receivers)))
@@ -412,7 +418,7 @@ def _check_closed_form(params, receivers):
                 dense[field], abs=1e-12
             ), (j, field)
         for field, local in (("hx", f"X{j}"), ("hz", f"Z{j}")):
-            from_pass = np.trace(rho @ reduced_observable(sites, bundle.locals[local])).real
+            from_pass = np.trace(rho @ reduced_observable(sites, terms[local])).real
             assert from_pass == pytest.approx(dense[field], abs=1e-12), (j, field)
 
 

@@ -58,26 +58,26 @@ def test_classify_rejects_bad_args():
 # --- generation --------------------------------------------------------------
 
 def test_hexagonal_depth_one():
-    edges = generate(6, 1)
+    edges = tuple(generate(6, 1))
     assert len(adjacency(edges)) == 7
     assert len(edges) == 12  # 6 spokes + 6 ring edges
 
 
 def test_heptagonal_depth_one():
-    edges = generate(7, 1)
+    edges = tuple(generate(7, 1))
     assert len(adjacency(edges)) == 8
     assert len(edges) == 14  # 7 spokes + closed 7-ring
 
 
 def test_depth_zero_is_single_vertex():
-    assert generate(8, 0) == ()
+    assert tuple(generate(8, 0)) == ()
     assert ring_sizes(8, 0) == [1]
 
 
 @pytest.mark.parametrize("q", [6, 7, 8, 10])
 def test_ring_sizes_match_independent_recurrence(q):
     depth = 6 if q < 10 else 5
-    edges = generate(q, depth)
+    edges = tuple(generate(q, depth))
     rings = bfs_rings(edges)
     layers = bfs_layer_sizes(edges)
     assert layers == ring_counts_recurrence(q, depth)
@@ -107,7 +107,7 @@ def test_hyperbolic_growth_beats_euclidean():
 @pytest.mark.parametrize("q", [6, 7, 10])
 def test_interior_degree_invariant(q):
     depth = 3
-    edges = generate(q, depth)
+    edges = tuple(generate(q, depth))
     adj = adjacency(edges)
     for v, ring in bfs_rings(edges).items():
         if ring < depth:
@@ -121,7 +121,7 @@ def test_triangle_face_invariant(q):
     # every edge not on the outermost cycle closes exactly two triangles;
     # outermost-ring cycle edges close exactly one
     depth = 3
-    edges = generate(q, depth)
+    edges = tuple(generate(q, depth))
     adj = adjacency(edges)
     rings = bfs_rings(edges)
     for u, v in edges:
@@ -133,7 +133,7 @@ def test_triangle_face_invariant(q):
 
 
 def test_connected():
-    edges = generate(7, 4)
+    edges = tuple(generate(7, 4))
     assert len(bfs_rings(edges)) == sum(ring_sizes(7, 4)) == len(adjacency(edges))
 
 
@@ -143,13 +143,13 @@ def test_deterministic_bytes_and_roundtrip():
     assert a == b
     lines = a.strip().splitlines()
     edges = tuple(tuple(int(v) for v in line.split()) for line in lines)
-    assert edges == generate(7, 3)
+    assert edges == tuple(generate(7, 3))
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split())))
     assert all(int(u) < int(v) for u, v in (line.split() for line in lines))
 
 
 def test_edges_export_in_chunks(monkeypatch):
-    edges = generate(7, 3)
+    edges = tuple(generate(7, 3))
     monkeypatch.setattr(qetsim.tiling, "EXPORT_CHUNK_EDGES", 5)
     chunks = list(export_edges(edges))
     assert [chunk.count("\n") for chunk in chunks] == [
