@@ -12,6 +12,7 @@ by master seed, model parameters, receiver set and basis.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -48,14 +49,23 @@ def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -
     return [plan.master_seed, _FAMILY_CODE, p.q, *fields, _BASIS_CODES[plan.basis_run], *receivers]
 
 
+@functools.cache
+def _receiver_hadamard(r: int) -> np.ndarray:
+    """The r receivers' Hadamards on their Dicke states, the Dicke matrix of
+    R(pi/4) Z, transposed, read-only: built once per receiver count."""
+    root_half = math.sqrt(0.5)
+    matrix = (dicke_rotation(r, root_half, root_half) * (-1.0) ** np.arange(r + 1)).T
+    matrix.flags.writeable = False
+    return matrix
+
+
 def readout_law(fed: np.ndarray, basis: str) -> np.ndarray:
     """Class probabilities law[mu, b0, w] of one basis run of a pass array
     fed[mu, m, s, w], summed over m; an X-run's Hadamards act on the
     receivers as the Dicke matrix of R(pi/4) Z, on the sender as the sum and
     difference of its rows, which keeps the classes b0 != mu exactly 0."""
     if basis == "X":
-        r, root_half = fed.shape[-1] - 1, math.sqrt(0.5)
-        fed = fed @ (dicke_rotation(r, root_half, root_half) * (-1.0) ** np.arange(r + 1)).T
+        fed = fed @ _receiver_hadamard(fed.shape[-1] - 1)
         fed = np.stack([fed[:, :, 0] + fed[:, :, 1], fed[:, :, 0] - fed[:, :, 1]], axis=2)
         return 0.5 * np.sum(fed**2, axis=1)
     return np.sum(fed**2, axis=1)

@@ -6,27 +6,27 @@ measurements and outcome-conditioned Pauli corrections, which send two
 classical bits.  The corrections make all four outcome branches identical on
 the kept register, so relaying is an exact identity channel.
 
-`relay` is the package's one teleport, and the hop kernel `_hop` serves it:
-on a (B, 2**(n+2)) stack of registers, each with a Bell pair appended after
-its n qubits, it builds all four corrected (m1, m2) branches of every row as
-one array, the relayed qubit already back at the source's site, by one
-gather through a flat index table of the stack, one product with a
-coefficient table and one sum; `_hop_tables` builds both tables once per
-call.  `_check_hops` then checks, on every row, that each amplitude is
-finite, the Bell pair and the branches' agreement.  Without an rng the
-(0, 0) branch is kept and no bits are returned; with one, the drawn row's
-(m1, m2) is drawn from the branches' Born probabilities, two uniforms per
-hop, kept by every row, as all corrected branches are the same state, and
-returned as 2 * m1 + m2 per hop.  `relay` runs every hop of a chain in one
-call: each hop only extends, gathers, keeps a branch and normalizes it, and
-the checks run per block of HOP_BLOCK (64) hops, so every hop is checked
-before `relay` returns its rows and bits.  A hop of
-the long-range run's two-row stack costs ~18 us (2 vCPU, numpy 2.4).  The
-long-range run draws mu and every hop's uniforms from the standard
-library's `random.Random(seed)`, so it never imports
-`numpy.random`; it relays both mu branches of the protocol pass as two rows,
-the drawn one (in exact mode, the first) giving the transcript's bits, and
-checks the relayed energies against the closed-form exact record.
+`relay` is the package's one teleport, and the hop kernel `_hop` serves it.
+In the textbook protocol (Bennett et al., PRL 70, 1895 (1993)) each
+corrected (m1, m2) branch is a 2 x 2 operator from the source qubit to the
+pair's second qubit b; `_branch_ops` builds the four from the gates once per
+call.  A hop is one product of them with the (B, 2**n) stack, viewed with
+the source's site on an axis of its own, so the relayed qubit lands back at
+that site.  `_check_hops` then checks that every amplitude of the stack is
+finite, that each row's four Born probabilities sum to 1 and that the
+branches agree.  Without an rng the (0, 0) branch is kept and no bits are
+returned; with one, the drawn row's (m1, m2) is drawn from the branches'
+probabilities, two uniforms per hop, kept by every row, as all corrected
+branches are the same state, and returned as 2 * m1 + m2 per hop.  `relay`
+runs every hop of a chain in one call: each hop only multiplies, keeps a
+branch and normalizes it, and the checks run per block of HOP_BLOCK (64)
+hops, so every hop is checked before `relay` returns its rows and bits.  A
+hop of the long-range run's two-row stack costs ~10 us (2 vCPU, numpy 2.4).
+The long-range run draws mu and every hop's uniforms from the standard
+library's `random.Random(seed)`, so it never imports `numpy.random`; it
+relays both mu branches of the protocol pass as two rows, the drawn one (in
+exact mode, the first) giving the transcript's bits, and checks the relayed
+energies against the closed-form exact record.
 `LoccTranscript` holds only the hop count and the drawn bits; its
 `serialize` alone names the nodes and lays out the lines, yielding the text
 a chunk of hops at a time so that a long transcript is never held whole.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,13 +79,13 @@ class LoccTranscript:
         return 1 + 2 * self.hops
 
 
-BELL = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
+BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 # Largest h/k or k/h `run_longrange_qet` accepts; see there.
 MAX_RELAY_FIELD_RATIO = 1e4
 # Largest hop count `run_longrange_qet` accepts: the relay keeps one byte per
 # hop and the transcript is written a chunk of TRANSCRIPT_CHUNK_HOPS hops at a
-# time, so `longrange --sample-transcript` peaks in-process at ~33 MB at 10^5
-# hops and ~34 MB at 10^6, where it takes ~19 s (2 vCPU, numpy 2.4).
+# time, so `longrange --sample-transcript` peaks in-process at ~32 MB at 10^5
+# hops and ~34 MB at 10^6, where it takes ~11-14 s (2 vCPU, numpy 2.4).
 MAX_HOPS = 10**6
 TRANSCRIPT_CHUNK_HOPS = 4096
 # `relay` checks its hops in blocks of this many, kept in buffers of at most
@@ -99,96 +98,60 @@ def _qubits(rows: np.ndarray) -> int:
     n = rows.shape[-1].bit_length() - 1
     if rows.ndim != 2 or rows.shape[-1] != 2**n or not len(rows):
         raise ValueError(f"expected a (B, 2**n) stack of registers, got {rows.shape}")
+    # a hop's four branches of a row hold as many amplitudes as n + 2 qubits
+    if n + 2 > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
     return n
 
 
-def _check_capacity(n: int) -> None:
-    if n + 2 > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
+def _branch_ops() -> np.ndarray:
+    """ops[2 m1 + m2], the (4, 2, 2) maps from the source qubit to b of the
+    corrected (m1, m2) branches: source (x) BELL on (a, b), CNOT(source ->
+    a), H(source), Z readouts m1 of the source and m2 of a, then X^m2 and
+    Z^m1 on b."""
+    cnot = np.eye(4)[[0, 1, 3, 2]]  # on (source, a)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    paired = np.kron(np.eye(2), BELL[:, None])  # (source, a, b) by source in
+    rotated = np.kron(hadamard, np.eye(4)) @ np.kron(cnot, np.eye(2)) @ paired
+    read = rotated.reshape(2, 2, 2, 2)  # (m1, m2, b, source in)
+    x, z = (np.eye(2), np.eye(2)[::-1]), (np.eye(2), np.diag([1.0, -1.0]))
+    return np.stack([z[m1] @ x[m2] @ read[m1, m2] for m1 in (0, 1) for m2 in (0, 1)])
 
 
-class _HopTables(NamedTuple):
-    bell00: np.ndarray  # (2**n,) cells of the pair in 00, register qubits in order
-    bell11: np.ndarray
-    gather: np.ndarray  # (2, B, 4, 2**n) flat indices into a (B, 2**(n+2)) stack
-    coef: np.ndarray  # (2, B, 4, 2**n): branch = coef[0] * x + coef[1] * y
-
-
-def _hop_tables(n: int, source: int, batch: int) -> _HopTables:
-    """Flat index tables of teleporting qubit `source` of every n-qubit
-    register of a (batch, 2**(n+2)) stack onto the second qubit b of a Bell
-    pair (a, b) appended after it.
-
-    After CNOT(source -> a) and H(source), the (m1, m2) branch of row r, X^m2
-    then Z^m1 applied to b, over the register's qubits in order with b at
-    the source's site, is coef[0] * x + coef[1] * y with x the stack's flat
-    cells gather[0, r, 2 m1 + m2] (source 0, a = m2) and y those of
-    gather[1] (source 1, a = 1 - m2), both read with b flipped where m2 = 1.
-    coef is sqrt(1/2), negated where m1 = 1 and b = 1, and for y also
-    negated where m1 = 1, the sign H(source) gives the source-is-1 half.
-    """
-    bell00 = 4 * np.arange(2**n)
-    # axes (source, other register qubits, a, b)
-    w = np.moveaxis(np.arange(2 ** (n + 2)).reshape((2,) * (n + 2)), source, 0)
-    w = w.reshape(2, -1, 2, 2)
-
-    def x_on_b(v):  # (other qubits, m2, b), b flipped where m2 = 1
-        return np.tile(np.stack([v[:, 0], v[:, 1, ::-1]]).reshape(2, -1), (2, 1))
-
-    scale = np.full((4, 2 ** (n - 1), 2), np.sqrt(0.5))
-    scale[2:, :, 1] *= -1.0
-    scale = scale.reshape(4, -1)
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
-    # output cell i reads the cell of (other qubits, b) that lands at i once
-    # b is moved to the source's site
-    home = np.moveaxis(np.arange(2**n).reshape((2,) * n), -1, source).reshape(-1)
-    gather = np.stack([x_on_b(w[0]), x_on_b(w[1, :, ::-1])])[:, None, :, home]
-    coef = np.stack([scale, signs * scale])[:, None, :, home]
-    row_starts = 2 ** (n + 2) * np.arange(batch)[:, None, None]
-    # C-ordered tables give a C-ordered gather; complex coefficients need no cast
-    return _HopTables(
-        bell00, bell00 + 3, np.ascontiguousarray(gather + row_starts),
-        np.repeat(coef, batch, axis=1).astype(np.complex128, order="C"),
-    )
-
-
-def _hop(register: np.ndarray, tables: _HopTables, out: np.ndarray) -> np.ndarray:
-    """The hop kernel, forward only: the four corrected branches of every row
-    of a (B, 2**(n+2)) stack, unnormalized, into `out` (B, 4, 2**n), by one
-    gather, one product and one sum.  Returns the joint Born probabilities
-    (B, 4)."""
-    terms = register.ravel()[tables.gather]
-    terms *= tables.coef
-    np.add(terms[0], terms[1], out=out)
-    flat = out.view(np.float64)
+def _hop(rows: np.ndarray, ops: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The hop kernel: the four corrected branches, unnormalized, of every
+    row of a stack viewed as (B, 1, 2**s, 2, 2**(n-1-s)), s the source's
+    site, into `out` (B, 4, 2**s, 2, 2**(n-1-s)) by one product with the
+    (4, 1, 2, 2) `ops`.  Returns the Born probabilities (B, 4)."""
+    np.matmul(ops, rows, out=out)
+    flat = out.reshape(len(out), 4, -1).view(np.float64)
     return np.vecdot(flat, flat)
 
 
-def _check_hops(registers: np.ndarray, branches: np.ndarray, tables: _HopTables) -> None:
-    """Check a stack of hops, (H, B, 2**(n+2)) registers with their (H, B, 4, .)
-    branches: every amplitude must be finite, on every row the pair must be
-    in (|00>+|11>)/sqrt(2) and entangled with nothing else, and every branch,
-    normalized, must equal branch (0, 0).  Raises for the first hop that
-    fails, naming its first failed check in that order."""
-    bad_value = ~np.isfinite(registers)
-    bad_amp = np.any(bad_value, axis=(-2, -1))
-    on_pair = registers.take(tables.bell00, axis=-1) + registers.take(tables.bell11, axis=-1)
-    bell_weight = 0.5 * np.add.reduce(np.abs(on_pair) ** 2, axis=-1)
-    bad_pair = np.any(~(np.abs(bell_weight - 1.0) <= 1e-10), axis=-1)
-    # a malformed pair's zero branches turn to nan here; bad_pair names that hop
+def _check_hops(rows: np.ndarray, branches: np.ndarray, probs: np.ndarray) -> None:
+    """Check a block of hops of a relay of the (B, 2**n) stack `rows`, with
+    their (H, B, 4, 2**n) branches and (H, B, 4) probabilities: every
+    amplitude of `rows` must be finite, on every hop each row's four
+    probabilities must sum to 1 within 1e-10, and every branch, normalized,
+    must equal branch (0, 0).  Raises for the first hop that fails, naming
+    its first failed check in that order."""
+    bad_value = np.argwhere(~np.isfinite(rows))
+    if len(bad_value):
+        row, cell = bad_value[0]
+        raise ValueError(f"non-finite amplitude {rows[row, cell]} in register row {row}")
+    # written as "not within" so that a nan fails too
+    bad_norm = ~(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = branches / np.sqrt(np.add.reduce(np.abs(branches) ** 2, axis=-1))[..., None]
+        unit = branches / np.sqrt(probs)[..., None]
     overlap = np.add.reduce(unit[..., :1, :].conj() * unit, axis=-1)
     residual = unit - overlap[..., None] * unit[..., :1, :]
-    # distances above 1e-10; written as "not within" so that a nan fails too
+    # distances above 1e-10
     bad_branches = np.any(~(np.add.reduce(np.abs(residual) ** 2, axis=-1) <= 1e-20), axis=(-2, -1))
-    first = np.argmax(bad_amp | bad_pair | bad_branches)
-    if bad_amp[first]:
-        row, cell = np.argwhere(bad_value[first])[0]
-        amp = registers[first, row, cell]
-        raise ValueError(f"non-finite amplitude {amp} in register row {row}")
-    if bad_pair[first]:
-        raise ValueError("malformed Bell pair: reduced state is not (|00>+|11>)/sqrt(2)")
+    first = np.argmax(np.any(bad_norm, axis=-1) | bad_branches)
+    if bad_norm[first].any():
+        row = np.argmax(bad_norm[first])
+        raise ValueError(f"register row {row} is not normalized: its branch probabilities "
+                         f"sum to {np.sum(probs[first, row]):.6g}")
     if bad_branches[first]:
         raise AssertionError("teleportation branches disagree after correction")
 
@@ -198,7 +161,7 @@ def _draw(p: list[float], u1: float, u2: float) -> int:
     then m2 given m1 by u2."""
     m1 = 0 if u1 < p[0] + p[1] else 1
     weight = p[2 * m1] + p[2 * m1 + 1]
-    # a zero weight comes only from a malformed pair, which the check rejects
+    # a zero weight comes only from an unnormalized row, which the check rejects
     m2 = 0 if weight and u2 < p[2 * m1] / weight else 1
     return 2 * m1 + m2
 
@@ -213,47 +176,45 @@ def relay(
     """`hops` teleports of qubit `logical` of every row of a (B, 2**n) stack,
     each through a fresh Bell pair, ancillas recycled.
 
-    Returns the relayed rows and the bits the hops kept.  Without an rng
-    every row keeps branch (0, 0) and the bits are None; with one, any
-    object with a `.random()` method, row `drawn`'s probabilities draw
-    (m1, m2), every row keeps that branch, and the bits are a (hops,) uint8
-    array of the drawn 2 * m1 + m2.  The measured-out qubits are projected
-    away and the relayed content lands back at the `logical` index, so the
-    stack's shape is unchanged.
+    Returns the relayed rows, real if `rows` is, and the bits the hops kept.
+    Without an rng every row keeps branch (0, 0) and the bits are None; with
+    one, any object with a `.random()` method, row `drawn`'s probabilities
+    draw (m1, m2), every row keeps that branch, and the bits are a (hops,)
+    uint8 array of the drawn 2 * m1 + m2.  The measured-out qubits are
+    projected away and the relayed content lands back at the `logical`
+    index, so the stack's shape is unchanged.
 
     Each hop runs forward only, into block buffers of up to HOP_BLOCK hops,
     and normalizes only the branch it keeps.  When a block ends, the
-    Bell-pair and branch checks run on all of its hops: a malformed hop
+    normalization and branch checks run on all of its hops: a malformed hop
     raises, and no bit leaves `relay`, unless every block has passed.  Each
     hop draws two uniforms, u1 then u2.
     """
     n = _qubits(rows)
-    _check_capacity(n)
     if not 0 <= logical < n:
         raise ValueError(f"logical qubit {logical} is not a site of the {n}-qubit register")
     batch, size = rows.shape
-    tables = _hop_tables(n, logical, batch)
-    # a hop keeps 4 * 16 bytes of register and 4 * 16 of branches per amplitude
-    block = max(1, min(HOP_BLOCK, hops, _BLOCK_BYTES // (128 * batch * size)))
-    extended = np.empty((block, batch, size, 4), dtype=np.complex128)
-    registers = extended.reshape(block, batch, 4 * size)
-    branches = np.empty((block, batch, 4, size), dtype=np.complex128)
+    dtype = np.result_type(rows, np.float64)
+    ops = _branch_ops().astype(dtype)[:, None]
+    view = (batch, 1, 2**logical, 2, 2 ** (n - 1 - logical))
+    block = max(1, min(HOP_BLOCK, hops, _BLOCK_BYTES // (4 * dtype.itemsize * batch * size)))
+    branches = np.empty((block, batch, 4, size), dtype=dtype)
+    hop_buffers = list(branches.reshape(block, batch, 4, *view[2:]))
+    probs = np.empty((block, batch, 4))
     b = 0  # the kept branch; without an rng it stays (0, 0)
     kept = None if rng is None else np.empty(hops, dtype=np.uint8)
-    hop_buffers = list(zip(extended, registers, branches))
-    rows = rows[:, :, None]
+    register = rows.astype(dtype, copy=False).reshape(view)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, hops, block):
             count = min(block, hops - start)
-            for j, (ext, register, out) in enumerate(hop_buffers[:count], start):
-                np.multiply(rows, BELL, out=ext)
-                probs = _hop(register, tables, out)
+            for j, out in enumerate(hop_buffers[:count]):
+                p = probs[j] = _hop(register, ops, out)
                 if rng is not None:
-                    b = _draw(probs[drawn].tolist(), rng.random(), rng.random())
-                    kept[j] = b
-                rows = out[:, b, :, None] / np.sqrt(probs[:, b, None, None])
-            _check_hops(registers[:count], branches[:count], tables)
-    return rows[:, :, 0], kept
+                    b = _draw(p[drawn].tolist(), rng.random(), rng.random())
+                    kept[start + j] = b
+                register = out[:, b:b + 1] / np.sqrt(p[:, b, None, None, None, None])
+            _check_hops(rows, branches[:count], probs[:count])
+    return register.reshape(batch, size), kept
 
 
 def run_longrange_qet(
@@ -291,15 +252,12 @@ def run_longrange_qet(
     probs = np.sum(fed**2, axis=-1)  # p_mu, mu = +1 then -1
 
     rng = None if seed is None else random.Random(seed)
-    drawn = 0
-    if rng is not None:
-        drawn = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        drawn = min(drawn, len(probs) - 1)
+    drawn = 0 if rng is None else int(rng.random() >= probs[0])
     # the other row relays identically; only the drawn row's bits are kept
     rows, kept = relay(fed / np.sqrt(probs)[:, None], 1, hops, rng=rng, drawn=drawn)
     # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
-    z1 = probs @ (np.abs(rows) ** 2 @ np.array([1.0, -1.0, 1.0, -1.0]))
-    xx = probs @ np.sum(rows.conj() * rows[:, ::-1], axis=-1).real
+    z1 = probs @ (rows**2 @ np.array([1.0, -1.0, 1.0, -1.0]))
+    xx = probs @ np.sum(rows * rows[:, ::-1], axis=-1)
     h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments
     hz = h * z1 - h * m.zj
     hx = k2 * xx - k2 * m.xx

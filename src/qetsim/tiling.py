@@ -20,8 +20,9 @@ EXPORT_CHUNK_EDGES = 1 << 16
 
 def classify(p: int, q: int) -> str:
     """Euclidean, Hyperbolic or Spherical by the sign of (p-2)(q-2) - 4."""
-    if p < 3 or q < 3:
-        raise ValueError("p and q must be at least 3")
+    for name, value in (("p", p), ("q", q)):
+        if value < 3:
+            raise ValueError(f"{name} must be at least 3, got {value}")
     curv = (p - 2) * (q - 2)
     if curv > 4:
         return "Hyperbolic"

@@ -232,8 +232,10 @@ def test_tiling_spherical_warns_without_generating(capsys):
     assert "q >= 6" in err
 
 
-def test_tiling_bad_q_usage_error():
+def test_tiling_bad_q_usage_error(capsys):
     assert run_cli("tiling", "--q", "2", "--depth", "1") == 2
+    # the CLI fixes p = 3, so only q is named
+    assert capsys.readouterr().err == "error: q must be at least 3, got 2\n"
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -438,6 +438,27 @@ def test_sampled_record_star_hx_within_five_sigma():
         assert abs(got - want) < 5 * sampled.stderr[obs], obs
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    h=st.floats(0.5, 5.0),
+    k=st.floats(0.5, 5.0),
+    q=st.integers(2, 12),
+    shots=st.integers(10**4, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sampled_means_within_five_stderr_of_exact(h, k, q, shots, seed, data):
+    # every mean of a sampled record, E0 and each receiver's HX, HZ and E,
+    # lies within 5 of its own stderr from the exact record's
+    receivers = tuple(sorted(data.draw(
+        st.sets(st.integers(1, q - 1), min_size=1, max_size=q - 1), label="receivers")))
+    bundle = star_model(StarModelParams(h, k, q))
+    sampled = sampled_record(bundle, receivers, shots, seed)
+    exact = exact_record(bundle, receivers)
+    for (obs, _, got), (_, _, want) in zip(sampled.observables(), exact.observables(), strict=True):
+        assert abs(got - want) <= 5 * sampled.stderr[obs], obs
+
+
 def test_multi_seed_statistical_acceptance():
     # repeated seeded runs stay within 5 stderr of the exact trace
     params = StarModelParams(9.0, 2.0, 6)

@@ -16,9 +16,9 @@ from qetsim.teleport import (
     MAX_RELAY_FIELD_RATIO,
     TRANSCRIPT_CHUNK_HOPS,
     LoccTranscript,
+    _branch_ops,
     _check_hops,
     _hop,
-    _hop_tables,
     relay,
     run_longrange_qet,
 )
@@ -60,7 +60,7 @@ def test_teleport_outcome_probabilities_quarter_exact():
         for m1 in (0, 1):
             for m2 in (0, 1):
                 assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
-        kernel = _hop(amps[None], _hop_tables(1, 0, 1), np.empty((1, 4, 2), dtype=complex))
+        kernel = _hop(site_view(state[None], 0), _branch_ops()[:, None], branch_buffer(1, 1, 0))
         assert np.max(np.abs(kernel - 0.25)) <= 1e-12
 
 
@@ -93,10 +93,35 @@ def test_relay_capacity_guard():
 
 # --- the stacked hop kernel against the per-branch oracle -----------------------
 
-def relay_stack(rng, m, batch, pair_amps=BELL):
-    """`batch` random m-qubit registers, each with a pair appended: relay's
-    layout."""
-    return np.array([np.kron(random_amplitudes(rng, m), pair_amps) for _ in range(batch)])
+# turns branch (1, 1)'s operator by 1e-6
+TILT = np.zeros((4, 2, 2))
+TILT[3] = [[0.0, -1e-6], [1e-6, 0.0]]
+
+
+def site_view(rows, source):
+    """A (B, 2**n) stack as the hop kernel reads it, source qubit on axis 3."""
+    n = rows.shape[-1].bit_length() - 1
+    return rows.reshape(len(rows), 1, 2**source, 2, 2 ** (n - 1 - source))
+
+
+def branch_buffer(batch, n, source, dtype=complex):
+    return np.empty((batch, 4, 2**source, 2, 2 ** (n - 1 - source)), dtype=dtype)
+
+
+def hop_block(rng, hops, batch=3, n=2, source=0, ops=None):
+    """`hops` hops of a relay of qubit `source` of `batch` random n-qubit
+    registers, each keeping branch (0, 0): the registers and the hops'
+    (hops, batch, 4, 2**n) branches and (hops, batch, 4) probabilities."""
+    ops = (_branch_ops() if ops is None else ops)[:, None]
+    rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
+    branches = np.empty((hops, batch, 4, 2**n), dtype=complex)
+    probs = np.empty((hops, batch, 4))
+    register = site_view(rows, source)
+    for i in range(hops):
+        out = branches[i].reshape(branch_buffer(batch, n, source).shape)
+        probs[i] = _hop(register, ops, out)
+        register = out[:, :1] / np.sqrt(probs[i, :, :1, None, None, None])
+    return rows, branches, probs
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
@@ -104,14 +129,15 @@ def relay_stack(rng, m, batch, pair_amps=BELL):
 def test_kernel_matches_per_branch_oracle(m, batch):
     rng = np.random.default_rng(100 * m + batch)
     for _ in range(5):
-        rows, source = relay_stack(rng, m, batch), int(rng.integers(m))
-        tables = _hop_tables(m, source, batch)
-        branches = np.empty((batch, 4, 2**m), dtype=complex)
-        probs = _hop(rows, tables, branches)
-        _check_hops(rows[None], branches[None], tables)
-        unit = branches / np.sqrt(probs)[..., None]
+        rows = np.array([random_amplitudes(rng, m) for _ in range(batch)])
+        source = int(rng.integers(m))
+        out = branch_buffer(batch, m, source)
+        probs = _hop(site_view(rows, source), _branch_ops()[:, None], out)
+        branches = out.reshape(1, batch, 4, 2**m)
+        _check_hops(rows, branches, probs[None])
+        unit = branches[0] / np.sqrt(probs)[..., None]
         for row in range(batch):
-            oracle = teleport_branches(rows[row], source, (m, m + 1))
+            oracle = teleport_branches(np.kron(rows[row], BELL), source, (m, m + 1))
             for (m1, m2), (p, reduced) in oracle.items():
                 # the kernel puts pair[1], last in the oracle's order, at the source's site
                 home = np.moveaxis(reduced.reshape((2,) * m), -1, source).reshape(-1)
@@ -119,29 +145,27 @@ def test_kernel_matches_per_branch_oracle(m, batch):
                 assert np.max(np.abs(unit[row, 2 * m1 + m2] - home)) <= 1e-12
 
 
-def test_kernel_rejects_a_malformed_pair_in_any_row():
-    rng = np.random.default_rng(3)
-    rows = relay_stack(rng, 2, 3)
-    rows[1] = relay_stack(rng, 2, 1, pair_amps=np.array([1, 0, 0, 0], dtype=complex))[0]
-    tables = _hop_tables(2, 1, 3)
-    branches = np.empty((3, 4, 4), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _hop(rows, tables, branches)
-    with pytest.raises(ValueError, match="malformed Bell pair"):
-        _check_hops(rows[None], branches[None], tables)
+def test_kernel_rejects_an_unnormalized_row_in_any_row():
+    # each row's four probabilities must sum to 1 within 1e-10
+    rows, branches, probs = hop_block(np.random.default_rng(3), 1)
+    for weight in (1 + 1e-11, 1 + 1e-9, 4.0):
+        scaled_branches, scaled_probs = branches.copy(), probs.copy()
+        scaled_branches[0, 1] *= np.sqrt(weight)
+        scaled_probs[0, 1] *= weight
+        if weight < 1 + 1e-10:
+            _check_hops(rows, scaled_branches, scaled_probs)
+        else:
+            with pytest.raises(ValueError, match="register row 1 is not normalized"):
+                _check_hops(rows, scaled_branches, scaled_probs)
 
 
 def test_kernel_rejects_branches_that_disagree():
-    # a pair 1e-6 off (|00>+|11>)/sqrt(2) passes the 1e-10 Bell-pair check
-    # (its weight is off by ~5e-13) but leaves the branches ~1e-6 apart
-    rng = np.random.default_rng(4)
-    skewed = np.array([1, 1e-6, 0, 1], dtype=complex)
-    rows = relay_stack(rng, 2, 3, pair_amps=skewed / np.linalg.norm(skewed))
-    tables = _hop_tables(2, 0, 3)
-    branches = np.empty((3, 4, 4), dtype=complex)
-    _hop(rows, tables, branches)
+    # branch (1, 1)'s operator turned by 1e-6 keeps every row's weight within
+    # ~1e-12 of 1, inside the 1e-10 normalization check, but leaves the
+    # branches ~1e-6 apart
+    rows, branches, probs = hop_block(np.random.default_rng(4), 1, ops=_branch_ops() + TILT)
     with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(rows[None], branches[None], tables)
+        _check_hops(rows, branches, probs)
 
 
 # --- relays -------------------------------------------------------------------
@@ -209,43 +233,26 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
         assert kept is None and one_by_one == [None] * hops
 
 
-def relayed_block(rng, hops, batch=2, n=2):
-    """`hops` stacked hops of a relay of qubit 0 of `batch` random n-qubit
-    registers: their Bell-extended registers, branches and tables."""
-    tables = _hop_tables(n, 0, batch)
-    registers = np.empty((hops, batch, 2 ** (n + 2)), dtype=np.complex128)
-    branches = np.empty((hops, batch, 4, 2**n), dtype=np.complex128)
-    rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
-    for i in range(hops):
-        registers[i] = (rows[:, :, None] * BELL).reshape(batch, -1)
-        probs = _hop(registers[i], tables, branches[i])
-        rows = branches[i, :, 0] / np.sqrt(probs[:, :1])
-    return registers, branches, tables
-
-
-def test_block_check_rejects_a_malformed_pair_at_any_hop():
-    rng = np.random.default_rng(37)
-    registers, branches, tables = relayed_block(rng, HOP_BLOCK)
-    _check_hops(registers, branches, tables)
+def test_block_check_rejects_an_unnormalized_row_at_any_hop():
+    rows, branches, probs = hop_block(np.random.default_rng(37), HOP_BLOCK)
+    _check_hops(rows, branches, probs)
     branches[40, 0, 3, 0] += 1e-6
     with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(registers, branches, tables)
+        _check_hops(rows, branches, probs)
     # the first failing hop names the error
-    registers[37, 1] = np.kron(random_amplitudes(rng, 2), [1, 0, 0, 0])
-    with pytest.raises(ValueError, match="malformed Bell pair"):
-        _check_hops(registers, branches, tables)
+    branches[37, 1] *= 2.0
+    probs[37, 1] *= 4.0
+    with pytest.raises(ValueError, match="register row 1 is not normalized"):
+        _check_hops(rows, branches, probs)
 
 
 def test_relay_checks_the_partial_last_block(monkeypatch):
     # the next-to-last hop, in a last block of five, leaves its branches ~1e-6 apart
     hops, calls = 2 * HOP_BLOCK + 5, []
 
-    def skewed(register, tables, out):
-        probs = _hop(register, tables, out)
+    def skewed(register, ops, out):
         calls.append(len(calls))
-        if len(calls) == hops - 1:
-            out[:, 3, 0] += 1e-6
-        return probs
+        return _hop(register, ops + TILT[:, None] if len(calls) == hops - 1 else ops, out)
 
     monkeypatch.setattr("qetsim.teleport._hop", skewed)
     rows = np.array([random_amplitudes(np.random.default_rng(2), 2)])
@@ -259,30 +266,48 @@ def test_relay_checks_the_partial_last_block(monkeypatch):
 def test_relay_rejects_unnormalized_rows(norm, sampled):
     rows = norm * np.array([random_amplitudes(np.random.default_rng(6), 2)] * 2)
     rng = np.random.default_rng(1) if sampled else None
-    with pytest.raises(ValueError, match="malformed Bell pair"):
+    with pytest.raises(ValueError, match="register row 0 is not normalized"):
         relay(rows, 0, 3, rng=rng)
 
 
 @pytest.mark.parametrize("sampled", [False, True])
 def test_relay_rejects_a_nan_row(sampled):
-    # a non-finite amplitude is named before the Bell-pair check, which it
-    # would fail too: every comparison with nan is False
+    # a non-finite amplitude is named from the rows as given, before the
+    # normalization check, which it would fail too: every comparison with
+    # nan is False, and the branches turn an inf into nan
     for bad, shown in ((np.nan, "nan"), (complex(0.5, np.inf), "inf"), (-np.inf, "inf")):
         rows = np.array([[bad, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
         rng = random.Random(1) if sampled else None
         with pytest.raises(ValueError, match=f"non-finite amplitude .*{shown}.* in register row 0"):
             relay(rows, 1, 3, rng=rng)
-    # a finite malformed row still fails the pair check
+    # a finite unnormalized row still fails the normalization check
     rows = np.array([[1.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="malformed Bell pair"):
+    with pytest.raises(ValueError, match="register row 0 is not normalized"):
         relay(rows, 1, 3, rng=random.Random(1) if sampled else None)
 
 
 def test_block_check_rejects_a_nan_branch():
-    registers, branches, tables = relayed_block(np.random.default_rng(38), HOP_BLOCK)
+    rows, branches, probs = hop_block(np.random.default_rng(38), HOP_BLOCK)
     branches[40, 0, 3, 0] = np.nan
     with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(registers, branches, tables)
+        _check_hops(rows, branches, probs)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_relay_keeps_a_real_stack_real(sampled):
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(3, 8))
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    hops = 2 * HOP_BLOCK + 3
+    real, real_bits = relay(rows, 2, hops, rng=random.Random(4) if sampled else None, drawn=1)
+    cplx, cplx_bits = relay(rows.astype(complex), 2, hops,
+                            rng=random.Random(4) if sampled else None, drawn=1)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) <= 1e-15
+    if sampled:
+        assert real_bits.tobytes() == cplx_bits.tobytes()
+    else:
+        assert real_bits is None and cplx_bits is None
 
 
 # --- long-range runs ----------------------------------------------------------

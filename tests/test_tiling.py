@@ -51,8 +51,10 @@ def test_classify(p, q, want):
 
 
 def test_classify_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be at least 3, got 2$"):
         classify(2, 6)
+    with pytest.raises(ValueError, match="^q must be at least 3, got 1$"):
+        classify(4, 1)
 
 
 # --- generation --------------------------------------------------------------
