@@ -6,22 +6,17 @@ measurements and outcome-conditioned Pauli corrections, which send two
 classical bits.  The corrections make all four outcome branches identical on
 the kept register, so relaying is an exact identity channel.
 
-`relay` is the package's one teleport, and the hop kernel `_hop` serves it.
-In the textbook protocol (Bennett et al., PRL 70, 1895 (1993)) each
-corrected (m1, m2) branch is a 2 x 2 operator from the source qubit to the
-pair's second qubit b; `_branch_ops` builds the four from the gates once per
-call.  A hop is one product of them with the (B, 2**n) stack, viewed with
-the source's site on an axis of its own, so the relayed qubit lands back at
-that site.  `_check_hops` then checks that every amplitude of the stack is
-finite, that each row's four Born probabilities sum to 1 and that the
-branches agree.  Without an rng the (0, 0) branch is kept and no bits are
-returned; with one, the drawn row's (m1, m2) is drawn from the branches'
-probabilities, two uniforms per hop, kept by every row, as all corrected
-branches are the same state, and returned as 2 * m1 + m2 per hop.  `relay`
-runs every hop of a chain in one call: each hop only multiplies, keeps a
-branch and normalizes it, and the checks run per block of HOP_BLOCK (64)
-hops, so every hop is checked before `relay` returns its rows and bits.  A
-hop of the long-range run's two-row stack costs ~10 us (2 vCPU, numpy 2.4).
+`relay` is the package's one teleport.  In the textbook protocol (Bennett et
+al., PRL 70, 1895 (1993)) each corrected (m1, m2) branch is a 2 x 2 operator
+from the source qubit to the pair's second qubit b; `_branch_ops` builds the
+four from the gates, and each is c_b I with |c_b|^2 = 1/4.  So a hop leaves
+every row as it was and its bits' law, the branches' Born probabilities, is
+the same on every hop.  `relay` therefore checks the four operators and the
+rows once per call, takes the law of the drawn row from one product of the
+operators with the stack (the hop kernel `_hop`), and draws each hop's two
+bits from it with two uniforms; a 1000-hop relay of two rows takes ~0.7 ms
+(2 vCPU, numpy 2.4).  Without an rng the (0, 0) branch is kept and no bits
+are returned.
 The long-range run draws mu and every hop's uniforms from the standard
 library's `random.Random(seed)`, so it never imports `numpy.random`; it
 relays both mu branches of the protocol pass as two rows, the drawn one (in
@@ -82,23 +77,20 @@ class LoccTranscript:
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 # Largest h/k or k/h `run_longrange_qet` accepts; see there.
 MAX_RELAY_FIELD_RATIO = 1e4
-# Largest hop count `run_longrange_qet` accepts: the relay keeps one byte per
-# hop and the transcript is written a chunk of TRANSCRIPT_CHUNK_HOPS hops at a
-# time, so `longrange --sample-transcript` peaks in-process at ~32 MB at 10^5
-# hops and ~34 MB at 10^6, where it takes ~11-14 s (2 vCPU, numpy 2.4).
+# Largest hop count `run_longrange_qet` accepts.  A hop costs one `_draw` and
+# one byte, so the transcript, not time, bounds it: `longrange
+# --sample-transcript` at 10^6 hops writes a 108 MB transcript, a chunk of
+# TRANSCRIPT_CHUNK_HOPS hops at a time, in ~1.6-1.9 s at a 33.4 MB peak
+# (in-process, 2 vCPU, numpy 2.4).
 MAX_HOPS = 10**6
 TRANSCRIPT_CHUNK_HOPS = 4096
-# `relay` checks its hops in blocks of this many, kept in buffers of at most
-# _BLOCK_BYTES so that a large register's block stays small.
-HOP_BLOCK = 64
-_BLOCK_BYTES = 1 << 20
 
 
 def _qubits(rows: np.ndarray) -> int:
     n = rows.shape[-1].bit_length() - 1
     if rows.ndim != 2 or rows.shape[-1] != 2**n or not len(rows):
         raise ValueError(f"expected a (B, 2**n) stack of registers, got {rows.shape}")
-    # a hop's four branches of a row hold as many amplitudes as n + 2 qubits
+    # a row's four branches hold as many amplitudes as n + 2 qubits
     if n + 2 > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
     return n
@@ -109,51 +101,21 @@ def _branch_ops() -> np.ndarray:
     corrected (m1, m2) branches: source (x) BELL on (a, b), CNOT(source ->
     a), H(source), Z readouts m1 of the source and m2 of a, then X^m2 and
     Z^m1 on b."""
-    cnot = np.eye(4)[[0, 1, 3, 2]]  # on (source, a)
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    paired = np.kron(np.eye(2), BELL[:, None])  # (source, a, b) by source in
-    rotated = np.kron(hadamard, np.eye(4)) @ np.kron(cnot, np.eye(2)) @ paired
-    read = rotated.reshape(2, 2, 2, 2)  # (m1, m2, b, source in)
+    # (source, a, b, source in)
+    paired = np.eye(2)[:, None, None, :] * BELL.reshape(2, 2)[:, :, None]
+    flipped = np.stack([paired[0], paired[1, ::-1]])  # CNOT(source -> a)
+    read = np.tensordot(hadamard, flipped, axes=1)  # (m1, m2, b, source in)
     x, z = (np.eye(2), np.eye(2)[::-1]), (np.eye(2), np.diag([1.0, -1.0]))
     return np.stack([z[m1] @ x[m2] @ read[m1, m2] for m1 in (0, 1) for m2 in (0, 1)])
 
 
-def _hop(rows: np.ndarray, ops: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The hop kernel: the four corrected branches, unnormalized, of every
-    row of a stack viewed as (B, 1, 2**s, 2, 2**(n-1-s)), s the source's
-    site, into `out` (B, 4, 2**s, 2, 2**(n-1-s)) by one product with the
-    (4, 1, 2, 2) `ops`.  Returns the Born probabilities (B, 4)."""
-    np.matmul(ops, rows, out=out)
-    flat = out.reshape(len(out), 4, -1).view(np.float64)
-    return np.vecdot(flat, flat)
-
-
-def _check_hops(rows: np.ndarray, branches: np.ndarray, probs: np.ndarray) -> None:
-    """Check a block of hops of a relay of the (B, 2**n) stack `rows`, with
-    their (H, B, 4, 2**n) branches and (H, B, 4) probabilities: every
-    amplitude of `rows` must be finite, on every hop each row's four
-    probabilities must sum to 1 within 1e-10, and every branch, normalized,
-    must equal branch (0, 0).  Raises for the first hop that fails, naming
-    its first failed check in that order."""
-    bad_value = np.argwhere(~np.isfinite(rows))
-    if len(bad_value):
-        row, cell = bad_value[0]
-        raise ValueError(f"non-finite amplitude {rows[row, cell]} in register row {row}")
-    # written as "not within" so that a nan fails too
-    bad_norm = ~(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = branches / np.sqrt(probs)[..., None]
-    overlap = np.add.reduce(unit[..., :1, :].conj() * unit, axis=-1)
-    residual = unit - overlap[..., None] * unit[..., :1, :]
-    # distances above 1e-10
-    bad_branches = np.any(~(np.add.reduce(np.abs(residual) ** 2, axis=-1) <= 1e-20), axis=(-2, -1))
-    first = np.argmax(np.any(bad_norm, axis=-1) | bad_branches)
-    if bad_norm[first].any():
-        row = np.argmax(bad_norm[first])
-        raise ValueError(f"register row {row} is not normalized: its branch probabilities "
-                         f"sum to {np.sum(probs[first, row]):.6g}")
-    if bad_branches[first]:
-        raise AssertionError("teleportation branches disagree after correction")
+def _hop(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The hop kernel: the Born probabilities (B, 4) of the four corrected
+    branches of every row of a stack viewed as (B, 1, 2**s, 2, 2**(n-1-s)),
+    s the source's site, by one product with the (4, 1, 2, 2) `ops`."""
+    branches = np.matmul(ops, rows).reshape(len(rows), 4, -1).view(np.float64)
+    return np.vecdot(branches, branches)
 
 
 def _draw(p: list[float], u1: float, u2: float) -> int:
@@ -180,41 +142,52 @@ def relay(
     Without an rng every row keeps branch (0, 0) and the bits are None; with
     one, any object with a `.random()` method, row `drawn`'s probabilities
     draw (m1, m2), every row keeps that branch, and the bits are a (hops,)
-    uint8 array of the drawn 2 * m1 + m2.  The measured-out qubits are
-    projected away and the relayed content lands back at the `logical`
-    index, so the stack's shape is unchanged.
+    uint8 array of the drawn 2 * m1 + m2, two uniforms per hop, u1 then u2.
 
-    Each hop runs forward only, into block buffers of up to HOP_BLOCK hops,
-    and normalizes only the branch it keeps.  When a block ends, the
-    normalization and branch checks run on all of its hops: a malformed hop
-    raises, and no bit leaves `relay`, unless every block has passed.  Each
-    hop draws two uniforms, u1 then u2.
+    Every corrected branch operator is c_b I, so each hop is the identity
+    channel: it leaves the rows, and with them the next hop's law, as they
+    were.  `relay` checks that once per call, at any hop count, 0 included:
+    each of `_branch_ops()` must be c_b I within 1e-15, with the |c_b|^2
+    summing to 1 within 1e-15, so that MAX_HOPS hops stay within 1e-9;
+    every amplitude of `rows` must be finite; and each row's four
+    probabilities, from one `_hop`, must sum to 1 within 1e-10.  The rows
+    then come back cast to the result dtype, and every hop's bits are drawn
+    from row `drawn`'s one law.  A negative `hops` or a `drawn` outside the
+    stack raises ValueError.
     """
     n = _qubits(rows)
+    batch, size = rows.shape
     if not 0 <= logical < n:
         raise ValueError(f"logical qubit {logical} is not a site of the {n}-qubit register")
-    batch, size = rows.shape
+    if hops < 0:
+        raise ValueError(f"hops must be non-negative, got {hops}")
+    if not 0 <= drawn < batch:
+        raise ValueError(f"drawn row {drawn} is not a row of the {batch}-row stack")
+    ops = _branch_ops()
+    scale = np.trace(ops, axis1=1, axis2=2) / 2
+    # written as "not within" so that a nan fails too
+    if not (np.max(np.abs(ops - scale[:, None, None] * np.eye(2))) <= 1e-15
+            and abs(np.sum(np.abs(scale) ** 2) - 1.0) <= 1e-15):
+        raise AssertionError("teleportation branches disagree after correction")
+    bad_value = np.argwhere(~np.isfinite(rows))
+    if len(bad_value):
+        row, cell = bad_value[0]
+        raise ValueError(f"non-finite amplitude {rows[row, cell]} in register row {row}")
     dtype = np.result_type(rows, np.float64)
-    ops = _branch_ops().astype(dtype)[:, None]
     view = (batch, 1, 2**logical, 2, 2 ** (n - 1 - logical))
-    block = max(1, min(HOP_BLOCK, hops, _BLOCK_BYTES // (4 * dtype.itemsize * batch * size)))
-    branches = np.empty((block, batch, 4, size), dtype=dtype)
-    hop_buffers = list(branches.reshape(block, batch, 4, *view[2:]))
-    probs = np.empty((block, batch, 4))
-    b = 0  # the kept branch; without an rng it stays (0, 0)
-    kept = None if rng is None else np.empty(hops, dtype=np.uint8)
-    register = rows.astype(dtype, copy=False).reshape(view)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, hops, block):
-            count = min(block, hops - start)
-            for j, out in enumerate(hop_buffers[:count]):
-                p = probs[j] = _hop(register, ops, out)
-                if rng is not None:
-                    b = _draw(p[drawn].tolist(), rng.random(), rng.random())
-                    kept[start + j] = b
-                register = out[:, b:b + 1] / np.sqrt(p[:, b, None, None, None, None])
-            _check_hops(rows, branches[:count], probs[:count])
-    return register.reshape(batch, size), kept
+    out = rows.astype(dtype)
+    probs = _hop(out.reshape(view), ops.astype(dtype)[:, None])
+    bad_norm = ~(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10)
+    if bad_norm.any():
+        row = np.argmax(bad_norm)
+        raise ValueError(f"register row {row} is not normalized: its branch probabilities "
+                         f"sum to {np.sum(probs[row]):.6g}")
+    if rng is None:
+        return out, None
+    p = probs[drawn].tolist()
+    kept = np.fromiter((_draw(p, rng.random(), rng.random()) for _ in range(hops)),
+                       dtype=np.uint8, count=hops)
+    return out, kept
 
 
 def run_longrange_qet(

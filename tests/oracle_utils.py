@@ -488,9 +488,9 @@ def star_reduced_values(q: int, h: float, k: float) -> dict[str, float]:
     }
 
 
-# --- the per-branch teleport, oracle of the package's stacked hop kernel ------
-# One branch at a time on single states, through the gates above, none of
-# which the stacked hop kernel calls.
+# --- the teleport through its gates, oracle of the package's relay ------------
+# One branch at a time on single states, or one hop at a time on a stack,
+# through the gates above; none of this calls the package's branch operators.
 
 def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     n = _qubits(amps)
@@ -565,6 +565,48 @@ def teleport_branches(
         if pure_trace_distance(out[(0, 0)][1], reduced) > 1e-10:
             raise AssertionError("teleportation branches disagree after correction")
     return out
+
+
+def relay_by_hops(
+    rows: np.ndarray, logical: int, hops: int, rng=None, drawn: int = 0
+) -> tuple[np.ndarray, list[int] | None]:
+    """The relay of qubit `logical` of every row of a (B, 2**n) stack, one
+    hop at a time through the gates: each hop appends a Bell pair (a, b) to
+    every row, applies CNOT(logical -> a) and H(logical), reads m1 at
+    `logical` and m2 at a, corrects b by X^m2 then Z^m1, drops the read
+    qubits, moves b to site `logical` and normalizes.  With an rng, row
+    `drawn`'s joint readout probabilities of this hop draw m1 by the first
+    of two uniforms and then m2 given m1 by the second, and every row keeps
+    that branch; without one every row keeps (0, 0).  Returns the rows and
+    the list of 2 * m1 + m2, or None without an rng."""
+    batch, size = rows.shape
+    n = size.bit_length() - 1
+    site, a = 1 + logical, 1 + n  # tensor axes; axis 0 is the row
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    bits = None if rng is None else []
+    for _ in range(hops):
+        t = (rows[:, :, None] * bell).reshape((batch,) + (2,) * (n + 2))
+        # CNOT(logical -> a): where the logical bit is 1, flip a, on axis n there
+        control = (slice(None),) * site + (1,)
+        t[control] = np.flip(t[control], axis=n).copy()
+        t = np.moveaxis(np.tensordot(HADAMARD, t, axes=([1], [site])), 0, site)
+        read = np.moveaxis(t, (site, a), (1, 2))  # (B, m1, m2, rest..., b)
+        p = np.sum(np.abs(read.reshape(batch, 2, 2, -1)) ** 2, axis=-1)[drawn]
+        m1 = m2 = 0
+        if rng is not None:
+            u1, u2 = rng.random(), rng.random()
+            m1 = int(u1 >= p[0, 0] + p[0, 1])
+            weight = p[m1, 0] + p[m1, 1]
+            m2 = int(not (weight and u2 < p[m1, 0] / weight))
+            bits.append(2 * m1 + m2)
+        kept = read[:, m1, m2]
+        if m2:
+            kept = np.tensordot(kept, PAULI["X"], axes=([-1], [1]))
+        if m1:
+            kept = np.tensordot(kept, PAULI["Z"], axes=([-1], [1]))
+        rows = np.moveaxis(kept, -1, site).reshape(batch, size)
+        rows = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows, bits
 
 
 # --- a check run through the package's relay, not an oracle ---------------------

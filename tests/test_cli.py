@@ -821,7 +821,11 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 SAMPLED_DIGESTS = {
     "table1": "30e746ffea9dde7f913e7f274cce7bf64a3f72eafe821f824d45852240d363f6",
     "qed": "eb19b46b964767fab8cbdf817e36557d36f9fdd3386d6891e17a68a13e50ae29",
-    "transcript": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
+    # seeded `longrange --sample-transcript` transcripts, h = k = 1, by hop count
+    "transcript-1": "aad79286a708f3ef0dc057e979cf0260c17925d89c79fc213fe3ac011a8e2bfd",
+    "transcript-3": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
+    "transcript-65": "be97e249e47a40f533504835a3116fd7e3b26115ed50c6cfa4931cc67fa26621",
+    "transcript-1000": "6b88b90171b8fc55dab21ec2acb59c1beaac2f3419bffd44af1d3e9cb4f711c1",
 }
 
 
@@ -830,14 +834,12 @@ def test_sampled_output_bytes_are_pinned(tmp_path):
     assert run_cli("table1", "--shots", "2000", "--seed", "11", "--out", str(table)) == 0
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "sampled",
                    "--shots", "2000", "--seed", "5", "--out", str(qed)) == 0
-    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--seed", "11",
-                   "--sample-transcript", "--out", str(tmp_path / "r.json"),
-                   "--transcript-out", str(log)) == 0
-    got = {
-        "table1": table.read_bytes(),
-        "qed": qed.read_bytes(),
-        "transcript": log.read_bytes(),
-    }
+    got = {"table1": table.read_bytes(), "qed": qed.read_bytes()}
+    for hops in (1, 3, 65, 1000):
+        assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", str(hops), "--seed", "11",
+                       "--sample-transcript", "--out", str(tmp_path / "r.json"),
+                       "--transcript-out", str(log)) == 0
+        got[f"transcript-{hops}"] = log.read_bytes()
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SAMPLED_DIGESTS
 
 

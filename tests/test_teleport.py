@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import pure_trace_distance, relay_identity_check, teleport_branches
+from oracle_utils import (
+    pure_trace_distance,
+    relay_by_hops,
+    relay_identity_check,
+    teleport_branches,
+)
 
 from qetsim.model import IllConditionedError, MinimalModelParams, star_model
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
 from qetsim.protocol import exact_record, run_protocol
 from qetsim.teleport import (
     BELL,
-    HOP_BLOCK,
     MAX_RELAY_FIELD_RATIO,
     TRANSCRIPT_CHUNK_HOPS,
     LoccTranscript,
     _branch_ops,
-    _check_hops,
     _hop,
     relay,
     run_longrange_qet,
@@ -60,7 +63,7 @@ def test_teleport_outcome_probabilities_quarter_exact():
         for m1 in (0, 1):
             for m2 in (0, 1):
                 assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
-        kernel = _hop(site_view(state[None], 0), _branch_ops()[:, None], branch_buffer(1, 1, 0))
+        kernel = _hop(site_view(state[None], 0), _branch_ops()[:, None])
         assert np.max(np.abs(kernel - 0.25)) <= 1e-12
 
 
@@ -91,7 +94,7 @@ def test_relay_capacity_guard():
         relay(big, 0, 1)
 
 
-# --- the stacked hop kernel against the per-branch oracle -----------------------
+# --- the hop kernel and the checks against the per-branch oracle ---------------
 
 # turns branch (1, 1)'s operator by 1e-6
 TILT = np.zeros((4, 2, 2))
@@ -104,38 +107,24 @@ def site_view(rows, source):
     return rows.reshape(len(rows), 1, 2**source, 2, 2 ** (n - 1 - source))
 
 
-def branch_buffer(batch, n, source, dtype=complex):
-    return np.empty((batch, 4, 2**source, 2, 2 ** (n - 1 - source)), dtype=dtype)
-
-
-def hop_block(rng, hops, batch=3, n=2, source=0, ops=None):
-    """`hops` hops of a relay of qubit `source` of `batch` random n-qubit
-    registers, each keeping branch (0, 0): the registers and the hops'
-    (hops, batch, 4, 2**n) branches and (hops, batch, 4) probabilities."""
-    ops = (_branch_ops() if ops is None else ops)[:, None]
-    rows = np.array([random_amplitudes(rng, n) for _ in range(batch)])
-    branches = np.empty((hops, batch, 4, 2**n), dtype=complex)
-    probs = np.empty((hops, batch, 4))
-    register = site_view(rows, source)
-    for i in range(hops):
-        out = branches[i].reshape(branch_buffer(batch, n, source).shape)
-        probs[i] = _hop(register, ops, out)
-        register = out[:, :1] / np.sqrt(probs[i, :, :1, None, None, None])
-    return rows, branches, probs
+def random_rows(rng, batch, n, dtype=complex):
+    rows = rng.normal(size=(batch, 2**n)).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        rows += 1j * rng.normal(size=rows.shape)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_kernel_matches_per_branch_oracle(m, batch):
     rng = np.random.default_rng(100 * m + batch)
+    ops = _branch_ops()[:, None]
     for _ in range(5):
         rows = np.array([random_amplitudes(rng, m) for _ in range(batch)])
         source = int(rng.integers(m))
-        out = branch_buffer(batch, m, source)
-        probs = _hop(site_view(rows, source), _branch_ops()[:, None], out)
-        branches = out.reshape(1, batch, 4, 2**m)
-        _check_hops(rows, branches, probs[None])
-        unit = branches[0] / np.sqrt(probs)[..., None]
+        probs = _hop(site_view(rows, source), ops)
+        unit = np.matmul(ops, site_view(rows, source)).reshape(batch, 4, 2**m)
+        unit /= np.sqrt(probs)[..., None]
         for row in range(batch):
             oracle = teleport_branches(np.kron(rows[row], BELL), source, (m, m + 1))
             for (m1, m2), (p, reduced) in oracle.items():
@@ -145,27 +134,96 @@ def test_kernel_matches_per_branch_oracle(m, batch):
                 assert np.max(np.abs(unit[row, 2 * m1 + m2] - home)) <= 1e-12
 
 
+def test_branch_ops_are_a_quarter_weight_identity_each():
+    # every corrected branch is c_b I with |c_b|^2 = 1/4, which lets `relay`
+    # return its rows unchanged
+    ops = _branch_ops()
+    assert np.max(np.abs(ops - 0.5 * np.eye(2))) <= 1.2e-16
+
+
 def test_kernel_rejects_an_unnormalized_row_in_any_row():
     # each row's four probabilities must sum to 1 within 1e-10
-    rows, branches, probs = hop_block(np.random.default_rng(3), 1)
-    for weight in (1 + 1e-11, 1 + 1e-9, 4.0):
-        scaled_branches, scaled_probs = branches.copy(), probs.copy()
-        scaled_branches[0, 1] *= np.sqrt(weight)
-        scaled_probs[0, 1] *= weight
-        if weight < 1 + 1e-10:
-            _check_hops(rows, scaled_branches, scaled_probs)
-        else:
-            with pytest.raises(ValueError, match="register row 1 is not normalized"):
-                _check_hops(rows, scaled_branches, scaled_probs)
+    for row in range(3):
+        for weight in (1 + 1e-11, 1 + 1e-9, 4.0):
+            rows = random_rows(np.random.default_rng(3), 3, 2)
+            rows[row] *= np.sqrt(weight)
+            if weight < 1 + 1e-10:
+                relay(rows, 0, 1)
+            else:
+                with pytest.raises(ValueError, match=f"register row {row} is not normalized"):
+                    relay(rows, 0, 1)
 
 
-def test_kernel_rejects_branches_that_disagree():
+def test_kernel_rejects_branches_that_disagree(monkeypatch):
     # branch (1, 1)'s operator turned by 1e-6 keeps every row's weight within
     # ~1e-12 of 1, inside the 1e-10 normalization check, but leaves the
-    # branches ~1e-6 apart
-    rows, branches, probs = hop_block(np.random.default_rng(4), 1, ops=_branch_ops() + TILT)
+    # branches ~1e-6 apart; operators that are each c_b I but whose weights
+    # sum to 1 + 1e-14 fail too, and so does a turn by 1e-14
+    rows = random_rows(np.random.default_rng(4), 3, 2)
+    for ops in (_branch_ops() + TILT, _branch_ops() * np.sqrt(1 + 1e-14),
+                _branch_ops() + 1e-8 * TILT):
+        monkeypatch.setattr("qetsim.teleport._branch_ops", lambda ops=ops: ops)
+        with pytest.raises(AssertionError, match="branches disagree"):
+            relay(rows, 0, 1)
+    # an error of 1e-16 in an operator passes
+    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: _branch_ops() + 1e-10 * TILT)
+    relay(rows, 0, 1)
+
+
+def test_relay_rejects_a_nan_operator(monkeypatch):
+    # a nan operator fails the branch check before its nan probabilities
+    # could fail the normalization check
+    ops = _branch_ops()
+    ops[3, 0, 1] = np.nan
+    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: ops)
     with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(rows, branches, probs)
+        relay(random_rows(np.random.default_rng(38), 3, 2), 0, 1)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("hops", [0, 1, 64, 133])
+def test_relay_checks_at_any_hop_count(hops, sampled, monkeypatch):
+    # the rows and the operators are checked once per call, whatever the hop count
+    rows = random_rows(np.random.default_rng(37), 3, 2)
+    stream = random.Random(5) if sampled else None
+    out, kept = relay(rows, 1, hops, rng=stream)
+    assert out.tobytes() == rows.tobytes()
+    assert kept is None if stream is None else kept.shape == (hops,)
+    rows[1] *= 2.0
+    with pytest.raises(ValueError, match="register row 1 is not normalized"):
+        relay(rows, 1, hops, rng=stream)
+    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: _branch_ops() + TILT)
+    rows[1] /= 2.0
+    with pytest.raises(AssertionError, match="branches disagree"):
+        relay(rows, 1, hops, rng=stream)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("hops", [1, 3, 65, 1000])
+def test_relay_matches_the_per_hop_oracle(hops, dtype):
+    # every register size and source site, unsampled and at several seeds;
+    # 1000 hops run one seed per site
+    for n in range(1, 5):
+        for logical in range(n):
+            seeds = [None, 0, 1, 2] if hops < 1000 else [10 * n + logical]
+            for seed in seeds:
+                rows = random_rows(np.random.default_rng(seed), 3, n, dtype)
+                drawn = 0 if seed is None else seed % 3
+                streams = [None if seed is None else random.Random(seed) for _ in range(2)]
+                got, kept = relay(rows, logical, hops, rng=streams[0], drawn=drawn)
+                want, bits = relay_by_hops(rows, logical, hops, rng=streams[1], drawn=drawn)
+                assert got.dtype == dtype
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert kept is None if seed is None else kept.tolist() == bits
+
+
+def test_relay_rejects_a_negative_hop_count_and_a_drawn_row_outside_the_stack():
+    rows = random_rows(np.random.default_rng(9), 2, 2)
+    with pytest.raises(ValueError, match="hops must be non-negative, got -1"):
+        relay(rows, 0, -1)
+    for drawn in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"drawn row {drawn} is not a row of the 2-row stack"):
+            relay(rows, 0, 3, rng=random.Random(1), drawn=drawn)
 
 
 # --- relays -------------------------------------------------------------------
@@ -212,14 +270,11 @@ def test_relay_hop_register_shape():
 
 @pytest.mark.parametrize("sampled", [False, True])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("hops", [1, HOP_BLOCK - 1, HOP_BLOCK, HOP_BLOCK + 1, 2 * HOP_BLOCK + 1])
+@pytest.mark.parametrize("hops", [1, 63, 64, 65, 129])
 def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
-    # blocks, batched draws and deferred checks leave every bit as one hop at a time
+    # one law for every hop's draws leaves every bit as one hop at a time
     rng = np.random.default_rng(hops)
-    rows = rng.normal(size=(3, 8)).astype(dtype)
-    if dtype is np.complex128:
-        rows += 1j * rng.normal(size=rows.shape)
-    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    rows = random_rows(rng, 3, 3, dtype)
     streams = [np.random.default_rng(5) if sampled else None for _ in range(2)]
     got, kept = relay(rows, 1, hops, rng=streams[0], drawn=2)
     want, one_by_one = rows, []
@@ -231,34 +286,6 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
         assert kept.dtype == np.uint8 and kept.tobytes() == np.concatenate(one_by_one).tobytes()
     else:
         assert kept is None and one_by_one == [None] * hops
-
-
-def test_block_check_rejects_an_unnormalized_row_at_any_hop():
-    rows, branches, probs = hop_block(np.random.default_rng(37), HOP_BLOCK)
-    _check_hops(rows, branches, probs)
-    branches[40, 0, 3, 0] += 1e-6
-    with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(rows, branches, probs)
-    # the first failing hop names the error
-    branches[37, 1] *= 2.0
-    probs[37, 1] *= 4.0
-    with pytest.raises(ValueError, match="register row 1 is not normalized"):
-        _check_hops(rows, branches, probs)
-
-
-def test_relay_checks_the_partial_last_block(monkeypatch):
-    # the next-to-last hop, in a last block of five, leaves its branches ~1e-6 apart
-    hops, calls = 2 * HOP_BLOCK + 5, []
-
-    def skewed(register, ops, out):
-        calls.append(len(calls))
-        return _hop(register, ops + TILT[:, None] if len(calls) == hops - 1 else ops, out)
-
-    monkeypatch.setattr("qetsim.teleport._hop", skewed)
-    rows = np.array([random_amplitudes(np.random.default_rng(2), 2)])
-    with pytest.raises(AssertionError, match="branches disagree"):
-        relay(rows, 1, hops)
-    assert len(calls) == hops
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -286,19 +313,12 @@ def test_relay_rejects_a_nan_row(sampled):
         relay(rows, 1, 3, rng=random.Random(1) if sampled else None)
 
 
-def test_block_check_rejects_a_nan_branch():
-    rows, branches, probs = hop_block(np.random.default_rng(38), HOP_BLOCK)
-    branches[40, 0, 3, 0] = np.nan
-    with pytest.raises(AssertionError, match="branches disagree"):
-        _check_hops(rows, branches, probs)
-
-
 @pytest.mark.parametrize("sampled", [False, True])
 def test_relay_keeps_a_real_stack_real(sampled):
     rng = np.random.default_rng(12)
     rows = rng.normal(size=(3, 8))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
-    hops = 2 * HOP_BLOCK + 3
+    hops = 131
     real, real_bits = relay(rows, 2, hops, rng=random.Random(4) if sampled else None, drawn=1)
     cplx, cplx_bits = relay(rows.astype(complex), 2, hops,
                             rng=random.Random(4) if sampled else None, drawn=1)
