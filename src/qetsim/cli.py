@@ -11,6 +11,8 @@ assertion) or I/O failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import itertools
 import json
 import math
@@ -93,13 +95,18 @@ def _write_text(path: str | None, chunks) -> None:
             f.writelines(chunks)
 
 
+@functools.cache
+def _prescan_parser() -> argparse.ArgumentParser:
+    prescan = argparse.ArgumentParser(prog="qetsim", add_help=False)
+    prescan.add_argument("--config")
+    return prescan
+
+
 def _config_flags(argv: list[str]) -> list[str]:
     """The `--config` file's `key = value` lines as `--key=value` flags; '#'
     starts a comment, a quoted JSON string loses its quotes, `true` gives the
     bare switch `--key` and `false` no flag."""
-    prescan = argparse.ArgumentParser(prog="qetsim", add_help=False)
-    prescan.add_argument("--config")
-    path = prescan.parse_known_args(argv)[0].config
+    path = _prescan_parser().parse_known_args(argv)[0].config
     if path is None:
         return []
     if argv[0].startswith("-"):
@@ -318,7 +325,11 @@ def _add_common(sp, shots=True):
         sp.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later
+    one: a parse keeps no state in it, so `main` can run many times in one
+    process.  Every caller shares the object, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="qetsim",
         description="Exact and shot-sampled energy-teleportation simulations "
@@ -333,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 unless every cell passes its tolerance")
     sp.add_argument("--wide", action="store_true",
                     help="reference-style wide layout instead of tidy rows")
-    sp.set_defaults(func=cmd_table1)
 
     sp = sub.add_parser("sweep", help="minimal-model E_B over an (h,k) grid")
     _add_common(sp, shots=False)
@@ -341,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=_parse_range, default="0.2:3.0:50", help="value or min:max:steps")
     sp.add_argument("--field-term-column", action="store_true",
                     help="also emit the receiver field-term-only column")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("tiling", help="ring sizes and edges of a {3,q} tiling")
     _add_common(sp, shots=False)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--depth", type=_int_in(0), default=4)
     sp.add_argument("--edges-out", help="also write the edge list here")
-    sp.set_defaults(func=cmd_tiling)
 
     sp = sub.add_parser("qet", help="one minimal-model run")
     _add_common(sp)
@@ -356,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--method", choices=("exact", "sampled", "both"), default="both")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=cmd_qet)
 
     sp = sub.add_parser("qed", help="one star-model multi-receiver run")
     _add_common(sp)
@@ -366,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--receivers", type=_receivers, default="1,2", help="comma list, e.g. 1,2")
     sp.add_argument("--method", choices=("exact", "sampled", "both"), default="both")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=cmd_qed)
 
     sp = sub.add_parser("longrange", help="relayed minimal-model run + transcript")
     _add_common(sp, shots=False)
@@ -377,19 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample-transcript", action="store_true",
                     help="fill the transcript from one sampled trajectory")
     sp.add_argument("--transcript-out", help="transcript path (stdout if omitted)")
-    sp.set_defaults(func=cmd_longrange)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # Collections during the run traverse only what it allocates: the objects
+    # that existed before the call are frozen until it returns.  A host that
+    # froze its own objects keeps them frozen.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         # config flags go right after the command name, so later flags win
         argv[1:1] = _config_flags(argv)
         args = build_parser().parse_args(argv)
+        # looked up by name on each call: the shared parser outlives any later
+        # rebinding of a cmd_* function
+        command = globals()[f"cmd_{args.command}"]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            return command(args)
     except (model.DegenerateGroundError, model.IllConditionedError, AssertionError) as exc:
         # numerical failures, not usage, though both errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
@@ -404,6 +418,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

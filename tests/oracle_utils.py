@@ -609,12 +609,15 @@ def relay_by_hops(
     return rows, bits
 
 
-# --- a check run through the package's relay, not an oracle ---------------------
+# --- the package's relay against the per-hop oracle -----------------------------
 
 def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:
-    """Max trace distance after `hops` of the package's relays over a random
-    single-qubit panel plus the six axis states, relayed as one stack; exact
-    corrections make this machine-zero."""
+    """Relay a random single-qubit panel plus the six axis states, as one
+    stack, `hops` times both through the gates (`relay_by_hops`) and through
+    the package's `relay`.  Returns the larger of the oracle's largest
+    trace distance from the panel, which is machine-zero only while every
+    corrected hop is the identity, and the largest amplitude difference of
+    the package's rows from the oracle's."""
     rng = np.random.default_rng(seed)
     panel = []
     for _ in range(panel_size):
@@ -624,7 +627,9 @@ def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> flo
     panel += [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
     original = np.array(panel, dtype=np.complex128)
 
+    want, _ = relay_by_hops(original, 0, hops)
     rows, _ = relay(original, 0, hops)
     # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
-    overlap = np.sum(original.conj() * rows, axis=-1)
-    return float(np.max(np.linalg.norm(rows - overlap[:, None] * original, axis=-1)))
+    overlap = np.sum(original.conj() * want, axis=-1)
+    identity = np.max(np.linalg.norm(want - overlap[:, None] * original, axis=-1))
+    return float(max(identity, np.max(np.abs(rows - want))))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -1017,6 +1018,88 @@ def test_negative_seed_exits_2(argv, capsys):
     assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
     # seeds of any size are accepted
     assert run_cli(*argv, "--seed", str(2**80)) == 0
+
+
+# --- the front end in one process ---------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert qetsim.cli.build_parser() is qetsim.cli.build_parser()
+
+
+def freeze_counts(monkeypatch, *commands):
+    """The freeze count as each of the named cmd_* functions starts."""
+    seen = []
+    for name in commands:
+        command = getattr(qetsim.cli, name)
+
+        def recorded(args, command=command):
+            seen.append(gc.get_freeze_count())
+            return command(args)
+
+        monkeypatch.setattr(qetsim.cli, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["tiling", "--q", "7", "--depth", "1"], 0),
+    (["qed", "--h", "0.01", "--k", "1", "--q", "6", "--method", "exact"], 1),
+    (["qed", "--h", "1", "--k", "1", "--q", "99"], 2),
+    (["qet", "--h", "1"], "SystemExit"),
+])
+def test_main_restores_the_collector_on_every_exit(argv, code, capsys, monkeypatch):
+    # the run's command sees the objects made before the call frozen
+    frozen = freeze_counts(monkeypatch, "cmd_tiling", "cmd_qed", "cmd_qet")
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    try:
+        got = run_cli(*argv)
+    except SystemExit:
+        got = "SystemExit"
+    capsys.readouterr()
+    assert got == code
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert frozen == [] if code == "SystemExit" else frozen[0] > 0
+
+
+def test_main_leaves_a_host_freeze_and_a_disabled_collector_alone(capsys, monkeypatch):
+    frozen = freeze_counts(monkeypatch, "cmd_tiling")
+    gc.disable()
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert run_cli("tiling", "--q", "7", "--depth", "1") == 0
+        # no second freeze inside the call, and no unfreeze after it
+        assert 0 < frozen[0] <= before and 0 < gc.get_freeze_count() <= before
+        assert not gc.isenabled()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["qet", "--config", "{cfg}", "--out", "{dir}/first.csv"],
+     ["qet", "--h", "2", "--k", "1", "--out", "{dir}/second.json"]),
+    (["qed", "--h", "9", "--k", "2", "--q", "6", "--method", "sampled", "--shots", "2000",
+      "--seed", "5", "--out", "{dir}/first.json"],
+     ["table1", "--shots", "2000", "--seed", "11", "--out", "{dir}/second.csv"]),
+])
+def test_back_to_back_runs_give_the_bytes_of_separate_runs(first, second, tmp_path):
+    # the shared parser keeps nothing from one parse to the next: a run after
+    # another in one process writes what it writes in a fresh process
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 1.0\nk = 1.0\nmethod = exact\nformat = csv\n")
+    src = os.path.dirname(os.path.dirname(qetsim.cli.__file__))
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    for argv in (first, second):
+        subprocess.run([sys.executable, "-m", "qetsim.cli",
+                        *(a.format(cfg=cfg, dir=alone) for a in argv)],
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        assert run_cli(*(a.format(cfg=cfg, dir=together) for a in argv)) == 0
+    written = {p.name: p.read_bytes() for p in alone.iterdir()}
+    assert len(written) == 2
+    assert {p.name: p.read_bytes() for p in together.iterdir()} == written
 
 
 # --- every accepted input: clean exit ---------------------------------------------

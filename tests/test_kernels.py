@@ -11,7 +11,7 @@ import qetsim
 from qetsim import LoccTranscript, MinimalModelParams, _kernels, run_longrange_qet
 
 
-def test_benchmark_entry_points_exist():
+def test_benchmark_entry_points_exist(monkeypatch):
     # perfbench/invoke.py reads these on every invocation, and its traced
     # runs look the layer modules up in sys.modules by name; losing one
     # fails every benchmark run
@@ -20,11 +20,20 @@ def test_benchmark_entry_points_exist():
     assert qetsim.backend_name() == "numpy"
     assert qetsim._kernels is _kernels
     assert isinstance(qetsim.__version__, str) and qetsim.__version__
-    # perfbench calls build_parser() once before it times main
+    # perfbench calls build_parser() once before it times main; main parses
+    # with the parser that call returned and runs the cmd_* function bound in
+    # the module when it runs, where a traced run has put its wrapper
     parser = qetsim.cli.build_parser()
     for argv in (["table1"], ["sweep"], ["tiling", "--q", "7"], ["qet", "--h", "1", "--k", "1"],
                  ["qed", "--h", "1", "--k", "1", "--q", "6"], ["longrange", "--h", "1", "--k", "1"]):
-        assert parser.parse_args(argv).func is getattr(qetsim.cli, f"cmd_{argv[0]}")
+        assert parser.parse_args(argv).command == argv[0]
+        assert callable(getattr(qetsim.cli, f"cmd_{argv[0]}"))
+    parsed, ran = [], []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or parse(argv))
+    monkeypatch.setattr(qetsim.cli, "cmd_tiling", lambda args: ran.append(args.q) or 0)
+    assert qetsim.cli.main(["tiling", "--q", "7"]) == 0
+    assert parsed == [["tiling", "--q", "7"]] and ran == [7]
     # perfbench wraps LoccTranscript.serialize from the class body and
     # counts the transcript's bits from run_longrange_qet's second value
     assert "serialize" in vars(LoccTranscript)
