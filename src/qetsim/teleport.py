@@ -6,22 +6,20 @@ measurements and outcome-conditioned Pauli corrections, which send two
 classical bits.  The corrections make all four outcome branches identical on
 the kept register, so relaying is an exact identity channel.
 
-`relay` is the package's one teleport.  In the textbook protocol (Bennett et
-al., PRL 70, 1895 (1993)) each corrected (m1, m2) branch is a 2 x 2 operator
-from the source qubit to the pair's second qubit b; `_branch_ops` builds the
-four from the gates, and each is c_b I with |c_b|^2 = 1/4.  So a hop leaves
-every row as it was and its bits' law, the branches' Born probabilities, is
-the same on every hop.  `relay` therefore checks the four operators and the
-rows once per call, takes the law of the drawn row from one product of the
-operators with the stack (the hop kernel `_hop`), and draws each hop's two
-bits from it with two uniforms; a 1000-hop relay of two rows takes ~0.7 ms
-(2 vCPU, numpy 2.4).  Without an rng the (0, 0) branch is kept and no bits
-are returned.
+In the textbook protocol (Bennett et al., PRL 70, 1895 (1993)) each
+corrected (m1, m2) branch is a 2 x 2 operator from the source qubit to the
+pair's second qubit b; `_branch_ops` builds the four from the gates, and each
+is c_b I with |c_b|^2 = 1/4.  So a hop leaves any relayed state as it was,
+and its bits' law, |c_b|^2, is the same on every hop and for every state.
+`relay`, the package's one teleport, is therefore that law: it checks the
+four operators once per call and draws each hop's two bits from |c_b|^2
+with two uniforms; a 1000-hop relay takes ~0.7 ms (2 vCPU, numpy 2.4).
+Without an rng the (0, 0) branch is kept and no bits are returned.
 The long-range run draws mu and every hop's uniforms from the standard
 library's `random.Random(seed)`, so it never imports `numpy.random`; it
-relays both mu branches of the protocol pass as two rows, the drawn one (in
-exact mode, the first) giving the transcript's bits, and checks the relayed
-energies against the closed-form exact record.
+reads the receiver's energies off the protocol pass's two mu rows, which the
+relay leaves as they are, and checks them against the closed-form exact
+record.
 `LoccTranscript` holds only the hop count and the drawn bits; its
 `serialize` alone names the nodes and lays out the lines, yielding the text
 a chunk of hops at a time so that a long transcript is never held whole.
@@ -36,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IllConditionedError, MinimalModelParams, star_model
-from .ops import MAX_STATEVECTOR_QUBITS
 from .protocol import QetRecord, exact_record, run_protocol
 
 
@@ -86,16 +83,6 @@ MAX_HOPS = 10**6
 TRANSCRIPT_CHUNK_HOPS = 4096
 
 
-def _qubits(rows: np.ndarray) -> int:
-    n = rows.shape[-1].bit_length() - 1
-    if rows.ndim != 2 or rows.shape[-1] != 2**n or not len(rows):
-        raise ValueError(f"expected a (B, 2**n) stack of registers, got {rows.shape}")
-    # a row's four branches hold as many amplitudes as n + 2 qubits
-    if n + 2 > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(f"register would exceed {MAX_STATEVECTOR_QUBITS} qubits")
-    return n
-
-
 def _branch_ops() -> np.ndarray:
     """ops[2 m1 + m2], the (4, 2, 2) maps from the source qubit to b of the
     corrected (m1, m2) branches: source (x) BELL on (a, b), CNOT(source ->
@@ -110,84 +97,49 @@ def _branch_ops() -> np.ndarray:
     return np.stack([z[m1] @ x[m2] @ read[m1, m2] for m1 in (0, 1) for m2 in (0, 1)])
 
 
-def _hop(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """The hop kernel: the Born probabilities (B, 4) of the four corrected
-    branches of every row of a stack viewed as (B, 1, 2**s, 2, 2**(n-1-s)),
-    s the source's site, by one product with the (4, 1, 2, 2) `ops`."""
-    branches = np.matmul(ops, rows).reshape(len(rows), 4, -1).view(np.float64)
-    return np.vecdot(branches, branches)
-
-
 def _draw(p: list[float], u1: float, u2: float) -> int:
     """2 * m1 + m2 from the branches' probabilities p: m1 by the uniform u1,
     then m2 given m1 by u2."""
     m1 = 0 if u1 < p[0] + p[1] else 1
     weight = p[2 * m1] + p[2 * m1 + 1]
-    # a zero weight comes only from an unnormalized row, which the check rejects
+    # a zero weight is reached only through the 1e-15 by which the checked
+    # law may miss a total of 1; m2 is then 1
     m2 = 0 if weight and u2 < p[2 * m1] / weight else 1
     return 2 * m1 + m2
 
 
 def relay(
-    rows: np.ndarray,
-    logical: int,
-    hops: int,
-    rng: random.Random | np.random.Generator | None = None,
-    drawn: int = 0,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """`hops` teleports of qubit `logical` of every row of a (B, 2**n) stack,
-    each through a fresh Bell pair, ancillas recycled.
+    hops: int, rng: random.Random | np.random.Generator | None = None
+) -> np.ndarray | None:
+    """The correction bits of `hops` teleports, each through a fresh Bell
+    pair, ancillas recycled.
 
-    Returns the relayed rows, real if `rows` is, and the bits the hops kept.
-    Without an rng every row keeps branch (0, 0) and the bits are None; with
-    one, any object with a `.random()` method, row `drawn`'s probabilities
-    draw (m1, m2), every row keeps that branch, and the bits are a (hops,)
-    uint8 array of the drawn 2 * m1 + m2, two uniforms per hop, u1 then u2.
+    Without an rng every hop keeps branch (0, 0) and the bits are None; with
+    one, any object with a `.random()` method, they are a (hops,) uint8
+    array of 2 * m1 + m2, each hop's drawn by `_draw` from two uniforms, u1
+    then u2.
 
     Every corrected branch operator is c_b I, so each hop is the identity
-    channel: it leaves the rows, and with them the next hop's law, as they
-    were.  `relay` checks that once per call, at any hop count, 0 included:
-    each of `_branch_ops()` must be c_b I within 1e-15, with the |c_b|^2
-    summing to 1 within 1e-15, so that MAX_HOPS hops stay within 1e-9;
-    every amplitude of `rows` must be finite; and each row's four
-    probabilities, from one `_hop`, must sum to 1 within 1e-10.  The rows
-    then come back cast to the result dtype, and every hop's bits are drawn
-    from row `drawn`'s one law.  A negative `hops` or a `drawn` outside the
-    stack raises ValueError.
+    channel on whatever it relays, and its bits' law |c_b|^2 is the same on
+    every hop.  `relay` checks that once per call, at any hop count, 0
+    included, with or without an rng: each of `_branch_ops()` must be c_b I
+    within 1e-15, with the |c_b|^2 summing to 1 within 1e-15, so that
+    MAX_HOPS hops stay within 1e-9.  A negative `hops` raises ValueError.
     """
-    n = _qubits(rows)
-    batch, size = rows.shape
-    if not 0 <= logical < n:
-        raise ValueError(f"logical qubit {logical} is not a site of the {n}-qubit register")
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
-    if not 0 <= drawn < batch:
-        raise ValueError(f"drawn row {drawn} is not a row of the {batch}-row stack")
     ops = _branch_ops()
     scale = np.trace(ops, axis1=1, axis2=2) / 2
+    law = np.abs(scale) ** 2
     # written as "not within" so that a nan fails too
     if not (np.max(np.abs(ops - scale[:, None, None] * np.eye(2))) <= 1e-15
-            and abs(np.sum(np.abs(scale) ** 2) - 1.0) <= 1e-15):
+            and abs(np.sum(law) - 1.0) <= 1e-15):
         raise AssertionError("teleportation branches disagree after correction")
-    bad_value = np.argwhere(~np.isfinite(rows))
-    if len(bad_value):
-        row, cell = bad_value[0]
-        raise ValueError(f"non-finite amplitude {rows[row, cell]} in register row {row}")
-    dtype = np.result_type(rows, np.float64)
-    view = (batch, 1, 2**logical, 2, 2 ** (n - 1 - logical))
-    out = rows.astype(dtype)
-    probs = _hop(out.reshape(view), ops.astype(dtype)[:, None])
-    bad_norm = ~(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10)
-    if bad_norm.any():
-        row = np.argmax(bad_norm)
-        raise ValueError(f"register row {row} is not normalized: its branch probabilities "
-                         f"sum to {np.sum(probs[row]):.6g}")
     if rng is None:
-        return out, None
-    p = probs[drawn].tolist()
-    kept = np.fromiter((_draw(p, rng.random(), rng.random()) for _ in range(hops)),
+        return None
+    p = law.tolist()
+    return np.fromiter((_draw(p, rng.random(), rng.random()) for _ in range(hops)),
                        dtype=np.uint8, count=hops)
-    return out, kept
 
 
 def run_longrange_qet(
@@ -197,14 +149,13 @@ def run_longrange_qet(
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
     The measurement and feedback are `run_protocol`'s pass, on both sites of
-    the q = 2 star, so its one spectator row holds the mu branches; they are
-    then relayed as one stack of two normalized rows by one `relay` call.
-    The record is `exact_record`'s.  With a seed, mu and then every hop's
-    bits are drawn from `random.Random(seed)`, and the drawn branch fills
-    the transcript with concrete bits.  The third value is the largest
-    difference of the relayed HX1, HZ1 and E1 from the record's closed
-    forms (the relay is an identity channel, so it checks relay and pass
-    alike).
+    the q = 2 star, so its one spectator row holds the mu branches as two
+    rows.  The relay is an identity channel, so those normalized rows are
+    also the relayed ones, and one `relay` call gives the hops' bits.  The
+    record is `exact_record`'s.  With a seed, mu and then every hop's bits
+    are drawn from `random.Random(seed)`, which fill the transcript with
+    concrete bits.  The third value is the largest difference of the rows'
+    HX1, HZ1 and E1 from the record's closed forms.
 
     The pass loses those energies as the fields part, at any hop count: with
     the smaller field 1, by 1.8e-12 at h/k = 1e4 and 1.5e-8 at 1e8, and by
@@ -224,10 +175,9 @@ def run_longrange_qet(
     fed = run_protocol(bundle, (1,))[:, 0].reshape(2, 4)  # one receiver's classes are |s b>
     probs = np.sum(fed**2, axis=-1)  # p_mu, mu = +1 then -1
 
+    rows = fed / np.sqrt(probs)[:, None]
     rng = None if seed is None else random.Random(seed)
     drawn = 0 if rng is None else int(rng.random() >= probs[0])
-    # the other row relays identically; only the drawn row's bits are kept
-    rows, kept = relay(fed / np.sqrt(probs)[:, None], 1, hops, rng=rng, drawn=drawn)
     # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
     z1 = probs @ (rows**2 @ np.array([1.0, -1.0, 1.0, -1.0]))
     xx = probs @ np.sum(rows * rows[:, ::-1], axis=-1)
@@ -236,6 +186,6 @@ def run_longrange_qet(
     hx = k2 * xx - k2 * m.xx
     local = exact.receivers[1]
     delta = max(abs(hx - local.hx), abs(hz - local.hz), abs(hx + hz - local.e_j))
-    transcript = LoccTranscript(hops, None if rng is None else drawn, kept)
+    transcript = LoccTranscript(hops, None if rng is None else drawn, relay(hops, rng))
     return exact, transcript, float(delta)
 

@@ -74,8 +74,9 @@ def _sorted_edges(q: int, sizes: list[int]) -> Iterator[tuple[int, int]]:
     contiguous and below every child id, so they are its ring successor, the
     ring's last vertex (for the ring's first vertex only), then its children,
     the first child of the next ring first where the last run wraps to it."""
-    if len(sizes) > 1:
-        yield from ((0, v) for v in range(1, q + 1))
+    if len(sizes) == 1:  # depth 0: the centre alone, and ring_sizes leaves q unbounded
+        return
+    yield from ((0, v) for v in range(1, q + 1))
     first, kids = 1, [q - 3] * q  # children per ring vertex; ring 1's parent is 0
     for size, nxt in zip(sizes[1:], sizes[2:] + [0]):
         child = first + size  # the next ring's first id

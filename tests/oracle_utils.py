@@ -3,13 +3,14 @@
 Everything here is built from 2x2 numpy arrays, np.kron and per-site
 np.tensordot on full 2^q amplitude vectors, so the checks share no code path
 with the package's reduced-state protocol pass, its readout kernel or its
-stacked teleport hop kernel.  States are plain complex arrays; an ensemble
+teleport branch operators.  States are plain complex arrays; an ensemble
 is a list of (probability, state, mu) branches.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -613,11 +614,11 @@ def relay_by_hops(
 
 def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> float:
     """Relay a random single-qubit panel plus the six axis states, as one
-    stack, `hops` times both through the gates (`relay_by_hops`) and through
-    the package's `relay`.  Returns the larger of the oracle's largest
-    trace distance from the panel, which is machine-zero only while every
-    corrected hop is the identity, and the largest amplitude difference of
-    the package's rows from the oracle's."""
+    stack, `hops` times through the gates (`relay_by_hops`), and draw the
+    same hops' bits from one stream `random.Random(seed)` both there and in
+    the package's `relay`.  Returns the oracle's largest trace distance from
+    the panel, which is machine-zero only while every corrected hop is the
+    identity, or inf if the package's bits are not the oracle's."""
     rng = np.random.default_rng(seed)
     panel = []
     for _ in range(panel_size):
@@ -627,9 +628,9 @@ def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> flo
     panel += [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
     original = np.array(panel, dtype=np.complex128)
 
-    want, _ = relay_by_hops(original, 0, hops)
-    rows, _ = relay(original, 0, hops)
+    want, bits = relay_by_hops(original, 0, hops, rng=random.Random(seed))
+    kept = relay(hops, random.Random(seed))
     # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
     overlap = np.sum(original.conj() * want, axis=-1)
     identity = np.max(np.linalg.norm(want - overlap[:, None] * original, axis=-1))
-    return float(max(identity, np.max(np.abs(rows - want))))
+    return float(identity) if kept.tolist() == bits else math.inf

@@ -193,7 +193,7 @@ def test_criterion_07_long_range_equivalence():
     ok = worst_field < 1e-10 and panel_td <= 1e-12
     _report(7, "relay equals local run", ok,
             f"worst fieldwise |delta| = {worst_field:.2e} (< 1e-10); "
-            f"identity-panel trace distance = {panel_td:.2e} (<= 1e-12)")
+            f"identity-panel trace distance = {panel_td:.2e} (<= 1e-12; inf if the bits differ)")
 
 
 def _pass_energies(bundle, site, thetas):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -246,6 +247,16 @@ def test_tiling_negative_depth_exits_2_for_any_q(q, capsys):
         run_cli("tiling", "--q", str(q), "--depth", "-1")
     assert exc.value.code == 2
     assert "argument --depth: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+def test_tiling_depth_zero_writes_no_edges_at_any_q(tmp_path, capsys):
+    # depth 0 is the centre alone, so no ring's child counts are built: a q
+    # whose first ring could never be held still exits 0, with no edges
+    edges = tmp_path / "edges.txt"
+    assert run_cli("tiling", "--q", "1000000000000000", "--depth", "0",
+                   "--edges-out", str(edges)) == 0
+    assert capsys.readouterr().out == "ring,count\n0,1\n"
+    assert edges.read_bytes() == b""
 
 
 # sha256 of the ring counts and the edge list; the tiling's bytes do not change
@@ -656,14 +667,15 @@ def test_longrange_check_is_relative_to_the_field_scale(scale, tmp_path):
 
 
 def test_longrange_perturbed_relay_exits_1(tmp_path, capsys, monkeypatch):
-    relay = qetsim.teleport.relay
+    # the relayed rows are the pass's, so a perturbed pass is a perturbed relay
+    run_protocol = qetsim.teleport.run_protocol
 
-    def perturbed(rows, *args, **kwargs):
-        out, kept = relay(rows, *args, **kwargs)
-        out = out + 1e-6 * out[:, ::-1]
-        return out / np.linalg.norm(out, axis=-1, keepdims=True), kept
+    def perturbed(*args, **kwargs):
+        fed = run_protocol(*args, **kwargs)
+        rows = fed.reshape(2, 4)  # the |s b> rows of the two mu branches
+        return (rows + 1e-6 * rows[:, ::-1]).reshape(fed.shape)
 
-    monkeypatch.setattr(qetsim.teleport, "relay", perturbed)
+    monkeypatch.setattr(qetsim.teleport, "run_protocol", perturbed)
     out = tmp_path / "r.json"
     assert run_cli("longrange", "--h", "1e6", "--k", "1e6", "--hops", "2", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 1
@@ -772,15 +784,15 @@ def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
     calls = []
     relay = qetsim.teleport.relay
 
-    def counted(rows, logical, hops, *args, **kwargs):
-        calls.append((len(rows), hops))
-        return relay(rows, logical, hops, *args, **kwargs)
+    def counted(hops, rng=None):
+        calls.append((hops, type(rng)))
+        return relay(hops, rng)
 
     monkeypatch.setattr(qetsim.teleport, "relay", counted)
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
                    "--sample-transcript", "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert calls == [(2, 3)]  # one call relays both mu branches as rows over three hops
+    assert calls == [(3, random.Random)]  # one call draws the bits of all three hops
 
 
 def test_longrange_hops_beyond_the_bound_exit_2_before_any_pass(tmp_path, capsys, monkeypatch):
@@ -827,6 +839,7 @@ SAMPLED_DIGESTS = {
     "transcript-3": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
     "transcript-65": "be97e249e47a40f533504835a3116fd7e3b26115ed50c6cfa4931cc67fa26621",
     "transcript-1000": "6b88b90171b8fc55dab21ec2acb59c1beaac2f3419bffd44af1d3e9cb4f711c1",
+    "transcript-100000": "c05a1c4071818446ea0e4d034f6a4ffc5a5bd9a35d5b2ebbfee92b3543368d3d",
 }
 
 
@@ -836,7 +849,7 @@ def test_sampled_output_bytes_are_pinned(tmp_path):
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--method", "sampled",
                    "--shots", "2000", "--seed", "5", "--out", str(qed)) == 0
     got = {"table1": table.read_bytes(), "qed": qed.read_bytes()}
-    for hops in (1, 3, 65, 1000):
+    for hops in (1, 3, 65, 1000, 100000):
         assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", str(hops), "--seed", "11",
                        "--sample-transcript", "--out", str(tmp_path / "r.json"),
                        "--transcript-out", str(log)) == 0
