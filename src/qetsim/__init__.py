@@ -14,6 +14,7 @@ from .model import (
     exact_energies,
     star_block_ground,
     star_model,
+    star_models,
 )
 from .ops import DegenerateGroundError
 from .protocol import QetRecord, exact_record, run_protocol, sweep_EB

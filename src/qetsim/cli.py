@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model, refdata, tiling
-from .model import MinimalModelParams, StarModelParams, star_model
-from .protocol import SWEEP_CHUNK_POINTS, exact_record, sweep_EB
+from .model import MinimalModelParams, StarModelParams, star_models
+from .protocol import SWEEP_CHUNK_POINTS, exact_record, run_protocol, sweep_EB
 from .sampler import MAX_SHOTS, sampled_record
 from .teleport import run_longrange_qet
 
@@ -150,13 +150,16 @@ def _shown(args, exact, sampled) -> list:
     return {"exact": [exact], "sampled": [sampled], "both": [exact, sampled]}[args.method]
 
 
-def _records(args, params, receivers):
-    """The exact record, and unless `--method exact` the sampled one."""
-    bundle = star_model(params)
-    exact = exact_record(bundle, receivers)
+def _records(args, params, receivers) -> list[tuple]:
+    """Each model's exact record, and unless `--method exact` its sampled one,
+    from one stacked ground solve and one stacked pass: the models share q."""
+    bundles = star_models(params)
+    exact = [exact_record(b, receivers) for b in bundles]
     if args.method == "exact":
-        return exact, None
-    return exact, sampled_record(bundle, receivers, args.shots, args.seed)
+        return [(e, None) for e in exact]
+    feds = run_protocol(bundles, receivers)
+    return [(e, sampled_record(b, fed, receivers, args.shots, args.seed))
+            for e, b, fed in zip(exact, bundles, feds)]
 
 
 # --- table1 -----------------------------------------------------------------
@@ -170,8 +173,10 @@ def cmd_table1(args) -> int:
              "ref_mean,ref_stderr,tolerance,status"]
     wide: dict[tuple, list[str]] = {}
     total = failures = 0
-    for q, h, k in refdata.CONFIGS:
-        exact, sampled = _records(args, StarModelParams(h=float(h), k=float(k), q=q), (1, 2))
+    # CONFIGS runs over TILING_QS x HK_PAIRS: a tiling's cells are one stack
+    records = [pair for q in refdata.TILING_QS for pair in _records(
+        args, [StarModelParams(h=float(h), k=float(k), q=q) for h, k in refdata.HK_PAIRS], (1, 2))]
+    for (q, h, k), (exact, sampled) in zip(refdata.CONFIGS, records):
         reference = refdata.REFERENCE_TABLE[(q, h, k)]
         for record in _shown(args, exact, sampled):
             rows = zip(record.observables(), exact.observables())
@@ -285,12 +290,12 @@ def _emit_record(args, exact, sampled) -> int:
 
 
 def cmd_qet(args) -> int:
-    return _emit_record(args, *_records(args, MinimalModelParams(h=args.h, k=args.k), (1,)))
+    return _emit_record(args, *_records(args, [MinimalModelParams(h=args.h, k=args.k)], (1,))[0])
 
 
 def cmd_qed(args) -> int:
     params = StarModelParams(h=args.h, k=args.k, q=args.q)
-    return _emit_record(args, *_records(args, params, args.receivers))
+    return _emit_record(args, *_records(args, [params], args.receivers)[0])
 
 
 # --- longrange --------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class StarModelParams:
 ModelParams = Union[MinimalModelParams, StarModelParams]
 
 
-@dataclass(frozen=True)
-class GroundMoments:
+class GroundMoments(NamedTuple):
     """Pauli-part ground moments of the star: <Z_0>, and <Z_j> and <X_0 X_j>,
     which are the same for every receiver j (arrays over a grid of (h, k))."""
 
@@ -119,16 +118,14 @@ class ModelBundle:
         return self.params.q
 
 
-@dataclass(frozen=True)
-class ReceiverEnergy:
+class ReceiverEnergy(NamedTuple):
     hx: float
     hz: float
     e_j: float
     e_b: float
 
 
-@dataclass(frozen=True)
-class FeedbackAngle:
+class FeedbackAngle(NamedTuple):
     """Conditional-rotation angle with the moments that determine it.
 
     xi = <g| Y_j H Y_j |g> and eta = <g| X_0 (i[H, Y_j]) |g>; theta is the
@@ -182,11 +179,12 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     degenerate ground space, and h/k above MAX_FIELD_RATIO anywhere raises
     IllConditionedError.
     """
+    h, k = np.asarray(h, float), np.asarray(k, float)
     if q == 2:
         levels = None
-        ground, gap, g, moments = _minimal_ground(h, k)
+        ground, gap, g = _minimal_ground(h, k)
     else:
-        levels, gap, g, moments = _block_ground(h, k, q)
+        levels, gap, g = _block_ground(h, k, q)
         ground = levels[..., 0]
     with np.errstate(over="ignore"):
         ratio = np.max(np.divide(h, k))
@@ -194,10 +192,10 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
     if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
         raise DegenerateGroundError(_degenerate_message(h, k, gap, levels))
-    return ground, gap, g, moments
+    return ground, gap, g, _ground_moments(h, k, g, q)
 
 
-def _minimal_ground(h, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
+def _minimal_ground(h, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`star_block_ground` at q = 2, Hotta's minimal model, in closed form.
 
     H = h (Z_0 + Z_1) + 2k X_0 X_1 is [[2h, 2k], [2k, -2h]] on {|00>, |11>}
@@ -205,53 +203,61 @@ def _minimal_ground(h, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMom
     levels are -2r, -2k, 2k, 2r and the gap 2r - 2k = 2h^2 / (r + k), taken
     in that form, which does not cancel.  With t = 1 + h/r the ground state
     is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither factor under- nor
-    overflowing at any accepted (h, k), and <Z_0> = <Z_1> = -h/r,
-    <X_0 X_1> = -k/r, read directly rather than from its amplitudes.
+    overflowing at any accepted (h, k).
     """
-    h, k = np.broadcast_arrays(np.asarray(h, float), np.asarray(k, float))
+    h, k = np.broadcast_arrays(h, k)
     r = np.hypot(h, k)
     t = 1.0 + h / r
     g = np.zeros(h.shape + (4,))
     g[..., 0] = (k / r) / np.sqrt(2.0 * t)
     g[..., 3] = -np.sqrt(0.5 * t)
-    z = -h / r
-    return -2.0 * r, 2.0 * h * (h / (r + k)), g, GroundMoments(z0=z, zj=z, xx=-k / r)
+    return -2.0 * r, 2.0 * h * (h / (r + k)), g
 
 
-def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
+def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`star_block_ground` for q >= 3 by a stacked `eigh` of the top
     spin block, returning its levels in place of the ground level.
 
     The gap is taken against the lowest level of every lower-J block too.
-    With d = q - 1, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d,
-    X_0 J_x linking g[s * q + n] with g[(1 - s) * q + n + 1] by
-    sqrt((n + 1)(d - n)) / 2.
     """
     leaves = q - 1
     vals, vecs = np.linalg.eigh(_spin_block(h, k, leaves))
     excited = vals[..., 1]
     for d in range(leaves - 2, -1, -2):
         excited = np.minimum(excited, np.linalg.eigvalsh(_spin_block(h, k, d))[..., 0])
-    g = vecs[..., 0]
-    n = np.arange(q)
+    return vals, excited - vals[..., 0], vecs[..., 0]
+
+
+def _ground_moments(h, k, g, q: int) -> GroundMoments:
+    """<Z_0>, <Z_j> and <X_0 X_j> of the ground state with block vector g,
+    broadcasting like it.  At q = 2 they are the closed form
+    <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r, r = hypot(h, k), read
+    directly rather than from g's amplitudes.  For q >= 3, with d = q - 1,
+    <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
+    g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
+    """
+    if q == 2:
+        r = np.hypot(h, k)
+        return GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r)
+    leaves, n = q - 1, np.arange(q)
     up, down = g[..., :q], g[..., q:]
     link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
     x0_jx2 = 2.0 * (up[..., :-1] * down[..., 1:] + down[..., :-1] * up[..., 1:]) @ link
-    moments = GroundMoments(
+    return GroundMoments(
         z0=(up * up - down * down).sum(axis=-1),
         zj=(up * up + down * down) @ (leaves - 2.0 * n) / leaves,
         xx=x0_jx2 / leaves,
     )
-    return vals, excited - vals[..., 0], g, moments
 
 
 def _degenerate_message(h, k, gap, levels) -> str:
-    """The smallest gap, also relative to max(h, k), and, for a gap taken
-    from an eigensolve's `levels`, whether it is within that solve's
-    roundoff, 16 eps |H|.  The closed-form q = 2 gap (`levels` None) has no
-    such roundoff."""
-    i = np.unravel_index(np.argmin(gap), np.shape(gap))
-    scale = np.broadcast_to(np.maximum(h, k), np.shape(gap))[i]
+    """The gap smallest relative to max(h, k), absolute and relative, and,
+    for a gap taken from an eigensolve's `levels`, whether it is within that
+    solve's roundoff, 16 eps |H|, then the (h, k) where it is.  The
+    closed-form q = 2 gap (`levels` None) has no such roundoff."""
+    i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
+    h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
+    scale = max(h, k)
     unresolved = levels is not None and (
         gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i]))
     )
@@ -259,26 +265,33 @@ def _degenerate_message(h, k, gap, levels) -> str:
         f"ground space degenerate within tolerance (gap = {gap[i]:.3e}, "
         f"{gap[i] / scale:.3e} relative to max(h, k) = {scale:.3g}"
         + ("; below double precision, so the solve cannot resolve it)" if unresolved else ")")
+        + f" at h = {h:.12g}, k = {k:.12g}"
     )
+
+
+def star_models(params: list[ModelParams]) -> list[ModelBundle]:
+    """The bundle of each model; MinimalModelParams give the q = 2 star.
+
+    The offsets cannot change the eigenvectors, so the ground states are
+    solved on the Pauli parts alone, each group of equal q by one stacked
+    `star_block_ground`.  Each bundle reads its moments, which set every
+    offset and the angle, from its own row of g, as a solve of that model
+    alone does: a product over the stack would round them differently.
+    """
+    bundles = [None] * len(params)
+    for q in {p.q for p in params}:
+        at = [(i, p) for i, p in enumerate(params) if p.q == q]
+        h, k = (np.array([getattr(p, name) for _, p in at], float) for name in "hk")
+        for (i, p), row in zip(at, star_block_ground(h, k, q)[2]):
+            moments = GroundMoments(*map(float, _ground_moments(p.h, p.k, row, q)))
+            angle = FeedbackAngle(*map(float, _angle(p.h, p.k, moments)))
+            bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=row.reshape(2, q))
+    return bundles
 
 
 def star_model(params: ModelParams) -> ModelBundle:
-    """Build the star bundle; MinimalModelParams give the q = 2 star.
-
-    The offsets cannot change the eigenvectors, so the ground state is solved
-    on the Pauli parts alone, by `star_block_ground`; its moments set every
-    offset and the angle.
-    """
-    h, k, n = params.h, params.k, params.q
-    _, _, g, moments = star_block_ground(h, k, n)
-    moments = GroundMoments(z0=float(moments.z0), zj=float(moments.zj), xx=float(moments.xx))
-    a = _angle(h, k, moments)
-    return ModelBundle(
-        params=params,
-        moments=moments,
-        angle=FeedbackAngle(theta=float(a.theta), xi=float(a.xi), eta=float(a.eta)),
-        g=g.reshape(2, n),
-    )
+    """The bundle of one model: `star_models` of a stack of one."""
+    return star_models([params])[0]
 
 
 def _angle(h, k, moments: GroundMoments) -> FeedbackAngle:

@@ -66,7 +66,7 @@ class QetRecord:
                 str(j): {"HX": r.hx, "HZ": r.hz, "E_j": r.e_j, "E_B": r.e_b}
                 for j, r in self.receivers.items()
             },
-            "theta": {str(j): asdict(self.angle) for j in self.receivers},
+            "theta": {str(j): self.angle._asdict() for j in self.receivers},
         }
         if self.stderr:
             out["stderr"] = dict(self.stderr)
@@ -116,9 +116,10 @@ def dicke_rotation(r: int, c, s) -> np.ndarray:
     return m
 
 
-def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
+def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, ...]) -> np.ndarray:
     """The protocol pass on the sender plus the receivers R: X0 measurement,
-    then each receiver's feedback.
+    then each receiver's feedback; a list of bundles of one q gives their
+    arrays stacked along a leading axis, each equal to the bundle's own.
 
     Returns the real array fed[mu, m, s, w] of shape (2, q - |R|, 2, |R| + 1),
     a purification of the fed state of those sites: row mu (+1, then -1) is
@@ -131,17 +132,23 @@ def run_protocol(bundle: ModelBundle, receivers: tuple[int, ...]) -> np.ndarray:
     then the projector (I + mu X0) / 2 and, at each receiver, the rotation
     cos(theta) I - i mu sin(theta) Y = [[c, -mu s], [mu s, c]].
     """
-    _check_receivers(bundle, receivers)
-    q, r = bundle.n_qubits, len(receivers)
+    stack = [bundle] if isinstance(bundle, ModelBundle) else bundle
+    q, r = stack[0].n_qubits, len(receivers)
+    if any(b.n_qubits != q for b in stack):
+        raise ValueError("a stacked pass needs bundles of one q")
+    _check_receivers(stack[0], receivers)
     others = q - 1 - r
     split = [[math.comb(r, w) * math.comb(others, m) / math.comb(q - 1, w + m)
               for m in range(others + 1)] for w in range(r + 1)]
     w, m = np.ogrid[: r + 1, : others + 1]
-    amp = (bundle.g[:, w + m] * np.sqrt(split)).transpose(2, 0, 1)  # [m, s, w]
+    g = np.stack([b.g for b in stack])
+    amp = (g[:, :, w + m] * np.sqrt(split)).transpose(0, 3, 1, 2)[:, None]  # [., m, s, w]
     mu = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-    fed = 0.5 * (amp + mu * amp[:, ::-1])  # X0 swaps s
-    c, s = np.cos(bundle.angle.theta), np.sin(bundle.angle.theta)
-    return fed @ dicke_rotation(r, c, [s, -s]).swapaxes(1, 2)[:, None]
+    fed = 0.5 * (amp + mu * amp[:, :, :, ::-1])  # X0 swaps s
+    theta = np.array([[b.angle.theta] for b in stack])
+    c, s = np.cos(theta), np.sin(theta)
+    fed = fed @ dicke_rotation(r, c, np.hstack([s, -s])).swapaxes(-1, -2)[:, :, None]
+    return fed[0] if isinstance(bundle, ModelBundle) else fed
 
 
 def sweep_EB(h_values, k_values) -> ReceiverEnergy:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelBundle, ReceiverEnergy
-from .protocol import QetRecord, dicke_rotation, run_protocol
+from .protocol import QetRecord, dicke_rotation
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 _FAMILY_CODE = 2  # the star family's tag in the seed key; the minimal model is the q = 2 star
@@ -189,13 +189,12 @@ def estimate(tallies: SampleTallies, site: int, coeff: float, offset: float) -> 
     return float(mean), stderr
 
 
-def sampled_record(bundle: ModelBundle, receivers: tuple[int, ...], shots: int,
-                   master_seed: int) -> QetRecord:
-    """Shot-sampled analogue of `exact_record` from one `run_protocol` pass:
-    E0 from the Z-run's sender field term (its post-measurement mean is the
-    injected energy), and each receiver's Z-run and X-run terms, with
-    quadrature standard errors."""
-    fed = run_protocol(bundle, receivers)
+def sampled_record(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, ...],
+                   shots: int, master_seed: int) -> QetRecord:
+    """Shot-sampled analogue of `exact_record` from `fed`, the bundle's
+    `run_protocol` array for `receivers`: E0 from the Z-run's sender field
+    term (its post-measurement mean is the injected energy), and each
+    receiver's Z-run and X-run terms, with quadrature standard errors."""
     z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
     x_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("X", shots, master_seed))
     h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments

@@ -24,6 +24,7 @@ from oracle_utils import exact_root
 import qetsim.cli
 import qetsim.model
 import qetsim.protocol
+import qetsim.refdata
 import qetsim.sampler
 import qetsim.teleport
 import qetsim.tiling
@@ -387,8 +388,22 @@ def test_minimal_degeneracy_guard_bound_and_message(tmp_path, capsys):
         assert run_cli("qet", "--h", "1", "--k", k, "--method", "exact", "--out", out) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: ground space degenerate within tolerance "
-        "(gap = 1.000e-08, 1.000e-16 relative to max(h, k) = 1e+08)"
+        "(gap = 1.000e-08, 1.000e-16 relative to max(h, k) = 1e+08) at h = 1, k = 100000000"
     )
+
+
+@pytest.mark.parametrize("argv, point", [
+    # the grid's points are h = 1e-6, 0.5000005 and 1; only the first fails
+    ("sweep --h 1e-6:1:3 --k 1", "h = 1e-06, k = 1"),
+    # k = 500000.5 and 1e6 both fail; the message names the worse, relative to max(h, k)
+    ("sweep --h 1 --k 1:1e6:3", "h = 1, k = 1000000"),
+    ("qed --h 0.01 --k 1 --q 6 --method exact", "h = 0.01, k = 1"),
+])
+def test_degenerate_message_names_the_failing_point(argv, point, capsys):
+    assert run_cli(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ground space degenerate within tolerance (gap = ")
+    assert err.endswith(f") at {point}\n")
 
 
 def assert_scaled_copy(scale, tmp_path):
@@ -709,11 +724,28 @@ def test_qed_both_methods_run_one_pass(monkeypatch):
     assert len(passes) == 1
 
 
-def test_table1_runs_one_pass_per_config(tmp_path, monkeypatch):
-    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
+def test_table1_runs_one_stacked_solve_and_pass_per_tiling(tmp_path, monkeypatch):
+    # each tiling's four (h, k) cells are one stacked ground solve and one
+    # stacked pass, so the 12 configs take 3 of each, every config once
+    solves, passes = [], []
+    solve, run_protocol = qetsim.model.star_block_ground, qetsim.protocol.run_protocol
+
+    def counted_solve(h, k, q):
+        solves.append([(q, h_, k_) for h_, k_ in zip(h.tolist(), k.tolist())])
+        return solve(h, k, q)
+
+    def counted_pass(bundles, receivers):
+        passes.append([(b.params.q, b.params.h, b.params.k) for b in bundles])
+        return run_protocol(bundles, receivers)
+
+    monkeypatch.setattr(qetsim.model, "star_block_ground", counted_solve)
+    monkeypatch.setattr(qetsim.cli, "run_protocol", counted_pass)
     assert run_cli("table1", "--check", "--shots", "2000",
                    "--out", str(tmp_path / "t.csv")) == 0
-    assert len(passes) == 12
+    configs = [(q, float(h), float(k)) for q, h, k in qetsim.refdata.CONFIGS]
+    for stacks in (solves, passes):
+        assert [len(cells) for cells in stacks] == [4, 4, 4]
+        assert [config for cells in stacks for config in cells] == configs
 
 
 def test_longrange_runs_one_pass(tmp_path, monkeypatch):
@@ -820,12 +852,12 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
             return out
         return wrapper
 
-    monkeypatch.setattr(qetsim.sampler, "run_protocol", recorded(run_protocol))
+    monkeypatch.setattr(qetsim.cli, "run_protocol", recorded(run_protocol))
     monkeypatch.setattr(qetsim.sampler, "readout_law", recorded(readout_law))
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", receivers,
                    "--shots", "1000", "--out", str(tmp_path / "qed.json")) == 0
     r = len(receivers.split(","))
-    assert shapes == [(2, 20 - r, 2, r + 1)] + [(2, 2, r + 1)] * 2
+    assert shapes == [(1, 2, 20 - r, 2, r + 1)] + [(2, 2, r + 1)] * 2  # a stack of one pass
 
 
 # --- pinned sampled bytes ---------------------------------------------------------

@@ -31,7 +31,9 @@ from qetsim.model import (
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
+    star_block_ground,
     star_model,
+    star_models,
 )
 from qetsim.protocol import dicke_rotation, exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
@@ -112,6 +114,62 @@ def test_feedback_order_commutes_branchwise():
     assert np.array_equal(run_protocol(bundle, (1, 2)), run_protocol(bundle, (2, 1)))
     rho = sum(p * partial_trace(psi, 6, (0, 1, 2)) for p, psi, _ in order21)
     assert np.abs(pass_density(class_cells(run_protocol(bundle, (2, 1)))) - rho).max() <= 1e-12
+
+
+def assert_stack_equals_lone(params, receivers):
+    """Each bundle of one stacked solve, and its rows of one stacked pass,
+    equal those of a solve and a pass of that model alone, bit for bit; a
+    lone bundle's g and moments are those of the unstacked block solve."""
+    stack = star_models(params)
+    for q in {p.q for p in params}:
+        group = [b for b in stack if b.params.q == q]
+        fed = run_protocol(group, receivers)
+        assert fed.shape == (len(group), 2, q - len(receivers), 2, len(receivers) + 1)
+        for bundle, rows in zip(group, fed):
+            lone = star_model(bundle.params)
+            assert bundle.params is lone.params
+            assert np.array_equal(bundle.g, lone.g)
+            assert bundle.moments == lone.moments and bundle.angle == lone.angle
+            assert np.array_equal(rows, run_protocol(lone, receivers))
+            _, _, g, moments = star_block_ground(lone.params.h, lone.params.k, q)
+            assert np.array_equal(lone.g.ravel(), g) and lone.moments == moments
+
+
+def test_stacked_models_and_passes_equal_lone_ones_on_the_table():
+    assert_stack_equals_lone(
+        [StarModelParams(float(h), float(k), q) for q, h, k in refdata.CONFIGS], (1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.integers(3, 12), data=st.data())
+def test_stacked_models_and_passes_equal_lone_ones_property(q, data):
+    cells = data.draw(st.lists(st.tuples(st.floats(1.0, 10.0), st.floats(0.1, 2.0)),
+                               min_size=1, max_size=6), label="(h, k) stack")
+    receivers = tuple(data.draw(
+        st.lists(st.integers(1, q - 1), max_size=q - 1, unique=True), label="receivers"))
+    assert_stack_equals_lone([StarModelParams(h, k, q) for h, k in cells], receivers)
+
+
+@pytest.mark.parametrize("params, bad", [
+    # the degenerate cell's gap, 1e-2, is above the other cell's, 8.3e-4; it fails
+    # relative to max(h, k), and the message names it as a lone solve does
+    ([MinimalModelParams(1e-3, 1e-3), MinimalModelParams(1e3, 1e8)], 1),
+    ([StarModelParams(9.0, 2.0, 6), StarModelParams(0.01, 1.0, 6),
+      StarModelParams(6.0, 2.0, 6)], 1),
+])
+def test_a_stack_holding_a_degenerate_cell_raises_as_its_lone_solve(params, bad):
+    with pytest.raises(DegenerateGroundError) as lone:
+        star_model(params[bad])
+    with pytest.raises(DegenerateGroundError) as stacked:
+        star_models(params)
+    assert str(stacked.value) == str(lone.value)
+    assert str(lone.value).endswith(f" at h = {params[bad].h:.12g}, k = {params[bad].k:.12g}")
+
+
+def test_a_stacked_pass_needs_one_q():
+    bundles = star_models([StarModelParams(9.0, 2.0, 6), StarModelParams(9.0, 2.0, 7)])
+    with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
+        run_protocol(bundles, (1, 2))
 
 
 def test_pass_shapes():
