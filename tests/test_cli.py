@@ -214,6 +214,22 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 and size of the sweep's output; its bytes do not change
+SWEEP_DIGESTS = {
+    (): ("93f7b7fc20da2ea72915b316dec7b4939e025228835a0543dac54394ee5102d0", 101_195),
+    ("--h", "0.05:20:37", "--k", "0.001:1000:41", "--field-term-column"):
+        ("22aba907cd937d2b2c5e0246dcbee94f26b70c990b514a50f6e695878421032c", 81_623),
+}
+
+
+@pytest.mark.parametrize("argv", SWEEP_DIGESTS)
+def test_sweep_bytes_are_pinned(argv, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", *argv, "--out", str(out)) == 0
+    got = out.read_bytes()
+    assert (hashlib.sha256(got).hexdigest(), len(got)) == SWEEP_DIGESTS[argv]
+
+
 # --- tiling ----------------------------------------------------------------------
 
 def test_tiling_hexagonal_counts(tmp_path, capsys):
