@@ -30,11 +30,11 @@ from .teleport import run_longrange_qet
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
-# 2000, --field-term-column --out FILE) took 6.2 s at a 178 MB in-process peak
-# on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
+# 2000, --field-term-column --out FILE) took 6.3-7.1 s at a 176 MB in-process
+# peak on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
 # Rows are written SWEEP_CHUNK_POINTS at a time, each chunk formatting its own
 # axis values, so an axis costs only its 8 B floats: a 1 x 4,000,000 grid
-# peaks at 212 MB (7.0 s) and a 1 x 2,000,000 grid at 136 MB.
+# peaks at 211 MB (9.6 s) and a 1 x 2,000,000 grid at 134 MB (4.1 s).
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -226,23 +226,25 @@ def cmd_sweep(args) -> int:
 
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
+        # '%.12g' % x is format(x, '.12g'), the same C conversion as _fmt
+        line = "%s,%s,%.12g,%.12g\n" if args.field_term_column else "%s,%s,%.12g\n"
         e_b, hz, nk = energy.e_b.ravel(), energy.hz.ravel(), k_range[2]
         for start in range(0, points, SWEEP_CHUNK_POINTS):
             chunk = slice(start, start + SWEEP_CHUNK_POINTS)
-            values = e_b[chunk].tolist()
+            columns = [e_b[chunk].tolist()]
             if args.field_term_column:
-                cells = [f"{_fmt(e)},{_fmt(f)}" for e, f in zip(values, (-hz[chunk]).tolist())]
-            else:
-                cells = [_fmt(e) for e in values]
+                columns.append((-hz[chunk]).tolist())
+            n = len(columns[0])
             # the chunk's axis values, each formatted once: its rows' h, and
             # its k in grid order from the first point's, cycling over a row
             i, j = divmod(start, nk)
-            hs = [_fmt(h) for h in h_values[i:(start + len(cells) - 1) // nk + 1].tolist()]
-            ks = [_fmt(k) for k in k_values[(j + np.arange(min(len(cells), nk))) % nk].tolist()]
+            hs = [_fmt(h) for h in h_values[i:(start + n - 1) // nk + 1].tolist()]
+            ks = [_fmt(k) for k in k_values[(j + np.arange(min(n, nk))) % nk].tolist()]
             h_run = itertools.chain(itertools.repeat(hs[0], nk - j),
                                     *(itertools.repeat(h, nk) for h in hs[1:]))
-            yield "".join(f"{h},{k},{cell}\n"
-                          for cell, h, k in zip(cells, h_run, itertools.cycle(ks)))
+            # the whole chunk is one %-format: no Python code runs per row
+            cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *columns))
+            yield (line * n) % tuple(cells)
 
     _write_text(args.out, rows())
     return 0

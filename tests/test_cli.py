@@ -230,6 +230,43 @@ def test_sweep_bytes_are_pinned(argv, tmp_path):
     assert (hashlib.sha256(got).hexdigest(), len(got)) == SWEEP_DIGESTS[argv]
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    h=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.integers(1, 9)),
+    k=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.integers(1, 9)),
+    chunk=st.integers(1, 11),
+    field_term=st.booleans(),
+)
+def test_sweep_rows_match_a_per_row_oracle_property(h, k, chunk, field_term):
+    # chunks of 1..11 points split the rows anywhere; every row is the
+    # per-point f-string of sweep_EB's values
+    argv = ["sweep", "--h={!r}:{!r}:{}".format(*h), "--k={!r}:{!r}:{}".format(*k)]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(qetsim.cli, "SWEEP_CHUNK_POINTS", chunk)
+        assert main(argv + ["--field-term-column"] * field_term) == 0
+    hs, ks = np.linspace(*h), np.linspace(*k)
+    energy = qetsim.protocol.sweep_EB(hs, ks)
+    fmt = qetsim.cli._fmt
+    rows = ["h,k,E_B" + ",E_B_field_term" * field_term + "\n"]
+    for i, j in np.ndindex(energy.e_b.shape):
+        cells = [hs[i], ks[j], energy.e_b[i, j]] + [-energy.hz[i, j]] * field_term
+        rows.append(",".join(fmt(float(x)) for x in cells) + "\n")
+    assert out.getvalue() == "".join(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bits=st.integers(0, 2**64 - 1))
+def test_percent_g_formats_like_fmt(bits):
+    # the sweep's rows use '%.12g' % x where _fmt uses format(x, '.12g'):
+    # the same C conversion, pinned here on special doubles and random bit patterns
+    x = np.array(bits, dtype=np.uint64).view(np.float64).item()
+    special = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300,
+               math.inf, -math.inf, math.nan)
+    for value in (x, *special):
+        assert "%.12g" % value == qetsim.cli._fmt(value)
+
+
 # --- tiling ----------------------------------------------------------------------
 
 def test_tiling_hexagonal_counts(tmp_path, capsys):

@@ -253,6 +253,22 @@ def test_star_sectors_zero_field_is_degenerate():
         star_block_ground(0.0, 1.0, 5)
 
 
+def test_lower_spin_blocks_lie_above_the_j_minus_1_block():
+    # the gap reads only the top block and the J - 1 block (d = q - 3); this
+    # checks the Lieb-Mattis ordering that relies on, against every lower
+    # block.  H is linear in (h, k), so h/k alone sets the ordering
+    h, k = np.logspace(-3, 3, 7), 1.0
+    for q in range(3, 65):
+        lowest = [np.linalg.eigvalsh(qetsim.model._spin_block(h, k, d))[..., 0]
+                  for d in range(q - 3, -1, -2)]
+        for d, level in zip(range(q - 5, -1, -2), lowest[1:]):
+            assert np.all(level >= lowest[0]), (q, d)
+        # so the gap is the one the minimum over every block gives, bit for bit
+        vals = np.linalg.eigh(qetsim.model._spin_block(h, k, q - 1))[0]
+        gap = np.min([vals[..., 1], *lowest], axis=0) - vals[..., 0]
+        assert np.array_equal(qetsim.model._block_ground(h, k, q)[1], gap), q
+
+
 # (h, k) with h >> k, k >> h up to the degeneracy guard, and fields near the
 # smallest normal float and near the largest the levels can hold
 CLOSED_FORM_HK = [

@@ -338,6 +338,24 @@ def test_transcript_renders_in_chunks_of_hops():
         f"{2 * last + 1} relay{last} bob teleport-corrections {last % 4 >> 1}\n"
         f"{2 * last + 2} relay{last} bob teleport-corrections {last % 4 & 1}\n"
     )
+    # sampled or not, the chunks join to one line per bit, laid out line by line
+    for transcript in (LoccTranscript(hops, 0, branches), LoccTranscript(hops, None, None)):
+        chunks = list(transcript.serialize())
+        assert [chunk.count("\n") for chunk in chunks] == [1, 2 * TRANSCRIPT_CHUNK_HOPS, 2]
+        assert "".join(chunks) == _transcript_by_lines(transcript)
+
+
+def _transcript_by_lines(transcript):
+    """The transcript's text built one line at a time."""
+    names = ["charlie", *(f"relay{i}" for i in range(1, transcript.hops)), "bob"]
+    bits = (["x"] * transcript.hops if transcript.branches is None
+            else transcript.branches.tolist())
+    lines = [f"0 alice all mu-broadcast {'x' if transcript.mu is None else transcript.mu}"]
+    for i, b in enumerate(bits):
+        m1, m2 = ("x", "x") if b == "x" else (b >> 1, b & 1)
+        lines.append(f"{2 * i + 1} {names[i]} {names[i + 1]} teleport-corrections {m1}")
+        lines.append(f"{2 * i + 2} {names[i]} {names[i + 1]} teleport-corrections {m2}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("h, k", [(MAX_RELAY_FIELD_RATIO, 1.0), (1.0, MAX_RELAY_FIELD_RATIO)])
