@@ -15,11 +15,12 @@ and its bits' law, |c_b|^2, is the same on every hop and for every state.
 four operators once per call and draws each hop's two bits from |c_b|^2
 with two uniforms; a 1000-hop relay takes ~0.7 ms (2 vCPU, numpy 2.4).
 Without an rng the (0, 0) branch is kept and no bits are returned.
-The long-range run draws mu and every hop's uniforms from the standard
-library's `random.Random(seed)`, so it never imports `numpy.random`; it
-reads the receiver's energies off the protocol pass's two mu rows, which the
-relay leaves as they are, and checks them against the closed-form exact
-record.
+The long-range run is QET on the minimal model followed by that relay of
+the receiver qubit (arXiv 2301.11884): since each hop is the identity, the
+relayed energies are the local ones at any distance, so its record is the
+closed-form `exact_record`.  It draws mu at 1/2, as <X_0> = 0 by parity,
+and then every hop's uniforms, from the standard library's
+`random.Random(seed)`, so it never imports `numpy.random`.
 `LoccTranscript` holds only the hop count and the drawn bits; its
 `serialize` alone names the nodes and lays out the lines, yielding the text
 a chunk of hops at a time so that a long transcript is never held whole.
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IllConditionedError, MinimalModelParams, star_model
-from .protocol import QetRecord, exact_record, run_protocol
+from .model import MinimalModelParams, star_model
+from .protocol import QetRecord, exact_record
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +78,11 @@ class LoccTranscript:
 
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
-# Largest h/k or k/h `run_longrange_qet` accepts; see there.
-MAX_RELAY_FIELD_RATIO = 1e4
 # Largest hop count `run_longrange_qet` accepts.  A hop costs one `_draw` and
 # one byte, so the transcript, not time, bounds it: `longrange
 # --sample-transcript` at 10^6 hops writes a 108 MB transcript, a chunk of
-# TRANSCRIPT_CHUNK_HOPS hops at a time, in ~1.7-1.8 s at a 36.8 MB peak
-# (in-process, 2 vCPU, numpy 2.4).
+# TRANSCRIPT_CHUNK_HOPS hops at a time, in 1.5-1.9 s (median 1.7 s) at a
+# 36.6-36.7 MB peak (in-process, 7 runs; 2 vCPU, Python 3.11, numpy 2.4).
 MAX_HOPS = 10**6
 TRANSCRIPT_CHUNK_HOPS = 4096
 
@@ -113,6 +112,22 @@ def _draw(p: list[float], u1: float, u2: float) -> int:
     return 2 * m1 + m2
 
 
+def _branch_law() -> tuple[list[float], float]:
+    """The corrected branches' law |c_b|^2 and how far `_branch_ops()` are
+    from it: the largest distance of an operator from c_b I, or of the
+    |c_b|^2's sum from 1.  A residual above 1e-15, so that MAX_HOPS hops
+    stay within 1e-9, or nan raises AssertionError."""
+    ops = _branch_ops()
+    scale = np.trace(ops, axis1=1, axis2=2) / 2
+    law = np.abs(scale) ** 2
+    # np.maximum keeps a nan, and "not within" fails on it
+    residual = float(np.maximum(np.max(np.abs(ops - scale[:, None, None] * np.eye(2))),
+                                abs(np.sum(law) - 1.0)))
+    if not residual <= 1e-15:
+        raise AssertionError("teleportation branches disagree after correction")
+    return law.tolist(), residual
+
+
 def relay(
     hops: int, rng: random.Random | np.random.Generator | None = None
 ) -> np.ndarray | None:
@@ -126,23 +141,15 @@ def relay(
 
     Every corrected branch operator is c_b I, so each hop is the identity
     channel on whatever it relays, and its bits' law |c_b|^2 is the same on
-    every hop.  `relay` checks that once per call, at any hop count, 0
-    included, with or without an rng: each of `_branch_ops()` must be c_b I
-    within 1e-15, with the |c_b|^2 summing to 1 within 1e-15, so that
-    MAX_HOPS hops stay within 1e-9.  A negative `hops` raises ValueError.
+    every hop.  `relay` checks that once per call by `_branch_law`, at any
+    hop count, 0 included, with or without an rng.  A negative `hops`
+    raises ValueError.
     """
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
-    ops = _branch_ops()
-    scale = np.trace(ops, axis1=1, axis2=2) / 2
-    law = np.abs(scale) ** 2
-    # written as "not within" so that a nan fails too
-    if not (np.max(np.abs(ops - scale[:, None, None] * np.eye(2))) <= 1e-15
-            and abs(np.sum(law) - 1.0) <= 1e-15):
-        raise AssertionError("teleportation branches disagree after correction")
+    p = _branch_law()[0]
     if rng is None:
         return None
-    p = law.tolist()
     return np.fromiter((_draw(p, rng.random(), rng.random()) for _ in range(hops)),
                        dtype=np.uint8, count=hops)
 
@@ -153,44 +160,17 @@ def run_longrange_qet(
     """Ground -> X0 measurement -> mu broadcast -> conditional rotation at the
     relay -> `hops` teleports of the receiver qubit -> receiver bookkeeping.
 
-    The measurement and feedback are `run_protocol`'s pass, on both sites of
-    the q = 2 star, so its one spectator row holds the mu branches as two
-    rows.  The relay is an identity channel, so those normalized rows are
-    also the relayed ones, and one `relay` call gives the hops' bits.  The
-    record is `exact_record`'s.  With a seed, mu and then every hop's bits
-    are drawn from `random.Random(seed)`, which fill the transcript with
-    concrete bits.  The third value is the largest difference of the rows'
-    HX1, HZ1 and E1 from the record's closed forms.
-
-    The pass loses those energies as the fields part, at any hop count: with
-    the smaller field 1, by 1.8e-12 at h/k = 1e4 and 1.5e-8 at 1e8, and by
-    4.3e-12 at k/h = 1e4 and 8.8e-10 at 1e6.  So h/k or k/h above
-    MAX_RELAY_FIELD_RATIO raises IllConditionedError before any pass.
+    Every hop is the identity channel, so the record is `exact_record`'s on
+    the q = 2 star, and it accepts, and fails on, the (h, k) that the star
+    model does.  With a seed, mu and then every hop's bits are drawn from
+    `random.Random(seed)`, which fill the transcript with concrete bits:
+    mu's bit is 1 (mu = -1) when the first uniform is >= 1/2, as p_mu = 1/2
+    because <X_0> = 0 by the ground state's parity.  The third value is
+    `_branch_law`'s residual, the relay's branch disagreement.
     """
     if not 1 <= hops <= MAX_HOPS:
         raise ValueError(f"hops must be in 1..{MAX_HOPS}, got {hops}")
-    ratio = max(params.h / params.k, params.k / params.h)
-    if ratio > MAX_RELAY_FIELD_RATIO:
-        raise IllConditionedError(
-            f"ill-conditioned: max(h/k, k/h) = {ratio:.3g} > {MAX_RELAY_FIELD_RATIO:.0e} "
-            "for the relayed protocol pass"
-        )
-    bundle = star_model(params)
-    exact = exact_record(bundle, (1,))
-    fed = run_protocol(bundle, (1,))[:, 0].reshape(2, 4)  # one receiver's classes are |s b>
-    probs = np.sum(fed**2, axis=-1)  # p_mu, mu = +1 then -1
-
-    rows = fed / np.sqrt(probs)[:, None]
+    exact = exact_record(star_model(params), (1,))
     rng = None if seed is None else random.Random(seed)
-    drawn = 0 if rng is None else int(rng.random() >= probs[0])
-    # Z1 reads the low bit of |s b>; X0 X1 maps index i to 3 - i
-    z1 = probs @ (rows**2 @ np.array([1.0, -1.0, 1.0, -1.0]))
-    xx = probs @ np.sum(rows * rows[:, ::-1], axis=-1)
-    h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments
-    hz = h * z1 - h * m.zj
-    hx = k2 * xx - k2 * m.xx
-    local = exact.receivers[1]
-    delta = max(abs(hx - local.hx), abs(hz - local.hz), abs(hx + hz - local.e_j))
-    transcript = LoccTranscript(hops, None if rng is None else drawn, relay(hops, rng))
-    return exact, transcript, float(delta)
-
+    mu = None if rng is None else int(rng.random() >= 0.5)
+    return exact, LoccTranscript(hops, mu, relay(hops, rng)), _branch_law()[1]

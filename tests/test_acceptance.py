@@ -184,8 +184,8 @@ def test_criterion_07_long_range_equivalence():
             params = MinimalModelParams(h, k)
             local = exact_record(star_model(params), (1,))
             for hops in (1, 2, 3):
-                # the record is the closed form; delta compares the relayed
-                # pass rows' HX1, HZ1 and E1 with it
+                # the record is the closed form; delta is the relay's branch
+                # check residual, how far its corrected branches are from c_b I
                 record, transcript, delta = run_longrange_qet(params, hops)
                 assert record.as_dict() == local.as_dict()
                 worst_field = max(worst_field, delta)

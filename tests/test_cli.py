@@ -707,48 +707,73 @@ def test_longrange_sampled_transcript(tmp_path):
     assert len(text.splitlines()) == 1 + 2 * 3
 
 
-@pytest.mark.parametrize("h, k", [("1e8", "1"), ("1", "1e6"), ("10001", "1")])
+@pytest.mark.parametrize("h, k", [("1", "1e6"), ("1.001e12", "1")])
 def test_longrange_ill_conditioned_exits_1_before_any_pass(h, k, tmp_path, capsys, monkeypatch):
+    # the star model's own failures, raised before any draw or output
+    error = ("error: ill-conditioned: h/k = 1e+12 > 1e+12" if float(h) > float(k)
+             else "error: ground space degenerate")
     passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
     out = tmp_path / "r.json"
     assert run_cli("longrange", "--h", h, "--k", k, "--hops", "1000", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 1
-    assert capsys.readouterr().err.startswith("error: ill-conditioned: max(h/k, k/h) = ")
+    assert capsys.readouterr().err.startswith(error)
     assert passes == [] and not out.exists()
 
 
-@pytest.mark.parametrize("h, k", [("10000", "1"), ("1", "10000"), ("37000", "3.7")])
-def test_longrange_just_inside_the_field_ratio_bound(h, k, tmp_path):
-    out = tmp_path / "r.json"
+@pytest.mark.parametrize("h, k", [("1e8", "1"), ("10001", "1")])
+def test_longrange_runs_at_large_field_ratios(h, k, tmp_path):
+    # the record is the closed form's, so E_B is `qet --method exact`'s
+    out, local = tmp_path / "r.json", tmp_path / "q.json"
     assert run_cli("longrange", "--h", h, "--k", k, "--hops", "3", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert json.loads(out.read_text())["relay_vs_local_max_delta"] <= 1e-10
+    assert run_cli("qet", "--h", h, "--k", k, "--method", "exact", "--out", str(local)) == 0
+    e_b = json.loads(out.read_text())["receivers"]["1"]["E_B"]
+    assert e_b > 0 and e_b == json.loads(local.read_text())["receivers"]["1"]["E_B"]
 
 
-@pytest.mark.parametrize("scale", ["1e6", "1e-6"])
+@pytest.mark.parametrize("scale", ["1e6", "1", "1e-6"])
 def test_longrange_check_is_relative_to_the_field_scale(scale, tmp_path):
-    # the pass's roundoff grows with max(h, k); the JSON field stays absolute
+    # the relayed branch operators do not depend on the fields, so the JSON
+    # field, their check's residual, is the same at every scale
     out = tmp_path / "r.json"
     assert run_cli("longrange", "--h", scale, "--k", scale, "--hops", "2", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert json.loads(out.read_text())["relay_vs_local_max_delta"] <= 1e-10 * float(scale)
+    residual = json.loads(out.read_text())["relay_vs_local_max_delta"]
+    assert residual <= 1e-15 and residual == qetsim.teleport._branch_law()[1]
 
 
 def test_longrange_perturbed_relay_exits_1(tmp_path, capsys, monkeypatch):
-    # the relayed rows are the pass's, so a perturbed pass is a perturbed relay
-    run_protocol = qetsim.teleport.run_protocol
-
-    def perturbed(*args, **kwargs):
-        fed = run_protocol(*args, **kwargs)
-        rows = fed.reshape(2, 4)  # the |s b> rows of the two mu branches
-        return (rows + 1e-6 * rows[:, ::-1]).reshape(fed.shape)
-
-    monkeypatch.setattr(qetsim.teleport, "run_protocol", perturbed)
+    # branch (1, 1)'s operator turned by 1e-8 fails the relay's check, which
+    # runs before the record is written
+    branch_ops = qetsim.teleport._branch_ops
+    tilt = np.zeros((4, 2, 2))
+    tilt[3] = [[0.0, -1e-8], [1e-8, 0.0]]
+    monkeypatch.setattr(qetsim.teleport, "_branch_ops", lambda: branch_ops() + tilt)
     out = tmp_path / "r.json"
-    assert run_cli("longrange", "--h", "1e6", "--k", "1e6", "--hops", "2", "--out", str(out),
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "2", "--out", str(out),
                    "--transcript-out", str(tmp_path / "t.log")) == 1
-    assert capsys.readouterr().err.startswith("relay/non-relay mismatch: ")
-    assert json.loads(out.read_text())["relay_vs_local_max_delta"] > 1e-10 * 1e6
+    assert capsys.readouterr().err == "error: teleportation branches disagree after correction\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["3e-308", "1e-6", "1", "1e6", "1e300"])
+@pytest.mark.parametrize("ratio", ["1e-6", "1e-4", "1", "1e4", "1e8", "1e12", "1.001e12"])
+def test_longrange_accepts_what_qet_accepts(ratio, scale, tmp_path, capsys):
+    # h = ratio * k: the same exit code and error line, and on success the
+    # same record bit for bit.  At k = 3e-308, h/k < 1 puts h below the
+    # smallest normal float; at k = 1e300, h/k = 1e8 overflows the closed
+    # form and h/k >= 1e12 overflows h itself
+    h, k = repr(float(ratio) * float(scale)), scale
+    runs = {}
+    for argv in (["longrange", "--hops", "2", "--transcript-out", str(tmp_path / "t.log")],
+                 ["qet", "--method", "exact"]):
+        out = tmp_path / f"{argv[0]}.json"
+        code = run_cli(*argv, "--h", h, "--k", k, "--out", str(out))
+        err = capsys.readouterr().err
+        record = json.loads(out.read_text()) if code == 0 else {}
+        runs[argv[0]] = (code, [line for line in err.splitlines() if line.startswith("error:")],
+                         [record.get(key) for key in ("receivers", "E0", "theta")])
+    assert runs["longrange"] == runs["qet"]
 
 
 # --- one protocol pass per run ------------------------------------------------------
@@ -801,12 +826,13 @@ def test_table1_runs_one_stacked_solve_and_pass_per_tiling(tmp_path, monkeypatch
         assert [config for cells in stacks for config in cells] == configs
 
 
-def test_longrange_runs_one_pass(tmp_path, monkeypatch):
+def test_longrange_runs_no_protocol_pass(tmp_path, monkeypatch):
+    # the record is the closed form's and mu is drawn at 1/2
     passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
-    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
+    assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
                    "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0
-    assert len(passes) == 1
+    assert passes == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -925,6 +951,8 @@ SAMPLED_DIGESTS = {
     "transcript-65": "be97e249e47a40f533504835a3116fd7e3b26115ed50c6cfa4931cc67fa26621",
     "transcript-1000": "6b88b90171b8fc55dab21ec2acb59c1beaac2f3419bffd44af1d3e9cb4f711c1",
     "transcript-100000": "c05a1c4071818446ea0e4d034f6a4ffc5a5bd9a35d5b2ebbfee92b3543368d3d",
+    # the JSON record of the 3-hop run
+    "longrange": "95696ed263f09e1627eeb224da2defaecde75163de2d528ac6c07383fa47a013",
 }
 
 
@@ -939,6 +967,8 @@ def test_sampled_output_bytes_are_pinned(tmp_path):
                        "--sample-transcript", "--out", str(tmp_path / "r.json"),
                        "--transcript-out", str(log)) == 0
         got[f"transcript-{hops}"] = log.read_bytes()
+        if hops == 3:
+            got["longrange"] = (tmp_path / "r.json").read_bytes()
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SAMPLED_DIGESTS
 
 

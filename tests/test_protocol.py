@@ -210,6 +210,18 @@ def test_x_run_keeps_the_classes_off_the_measured_x0_exactly_zero():
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_minimal_pass_draws_mu_at_one_half():
+    # <X_0> = 0 by the ground state's parity, so p_mu = 1/2: the pass's p_+ on
+    # the q = 2 star is within 2.3e-16 of it at every accepted h/k, from the
+    # degeneracy edge (k/h ~ 3.2e4) to MAX_FIELD_RATIO, at any field scale.
+    # `longrange` draws its mu at 1/2 on this fact
+    ratios = np.geomspace(3.2e-5, 1e12, 401)
+    for scale in (1e-300, 1.0, 1e200):
+        bundles = star_models([MinimalModelParams(r * scale, scale) for r in ratios.tolist()])
+        p_plus = np.sum(run_protocol(bundles, (1,))[:, 0] ** 2, axis=(1, 2, 3))
+        assert np.abs(p_plus - 0.5).max() <= 2.3e-16, scale
+
+
 PASS_LAW = settings(max_examples=40, deadline=None, derandomize=True)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,16 @@ from oracle_utils import (
     teleport_branches,
 )
 
-from qetsim.model import IllConditionedError, MinimalModelParams, star_model
-from qetsim.protocol import exact_record, run_protocol
+from qetsim.model import (
+    MAX_FIELD_RATIO,
+    DegenerateGroundError,
+    IllConditionedError,
+    MinimalModelParams,
+    star_model,
+)
+from qetsim.protocol import exact_record
 from qetsim.teleport import (
     BELL,
-    MAX_RELAY_FIELD_RATIO,
     TRANSCRIPT_CHUNK_HOPS,
     LoccTranscript,
     _branch_ops,
@@ -265,10 +271,10 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
 def test_longrange_equals_local(hops):
     params = MinimalModelParams(1.0, 1.0)
     record, transcript, delta = run_longrange_qet(params, hops)
-    # the record is exact_record's closed form; delta is the relayed
-    # pass rows' largest distance from it
+    # the record is exact_record's closed form; delta is the relay's branch
+    # check residual
     assert record.as_dict() == exact_record(star_model(params), (1,)).as_dict()
-    assert delta <= 1e-10
+    assert delta <= 1e-15
     lines = "".join(transcript.serialize()).splitlines()
     assert len(lines) == 1 + 2 * hops
     assert transcript.bit_count() == 1 + 2 * hops
@@ -286,12 +292,11 @@ def test_longrange_seeded_transcript_is_concrete_and_deterministic():
 
 
 def test_seeded_transcript_draws_from_the_stdlib_stream():
-    # mu by the first uniform of random.Random(seed), then each hop's m1 and
-    # m2 by the next two; every teleport branch has probability 1/4
+    # mu by the first uniform of random.Random(seed) at p_mu = 1/2, then each
+    # hop's m1 and m2 by the next two; every teleport branch has probability 1/4
     params = MinimalModelParams(1.0, 1.0)
-    fed = run_protocol(star_model(params), (1,))[:, 0]
     stream = random.Random(11)
-    mu = int(stream.random() >= np.sum(fed[0] ** 2))
+    mu = int(stream.random() >= 0.5)
     bits = [int(stream.random() >= 0.5) for _ in range(2 * 40)]
     _, transcript, _ = run_longrange_qet(params, 40, seed=11)
     assert transcript.mu == mu
@@ -358,15 +363,24 @@ def _transcript_by_lines(transcript):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("h, k", [(MAX_RELAY_FIELD_RATIO, 1.0), (1.0, MAX_RELAY_FIELD_RATIO)])
+@pytest.mark.parametrize("h, k", [(1e4, 1.0), (1.0, 1e4), (1e8, 1.0), (MAX_FIELD_RATIO, 1.0)])
 def test_longrange_at_the_field_ratio_bound(h, k):
-    _, _, delta = run_longrange_qet(MinimalModelParams(h, k), 3, seed=1)
-    assert delta <= 1e-10
+    # the star model's field ratios up to its bound, h/k = MAX_FIELD_RATIO,
+    # give exact_record's record
+    params = MinimalModelParams(h, k)
+    record, _, delta = run_longrange_qet(params, 3, seed=1)
+    assert record.as_dict() == exact_record(star_model(params), (1,)).as_dict()
+    assert record.receivers[1].e_b > 0 and delta <= 1e-15
 
 
-@pytest.mark.parametrize("h, k", [(1.001 * MAX_RELAY_FIELD_RATIO, 1.0), (1.0, 1e6)])
+@pytest.mark.parametrize("h, k", [(1.001e12, 1.0), (1.0, 1e6)])
 def test_longrange_beyond_the_field_ratio_bound(h, k):
-    with pytest.raises(IllConditionedError, match="ill-conditioned"):
+    # the star model's own errors, with its messages: h/k above its bound,
+    # and k/h past the degeneracy edge
+    error = IllConditionedError if h > k else DegenerateGroundError
+    with pytest.raises(error) as raised:
+        star_model(MinimalModelParams(h, k))
+    with pytest.raises(error, match=re.escape(str(raised.value))):
         run_longrange_qet(MinimalModelParams(h, k), 1)
 
 
