@@ -1,6 +1,19 @@
-"""The numerical backend's name.  Every kernel of the package is plain numpy
-inside its own module; this module names that backend for the benchmark's
-provenance record."""
+"""The package's one handle on numpy, which every module takes `np` from:
+numpy loads on the first attribute read through it, and each attribute read
+is kept on the handle.  So the parser, `longrange` and `tiling` never load
+numpy.  `backend_name` names the backend for the benchmark's provenance."""
+
+import importlib
+
+
+class _Numpy:
+    def __getattr__(self, name: str):
+        value = getattr(importlib.import_module("numpy"), name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 def backend_name() -> str:

@@ -19,9 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import model, refdata, tiling
+from ._kernels import np
 from .model import MinimalModelParams, StarModelParams, star_models
 from .protocol import SWEEP_CHUNK_POINTS, exact_record, run_protocol, sweep_EB
 from .sampler import MAX_SHOTS, sampled_record
@@ -30,11 +29,11 @@ from .teleport import run_longrange_qet
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
-# 2000, --field-term-column --out FILE) took 6.3-7.1 s at a 176 MB in-process
-# peak on 2 vCPU; its four energy arrays, 32 B per point, hold 128 MB of that.
+# 2000, --field-term-column --out FILE) took 5.0 s at a 113 MB in-process
+# peak on 2 vCPU; its two printed columns, 16 B per point, hold 64 MB of that.
 # Rows are written SWEEP_CHUNK_POINTS at a time, each chunk formatting its own
 # axis values, so an axis costs only its 8 B floats: a 1 x 4,000,000 grid
-# peaks at 211 MB (9.6 s) and a 1 x 2,000,000 grid at 134 MB (4.1 s).
+# peaks at 149 MB (6.5 s) and a 1 x 2,000,000 grid at 103 MB (4.1 s).
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -222,19 +221,17 @@ def cmd_sweep(args) -> int:
         model._check_hk(h, k)
     h_values, k_values = (np.linspace(*r) for r in (h_range, k_range))
     # the whole grid is solved before the first byte is written
-    energy = sweep_EB(h_values, k_values)
+    grid = sweep_EB(h_values, k_values, args.field_term_column)
+    columns = [c.ravel() for c in grid if c is not None]
 
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
         # '%.12g' % x is format(x, '.12g'), the same C conversion as _fmt
-        line = "%s,%s,%.12g,%.12g\n" if args.field_term_column else "%s,%s,%.12g\n"
-        e_b, hz, nk = energy.e_b.ravel(), energy.hz.ravel(), k_range[2]
+        line = "%s,%s" + ",%.12g" * len(columns) + "\n"
+        nk = k_range[2]
         for start in range(0, points, SWEEP_CHUNK_POINTS):
-            chunk = slice(start, start + SWEEP_CHUNK_POINTS)
-            columns = [e_b[chunk].tolist()]
-            if args.field_term_column:
-                columns.append((-hz[chunk]).tolist())
-            n = len(columns[0])
+            chunk = [c[start:start + SWEEP_CHUNK_POINTS].tolist() for c in columns]
+            n = len(chunk[0])
             # the chunk's axis values, each formatted once: its rows' h, and
             # its k in grid order from the first point's, cycling over a row
             i, j = divmod(start, nk)
@@ -243,7 +240,7 @@ def cmd_sweep(args) -> int:
             h_run = itertools.chain(itertools.repeat(hs[0], nk - j),
                                     *(itertools.repeat(h, nk) for h in hs[1:]))
             # the whole chunk is one %-format: no Python code runs per row
-            cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *columns))
+            cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *chunk))
             yield (line * n) % tuple(cells)
 
     _write_text(args.out, rows())
@@ -404,6 +401,8 @@ def main(argv=None) -> int:
         # looked up by name on each call: the shared parser outlives any later
         # rebinding of a cmd_* function
         command = globals()[f"cmd_{args.command}"]
+        if args.command in ("longrange", "tiling"):  # on floats and ints, without numpy
+            return command(args)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return command(args)
     except (model.DegenerateGroundError, model.IllConditionedError, AssertionError) as exc:

@@ -12,7 +12,9 @@ sectors are 2 x 2 and it is solved in closed form, with no eigensolver.  It
 is receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
 set every offset and the one feedback angle all receivers share, and
 `exact_energies` turns them into every exact number of the protocol.  Both
-broadcast over arrays of (h, k): a grid is one vectorized solve.
+broadcast over arrays of (h, k): a grid is one vectorized solve.  A q = 2
+model's bundle and record are formed on floats by `math` (`_minimal_solve`),
+so the minimal model's runs never load numpy.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -23,11 +25,12 @@ moments are kept; a term is formed where it is read, at the site read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar, NamedTuple, Union
 
-import numpy as np
-
+from ._kernels import np
 from .ops import MAX_STATEVECTOR_QUBITS, DegenerateGroundError
 
 DEGENERACY_TOL = 1e-9
@@ -43,8 +46,8 @@ class IllConditionedError(ValueError):
 def _check_hk(h: float, k: float) -> None:
     if not (0 < h < math.inf and 0 < k < math.inf):
         raise ValueError("h and k must be finite and positive")
-    if min(h, k) < np.finfo(float).tiny:
-        raise ValueError(f"h and k must be at least {np.finfo(float).tiny} (smallest normal float)")
+    if min(h, k) < sys.float_info.min:
+        raise ValueError(f"h and k must be at least {sys.float_info.min} (smallest normal float)")
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ class ModelBundle:
     params: ModelParams
     moments: GroundMoments
     angle: FeedbackAngle
-    g: np.ndarray  # shape (2, q)
+    g: np.ndarray  # shape (2, q); at q = 2 nested tuples, g[s][n]
 
     @property
     def n_qubits(self) -> int:
@@ -172,7 +175,7 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     stoquastic and each parity sector is connected, so each sector's ground
     state is unique and receiver-symmetric: it lies in the top total-spin
     block J = (q - 1)/2.  At q = 2 that block is the whole space and
-    `_minimal_ground` gives everything in closed form; for q >= 3
+    `_minimal_levels` gives everything in closed form; for q >= 3
     `_block_ground` solves it for the whole grid by one stacked `eigh`.  A
     gap below DEGENERACY_TOL * max(h, k) anywhere raises
     DegenerateGroundError, as the protocol angles are undefined on a
@@ -180,38 +183,67 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     IllConditionedError.
     """
     h, k = np.asarray(h, float), np.asarray(k, float)
-    if q == 2:
-        levels = None
-        ground, gap, g = _minimal_ground(h, k)
-    else:
+    if q > 2:
         levels, gap, g = _block_ground(h, k, q)
-        ground = levels[..., 0]
+        _check_ground(h, k, gap, levels)
+        return levels[..., 0], gap, g, _ground_moments(h, k, g, q)
+    h, k = np.broadcast_arrays(h, k)
+    r, ground, gap = _minimal_levels(h, k, np)
+    t = 1.0 + h / r
+    g = np.zeros(h.shape + (4,))
+    g[..., 0], g[..., 3] = (k / r) / np.sqrt(2.0 * t), -np.sqrt(0.5 * t)
+    _check_ground(h, k, gap)
+    return ground, gap, g, GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r)
+
+
+def _check_ground(h, k, gap, levels=None) -> None:
+    """Raise on h/k above MAX_FIELD_RATIO anywhere, then on a gap below
+    DEGENERACY_TOL * max(h, k), named where it is smallest relative to
+    max(h, k), with whether it is within `levels`' roundoff, 16 eps |H|."""
     with np.errstate(over="ignore"):
         ratio = np.max(np.divide(h, k))
     if ratio > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
     if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
-        raise DegenerateGroundError(_degenerate_message(h, k, gap, levels))
-    return ground, gap, g, _ground_moments(h, k, g, q)
+        i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
+        h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
+        unresolved = levels is not None and (
+            gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i])))
+        raise DegenerateGroundError(_degenerate_message(h, k, gap[i], unresolved))
 
 
-def _minimal_ground(h, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`star_block_ground` at q = 2, Hotta's minimal model, in closed form.
+# `math`'s functions under the names of numpy's that the closed forms call
+_MATH = SimpleNamespace(arctan2=math.atan2, cos=math.cos, hypot=math.hypot, sin=math.sin)
+# On floats nothing raises where numpy, under `main`'s errstate, stops at the
+# first overflowing step
+_OVERFLOW = "overflow encountered in the q = 2 closed form"
 
-    H = h (Z_0 + Z_1) + 2k X_0 X_1 is [[2h, 2k], [2k, -2h]] on {|00>, |11>}
-    and [[0, 2k], [2k, 0]] on {|01>, |10>}, so with r = hypot(h, k) the
-    levels are -2r, -2k, 2k, 2r and the gap 2r - 2k = 2h^2 / (r + k), taken
-    in that form, which does not cancel.  With t = 1 + h/r the ground state
-    is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither factor under- nor
-    overflowing at any accepted (h, k).
-    """
-    h, k = np.broadcast_arrays(h, k)
-    r = np.hypot(h, k)
+
+def _minimal_levels(h, k, xp):
+    """r = hypot(h, k), the ground level -2r and the gap 2r - 2k = 2h^2 /
+    (r + k), which does not cancel, of Hotta's minimal model, the q = 2
+    star, on arrays (xp = np) or floats (xp = _MATH).  H = h (Z_0 + Z_1) +
+    2k X_0 X_1 is [[2h, 2k], [2k, -2h]] on {|00>, |11>} and [[0, 2k], [2k,
+    0]] on {|01>, |10>}, so its levels are -2r, -2k, 2k and 2r.  With t = 1 +
+    h/r the ground state is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither
+    factor under- nor overflowing at any accepted (h, k)."""
+    r = xp.hypot(h, k)
+    return r, -2.0 * r, 2.0 * h * (h / (r + k))
+
+
+def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
+    """`star_block_ground` at q = 2 on floats, its checks in its order: the
+    moments <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r, and g[s][n]."""
+    r, ground, gap = _minimal_levels(h, k, _MATH)
+    if not math.isfinite(ground):
+        raise FloatingPointError(_OVERFLOW)
+    if h / k > MAX_FIELD_RATIO:
+        raise IllConditionedError(f"ill-conditioned: h/k = {h / k:.3g} > {MAX_FIELD_RATIO:g}")
+    if not gap >= DEGENERACY_TOL * max(h, k):
+        raise DegenerateGroundError(_degenerate_message(h, k, gap, False))
     t = 1.0 + h / r
-    g = np.zeros(h.shape + (4,))
-    g[..., 0] = (k / r) / np.sqrt(2.0 * t)
-    g[..., 3] = -np.sqrt(0.5 * t)
-    return -2.0 * r, 2.0 * h * (h / (r + k)), g
+    g = ((k / r) / math.sqrt(2.0 * t), 0.0), (0.0, -math.sqrt(0.5 * t))
+    return GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r), g
 
 
 def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,16 +264,12 @@ def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ground_moments(h, k, g, q: int) -> GroundMoments:
-    """<Z_0>, <Z_j> and <X_0 X_j> of the ground state with block vector g,
-    broadcasting like it.  At q = 2 they are the closed form
-    <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r, r = hypot(h, k), read
-    directly rather than from g's amplitudes.  For q >= 3, with d = q - 1,
+    """<Z_0>, <Z_j> and <X_0 X_j> of the q >= 3 ground state with block
+    vector g, broadcasting like it (at q = 2 they are the closed form
+    <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r).  With d = q - 1,
     <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
     g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
-    if q == 2:
-        r = np.hypot(h, k)
-        return GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r)
     leaves, n = q - 1, np.arange(q)
     up, down = g[..., :q], g[..., q:]
     link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
@@ -253,20 +281,13 @@ def _ground_moments(h, k, g, q: int) -> GroundMoments:
     )
 
 
-def _degenerate_message(h, k, gap, levels) -> str:
-    """The gap smallest relative to max(h, k), absolute and relative, and,
-    for a gap taken from an eigensolve's `levels`, whether it is within that
-    solve's roundoff, 16 eps |H|, then the (h, k) where it is.  The
-    closed-form q = 2 gap (`levels` None) has no such roundoff."""
-    i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
-    h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
+def _degenerate_message(h: float, k: float, gap: float, unresolved: bool) -> str:
+    """The gap at (h, k), absolute and relative to max(h, k), whether an
+    eigensolve left it `unresolved`, and the point."""
     scale = max(h, k)
-    unresolved = levels is not None and (
-        gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i]))
-    )
     return (
-        f"ground space degenerate within tolerance (gap = {gap[i]:.3e}, "
-        f"{gap[i] / scale:.3e} relative to max(h, k) = {scale:.3g}"
+        f"ground space degenerate within tolerance (gap = {gap:.3e}, "
+        f"{gap / scale:.3e} relative to max(h, k) = {scale:.3g}"
         + ("; below double precision, so the solve cannot resolve it)" if unresolved else ")")
         + f" at h = {h:.12g}, k = {k:.12g}"
     )
@@ -276,16 +297,26 @@ def star_models(params: list[ModelParams]) -> list[ModelBundle]:
     """The bundle of each model; MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground states are
-    solved on the Pauli parts alone, each group of equal q by one stacked
-    `star_block_ground`.  Each bundle reads its moments, which set every
-    offset and the angle, from its own row of g, as a solve of that model
-    alone does: a product over the stack would round them differently.
+    solved on the Pauli parts alone, each group of equal q >= 3 by one
+    stacked `_block_ground` and its checks.  Each bundle reads its moments,
+    which set every offset and the angle, from its own row of g, as a solve
+    of that model alone does: a product over the stack would round them
+    differently.  A q = 2 model is solved alone, on floats (`_minimal_solve`),
+    so a q = 2 stack raises at its first failing model.
     """
     bundles = [None] * len(params)
     for q in {p.q for p in params}:
         at = [(i, p) for i, p in enumerate(params) if p.q == q]
+        if q == 2:
+            for i, p in at:
+                moments, g = _minimal_solve(p.h, p.k)
+                angle = _angle(p.h, p.k, moments, _MATH)
+                bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=g)
+            continue
         h, k = (np.array([getattr(p, name) for _, p in at], float) for name in "hk")
-        for (i, p), row in zip(at, star_block_ground(h, k, q)[2]):
+        levels, gap, g = _block_ground(h, k, q)
+        _check_ground(h, k, gap, levels)
+        for (i, p), row in zip(at, g):
             moments = GroundMoments(*map(float, _ground_moments(p.h, p.k, row, q)))
             angle = FeedbackAngle(*map(float, _angle(p.h, p.k, moments)))
             bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=row.reshape(2, q))
@@ -297,17 +328,18 @@ def star_model(params: ModelParams) -> ModelBundle:
     return star_models([params])[0]
 
 
-def _angle(h, k, moments: GroundMoments) -> FeedbackAngle:
+def _angle(h, k, moments: GroundMoments, xp=np) -> FeedbackAngle:
     """xi, eta and theta from the ground moments (derived in
-    `exact_energies`); broadcasts like it."""
+    `exact_energies`); broadcasts like it, or takes floats with xp = _MATH."""
     xi = -2.0 * h * moments.zj - 4.0 * k * moments.xx
     eta = 2.0 * h * moments.xx - 4.0 * k * moments.zj
-    return FeedbackAngle(theta=0.5 * np.arctan2(eta, xi), xi=xi, eta=eta)
+    return FeedbackAngle(theta=0.5 * xp.arctan2(eta, xi), xi=xi, eta=eta)
 
 
-def exact_energies(h, k, moments: GroundMoments) -> tuple[float, ReceiverEnergy]:
+def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, ReceiverEnergy]:
     """(E0, ReceiverEnergy) of the protocol in closed form from the three
-    ground moments; h, k and the moments broadcast over arrays.
+    ground moments; h, k and the moments broadcast over arrays, or are
+    floats with xp = _MATH.
 
     The sender measures X0 (projectors P_mu), the receiver applies
     U_mu = cos t - i mu sin t Y_j.  A receiver local O commutes with X0, as
@@ -323,9 +355,30 @@ def exact_energies(h, k, moments: GroundMoments) -> tuple[float, ReceiverEnergy]
     does not, as xi >= 0 (Y_j|g> lies above the zero ground energy).  The
     measurement zeroes <Z0>, so E0 = -h <Z_0>.
     """
-    a = _angle(h, k, moments)
-    s, c = np.sin(a.theta), np.cos(a.theta)
+    a = _angle(h, k, moments, xp)
+    s, c = xp.sin(a.theta), xp.cos(a.theta)
     hz = -2.0 * h * s * (s * moments.zj + c * moments.xx)
     hx = -4.0 * k * s * (s * moments.xx - c * moments.zj)
-    e_j = -0.5 * a.eta * (a.eta / (a.xi + np.hypot(a.xi, a.eta)))
+    den = a.xi + xp.hypot(a.xi, a.eta)
+    # floats overflow silently; at q = 2, xi >= 2r makes den at least 1.4
+    # times every other value a record forms, so it alone is checked
+    if xp is _MATH and not math.isfinite(den):
+        raise FloatingPointError(_OVERFLOW)
+    e_j = -0.5 * a.eta * (a.eta / den)
     return -h * moments.z0, ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
+
+
+def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:
+    """E_B of the minimal model at arrays h and k, and with field_term -HZ_1:
+    `exact_energies` on the closed-form moments, after the checks, forming
+    no block vector, no HX_1 and, without field_term, no theta."""
+    r, _, gap = _minimal_levels(h, k, np)
+    _check_ground(h, k, gap)
+    zj, xx = -h / r, -k / r
+    xi, eta = -2.0 * h * zj - 4.0 * k * xx, 2.0 * h * xx - 4.0 * k * zj
+    columns = [0.5 * eta * (eta / (xi + np.hypot(xi, eta)))]
+    if field_term:
+        theta = 0.5 * np.arctan2(eta, xi)
+        s, c = np.sin(theta), np.cos(theta)
+        columns.append(2.0 * h * s * (s * zj + c * xx))
+    return columns

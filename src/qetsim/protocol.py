@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
-import numpy as np
-
+from ._kernels import np
 from .model import (
+    _MATH,
     FeedbackAngle,
     ModelBundle,
     ModelParams,
     ReceiverEnergy,
     _check_hk,
+    _minimal_eb,
     exact_energies,
-    star_block_ground,
 )
 
 # Grid points per vectorized ground solve in `sweep_EB`
@@ -85,11 +86,12 @@ def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
     """E0 and each receiver's angle and energies from the ground moments.
 
     Feedback unitaries at distinct receivers commute, so every receiver
-    reads the same numbers as its single-receiver run.
+    reads the same numbers as its single-receiver run.  A q = 2 record is
+    formed on floats by `math`, without numpy.
     """
     _check_receivers(bundle, receivers)
     p = bundle.params
-    e0, r = exact_energies(p.h, p.k, bundle.moments)
+    e0, r = exact_energies(p.h, p.k, bundle.moments, _MATH if p.q == 2 else np)
     energy = ReceiverEnergy(hx=float(r.hx), hz=float(r.hz), e_j=float(r.e_j), e_b=float(r.e_b))
     return QetRecord(
         model=p,
@@ -151,17 +153,22 @@ def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, 
     return fed[0] if isinstance(bundle, ModelBundle) else fed
 
 
-def sweep_EB(h_values, k_values) -> ReceiverEnergy:
-    """Exact minimal-model receiver energies over an (h, k) grid, each field
-    an array of shape (len(h_values), len(k_values)); E_B = -(<Z1> + <X1>).
+class SweepGrid(NamedTuple):
+    e_b: np.ndarray
+    field_term: np.ndarray | None  # -HZ_1, formed only when asked for
+
+
+def sweep_EB(h_values, k_values, field_term: bool = False) -> SweepGrid:
+    """Exact minimal-model E_B over an (h, k) grid, of shape (len(h_values),
+    len(k_values)), and with field_term its field term -HZ_1 on the same
+    grid; no other energy is formed (`model._minimal_eb`).
 
     A point is valid as MinimalModelParams exactly when its h and its k are
     each finite and positive, so the grid is checked once, at the smallest
     and the largest of its axis values (a NaN anywhere is both).  The
-    flattened grid is then solved by the closed-form q = 2 ground state,
-    vectorized over chunks of at most SWEEP_CHUNK_POINTS points, so the
-    working memory stays bounded as the grid grows; a failing chunk's error
-    names that chunk's points.
+    flattened grid is then solved in closed form, vectorized over chunks of
+    at most SWEEP_CHUNK_POINTS points, so the working memory stays bounded
+    as the grid grows; a failing chunk's error names that chunk's points.
     """
     h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)
     for name, axis in (("h_values", h_values), ("k_values", k_values)):
@@ -169,12 +176,9 @@ def sweep_EB(h_values, k_values) -> ReceiverEnergy:
             raise ValueError(f"sweep_EB: {name} is empty")
     _check_hk(*(f([f(h_values), f(k_values)]) for f in (np.min, np.max)))
     shape = (h_values.size, k_values.size)
-    out = np.empty((4, shape[0] * shape[1]))
+    out = np.empty((1 + field_term, shape[0] * shape[1]))
     for start in range(0, out.shape[1], SWEEP_CHUNK_POINTS):
         stop = min(start + SWEEP_CHUNK_POINTS, out.shape[1])
         i, j = np.divmod(np.arange(start, stop), shape[1])
-        h, k = h_values[i], k_values[j]
-        *_, moments = star_block_ground(h, k, 2)
-        e = exact_energies(h, k, moments)[1]
-        out[:, start:stop] = e.hx, e.hz, e.e_j, e.e_b
-    return ReceiverEnergy(*out.reshape(4, *shape))
+        out[:, start:stop] = _minimal_eb(h_values[i], k_values[j], field_term)
+    return SweepGrid(out[0].reshape(shape), out[1].reshape(shape) if field_term else None)

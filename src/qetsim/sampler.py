@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from typing import NamedTuple
 
-import numpy as np
-
+from ._kernels import np
 from .model import ModelBundle, ReceiverEnergy
 from .protocol import QetRecord, dicke_rotation
 
@@ -45,7 +45,7 @@ class SampleTallies(NamedTuple):
 
 def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -> list[int]:
     p = bundle.params
-    fields = [int.from_bytes(np.float64(x).tobytes(), "little") for x in (p.h, p.k)]
+    fields = [int.from_bytes(struct.pack("<d", x), "little") for x in (p.h, p.k)]
     return [plan.master_seed, _FAMILY_CODE, p.q, *fields, _BASIS_CODES[plan.basis_run], *receivers]
 
 
@@ -143,7 +143,8 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     rng = random.Random(" ".join(map(str, _seed_key(bundle, receivers, plan))))
     left, draws = plan.shots, []
     for i, pi in enumerate(p):
-        draws.append(_binomial(rng, left, pi / sum(p[i:])) if pi else 0)
+        # a draw from n = 0 or p = 0 takes no uniform, so skipping it keeps every bit
+        draws.append(_binomial(rng, left, pi / sum(p[i:])) if pi and left else 0)
         left -= draws[-1]
     # groups[2 mu + b0][u]: shots with u ones among the receivers not yet visited
     groups = [draws[i:i + r + 1] for i in range(0, 4 * r + 4, r + 1)]
@@ -151,7 +152,8 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     for unvisited in range(r, 0, -1):
         counts.append([])
         for i, g in enumerate(groups):
-            ones = [0] + [_binomial(rng, g[u], u / unvisited) for u in range(1, unvisited + 1)]
+            ones = [0] + [_binomial(rng, g[u], u / unvisited) if g[u] else 0
+                          for u in range(1, unvisited + 1)]
             counts[-1] += [sum(g) - sum(ones), sum(ones)]
             groups[i] = [g[u] - ones[u] + ones[u + 1] for u in range(unvisited)]
     return SampleTallies(plan.basis_run, plan.shots, sites, tuple(counts))

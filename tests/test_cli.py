@@ -167,7 +167,7 @@ def test_sweep_grid_beyond_the_bound_exits_2_before_any_solve(capsys, monkeypatc
     def solve(*args):
         raise AssertionError("the bound must reject the grid before any solve")
 
-    monkeypatch.setattr(qetsim.protocol, "star_block_ground", solve)
+    monkeypatch.setattr(qetsim.protocol, "_minimal_eb", solve)
     assert run_cli("sweep", "--h", "0.2:3:1000000", "--k", "0.2:3:1000000") == 2
     assert capsys.readouterr().err == (
         f"error: sweep grid has 1000000000000 points, more than {qetsim.cli.MAX_SWEEP_POINTS}\n"
@@ -177,14 +177,14 @@ def test_sweep_grid_beyond_the_bound_exits_2_before_any_solve(capsys, monkeypatc
 def test_sweep_failing_in_its_last_chunk_writes_nothing(tmp_path, capsys, monkeypatch):
     # chunks of 2 points: h = 1.2e12 alone, in the third chunk, is ill-conditioned;
     # the whole grid is solved before the first byte is written
-    solves, solve = [], qetsim.protocol.star_block_ground
+    solves, solve = [], qetsim.protocol._minimal_eb
 
-    def counted(h, k, q):
+    def counted(h, k, field_term):
         solves.append(h.size)
-        return solve(h, k, q)
+        return solve(h, k, field_term)
 
     monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 2)
-    monkeypatch.setattr(qetsim.protocol, "star_block_ground", counted)
+    monkeypatch.setattr(qetsim.protocol, "_minimal_eb", counted)
     argv = ("sweep", "--h", "1:1.2e12:5", "--k", "1")
     assert run_cli(*argv) == 1
     assert solves == [2, 2, 1]
@@ -246,11 +246,11 @@ def test_sweep_rows_match_a_per_row_oracle_property(h, k, chunk, field_term):
         mp.setattr(qetsim.cli, "SWEEP_CHUNK_POINTS", chunk)
         assert main(argv + ["--field-term-column"] * field_term) == 0
     hs, ks = np.linspace(*h), np.linspace(*k)
-    energy = qetsim.protocol.sweep_EB(hs, ks)
+    energy = qetsim.protocol.sweep_EB(hs, ks, field_term=True)
     fmt = qetsim.cli._fmt
     rows = ["h,k,E_B" + ",E_B_field_term" * field_term + "\n"]
     for i, j in np.ndindex(energy.e_b.shape):
-        cells = [hs[i], ks[j], energy.e_b[i, j]] + [-energy.hz[i, j]] * field_term
+        cells = [hs[i], ks[j], energy.e_b[i, j]] + [energy.field_term[i, j]] * field_term
         rows.append(",".join(fmt(float(x)) for x in cells) + "\n")
     assert out.getvalue() == "".join(rows)
 
@@ -396,7 +396,7 @@ def test_qed_beyond_the_statevector_guard_exits_2(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("the guard must reject q before any solve")
 
-    monkeypatch.setattr(qetsim.model, "star_block_ground", solve)
+    monkeypatch.setattr(qetsim.model, "_block_ground", solve)
     q = MAX_STATEVECTOR_QUBITS + 1
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", str(q)) == 2
     err = capsys.readouterr().err
@@ -533,6 +533,18 @@ def test_qet_overflow_exits_1(h, k, capsys):
     assert out == ""
     assert err.startswith("error: floating-point failure: overflow encountered")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("qet", "--method", "exact"), ("longrange",)])
+def test_q2_overflow_past_the_ground_level_exits_1(argv, tmp_path, capsys):
+    # the ground level -2r is finite at h = 8e307, k = 4e307, but xi is not:
+    # a q = 2 record is formed on floats, where nothing raises, so the closed
+    # form checks what it forms rather than print xi as Infinity
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--h", "8e307", "--k", "4e307", "--out", str(out)) == 1
+    assert capsys.readouterr() == (
+        "", "error: floating-point failure: overflow encountered in the q = 2 closed form\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -806,7 +818,7 @@ def test_table1_runs_one_stacked_solve_and_pass_per_tiling(tmp_path, monkeypatch
     # each tiling's four (h, k) cells are one stacked ground solve and one
     # stacked pass, so the 12 configs take 3 of each, every config once
     solves, passes = [], []
-    solve, run_protocol = qetsim.model.star_block_ground, qetsim.protocol.run_protocol
+    solve, run_protocol = qetsim.model._block_ground, qetsim.protocol.run_protocol
 
     def counted_solve(h, k, q):
         solves.append([(q, h_, k_) for h_, k_ in zip(h.tolist(), k.tolist())])
@@ -816,7 +828,7 @@ def test_table1_runs_one_stacked_solve_and_pass_per_tiling(tmp_path, monkeypatch
         passes.append([(b.params.q, b.params.h, b.params.k) for b in bundles])
         return run_protocol(bundles, receivers)
 
-    monkeypatch.setattr(qetsim.model, "star_block_ground", counted_solve)
+    monkeypatch.setattr(qetsim.model, "_block_ground", counted_solve)
     monkeypatch.setattr(qetsim.cli, "run_protocol", counted_pass)
     assert run_cli("table1", "--check", "--shots", "2000",
                    "--out", str(tmp_path / "t.csv")) == 0
@@ -865,41 +877,51 @@ def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
 
 def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
     # importing numpy.random costs a fresh process ~15 ms; the relay and the
-    # shot sampler both draw from `random`, so no command imports it
+    # shot sampler both draw from `random`, so no command imports it.  numpy
+    # itself loads on first use: the parser, `longrange` and `tiling`, which
+    # compute on floats and ints, never load it; the other commands do
     script = f"""
 import sys
-from qetsim.cli import main
+from qetsim.cli import build_parser, main
+build_parser()
+print("numpy", "numpy" in sys.modules)
 out = {str(tmp_path / "out")!r}
-runs = [
+numpy_free = [
     ["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
      "--out", out, "--transcript-out", out],
-    ["sweep", "--out", out],
     ["tiling", "--q", "7", "--depth", "2", "--out", out, "--edges-out", out],
+]
+runs = [
+    ["sweep", "--out", out],
     ["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out],
     ["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10", "--out", out],
     ["qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--out", out],
     ["table1", "--shots", "1000", "--check", "--out", out],
 ]
-for argv in runs:
+for argv in numpy_free + runs:
     assert main(argv) == 0, argv
-    print("numpy.random" in sys.modules)
+    print("numpy.random", "numpy.random" in sys.modules)
+    if argv is numpy_free[-1] or argv is runs[-1]:
+        print("numpy", "numpy" in sys.modules)
 """
     src = os.path.dirname(os.path.dirname(qetsim.cli.__file__))
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False"] * 7
+    assert run.stdout.splitlines() == (
+        ["numpy False"] + ["numpy.random False"] * 2 + ["numpy False"]
+        + ["numpy.random False"] * 5 + ["numpy True"])
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):
     calls = []
-    relay = qetsim.teleport.relay
+    relay_bits = qetsim.teleport._relay_bits
 
-    def counted(hops, rng=None):
+    def counted(p, hops, rng):
         calls.append((hops, type(rng)))
-        return relay(hops, rng)
+        return relay_bits(p, hops, rng)
 
-    monkeypatch.setattr(qetsim.teleport, "relay", counted)
+    monkeypatch.setattr(qetsim.teleport, "_relay_bits", counted)
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3",
                    "--sample-transcript", "--out", str(tmp_path / "r.json"),
                    "--transcript-out", str(tmp_path / "t.log")) == 0

@@ -407,9 +407,9 @@ def test_minimal_model_is_the_q2_star():
 
 def test_sweep_shape_and_optimal_feedback_never_injects():
     h_values, k_values = [0.5, 1.0, 1.5], [0.25, 0.5, 1.0, 2.0]
-    grid = sweep_EB(h_values, k_values)
+    grid = sweep_EB(h_values, k_values, field_term=True)
     assert grid.e_b.shape == (3, 4)
-    assert grid.hz.shape == (3, 4)
+    assert grid.field_term.shape == (3, 4)
     assert (grid.e_b >= -1e-10).all()
     for i, h in enumerate(h_values):
         for j, k in enumerate(k_values):
@@ -426,28 +426,28 @@ def test_sweep_small_k_column_vanishes_and_grows():
 def test_sweep_is_the_pointwise_record():
     # the stacked grid solve gives each point's own exact record
     h_values, k_values = [0.3, 1.0, 2.5], [0.2, 0.9, 3.0]
-    grid = sweep_EB(h_values, k_values)
+    grid = sweep_EB(h_values, k_values, field_term=True)
     for i, h in enumerate(h_values):
         for j, k in enumerate(k_values):
             r = exact_record(star_model(MinimalModelParams(h, k)), (1,)).receivers[1]
             assert grid.e_b[i, j] == pytest.approx(r.e_b, abs=1e-15)
-            assert grid.hz[i, j] == pytest.approx(r.hz, abs=1e-15)
+            assert grid.field_term[i, j] == pytest.approx(-r.hz, abs=1e-15)
 
 
 def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
     h_values, k_values = [0.3, 1.0, 2.5, 4.0], [0.2, 0.9, 3.0]
-    whole = sweep_EB(h_values, k_values)
-    sizes, solve = [], qetsim.protocol.star_block_ground
+    whole = sweep_EB(h_values, k_values, field_term=True)
+    sizes, solve = [], qetsim.protocol._minimal_eb
 
-    def counted(h, k, q):
+    def counted(h, k, field_term):
         sizes.append(h.size)
-        return solve(h, k, q)
+        return solve(h, k, field_term)
 
     monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 5)
-    monkeypatch.setattr(qetsim.protocol, "star_block_ground", counted)
-    chunked = sweep_EB(h_values, k_values)
+    monkeypatch.setattr(qetsim.protocol, "_minimal_eb", counted)
+    chunked = sweep_EB(h_values, k_values, field_term=True)
     assert sizes == [5, 5, 2]
-    for field in ("hx", "hz", "e_j", "e_b"):
+    for field in ("e_b", "field_term"):
         assert np.array_equal(getattr(chunked, field), getattr(whole, field))
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ from qetsim.teleport import (
 )
 
 RNG = np.random.default_rng(31)
+
+
+def branch_ops():
+    """The relay's four branch operators, nested lists, as a (4, 2, 2) array."""
+    return np.array(_branch_ops())
 
 
 def random_amplitudes(rng, n):
@@ -68,7 +74,7 @@ def test_teleport_outcome_probabilities_quarter_exact():
         for m1 in (0, 1):
             for m2 in (0, 1):
                 assert probs[m1, m2, :].sum() == pytest.approx(0.25, abs=1e-12)
-    law = np.abs(np.trace(_branch_ops(), axis1=1, axis2=2) / 2) ** 2
+    law = np.abs(np.trace(branch_ops(), axis1=1, axis2=2) / 2) ** 2
     assert np.max(np.abs(law - 0.25)) <= 1e-12
 
 
@@ -79,10 +85,10 @@ def test_teleport_outcomes_uniform():
     state = random_qubit()
     n = 800
     kept = relay(n, rng=np.random.default_rng(5))
-    assert kept.shape == (n,)
+    assert len(kept) == n
     sigma = np.sqrt(n * 0.25 * 0.75)
     for pattern in range(4):  # 2 * m1 + m2
-        assert abs(np.count_nonzero(kept == pattern) - n / 4) < 5 * sigma, pattern
+        assert abs(kept.count(pattern) - n / 4) < 5 * sigma, pattern
     out, bits = relay_by_hops(state[None], 0, n, rng=np.random.default_rng(5))
     assert kept.tolist() == bits
     assert pure_trace_distance(state, out[0]) <= 1e-10
@@ -125,7 +131,7 @@ def random_rows(rng, batch, n, dtype=complex):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_kernel_matches_per_branch_oracle(m, batch):
     rng = np.random.default_rng(100 * m + batch)
-    ops = _branch_ops()[:, None]
+    ops = branch_ops()[:, None]
     for _ in range(5):
         rows = np.array([random_amplitudes(rng, m) for _ in range(batch)])
         source = int(rng.integers(m))
@@ -144,7 +150,7 @@ def test_kernel_matches_per_branch_oracle(m, batch):
 def test_branch_ops_are_a_quarter_weight_identity_each():
     # every corrected branch is c_b I with |c_b|^2 = 1/4, which makes a hop
     # the identity channel and its bits' law the same for every state
-    ops = _branch_ops()
+    ops = branch_ops()
     assert np.max(np.abs(ops - 0.5 * np.eye(2))) <= 1.2e-16
 
 
@@ -153,19 +159,19 @@ def test_kernel_rejects_branches_that_disagree(monkeypatch):
     # of summing to 1 but leaves the branches ~1e-6 apart; operators that are
     # each c_b I but whose weights sum to 1 + 1e-14 fail too, and so does a
     # turn by 1e-14
-    for ops in (_branch_ops() + TILT, _branch_ops() * np.sqrt(1 + 1e-14),
-                _branch_ops() + 1e-8 * TILT):
+    for ops in (branch_ops() + TILT, branch_ops() * np.sqrt(1 + 1e-14),
+                branch_ops() + 1e-8 * TILT):
         monkeypatch.setattr("qetsim.teleport._branch_ops", lambda ops=ops: ops)
         with pytest.raises(AssertionError, match="branches disagree"):
             relay(1)
     # an error of 1e-16 in an operator passes
-    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: _branch_ops() + 1e-10 * TILT)
+    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: branch_ops() + 1e-10 * TILT)
     relay(1)
 
 
 def test_relay_rejects_a_nan_operator(monkeypatch):
     # every comparison with nan is False, so the check is written to fail on it
-    ops = _branch_ops()
+    ops = branch_ops()
     ops[3, 0, 1] = np.nan
     monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: ops)
     with pytest.raises(AssertionError, match="branches disagree"):
@@ -179,8 +185,8 @@ def test_relay_checks_at_any_hop_count(hops, sampled, monkeypatch):
     # or without an rng
     stream = random.Random(5) if sampled else None
     kept = relay(hops, stream)
-    assert kept is None if stream is None else kept.shape == (hops,)
-    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: _branch_ops() + TILT)
+    assert kept is None if stream is None else len(kept) == hops
+    monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: branch_ops() + TILT)
     with pytest.raises(AssertionError, match="branches disagree"):
         relay(hops, stream)
 
@@ -259,7 +265,7 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
     want, bits = relay_by_hops(rows, 1, hops, rng=streams[2], drawn=2)
     assert max(map(pure_trace_distance, rows, want)) <= 1e-10
     if sampled:
-        assert kept.dtype == np.uint8 and kept.tobytes() == np.concatenate(one_by_one).tobytes()
+        assert kept.typecode == "B" and kept.tobytes() == b"".join(b.tobytes() for b in one_by_one)
         assert kept.tolist() == bits
     else:
         assert kept is None and one_by_one == [None] * hops and bits is None
@@ -312,16 +318,18 @@ def test_transcript_serialization_format():
 
 
 def test_transcript_names_every_hop_and_bit():
-    sampled = LoccTranscript(3, 1, np.array([0, 3, 2], dtype=np.uint8))
-    assert "".join(sampled.serialize()) == (
-        "0 alice all mu-broadcast 1\n"
-        "1 charlie relay1 teleport-corrections 0\n"
-        "2 charlie relay1 teleport-corrections 0\n"
-        "3 relay1 relay2 teleport-corrections 1\n"
-        "4 relay1 relay2 teleport-corrections 1\n"
-        "5 relay2 bob teleport-corrections 1\n"
-        "6 relay2 bob teleport-corrections 0\n"
-    )
+    # the bits may be any buffer of bytes: the relay's array('B'), bytes or
+    # a uint8 array
+    for bits in (array("B", [0, 3, 2]), bytes([0, 3, 2]), np.array([0, 3, 2], dtype=np.uint8)):
+        assert "".join(LoccTranscript(3, 1, bits).serialize()) == (
+            "0 alice all mu-broadcast 1\n"
+            "1 charlie relay1 teleport-corrections 0\n"
+            "2 charlie relay1 teleport-corrections 0\n"
+            "3 relay1 relay2 teleport-corrections 1\n"
+            "4 relay1 relay2 teleport-corrections 1\n"
+            "5 relay2 bob teleport-corrections 1\n"
+            "6 relay2 bob teleport-corrections 0\n"
+        )
     assert "".join(LoccTranscript(1, None, None).serialize()) == (
         "0 alice all mu-broadcast x\n"
         "1 charlie bob teleport-corrections x\n"
