@@ -22,18 +22,17 @@ from pathlib import Path
 from . import model, refdata, tiling
 from ._kernels import np
 from .model import MinimalModelParams, StarModelParams, star_models
-from .protocol import SWEEP_CHUNK_POINTS, exact_record, run_protocol, sweep_EB
+from .protocol import exact_record, run_protocol, sweep_EB
 from .sampler import MAX_SHOTS, sampled_record
 from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
 DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
-# Largest `sweep` grid, h steps times k steps.  A run at the bound (2000 x
-# 2000, --field-term-column --out FILE) took 5.0 s at a 113 MB in-process
-# peak on 2 vCPU; its two printed columns, 16 B per point, hold 64 MB of that.
-# Rows are written SWEEP_CHUNK_POINTS at a time, each chunk formatting its own
-# axis values, so an axis costs only its 8 B floats: a 1 x 4,000,000 grid
-# peaks at 149 MB (6.5 s) and a 1 x 2,000,000 grid at 103 MB (4.1 s).
+# Largest `sweep` grid, h steps times k steps: a time bound, since a grid is
+# solved and written one chunk at a time and only its axes' 8 B floats grow
+# with it.  In-process on 2 vCPU, with --field-term-column --out FILE, a
+# 2000 x 2000 grid took 3.8-6.2 s at a 50 MB peak (256 x 256: 48 MB) and a
+# 1 x 4,000,000 grid 5.7-7.4 s at 90 MB, 32 MB of it the long axis.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -220,17 +219,16 @@ def cmd_sweep(args) -> int:
     for h, k in zip(h_range[:2], k_range[:2]):
         model._check_hk(h, k)
     h_values, k_values = (np.linspace(*r) for r in (h_range, k_range))
-    # the whole grid is solved before the first byte is written
-    grid = sweep_EB(h_values, k_values, args.field_term_column)
-    columns = [c.ravel() for c in grid if c is not None]
+    # the grid's corners decide every failure before the first byte is written
+    chunks = sweep_EB(h_values, k_values, args.field_term_column)
 
     def rows():
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
         # '%.12g' % x is format(x, '.12g'), the same C conversion as _fmt
-        line = "%s,%s" + ",%.12g" * len(columns) + "\n"
-        nk = k_range[2]
-        for start in range(0, points, SWEEP_CHUNK_POINTS):
-            chunk = [c[start:start + SWEEP_CHUNK_POINTS].tolist() for c in columns]
+        line = "%s,%s" + ",%.12g" * (1 + args.field_term_column) + "\n"
+        start, nk = 0, k_range[2]
+        for chunk in chunks:
+            chunk = [c.tolist() for c in chunk]
             n = len(chunk[0])
             # the chunk's axis values, each formatted once: its rows' h, and
             # its k in grid order from the first point's, cycling over a row
@@ -241,6 +239,7 @@ def cmd_sweep(args) -> int:
                                     *(itertools.repeat(h, nk) for h in hs[1:]))
             # the whole chunk is one %-format: no Python code runs per row
             cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *chunk))
+            start += n
             yield (line * n) % tuple(cells)
 
     _write_text(args.out, rows())
@@ -401,7 +400,11 @@ def main(argv=None) -> int:
         # looked up by name on each call: the shared parser outlives any later
         # rebinding of a cmd_* function
         command = globals()[f"cmd_{args.command}"]
-        if args.command in ("longrange", "tiling"):  # on floats and ints, without numpy
+        # on floats and ints, without numpy: the tiling and every exact-only
+        # minimal-model run, whose closed form raises its own FloatingPointError
+        if args.command in ("longrange", "tiling") or (
+                args.command in ("qet", "qed") and args.method == "exact"
+                and getattr(args, "q", 2) == 2):
             return command(args)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return command(args)

@@ -11,10 +11,10 @@ The star's ground state is solved in the receivers' total-spin blocks
 sectors are 2 x 2 and it is solved in closed form, with no eigensolver.  It
 is receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
 set every offset and the one feedback angle all receivers share, and
-`exact_energies` turns them into every exact number of the protocol.  Both
-broadcast over arrays of (h, k): a grid is one vectorized solve.  A q = 2
-model's bundle and record are formed on floats by `math` (`_minimal_solve`),
-so the minimal model's runs never load numpy.
+`exact_energies` turns them into every exact number of the protocol.  A
+q = 2 model's bundle and record are formed on floats by `math`
+(`_minimal_solve`), so the minimal model's runs never load numpy; only a
+`sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a time.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -174,26 +174,19 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
     stoquastic and each parity sector is connected, so each sector's ground
     state is unique and receiver-symmetric: it lies in the top total-spin
-    block J = (q - 1)/2.  At q = 2 that block is the whole space and
-    `_minimal_levels` gives everything in closed form; for q >= 3
-    `_block_ground` solves it for the whole grid by one stacked `eigh`.  A
-    gap below DEGENERACY_TOL * max(h, k) anywhere raises
-    DegenerateGroundError, as the protocol angles are undefined on a
-    degenerate ground space, and h/k above MAX_FIELD_RATIO anywhere raises
-    IllConditionedError.
+    block J = (q - 1)/2, which `_block_ground` solves for the whole grid by
+    one stacked `eigh`.  q >= 3 only: at q = 2 that block is the whole space,
+    solved in closed form by `_minimal_solve` and `_minimal_eb`.  A gap
+    below DEGENERACY_TOL * max(h, k) anywhere raises DegenerateGroundError,
+    as the protocol angles are undefined on a degenerate ground space, and
+    h/k above MAX_FIELD_RATIO anywhere raises IllConditionedError.
     """
+    if q < 3:
+        raise ValueError(f"star_block_ground needs q >= 3, got q = {q}")
     h, k = np.asarray(h, float), np.asarray(k, float)
-    if q > 2:
-        levels, gap, g = _block_ground(h, k, q)
-        _check_ground(h, k, gap, levels)
-        return levels[..., 0], gap, g, _ground_moments(h, k, g, q)
-    h, k = np.broadcast_arrays(h, k)
-    r, ground, gap = _minimal_levels(h, k, np)
-    t = 1.0 + h / r
-    g = np.zeros(h.shape + (4,))
-    g[..., 0], g[..., 3] = (k / r) / np.sqrt(2.0 * t), -np.sqrt(0.5 * t)
-    _check_ground(h, k, gap)
-    return ground, gap, g, GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r)
+    levels, gap, g = _block_ground(h, k, q)
+    _check_ground(h, k, gap, levels)
+    return levels[..., 0], gap, g, _ground_moments(h, k, g, q)
 
 
 def _check_ground(h, k, gap, levels=None) -> None:
@@ -232,8 +225,9 @@ def _minimal_levels(h, k, xp):
 
 
 def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
-    """`star_block_ground` at q = 2 on floats, its checks in its order: the
-    moments <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r, and g[s][n]."""
+    """The q = 2 ground solve on floats, checked as `_check_ground` checks a
+    q >= 3 one, after an overflow check: the moments <Z_0> = <Z_1> = -h/r
+    and <X_0 X_1> = -k/r, and the block vector g[s][n]."""
     r, ground, gap = _minimal_levels(h, k, _MATH)
     if not math.isfinite(ground):
         raise FloatingPointError(_OVERFLOW)

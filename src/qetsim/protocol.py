@@ -6,18 +6,18 @@ energy bookkeeping.  Receiver energies are generally negative; E_B = -E_j
 is the amount a measurement device at the receiver extracts.
 
 Every exact number is a closed form in the ground moments
-(`model.exact_energies`), for one model (`exact_record`) or a whole (h, k)
-grid (`sweep_EB`).  The protocol pass, `run_protocol`, runs only for the
-sampler and the teleport relay.  It acts on the only sites the protocol
-touches, the sender and the receivers, through a purification of their
-reduced state built from the block vector, the receivers as Dicke states.
+(`model.exact_energies`), for one model (`exact_record`) or an (h, k) grid,
+streamed chunk by chunk once its corners pass (`sweep_EB`).  The protocol
+pass, `run_protocol`, runs only for the sampler and the teleport relay.  It
+acts on the only sites the protocol touches, the sender and the receivers,
+through a purification of their reduced state built from the block vector,
+the receivers as Dicke states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 from ._kernels import np
 from .model import (
@@ -153,32 +153,30 @@ def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, 
     return fed[0] if isinstance(bundle, ModelBundle) else fed
 
 
-class SweepGrid(NamedTuple):
-    e_b: np.ndarray
-    field_term: np.ndarray | None  # -HZ_1, formed only when asked for
-
-
-def sweep_EB(h_values, k_values, field_term: bool = False) -> SweepGrid:
-    """Exact minimal-model E_B over an (h, k) grid, of shape (len(h_values),
-    len(k_values)), and with field_term its field term -HZ_1 on the same
-    grid; no other energy is formed (`model._minimal_eb`).
+def sweep_EB(h_values, k_values, field_term: bool = False):
+    """Exact minimal-model E_B over an (h, k) grid, and with field_term its
+    field term -HZ_1, as an iterator of chunks: each is the list of those
+    columns over at most SWEEP_CHUNK_POINTS points of the flattened grid, h
+    major, in order; no other energy is formed (`model._minimal_eb`).
 
     A point is valid as MinimalModelParams exactly when its h and its k are
-    each finite and positive, so the grid is checked once, at the smallest
-    and the largest of its axis values (a NaN anywhere is both).  The
-    flattened grid is then solved in closed form, vectorized over chunks of
-    at most SWEEP_CHUNK_POINTS points, so the working memory stays bounded
-    as the grid grows; a failing chunk's error names that chunk's points.
+    each finite and positive, so the grid is checked at the smallest and the
+    largest of its axis values (a NaN anywhere is both).  Its four corners,
+    those extremes paired, are then solved at once, and they decide every
+    failure of the grid: h/k peaks at (h_max, k_min), the relative gap
+    2h^2 / ((r + k) max(h, k)) is smallest at (h_min, k_max), and every step
+    that can overflow grows with h and k.  So a grid raises here, before the
+    first chunk, or not at all (an overflow under `cli.main`'s errstate);
+    each chunk is still checked as it is solved.
     """
     h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)
     for name, axis in (("h_values", h_values), ("k_values", k_values)):
         if not axis.size:
             raise ValueError(f"sweep_EB: {name} is empty")
-    _check_hk(*(f([f(h_values), f(k_values)]) for f in (np.min, np.max)))
-    shape = (h_values.size, k_values.size)
-    out = np.empty((1 + field_term, shape[0] * shape[1]))
-    for start in range(0, out.shape[1], SWEEP_CHUNK_POINTS):
-        stop = min(start + SWEEP_CHUNK_POINTS, out.shape[1])
-        i, j = np.divmod(np.arange(start, stop), shape[1])
-        out[:, start:stop] = _minimal_eb(h_values[i], k_values[j], field_term)
-    return SweepGrid(out[0].reshape(shape), out[1].reshape(shape) if field_term else None)
+    extremes = np.array([(axis.min(), axis.max()) for axis in (h_values, k_values)])
+    _check_hk(extremes.min(), extremes.max())
+    _minimal_eb(extremes[0, [0, 0, 1, 1]], extremes[1, [0, 1, 0, 1]], field_term)  # the corners
+    size, step = h_values.size * k_values.size, SWEEP_CHUNK_POINTS
+    spans = (np.divmod(np.arange(start, min(start + step, size)), k_values.size)
+             for start in range(0, size, step))
+    return (_minimal_eb(h_values[i], k_values[j], field_term) for i, j in spans)

@@ -23,6 +23,7 @@ from oracle_utils import (
     star_ground,
     star_terms,
 )
+from test_protocol import sweep_grid
 from test_tiling import bfs_layer_sizes
 
 from qetsim import refdata
@@ -31,7 +32,7 @@ from qetsim.model import (
     StarModelParams,
     star_model,
 )
-from qetsim.protocol import exact_record, run_protocol, sweep_EB
+from qetsim.protocol import exact_record, run_protocol
 from qetsim.sampler import sampled_record
 from qetsim.teleport import run_longrange_qet
 from qetsim.tiling import generate
@@ -193,7 +194,7 @@ def test_criterion_07_long_range_equivalence():
     panel_td = max(relay_identity_check(1), relay_identity_check(5, panel_size=100))
     ok = worst_field < 1e-10 and panel_td <= 1e-12
     _report(7, "relay equals local run", ok,
-            f"worst fieldwise |delta| = {worst_field:.2e} (< 1e-10); "
+            f"worst branch-check residual = {worst_field:.2e} (< 1e-10); "
             f"identity-panel trace distance = {panel_td:.2e} (<= 1e-12; inf if the bits differ)")
 
 
@@ -268,11 +269,11 @@ def test_criterion_10_tiling_growth_and_sweep_properties():
             f"{{3,{q}}} depth-6 counts match brute force: {match}, "
             f"ring ratios beyond d=2 all > 1.5: {growing}"
         )
-    grid1 = sweep_EB([0.5, 1.0, 2.0], [1e-6, 0.5, 1.0, 2.0])
-    grid2 = sweep_EB([0.5, 1.0, 2.0], [1e-6, 0.5, 1.0, 2.0])
-    nonneg = bool((grid1.e_b >= -1e-10).all())
-    vanishing = bool((grid1.e_b[:, 0] < 1e-10).all())
-    deterministic = bool(np.array_equal(grid1.e_b, grid2.e_b))
+    (grid1,) = sweep_grid([0.5, 1.0, 2.0], [1e-6, 0.5, 1.0, 2.0])
+    (grid2,) = sweep_grid([0.5, 1.0, 2.0], [1e-6, 0.5, 1.0, 2.0])
+    nonneg = bool((grid1 >= -1e-10).all())
+    vanishing = bool((grid1[:, 0] < 1e-10).all())
+    deterministic = bool(np.array_equal(grid1, grid2))
     ok = ok and nonneg and vanishing and deterministic
     detail.append(
         f"sweep: E_B >= 0: {nonneg}, k->0 column -> 0: {vanishing}, "

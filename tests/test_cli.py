@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import exact_root
+from test_protocol import sweep_grid
 
 import qetsim.cli
 import qetsim.model
@@ -176,7 +177,7 @@ def test_sweep_grid_beyond_the_bound_exits_2_before_any_solve(capsys, monkeypatc
 
 def test_sweep_failing_in_its_last_chunk_writes_nothing(tmp_path, capsys, monkeypatch):
     # chunks of 2 points: h = 1.2e12 alone, in the third chunk, is ill-conditioned;
-    # the whole grid is solved before the first byte is written
+    # the grid's 4 corners are solved before any chunk and fail first
     solves, solve = [], qetsim.protocol._minimal_eb
 
     def counted(h, k, field_term):
@@ -187,7 +188,7 @@ def test_sweep_failing_in_its_last_chunk_writes_nothing(tmp_path, capsys, monkey
     monkeypatch.setattr(qetsim.protocol, "_minimal_eb", counted)
     argv = ("sweep", "--h", "1:1.2e12:5", "--k", "1")
     assert run_cli(*argv) == 1
-    assert solves == [2, 2, 1]
+    assert solves == [4]
     assert capsys.readouterr() == ("", "error: ill-conditioned: h/k = 1.2e+12 > 1e+12\n")
     out = tmp_path / "sweep.csv"
     assert run_cli(*argv, "--out", str(out)) == 1
@@ -199,7 +200,7 @@ def test_sweep_rows_do_not_depend_on_the_chunking(tmp_path, monkeypatch):
     argv = ("sweep", "--h", "0.5:1.5:4", "--k", "0.5:2:5", "--field-term-column")
     whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
     assert run_cli(*argv, "--out", str(whole)) == 0
-    monkeypatch.setattr(qetsim.cli, "SWEEP_CHUNK_POINTS", 3)
+    monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 3)
     assert run_cli(*argv, "--out", str(chunked)) == 0
     assert chunked.read_bytes() == whole.read_bytes()
     rows = [line.split(",")[:2] for line in whole.read_text().splitlines()[1:]]
@@ -243,14 +244,14 @@ def test_sweep_rows_match_a_per_row_oracle_property(h, k, chunk, field_term):
     argv = ["sweep", "--h={!r}:{!r}:{}".format(*h), "--k={!r}:{!r}:{}".format(*k)]
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(qetsim.cli, "SWEEP_CHUNK_POINTS", chunk)
+        mp.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", chunk)
         assert main(argv + ["--field-term-column"] * field_term) == 0
     hs, ks = np.linspace(*h), np.linspace(*k)
-    energy = qetsim.protocol.sweep_EB(hs, ks, field_term=True)
+    e_b, field = sweep_grid(hs, ks, field_term=True)
     fmt = qetsim.cli._fmt
     rows = ["h,k,E_B" + ",E_B_field_term" * field_term + "\n"]
-    for i, j in np.ndindex(energy.e_b.shape):
-        cells = [hs[i], ks[j], energy.e_b[i, j]] + [energy.field_term[i, j]] * field_term
+    for i, j in np.ndindex(e_b.shape):
+        cells = [hs[i], ks[j], e_b[i, j]] + [field[i, j]] * field_term
         rows.append(",".join(fmt(float(x)) for x in cells) + "\n")
     assert out.getvalue() == "".join(rows)
 
@@ -878,8 +879,9 @@ def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
 def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
     # importing numpy.random costs a fresh process ~15 ms; the relay and the
     # shot sampler both draw from `random`, so no command imports it.  numpy
-    # itself loads on first use: the parser, `longrange` and `tiling`, which
-    # compute on floats and ints, never load it; the other commands do
+    # itself loads on first use: the parser, `longrange`, `tiling` and the
+    # exact-only q = 2 runs, which compute on floats and ints, never load it;
+    # the other commands do
     script = f"""
 import sys
 from qetsim.cli import build_parser, main
@@ -890,10 +892,12 @@ numpy_free = [
     ["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
      "--out", out, "--transcript-out", out],
     ["tiling", "--q", "7", "--depth", "2", "--out", out, "--edges-out", out],
+    ["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out],
+    ["qed", "--h", "9", "--k", "2", "--q", "2", "--receivers", "1", "--method", "exact",
+     "--out", out],
 ]
 runs = [
     ["sweep", "--out", out],
-    ["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out],
     ["qet", "--h", "1", "--k", "1", "--method", "sampled", "--shots", "10", "--out", out],
     ["qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--out", out],
     ["table1", "--shots", "1000", "--check", "--out", out],
@@ -909,8 +913,8 @@ for argv in numpy_free + runs:
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == (
-        ["numpy False"] + ["numpy.random False"] * 2 + ["numpy False"]
-        + ["numpy.random False"] * 5 + ["numpy True"])
+        ["numpy False"] + ["numpy.random False"] * 4 + ["numpy False"]
+        + ["numpy.random False"] * 4 + ["numpy True"])
 
 
 def test_sampled_transcript_relays_each_branch_once(tmp_path, monkeypatch):

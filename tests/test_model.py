@@ -25,7 +25,9 @@ from oracle_utils import (
 
 import qetsim.model
 from qetsim.model import (
+    _MATH,
     DegenerateGroundError,
+    GroundMoments,
     MinimalModelParams,
     StarModelParams,
     star_block_ground,
@@ -97,7 +99,7 @@ def test_minimal_ground_energy_zero_for_9_2():
     # the Pauli part's ground level plus the offsets
     bundle = star_model(MinimalModelParams(9.0, 2.0))
     offset = sum(local.offset for local in star_terms(bundle).values())
-    assert abs(star_block_ground(9.0, 2.0, 2)[0] + offset) < 1e-10
+    assert abs(qetsim.model._minimal_levels(9.0, 2.0, _MATH)[1] + offset) < 1e-10
 
 
 # --- solve_ground ------------------------------------------------------------
@@ -211,10 +213,19 @@ def _star_pauli_part(h, k, q):
     return pauli + sum(2 * k * x0 @ op_on("X", j, q) for j in range(1, q))
 
 
+def _package_ground(h, k, q):
+    """The ground level, gap and block vector of the package's solve: at
+    q = 2 the closed form on floats that every q = 2 record runs."""
+    if q > 2:
+        return star_block_ground(h, k, q)[:3]
+    _, ground, gap = qetsim.model._minimal_levels(h, k, _MATH)
+    return ground, gap, np.ravel(qetsim.model._minimal_solve(h, k)[1])
+
+
 def _check_against_dense_spectrum(h, k, q):
     pauli = _star_pauli_part(h, k, q)
     levels = np.linalg.eigvalsh(pauli)
-    energy, gap, g, _ = star_block_ground(h, k, q)
+    energy, gap, g = _package_ground(h, k, q)
     assert energy == pytest.approx(levels[0], abs=1e-10)
     assert gap == pytest.approx(levels[1] - levels[0], abs=1e-10)
     assert fidelity(dicke_embed(g), solve_ground(pauli).state) >= 1 - 1e-12
@@ -245,6 +256,13 @@ def test_star_sectors_q16_match_reduced_oracle():
     angle = bundle.angle
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
     assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
+
+
+def test_star_block_ground_takes_q_from_3():
+    # q = 2 is solved in closed form, on floats for a record (`_minimal_solve`)
+    # and on arrays for a sweep (`_minimal_eb`)
+    with pytest.raises(ValueError, match="star_block_ground needs q >= 3, got q = 2"):
+        star_block_ground(9.0, 2.0, 2)
 
 
 def test_star_sectors_zero_field_is_degenerate():
@@ -279,8 +297,12 @@ CLOSED_FORM_HK = [
 
 
 def test_minimal_closed_form_matches_the_block_eigh():
+    # the float path of every q = 2 record, point by point, against the eigh
     h, k = np.array(CLOSED_FORM_HK).T
-    ground, gap, g, moments = star_block_ground(h, k, 2)
+    _, ground, gap = np.array([qetsim.model._minimal_levels(*p, _MATH) for p in CLOSED_FORM_HK]).T
+    solved = [qetsim.model._minimal_solve(*p) for p in CLOSED_FORM_HK]
+    moments = GroundMoments(*np.array([m for m, _ in solved]).T)
+    g = np.array([np.ravel(g) for _, g in solved])
     levels, vecs = np.linalg.eigh(qetsim.model._spin_block(h, k, 1))
     scale = 1e-12 * np.maximum(h, k)
     assert np.all(np.abs(ground - levels[:, 0]) <= scale)

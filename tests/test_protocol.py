@@ -1,3 +1,5 @@
+import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -405,20 +407,28 @@ def test_minimal_model_is_the_q2_star():
 
 # --- sweep -------------------------------------------------------------------
 
+def sweep_grid(h_values, k_values, field_term=False):
+    """`sweep_EB`'s chunks joined into (len(h_values), len(k_values)) arrays:
+    E_B, and with field_term the field term."""
+    shape = (len(h_values), len(k_values))
+    chunks = sweep_EB(h_values, k_values, field_term)
+    return [np.concatenate(column).reshape(shape) for column in zip(*chunks)]
+
+
 def test_sweep_shape_and_optimal_feedback_never_injects():
     h_values, k_values = [0.5, 1.0, 1.5], [0.25, 0.5, 1.0, 2.0]
-    grid = sweep_EB(h_values, k_values, field_term=True)
-    assert grid.e_b.shape == (3, 4)
-    assert grid.field_term.shape == (3, 4)
-    assert (grid.e_b >= -1e-10).all()
+    e_b, field_term = sweep_grid(h_values, k_values, field_term=True)
+    assert e_b.shape == (3, 4)
+    assert field_term.shape == (3, 4)
+    assert (e_b >= -1e-10).all()
     for i, h in enumerate(h_values):
         for j, k in enumerate(k_values):
-            assert grid.e_b[i, j] == pytest.approx(closed_form_eb(h, k), abs=1e-10)
+            assert e_b[i, j] == pytest.approx(closed_form_eb(h, k), abs=1e-10)
 
 
 def test_sweep_small_k_column_vanishes_and_grows():
-    grid = sweep_EB([1.0], [1e-4, 1e-2, 0.05, 0.1])
-    row = grid.e_b[0]
+    (e_b,) = sweep_grid([1.0], [1e-4, 1e-2, 0.05, 0.1])
+    row = e_b[0]
     assert row[0] < 1e-7
     assert np.all(np.diff(row) > 0)  # monotone increase in k near 0
 
@@ -426,17 +436,18 @@ def test_sweep_small_k_column_vanishes_and_grows():
 def test_sweep_is_the_pointwise_record():
     # the stacked grid solve gives each point's own exact record
     h_values, k_values = [0.3, 1.0, 2.5], [0.2, 0.9, 3.0]
-    grid = sweep_EB(h_values, k_values, field_term=True)
+    e_b, field_term = sweep_grid(h_values, k_values, field_term=True)
     for i, h in enumerate(h_values):
         for j, k in enumerate(k_values):
             r = exact_record(star_model(MinimalModelParams(h, k)), (1,)).receivers[1]
-            assert grid.e_b[i, j] == pytest.approx(r.e_b, abs=1e-15)
-            assert grid.field_term[i, j] == pytest.approx(-r.hz, abs=1e-15)
+            assert e_b[i, j] == pytest.approx(r.e_b, abs=1e-15)
+            assert field_term[i, j] == pytest.approx(-r.hz, abs=1e-15)
 
 
 def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
+    # the corners are solved first, as one call of 4 points, then each chunk
     h_values, k_values = [0.3, 1.0, 2.5, 4.0], [0.2, 0.9, 3.0]
-    whole = sweep_EB(h_values, k_values, field_term=True)
+    whole = sweep_grid(h_values, k_values, field_term=True)
     sizes, solve = [], qetsim.protocol._minimal_eb
 
     def counted(h, k, field_term):
@@ -445,10 +456,61 @@ def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
 
     monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 5)
     monkeypatch.setattr(qetsim.protocol, "_minimal_eb", counted)
-    chunked = sweep_EB(h_values, k_values, field_term=True)
-    assert sizes == [5, 5, 2]
-    for field in ("e_b", "field_term"):
-        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+    chunked = sweep_grid(h_values, k_values, field_term=True)
+    assert sizes == [4, 5, 5, 2]
+    for got, want in zip(chunked, whole, strict=True):
+        assert np.array_equal(got, want)
+
+
+def _raised(solve):
+    """The exception type `solve()` raises under main's errstate, or None."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            solve()
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+def _edge_point(ray, lo, hi):
+    """The last point of `ray(t)`, t from lo to hi, before a lone solve of it
+    fails, found by bisection to adjacent floats; it fails at hi, not at lo."""
+    def fails(t):
+        return _raised(lambda: qetsim.protocol._minimal_eb(*map(np.array, ray(t)), True))
+
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    return ray(lo)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    edge=st.sampled_from(["degenerate", "ill-conditioned", "overflow"]),
+    scale=st.floats(1e-290, 1e290),
+    ratio=st.floats(2.0 ** -8, 2.0 ** 8),
+    spread=st.sampled_from([0.0, 2.0 ** -52, 1e-13, 1e-9, 1e-3, 0.3]),
+    offsets=st.tuples(*[st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)] * 2),
+    field_term=st.booleans(),
+)
+def test_sweep_corners_fail_exactly_when_the_grid_fails_property(
+        edge, scale, ratio, spread, offsets, field_term):
+    # grids around the three edges a q = 2 grid can fail at, found to the last
+    # bit: k/h ~ 3.1623e4, where the gap falls below the degeneracy tolerance,
+    # h/k ~ 1e12, and fields near the largest float along a ray of k/h =
+    # ratio.  The corner solve that `sweep_EB` runs before returning raises,
+    # under main's errstate, exactly when a solve of every point does, and the
+    # same exception
+    big = sys.float_info.max / max(1.0, ratio)
+    h, k = {
+        "degenerate": lambda: _edge_point(lambda t: (scale, scale * t), 1e4, 1e5),
+        "ill-conditioned": lambda: _edge_point(lambda t: (scale * t, scale), 1e11, 1e13),
+        "overflow": lambda: _edge_point(lambda t: (t, t * ratio), big / 2 ** 12, big),
+    }[edge]()
+    h_values, k_values = ([min(c * (1.0 + spread * x), sys.float_info.max) for x in xs]
+                          for c, xs in zip((h, k), offsets))
+    grid = np.meshgrid(h_values, k_values, indexing="ij")
+    whole = _raised(lambda: qetsim.protocol._minimal_eb(*grid, field_term))
+    assert _raised(lambda: sweep_EB(h_values, k_values, field_term)) is whole
 
 
 def test_sweep_validates_and_rejects_degenerate_points():
