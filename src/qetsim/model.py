@@ -6,15 +6,16 @@ with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
-The star's ground state is solved in the receivers' total-spin blocks
-(`star_block_ground`), never from the 2^q x 2^q matrix; at q = 2 both parity
-sectors are 2 x 2 and it is solved in closed form, with no eigensolver.  It
-is receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
-set every offset and the one feedback angle all receivers share, and
-`exact_energies` turns them into every exact number of the protocol.  A
-q = 2 model's bundle and record are formed on floats by `math`
-(`_minimal_solve`), so the minimal model's runs never load numpy; only a
-`sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a time.
+The star's ground state is solved in the receivers' total-spin blocks, as
+their q x q parity chains (`star_block_ground`), never from the 2^q x 2^q
+matrix; at q = 2 it is one closed form, `_minimal_levels`, with no
+eigensolver.  It is receiver-symmetric, so three Pauli moments, <Z_0>,
+<Z_j> and <X_0 X_j>, set every offset and the one feedback angle all
+receivers share, and `exact_energies` turns them into every exact number of
+the protocol.  A q = 2 model's bundle and record are formed on floats by
+`math` (`_minimal_solve`), so the minimal model's runs never load numpy;
+only a `sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a
+time.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -142,29 +143,23 @@ class FeedbackAngle(NamedTuple):
     eta: float
 
 
-def _spin_block(h, k, d: int) -> np.ndarray:
-    """The star's Pauli part on the sender times one receiver spin-J block, d = 2J.
+def _spin_chains(h, k, d: int) -> np.ndarray:
+    """The star's Pauli part on the sender times one receiver spin-J block,
+    d = 2J, as its two parity chains [..., p, n, n'], stacked over h and k.
 
-    With J the receivers' total spin, H = h Z0 + 2h J_z + 4k X0 J_x.  Basis
-    |s> (x) |J, J - n> at index s * (d + 1) + n, s the sender bit and
-    n = 0..d: the diagonal is h (1 - 2s) + h (d - 2n), and 4k X0 J_x links
-    (s, n) with (1 - s, n + 1) by 2k sqrt((n + 1)(d - n)).  For d = q - 1,
-    |J, J - n> is the receivers' Dicke state with n ones.  h and k
-    broadcast; the block is stacked over their shape.
+    With J the receivers' total spin, H = h Z0 + 2h J_z + 4k X0 J_x.  On
+    |s> (x) |J, J - n>, s the sender bit, 4k X0 J_x links (s, n) with
+    (1 - s, n + 1) by 2k sqrt((n + 1)(d - n)), keeping s + n mod 2: chain p
+    runs over n = 0..d with s = (n + p) mod 2, its diagonal h (1 - 2s) +
+    h (d - 2n).  For d = q - 1, |J, J - n> is the Dicke state with n ones.
     """
-    h, k = (np.asarray(a, float)[..., None] for a in np.broadcast_arrays(h, k))
+    h, k = (np.asarray(a, float)[..., None, None] for a in np.broadcast_arrays(h, k))
     n = np.arange(d + 1)
-    leaves_z = h * (d - 2.0 * n)
-    size = 2 * (d + 1)
-    block = np.zeros(leaves_z.shape[:-1] + (size, size))
-    diag = np.arange(size)
-    block[..., diag, diag] = np.concatenate([h + leaves_z, -h + leaves_z], axis=-1)
+    chains = np.zeros(h.shape[:-2] + (2, d + 1, d + 1))
+    chains[..., n, n] = h * (1 - 2 * ((n + np.arange(2)[:, None]) % 2)) + h * (d - 2.0 * n)
     lower, upper = n[:-1], n[:-1] + 1
-    link = 2.0 * k * np.sqrt(upper * (d - lower))
-    for s in (0, 1):
-        a, b = s * (d + 1) + lower, (1 - s) * (d + 1) + upper
-        block[..., a, b] = block[..., b, a] = link
-    return block
+    chains[..., lower, upper] = chains[..., upper, lower] = 2.0 * k * np.sqrt(upper * (d - lower))
+    return chains
 
 
 def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
@@ -174,19 +169,18 @@ def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
     stoquastic and each parity sector is connected, so each sector's ground
     state is unique and receiver-symmetric: it lies in the top total-spin
-    block J = (q - 1)/2, which `_block_ground` solves for the whole grid by
-    one stacked `eigh`.  q >= 3 only: at q = 2 that block is the whole space,
-    solved in closed form by `_minimal_solve` and `_minimal_eb`.  A gap
+    block J = (q - 1)/2, whose two parity chains `_block_ground` solves for
+    the whole grid by one stacked `eigh`.  q >= 3 only: at q = 2 that block
+    is the whole space, solved in closed form by `_minimal_levels`.  A gap
     below DEGENERACY_TOL * max(h, k) anywhere raises DegenerateGroundError,
     as the protocol angles are undefined on a degenerate ground space, and
     h/k above MAX_FIELD_RATIO anywhere raises IllConditionedError.
     """
     if q < 3:
         raise ValueError(f"star_block_ground needs q >= 3, got q = {q}")
-    h, k = np.asarray(h, float), np.asarray(k, float)
     levels, gap, g = _block_ground(h, k, q)
     _check_ground(h, k, gap, levels)
-    return levels[..., 0], gap, g, _ground_moments(h, k, g, q)
+    return levels[..., q % 2, 0], gap, g, _ground_moments(g, q)
 
 
 def _check_ground(h, k, gap, levels=None) -> None:
@@ -213,56 +207,63 @@ _OVERFLOW = "overflow encountered in the q = 2 closed form"
 
 
 def _minimal_levels(h, k, xp):
-    """r = hypot(h, k), the ground level -2r and the gap 2r - 2k = 2h^2 /
-    (r + k), which does not cancel, of Hotta's minimal model, the q = 2
-    star, on arrays (xp = np) or floats (xp = _MATH).  H = h (Z_0 + Z_1) +
-    2k X_0 X_1 is [[2h, 2k], [2k, -2h]] on {|00>, |11>} and [[0, 2k], [2k,
-    0]] on {|01>, |10>}, so its levels are -2r, -2k, 2k and 2r.  With t = 1 +
-    h/r the ground state is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither
-    factor under- nor overflowing at any accepted (h, k)."""
+    """The ground level -2r, r = hypot(h, k), the gap 2r - 2k = 2h^2 /
+    (r + k), which does not cancel, and the moments <Z_0> = <Z_1> = -h/r and
+    <X_0 X_1> = -k/r of Hotta's minimal model, the q = 2 star, on arrays
+    (xp = np) or floats (xp = _MATH).  H = h (Z_0 + Z_1) + 2k X_0 X_1 is
+    [[2h, 2k], [2k, -2h]] on {|00>, |11>} and [[0, 2k], [2k, 0]] on {|01>,
+    |10>}, so its levels are -2r, -2k, 2k and 2r.  With t = 1 + h/r the
+    ground state is (k/r) / sqrt(2t) |00> - sqrt(t/2) |11>, neither factor
+    under- nor overflowing at any accepted (h, k)."""
     r = xp.hypot(h, k)
-    return r, -2.0 * r, 2.0 * h * (h / (r + k))
+    return -2.0 * r, 2.0 * h * (h / (r + k)), GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r)
 
 
 def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
-    """The q = 2 ground solve on floats, checked as `_check_ground` checks a
-    q >= 3 one, after an overflow check: the moments <Z_0> = <Z_1> = -h/r
-    and <X_0 X_1> = -k/r, and the block vector g[s][n]."""
-    r, ground, gap = _minimal_levels(h, k, _MATH)
+    """The q = 2 moments and block vector g[s][n] on floats, checked as
+    `_check_ground` checks a q >= 3 solve, after an overflow check."""
+    ground, gap, moments = _minimal_levels(h, k, _MATH)
     if not math.isfinite(ground):
         raise FloatingPointError(_OVERFLOW)
     if h / k > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {h / k:.3g} > {MAX_FIELD_RATIO:g}")
     if not gap >= DEGENERACY_TOL * max(h, k):
         raise DegenerateGroundError(_degenerate_message(h, k, gap, False))
-    t = 1.0 + h / r
-    g = ((k / r) / math.sqrt(2.0 * t), 0.0), (0.0, -math.sqrt(0.5 * t))
-    return GroundMoments(z0=-h / r, zj=-h / r, xx=-k / r), g
+    t = 1.0 - moments.z0
+    g = (-moments.xx / math.sqrt(2.0 * t), 0.0), (0.0, -math.sqrt(0.5 * t))
+    return moments, g
 
 
 def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`star_block_ground` for q >= 3 by a stacked `eigh` of the top
-    spin block, returning its levels in place of the ground level.
-
-    The gap is taken against the lowest level of the J - 1 block (d = q - 3)
-    too, and of no lower block: the lowest level rises as J falls, a
-    Lieb-Mattis ordering (E. Lieb and D. Mattis, J. Math. Phys. 3, 749
-    (1962)) that `test_model` checks against every block for q <= 64, where
-    each lower block lies at least ~2 max(h, k) above the J - 1 one.  So the
-    solve is two `eigh`s: at h = 0.15 q, k = 2 it takes 7.7 ms at q = 100
-    and 0.18 s at q = 400 (2 vCPU, numpy 2.4).
+    """`star_block_ground` for q >= 3 from the top spin block's two chains,
+    returning their levels [..., p, i] in place of the ground level, the
+    lowest of chain p = q mod 2, which holds the all-down state.  The gap is
+    taken against chain p's next level, the other chain's lowest (their
+    distance, should it lie below, as only a degenerate point lets it) and the
+    lowest of the J - 1 block's chains (d = q - 3), and of no lower block: the
+    lowest level rises as J falls, a Lieb-Mattis ordering (E. Lieb and D.
+    Mattis, J. Math. Phys. 3, 749 (1962)) that `test_model` checks, with
+    chain p's hold on the ground, against every block for q <= 64, where each
+    lower block lies at least ~2 max(h, k) above the J - 1 one.  So the solve
+    is one stacked q x q `eigh` and one `eigvalsh`: at h = 0.15 q, k = 2 it
+    takes 2.8 ms at q = 100 and 41 ms at q = 400 (2 vCPU, numpy 2.4).  g is
+    scattered into the block layout g[s * q + n], zero off chain p.
     """
-    vals, vecs = np.linalg.eigh(_spin_block(h, k, q - 1))
-    excited = np.minimum(vals[..., 1], np.linalg.eigvalsh(_spin_block(h, k, q - 3))[..., 0])
-    return vals, excited - vals[..., 0], vecs[..., 0]
+    p, n = q % 2, np.arange(q)
+    vals, vecs = np.linalg.eigh(_spin_chains(h, k, q - 1))
+    ground = vals[..., p, 0]
+    lower = np.linalg.eigvalsh(_spin_chains(h, k, q - 3))[..., 0].min(axis=-1)
+    gap = np.minimum(np.minimum(vals[..., p, 1], lower) - ground, abs(vals[..., 1 - p, 0] - ground))
+    g = np.zeros(ground.shape + (2 * q,))
+    g[..., (n + p) % 2 * q + n] = vecs[..., p, :, 0]
+    return vals, gap, g
 
 
-def _ground_moments(h, k, g, q: int) -> GroundMoments:
+def _ground_moments(g, q: int) -> GroundMoments:
     """<Z_0>, <Z_j> and <X_0 X_j> of the q >= 3 ground state with block
-    vector g, broadcasting like it (at q = 2 they are the closed form
-    <Z_0> = <Z_1> = -h/r and <X_0 X_1> = -k/r).  With d = q - 1,
-    <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x linking
-    g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
+    vector g, broadcasting like it (at q = 2, `_minimal_levels`).  With
+    d = q - 1, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x
+    linking g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
     leaves, n = q - 1, np.arange(q)
     up, down = g[..., :q], g[..., q:]
@@ -311,7 +312,7 @@ def star_models(params: list[ModelParams]) -> list[ModelBundle]:
         levels, gap, g = _block_ground(h, k, q)
         _check_ground(h, k, gap, levels)
         for (i, p), row in zip(at, g):
-            moments = GroundMoments(*map(float, _ground_moments(p.h, p.k, row, q)))
+            moments = GroundMoments(*map(float, _ground_moments(row, q)))
             angle = FeedbackAngle(*map(float, _angle(p.h, p.k, moments)))
             bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=row.reshape(2, q))
     return bundles
@@ -364,15 +365,8 @@ def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, Receiver
 
 def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:
     """E_B of the minimal model at arrays h and k, and with field_term -HZ_1:
-    `exact_energies` on the closed-form moments, after the checks, forming
-    no block vector, no HX_1 and, without field_term, no theta."""
-    r, _, gap = _minimal_levels(h, k, np)
+    `exact_energies` on `_minimal_levels`' moments, after `_check_ground`."""
+    _, gap, moments = _minimal_levels(h, k, np)
     _check_ground(h, k, gap)
-    zj, xx = -h / r, -k / r
-    xi, eta = -2.0 * h * zj - 4.0 * k * xx, 2.0 * h * xx - 4.0 * k * zj
-    columns = [0.5 * eta * (eta / (xi + np.hypot(xi, eta)))]
-    if field_term:
-        theta = 0.5 * np.arctan2(eta, xi)
-        s, c = np.sin(theta), np.cos(theta)
-        columns.append(2.0 * h * s * (s * zj + c * xx))
-    return columns
+    energy = exact_energies(h, k, moments)[1]
+    return [energy.e_b, -energy.hz] if field_term else [energy.e_b]

@@ -135,6 +135,8 @@ def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, 
     cos(theta) I - i mu sin(theta) Y = [[c, -mu s], [mu s, c]].
     """
     stack = [bundle] if isinstance(bundle, ModelBundle) else bundle
+    if not stack:
+        raise ValueError("run_protocol: bundle is an empty stack")
     q, r = stack[0].n_qubits, len(receivers)
     if any(b.n_qubits != q for b in stack):
         raise ValueError("a stacked pass needs bundles of one q")
@@ -171,6 +173,8 @@ def sweep_EB(h_values, k_values, field_term: bool = False):
     """
     h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)
     for name, axis in (("h_values", h_values), ("k_values", k_values)):
+        if axis.ndim != 1:
+            raise ValueError(f"sweep_EB: {name} is not a 1-D axis (shape {axis.shape})")
         if not axis.size:
             raise ValueError(f"sweep_EB: {name} is empty")
     extremes = np.array([(axis.min(), axis.max()) for axis in (h_values, k_values)])

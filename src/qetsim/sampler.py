@@ -134,14 +134,15 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     are uniform among the strings of its weight."""
     if plan.basis_run not in _BASIS_CODES:
         raise ValueError(f"basis_run must be 'Z' or 'X', got {plan.basis_run!r}")
-    if not 1 <= plan.shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}")
+    shots = plan.shots
+    if isinstance(shots, bool) or not isinstance(shots, int) or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, an int, got {shots!r}")
     sites, r = (0, *sorted(receivers)), len(receivers)
     if fed.shape[:1] + fed.shape[2:] != (2, 2, r + 1):
         raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
     p = readout_law(fed, plan.basis_run).ravel().tolist()
     rng = random.Random(" ".join(map(str, _seed_key(bundle, receivers, plan))))
-    left, draws = plan.shots, []
+    left, draws = shots, []
     for i, pi in enumerate(p):
         # a draw from n = 0 or p = 0 takes no uniform, so skipping it keeps every bit
         draws.append(_binomial(rng, left, pi / sum(p[i:])) if pi and left else 0)
@@ -156,7 +157,7 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
                           for u in range(1, unvisited + 1)]
             counts[-1] += [sum(g) - sum(ones), sum(ones)]
             groups[i] = [g[u] - ones[u] + ones[u + 1] for u in range(unvisited)]
-    return SampleTallies(plan.basis_run, plan.shots, sites, tuple(counts))
+    return SampleTallies(plan.basis_run, shots, sites, tuple(counts))
 
 
 def estimate(tallies: SampleTallies, site: int, coeff: float, offset: float) -> tuple[float, float]:

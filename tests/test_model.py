@@ -26,6 +26,7 @@ from oracle_utils import (
 import qetsim.model
 from qetsim.model import (
     _MATH,
+    DEGENERACY_TOL,
     DegenerateGroundError,
     GroundMoments,
     MinimalModelParams,
@@ -99,7 +100,7 @@ def test_minimal_ground_energy_zero_for_9_2():
     # the Pauli part's ground level plus the offsets
     bundle = star_model(MinimalModelParams(9.0, 2.0))
     offset = sum(local.offset for local in star_terms(bundle).values())
-    assert abs(qetsim.model._minimal_levels(9.0, 2.0, _MATH)[1] + offset) < 1e-10
+    assert abs(qetsim.model._minimal_levels(9.0, 2.0, _MATH)[0] + offset) < 1e-10
 
 
 # --- solve_ground ------------------------------------------------------------
@@ -218,7 +219,7 @@ def _package_ground(h, k, q):
     q = 2 the closed form on floats that every q = 2 record runs."""
     if q > 2:
         return star_block_ground(h, k, q)[:3]
-    _, ground, gap = qetsim.model._minimal_levels(h, k, _MATH)
+    ground, gap, _ = qetsim.model._minimal_levels(h, k, _MATH)
     return ground, gap, np.ravel(qetsim.model._minimal_solve(h, k)[1])
 
 
@@ -259,8 +260,8 @@ def test_star_sectors_q16_match_reduced_oracle():
 
 
 def test_star_block_ground_takes_q_from_3():
-    # q = 2 is solved in closed form, on floats for a record (`_minimal_solve`)
-    # and on arrays for a sweep (`_minimal_eb`)
+    # q = 2 is solved in closed form, `_minimal_levels`: on floats for a
+    # record (`_minimal_solve`), on arrays for a sweep (`_minimal_eb`)
     with pytest.raises(ValueError, match="star_block_ground needs q >= 3, got q = 2"):
         star_block_ground(9.0, 2.0, 2)
 
@@ -272,19 +273,28 @@ def test_star_sectors_zero_field_is_degenerate():
 
 
 def test_lower_spin_blocks_lie_above_the_j_minus_1_block():
-    # the gap reads only the top block and the J - 1 block (d = q - 3); this
-    # checks the Lieb-Mattis ordering that relies on, against every lower
-    # block.  H is linear in (h, k), so h/k alone sets the ordering
+    # the gap reads only the top block's two chains and the J - 1 block
+    # (d = q - 3); this checks the Lieb-Mattis ordering that relies on,
+    # against every lower block, and that chain q % 2 holds the ground
+    # wherever the gap passes the tolerance.  H is linear in (h, k), so h/k
+    # alone sets the ordering
     h, k = np.logspace(-3, 3, 7), 1.0
+    wide = np.logspace(-4.5, 4.5, 46)
     for q in range(3, 65):
-        lowest = [np.linalg.eigvalsh(qetsim.model._spin_block(h, k, d))[..., 0]
+        # a block's lowest level is the lower of its two chains' lowest
+        lowest = [np.linalg.eigvalsh(qetsim.model._spin_chains(h, k, d))[..., 0].min(axis=-1)
                   for d in range(q - 3, -1, -2)]
         for d, level in zip(range(q - 5, -1, -2), lowest[1:]):
             assert np.all(level >= lowest[0]), (q, d)
-        # so the gap is the one the minimum over every block gives, bit for bit
-        vals = np.linalg.eigh(qetsim.model._spin_block(h, k, q - 1))[0]
-        gap = np.min([vals[..., 1], *lowest], axis=0) - vals[..., 0]
+        # so the gap is the one the whole spectrum gives, bit for bit
+        vals = np.linalg.eigh(qetsim.model._spin_chains(h, k, q - 1))[0]
+        spectrum = np.sort(np.hstack([vals.reshape(h.size, -1), np.transpose(lowest)]), axis=-1)
+        gap = spectrum[:, 1] - spectrum[:, 0]
         assert np.array_equal(qetsim.model._block_ground(h, k, q)[1], gap), q
+        # chain q % 2 holds the ground at every point the degeneracy check passes
+        chains = np.linalg.eigvalsh(qetsim.model._spin_chains(wide, k, q - 1))[..., 0]
+        resolved = qetsim.model._block_ground(wide, k, q)[1] >= DEGENERACY_TOL * np.maximum(wide, k)
+        assert np.all(chains[resolved, q % 2] < chains[resolved, 1 - q % 2]), q
 
 
 # (h, k) with h >> k, k >> h up to the degeneracy guard, and fields near the
@@ -298,17 +308,25 @@ CLOSED_FORM_HK = [
 
 def test_minimal_closed_form_matches_the_block_eigh():
     # the float path of every q = 2 record, point by point, against the eigh
+    # of the d = 1 chains, the even one on {|00>, |11>}, the odd on {|01>, |10>}
     h, k = np.array(CLOSED_FORM_HK).T
-    _, ground, gap = np.array([qetsim.model._minimal_levels(*p, _MATH) for p in CLOSED_FORM_HK]).T
+    closed = [qetsim.model._minimal_levels(*p, _MATH) for p in CLOSED_FORM_HK]
+    ground, gap = np.array([c[:2] for c in closed]).T
     solved = [qetsim.model._minimal_solve(*p) for p in CLOSED_FORM_HK]
     moments = GroundMoments(*np.array([m for m, _ in solved]).T)
+    assert all(c[2] == m for c, (m, _) in zip(closed, solved))
     g = np.array([np.ravel(g) for _, g in solved])
-    levels, vecs = np.linalg.eigh(qetsim.model._spin_block(h, k, 1))
+    chain_levels, chain_vecs = np.linalg.eigh(qetsim.model._spin_chains(h, k, 1))
+    order = np.argsort(chain_levels.reshape(h.size, -1), axis=-1)
+    levels = np.take_along_axis(chain_levels.reshape(h.size, -1), order, axis=-1)
     scale = 1e-12 * np.maximum(h, k)
+    assert np.all(order[:, 0] == 0)  # the all-down state's chain, q % 2 = 0
     assert np.all(np.abs(ground - levels[:, 0]) <= scale)
     assert np.all(np.abs(gap - (levels[:, 1] - levels[:, 0])) <= scale)
-    # the same moments read from the eigenvector, weighted as in the offsets
-    v = vecs[..., 0]
+    # the same moments read from the eigenvector, weighted as in the offsets;
+    # the even chain's n = 0, 1 are |00> and |11>, g[0][0] and g[1][1]
+    v = np.zeros((h.size, 4))
+    v[:, [0, 3]] = chain_vecs[:, 0, :, 0]
     z = v[:, 0] ** 2 - v[:, 3] ** 2
     xx = 2.0 * v[:, 0] * v[:, 3]
     for got, want in ((h * moments.z0, h * z), (h * moments.zj, h * z), (k * moments.xx, k * xx)):
@@ -318,7 +336,8 @@ def test_minimal_closed_form_matches_the_block_eigh():
 
 
 def test_star_model_never_builds_the_dense_matrix(monkeypatch):
-    # every eigensolve is of a spin block, at most 2q x 2q, never 2^q x 2^q
+    # every eigensolve is of a spin block's parity chain, at most q x q,
+    # never 2^q x 2^q
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -329,7 +348,7 @@ def test_star_model_never_builds_the_dense_matrix(monkeypatch):
 
         monkeypatch.setattr(qetsim.model.np.linalg, name, recorded)
     bundle = star_model(StarModelParams(8.0, 2.0, 12))
-    assert sizes and max(sizes) <= 2 * 12
+    assert sizes and max(sizes) <= 12
     assert bundle.g.shape == (2, 12)
     assert abs(expectation(star_ground(bundle), *star_terms(bundle).values())) < 1e-10
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -172,6 +173,11 @@ def test_a_stacked_pass_needs_one_q():
     bundles = star_models([StarModelParams(9.0, 2.0, 6), StarModelParams(9.0, 2.0, 7)])
     with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
         run_protocol(bundles, (1, 2))
+
+
+def test_a_stacked_pass_needs_a_bundle():
+    with pytest.raises(ValueError, match="run_protocol: bundle is an empty stack"):
+        run_protocol([], (1,))
 
 
 def test_pass_shapes():
@@ -527,6 +533,15 @@ def test_sweep_validates_and_rejects_degenerate_points():
         exact_record(star_model(MinimalModelParams(1e-5, 1.0)), (1,))
     with pytest.raises(DegenerateGroundError):
         sweep_EB([1.0, 1e-5], [0.5, 1.0])
+
+
+def test_sweep_names_an_axis_that_is_not_1d():
+    # a 2-D or 0-D axis is named, not indexed out of range
+    for h_values, k_values, name, shape in ((np.array([[1.0, 2.0]]), [1.0], "h_values", (1, 2)),
+                                            ([1.0], 2.0, "k_values", ())):
+        message = f"sweep_EB: {name} is not a 1-D axis (shape {shape})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_EB(h_values, k_values)
 
 
 # --- closed forms against the dense statevector oracle and the pass -----------------

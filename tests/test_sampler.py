@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import types
 
 import numpy as np
@@ -404,6 +405,15 @@ def test_plan_validation():
         sample_protocol(bundle, fed, receivers, ShotPlan(basis_run="Q", shots=10, master_seed=0))
     with pytest.raises(ValueError, match="shots must be in"):
         sample_protocol(bundle, fed, receivers, ShotPlan(basis_run="Z", shots=0, master_seed=0))
+
+
+def test_plan_rejects_a_shot_count_that_is_not_an_int():
+    # a float would tally fractional counts, and True would draw one shot
+    bundle, fed, receivers = fed_run("minimal")
+    expected = rf"shots must be in 1\.\.{qetsim.sampler.MAX_SHOTS}, an int, got "
+    for shots in (10.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match=expected + re.escape(repr(shots))):
+            sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, 1))
 
 
 def test_plan_rejects_shots_beyond_int64():
