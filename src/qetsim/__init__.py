@@ -12,7 +12,6 @@ from .model import (
     StarModelParams,
     ReceiverEnergy,
     exact_energies,
-    star_block_ground,
     star_model,
     star_models,
 )

@@ -31,8 +31,8 @@ DEFAULT_SEED = 20230917  # documented fixed default; change via --seed
 # Largest `sweep` grid, h steps times k steps: a time bound, since a grid is
 # solved and written one chunk at a time and only its axes' 8 B floats grow
 # with it.  In-process on 2 vCPU, with --field-term-column --out FILE, a
-# 2000 x 2000 grid took 3.8-6.2 s at a 50 MB peak (256 x 256: 48 MB) and a
-# 1 x 4,000,000 grid 5.7-7.4 s at 90 MB, 32 MB of it the long axis.
+# 2000 x 2000 grid took 4.0-4.2 s at a 51 MB peak (256 x 256: 48 MB) and a
+# 1 x 4,000,000 grid 5.4-5.5 s at 89 MB, 32 MB of it the long axis.
 MAX_SWEEP_POINTS = 4_000_000
 
 
@@ -226,21 +226,14 @@ def cmd_sweep(args) -> int:
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
         # '%.12g' % x is format(x, '.12g'), the same C conversion as _fmt
         line = "%s,%s" + ",%.12g" * (1 + args.field_term_column) + "\n"
-        start, nk = 0, k_range[2]
-        for chunk in chunks:
-            chunk = [c.tolist() for c in chunk]
-            n = len(chunk[0])
-            # the chunk's axis values, each formatted once: its rows' h, and
-            # its k in grid order from the first point's, cycling over a row
-            i, j = divmod(start, nk)
-            hs = [_fmt(h) for h in h_values[i:(start + n - 1) // nk + 1].tolist()]
-            ks = [_fmt(k) for k in k_values[(j + np.arange(min(n, nk))) % nk].tolist()]
-            h_run = itertools.chain(itertools.repeat(hs[0], nk - j),
-                                    *(itertools.repeat(h, nk) for h in hs[1:]))
+        for h, k, columns in chunks:
+            # lists first: the arrays are freed before the text is formed
+            columns = [c.ravel().tolist() for c in columns]
+            hs, ks = ([_fmt(x) for x in axis.tolist()] for axis in (h, k))
+            h_run = itertools.chain.from_iterable(itertools.repeat(x, len(ks)) for x in hs)
             # the whole chunk is one %-format: no Python code runs per row
-            cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *chunk))
-            start += n
-            yield (line * n) % tuple(cells)
+            cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *columns))
+            yield (line * len(columns[0])) % tuple(cells)
 
     _write_text(args.out, rows())
     return 0

@@ -6,16 +6,16 @@ with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
-The star's ground state is solved in the receivers' total-spin blocks, as
-their q x q parity chains (`star_block_ground`), never from the 2^q x 2^q
-matrix; at q = 2 it is one closed form, `_minimal_levels`, with no
-eigensolver.  It is receiver-symmetric, so three Pauli moments, <Z_0>,
-<Z_j> and <X_0 X_j>, set every offset and the one feedback angle all
-receivers share, and `exact_energies` turns them into every exact number of
-the protocol.  A q = 2 model's bundle and record are formed on floats by
-`math` (`_minimal_solve`), so the minimal model's runs never load numpy;
-only a `sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a
-time.
+The star's ground state is solved by `star_models` in the receivers'
+total-spin blocks, as their q x q parity chains (`_block_ground`, then
+`_check_ground`), never from the 2^q x 2^q matrix; at q = 2 it is one
+closed form, `_minimal_levels`, with no eigensolver.  It is
+receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
+set every offset and the one feedback angle all receivers share, and
+`exact_energies` turns them into every exact number of the protocol.  A
+q = 2 model's bundle and record are formed on floats by `math`
+(`_minimal_solve`), so the minimal model's runs never load numpy; only a
+`sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a time.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -82,6 +82,8 @@ class StarModelParams:
 
     def __post_init__(self):
         _check_hk(self.h, self.k)
+        if not hasattr(self.q, "__index__"):  # what operator.index accepts
+            raise ValueError(f"q must be an integer, got {self.q!r}")
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if self.q > MAX_STATEVECTOR_QUBITS:
@@ -109,7 +111,7 @@ class ModelBundle:
 
     The moments set every local term's offset (see the module docstring).
     The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
-    receivers' normalized Dicke state with n ones (`star_block_ground`).
+    receivers' normalized Dicke state with n ones (`_block_ground`).
     """
 
     params: ModelParams
@@ -162,31 +164,11 @@ def _spin_chains(h, k, d: int) -> np.ndarray:
     return chains
 
 
-def star_block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, GroundMoments]:
-    """Ground level, gap, block vector g and moments of H = h sum_i Z_i +
-    2k sum_j X_0 X_j on q sites, at every (h, k) of the broadcast arrays.
-
-    H keeps the total parity prod_i Z_i; after a Z_0 sign gauge it is
-    stoquastic and each parity sector is connected, so each sector's ground
-    state is unique and receiver-symmetric: it lies in the top total-spin
-    block J = (q - 1)/2, whose two parity chains `_block_ground` solves for
-    the whole grid by one stacked `eigh`.  q >= 3 only: at q = 2 that block
-    is the whole space, solved in closed form by `_minimal_levels`.  A gap
-    below DEGENERACY_TOL * max(h, k) anywhere raises DegenerateGroundError,
-    as the protocol angles are undefined on a degenerate ground space, and
-    h/k above MAX_FIELD_RATIO anywhere raises IllConditionedError.
-    """
-    if q < 3:
-        raise ValueError(f"star_block_ground needs q >= 3, got q = {q}")
-    levels, gap, g = _block_ground(h, k, q)
-    _check_ground(h, k, gap, levels)
-    return levels[..., q % 2, 0], gap, g, _ground_moments(g, q)
-
-
 def _check_ground(h, k, gap, levels=None) -> None:
     """Raise on h/k above MAX_FIELD_RATIO anywhere, then on a gap below
     DEGENERACY_TOL * max(h, k), named where it is smallest relative to
-    max(h, k), with whether it is within `levels`' roundoff, 16 eps |H|."""
+    max(h, k), with whether it is within `levels`' roundoff, 16 eps |H|: the
+    feedback angle is undefined on a degenerate ground space."""
     with np.errstate(over="ignore"):
         ratio = np.max(np.divide(h, k))
     if ratio > MAX_FIELD_RATIO:
@@ -235,17 +217,21 @@ def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
 
 
 def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`star_block_ground` for q >= 3 from the top spin block's two chains,
-    returning their levels [..., p, i] in place of the ground level, the
-    lowest of chain p = q mod 2, which holds the all-down state.  The gap is
-    taken against chain p's next level, the other chain's lowest (their
-    distance, should it lie below, as only a degenerate point lets it) and the
-    lowest of the J - 1 block's chains (d = q - 3), and of no lower block: the
-    lowest level rises as J falls, a Lieb-Mattis ordering (E. Lieb and D.
-    Mattis, J. Math. Phys. 3, 749 (1962)) that `test_model` checks, with
-    chain p's hold on the ground, against every block for q <= 64, where each
-    lower block lies at least ~2 max(h, k) above the J - 1 one.  So the solve
-    is one stacked q x q `eigh` and one `eigvalsh`: at h = 0.15 q, k = 2 it
+    """The chains' levels [..., p, i], the gap and the block vector g of the
+    q >= 3 star's Pauli part at every (h, k) of the broadcast arrays, for
+    `_check_ground`.  H keeps the parity prod_i Z_i and, after a Z_0 sign
+    gauge, is stoquastic with each parity sector connected, so each
+    sector's ground state is unique and receiver-symmetric: it lies in the
+    top total-spin block J = (q - 1)/2, as the lowest level of its chain
+    p = q mod 2, which holds the all-down state.  The gap is taken against
+    chain p's next level, the other chain's lowest (their distance, should
+    it lie below, as only a degenerate point lets it) and the lowest of the
+    J - 1 block's chains (d = q - 3), and of no lower block: the lowest
+    level rises as J falls, a Lieb-Mattis ordering (E. Lieb and D. Mattis,
+    J. Math. Phys. 3, 749 (1962)) that `test_model` checks, with chain p's
+    hold on the ground, against every block for q <= 64, where each lower
+    block lies at least ~2 max(h, k) above the J - 1 one.  So the solve is
+    one stacked q x q `eigh` and one `eigvalsh`: at h = 0.15 q, k = 2 it
     takes 2.8 ms at q = 100 and 41 ms at q = 400 (2 vCPU, numpy 2.4).  g is
     scattered into the block layout g[s * q + n], zero off chain p.
     """
@@ -323,12 +309,25 @@ def star_model(params: ModelParams) -> ModelBundle:
     return star_models([params])[0]
 
 
+def _xi_eta(h, k, moments: GroundMoments) -> tuple:
+    """xi and eta from the ground moments (derived in `exact_energies`)."""
+    return -2.0 * h * moments.zj - 4.0 * k * moments.xx, 2.0 * h * moments.xx - 4.0 * k * moments.zj
+
+
 def _angle(h, k, moments: GroundMoments, xp=np) -> FeedbackAngle:
-    """xi, eta and theta from the ground moments (derived in
-    `exact_energies`); broadcasts like it, or takes floats with xp = _MATH."""
-    xi = -2.0 * h * moments.zj - 4.0 * k * moments.xx
-    eta = 2.0 * h * moments.xx - 4.0 * k * moments.zj
+    """xi, eta and theta on arrays, or on floats with xp = _MATH."""
+    xi, eta = _xi_eta(h, k, moments)
     return FeedbackAngle(theta=0.5 * xp.arctan2(eta, xi), xi=xi, eta=eta)
+
+
+def _lowest_energy(xi, eta, xp=np):
+    """E_j at the optimal theta, -eta^2 / (2 (xi + hypot(xi, eta)))."""
+    den = xi + xp.hypot(xi, eta)
+    # floats overflow silently; at q = 2, xi >= 2r makes den at least 1.4
+    # times every other value a record forms, so it alone is checked
+    if xp is _MATH and not math.isfinite(den):
+        raise FloatingPointError(_OVERFLOW)
+    return -0.5 * eta * (eta / den)
 
 
 def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, ReceiverEnergy]:
@@ -354,19 +353,15 @@ def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, Receiver
     s, c = xp.sin(a.theta), xp.cos(a.theta)
     hz = -2.0 * h * s * (s * moments.zj + c * moments.xx)
     hx = -4.0 * k * s * (s * moments.xx - c * moments.zj)
-    den = a.xi + xp.hypot(a.xi, a.eta)
-    # floats overflow silently; at q = 2, xi >= 2r makes den at least 1.4
-    # times every other value a record forms, so it alone is checked
-    if xp is _MATH and not math.isfinite(den):
-        raise FloatingPointError(_OVERFLOW)
-    e_j = -0.5 * a.eta * (a.eta / den)
+    e_j = _lowest_energy(a.xi, a.eta, xp)
     return -h * moments.z0, ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
 
 
 def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:
-    """E_B of the minimal model at arrays h and k, and with field_term -HZ_1:
-    `exact_energies` on `_minimal_levels`' moments, after `_check_ground`."""
+    """E_B, and with field_term -HZ_1, of the minimal model on arrays h and k."""
     _, gap, moments = _minimal_levels(h, k, np)
     _check_ground(h, k, gap)
-    energy = exact_energies(h, k, moments)[1]
-    return [energy.e_b, -energy.hz] if field_term else [energy.e_b]
+    if field_term:
+        energy = exact_energies(h, k, moments)[1]
+        return [energy.e_b, -energy.hz]
+    return [-_lowest_energy(*_xi_eta(h, k, moments))]

@@ -157,9 +157,11 @@ def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, 
 
 def sweep_EB(h_values, k_values, field_term: bool = False):
     """Exact minimal-model E_B over an (h, k) grid, and with field_term its
-    field term -HZ_1, as an iterator of chunks: each is the list of those
-    columns over at most SWEEP_CHUNK_POINTS points of the flattened grid, h
-    major, in order; no other energy is formed (`model._minimal_eb`).
+    field term -HZ_1, as an iterator of chunks (h, k, columns) in grid order:
+    h and k are slices of the axes, and columns holds those energies on
+    them, each of shape (len(h), len(k)) (`model._minimal_eb`).  A chunk is
+    max(1, SWEEP_CHUNK_POINTS // len(k_values)) whole rows, or, when a row
+    is longer than SWEEP_CHUNK_POINTS, that many of one row's k values.
 
     A point is valid as MinimalModelParams exactly when its h and its k are
     each finite and positive, so the grid is checked at the smallest and the
@@ -180,7 +182,7 @@ def sweep_EB(h_values, k_values, field_term: bool = False):
     extremes = np.array([(axis.min(), axis.max()) for axis in (h_values, k_values)])
     _check_hk(extremes.min(), extremes.max())
     _minimal_eb(extremes[0, [0, 0, 1, 1]], extremes[1, [0, 1, 0, 1]], field_term)  # the corners
-    size, step = h_values.size * k_values.size, SWEEP_CHUNK_POINTS
-    spans = (np.divmod(np.arange(start, min(start + step, size)), k_values.size)
-             for start in range(0, size, step))
-    return (_minimal_eb(h_values[i], k_values[j], field_term) for i, j in spans)
+    rows, step = max(1, SWEEP_CHUNK_POINTS // k_values.size), SWEEP_CHUNK_POINTS
+    spans = ((h_values[i:i + rows], k_values[j:j + step])
+             for i in range(0, h_values.size, rows) for j in range(0, k_values.size, step))
+    return ((h, k, _minimal_eb(h[:, None], k, field_term)) for h, k in spans)

@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1316,3 +1318,34 @@ def test_accepted_runs_exit_cleanly_property(argv):
     else:
         assert code in (1, 2), (code, err)
         assert err.startswith("error: ") or (code == 2 and err.startswith("usage: ")), err
+
+
+# --- the q = 2 h/k error grid -------------------------------------------------------
+
+# each axis value once for h and once for k: the float range's edges, the
+# ill-conditioned and degenerate edges and the overflow edge, then invalid values
+ERROR_GRID = ("1e-320", "3e-308", "1e-300", "1e-150", "1e-5", "1", "3.3e4", "1e5", "1e12",
+              "1.2e12", "1e150", "1e296", "1e300", "2.3e307", "4e307", "5e307", "8e307",
+              "9e307", "1e308", "1.5e308", "1.79e308", "inf", "nan", "0", "-1")
+ERROR_GRID_DIGEST = "925fd205621890c6c17127765e787ec5818b8f700c659a610afdd82c6d49fb81"
+
+
+def test_error_grid_exits_and_messages_are_pinned(capsys):
+    # every q = 2 command on every (h, k) of the grid: its exit code, stdout
+    # and stderr; after the prefix, a numpy FloatingPointError's wording is
+    # numpy's, so it is cut there
+    prefix = "error: floating-point failure:"
+    ours = f"{prefix} {qetsim.model._OVERFLOW}\n"
+    commands = (("sweep",), ("qet", "--method", "exact"),
+                ("qed", "--q", "2", "--receivers", "1", "--method", "exact"))
+    digest, codes = hashlib.sha256(), []
+    for h, k in itertools.product(ERROR_GRID, repeat=2):
+        for command in commands:
+            code = main([*command, f"--h={h}", f"--k={k}"])
+            out, err = capsys.readouterr()
+            if err.startswith(prefix) and err != ours:
+                err = prefix
+            digest.update(repr((code, out, err)).encode())
+            codes.append(code)
+    assert collections.Counter(codes) == {2: 675, 1: 1101, 0: 99}
+    assert digest.hexdigest() == ERROR_GRID_DIGEST

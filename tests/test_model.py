@@ -31,7 +31,8 @@ from qetsim.model import (
     GroundMoments,
     MinimalModelParams,
     StarModelParams,
-    star_block_ground,
+    _block_ground,
+    _check_ground,
     star_model,
 )
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
@@ -145,7 +146,7 @@ def test_star_locals_sum_and_zero_mean():
             assert abs(expectation(ground, local)) < 1e-10, name
         assert abs(expectation(ground, *terms.values())) < 1e-10
         offset = sum(local.offset for local in terms.values())
-        assert abs(star_block_ground(9.0, 2.0, q)[0] + offset) < 1e-10
+        assert abs(_block_ground(9.0, 2.0, q)[0][q % 2, 0] + offset) < 1e-10
 
 
 def test_star_q2_is_the_minimal_model():
@@ -167,7 +168,7 @@ def test_star_matches_reduced_basis_oracle():
         oracle = star_reduced_values(q, h, k)
         bundle = star_model(StarModelParams(h, k, q))
         assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
-        assert star_block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
+        assert _block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
         angle = bundle.angle
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
         assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
@@ -204,6 +205,11 @@ def test_star_param_validation():
         StarModelParams(1.0, 1.0, MAX_STATEVECTOR_QUBITS + 1)
     with pytest.raises(ValueError):
         StarModelParams(-1.0, 1.0, 6)
+    # q is an integer: a float or a string of one is named, not solved
+    for q in (3.5, 6.0, "6"):
+        with pytest.raises(ValueError, match=f"q must be an integer, got {q!r}"):
+            StarModelParams(9.0, 2.0, q)
+    assert StarModelParams(9.0, 2.0, np.int64(6)).q == 6
 
 
 # --- star ground solve in the receivers' total-spin blocks -------------------
@@ -218,7 +224,8 @@ def _package_ground(h, k, q):
     """The ground level, gap and block vector of the package's solve: at
     q = 2 the closed form on floats that every q = 2 record runs."""
     if q > 2:
-        return star_block_ground(h, k, q)[:3]
+        levels, gap, g = _block_ground(h, k, q)
+        return levels[q % 2, 0], gap, g
     ground, gap, _ = qetsim.model._minimal_levels(h, k, _MATH)
     return ground, gap, np.ravel(qetsim.model._minimal_solve(h, k)[1])
 
@@ -252,24 +259,18 @@ def test_star_sectors_match_dense_spectrum_property(h, k, q):
 def test_star_sectors_q16_match_reduced_oracle():
     oracle = star_reduced_values(16, 7.0, 2.0)
     bundle = star_model(StarModelParams(7.0, 2.0, 16))
-    assert star_block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
+    assert _block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
     assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
     angle = bundle.angle
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
     assert angle.eta == pytest.approx(oracle["eta"], abs=1e-9)
 
 
-def test_star_block_ground_takes_q_from_3():
-    # q = 2 is solved in closed form, `_minimal_levels`: on floats for a
-    # record (`_minimal_solve`), on arrays for a sweep (`_minimal_eb`)
-    with pytest.raises(ValueError, match="star_block_ground needs q >= 3, got q = 2"):
-        star_block_ground(9.0, 2.0, 2)
-
-
 def test_star_sectors_zero_field_is_degenerate():
     # h = 0: X0 = +1 with every receiver X = -1, and its mirror image, tie
+    levels, gap, _ = _block_ground(0.0, 1.0, 5)
     with pytest.raises(DegenerateGroundError):
-        star_block_ground(0.0, 1.0, 5)
+        _check_ground(0.0, 1.0, gap, levels)
 
 
 def test_lower_spin_blocks_lie_above_the_j_minus_1_block():

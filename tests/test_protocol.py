@@ -34,7 +34,8 @@ from qetsim.model import (
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
-    star_block_ground,
+    _block_ground,
+    _ground_moments,
     star_model,
     star_models,
 )
@@ -134,7 +135,8 @@ def assert_stack_equals_lone(params, receivers):
             assert np.array_equal(bundle.g, lone.g)
             assert bundle.moments == lone.moments and bundle.angle == lone.angle
             assert np.array_equal(rows, run_protocol(lone, receivers))
-            _, _, g, moments = star_block_ground(lone.params.h, lone.params.k, q)
+            g = _block_ground(lone.params.h, lone.params.k, q)[2]
+            moments = _ground_moments(g, q)
             assert np.array_equal(lone.g.ravel(), g) and lone.moments == moments
 
 
@@ -415,10 +417,22 @@ def test_minimal_model_is_the_q2_star():
 
 def sweep_grid(h_values, k_values, field_term=False):
     """`sweep_EB`'s chunks joined into (len(h_values), len(k_values)) arrays:
-    E_B, and with field_term the field term."""
-    shape = (len(h_values), len(k_values))
-    chunks = sweep_EB(h_values, k_values, field_term)
-    return [np.concatenate(column).reshape(shape) for column in zip(*chunks)]
+    E_B, and with field_term the field term; each chunk's h and k are the
+    slices of the axes at its place in the grid."""
+    h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)
+    grid = [np.full((h_values.size, k_values.size), np.nan) for _ in range(1 + field_term)]
+    i = j = 0
+    for h, k, columns in sweep_EB(h_values, k_values, field_term):
+        assert np.array_equal(h, h_values[i:i + h.size]) and np.array_equal(k, k_values[j:j + k.size])
+        for whole, column in zip(grid, columns, strict=True):
+            assert column.shape == (h.size, k.size)
+            whole[i:i + h.size, j:j + k.size] = column
+        # the next chunk starts after this one's last k, or at the next row
+        j += k.size
+        if j == k_values.size:
+            i, j = i + h.size, 0
+    assert (i, j) == (h_values.size, 0)
+    return grid
 
 
 def test_sweep_shape_and_optimal_feedback_never_injects():
@@ -451,21 +465,27 @@ def test_sweep_is_the_pointwise_record():
 
 
 def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
-    # the corners are solved first, as one call of 4 points, then each chunk
-    h_values, k_values = [0.3, 1.0, 2.5, 4.0], [0.2, 0.9, 3.0]
-    whole = sweep_grid(h_values, k_values, field_term=True)
-    sizes, solve = [], qetsim.protocol._minimal_eb
+    # the corners are solved first, as one call of 4 points, then each chunk:
+    # with 5 points a chunk, a 4 x 3 grid takes max(1, 5 // 3) = 1 whole row
+    # a chunk, and a 2 x 7 one, whose rows are longer, slices of 5 k values
+    grids = [([0.3, 1.0, 2.5, 4.0], [0.2, 0.9, 3.0], [4, 3, 3, 3, 3]),
+             ([0.3, 2.5], [0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 4.1], [4, 5, 2, 5, 2])]
+    solve = qetsim.protocol._minimal_eb
+    for h_values, k_values, sizes in grids:
+        whole = sweep_grid(h_values, k_values, field_term=True)
+        solves = []
 
-    def counted(h, k, field_term):
-        sizes.append(h.size)
-        return solve(h, k, field_term)
+        def counted(h, k, field_term):
+            solves.append(np.broadcast(h, k).size)
+            return solve(h, k, field_term)
 
-    monkeypatch.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 5)
-    monkeypatch.setattr(qetsim.protocol, "_minimal_eb", counted)
-    chunked = sweep_grid(h_values, k_values, field_term=True)
-    assert sizes == [4, 5, 5, 2]
-    for got, want in zip(chunked, whole, strict=True):
-        assert np.array_equal(got, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(qetsim.protocol, "SWEEP_CHUNK_POINTS", 5)
+            mp.setattr(qetsim.protocol, "_minimal_eb", counted)
+            chunked = sweep_grid(h_values, k_values, field_term=True)
+        assert solves == sizes
+        for got, want in zip(chunked, whole, strict=True):
+            assert np.array_equal(got, want)
 
 
 def _raised(solve):
