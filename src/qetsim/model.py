@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import ClassVar, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from ._kernels import np
 from .ops import MAX_STATEVECTOR_QUBITS, DegenerateGroundError
@@ -51,45 +50,42 @@ def _check_hk(h: float, k: float) -> None:
         raise ValueError(f"h and k must be at least {sys.float_info.min} (smallest normal float)")
 
 
-@dataclass(frozen=True)
-class MinimalModelParams:
+# typing.NamedTuple forbids `__new__` in a class body, so each params type
+# checks its values in a `__new__` over a NamedTuple base
+class MinimalModelParams(NamedTuple("MinimalModelParams", [("h", float), ("k", float)])):
     """h and k of the minimal model: the q = 2 star, reported as "minimal"."""
 
-    kind: ClassVar[str] = "minimal"
-    h: float
-    k: float
+    __slots__ = ()
+    kind = "minimal"
 
-    def __post_init__(self):
-        _check_hk(self.h, self.k)
+    def __new__(cls, h: float, k: float):
+        _check_hk(h, k)
+        return super().__new__(cls, h, k)
 
     @property
     def q(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
-class StarModelParams:
+class StarModelParams(NamedTuple("StarModelParams", [("h", float), ("k", float), ("q", int)])):
     """h, k and the coordination number q of the {3,q} tiling (q sites).
 
     q = 2 is allowed as the degenerate member of the family: one sender and
     one receiver, which is exactly the minimal model.
     """
 
-    kind: ClassVar[str] = "star"
-    h: float
-    k: float
-    q: int
+    __slots__ = ()
+    kind = "star"
 
-    def __post_init__(self):
-        _check_hk(self.h, self.k)
-        if not hasattr(self.q, "__index__"):  # what operator.index accepts
-            raise ValueError(f"q must be an integer, got {self.q!r}")
-        if self.q < 2:
+    def __new__(cls, h: float, k: float, q: int):
+        _check_hk(h, k)
+        if not hasattr(q, "__index__"):  # what operator.index accepts
+            raise ValueError(f"q must be an integer, got {q!r}")
+        if q < 2:
             raise ValueError("q must be at least 2")
-        if self.q > MAX_STATEVECTOR_QUBITS:
-            raise ValueError(
-                f"q = {self.q} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector guard"
-            )
+        if q > MAX_STATEVECTOR_QUBITS:
+            raise ValueError(f"q = {q} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector guard")
+        return super().__new__(cls, h, k, q)
 
 
 ModelParams = Union[MinimalModelParams, StarModelParams]
@@ -104,8 +100,7 @@ class GroundMoments(NamedTuple):
     xx: float
 
 
-@dataclass(frozen=True, eq=False)
-class ModelBundle:
+class ModelBundle(NamedTuple):
     """The parameters, the ground moments, the feedback angle every receiver
     uses and the ground state's block vector of one star.
 
@@ -164,15 +159,20 @@ def _spin_chains(h, k, d: int) -> np.ndarray:
     return chains
 
 
-def _check_ground(h, k, gap, levels=None) -> None:
-    """Raise on h/k above MAX_FIELD_RATIO anywhere, then on a gap below
-    DEGENERACY_TOL * max(h, k), named where it is smallest relative to
-    max(h, k), with whether it is within `levels`' roundoff, 16 eps |H|: the
-    feedback angle is undefined on a degenerate ground space."""
-    with np.errstate(over="ignore"):
-        ratio = np.max(np.divide(h, k))
+def _check_ratio(ratio: float) -> None:
+    """Raise on `ratio`, the largest h/k of a solve, above MAX_FIELD_RATIO;
+    a q >= 3 solve checks it before its `eigh`, which far above the bound
+    may not converge (q = 4, h = 1e250, k = 1, for one)."""
     if ratio > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
+
+
+def _check_ground(h, k, gap, levels=None) -> None:
+    """Raise on a gap below DEGENERACY_TOL * max(h, k), named where it is
+    smallest relative to max(h, k), with whether it is within `levels'`
+    roundoff, 16 eps |H|: the feedback angle is undefined on a degenerate
+    ground space.  It runs after the solve, whose h/k `_check_ratio` has
+    already passed."""
     if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
         i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
         h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
@@ -202,13 +202,12 @@ def _minimal_levels(h, k, xp):
 
 
 def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
-    """The q = 2 moments and block vector g[s][n] on floats, checked as
-    `_check_ground` checks a q >= 3 solve, after an overflow check."""
+    """The q = 2 moments and block vector g[s][n] on floats: an overflow
+    check, then h/k and the gap, checked as for a q >= 3 solve."""
     ground, gap, moments = _minimal_levels(h, k, _MATH)
     if not math.isfinite(ground):
         raise FloatingPointError(_OVERFLOW)
-    if h / k > MAX_FIELD_RATIO:
-        raise IllConditionedError(f"ill-conditioned: h/k = {h / k:.3g} > {MAX_FIELD_RATIO:g}")
+    _check_ratio(h / k)
     if not gap >= DEGENERACY_TOL * max(h, k):
         raise DegenerateGroundError(_degenerate_message(h, k, gap, False))
     t = 1.0 - moments.z0
@@ -279,11 +278,12 @@ def star_models(params: list[ModelParams]) -> list[ModelBundle]:
 
     The offsets cannot change the eigenvectors, so the ground states are
     solved on the Pauli parts alone, each group of equal q >= 3 by one
-    stacked `_block_ground` and its checks.  Each bundle reads its moments,
-    which set every offset and the angle, from its own row of g, as a solve
-    of that model alone does: a product over the stack would round them
-    differently.  A q = 2 model is solved alone, on floats (`_minimal_solve`),
-    so a q = 2 stack raises at its first failing model.
+    stacked `_block_ground`, its h/k checked before the solve and its gaps
+    after it.  Each bundle reads its moments, which set every offset and
+    the angle, from its own row of g, as a solve of that model alone does:
+    a product over the stack would round them differently.  A q = 2 model
+    is solved alone, on floats (`_minimal_solve`), so a q = 2 stack raises
+    at its first failing model.
     """
     bundles = [None] * len(params)
     for q in {p.q for p in params}:
@@ -295,6 +295,7 @@ def star_models(params: list[ModelParams]) -> list[ModelBundle]:
                 bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=g)
             continue
         h, k = (np.array([getattr(p, name) for _, p in at], float) for name in "hk")
+        _check_ratio(max(p.h / p.k for _, p in at))
         levels, gap, g = _block_ground(h, k, q)
         _check_ground(h, k, gap, levels)
         for (i, p), row in zip(at, g):
@@ -358,8 +359,10 @@ def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, Receiver
 
 
 def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:
-    """E_B, and with field_term -HZ_1, of the minimal model on arrays h and k."""
+    """E_B, and with field_term -HZ_1, of the minimal model on arrays h and
+    k whose points include (max h, min k), where h/k peaks."""
     _, gap, moments = _minimal_levels(h, k, np)
+    _check_ratio(float(np.max(h)) / float(np.min(k)))
     _check_ground(h, k, gap)
     if field_term:
         energy = exact_energies(h, k, moments)[1]

@@ -17,7 +17,7 @@ the receivers as Dicke states.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from ._kernels import np
 from .model import (
@@ -35,20 +35,19 @@ from .model import (
 SWEEP_CHUNK_POINTS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class QetRecord:
+class QetRecord(NamedTuple):
     """Exact or sampled expectation values for one protocol run.
 
-    The model's parameters supply the record's kind and params fields; the
-    one feedback angle is every receiver's.
+    The model's parameters supply the record's kind and params fields, and
+    the one feedback angle is every receiver's; an exact record's stderr is {}.
     """
 
     model: ModelParams
     e0: float
     angle: FeedbackAngle
     receivers: dict[int, ReceiverEnergy]
-    method: str = "exact"
-    stderr: dict[str, float] = field(default_factory=dict)
+    method: str
+    stderr: dict[str, float]
 
     def observables(self) -> list[tuple[str, int, float]]:
         """(observable, site, mean): E0, then HX, HZ and E of each receiver."""
@@ -60,7 +59,7 @@ class QetRecord:
     def as_dict(self) -> dict:
         out = {
             "kind": self.model.kind,
-            "params": asdict(self.model),
+            "params": self.model._asdict(),
             "method": self.method,
             "E0": self.e0,
             "receivers": {
@@ -93,13 +92,8 @@ def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
     p = bundle.params
     e0, r = exact_energies(p.h, p.k, bundle.moments, _MATH if p.q == 2 else np)
     energy = ReceiverEnergy(hx=float(r.hx), hz=float(r.hz), e_j=float(r.e_j), e_b=float(r.e_b))
-    return QetRecord(
-        model=p,
-        e0=float(e0),
-        angle=bundle.angle,
-        receivers={j: energy for j in receivers},
-        method="exact",
-    )
+    return QetRecord(model=p, e0=float(e0), angle=bundle.angle,
+                     receivers={j: energy for j in receivers}, method="exact", stderr={})
 
 
 def dicke_rotation(r: int, c, s) -> np.ndarray:

@@ -34,14 +34,13 @@ import math
 import random
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import MinimalModelParams, star_model
 from .protocol import QetRecord, exact_record
 
 
-@dataclass(frozen=True, eq=False)
-class LoccTranscript:
+class LoccTranscript(NamedTuple):
     """The long-range run's LOCC messages: alice's mu broadcast, then each
     hop's two correction bits.  `mu` and `branches` (each hop's 2 * m1 + m2
     in one byte: `bytes`, `array('B')` or any other buffer of bytes) are

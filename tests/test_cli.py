@@ -883,12 +883,15 @@ def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
     # shot sampler both draw from `random`, so no command imports it.  numpy
     # itself loads on first use: the parser, `longrange`, `tiling` and the
     # exact-only q = 2 runs, which compute on floats and ints, never load it;
-    # the other commands do
+    # the other commands do.  The records are named tuples, so the start-up
+    # loads neither `dataclasses` nor the `inspect` it imports
     script = f"""
 import sys
 from qetsim.cli import build_parser, main
 build_parser()
 print("numpy", "numpy" in sys.modules)
+print("dataclasses", "dataclasses" in sys.modules)
+print("inspect", "inspect" in sys.modules)
 out = {str(tmp_path / "out")!r}
 numpy_free = [
     ["longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
@@ -915,7 +918,8 @@ for argv in numpy_free + runs:
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == (
-        ["numpy False"] + ["numpy.random False"] * 4 + ["numpy False"]
+        ["numpy False", "dataclasses False", "inspect False"]
+        + ["numpy.random False"] * 4 + ["numpy False"]
         + ["numpy.random False"] * 4 + ["numpy True"])
 
 
@@ -1328,24 +1332,43 @@ ERROR_GRID = ("1e-320", "3e-308", "1e-300", "1e-150", "1e-5", "1", "3.3e4", "1e5
               "1.2e12", "1e150", "1e296", "1e300", "2.3e307", "4e307", "5e307", "8e307",
               "9e307", "1e308", "1.5e308", "1.79e308", "inf", "nan", "0", "-1")
 ERROR_GRID_DIGEST = "925fd205621890c6c17127765e787ec5818b8f700c659a610afdd82c6d49fb81"
+STAR_ERROR_GRID_DIGEST = "0a83bcb43fbb4d28265377a7b74df933dddea82e71d7cbe20ceb7392b17b4189"
 
 
 def test_error_grid_exits_and_messages_are_pinned(capsys):
-    # every q = 2 command on every (h, k) of the grid: its exit code, stdout
-    # and stderr; after the prefix, a numpy FloatingPointError's wording is
-    # numpy's, so it is cut there
+    # every q = 2 command, then `qed` at q >= 3, on every (h, k) of the grid:
+    # its exit code, stdout and stderr; after the prefix, a numpy
+    # FloatingPointError's wording is numpy's, so it is cut there
     prefix = "error: floating-point failure:"
     ours = f"{prefix} {qetsim.model._OVERFLOW}\n"
-    commands = (("sweep",), ("qet", "--method", "exact"),
-                ("qed", "--q", "2", "--receivers", "1", "--method", "exact"))
-    digest, codes = hashlib.sha256(), []
-    for h, k in itertools.product(ERROR_GRID, repeat=2):
-        for command in commands:
-            code = main([*command, f"--h={h}", f"--k={k}"])
-            out, err = capsys.readouterr()
-            if err.startswith(prefix) and err != ours:
-                err = prefix
-            digest.update(repr((code, out, err)).encode())
-            codes.append(code)
-    assert collections.Counter(codes) == {2: 675, 1: 1101, 0: 99}
-    assert digest.hexdigest() == ERROR_GRID_DIGEST
+
+    def grid_digest(commands):
+        digest, codes = hashlib.sha256(), collections.defaultdict(list)
+        for h, k in itertools.product(ERROR_GRID, repeat=2):
+            for command in commands:
+                code = main([*command, f"--h={h}", f"--k={k}"])
+                out, err = capsys.readouterr()
+                if err.startswith(prefix) and err != ours:
+                    err = prefix
+                digest.update(repr((code, out, err)).encode())
+                codes[command].append((code, err))
+        return digest.hexdigest(), codes
+
+    minimal = (("sweep",), ("qet", "--method", "exact"),
+               ("qed", "--q", "2", "--receivers", "1", "--method", "exact"))
+    digest, codes = grid_digest(minimal)
+    assert collections.Counter(code for runs in codes.values() for code, _ in runs) == {
+        2: 675, 1: 1101, 0: 99}
+    assert digest == ERROR_GRID_DIGEST
+    # at q >= 3 the usage errors, the 5 invalid values against any of the
+    # 25, are the only exit 2; h/k is checked before the solve, so an
+    # eigensolver that does not converge far beyond it cannot be reported as
+    # usage
+    star = [("qed", "--q", str(q), "--receivers", "1", *method) for q in (3, 4, 7, 20)
+            for method in (("--method", "exact"), ("--method", "both", "--shots", "10"))]
+    digest, codes = grid_digest(star)
+    for command, runs in codes.items():
+        usage = [err for code, err in runs if code == 2]
+        assert len(usage) == 225, command
+        assert all(err.startswith("error: h and k must be") for err in usage), command
+    assert digest == STAR_ERROR_GRID_DIGEST

@@ -41,6 +41,7 @@ from qetsim.model import (
 )
 from qetsim.protocol import dicke_rotation, exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
+from qetsim.teleport import run_longrange_qet
 
 
 def closed_form_eb(h, k):
@@ -411,6 +412,15 @@ def test_minimal_model_is_the_q2_star():
             mini, star = (np.array(t.counts).reshape(-1, 2, 4) for t in (t_mini, t_star))
             assert np.array_equal(mini.sum(axis=1), star.sum(axis=1))
             assert np.array_equal(mini.sum(axis=2), star.sum(axis=2))
+    # params, bundles, records and transcripts are immutable: no field can be
+    # set, and no attribute added
+    bundle = star_model(StarModelParams(9.0, 2.0, 3))
+    record, transcript, _ = run_longrange_qet(MinimalModelParams(9.0, 2.0), 3, seed=1)
+    for obj in (bundle.params, record.model, bundle, exact_record(bundle, (1,)), record,
+                transcript):
+        for name in (*obj._fields, "kind", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
 
 
 # --- sweep -------------------------------------------------------------------
