@@ -12,8 +12,8 @@ total-spin blocks, as their q x q parity chains (`_block_ground`, then
 closed form, `_minimal_levels`, with no eigensolver.  It is
 receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
 set every offset and the one feedback angle all receivers share, and
-`exact_energies` turns them into every exact number of the protocol.  A
-q = 2 model's bundle and record are formed on floats by `math`
+`exact_energies` turns them into every exact number of the protocol, once
+per model, in its bundle.  A q = 2 bundle is formed on floats by `math`
 (`_minimal_solve`), so the minimal model's runs never load numpy; only a
 `sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a time.
 
@@ -26,6 +26,7 @@ moments are kept; a term is formed where it is read, at the site read.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from types import SimpleNamespace
 from typing import NamedTuple, Union
@@ -60,7 +61,7 @@ class MinimalModelParams(NamedTuple("MinimalModelParams", [("h", float), ("k", f
 
     def __new__(cls, h: float, k: float):
         _check_hk(h, k)
-        return super().__new__(cls, h, k)
+        return super().__new__(cls, float(h), float(k))
 
     @property
     def q(self) -> int:
@@ -85,7 +86,7 @@ class StarModelParams(NamedTuple("StarModelParams", [("h", float), ("k", float),
             raise ValueError("q must be at least 2")
         if q > MAX_STATEVECTOR_QUBITS:
             raise ValueError(f"q = {q} exceeds the {MAX_STATEVECTOR_QUBITS}-qubit statevector guard")
-        return super().__new__(cls, h, k, q)
+        return super().__new__(cls, float(h), float(k), operator.index(q))
 
 
 ModelParams = Union[MinimalModelParams, StarModelParams]
@@ -101,8 +102,8 @@ class GroundMoments(NamedTuple):
 
 
 class ModelBundle(NamedTuple):
-    """The parameters, the ground moments, the feedback angle every receiver
-    uses and the ground state's block vector of one star.
+    """The parameters, the ground moments, the feedback angle and exact
+    energies every receiver shares, the block vector and E0 of one star.
 
     The moments set every local term's offset (see the module docstring).
     The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
@@ -113,6 +114,8 @@ class ModelBundle(NamedTuple):
     moments: GroundMoments
     angle: FeedbackAngle
     g: np.ndarray  # shape (2, q); at q = 2 nested tuples, g[s][n]
+    e0: float
+    energy: ReceiverEnergy
 
     @property
     def n_qubits(self) -> int:
@@ -232,15 +235,15 @@ def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     block lies at least ~2 max(h, k) above the J - 1 one.  So the solve is
     one stacked q x q `eigh` and one `eigvalsh`: at h = 0.15 q, k = 2 it
     takes 2.8 ms at q = 100 and 41 ms at q = 400 (2 vCPU, numpy 2.4).  g is
-    scattered into the block layout g[s * q + n], zero off chain p.
+    written in the bundle's layout g[..., s, n], zero off chain p.
     """
     p, n = q % 2, np.arange(q)
     vals, vecs = np.linalg.eigh(_spin_chains(h, k, q - 1))
     ground = vals[..., p, 0]
     lower = np.linalg.eigvalsh(_spin_chains(h, k, q - 3))[..., 0].min(axis=-1)
     gap = np.minimum(np.minimum(vals[..., p, 1], lower) - ground, abs(vals[..., 1 - p, 0] - ground))
-    g = np.zeros(ground.shape + (2 * q,))
-    g[..., (n + p) % 2 * q + n] = vecs[..., p, :, 0]
+    g = np.zeros(ground.shape + (2, q))
+    g[..., (n + p) % 2, n] = vecs[..., p, :, 0]
     return vals, gap, g
 
 
@@ -248,10 +251,10 @@ def _ground_moments(g, q: int) -> GroundMoments:
     """<Z_0>, <Z_j> and <X_0 X_j> of the q >= 3 ground state with block
     vector g, broadcasting like it (at q = 2, `_minimal_levels`).  With
     d = q - 1, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x
-    linking g[s * q + n] with g[(1 - s) * q + n + 1] by sqrt((n + 1)(d - n)) / 2.
+    linking g[..., s, n] with g[..., 1 - s, n + 1] by sqrt((n + 1)(d - n)) / 2.
     """
     leaves, n = q - 1, np.arange(q)
-    up, down = g[..., :q], g[..., q:]
+    up, down = g[..., 0, :], g[..., 1, :]
     link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
     x0_jx2 = 2.0 * (up[..., :-1] * down[..., 1:] + down[..., :-1] * up[..., 1:]) @ link
     return GroundMoments(
@@ -274,34 +277,36 @@ def _degenerate_message(h: float, k: float, gap: float, unresolved: bool) -> str
 
 
 def star_models(params: list[ModelParams]) -> list[ModelBundle]:
-    """The bundle of each model; MinimalModelParams give the q = 2 star.
+    """The bundle of each model, all of one q (else ValueError, as for no
+    model); MinimalModelParams give the q = 2 star.
 
     The offsets cannot change the eigenvectors, so the ground states are
-    solved on the Pauli parts alone, each group of equal q >= 3 by one
-    stacked `_block_ground`, its h/k checked before the solve and its gaps
-    after it.  Each bundle reads its moments, which set every offset and
-    the angle, from its own row of g, as a solve of that model alone does:
-    a product over the stack would round them differently.  A q = 2 model
-    is solved alone, on floats (`_minimal_solve`), so a q = 2 stack raises
-    at its first failing model.
+    solved on the Pauli parts alone: at q >= 3 by one stacked
+    `_block_ground`, its h/k checked before the solve and its gaps after
+    it, each bundle reading its moments from its own row of g, as a solve
+    of that model alone does (a product over the stack would round them
+    differently); at q = 2 each alone, on floats (`_minimal_solve`), so a
+    q = 2 stack raises at its first failing model.  `exact_energies` turns
+    each model's moments into its angle and energies, on floats by `math`
+    at q = 2 and on numpy at q >= 3, kept as floats.
     """
-    bundles = [None] * len(params)
-    for q in {p.q for p in params}:
-        at = [(i, p) for i, p in enumerate(params) if p.q == q]
-        if q == 2:
-            for i, p in at:
-                moments, g = _minimal_solve(p.h, p.k)
-                angle = _angle(p.h, p.k, moments, _MATH)
-                bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=g)
-            continue
-        h, k = (np.array([getattr(p, name) for _, p in at], float) for name in "hk")
-        _check_ratio(max(p.h / p.k for _, p in at))
+    qs = sorted({p.q for p in params})
+    if len(qs) != 1:
+        raise ValueError(f"star_models needs models of one q, got q values {qs}")
+    q = qs[0]
+    if q == 2:
+        xp, solved = _MATH, [_minimal_solve(p.h, p.k) for p in params]
+    else:
+        h, k = (np.array([getattr(p, name) for p in params], float) for name in "hk")
+        _check_ratio(max(p.h / p.k for p in params))
         levels, gap, g = _block_ground(h, k, q)
         _check_ground(h, k, gap, levels)
-        for (i, p), row in zip(at, g):
-            moments = GroundMoments(*map(float, _ground_moments(row, q)))
-            angle = FeedbackAngle(*map(float, _angle(p.h, p.k, moments)))
-            bundles[i] = ModelBundle(params=p, moments=moments, angle=angle, g=row.reshape(2, q))
+        xp, solved = np, [(GroundMoments(*map(float, _ground_moments(row, q))), row) for row in g]
+    bundles = []
+    for p, (moments, g) in zip(params, solved):
+        e0, energy, angle = exact_energies(p.h, p.k, moments, xp)
+        bundles.append(ModelBundle(p, moments, FeedbackAngle(*map(float, angle)), g,
+                                   float(e0), ReceiverEnergy(*map(float, energy))))
     return bundles
 
 
@@ -315,12 +320,6 @@ def _xi_eta(h, k, moments: GroundMoments) -> tuple:
     return -2.0 * h * moments.zj - 4.0 * k * moments.xx, 2.0 * h * moments.xx - 4.0 * k * moments.zj
 
 
-def _angle(h, k, moments: GroundMoments, xp=np) -> FeedbackAngle:
-    """xi, eta and theta on arrays, or on floats with xp = _MATH."""
-    xi, eta = _xi_eta(h, k, moments)
-    return FeedbackAngle(theta=0.5 * xp.arctan2(eta, xi), xi=xi, eta=eta)
-
-
 def _lowest_energy(xi, eta, xp=np):
     """E_j at the optimal theta, -eta^2 / (2 (xi + hypot(xi, eta)))."""
     den = xi + xp.hypot(xi, eta)
@@ -331,10 +330,11 @@ def _lowest_energy(xi, eta, xp=np):
     return -0.5 * eta * (eta / den)
 
 
-def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, ReceiverEnergy]:
-    """(E0, ReceiverEnergy) of the protocol in closed form from the three
-    ground moments; h, k and the moments broadcast over arrays, or are
-    floats with xp = _MATH.
+def exact_energies(h, k, moments: GroundMoments,
+                   xp=np) -> tuple[float, ReceiverEnergy, FeedbackAngle]:
+    """(E0, ReceiverEnergy, FeedbackAngle) of the protocol in closed form
+    from the three ground moments; h, k and the moments broadcast over
+    arrays, or are floats with xp = _MATH.
 
     The sender measures X0 (projectors P_mu), the receiver applies
     U_mu = cos t - i mu sin t Y_j.  A receiver local O commutes with X0, as
@@ -350,12 +350,14 @@ def exact_energies(h, k, moments: GroundMoments, xp=np) -> tuple[float, Receiver
     does not, as xi >= 0 (Y_j|g> lies above the zero ground energy).  The
     measurement zeroes <Z0>, so E0 = -h <Z_0>.
     """
-    a = _angle(h, k, moments, xp)
-    s, c = xp.sin(a.theta), xp.cos(a.theta)
+    xi, eta = _xi_eta(h, k, moments)
+    theta = 0.5 * xp.arctan2(eta, xi)
+    s, c = xp.sin(theta), xp.cos(theta)
     hz = -2.0 * h * s * (s * moments.zj + c * moments.xx)
     hx = -4.0 * k * s * (s * moments.xx - c * moments.zj)
-    e_j = _lowest_energy(a.xi, a.eta, xp)
-    return -h * moments.z0, ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
+    e_j = _lowest_energy(xi, eta, xp)
+    energy = ReceiverEnergy(hx=hx, hz=hz, e_j=e_j, e_b=-e_j)
+    return -h * moments.z0, energy, FeedbackAngle(theta=theta, xi=xi, eta=eta)
 
 
 def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:

@@ -6,12 +6,12 @@ energy bookkeeping.  Receiver energies are generally negative; E_B = -E_j
 is the amount a measurement device at the receiver extracts.
 
 Every exact number is a closed form in the ground moments
-(`model.exact_energies`), for one model (`exact_record`) or an (h, k) grid,
-streamed chunk by chunk once its corners pass (`sweep_EB`).  The protocol
-pass, `run_protocol`, runs only for the sampler and the teleport relay.  It
-acts on the only sites the protocol touches, the sender and the receivers,
-through a purification of their reduced state built from the block vector,
-the receivers as Dicke states.
+(`model.exact_energies`), formed once per model into its bundle and read off
+it by `exact_record`, or over an (h, k) grid, streamed chunk by chunk once
+its corners pass (`sweep_EB`).  The protocol pass, `run_protocol`, runs only
+for the sampler.  It acts on the only sites the protocol touches, the sender
+and the receivers, through a purification of their reduced state built from
+the block vector, the receivers as Dicke states.
 """
 
 from __future__ import annotations
@@ -20,16 +20,7 @@ import math
 from typing import NamedTuple
 
 from ._kernels import np
-from .model import (
-    _MATH,
-    FeedbackAngle,
-    ModelBundle,
-    ModelParams,
-    ReceiverEnergy,
-    _check_hk,
-    _minimal_eb,
-    exact_energies,
-)
+from .model import FeedbackAngle, ModelBundle, ModelParams, ReceiverEnergy, _check_hk, _minimal_eb
 
 # Grid points per vectorized ground solve in `sweep_EB`
 SWEEP_CHUNK_POINTS = 1 << 16
@@ -82,18 +73,11 @@ def _check_receivers(bundle: ModelBundle, receivers: tuple[int, ...]) -> None:
 
 
 def exact_record(bundle: ModelBundle, receivers: tuple[int, ...]) -> QetRecord:
-    """E0 and each receiver's angle and energies from the ground moments.
-
-    Feedback unitaries at distinct receivers commute, so every receiver
-    reads the same numbers as its single-receiver run.  A q = 2 record is
-    formed on floats by `math`, without numpy.
-    """
+    """E0, the angle and every receiver's energies, as the bundle holds them:
+    feedback at distinct receivers commutes, so each reads its lone run's."""
     _check_receivers(bundle, receivers)
-    p = bundle.params
-    e0, r = exact_energies(p.h, p.k, bundle.moments, _MATH if p.q == 2 else np)
-    energy = ReceiverEnergy(hx=float(r.hx), hz=float(r.hz), e_j=float(r.e_j), e_b=float(r.e_b))
-    return QetRecord(model=p, e0=float(e0), angle=bundle.angle,
-                     receivers={j: energy for j in receivers}, method="exact", stderr={})
+    return QetRecord(model=bundle.params, e0=bundle.e0, angle=bundle.angle,
+                     receivers={j: bundle.energy for j in receivers}, method="exact", stderr={})
 
 
 def dicke_rotation(r: int, c, s) -> np.ndarray:

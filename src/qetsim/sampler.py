@@ -141,7 +141,8 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     if fed.shape[:1] + fed.shape[2:] != (2, 2, r + 1):
         raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
     p = readout_law(fed, plan.basis_run).ravel().tolist()
-    rng = random.Random(" ".join(map(str, _seed_key(bundle, receivers, plan))))
+    # keyed by the receiver set: the pass, and so the law, ignores their order
+    rng = random.Random(" ".join(map(str, _seed_key(bundle, sites[1:], plan))))
     left, draws = shots, []
     for i, pi in enumerate(p):
         # a draw from n = 0 or p = 0 takes no uniform, so skipping it keeps every bit

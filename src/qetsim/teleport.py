@@ -13,15 +13,16 @@ is c_b I with |c_b|^2 = 1/4.  So a hop leaves any relayed state as it was,
 and its bits' law, |c_b|^2, is the same on every hop and for every state.
 `relay`, the package's one teleport, is therefore that law: it checks the
 four operators once per call and draws each hop's two bits from |c_b|^2
-with two uniforms.  Operators, law and bits are plain Python: a 1000-hop
-relay takes ~0.2 ms and never loads numpy (2 vCPU, Python 3.11).
-Without an rng the (0, 0) branch is kept and no bits are returned.
+with two uniforms, and returns the bits with the check's residual.
+Operators, law and bits are plain Python: a 1000-hop relay takes ~0.2 ms
+and never loads numpy (2 vCPU, Python 3.11).  Without an rng the (0, 0)
+branch is kept and the bits are None.
 The long-range run is QET on the minimal model followed by that relay of
 the receiver qubit (arXiv 2301.11884): since each hop is the identity, the
 relayed energies are the local ones at any distance, so its record is the
 closed-form `exact_record`.  It draws mu at 1/2, as <X_0> = 0 by parity,
-and then every hop's uniforms, from the standard library's
-`random.Random(seed)`, so it never imports `numpy.random`.
+and then runs `relay`, which draws every hop's uniforms, from the standard
+library's `random.Random(seed)`, so it never imports `numpy.random`.
 `LoccTranscript` holds only the hop count and the drawn bits; its
 `serialize` alone names the nodes and lays out the lines, yielding the text
 a chunk of hops at a time so that a long transcript is never held whole.
@@ -132,9 +133,10 @@ def _relay_bits(p: list[float], hops: int, rng) -> array:
     return array("B", [2 * (m1 := draw() >= first) + (draw() >= shares[m1]) for _ in range(hops)])
 
 
-def relay(hops: int, rng: random.Random | None = None) -> array | None:
-    """The correction bits of `hops` teleports, each through a fresh Bell
-    pair, ancillas recycled.
+def relay(hops: int, rng: random.Random | None = None) -> tuple[array | None, float]:
+    """(bits, residual): the correction bits of `hops` teleports, each
+    through a fresh Bell pair, ancillas recycled, and the residual of the
+    branch check below.
 
     Without an rng every hop keeps branch (0, 0) and the bits are None; with
     one, any object with a `.random()` method, they are an array('B') of
@@ -149,8 +151,8 @@ def relay(hops: int, rng: random.Random | None = None) -> array | None:
     """
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
-    p = _branch_law()[0]
-    return None if rng is None else _relay_bits(p, hops, rng)
+    law, residual = _branch_law()
+    return (None if rng is None else _relay_bits(law, hops, rng)), residual
 
 
 def run_longrange_qet(
@@ -164,16 +166,14 @@ def run_longrange_qet(
     model does.  With a seed, mu and then every hop's bits are drawn from
     `random.Random(seed)`, which fill the transcript with concrete bits:
     mu's bit is 1 (mu = -1) when the first uniform is >= 1/2, as p_mu = 1/2
-    because <X_0> = 0 by the ground state's parity.  The relay's operators
-    are checked once, by `_branch_law`, whose residual, the relay's branch
+    because <X_0> = 0 by the ground state's parity.  `relay` draws the bits
+    and checks the relay's operators once; its residual, the relay's branch
     disagreement, is the third value.
     """
     if not 1 <= hops <= MAX_HOPS:
         raise ValueError(f"hops must be in 1..{MAX_HOPS}, got {hops}")
     exact = exact_record(star_model(params), (1,))
-    law, residual = _branch_law()
-    if seed is None:
-        return exact, LoccTranscript(hops, None, None), residual
-    rng = random.Random(seed)
-    mu = int(rng.random() >= 0.5)
-    return exact, LoccTranscript(hops, mu, _relay_bits(law, hops, rng)), residual
+    rng = None if seed is None else random.Random(seed)
+    mu = None if rng is None else int(rng.random() >= 0.5)
+    bits, residual = relay(hops, rng)
+    return exact, LoccTranscript(hops, mu, bits), residual

@@ -629,7 +629,7 @@ def relay_identity_check(hops: int, panel_size: int = 100, seed: int = 7) -> flo
     original = np.array(panel, dtype=np.complex128)
 
     want, bits = relay_by_hops(original, 0, hops, rng=random.Random(seed))
-    kept = relay(hops, random.Random(seed))
+    kept = relay(hops, random.Random(seed))[0]
     # pure-state trace distance sqrt(1 - |<a|b>|^2), row by row, without cancellation
     overlap = np.sum(original.conj() * want, axis=-1)
     identity = np.max(np.linalg.norm(want - overlap[:, None] * original, axis=-1))

@@ -1004,6 +1004,18 @@ def test_sampled_output_bytes_are_pinned(tmp_path):
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SAMPLED_DIGESTS
 
 
+def test_sampled_bytes_do_not_depend_on_the_receivers_order(tmp_path):
+    # the sampler is keyed by the receiver set, as the pass ignores its order
+    def qed(receivers):
+        out = tmp_path / f"{receivers}.json"
+        assert run_cli("qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", receivers,
+                       "--method", "sampled", "--shots", "2000", "--seed", "5",
+                       "--out", str(out)) == 0
+        return out.read_bytes()
+
+    assert qed("2,1") == qed("1,2") and qed("3,1,2") == qed("1,2,3")
+
+
 # --- config file and usage ----------------------------------------------------------
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -6,6 +7,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qetsim
 from qetsim import LoccTranscript, MinimalModelParams, _kernels, run_longrange_qet
@@ -72,6 +75,22 @@ def test_hypothesis_can_report_a_falsifying_example():
     # suite's warnings-as-errors filters its import must not raise, or the
     # run ends in an INTERNALERROR instead of the example
     importlib.import_module("hypothesis.extra._patching")
+
+
+def test_package_source_parses_at_the_oldest_supported_python():
+    # pyproject's requires-python is the floor: every module parses with that
+    # feature_version, which rejects newer syntax such as except* (3.11)
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()
+    floor = tuple(map(int, floor))
+    assert floor == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+    sources = sorted((root / "src" / "qetsim").glob("*.py"))
+    assert len(sources) == 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def test_readme_python_examples_run(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from qetsim.model import (
     star_model,
 )
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
-from qetsim.protocol import run_protocol
+from qetsim.protocol import exact_record, run_protocol
 
 HK_GRID = [(h, k) for h in (2.0, 4.0, 6.0, 8.0, 9.0) for k in (1.0, 2.0, 3.0, 4.0, 5.0)]
 
@@ -210,6 +212,13 @@ def test_star_param_validation():
         with pytest.raises(ValueError, match=f"q must be an integer, got {q!r}"):
             StarModelParams(9.0, 2.0, q)
     assert StarModelParams(9.0, 2.0, np.int64(6)).q == 6
+    # numpy scalars, and an int h or k, are stored as Python floats and ints,
+    # so a record's as_dict() is JSON
+    for params in (StarModelParams(9.0, 2.0, np.int64(6)),
+                   StarModelParams(np.float32(9.0), np.float32(2.0), 6),
+                   MinimalModelParams(np.float32(9.0), 2)):
+        assert list(map(type, params)) == [float, float, int][:len(params)]
+        json.dumps(exact_record(star_model(params), (1,)).as_dict())
 
 
 # --- star ground solve in the receivers' total-spin blocks -------------------

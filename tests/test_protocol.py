@@ -31,11 +31,13 @@ from oracle_utils import (
 import qetsim.protocol
 from qetsim import refdata
 from qetsim.model import (
+    _MATH,
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
     _block_ground,
     _ground_moments,
+    exact_energies,
     star_model,
     star_models,
 )
@@ -122,28 +124,29 @@ def test_feedback_order_commutes_branchwise():
 
 
 def assert_stack_equals_lone(params, receivers):
-    """Each bundle of one stacked solve, and its rows of one stacked pass,
-    equal those of a solve and a pass of that model alone, bit for bit; a
-    lone bundle's g and moments are those of the unstacked block solve."""
-    stack = star_models(params)
-    for q in {p.q for p in params}:
-        group = [b for b in stack if b.params.q == q]
-        fed = run_protocol(group, receivers)
-        assert fed.shape == (len(group), 2, q - len(receivers), 2, len(receivers) + 1)
-        for bundle, rows in zip(group, fed):
-            lone = star_model(bundle.params)
-            assert bundle.params is lone.params
-            assert np.array_equal(bundle.g, lone.g)
-            assert bundle.moments == lone.moments and bundle.angle == lone.angle
-            assert np.array_equal(rows, run_protocol(lone, receivers))
-            g = _block_ground(lone.params.h, lone.params.k, q)[2]
-            moments = _ground_moments(g, q)
-            assert np.array_equal(lone.g.ravel(), g) and lone.moments == moments
+    """Each bundle of one stacked solve of models of one q, and its rows of
+    one stacked pass, equal those of a solve and a pass of that model alone,
+    bit for bit; a lone bundle's g and moments are those of the unstacked
+    block solve."""
+    stack, q = star_models(params), params[0].q
+    fed = run_protocol(stack, receivers)
+    assert fed.shape == (len(stack), 2, q - len(receivers), 2, len(receivers) + 1)
+    for bundle, rows in zip(stack, fed):
+        lone = star_model(bundle.params)
+        assert bundle.params is lone.params
+        assert np.array_equal(bundle.g, lone.g)
+        assert bundle.moments == lone.moments and bundle.angle == lone.angle
+        assert bundle.e0 == lone.e0 and bundle.energy == lone.energy
+        assert np.array_equal(rows, run_protocol(lone, receivers))
+        g = _block_ground(lone.params.h, lone.params.k, q)[2]
+        moments = _ground_moments(g, q)
+        assert np.array_equal(lone.g, g) and lone.moments == moments
 
 
 def test_stacked_models_and_passes_equal_lone_ones_on_the_table():
-    assert_stack_equals_lone(
-        [StarModelParams(float(h), float(k), q) for q, h, k in refdata.CONFIGS], (1, 2))
+    for q in refdata.TILING_QS:
+        assert_stack_equals_lone(
+            [StarModelParams(float(h), float(k), q) for h, k in refdata.HK_PAIRS], (1, 2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -173,14 +176,21 @@ def test_a_stack_holding_a_degenerate_cell_raises_as_its_lone_solve(params, bad)
 
 
 def test_a_stacked_pass_needs_one_q():
-    bundles = star_models([StarModelParams(9.0, 2.0, 6), StarModelParams(9.0, 2.0, 7)])
+    bundles = [star_model(StarModelParams(9.0, 2.0, 6)), star_model(StarModelParams(9.0, 2.0, 7))]
     with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
         run_protocol(bundles, (1, 2))
+    # a stacked solve needs one q too, the minimal model's being 2
+    for params, qs in (([StarModelParams(9.0, 2.0, 6), StarModelParams(9.0, 2.0, 7)], "[6, 7]"),
+                       ([MinimalModelParams(9.0, 2.0), StarModelParams(9.0, 2.0, 3)], "[2, 3]")):
+        with pytest.raises(ValueError, match=re.escape(f"one q, got q values {qs}")):
+            star_models(params)
 
 
 def test_a_stacked_pass_needs_a_bundle():
     with pytest.raises(ValueError, match="run_protocol: bundle is an empty stack"):
         run_protocol([], (1,))
+    with pytest.raises(ValueError, match=re.escape("one q, got q values []")):
+        star_models([])
 
 
 def test_pass_shapes():
@@ -412,9 +422,18 @@ def test_minimal_model_is_the_q2_star():
             mini, star = (np.array(t.counts).reshape(-1, 2, 4) for t in (t_mini, t_star))
             assert np.array_equal(mini.sum(axis=1), star.sum(axis=1))
             assert np.array_equal(mini.sum(axis=2), star.sum(axis=2))
+    # an exact record reads its numbers off the bundle, which formed them by
+    # `exact_energies` on its moments: on floats by `math` at q = 2, on numpy
+    # at q >= 3, bit for bit
+    bundle = star_model(StarModelParams(9.0, 2.0, 3))
+    for b, xp in ((star_model(MinimalModelParams(9.0, 2.0)), _MATH), (bundle, np)):
+        e0, energy, angle = exact_energies(b.params.h, b.params.k, b.moments, xp)
+        assert (b.e0, b.energy, b.angle) == (e0, energy, angle)
+        record = exact_record(b, tuple(range(1, b.params.q)))
+        assert record.e0 == b.e0 and record.angle == b.angle
+        assert record.receivers == dict.fromkeys(range(1, b.params.q), b.energy)
     # params, bundles, records and transcripts are immutable: no field can be
     # set, and no attribute added
-    bundle = star_model(StarModelParams(9.0, 2.0, 3))
     record, transcript, _ = run_longrange_qet(MinimalModelParams(9.0, 2.0), 3, seed=1)
     for obj in (bundle.params, record.model, bundle, exact_record(bundle, (1,)), record,
                 transcript):

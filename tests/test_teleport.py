@@ -26,6 +26,7 @@ from qetsim.teleport import (
     BELL,
     TRANSCRIPT_CHUNK_HOPS,
     LoccTranscript,
+    _branch_law,
     _branch_ops,
     relay,
     run_longrange_qet,
@@ -57,7 +58,7 @@ def test_teleport_axis_and_random_states_exact():
     panel = np.array(axis + [random_qubit() for _ in range(20)], dtype=complex)
     out, bits = relay_by_hops(panel, 0, 1)
     assert np.max(np.abs(out - panel)) <= 1e-12
-    assert bits is None and relay(1) is None
+    assert bits is None and relay(1)[0] is None
 
 
 def test_teleport_outcome_probabilities_quarter_exact():
@@ -84,7 +85,7 @@ def test_teleport_outcomes_uniform():
     # qubit comes back through them unchanged
     state = random_qubit()
     n = 800
-    kept = relay(n, rng=np.random.default_rng(5))
+    kept = relay(n, rng=np.random.default_rng(5))[0]
     assert len(kept) == n
     sigma = np.sqrt(n * 0.25 * 0.75)
     for pattern in range(4):  # 2 * m1 + m2
@@ -102,7 +103,7 @@ def test_teleport_preserves_entanglement():
         streams = [None if seed is None else random.Random(seed) for _ in range(2)]
         out, bits = relay_by_hops(pair[None], 1, 1, rng=streams[0])
         assert pure_trace_distance(pair, out[0]) < 1e-12
-        kept = relay(1, streams[1])
+        kept = relay(1, streams[1])[0]
         assert bits is None and kept is None if seed is None else kept.tolist() == bits
 
 
@@ -184,8 +185,9 @@ def test_relay_checks_at_any_hop_count(hops, sampled, monkeypatch):
     # the operators are checked once per call, whatever the hop count, with
     # or without an rng
     stream = random.Random(5) if sampled else None
-    kept = relay(hops, stream)
+    kept, residual = relay(hops, stream)
     assert kept is None if stream is None else len(kept) == hops
+    assert residual == _branch_law()[1] <= 1e-15
     monkeypatch.setattr("qetsim.teleport._branch_ops", lambda: branch_ops() + TILT)
     with pytest.raises(AssertionError, match="branches disagree"):
         relay(hops, stream)
@@ -208,7 +210,7 @@ def test_relay_matches_the_per_hop_oracle(hops, dtype):
                 rows = random_rows(np.random.default_rng(seed), 3, n, dtype)
                 drawn = 0 if seed is None else seed % 3
                 streams = [None if seed is None else random.Random(seed) for _ in range(2)]
-                kept = relay(hops, streams[0])
+                kept = relay(hops, streams[0])[0]
                 want, bits = relay_by_hops(rows, logical, hops, rng=streams[1], drawn=drawn)
                 assert max(map(pure_trace_distance, rows, want)) <= 1e-10
                 assert kept is None and bits is None if seed is None else kept.tolist() == bits
@@ -238,7 +240,7 @@ def test_relay_identity_property(n, site, hops, seed, sampled):
     logical = site % n
     original = random_amplitudes(np.random.default_rng(seed), n)[None]
     streams = [random.Random(seed) if sampled else None for _ in range(2)]
-    kept = relay(hops, streams[0])
+    kept = relay(hops, streams[0])[0]
     want, bits = relay_by_hops(original, logical, hops, rng=streams[1])
     assert pure_trace_distance(original[0], want[0]) <= 1e-10
     assert kept.tolist() == bits if sampled else kept is None and bits is None
@@ -260,8 +262,8 @@ def test_relay_in_one_call_matches_hop_by_hop(hops, dtype, sampled):
     # per hop, and those the gates draw hop by hop on a real or complex stack
     rows = random_rows(np.random.default_rng(hops), 3, 3, dtype)
     streams = [np.random.default_rng(5) if sampled else None for _ in range(3)]
-    kept = relay(hops, streams[0])
-    one_by_one = [relay(1, streams[1]) for _ in range(hops)]
+    kept = relay(hops, streams[0])[0]
+    one_by_one = [relay(1, streams[1])[0] for _ in range(hops)]
     want, bits = relay_by_hops(rows, 1, hops, rng=streams[2], drawn=2)
     assert max(map(pure_trace_distance, rows, want)) <= 1e-10
     if sampled:
