@@ -149,8 +149,8 @@ def _shown(args, exact, sampled) -> list:
 
 
 def _records(args, params, receivers) -> list[tuple]:
-    """Each model's exact record, and unless `--method exact` its sampled one,
-    from one stacked ground solve and one stacked pass: the models share q."""
+    """Each model's exact record, and unless `--method exact` its sampled one
+    from one stacked pass: the models share q."""
     bundles = star_models(params)
     exact = [exact_record(b, receivers) for b in bundles]
     if args.method == "exact":

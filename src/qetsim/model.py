@@ -6,16 +6,10 @@ with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
-The star's ground state is solved by `star_models` in the receivers'
-total-spin blocks, as their q x q parity chains (`_block_ground`, then
-`_check_ground`), never from the 2^q x 2^q matrix; at q = 2 it is one
-closed form, `_minimal_levels`, with no eigensolver.  It is
-receiver-symmetric, so three Pauli moments, <Z_0>, <Z_j> and <X_0 X_j>,
-set every offset and the one feedback angle all receivers share, and
-`exact_energies` turns them into every exact number of the protocol, once
-per model, in its bundle.  A q = 2 bundle is formed on floats by `math`
-(`_minimal_solve`), so the minimal model's runs never load numpy; only a
-`sweep` grid solves q = 2 on arrays (`_minimal_eb`), a chunk at a time.
+`star_models` solves each star's ground state on floats, never from the
+2^q x 2^q matrix.  It is receiver-symmetric, so three Pauli moments, <Z_0>,
+<Z_j> and <X_0 X_j>, set every offset and the one feedback angle, and
+`exact_energies` every exact number.  A `sweep` grid is solved on arrays.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -45,7 +39,9 @@ class IllConditionedError(ValueError):
 
 
 def _check_hk(h: float, k: float) -> None:
-    if not (0 < h < math.inf and 0 < k < math.inf):
+    # an int beyond the float range is finite but has no float to convert to
+    if not (0 < h < math.inf and 0 < k < math.inf) or any(
+            isinstance(x, int) and x > sys.float_info.max for x in (h, k)):
         raise ValueError("h and k must be finite and positive")
     if min(h, k) < sys.float_info.min:
         raise ValueError(f"h and k must be at least {sys.float_info.min} (smallest normal float)")
@@ -104,16 +100,13 @@ class GroundMoments(NamedTuple):
 class ModelBundle(NamedTuple):
     """The parameters, the ground moments, the feedback angle and exact
     energies every receiver shares, the block vector and E0 of one star.
-
-    The moments set every local term's offset (see the module docstring).
-    The ground state is sum_{s, n} g[s, n] |s> (x) |D_n>, |D_n> the
-    receivers' normalized Dicke state with n ones (`_block_ground`).
-    """
+    The ground state is sum_{s, n} g[s][n] |s> (x) |D_n>, |D_n> the
+    receivers' normalized Dicke state with n ones."""
 
     params: ModelParams
     moments: GroundMoments
     angle: FeedbackAngle
-    g: np.ndarray  # shape (2, q); at q = 2 nested tuples, g[s][n]
+    g: tuple  # g[s][n], nested tuples of 2 x q floats
     e0: float
     energy: ReceiverEnergy
 
@@ -143,45 +136,61 @@ class FeedbackAngle(NamedTuple):
     eta: float
 
 
-def _spin_chains(h, k, d: int) -> np.ndarray:
-    """The star's Pauli part on the sender times one receiver spin-J block,
-    d = 2J, as its two parity chains [..., p, n, n'], stacked over h and k.
+def _chains(h: float, k: float, d: int) -> tuple[tuple[list, list], list[float]]:
+    """The two parity chains of H = h Z0 + 2h J_z + 4k X0 J_x on the sender
+    times a receiver spin-J block, d = 2J: their diagonals [p][n], h (1 - 2s)
+    + h (d - 2n) on |s> (x) |J, J - n> with s = (n + p) mod 2, and the links
+    2k sqrt((n + 1)(d - n)) of (s, n) and (1 - s, n + 1) that they share."""
+    field = [h * m for m in range(d, -d - 1, -2)]
+    diags = [f + h for f in field], [f - h for f in field]
+    diags[0][1::2], diags[1][1::2] = diags[1][1::2], diags[0][1::2]
+    return diags, [2.0 * k * math.sqrt((n + 1) * (d - n)) for n in range(d)]
 
-    With J the receivers' total spin, H = h Z0 + 2h J_z + 4k X0 J_x.  On
-    |s> (x) |J, J - n>, s the sender bit, 4k X0 J_x links (s, n) with
-    (1 - s, n + 1) by 2k sqrt((n + 1)(d - n)), keeping s + n mod 2: chain p
-    runs over n = 0..d with s = (n + p) mod 2, its diagonal h (1 - 2s) +
-    h (d - 2n).  For d = q - 1, |J, J - n> is the Dicke state with n ones.
-    """
-    h, k = (np.asarray(a, float)[..., None, None] for a in np.broadcast_arrays(h, k))
-    n = np.arange(d + 1)
-    chains = np.zeros(h.shape[:-2] + (2, d + 1, d + 1))
-    chains[..., n, n] = h * (1 - 2 * ((n + np.arange(2)[:, None]) % 2)) + h * (d - 2.0 * n)
-    lower, upper = n[:-1], n[:-1] + 1
-    chains[..., lower, upper] = chains[..., upper, lower] = 2.0 * k * np.sqrt(upper * (d - lower))
-    return chains
+
+def _low_blocks(h: float, k: float, q: int) -> tuple[list[float], list[float]]:
+    """The chains of the q >= 3 star's top spin block J = (q - 1)/2 (|J, J - n>
+    the Dicke state with n ones) and J - 1 block, as one chain unlinked where
+    they meet, whose lowest level and gap are the star's: the lowest level
+    rises as J falls (Lieb-Mattis ordering, J. Math. Phys. 3, 749 (1962))."""
+    (top, a), (inner, b) = _chains(h, k, q - 1), _chains(h, k, q - 3)
+    return top[0] + top[1] + inner[0] + inner[1], [*a, 0.0, *a, 0.0, *b, 0.0, *b]
+
+
+def _below(rows: list[tuple[float, float]], x: float) -> int:
+    """The Sturm count of a chain, as rows (diagonal entry, square of the link
+    before it), at x: the negative (or zero) pivots of the LDL^T of chain - x."""
+    count, pivot = 0, 1.0
+    for a, b2 in rows:
+        pivot = a - x - b2 / pivot
+        if pivot <= 0.0:
+            count, pivot = count + 1, pivot or -sys.float_info.min
+    return count
+
+
+def _bisect(rows, i: int, lo: float, hi: float, widths: float = math.inf, top: float = math.inf):
+    """[lo, hi] around level i of a chain, bisected on `_below` until no float
+    lies inside or, given `widths`, a count below `top`, a bound on level
+    i + 1, puts that level at least `widths` bracket widths above hi."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if _below(rows, mid) > i else (mid, hi)
+        if (mark := hi + widths * (hi - lo)) < top and _below(rows, mark) <= i + 1:
+            break
+    return lo, hi
+
+
+def _star_levels(h: float, k: float, q: int) -> tuple[float, float]:
+    """The q >= 3 star's ground level and gap (`_low_blocks`), each level
+    bisected to the last bit from a Gershgorin bracket."""
+    diag, links = _low_blocks(h, k, q)
+    reach, rows = 2.0 * max(links), list(zip(diag, [0.0] + [b * b for b in links]))
+    ground, first = (_bisect(rows, i, min(diag) - reach, max(diag) + reach)[1] for i in (0, 1))
+    return ground, first - ground
 
 
 def _check_ratio(ratio: float) -> None:
-    """Raise on `ratio`, the largest h/k of a solve, above MAX_FIELD_RATIO;
-    a q >= 3 solve checks it before its `eigh`, which far above the bound
-    may not converge (q = 4, h = 1e250, k = 1, for one)."""
+    """Raise on `ratio`, the largest h/k of a solve, above MAX_FIELD_RATIO."""
     if ratio > MAX_FIELD_RATIO:
         raise IllConditionedError(f"ill-conditioned: h/k = {ratio:.3g} > {MAX_FIELD_RATIO:g}")
-
-
-def _check_ground(h, k, gap, levels=None) -> None:
-    """Raise on a gap below DEGENERACY_TOL * max(h, k), named where it is
-    smallest relative to max(h, k), with whether it is within `levels'`
-    roundoff, 16 eps |H|: the feedback angle is undefined on a degenerate
-    ground space.  It runs after the solve, whose h/k `_check_ratio` has
-    already passed."""
-    if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
-        i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
-        h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
-        unresolved = levels is not None and (
-            gap[i] <= 16 * np.finfo(float).eps * np.max(np.abs(levels[i])))
-        raise DegenerateGroundError(_degenerate_message(h, k, gap[i], unresolved))
 
 
 # `math`'s functions under the names of numpy's that the closed forms call
@@ -218,55 +227,59 @@ def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
     return moments, g
 
 
-def _block_ground(h, k, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chains' levels [..., p, i], the gap and the block vector g of the
-    q >= 3 star's Pauli part at every (h, k) of the broadcast arrays, for
-    `_check_ground`.  H keeps the parity prod_i Z_i and, after a Z_0 sign
-    gauge, is stoquastic with each parity sector connected, so each
-    sector's ground state is unique and receiver-symmetric: it lies in the
-    top total-spin block J = (q - 1)/2, as the lowest level of its chain
-    p = q mod 2, which holds the all-down state.  The gap is taken against
-    chain p's next level, the other chain's lowest (their distance, should
-    it lie below, as only a degenerate point lets it) and the lowest of the
-    J - 1 block's chains (d = q - 3), and of no lower block: the lowest
-    level rises as J falls, a Lieb-Mattis ordering (E. Lieb and D. Mattis,
-    J. Math. Phys. 3, 749 (1962)) that `test_model` checks, with chain p's
-    hold on the ground, against every block for q <= 64, where each lower
-    block lies at least ~2 max(h, k) above the J - 1 one.  So the solve is
-    one stacked q x q `eigh` and one `eigvalsh`: at h = 0.15 q, k = 2 it
-    takes 2.8 ms at q = 100 and 41 ms at q = 400 (2 vCPU, numpy 2.4).  g is
-    written in the bundle's layout g[..., s, n], zero off chain p.
-    """
-    p, n = q % 2, np.arange(q)
-    vals, vecs = np.linalg.eigh(_spin_chains(h, k, q - 1))
-    ground = vals[..., p, 0]
-    lower = np.linalg.eigvalsh(_spin_chains(h, k, q - 3))[..., 0].min(axis=-1)
-    gap = np.minimum(np.minimum(vals[..., p, 1], lower) - ground, abs(vals[..., 1 - p, 0] - ground))
-    g = np.zeros(ground.shape + (2, q))
-    g[..., (n + p) % 2, n] = vecs[..., p, :, 0]
-    return vals, gap, g
-
-
-def _ground_moments(g, q: int) -> GroundMoments:
-    """<Z_0>, <Z_j> and <X_0 X_j> of the q >= 3 ground state with block
-    vector g, broadcasting like it (at q = 2, `_minimal_levels`).  With
-    d = q - 1, <Z_j> = <2 J_z>/d and <X_0 X_j> = <X_0 2 J_x>/d, X_0 J_x
-    linking g[..., s, n] with g[..., 1 - s, n + 1] by sqrt((n + 1)(d - n)) / 2.
-    """
-    leaves, n = q - 1, np.arange(q)
-    up, down = g[..., 0, :], g[..., 1, :]
-    link = np.sqrt((n[:-1] + 1.0) * (leaves - n[:-1]))
-    x0_jx2 = 2.0 * (up[..., :-1] * down[..., 1:] + down[..., :-1] * up[..., 1:]) @ link
-    return GroundMoments(
-        z0=(up * up - down * down).sum(axis=-1),
-        zj=(up * up + down * down) @ (leaves - 2.0 * n) / leaves,
-        xx=x0_jx2 / leaves,
-    )
+def _star_solve(h: float, k: float, q: int) -> tuple[GroundMoments, tuple]:
+    """The q >= 3 moments and block vector g[s][n] on floats, h/k checked
+    before and the gap (`_low_blocks`) after.  H keeps the parity prod_i Z_i
+    and, after a Z_0 sign gauge, is stoquastic with connected parity sectors,
+    so its ground state is the lowest level of the top block's chain p = q
+    mod 2.  Sturm bisection (Barth, Martin and Wilkinson, 1967) brackets it
+    until the next level lies 10^4 widths away; inverse iteration (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 7) then gains 4 digits a step."""
+    _check_ratio(h / k)
+    scale, p, d = max(h, k), q % 2, q - 1
+    blocks, links = _low_blocks(h / scale, k / scale, q)
+    rows = list(zip(blocks, [0.0] + [b * b for b in links]))
+    chain, diag, links = rows[p * q:p * q + q], blocks[p * q:p * q + q], links[:d]
+    # Gershgorin and the lowest diagonal bracket the ground level, and the
+    # larger diagonal of two unlinked rows bounds the next (interlacing)
+    lo = _bisect(chain, 0, min(diag) - 2 * max(links), min(diag), 1e4, sorted(diag[d % 2::2])[1])[0]
+    # chain - lo is positive definite: its LDL^T needs no pivoting
+    pivots, factors = [diag[0] - lo], [0.0]
+    for (a, b2), b in zip(chain[1:], links):
+        factors.append(b / pivots[-1])
+        pivots.append(a - lo - b2 / pivots[-1])
+    backward = list(zip(pivots[::-1], [0.0] + factors[:0:-1]))
+    v, change = [1.0, -1.0] * (q // 2) + [1.0] * p, math.inf  # positive links: v alternates
+    while change > 1e-16:  # then entries down to 1e-4 of the largest keep every digit
+        z, forward = 0.0, []
+        for x, f in zip(v, factors):
+            z = x - f * z
+            forward.append(z)
+        y, back = 0.0, []
+        for z, (pivot, f) in zip(reversed(forward), backward):
+            y = z / pivot - f * y
+            back.append(y)
+        norm = math.hypot(*back)
+        w = [y / norm for y in reversed(back)]
+        step, v = max(map(abs, map(operator.sub, v, w))), w
+        change = step if step < change else 0.0  # a step no smaller is roundoff
+    if _below(rows, lo + 1.0 / norm + DEGENERACY_TOL) != 1:  # 1 / norm = ground - lo
+        bound, gap = max(map(abs, blocks)) + 2 * max(links), _star_levels(h / scale, k / scale, q)[1]
+        raise DegenerateGroundError(_degenerate_message(
+            h, k, gap * scale, gap <= 16 * sys.float_info.epsilon * bound))  # bound >= |H|
+    weights = [x * x for x in v]
+    roots = map(math.sqrt, map(operator.mul, range(1, q), range(d, 0, -1)))
+    moments = GroundMoments(
+        z0=math.fsum(weights[p::2]) - math.fsum(weights[1 - p::2]),
+        zj=math.fsum(map(operator.mul, weights, range(d, -q, -2))) / d,
+        xx=2.0 * math.fsum(map(operator.mul, map(operator.mul, v, v[1:]), roots)) / d)
+    return moments, tuple(tuple(x if (n + p) % 2 == s else 0.0 for n, x in enumerate(v))
+                          for s in (0, 1))
 
 
 def _degenerate_message(h: float, k: float, gap: float, unresolved: bool) -> str:
-    """The gap at (h, k), absolute and relative to max(h, k), whether an
-    eigensolve left it `unresolved`, and the point."""
+    """The gap at (h, k), absolute and relative to max(h, k), whether it is
+    `unresolved`, within the solve's roundoff, and the point."""
     scale = max(h, k)
     return (
         f"ground space degenerate within tolerance (gap = {gap:.3e}, "
@@ -278,33 +291,17 @@ def _degenerate_message(h: float, k: float, gap: float, unresolved: bool) -> str
 
 def star_models(params: list[ModelParams]) -> list[ModelBundle]:
     """The bundle of each model, all of one q (else ValueError, as for no
-    model); MinimalModelParams give the q = 2 star.
-
-    The offsets cannot change the eigenvectors, so the ground states are
-    solved on the Pauli parts alone: at q >= 3 by one stacked
-    `_block_ground`, its h/k checked before the solve and its gaps after
-    it, each bundle reading its moments from its own row of g, as a solve
-    of that model alone does (a product over the stack would round them
-    differently); at q = 2 each alone, on floats (`_minimal_solve`), so a
-    q = 2 stack raises at its first failing model.  `exact_energies` turns
-    each model's moments into its angle and energies, on floats by `math`
-    at q = 2 and on numpy at q >= 3, kept as floats.
-    """
+    model), solved one at a time on its Pauli part (the same eigenvectors),
+    its numbers formed by `math` at q = 2 and on numpy scalars at q >= 3, so
+    that `main`'s errstate raises on an overflow."""
     qs = sorted({p.q for p in params})
     if len(qs) != 1:
         raise ValueError(f"star_models needs models of one q, got q values {qs}")
-    q = qs[0]
-    if q == 2:
-        xp, solved = _MATH, [_minimal_solve(p.h, p.k) for p in params]
-    else:
-        h, k = (np.array([getattr(p, name) for p in params], float) for name in "hk")
-        _check_ratio(max(p.h / p.k for p in params))
-        levels, gap, g = _block_ground(h, k, q)
-        _check_ground(h, k, gap, levels)
-        xp, solved = np, [(GroundMoments(*map(float, _ground_moments(row, q))), row) for row in g]
-    bundles = []
-    for p, (moments, g) in zip(params, solved):
-        e0, energy, angle = exact_energies(p.h, p.k, moments, xp)
+    q, bundles = qs[0], []
+    xp, number = (_MATH, float) if q == 2 else (np, np.float64)
+    for p in params:
+        moments, g = _minimal_solve(p.h, p.k) if q == 2 else _star_solve(p.h, p.k, q)
+        e0, energy, angle = exact_energies(p.h, p.k, GroundMoments(*map(number, moments)), xp)
         bundles.append(ModelBundle(p, moments, FeedbackAngle(*map(float, angle)), g,
                                    float(e0), ReceiverEnergy(*map(float, energy))))
     return bundles
@@ -362,10 +359,14 @@ def exact_energies(h, k, moments: GroundMoments,
 
 def _minimal_eb(h, k, field_term: bool) -> list[np.ndarray]:
     """E_B, and with field_term -HZ_1, of the minimal model on arrays h and
-    k whose points include (max h, min k), where h/k peaks."""
+    k whose points include (max h, min k), where h/k peaks; a degenerate
+    ground raises, named where its gap relative to max(h, k) is smallest."""
     _, gap, moments = _minimal_levels(h, k, np)
     _check_ratio(float(np.max(h)) / float(np.min(k)))
-    _check_ground(h, k, gap)
+    if not np.all(gap >= DEGENERACY_TOL * np.maximum(h, k)):
+        i = np.unravel_index(np.argmin(gap / np.maximum(h, k)), np.shape(gap))
+        h, k = (np.broadcast_to(x, np.shape(gap))[i] for x in (h, k))
+        raise DegenerateGroundError(_degenerate_message(h, k, gap[i], False))
     if field_term:
         energy = exact_energies(h, k, moments)[1]
         return [energy.e_b, -energy.hz]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 # Largest star q.  The protocol pass holds the receivers as their |R| + 1
 # Dicke states: `qed` at q = 20 with all 19 receivers and both methods takes
-# 12-18 ms in-process at a 32 MB peak (the import baseline) on 2 cores; the
-# bound stands for the block solve.
+# 12-18 ms in-process at a 32 MB peak (the import baseline) on 2 cores.
 MAX_STATEVECTOR_QUBITS = 20
 
 

@@ -489,6 +489,69 @@ def star_reduced_values(q: int, h: float, k: float) -> dict[str, float]:
     }
 
 
+def decimal_star_moments(q: int, h: float, k: float, digits: int = 50) -> tuple[Decimal, Decimal]:
+    """<Z_j> and <X_0 X_j> of the q >= 3 star's ground state at `digits`
+    digits, in `decimal`, sharing no code with the package.
+
+    In the receivers' top spin block J = (q - 1)/2, H = h Z0 + 2h J_z +
+    4k X0 J_x keeps s + n mod 2 on |s> (x) |J, J - n>; the ground state is
+    the lowest level of the chain with s = (n + q) mod 2, a symmetric
+    tridiagonal with diagonal h (1 - 2s) + h (q - 1 - 2n) and links
+    2k sqrt((n + 1)(q - 1 - n)).  Its level comes from bisection on the
+    count of negative LDL^T pivots of chain - x, its vector from inverse
+    iteration just below that level."""
+    d = q - 1
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        h, k = Decimal(h), Decimal(k)
+        diag = [h * (1 - 2 * ((n + q) % 2)) + h * (d - 2 * n) for n in range(d + 1)]
+        roots = [Decimal((n + 1) * (d - n)).sqrt() for n in range(d)]
+        links = [2 * k * r for r in roots]
+
+        def pivots(x):
+            out = [diag[0] - x]
+            for a, b in zip(diag[1:], links):
+                out.append(a - x - b * b / out[-1] if out[-1] else Decimal(-1))
+            return out
+
+        radius = max(map(abs, diag)) + 2 * max(links)
+        lo, hi = -radius, radius
+        while hi - lo > radius.scaleb(-digits - 10):
+            mid = (lo + hi) / 2
+            if any(p <= 0 for p in pivots(mid)):
+                hi = mid
+            else:
+                lo = mid
+        # chain - lo is positive definite: solve it by LDL^T, twice
+        pivot = pivots(lo)
+        v = [Decimal(1)] * (d + 1)
+        for _ in range(2):
+            z = [v[0]]
+            for n in range(1, d + 1):
+                z.append(v[n] - links[n - 1] / pivot[n - 1] * z[-1])
+            y = [z[d] / pivot[d]]
+            for n in range(d - 1, -1, -1):
+                y.append(z[n] / pivot[n] - links[n] / pivot[n] * y[-1])
+            y.reverse()
+            norm = sum(x * x for x in y).sqrt()
+            v = [x / norm for x in y]
+        zj = sum(x * x * (d - 2 * n) for n, x in enumerate(v)) / d
+        xx = 2 * sum(v[n] * v[n + 1] * roots[n] for n in range(d)) / d
+        return zj, xx
+
+
+def decimal_star_eb(q: int, h: float, k: float, digits: int = 50) -> Decimal:
+    """E_B of the q >= 3 star at `digits` digits from `decimal_star_moments`:
+    xi = -2h <Z_j> - 4k <X_0 X_j>, eta = 2h <X_0 X_j> - 4k <Z_j> and
+    E_B = eta^2 / (2 (xi + sqrt(xi^2 + eta^2))), which does not cancel."""
+    zj, xx = decimal_star_moments(q, h, k, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        h, k = Decimal(h), Decimal(k)
+        xi, eta = -2 * h * zj - 4 * k * xx, 2 * h * xx - 4 * k * zj
+        return eta * eta / (2 * (xi + (xi * xi + eta * eta).sqrt()))
+
+
 # --- the teleport through its gates, oracle of the package's relay ------------
 # One branch at a time on single states, or one hop at a time on a stack,
 # through the gates above; none of this calls the package's branch operators.

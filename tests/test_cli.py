@@ -399,7 +399,7 @@ def test_qed_beyond_the_statevector_guard_exits_2(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("the guard must reject q before any solve")
 
-    monkeypatch.setattr(qetsim.model, "_block_ground", solve)
+    monkeypatch.setattr(qetsim.model, "_star_solve", solve)
     q = MAX_STATEVECTOR_QUBITS + 1
     assert run_cli("qed", "--h", "1", "--k", "1", "--q", str(q)) == 2
     err = capsys.readouterr().err
@@ -430,7 +430,7 @@ def test_degenerate_ground_message_names_the_relative_gap(h, k, unresolved, caps
 
 @pytest.mark.parametrize("h, k", [("1e-12", "1"), ("1", "1e300"), ("1", "1e8")])
 def test_block_solve_notes_a_gap_below_its_roundoff(h, k, capsys):
-    # at q = 3 the gap comes from `eigh`, whose levels carry ~16 eps |H|
+    # at q = 3 the gap is a difference of bisected levels, which carry ~16 eps |H|
     assert run_cli("qed", "--h", h, "--k", k, "--q", "3", "--receivers", "1",
                    "--method", "exact") == 1
     assert "; below double precision, so the solve cannot resolve it)" in capsys.readouterr().err
@@ -817,28 +817,29 @@ def test_qed_both_methods_run_one_pass(monkeypatch):
     assert len(passes) == 1
 
 
-def test_table1_runs_one_stacked_solve_and_pass_per_tiling(tmp_path, monkeypatch):
-    # each tiling's four (h, k) cells are one stacked ground solve and one
-    # stacked pass, so the 12 configs take 3 of each, every config once
+def test_table1_runs_one_solve_per_config_and_one_pass_per_tiling(tmp_path, monkeypatch):
+    # each (h, k) cell is one chain solve, and each tiling's four cells one
+    # stacked pass, so the 12 configs take 12 solves and 3 passes, every
+    # config once, in CONFIGS order
     solves, passes = [], []
-    solve, run_protocol = qetsim.model._block_ground, qetsim.protocol.run_protocol
+    solve, run_protocol = qetsim.model._star_solve, qetsim.protocol.run_protocol
 
     def counted_solve(h, k, q):
-        solves.append([(q, h_, k_) for h_, k_ in zip(h.tolist(), k.tolist())])
+        solves.append((q, h, k))
         return solve(h, k, q)
 
     def counted_pass(bundles, receivers):
         passes.append([(b.params.q, b.params.h, b.params.k) for b in bundles])
         return run_protocol(bundles, receivers)
 
-    monkeypatch.setattr(qetsim.model, "_block_ground", counted_solve)
+    monkeypatch.setattr(qetsim.model, "_star_solve", counted_solve)
     monkeypatch.setattr(qetsim.cli, "run_protocol", counted_pass)
     assert run_cli("table1", "--check", "--shots", "2000",
                    "--out", str(tmp_path / "t.csv")) == 0
     configs = [(q, float(h), float(k)) for q, h, k in qetsim.refdata.CONFIGS]
-    for stacks in (solves, passes):
-        assert [len(cells) for cells in stacks] == [4, 4, 4]
-        assert [config for cells in stacks for config in cells] == configs
+    assert solves == configs
+    assert [len(cells) for cells in passes] == [4, 4, 4]
+    assert [config for cells in passes for config in cells] == configs
 
 
 def test_longrange_runs_no_protocol_pass(tmp_path, monkeypatch):
@@ -863,7 +864,8 @@ def test_exact_only_runs_make_no_statevector_pass(argv, tmp_path, monkeypatch):
 
 
 def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
-    # the q = 2 star is solved in closed form; a q >= 3 star still calls `eigh`
+    # the q = 2 star is solved in closed form, and a q >= 3 star's chains by
+    # Sturm counts and inverse iteration on floats
     def no_eigensolver(*args, **kwargs):
         raise RuntimeError("eigensolver called")
 
@@ -874,8 +876,7 @@ def test_minimal_model_runs_need_no_eigensolver(tmp_path, monkeypatch):
     assert run_cli("qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out) == 0
     assert run_cli("longrange", "--h", "1", "--k", "1", "--hops", "3", "--sample-transcript",
                    "--out", out, "--transcript-out", out) == 0
-    with pytest.raises(RuntimeError, match="eigensolver called"):
-        run_cli("qed", "--h", "9", "--k", "2", "--q", "3", "--method", "exact", "--out", out)
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "3", "--method", "exact", "--out", out) == 0
 
 
 def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
@@ -976,7 +977,7 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
 # sha256 of sampled output bytes; they change only with an entry in CHANGES.md
 SAMPLED_DIGESTS = {
     "table1": "30e746ffea9dde7f913e7f274cce7bf64a3f72eafe821f824d45852240d363f6",
-    "qed": "eb19b46b964767fab8cbdf817e36557d36f9fdd3386d6891e17a68a13e50ae29",
+    "qed": "6d01c872f174b151e58c71f724a38dee266d4bc62dbe8816a99227265aea355b",
     # seeded `longrange --sample-transcript` transcripts, h = k = 1, by hop count
     "transcript-1": "aad79286a708f3ef0dc057e979cf0260c17925d89c79fc213fe3ac011a8e2bfd",
     "transcript-3": "195311812e93e657fcbdb83f7b35d84936b48c0e8cd3ef64c322ebf5e5e70c75",
@@ -1344,7 +1345,7 @@ ERROR_GRID = ("1e-320", "3e-308", "1e-300", "1e-150", "1e-5", "1", "3.3e4", "1e5
               "1.2e12", "1e150", "1e296", "1e300", "2.3e307", "4e307", "5e307", "8e307",
               "9e307", "1e308", "1.5e308", "1.79e308", "inf", "nan", "0", "-1")
 ERROR_GRID_DIGEST = "925fd205621890c6c17127765e787ec5818b8f700c659a610afdd82c6d49fb81"
-STAR_ERROR_GRID_DIGEST = "0a83bcb43fbb4d28265377a7b74df933dddea82e71d7cbe20ceb7392b17b4189"
+STAR_ERROR_GRID_DIGEST = "3854b9521f3bd92133f89dab1c005f1b3910466602addede9a51925edebfde6d"
 
 
 def test_error_grid_exits_and_messages_are_pinned(capsys):

@@ -33,8 +33,9 @@ from qetsim.model import (
     GroundMoments,
     MinimalModelParams,
     StarModelParams,
-    _block_ground,
-    _check_ground,
+    _chains,
+    _star_levels,
+    _star_solve,
     star_model,
 )
 from qetsim.ops import MAX_STATEVECTOR_QUBITS
@@ -148,7 +149,7 @@ def test_star_locals_sum_and_zero_mean():
             assert abs(expectation(ground, local)) < 1e-10, name
         assert abs(expectation(ground, *terms.values())) < 1e-10
         offset = sum(local.offset for local in terms.values())
-        assert abs(_block_ground(9.0, 2.0, q)[0][q % 2, 0] + offset) < 1e-10
+        assert abs(_star_levels(9.0, 2.0, q)[0] + offset) < 1e-10
 
 
 def test_star_q2_is_the_minimal_model():
@@ -170,7 +171,7 @@ def test_star_matches_reduced_basis_oracle():
         oracle = star_reduced_values(q, h, k)
         bundle = star_model(StarModelParams(h, k, q))
         assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
-        assert _block_ground(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
+        assert _star_levels(h, k, q)[1] == pytest.approx(oracle["gap"], abs=1e-9)
         angle = bundle.angle
         assert angle.theta == pytest.approx(oracle["theta"], abs=1e-9)
         assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
@@ -207,6 +208,12 @@ def test_star_param_validation():
         StarModelParams(1.0, 1.0, MAX_STATEVECTOR_QUBITS + 1)
     with pytest.raises(ValueError):
         StarModelParams(-1.0, 1.0, 6)
+    # an int h or k beyond the float range is named, not overflowed
+    for h, k in ((10**400, 1), (1, 10**400)):
+        with pytest.raises(ValueError, match="h and k must be finite and positive"):
+            MinimalModelParams(h, k)
+        with pytest.raises(ValueError, match="h and k must be finite and positive"):
+            StarModelParams(h, k, 6)
     # q is an integer: a float or a string of one is named, not solved
     for q in (3.5, 6.0, "6"):
         with pytest.raises(ValueError, match=f"q must be an integer, got {q!r}"):
@@ -233,8 +240,7 @@ def _package_ground(h, k, q):
     """The ground level, gap and block vector of the package's solve: at
     q = 2 the closed form on floats that every q = 2 record runs."""
     if q > 2:
-        levels, gap, g = _block_ground(h, k, q)
-        return levels[q % 2, 0], gap, g
+        return *_star_levels(h, k, q), _star_solve(h, k, q)[1]
     ground, gap, _ = qetsim.model._minimal_levels(h, k, _MATH)
     return ground, gap, np.ravel(qetsim.model._minimal_solve(h, k)[1])
 
@@ -268,7 +274,7 @@ def test_star_sectors_match_dense_spectrum_property(h, k, q):
 def test_star_sectors_q16_match_reduced_oracle():
     oracle = star_reduced_values(16, 7.0, 2.0)
     bundle = star_model(StarModelParams(7.0, 2.0, 16))
-    assert _block_ground(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
+    assert _star_levels(7.0, 2.0, 16)[1] == pytest.approx(oracle["gap"], abs=1e-9)
     assert star_terms(bundle)["Z0"].offset == pytest.approx(oracle["E0"], abs=1e-9)
     angle = bundle.angle
     assert angle.xi == pytest.approx(oracle["xi"], abs=1e-9)
@@ -277,9 +283,28 @@ def test_star_sectors_q16_match_reduced_oracle():
 
 def test_star_sectors_zero_field_is_degenerate():
     # h = 0: X0 = +1 with every receiver X = -1, and its mirror image, tie
-    levels, gap, _ = _block_ground(0.0, 1.0, 5)
     with pytest.raises(DegenerateGroundError):
-        _check_ground(0.0, 1.0, gap, levels)
+        _star_solve(0.0, 1.0, 5)
+
+
+def _dense_chains(h, k, d):
+    """The two parity chains of `_chains`, dense, [..., p, n, n'] over the
+    broadcast h and k."""
+    h, k = np.broadcast_arrays(h, k)
+    out = np.zeros(h.shape + (2, d + 1, d + 1))
+    for i in np.ndindex(h.shape):
+        diags, links = _chains(float(h[i]), float(k[i]), d)
+        for p, diag in enumerate(diags):
+            out[i + (p,)] = np.diag(diag) + np.diag(links, 1) + np.diag(links, -1)
+    return out
+
+
+def _is_degenerate(h, k, q):
+    try:
+        _star_solve(h, k, q)
+    except DegenerateGroundError:
+        return True
+    return False
 
 
 def test_lower_spin_blocks_lie_above_the_j_minus_1_block():
@@ -292,18 +317,20 @@ def test_lower_spin_blocks_lie_above_the_j_minus_1_block():
     wide = np.logspace(-4.5, 4.5, 46)
     for q in range(3, 65):
         # a block's lowest level is the lower of its two chains' lowest
-        lowest = [np.linalg.eigvalsh(qetsim.model._spin_chains(h, k, d))[..., 0].min(axis=-1)
+        lowest = [np.linalg.eigvalsh(_dense_chains(h, k, d))[..., 0].min(axis=-1)
                   for d in range(q - 3, -1, -2)]
         for d, level in zip(range(q - 5, -1, -2), lowest[1:]):
             assert np.all(level >= lowest[0]), (q, d)
-        # so the gap is the one the whole spectrum gives, bit for bit
-        vals = np.linalg.eigh(qetsim.model._spin_chains(h, k, q - 1))[0]
+        # so the solve fails exactly where the whole spectrum's gap is below
+        # the tolerance
+        vals = np.linalg.eigvalsh(_dense_chains(h, k, q - 1))
         spectrum = np.sort(np.hstack([vals.reshape(h.size, -1), np.transpose(lowest)]), axis=-1)
         gap = spectrum[:, 1] - spectrum[:, 0]
-        assert np.array_equal(qetsim.model._block_ground(h, k, q)[1], gap), q
+        degenerate = [_is_degenerate(float(x), k, q) for x in h]
+        assert degenerate == list(gap < DEGENERACY_TOL * np.maximum(h, k)), q
         # chain q % 2 holds the ground at every point the degeneracy check passes
-        chains = np.linalg.eigvalsh(qetsim.model._spin_chains(wide, k, q - 1))[..., 0]
-        resolved = qetsim.model._block_ground(wide, k, q)[1] >= DEGENERACY_TOL * np.maximum(wide, k)
+        chains = np.linalg.eigvalsh(_dense_chains(wide, k, q - 1))[..., 0]
+        resolved = [not _is_degenerate(float(x), k, q) for x in wide]
         assert np.all(chains[resolved, q % 2] < chains[resolved, 1 - q % 2]), q
 
 
@@ -326,7 +353,7 @@ def test_minimal_closed_form_matches_the_block_eigh():
     moments = GroundMoments(*np.array([m for m, _ in solved]).T)
     assert all(c[2] == m for c, (m, _) in zip(closed, solved))
     g = np.array([np.ravel(g) for _, g in solved])
-    chain_levels, chain_vecs = np.linalg.eigh(qetsim.model._spin_chains(h, k, 1))
+    chain_levels, chain_vecs = np.linalg.eigh(_dense_chains(h, k, 1))
     order = np.argsort(chain_levels.reshape(h.size, -1), axis=-1)
     levels = np.take_along_axis(chain_levels.reshape(h.size, -1), order, axis=-1)
     scale = 1e-12 * np.maximum(h, k)
@@ -346,20 +373,17 @@ def test_minimal_closed_form_matches_the_block_eigh():
 
 
 def test_star_model_never_builds_the_dense_matrix(monkeypatch):
-    # every eigensolve is of a spin block's parity chain, at most q x q,
-    # never 2^q x 2^q
-    sizes = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
+    # the chains are solved on floats, by Sturm counts and inverse
+    # iteration: no np.linalg call, and no matrix, q x q or 2^q x 2^q
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("np.linalg called")
 
-        def recorded(a, *args, _solver=solver, **kwargs):
-            sizes.append(a.shape[-1])
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(qetsim.model.np.linalg, name, recorded)
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, no_linalg)
     bundle = star_model(StarModelParams(8.0, 2.0, 12))
-    assert sizes and max(sizes) <= 12
-    assert bundle.g.shape == (2, 12)
+    monkeypatch.undo()
+    assert np.shape(bundle.g) == (2, 12)
     assert abs(expectation(star_ground(bundle), *star_terms(bundle).values())) < 1e-10
 
 

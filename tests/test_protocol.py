@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle_utils import (
     Term,
     class_cells,
+    decimal_star_eb,
     dicke_vectors,
     ensemble_density,
     ensemble_expectation,
@@ -35,8 +36,7 @@ from qetsim.model import (
     DegenerateGroundError,
     MinimalModelParams,
     StarModelParams,
-    _block_ground,
-    _ground_moments,
+    _star_solve,
     exact_energies,
     star_model,
     star_models,
@@ -126,8 +126,7 @@ def test_feedback_order_commutes_branchwise():
 def assert_stack_equals_lone(params, receivers):
     """Each bundle of one stacked solve of models of one q, and its rows of
     one stacked pass, equal those of a solve and a pass of that model alone,
-    bit for bit; a lone bundle's g and moments are those of the unstacked
-    block solve."""
+    bit for bit; a lone bundle's g and moments are those of the chain solve."""
     stack, q = star_models(params), params[0].q
     fed = run_protocol(stack, receivers)
     assert fed.shape == (len(stack), 2, q - len(receivers), 2, len(receivers) + 1)
@@ -138,8 +137,7 @@ def assert_stack_equals_lone(params, receivers):
         assert bundle.moments == lone.moments and bundle.angle == lone.angle
         assert bundle.e0 == lone.e0 and bundle.energy == lone.energy
         assert np.array_equal(rows, run_protocol(lone, receivers))
-        g = _block_ground(lone.params.h, lone.params.k, q)[2]
-        moments = _ground_moments(g, q)
+        moments, g = _star_solve(lone.params.h, lone.params.k, q)
         assert np.array_equal(lone.g, g) and lone.moments == moments
 
 
@@ -662,3 +660,36 @@ def test_minimal_eb_accuracy_against_decimal_oracle():
             want = _decimal_eb(h, k)
             worst = max(worst, float(abs((Decimal(got) - want) / want)))
     assert worst <= 1e-12
+
+
+# k/h from 0.1 to past each q's degeneracy edge, beyond which the solve
+# raises; per q, how many of them it accepts
+STAR_ORACLE_RATIOS = (0.1, 1, 3, 10, 20, 30, 50, 80, 100, 120, 150, 200, 300, 500)
+STAR_ORACLE_ACCEPTED = {3: 14, 4: 10, 5: 6, 6: 4, 7: 4, 8: 3}
+# E_B's relative error, worst over each q's accepted ratios and at three
+# points near the edge: no bound is looser than the error of the dense
+# `eigh` solve of the same chains that this solve replaced (q = 4: 4.2e-10
+# at k/h = 50, 3.9e-9 at 100; q = 5: 1.5e-9 at 30)
+STAR_ORACLE_WORST = {3: 3.6e-10, 4: 3.8e-9, 5: 1.4e-9, 6: 5.0e-11, 7: 1.0e-10, 8: 3.6e-12}
+STAR_ORACLE_POINTS = {(4, 50): 4.2e-10, (4, 100): 3.9e-9, (5, 30): 1.5e-9}
+
+
+@pytest.mark.parametrize("q", sorted(STAR_ORACLE_WORST))
+def test_star_eb_accuracy_against_decimal_oracle(q):
+    # near the edge eta = 2h <X_0 X_j> - 4k <Z_j> cancels, so E_B keeps
+    # only the digits the ground vector has: three fixed inverse steps from
+    # the same bracket fail at q = 5 and 6, and from a bracket of 100 widths
+    # read E_B off by 7e-4 at q = 4, k/h = 50
+    errors = {}
+    for ratio in STAR_ORACLE_RATIOS:
+        try:
+            got = star_model(StarModelParams(1.0, float(ratio), q)).energy.e_b
+        except DegenerateGroundError:
+            continue
+        want = decimal_star_eb(q, 1.0, float(ratio))
+        errors[ratio] = float(abs((Decimal(got) - want) / want))
+    assert list(errors) == list(STAR_ORACLE_RATIOS[:STAR_ORACLE_ACCEPTED[q]])
+    assert max(errors.values()) <= STAR_ORACLE_WORST[q], errors
+    for (point_q, ratio), bound in STAR_ORACLE_POINTS.items():
+        if point_q == q:
+            assert errors[ratio] <= bound, ratio
