@@ -13,7 +13,6 @@ from .model import (
     ReceiverEnergy,
     exact_energies,
     star_model,
-    star_models,
 )
 from .ops import DegenerateGroundError
 from .protocol import QetRecord, exact_record, run_protocol, sweep_EB

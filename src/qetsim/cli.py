@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import model, refdata, tiling
 from ._kernels import np
-from .model import MinimalModelParams, StarModelParams, star_models
+from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import exact_record, run_protocol, sweep_EB
 from .sampler import MAX_SHOTS, sampled_record
 from .teleport import run_longrange_qet
@@ -151,7 +151,7 @@ def _shown(args, exact, sampled) -> list:
 def _records(args, params, receivers) -> list[tuple]:
     """Each model's exact record, and unless `--method exact` its sampled one
     from one stacked pass: the models share q."""
-    bundles = star_models(params)
+    bundles = [star_model(p) for p in params]
     exact = [exact_record(b, receivers) for b in bundles]
     if args.method == "exact":
         return [(e, None) for e in exact]
@@ -215,14 +215,11 @@ def cmd_sweep(args) -> int:
     points = h_range[2] * k_range[2]
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid has {points} points, more than {MAX_SWEEP_POINTS}")
-    # endpoints first: np.linspace fails on a non-finite one under main's errstate
+    # endpoints first: np.linspace fails on a non-finite one under the errstate
     for h, k in zip(h_range[:2], k_range[:2]):
         model._check_hk(h, k)
-    h_values, k_values = (np.linspace(*r) for r in (h_range, k_range))
-    # the grid's corners decide every failure before the first byte is written
-    chunks = sweep_EB(h_values, k_values, args.field_term_column)
 
-    def rows():
+    def rows(chunks):
         yield "h,k,E_B" + (",E_B_field_term" if args.field_term_column else "") + "\n"
         # '%.12g' % x is format(x, '.12g'), the same C conversion as _fmt
         line = "%s,%s" + ",%.12g" * (1 + args.field_term_column) + "\n"
@@ -235,7 +232,12 @@ def cmd_sweep(args) -> int:
             cells = itertools.chain.from_iterable(zip(h_run, itertools.cycle(ks), *columns))
             yield (line * len(columns[0])) % tuple(cells)
 
-    _write_text(args.out, rows())
+    # the one command on arrays, whose overflows numpy raises only under an
+    # errstate; every other number is formed and checked on floats
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h_values, k_values = (np.linspace(*r) for r in (h_range, k_range))
+        # the grid's corners decide every failure before the first byte is written
+        _write_text(args.out, rows(sweep_EB(h_values, k_values, args.field_term_column)))
     return 0
 
 
@@ -392,21 +394,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # looked up by name on each call: the shared parser outlives any later
         # rebinding of a cmd_* function
-        command = globals()[f"cmd_{args.command}"]
-        # on floats and ints, without numpy: the tiling and every exact-only
-        # minimal-model run, whose closed form raises its own FloatingPointError
-        if args.command in ("longrange", "tiling") or (
-                args.command in ("qet", "qed") and args.method == "exact"
-                and getattr(args, "q", 2) == 2):
-            return command(args)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return command(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (model.DegenerateGroundError, model.IllConditionedError, AssertionError) as exc:
         # numerical failures, not usage, though both errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:
-        # raised by the errstate above, e.g. "overflow encountered in add"
+        # raised by a float form's own check, or by `sweep`'s errstate in
+        # numpy's words, e.g. "overflow encountered in add"
         print(f"error: floating-point failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -6,10 +6,11 @@ with q qubits, the sender at site 0 and q-1 receivers at sites 1..q-1, each
 coupled to the sender by 2k X0Xj.  The q=2 member of the family is exactly
 Hotta's 2-qubit minimal model, so both are built by `star_model`.
 
-`star_models` solves each star's ground state on floats, never from the
+`star_model` solves a star's ground state on floats, never from the
 2^q x 2^q matrix.  It is receiver-symmetric, so three Pauli moments, <Z_0>,
 <Z_j> and <X_0 X_j>, set every offset and the one feedback angle, and
-`exact_energies` every exact number.  A `sweep` grid is solved on arrays.
+`exact_energies` every exact number, on floats too.  A `sweep` grid is solved
+on arrays.
 
 H is the sum of the local terms h Z_i (field at site i) and 2k X_0 X_j
 (coupling of receiver j to the sender), each with the offset that makes its
@@ -195,9 +196,9 @@ def _check_ratio(ratio: float) -> None:
 
 # `math`'s functions under the names of numpy's that the closed forms call
 _MATH = SimpleNamespace(arctan2=math.atan2, cos=math.cos, hypot=math.hypot, sin=math.sin)
-# On floats nothing raises where numpy, under `main`'s errstate, stops at the
-# first overflowing step
-_OVERFLOW = "overflow encountered in the q = 2 closed form"
+# Floats overflow silently, to inf or nan, so a float form checks its own
+# numbers and raises this, formatted with the star's q
+_OVERFLOW = "overflow encountered in the q = {} closed form"
 
 
 def _minimal_levels(h, k, xp):
@@ -218,7 +219,7 @@ def _minimal_solve(h: float, k: float) -> tuple[GroundMoments, tuple]:
     check, then h/k and the gap, checked as for a q >= 3 solve."""
     ground, gap, moments = _minimal_levels(h, k, _MATH)
     if not math.isfinite(ground):
-        raise FloatingPointError(_OVERFLOW)
+        raise FloatingPointError(_OVERFLOW.format(2))
     _check_ratio(h / k)
     if not gap >= DEGENERACY_TOL * max(h, k):
         raise DegenerateGroundError(_degenerate_message(h, k, gap, False))
@@ -289,27 +290,23 @@ def _degenerate_message(h: float, k: float, gap: float, unresolved: bool) -> str
     )
 
 
-def star_models(params: list[ModelParams]) -> list[ModelBundle]:
-    """The bundle of each model, all of one q (else ValueError, as for no
-    model), solved one at a time on its Pauli part (the same eigenvectors),
-    its numbers formed by `math` at q = 2 and on numpy scalars at q >= 3, so
-    that `main`'s errstate raises on an overflow."""
-    qs = sorted({p.q for p in params})
-    if len(qs) != 1:
-        raise ValueError(f"star_models needs models of one q, got q values {qs}")
-    q, bundles = qs[0], []
-    xp, number = (_MATH, float) if q == 2 else (np, np.float64)
-    for p in params:
-        moments, g = _minimal_solve(p.h, p.k) if q == 2 else _star_solve(p.h, p.k, q)
-        e0, energy, angle = exact_energies(p.h, p.k, GroundMoments(*map(number, moments)), xp)
-        bundles.append(ModelBundle(p, moments, FeedbackAngle(*map(float, angle)), g,
-                                   float(e0), ReceiverEnergy(*map(float, energy))))
-    return bundles
-
-
 def star_model(params: ModelParams) -> ModelBundle:
-    """The bundle of one model: `star_models` of a stack of one."""
-    return star_models([params])[0]
+    """The bundle of one model, solved on its Pauli part (the same
+    eigenvectors), its numbers formed on floats by `math`.  An overflow
+    leaves an inf or a nan in them, except in the denominator of
+    `_lowest_energy`, whose inf reads as E_j = 0: so they and it must be
+    finite, else FloatingPointError, as when a float step fails outright."""
+    h, k, q = params.h, params.k, params.q
+    moments, g = _minimal_solve(h, k) if q == 2 else _star_solve(h, k, q)
+    try:
+        e0, energy, angle = exact_energies(h, k, moments, _MATH)
+        den = angle.xi + math.hypot(angle.xi, angle.eta)
+        finite = all(map(math.isfinite, (e0, *energy, *angle, den)))
+    except (ZeroDivisionError, ValueError):  # x / 0.0, math.sin(inf)
+        finite = False
+    if not finite:
+        raise FloatingPointError(_OVERFLOW.format(q))
+    return ModelBundle(params, moments, angle, g, e0, energy)
 
 
 def _xi_eta(h, k, moments: GroundMoments) -> tuple:
@@ -319,12 +316,7 @@ def _xi_eta(h, k, moments: GroundMoments) -> tuple:
 
 def _lowest_energy(xi, eta, xp=np):
     """E_j at the optimal theta, -eta^2 / (2 (xi + hypot(xi, eta)))."""
-    den = xi + xp.hypot(xi, eta)
-    # floats overflow silently; at q = 2, xi >= 2r makes den at least 1.4
-    # times every other value a record forms, so it alone is checked
-    if xp is _MATH and not math.isfinite(den):
-        raise FloatingPointError(_OVERFLOW)
-    return -0.5 * eta * (eta / den)
+    return -0.5 * eta * (eta / (xi + xp.hypot(xi, eta)))
 
 
 def exact_energies(h, k, moments: GroundMoments,

@@ -148,7 +148,7 @@ def sweep_EB(h_values, k_values, field_term: bool = False):
     failure of the grid: h/k peaks at (h_max, k_min), the relative gap
     2h^2 / ((r + k) max(h, k)) is smallest at (h_min, k_max), and every step
     that can overflow grows with h and k.  So a grid raises here, before the
-    first chunk, or not at all (an overflow under `cli.main`'s errstate);
+    first chunk, or not at all (an overflow under `cli.cmd_sweep`'s errstate);
     each chunk is still checked as it is solved.
     """
     h_values, k_values = np.asarray(h_values, float), np.asarray(k_values, float)

@@ -208,7 +208,9 @@ def sampled_record(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, .
         hz, hz_err = estimate(z_tallies, j, h, -(h * m.zj))
         hx, hx_err = estimate(x_tallies, j, k2, -(k2 * m.xx))
         energies[j] = ReceiverEnergy(hx=hx, hz=hz, e_j=hx + hz, e_b=-(hx + hz))
-        stderr.update({f"HZ{j}": hz_err, f"HX{j}": hx_err,
-                       f"E{j}": float(np.hypot(hx_err, hz_err))})
+        e_err = math.hypot(hx_err, hz_err)
+        if not math.isfinite(e_err):
+            raise FloatingPointError(f"overflow in the standard error of E{j}")
+        stderr.update({f"HZ{j}": hz_err, f"HX{j}": hx_err, f"E{j}": e_err})
     return QetRecord(model=bundle.params, e0=e0, angle=bundle.angle, receivers=energies,
                      method="sampled", stderr=stderr)

@@ -550,6 +550,19 @@ def test_q2_overflow_past_the_ground_level_exits_1(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q", [2, 3, 20])
+def test_star_overflow_raises_outside_main(q, capsys):
+    # every record is formed on floats and checks its own numbers, so a
+    # library call raises, with no numpy warning (the suite makes one an
+    # error), where `qed` exits 1 with the same message
+    message = f"overflow encountered in the q = {q} closed form"
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        qetsim.model.star_model(qetsim.model.StarModelParams(1.79e308, 1.79e308, q))
+    assert run_cli("qed", "--h", "1.79e308", "--k", "1.79e308", "--q", str(q),
+                   "--receivers", "1", "--method", "exact") == 1
+    assert capsys.readouterr() == ("", f"error: floating-point failure: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("qet", "--h", "1e20", "--k", "1"),
     ("qed", "--h", "1e13", "--k", "1", "--q", "6"),
@@ -612,7 +625,7 @@ def test_four_billion_shots_take_under_a_second(tmp_path):
 
 @pytest.mark.parametrize("h", ["nan:1:3", "inf", "1:inf:3", "-inf:1:3"])
 def test_sweep_non_finite_grid_exits_2(h, capsys):
-    # checked before np.linspace, which would fail on the endpoint under main's errstate
+    # checked before np.linspace, which would fail on the endpoint under sweep's errstate
     assert run_cli("sweep", f"--h={h}", "--k", "1") == 2
     assert "error: h and k must be finite and positive" in capsys.readouterr().err
 
@@ -883,9 +896,9 @@ def test_runs_without_shot_sampling_never_import_numpy_random(tmp_path):
     # importing numpy.random costs a fresh process ~15 ms; the relay and the
     # shot sampler both draw from `random`, so no command imports it.  numpy
     # itself loads on first use: the parser, `longrange`, `tiling` and the
-    # exact-only q = 2 runs, which compute on floats and ints, never load it;
-    # the other commands do.  The records are named tuples, so the start-up
-    # loads neither `dataclasses` nor the `inspect` it imports
+    # exact-only runs at every q, which compute on floats and ints, never load
+    # it; `sweep` and the sampled runs do.  The records are named tuples, so
+    # the start-up loads neither `dataclasses` nor the `inspect` it imports
     script = f"""
 import sys
 from qetsim.cli import build_parser, main
@@ -901,6 +914,11 @@ numpy_free = [
     ["qet", "--h", "1", "--k", "1", "--method", "exact", "--out", out],
     ["qed", "--h", "9", "--k", "2", "--q", "2", "--receivers", "1", "--method", "exact",
      "--out", out],
+    ["qed", "--h", "9", "--k", "2", "--q", "6", "--receivers", "1,2,3", "--method", "exact",
+     "--out", out],
+    ["qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", "1,19", "--method", "exact",
+     "--out", out],
+    ["table1", "--method", "exact", "--check", "--out", out],
 ]
 runs = [
     ["sweep", "--out", out],
@@ -920,7 +938,7 @@ for argv in numpy_free + runs:
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == (
         ["numpy False", "dataclasses False", "inspect False"]
-        + ["numpy.random False"] * 4 + ["numpy False"]
+        + ["numpy.random False"] * 7 + ["numpy False"]
         + ["numpy.random False"] * 4 + ["numpy True"])
 
 
@@ -1353,7 +1371,7 @@ def test_error_grid_exits_and_messages_are_pinned(capsys):
     # its exit code, stdout and stderr; after the prefix, a numpy
     # FloatingPointError's wording is numpy's, so it is cut there
     prefix = "error: floating-point failure:"
-    ours = f"{prefix} {qetsim.model._OVERFLOW}\n"
+    ours = f"{prefix} {qetsim.model._OVERFLOW.format(2)}\n"
 
     def grid_digest(commands):
         digest, codes = hashlib.sha256(), collections.defaultdict(list)

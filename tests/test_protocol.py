@@ -39,7 +39,6 @@ from qetsim.model import (
     _star_solve,
     exact_energies,
     star_model,
-    star_models,
 )
 from qetsim.protocol import dicke_rotation, exact_record, run_protocol, sweep_EB
 from qetsim.sampler import ShotPlan, readout_law as pass_law, sample_protocol
@@ -124,10 +123,10 @@ def test_feedback_order_commutes_branchwise():
 
 
 def assert_stack_equals_lone(params, receivers):
-    """Each bundle of one stacked solve of models of one q, and its rows of
-    one stacked pass, equal those of a solve and a pass of that model alone,
-    bit for bit; a lone bundle's g and moments are those of the chain solve."""
-    stack, q = star_models(params), params[0].q
+    """The rows of one stacked pass over bundles of one q equal those of a
+    pass of that model alone, bit for bit, and a solve is a pure function of
+    its model; a lone bundle's g and moments are those of the chain solve."""
+    stack, q = [star_model(p) for p in params], params[0].q
     fed = run_protocol(stack, receivers)
     assert fed.shape == (len(stack), 2, q - len(receivers), 2, len(receivers) + 1)
     for bundle, rows in zip(stack, fed):
@@ -168,7 +167,7 @@ def test_a_stack_holding_a_degenerate_cell_raises_as_its_lone_solve(params, bad)
     with pytest.raises(DegenerateGroundError) as lone:
         star_model(params[bad])
     with pytest.raises(DegenerateGroundError) as stacked:
-        star_models(params)
+        [star_model(p) for p in params]
     assert str(stacked.value) == str(lone.value)
     assert str(lone.value).endswith(f" at h = {params[bad].h:.12g}, k = {params[bad].k:.12g}")
 
@@ -177,18 +176,15 @@ def test_a_stacked_pass_needs_one_q():
     bundles = [star_model(StarModelParams(9.0, 2.0, 6)), star_model(StarModelParams(9.0, 2.0, 7))]
     with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
         run_protocol(bundles, (1, 2))
-    # a stacked solve needs one q too, the minimal model's being 2
-    for params, qs in (([StarModelParams(9.0, 2.0, 6), StarModelParams(9.0, 2.0, 7)], "[6, 7]"),
-                       ([MinimalModelParams(9.0, 2.0), StarModelParams(9.0, 2.0, 3)], "[2, 3]")):
-        with pytest.raises(ValueError, match=re.escape(f"one q, got q values {qs}")):
-            star_models(params)
+    # the minimal model's q is 2: it does not stack with a q = 3 star
+    bundles = [star_model(MinimalModelParams(9.0, 2.0)), star_model(StarModelParams(9.0, 2.0, 3))]
+    with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
+        run_protocol(bundles, (1,))
 
 
 def test_a_stacked_pass_needs_a_bundle():
     with pytest.raises(ValueError, match="run_protocol: bundle is an empty stack"):
         run_protocol([], (1,))
-    with pytest.raises(ValueError, match=re.escape("one q, got q values []")):
-        star_models([])
 
 
 def test_pass_shapes():
@@ -236,7 +232,7 @@ def test_minimal_pass_draws_mu_at_one_half():
     # `longrange` draws its mu at 1/2 on this fact
     ratios = np.geomspace(3.2e-5, 1e12, 401)
     for scale in (1e-300, 1.0, 1e200):
-        bundles = star_models([MinimalModelParams(r * scale, scale) for r in ratios.tolist()])
+        bundles = [star_model(MinimalModelParams(r * scale, scale)) for r in ratios.tolist()]
         p_plus = np.sum(run_protocol(bundles, (1,))[:, 0] ** 2, axis=(1, 2, 3))
         assert np.abs(p_plus - 0.5).max() <= 2.3e-16, scale
 
@@ -421,11 +417,11 @@ def test_minimal_model_is_the_q2_star():
             assert np.array_equal(mini.sum(axis=1), star.sum(axis=1))
             assert np.array_equal(mini.sum(axis=2), star.sum(axis=2))
     # an exact record reads its numbers off the bundle, which formed them by
-    # `exact_energies` on its moments: on floats by `math` at q = 2, on numpy
-    # at q >= 3, bit for bit
+    # `exact_energies` on its moments, on floats by `math` at every q, bit for bit
     bundle = star_model(StarModelParams(9.0, 2.0, 3))
-    for b, xp in ((star_model(MinimalModelParams(9.0, 2.0)), _MATH), (bundle, np)):
-        e0, energy, angle = exact_energies(b.params.h, b.params.k, b.moments, xp)
+    for b in (star_model(MinimalModelParams(9.0, 2.0)), bundle,
+              star_model(StarModelParams(6.0, 2.0, 20))):
+        e0, energy, angle = exact_energies(b.params.h, b.params.k, b.moments, _MATH)
         assert (b.e0, b.energy, b.angle) == (e0, energy, angle)
         record = exact_record(b, tuple(range(1, b.params.q)))
         assert record.e0 == b.e0 and record.angle == b.angle
@@ -516,7 +512,7 @@ def test_sweep_in_chunks_equals_the_unchunked_grid(monkeypatch):
 
 
 def _raised(solve):
-    """The exception type `solve()` raises under main's errstate, or None."""
+    """The exception type `solve()` raises under `sweep`'s errstate, or None."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             solve()
@@ -551,7 +547,7 @@ def test_sweep_corners_fail_exactly_when_the_grid_fails_property(
     # bit: k/h ~ 3.1623e4, where the gap falls below the degeneracy tolerance,
     # h/k ~ 1e12, and fields near the largest float along a ray of k/h =
     # ratio.  The corner solve that `sweep_EB` runs before returning raises,
-    # under main's errstate, exactly when a solve of every point does, and the
+    # under `sweep`'s errstate, exactly when a solve of every point does, and the
     # same exception
     big = sys.float_info.max / max(1.0, ratio)
     h, k = {

@@ -450,6 +450,15 @@ def test_sampled_record_star_hx_within_five_sigma():
         assert abs(got - want) < 5 * sampled.stderr[obs], obs
 
 
+def test_sampled_record_checks_the_quadrature_stderr(monkeypatch):
+    # E_j's stderr is the hypot of two finite ones, which can overflow; on
+    # floats it would read inf, so it is checked, as each estimate is
+    bundle = star_model(StarModelParams(9.0, 2.0, 6))
+    monkeypatch.setattr(qetsim.sampler, "estimate", lambda *args: (0.0, 1.5e308))
+    with pytest.raises(FloatingPointError, match="overflow in the standard error of E1"):
+        sampled_record(bundle, run_protocol(bundle, (1, 2)), (1, 2), shots=10, master_seed=8)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     h=st.floats(0.5, 5.0),
