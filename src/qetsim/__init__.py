@@ -19,6 +19,7 @@ from .protocol import QetRecord, exact_record, run_protocol, sweep_EB
 from .sampler import (
     ShotPlan,
     estimate,
+    readout_law,
     sample_protocol,
     sampled_record,
 )

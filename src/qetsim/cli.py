@@ -23,7 +23,7 @@ from . import model, refdata, tiling
 from ._kernels import np
 from .model import MinimalModelParams, StarModelParams, star_model
 from .protocol import exact_record, run_protocol, sweep_EB
-from .sampler import MAX_SHOTS, sampled_record
+from .sampler import MAX_SHOTS, readout_law, sampled_record
 from .teleport import run_longrange_qet
 
 DEFAULT_SHOTS = 1_000_000
@@ -149,15 +149,15 @@ def _shown(args, exact, sampled) -> list:
 
 
 def _records(args, params, receivers) -> list[tuple]:
-    """Each model's exact record, and unless `--method exact` its sampled one
-    from one stacked pass: the models share q."""
+    """Each model's exact record, and unless `--method exact` its sampled one,
+    drawn from its row of the laws of one stacked pass over every model."""
     bundles = [star_model(p) for p in params]
     exact = [exact_record(b, receivers) for b in bundles]
     if args.method == "exact":
         return [(e, None) for e in exact]
-    feds = run_protocol(bundles, receivers)
-    return [(e, sampled_record(b, fed, receivers, args.shots, args.seed))
-            for e, b, fed in zip(exact, bundles, feds)]
+    laws = readout_law(run_protocol(bundles, receivers))
+    return [(e, sampled_record(b, law, receivers, args.shots, args.seed))
+            for e, b, law in zip(exact, bundles, laws)]
 
 
 # --- table1 -----------------------------------------------------------------
@@ -171,9 +171,8 @@ def cmd_table1(args) -> int:
              "ref_mean,ref_stderr,tolerance,status"]
     wide: dict[tuple, list[str]] = {}
     total = failures = 0
-    # CONFIGS runs over TILING_QS x HK_PAIRS: a tiling's cells are one stack
-    records = [pair for q in refdata.TILING_QS for pair in _records(
-        args, [StarModelParams(h=float(h), k=float(k), q=q) for h, k in refdata.HK_PAIRS], (1, 2))]
+    records = _records(
+        args, [StarModelParams(h=float(h), k=float(k), q=q) for q, h, k in refdata.CONFIGS], (1, 2))
     for (q, h, k), (exact, sampled) in zip(refdata.CONFIGS, records):
         reference = refdata.REFERENCE_TABLE[(q, h, k)]
         for record in _shown(args, exact, sampled):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 # Largest star q.  The protocol pass holds the receivers as their |R| + 1
 # Dicke states: `qed` at q = 20 with all 19 receivers and both methods takes
-# 12-18 ms in-process at a 32 MB peak (the import baseline) on 2 cores.
+# 6.5-7.5 ms in-process after numpy's import, at a 30 MB peak on 2 vCPU.
 MAX_STATEVECTOR_QUBITS = 20
 
 

@@ -9,9 +9,10 @@ Every exact number is a closed form in the ground moments
 (`model.exact_energies`), formed once per model into its bundle and read off
 it by `exact_record`, or over an (h, k) grid, streamed chunk by chunk once
 its corners pass (`sweep_EB`).  The protocol pass, `run_protocol`, runs only
-for the sampler.  It acts on the only sites the protocol touches, the sender
-and the receivers, through a purification of their reduced state built from
-the block vector, the receivers as Dicke states.
+for the sampler, both basis runs of a whole stack of models at once.  It
+acts on the only sites the protocol touches, the sender and the receivers,
+built from the block vector: the receivers as Dicke states, turned by one
+composed rotation per run, and the sender factored out.
 """
 
 from __future__ import annotations
@@ -97,40 +98,47 @@ def dicke_rotation(r: int, c, s) -> np.ndarray:
 
 
 def run_protocol(bundle: ModelBundle | list[ModelBundle], receivers: tuple[int, ...]) -> np.ndarray:
-    """The protocol pass on the sender plus the receivers R: X0 measurement,
-    then each receiver's feedback; a list of bundles of one q gives their
-    arrays stacked along a leading axis, each equal to the bundle's own.
+    """The protocol pass on the sender plus the receivers R, both basis runs
+    at once; a list of bundles, of any q, gives their arrays stacked along a
+    leading axis, the spectator axis padded with zeros to the longest.
 
-    Returns the real array fed[mu, m, s, w] of shape (2, q - |R|, 2, |R| + 1),
-    a purification of the fed state of those sites: row mu (+1, then -1) is
-    the unnormalized post-measurement branch, whose squared norm is p_mu; s
-    is the sender bit, w the receivers' Dicke state with w ones (each string
-    of weight w has amplitude fed / sqrt(C(|R|, w))), and m, the other
-    receivers' ones, a spectator that probabilities sum over.  The ground
-    state's Dicke state with n ones splits into |D_w> |D_m>, m = n - w, at
-    sqrt(C(|R|, w) C(q - 1 - |R|, m) / C(q - 1, n)), a ratio of integers;
-    then the projector (I + mu X0) / 2 and, at each receiver, the rotation
-    cos(theta) I - i mu sin(theta) Y = [[c, -mu s], [mu s, c]].
+    Returns the real array runs[basis, mu, m, w] of shape
+    (2, 2, q - |R|, |R| + 1), basis Z then X, mu +1 then -1: the unnormalized
+    post-measurement branch mu as its run reads it out.  w is the receivers'
+    Dicke state with w ones (each string of weight w has amplitude
+    runs / sqrt(C(|R|, w))), m, the other receivers' ones, a spectator that
+    probabilities sum over.  The sender is factored out: after X0 reads mu it
+    holds (1, mu), so fed = runs[Z] (x) (1, mu) purifies the fed state, and
+    an X-run's Hadamard leaves sqrt(2) on its bit (1 - mu) / 2 alone.  The
+    ground state's Dicke state with n ones splits into |D_w> |D_m>, m = n - w,
+    at sqrt(C(|R|, w) C(q - 1 - |R|, m) / C(q - 1, n)), a ratio of integers;
+    then the projector (I + mu X0) / 2, and at each receiver the Z-run's
+    R(mu theta) = cos(theta) I - i mu sin(theta) Y, or the X-run's
+    H R(mu theta) = R(pi/4 - mu theta) Z, one Dicke matrix per run.
     """
     stack = [bundle] if isinstance(bundle, ModelBundle) else bundle
     if not stack:
         raise ValueError("run_protocol: bundle is an empty stack")
-    q, r = stack[0].n_qubits, len(receivers)
-    if any(b.n_qubits != q for b in stack):
-        raise ValueError("a stacked pass needs bundles of one q")
-    _check_receivers(stack[0], receivers)
-    others = q - 1 - r
-    split = [[math.comb(r, w) * math.comb(others, m) / math.comb(q - 1, w + m)
-              for m in range(others + 1)] for w in range(r + 1)]
-    w, m = np.ogrid[: r + 1, : others + 1]
-    g = np.stack([b.g for b in stack])
-    amp = (g[:, :, w + m] * np.sqrt(split)).transpose(0, 3, 1, 2)[:, None]  # [., m, s, w]
-    mu = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-    fed = 0.5 * (amp + mu * amp[:, :, :, ::-1])  # X0 swaps s
+    # the smallest q bounds every bundle's receiver sites
+    _check_receivers(min(stack, key=lambda b: b.n_qubits), receivers)
+    r, qs = len(receivers), sorted({b.n_qubits for b in stack})
+    size = qs[-1] - r  # the spectator axis
+    split = np.sqrt([[[math.comb(r, w) * math.comb(q - 1 - r, m) / math.comb(q - 1, w + m)
+                       if m < q - r else 0.0 for w in range(r + 1)] for m in range(size)]
+                     for q in qs])
+    g = np.array([[gs + (0.0,) * (size + r - len(gs)) for gs in b.g] for b in stack])
+    m, w = np.arange(size)[:, None], np.arange(r + 1)
+    amp = g[:, :, m + w] * split[[qs.index(b.n_qubits) for b in stack], None]  # [., s, m, w]
+    mu = np.array([1.0, -1.0])
+    branch = 0.5 * (amp[:, None, 0] + mu[:, None, None] * amp[:, None, 1])  # X0 reads mu
     theta = np.array([[b.angle.theta] for b in stack])
-    c, s = np.cos(theta), np.sin(theta)
-    fed = fed @ dicke_rotation(r, c, np.hstack([s, -s])).swapaxes(-1, -2)[:, :, None]
-    return fed[0] if isinstance(bundle, ModelBundle) else fed
+    c, s = np.cos(theta).repeat(2, axis=1), mu * np.sin(theta)  # R(mu theta), [., mu]
+    half = math.sqrt(0.5)  # R(pi/4 - mu theta) by the angle-difference formulas
+    turn = dicke_rotation(r, np.stack([c, (c + s) * half], 1), np.stack([s, (c - s) * half], 1))
+    read = np.stack([branch, branch * (-1.0) ** w], axis=1)  # [., basis, mu, m, w]
+    # each amplitude sums its |R| + 1 terms in one order, whatever the stack
+    runs = np.sum(read[..., None, :] * turn[:, :, :, None], axis=-1)
+    return runs[0] if isinstance(bundle, ModelBundle) else runs
 
 
 def sweep_EB(h_values, k_values, field_term: bool = False):

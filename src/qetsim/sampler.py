@@ -2,17 +2,18 @@
 
 A Z-run reads the sender and the receivers out in the Z basis, an X-run in
 the X basis; they never share shots.  The star is symmetric under any
-permutation of its receivers, so a run's law of (mu, readout), read from
-the protocol pass's Dicke classes, is a law of (mu, sender bit, receiver
-weight), and the per-receiver tallies of (mu, sender bit, receiver bit), all
-the estimators read, are drawn exactly from O(|R|^2) binomials at any shot
-count.  Randomness comes from the standard library's `random.Random`, keyed
-by master seed, model parameters, receiver set and basis.
+permutation of its receivers, so a run's law of (mu, readout) is a law of
+(mu, sender bit, receiver weight).  `readout_law` forms it from the protocol
+pass's Dicke classes, for both runs of a whole stack of models at once, and
+each run draws from its own row: the per-receiver tallies of (mu, sender
+bit, receiver bit), all the estimators read, are drawn exactly from
+O(|R|^2) binomials at any shot count.  Randomness comes from the standard
+library's `random.Random`, keyed by master seed, model parameters, receiver
+set and basis.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import struct
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from ._kernels import np
 from .model import ModelBundle, ReceiverEnergy
-from .protocol import QetRecord, dicke_rotation
+from .protocol import QetRecord
 
 _BASIS_CODES = {"Z": 0, "X": 1}
 _FAMILY_CODE = 2  # the star family's tag in the seed key; the minimal model is the q = 2 star
@@ -49,26 +50,16 @@ def _seed_key(bundle: ModelBundle, receivers: tuple[int, ...], plan: ShotPlan) -
     return [plan.master_seed, _FAMILY_CODE, p.q, *fields, _BASIS_CODES[plan.basis_run], *receivers]
 
 
-@functools.cache
-def _receiver_hadamard(r: int) -> np.ndarray:
-    """The r receivers' Hadamards on their Dicke states, the Dicke matrix of
-    R(pi/4) Z, transposed, read-only: built once per receiver count."""
-    root_half = math.sqrt(0.5)
-    matrix = (dicke_rotation(r, root_half, root_half) * (-1.0) ** np.arange(r + 1)).T
-    matrix.flags.writeable = False
-    return matrix
-
-
-def readout_law(fed: np.ndarray, basis: str) -> np.ndarray:
-    """Class probabilities law[mu, b0, w] of one basis run of a pass array
-    fed[mu, m, s, w], summed over m; an X-run's Hadamards act on the
-    receivers as the Dicke matrix of R(pi/4) Z, on the sender as the sum and
-    difference of its rows, which keeps the classes b0 != mu exactly 0."""
-    if basis == "X":
-        fed = fed @ _receiver_hadamard(fed.shape[-1] - 1)
-        fed = np.stack([fed[:, :, 0] + fed[:, :, 1], fed[:, :, 0] - fed[:, :, 1]], axis=2)
-        return 0.5 * np.sum(fed**2, axis=1)
-    return np.sum(fed**2, axis=1)
+def readout_law(runs: np.ndarray) -> np.ndarray:
+    """Class probabilities law[..., basis, 2 mu + b0, w] of the basis runs
+    runs[..., basis, mu, m, w] of `run_protocol`, summed over m in order, so
+    that a stack's zero padding leaves every bit.  A Z-run's sender bit is
+    uniform, so both of its classes read the branch's; an X-run's is
+    (1 - mu) / 2, read at twice the branch's, and its other class is exactly
+    0, so it draws nothing."""
+    branch = sum(np.moveaxis(runs**2, -2, 0))  # [..., basis, mu, w]
+    sender = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 2.0]])[:, :, None]
+    return branch[..., [0, 0, 1, 1], :] * sender
 
 
 def _stirling_tail(k: int) -> float:
@@ -124,12 +115,12 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, ...],
+def sample_protocol(bundle: ModelBundle, law: np.ndarray, receivers: tuple[int, ...],
                     plan: ShotPlan) -> SampleTallies:
-    """Tally `plan.shots` shots of one basis run of `fed`, `run_protocol`'s
-    array for `receivers`: the counts of the classes (mu, b0, receiver
-    weight w) by conditional binomials; then, in site order, a group of
-    shots with u ones among the L receivers not yet visited gives
+    """Tally `plan.shots` shots of one basis run of `law`, the bundle's
+    `readout_law` for `receivers`: the counts of the classes (mu, b0,
+    receiver weight w) by conditional binomials; then, in site order, a
+    group of shots with u ones among the L receivers not yet visited gives
     Binomial(count, u / L) ones to the next, since a shot's receiver bits
     are uniform among the strings of its weight."""
     if plan.basis_run not in _BASIS_CODES:
@@ -138,9 +129,9 @@ def sample_protocol(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, 
     if isinstance(shots, bool) or not isinstance(shots, int) or not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, an int, got {shots!r}")
     sites, r = (0, *sorted(receivers)), len(receivers)
-    if fed.shape[:1] + fed.shape[2:] != (2, 2, r + 1):
-        raise ValueError(f"pass array of shape {fed.shape} does not read out sites {sites}")
-    p = readout_law(fed, plan.basis_run).ravel().tolist()
+    if law.shape != (2, 4, r + 1):
+        raise ValueError(f"readout law of shape {law.shape} does not read out sites {sites}")
+    p = law[_BASIS_CODES[plan.basis_run]].ravel().tolist()
     # keyed by the receiver set: the pass, and so the law, ignores their order
     rng = random.Random(" ".join(map(str, _seed_key(bundle, sites[1:], plan))))
     left, draws = shots, []
@@ -193,14 +184,14 @@ def estimate(tallies: SampleTallies, site: int, coeff: float, offset: float) -> 
     return float(mean), stderr
 
 
-def sampled_record(bundle: ModelBundle, fed: np.ndarray, receivers: tuple[int, ...],
+def sampled_record(bundle: ModelBundle, law: np.ndarray, receivers: tuple[int, ...],
                    shots: int, master_seed: int) -> QetRecord:
-    """Shot-sampled analogue of `exact_record` from `fed`, the bundle's
-    `run_protocol` array for `receivers`: E0 from the Z-run's sender field
+    """Shot-sampled analogue of `exact_record` from `law`, the bundle's
+    `readout_law` for `receivers`: E0 from the Z-run's sender field
     term (its post-measurement mean is the injected energy), and each
     receiver's Z-run and X-run terms, with quadrature standard errors."""
-    z_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, master_seed))
-    x_tallies = sample_protocol(bundle, fed, receivers, ShotPlan("X", shots, master_seed))
+    z_tallies = sample_protocol(bundle, law, receivers, ShotPlan("Z", shots, master_seed))
+    x_tallies = sample_protocol(bundle, law, receivers, ShotPlan("X", shots, master_seed))
     h, k2, m = bundle.params.h, 2.0 * bundle.params.k, bundle.moments
     e0, e0_err = estimate(z_tallies, 0, h, -(h * m.z0))
     stderr, energies = {"E0": e0_err}, {}

@@ -325,22 +325,27 @@ def class_cells(x: np.ndarray, probabilities: bool = False) -> np.ndarray:
     return cells.reshape(*x.shape[:-2], 2 ** (r + 1))
 
 
-def oracle_pass(branches, sites: tuple[int, ...]) -> np.ndarray:
-    """A pass array for the package's sampler from full branches, `sites`
-    the sender and one receiver, whose classes are its cells: row mu holds
-    sqrt(p_mu) psi_mu with the sender's and the receiver's bits on the last
-    two axes and every other site on the spectator axis, a purification of
-    the same reduced state."""
+def oracle_law(branches, sites: tuple[int, ...]) -> np.ndarray:
+    """A readout law for the package's sampler from full branches, `sites`
+    the sender and one receiver, whose classes are its cells:
+    law[basis, 2 mu + b0, b] is `readout_law` of the Z-run, then the X-run."""
     assert len(sites) == 2
-    rows = []
-    for p, psi, mu in sorted(branches, key=lambda b: -b[2]):
-        n = _qubits(psi)
-        rest = [s for s in range(n) if s not in sites]
-        t = np.transpose(psi.reshape((2,) * n), rest + list(sites))
-        rows.append(np.sqrt(p) * t.reshape(2 ** len(rest), -1))
-    out = np.array(rows)
-    assert out.shape[0] == 2 and np.abs(out.imag).max() < 1e-14
-    return out.real.reshape(2, -1, 2, 2)
+    return np.stack([readout_law(branches, sites, basis).reshape(4, 2) for basis in "ZX"])
+
+
+def purification(runs: np.ndarray) -> np.ndarray:
+    """The pass array fed[..., mu, m, s, w] of the fed state, a purification
+    of the sender-plus-receivers reduced state, from the package's basis
+    runs runs[..., basis, mu, m, w]: after X0 reads mu the sender holds
+    (1, mu), so fed is the Z-run's amplitudes times (1, mu)."""
+    sender = np.array([[1.0, 1.0], [1.0, -1.0]])  # [mu, s]
+    return runs[..., 0, :, :, None, :] * sender[:, None, :, None]
+
+
+def basis_run(law: np.ndarray, basis: str) -> np.ndarray:
+    """One basis run's class law [..., mu, b0, w] of the package's readout
+    law[..., basis, 2 mu + b0, w]."""
+    return law[..., "ZX".index(basis), :, :].reshape(*law.shape[:-3], 2, 2, law.shape[-1])
 
 
 def pass_density(fed: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from oracle_utils import (
     fidelity,
     local_matrix,
     pass_energy_curve,
+    purification,
     reduced_observable,
     relay_identity_check,
     ring_counts_recurrence,
@@ -33,7 +34,7 @@ from qetsim.model import (
     star_model,
 )
 from qetsim.protocol import exact_record, run_protocol
-from qetsim.sampler import sampled_record
+from qetsim.sampler import readout_law, sampled_record
 from qetsim.teleport import run_longrange_qet
 from qetsim.tiling import generate
 
@@ -52,10 +53,10 @@ def table_cells():
         cells = {}
         for q, h, k in refdata.CONFIGS:
             bundle = star_model(StarModelParams(float(h), float(k), q))
-            fed = run_protocol(bundle, (1, 2))
+            law = readout_law(run_protocol(bundle, (1, 2)))
             cells[(q, h, k)] = (
                 exact_record(bundle, (1, 2)),
-                sampled_record(bundle, fed, (1, 2), TABLE_SHOTS, TABLE_SEED),
+                sampled_record(bundle, law, (1, 2), TABLE_SHOTS, TABLE_SEED),
             )
         _cache["cells"] = cells
         _cache["elapsed"] = time.perf_counter() - t0
@@ -204,7 +205,7 @@ def _pass_energies(bundle, site, thetas):
     terms = star_terms(bundle)
     local = reduced_observable((0, site), terms[f"Z{site}"], terms[f"X{site}"])
     shifts = np.asarray(thetas) - bundle.angle.theta
-    return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
+    return pass_energy_curve(purification(run_protocol(bundle, (site,))), shifts, local)
 
 
 def test_criterion_08_theta_beats_grid_scan():

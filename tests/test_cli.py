@@ -830,11 +830,12 @@ def test_qed_both_methods_run_one_pass(monkeypatch):
     assert len(passes) == 1
 
 
-def test_table1_runs_one_solve_per_config_and_one_pass_per_tiling(tmp_path, monkeypatch):
-    # each (h, k) cell is one chain solve, and each tiling's four cells one
-    # stacked pass, so the 12 configs take 12 solves and 3 passes, every
-    # config once, in CONFIGS order
+def test_table1_runs_one_solve_per_config_and_one_pass(tmp_path, monkeypatch):
+    # each (h, k) cell is one chain solve, and the 12 configs, of three q,
+    # one stacked pass with one Dicke build, every config once, in CONFIGS
+    # order
     solves, passes = [], []
+    builds = count_calls(monkeypatch, qetsim.protocol, "dicke_rotation")
     solve, run_protocol = qetsim.model._star_solve, qetsim.protocol.run_protocol
 
     def counted_solve(h, k, q):
@@ -851,8 +852,18 @@ def test_table1_runs_one_solve_per_config_and_one_pass_per_tiling(tmp_path, monk
                    "--out", str(tmp_path / "t.csv")) == 0
     configs = [(q, float(h), float(k)) for q, h, k in qetsim.refdata.CONFIGS]
     assert solves == configs
-    assert [len(cells) for cells in passes] == [4, 4, 4]
+    assert [len(cells) for cells in passes] == [12]
     assert [config for cells in passes for config in cells] == configs
+    assert len(builds) == 1
+
+
+def test_sampled_star_forms_every_law_from_one_dicke_build(monkeypatch):
+    # both basis runs of all 11 receivers turn by one stacked Dicke matrix
+    passes = count_calls(monkeypatch, qetsim.protocol, "run_protocol")
+    builds = count_calls(monkeypatch, qetsim.protocol, "dicke_rotation")
+    assert run_cli("qed", "--h", "9", "--k", "2", "--q", "12", "--receivers",
+                   ",".join(map(str, range(1, 12))), "--shots", "2000") == 0
+    assert len(passes) == 1 and len(builds) == 1
 
 
 def test_longrange_runs_no_protocol_pass(tmp_path, monkeypatch):
@@ -983,11 +994,11 @@ def test_qed_at_the_guard_builds_no_2_to_the_q_amplitudes(receivers, tmp_path, m
         return wrapper
 
     monkeypatch.setattr(qetsim.cli, "run_protocol", recorded(run_protocol))
-    monkeypatch.setattr(qetsim.sampler, "readout_law", recorded(readout_law))
+    monkeypatch.setattr(qetsim.cli, "readout_law", recorded(readout_law))
     assert run_cli("qed", "--h", "9", "--k", "2", "--q", "20", "--receivers", receivers,
                    "--shots", "1000", "--out", str(tmp_path / "qed.json")) == 0
     r = len(receivers.split(","))
-    assert shapes == [(1, 2, 20 - r, 2, r + 1)] + [(2, 2, r + 1)] * 2  # a stack of one pass
+    assert shapes == [(1, 2, 2, 20 - r, r + 1), (1, 2, 4, r + 1)]  # a stack of one pass
 
 
 # --- pinned sampled bytes ---------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import qetsim
 from qetsim import LoccTranscript, MinimalModelParams, _kernels, run_longrange_qet
+from qetsim.sampler import readout_law
 
 
 def test_benchmark_entry_points_exist(monkeypatch):
@@ -65,7 +66,8 @@ def test_benchmark_entry_points_exist(monkeypatch):
     sample = tracer.wrap("sampler.sample_protocol", qetsim.sample_protocol)
     bundle = qetsim.star_model(qetsim.StarModelParams(9.0, 2.0, 6))
     receivers = (1, 2)
-    sample(bundle, qetsim.run_protocol(bundle, receivers), receivers, qetsim.ShotPlan("X", 1000, 3))
+    law = readout_law(qetsim.run_protocol(bundle, receivers))
+    sample(bundle, law, receivers, qetsim.ShotPlan("X", 1000, 3))
     assert tracer.hook_errors == []
     assert tracer.counters["sampler.shots"] == 1000
 

@@ -17,6 +17,7 @@ from oracle_utils import (
     local_word,
     op_on,
     pass_energy_curve,
+    purification,
     reduced_observable,
     solve_ground,
     star_ground,
@@ -416,7 +417,7 @@ def pass_curve(bundle, site, thetas):
     terms = star_terms(bundle)
     local = reduced_observable((0, site), terms[f"Z{site}"], terms[f"X{site}"])
     shifts = np.asarray(thetas) - bundle.angle.theta
-    return pass_energy_curve(run_protocol(bundle, (site,)), shifts, local)
+    return pass_energy_curve(purification(run_protocol(bundle, (site,))), shifts, local)
 
 
 @pytest.mark.parametrize("maker", [

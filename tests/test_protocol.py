@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     Term,
+    basis_run,
     class_cells,
     decimal_star_eb,
     dicke_vectors,
@@ -21,6 +22,7 @@ from oracle_utils import (
     partial_trace,
     pass_density,
     pass_energy_curve,
+    purification,
     readout_law,
     receiver_energy,
     reduced_observable,
@@ -98,7 +100,7 @@ def test_zero_angle_feedback_is_identity():
     # holds no receiver energy
     bundle = star_model(MinimalModelParams(1.0, 1.0))
     terms = star_terms(bundle)
-    fed = class_cells(run_protocol(bundle, (1,)))
+    fed = class_cells(purification(run_protocol(bundle, (1,))))
     theta = bundle.angle.theta
     local = reduced_observable((0, 1), terms["Z1"], terms["X1"])
     assert pass_energy_curve(fed, [-theta], local)[0] == pytest.approx(0.0, abs=1e-10)
@@ -119,7 +121,8 @@ def test_feedback_order_commutes_branchwise():
     # the pass takes the receivers in site order, whatever order it is given
     assert np.array_equal(run_protocol(bundle, (1, 2)), run_protocol(bundle, (2, 1)))
     rho = sum(p * partial_trace(psi, 6, (0, 1, 2)) for p, psi, _ in order21)
-    assert np.abs(pass_density(class_cells(run_protocol(bundle, (2, 1)))) - rho).max() <= 1e-12
+    fed = class_cells(purification(run_protocol(bundle, (2, 1))))
+    assert np.abs(pass_density(fed) - rho).max() <= 1e-12
 
 
 def assert_stack_equals_lone(params, receivers):
@@ -127,7 +130,7 @@ def assert_stack_equals_lone(params, receivers):
     pass of that model alone, bit for bit, and a solve is a pure function of
     its model; a lone bundle's g and moments are those of the chain solve."""
     stack, q = [star_model(p) for p in params], params[0].q
-    fed = run_protocol(stack, receivers)
+    fed = purification(run_protocol(stack, receivers))
     assert fed.shape == (len(stack), 2, q - len(receivers), 2, len(receivers) + 1)
     for bundle, rows in zip(stack, fed):
         lone = star_model(bundle.params)
@@ -135,7 +138,7 @@ def assert_stack_equals_lone(params, receivers):
         assert np.array_equal(bundle.g, lone.g)
         assert bundle.moments == lone.moments and bundle.angle == lone.angle
         assert bundle.e0 == lone.e0 and bundle.energy == lone.energy
-        assert np.array_equal(rows, run_protocol(lone, receivers))
+        assert np.array_equal(rows, purification(run_protocol(lone, receivers)))
         moments, g = _star_solve(lone.params.h, lone.params.k, q)
         assert np.array_equal(lone.g, g) and lone.moments == moments
 
@@ -172,14 +175,29 @@ def test_a_stack_holding_a_degenerate_cell_raises_as_its_lone_solve(params, bad)
     assert str(lone.value).endswith(f" at h = {params[bad].h:.12g}, k = {params[bad].k:.12g}")
 
 
-def test_a_stacked_pass_needs_one_q():
-    bundles = [star_model(StarModelParams(9.0, 2.0, 6)), star_model(StarModelParams(9.0, 2.0, 7))]
-    with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
-        run_protocol(bundles, (1, 2))
-    # the minimal model's q is 2: it does not stack with a q = 3 star
-    bundles = [star_model(MinimalModelParams(9.0, 2.0)), star_model(StarModelParams(9.0, 2.0, 3))]
-    with pytest.raises(ValueError, match="a stacked pass needs bundles of one q"):
-        run_protocol(bundles, (1,))
+def test_a_mixed_q_stack_gives_each_lone_law_bit_for_bit():
+    # the spectator axis is padded with zeros to the largest q - |R|, and the
+    # law sums it in order, so padding changes no bit; the minimal model is
+    # the q = 2 star and stacks with the others
+    params = [MinimalModelParams(9.0, 2.0)] + [StarModelParams(9.0, 2.0, q) for q in (3, 6, 10, 20)]
+    stack = [star_model(p) for p in params]
+    runs = run_protocol(stack, (1,))
+    assert runs.shape == (5, 2, 2, 19, 2)
+    for bundle, rows, law in zip(stack, runs, pass_law(runs)):
+        lone = run_protocol(bundle, (1,))
+        spectators = bundle.n_qubits - 1
+        assert np.array_equal(rows[:, :, :spectators], lone)
+        assert np.all(rows[:, :, spectators:] == 0.0)
+        assert np.array_equal(law, pass_law(lone)), bundle.n_qubits
+
+
+def test_a_mixed_q_stack_checks_the_receivers_of_every_bundle():
+    # site 7 is a receiver of the q = 10 star but not of the q = 6 one
+    bundles = [star_model(StarModelParams(9.0, 2.0, 6)), star_model(StarModelParams(9.0, 2.0, 10))]
+    for stack in (bundles, bundles[::-1]):
+        with pytest.raises(ValueError, match="site 7 is not a receiver site of this model"):
+            run_protocol(stack, (7,))
+    assert run_protocol(bundles, (5,)).shape == (2, 2, 2, 9, 2)
 
 
 def test_a_stacked_pass_needs_a_bundle():
@@ -189,7 +207,7 @@ def test_a_stacked_pass_needs_a_bundle():
 
 def test_pass_shapes():
     for q, receivers in ((2, (1,)), (6, (1, 2)), (9, (7, 3, 5)), (7, ()), (7, (1, 2, 3, 4, 5, 6))):
-        classes = run_protocol(star_model(StarModelParams(9.0, 2.0, q)), receivers)
+        classes = purification(run_protocol(star_model(StarModelParams(9.0, 2.0, q)), receivers))
         r = len(receivers)
         assert classes.shape == (2, q - r, 2, r + 1)
         fed = class_cells(classes)
@@ -220,7 +238,7 @@ def test_x_run_keeps_the_classes_off_the_measured_x0_exactly_zero():
     for q in (2, 6, 12, 20):
         bundle = star_model(StarModelParams(9.0, 2.0, q))
         for receivers in ((1,), (q - 1,), tuple(range(1, q))):
-            law = pass_law(run_protocol(bundle, receivers), "X")
+            law = basis_run(pass_law(run_protocol(bundle, receivers)), "X")
             assert np.all(law[0, 1] == 0.0) and np.all(law[1, 0] == 0.0), (q, receivers)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -233,7 +251,7 @@ def test_minimal_pass_draws_mu_at_one_half():
     ratios = np.geomspace(3.2e-5, 1e12, 401)
     for scale in (1e-300, 1.0, 1e200):
         bundles = [star_model(MinimalModelParams(r * scale, scale)) for r in ratios.tolist()]
-        p_plus = np.sum(run_protocol(bundles, (1,))[:, 0] ** 2, axis=(1, 2, 3))
+        p_plus = np.sum(purification(run_protocol(bundles, (1,)))[:, 0] ** 2, axis=(1, 2, 3))
         assert np.abs(p_plus - 0.5).max() <= 2.3e-16, scale
 
 
@@ -242,11 +260,11 @@ PASS_LAW = settings(max_examples=40, deadline=None, derandomize=True)
 
 def _check_pass_law(params, receivers):
     bundle = star_model(params)
-    fed = run_protocol(bundle, receivers)
+    laws = pass_law(run_protocol(bundle, receivers))
     branches = fed_ensemble(bundle, receivers)
     sites = (0, *sorted(receivers))
     for basis in "ZX":
-        law = class_cells(pass_law(fed, basis), probabilities=True)
+        law = class_cells(basis_run(laws, basis), probabilities=True)
         assert law.shape == (2, 2 ** len(sites))
         assert np.abs(law - readout_law(branches, sites, basis)).max() <= 1e-12, basis
 
@@ -355,7 +373,7 @@ def test_ensemble_matches_dense_density_matrix():
     receiver_locals = (terms["Z1"], terms["X1"])
     rho = ensemble_density(fed_ensemble(bundle, (1,)))
     want = float(np.trace(rho @ local_matrix(2, *receiver_locals)).real)
-    reduced = pass_density(class_cells(run_protocol(bundle, (1,))))
+    reduced = pass_density(class_cells(purification(run_protocol(bundle, (1,)))))
     got = float(np.trace(reduced @ reduced_observable((0, 1), *receiver_locals)).real)
     assert got == pytest.approx(want, abs=1e-12)
     assert exact_record(bundle, (1,)).receivers[1].e_j == pytest.approx(want, abs=1e-12)
@@ -410,9 +428,9 @@ def test_minimal_model_is_the_q2_star():
         for basis in ("Z", "X"):
             plan = ShotPlan(basis_run=basis, shots=4000, master_seed=17)
             bundle = star_model(MinimalModelParams(h, k))
-            t_mini = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
+            t_mini = sample_protocol(bundle, pass_law(run_protocol(bundle, (1,))), (1,), plan)
             bundle = star_model(StarModelParams(h, k, 2))
-            t_star = sample_protocol(bundle, run_protocol(bundle, (1,)), (1,), plan)
+            t_star = sample_protocol(bundle, pass_law(run_protocol(bundle, (1,))), (1,), plan)
             mini, star = (np.array(t.counts).reshape(-1, 2, 4) for t in (t_mini, t_star))
             assert np.array_equal(mini.sum(axis=1), star.sum(axis=1))
             assert np.array_equal(mini.sum(axis=2), star.sum(axis=2))
@@ -600,7 +618,7 @@ def _check_closed_form(params, receivers):
         ensemble_expectation(fed_ensemble(bundle, ()), *terms.values()), abs=1e-12
     )
     sites = (0, *sorted(receivers))
-    rho = pass_density(class_cells(run_protocol(bundle, receivers)))
+    rho = pass_density(class_cells(purification(run_protocol(bundle, receivers))))
     for j in receivers:
         dense = receiver_energy(fed, bundle, j)
         for field in ("hx", "hz", "e_j", "e_b"):

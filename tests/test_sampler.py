@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     Term,
+    basis_run,
     class_cells,
     fed_ensemble,
-    oracle_pass,
+    oracle_law,
     parity_estimate,
+    purification,
     readout_law,
     site_counts,
     star_terms,
@@ -36,9 +38,9 @@ from qetsim.sampler import (
 
 def minimal_tallies(basis="Z", shots=1000, seed=1, receivers=(1,), hk=(1.0, 1.0)):
     bundle = star_model(MinimalModelParams(*hk))
-    fed = run_protocol(bundle, receivers)
+    law = pass_law(run_protocol(bundle, receivers))
     plan = ShotPlan(basis_run=basis, shots=shots, master_seed=seed)
-    return bundle, sample_protocol(bundle, fed, receivers, plan)
+    return bundle, sample_protocol(bundle, law, receivers, plan)
 
 
 def counts(tallies):
@@ -91,17 +93,17 @@ LAW_MODELS = {
 }
 
 
-def fed_run(model):
+def law_run(model):
     params, receivers = LAW_MODELS[model]
     bundle = star_model(params)
-    return bundle, run_protocol(bundle, receivers), receivers
+    return bundle, pass_law(run_protocol(bundle, receivers)), receivers
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 @pytest.mark.parametrize("shots", [1, 7, 5000, 2**40])
 def test_tallies_add_up_to_the_shots(basis, shots):
-    bundle, fed, receivers = fed_run("star6")
-    t = sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, 3))
+    bundle, law, receivers = law_run("star6")
+    t = sample_protocol(bundle, law, receivers, ShotPlan(basis, shots, 3))
     c = counts(t)
     for site in c:  # each site's tallies hold every shot, by mu and by bits
         assert shots == site.sum(axis=(1, 2)).sum() == site.sum(axis=0).sum()
@@ -112,8 +114,8 @@ def test_tallies_add_up_to_the_shots(basis, shots):
 
 def test_tallies_are_a_function_of_the_key():
     def tallies(basis, seed):
-        bundle, fed, receivers = fed_run("star6")  # rebuilt on every call
-        return sample_protocol(bundle, fed, receivers, ShotPlan(basis, 20000, seed)).counts
+        bundle, law, receivers = law_run("star6")  # rebuilt on every call
+        return sample_protocol(bundle, law, receivers, ShotPlan(basis, 20000, seed)).counts
 
     assert tallies("Z", 4) == tallies("Z", 4)
     assert tallies("X", 4) == tallies("X", 4)
@@ -134,34 +136,35 @@ def test_cell_frequencies_follow_the_readout_law(model, weights):
     # of the fed ensemble; 1e9 shots put N p >= 1e7 on every cell above 1e-30
     # (the rarest have p ~ 0.01), where the normal bound holds
     shots = 10**9
-    bundle, fed, receivers = fed_run(model)
+    bundle, law, receivers = law_run(model)
     sites = (0, *receivers)
     scale = np.ones(2)
     if weights is not None:
+        fed = purification(run_protocol(bundle, receivers))
         scale = np.array(weights) / np.sum(fed**2, axis=(1, 2, 3))
-        fed = fed * np.sqrt(scale).reshape(2, 1, 1, 1)
+        law = law * np.repeat(scale, 2)[:, None]
     branches = fed_ensemble(bundle, receivers)
     for basis in "ZX":
         p = site_counts(readout_law(branches, sites, basis) * scale[:, None])
         sigma = np.sqrt(shots * p * (1.0 - p))
         for seed in range(20):
             plan = ShotPlan(basis, shots, seed)
-            t = np.array(sample_protocol(bundle, fed, receivers, plan).counts)
+            t = np.array(sample_protocol(bundle, law, receivers, plan).counts)
             assert t.shape == p.shape == (len(sites), 8)
             assert np.all(np.abs(t - shots * p) <= 5.0 * sigma), (basis, seed)
 
 
 def test_pass_of_the_wrong_sites_rejected():
-    bundle, fed, _ = fed_run("star6")
+    bundle, law, _ = law_run("star6")
     with pytest.raises(ValueError, match="does not read out sites"):
-        sample_protocol(bundle, fed, (1,), ShotPlan("Z", 10, 0))
+        sample_protocol(bundle, law, (1,), ShotPlan("Z", 10, 0))
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_single_shot_is_one_hot(basis):
-    bundle, fed, receivers = fed_run("star6")
+    bundle, law, receivers = law_run("star6")
     for seed in range(10):
-        c = counts(sample_protocol(bundle, fed, receivers, ShotPlan(basis, 1, seed)))
+        c = counts(sample_protocol(bundle, law, receivers, ShotPlan(basis, 1, seed)))
         for site in c:
             assert np.count_nonzero(site) == 1 and site.sum() == 1
             assert site.sum() == 1 and tuple(site.sum(axis=(1, 2))) in ((1, 0), (0, 1))
@@ -177,12 +180,12 @@ def test_per_receiver_counts_match_a_joint_multinomial_oracle(receivers, basis):
     # standard errors of the difference, estimated from both samples.
     runs, shots = 2000, 200
     bundle = star_model(StarModelParams(9.0, 2.0, 6))
-    fed = run_protocol(bundle, receivers)
+    laws = pass_law(run_protocol(bundle, receivers))
     ours = np.array([
-        sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, seed)).counts
+        sample_protocol(bundle, laws, receivers, ShotPlan(basis, shots, seed)).counts
         for seed in range(runs)
     ], dtype=float).reshape(runs, -1)
-    law = class_cells(pass_law(fed, basis), probabilities=True)
+    law = class_cells(basis_run(laws, basis), probabilities=True)
     joint = np.random.default_rng(11).multinomial(shots, (law / law.sum()).ravel(), size=runs)
     oracle = site_counts(joint.reshape(runs, *law.shape)).reshape(runs, -1).astype(float)
 
@@ -205,14 +208,14 @@ def test_random_calls_per_run_do_not_grow_with_shots(monkeypatch):
     monkeypatch.setattr(qetsim.sampler, "random", types.SimpleNamespace(Random=CountingRandom))
     receivers = tuple(range(1, 12))
     bundle = star_model(StarModelParams(9.0, 2.0, 12))
-    fed = run_protocol(bundle, receivers)
+    law = pass_law(run_protocol(bundle, receivers))
     binomials = 4 * 12 + 2 * 11 * 12  # the classes, then 4 L splits at L = 11, ..., 1
     per_run = {}
     for shots in (10**3, 10**6, 10**9, 10**12, 10**15):
         CountingRandom.calls = 0
         for basis in "ZX":
             for seed in range(20):
-                sample_protocol(bundle, fed, receivers, ShotPlan(basis, shots, seed))
+                sample_protocol(bundle, law, receivers, ShotPlan(basis, shots, seed))
         per_run[shots] = CountingRandom.calls / 40
     assert all(calls <= 1.25 * per_run[10**3] for calls in per_run.values()), per_run
     assert max(per_run.values()) <= 3 * binomials, per_run
@@ -295,7 +298,7 @@ def test_no_feedback_z1_converges_to_ground_value():
     # the dense oracle's measured ensemble
     h, k = 1.0, 1.0
     bundle = star_model(MinimalModelParams(h, k))
-    unfed = oracle_pass(fed_ensemble(bundle, ()), (0, 1))
+    unfed = oracle_law(fed_ensemble(bundle, ()), (0, 1))
     tallies = sample_protocol(bundle, unfed, (1,), ShotPlan("Z", 40000, 5))
     row_mean, row_err = estimate(tallies, 1, 1.0, 0.0)
     want = -h / np.hypot(h, k)
@@ -330,8 +333,8 @@ def test_estimator_linearity():
 
 def test_incompatible_basis_rejected():
     # a star's receiver 3 is not read out in a run of receivers 1 and 2
-    bundle, fed, receivers = fed_run("star6")
-    tallies = sample_protocol(bundle, fed, receivers, ShotPlan("Z", 10, 1))
+    bundle, law, receivers = law_run("star6")
+    tallies = sample_protocol(bundle, law, receivers, ShotPlan("Z", 10, 1))
     term = star_terms(bundle)["Z3"]
     with pytest.raises(ValueError, match=r"sites \(0, 1, 2\)"):
         estimate(tallies, 3, term.coeff, term.offset)
@@ -400,28 +403,28 @@ def test_estimate_reads_sites_above_16_bits():
 
 
 def test_plan_validation():
-    bundle, fed, receivers = fed_run("minimal")
+    bundle, law, receivers = law_run("minimal")
     with pytest.raises(ValueError, match="basis_run must be 'Z' or 'X', got 'Q'"):
-        sample_protocol(bundle, fed, receivers, ShotPlan(basis_run="Q", shots=10, master_seed=0))
+        sample_protocol(bundle, law, receivers, ShotPlan(basis_run="Q", shots=10, master_seed=0))
     with pytest.raises(ValueError, match="shots must be in"):
-        sample_protocol(bundle, fed, receivers, ShotPlan(basis_run="Z", shots=0, master_seed=0))
+        sample_protocol(bundle, law, receivers, ShotPlan(basis_run="Z", shots=0, master_seed=0))
 
 
 def test_plan_rejects_a_shot_count_that_is_not_an_int():
     # a float would tally fractional counts, and True would draw one shot
-    bundle, fed, receivers = fed_run("minimal")
+    bundle, law, receivers = law_run("minimal")
     expected = rf"shots must be in 1\.\.{qetsim.sampler.MAX_SHOTS}, an int, got "
     for shots in (10.5, 10.0, True, "10"):
         with pytest.raises(ValueError, match=expected + re.escape(repr(shots))):
-            sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots, 1))
+            sample_protocol(bundle, law, receivers, ShotPlan("Z", shots, 1))
 
 
 def test_plan_rejects_shots_beyond_int64():
-    bundle, fed, receivers = fed_run("minimal")
-    t = sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots=2**63 - 1, master_seed=0))
+    bundle, law, receivers = law_run("minimal")
+    t = sample_protocol(bundle, law, receivers, ShotPlan("Z", shots=2**63 - 1, master_seed=0))
     assert t.shots == 2**63 - 1 == sum(t.counts[1])
     with pytest.raises(ValueError, match=r"shots must be in 1\.\.9223372036854775807"):
-        sample_protocol(bundle, fed, receivers, ShotPlan("Z", shots=2**63, master_seed=0))
+        sample_protocol(bundle, law, receivers, ShotPlan("Z", shots=2**63, master_seed=0))
 
 
 # --- sampled records ------------------------------------------------------------
@@ -429,7 +432,8 @@ def test_plan_rejects_shots_beyond_int64():
 def test_sampled_record_minimal_within_five_sigma_of_exact():
     params = MinimalModelParams(1.0, 1.0)
     bundle = star_model(params)
-    sampled = sampled_record(bundle, run_protocol(bundle, (1,)), (1,), shots=100000, master_seed=4)
+    law = pass_law(run_protocol(bundle, (1,)))
+    sampled = sampled_record(bundle, law, (1,), shots=100000, master_seed=4)
     exact = exact_record(star_model(params), (1,))
     assert abs(sampled.e0 - exact.e0) < 5 * sampled.stderr["E0"]
     assert abs(sampled.receivers[1].e_j - exact.receivers[1].e_j) < 5 * sampled.stderr["E1"]
@@ -439,8 +443,8 @@ def test_sampled_record_minimal_within_five_sigma_of_exact():
 def test_sampled_record_star_hx_within_five_sigma():
     params = StarModelParams(9.0, 2.0, 6)
     bundle = star_model(params)
-    fed = run_protocol(bundle, (1, 2))
-    sampled = sampled_record(bundle, fed, (1, 2), shots=100000, master_seed=8)
+    law = pass_law(run_protocol(bundle, (1, 2)))
+    sampled = sampled_record(bundle, law, (1, 2), shots=100000, master_seed=8)
     exact = exact_record(star_model(params), (1, 2))
     for obs, got, want in (
         ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
@@ -456,7 +460,8 @@ def test_sampled_record_checks_the_quadrature_stderr(monkeypatch):
     bundle = star_model(StarModelParams(9.0, 2.0, 6))
     monkeypatch.setattr(qetsim.sampler, "estimate", lambda *args: (0.0, 1.5e308))
     with pytest.raises(FloatingPointError, match="overflow in the standard error of E1"):
-        sampled_record(bundle, run_protocol(bundle, (1, 2)), (1, 2), shots=10, master_seed=8)
+        sampled_record(bundle, pass_law(run_protocol(bundle, (1, 2))), (1, 2), shots=10,
+                       master_seed=8)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -477,7 +482,8 @@ def test_sampled_means_within_five_stderr_of_exact(h, k, q, shots, seed, data):
         bundle = star_model(StarModelParams(h, k, q))
     except DegenerateGroundError:
         reject()  # k/h beyond q's degeneracy edge (q >= 8 in this box): no angle to sample
-    sampled = sampled_record(bundle, run_protocol(bundle, receivers), receivers, shots, seed)
+    law = pass_law(run_protocol(bundle, receivers))
+    sampled = sampled_record(bundle, law, receivers, shots, seed)
     exact = exact_record(bundle, receivers)
     for (obs, _, got), (_, _, want) in zip(sampled.observables(), exact.observables(), strict=True):
         assert abs(got - want) <= 5 * sampled.stderr[obs], obs
@@ -488,11 +494,11 @@ def test_multi_seed_statistical_acceptance():
     params = StarModelParams(9.0, 2.0, 6)
     bundle = star_model(params)
     exact = exact_record(star_model(params), (1, 2))
-    fed = run_protocol(bundle, (1, 2))
+    law = pass_law(run_protocol(bundle, (1, 2)))
     hits = 0
     total = 0
     for seed in range(10):
-        sampled = sampled_record(bundle, fed, (1, 2), shots=20000, master_seed=seed)
+        sampled = sampled_record(bundle, law, (1, 2), shots=20000, master_seed=seed)
         for obs, got, want in (
             ("E0", sampled.e0, exact.e0),
             ("HX1", sampled.receivers[1].hx, exact.receivers[1].hx),
